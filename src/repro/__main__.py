@@ -419,13 +419,24 @@ def _chaos_from_args(args) -> ChaosPolicy | None:
     )
 
 
-def _hedge_from_args(args):
-    hedge_ms = getattr(args, "hedge_ms", None)
-    if hedge_ms is None:
-        return None
-    from .replication import HedgePolicy
-
-    return HedgePolicy(delay_ms=hedge_ms)
+def _assemble_sharded(index, args, replicas: int) -> DiversityEngine:
+    """A ShardedEngine over ``index`` per the deployment flags, or exit 2
+    when the flags name a combination the stack refuses."""
+    policy = ResiliencePolicy(
+        deadline_ms=getattr(args, "deadline_ms", None),
+        max_retries=getattr(args, "retries", 2),
+        seed=getattr(args, "chaos_seed", 0),
+    )
+    try:
+        return ShardedEngine.assemble(
+            index, workers=getattr(args, "workers", 0),
+            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
+            replicas=replicas, hedge_ms=getattr(args, "hedge_ms", None),
+            chaos=_chaos_from_args(args),
+        )
+    except UnsupportedWorkerModeError as error:
+        print(str(error), file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _make_engine(index, args) -> DiversityEngine:
@@ -441,35 +452,13 @@ def _make_engine(index, args) -> DiversityEngine:
         print("--replicas needs a sharded deployment (--shards >= 2)",
               file=sys.stderr)
         raise SystemExit(2)
-    if replicas > 1 and getattr(args, "worker_mode", "thread") != "thread":
-        print("--worker-mode process/fork/spawn cannot serve a replicated "
-              "deployment (--replicas >= 2); use --worker-mode thread",
-              file=sys.stderr)
-        raise SystemExit(2)
     if shards > 1:
         # Re-partition the loaded single index: snapshots store one index,
         # sharding is a deployment decision made at serve time.
         index = ShardedIndex.build(
             index.relation, index.ordering, shards=shards, backend=index.backend
         )
-        policy = ResiliencePolicy(
-            deadline_ms=getattr(args, "deadline_ms", None),
-            max_retries=getattr(args, "retries", 2),
-            seed=getattr(args, "chaos_seed", 0),
-        )
-        if replicas > 1:
-            index.replicate(replicas, policy=policy, hedge=_hedge_from_args(args))
-        engine: DiversityEngine = ShardedEngine(
-            index, workers=getattr(args, "workers", 0),
-            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
-        )
-        chaos = _chaos_from_args(args)
-        if chaos is not None:
-            try:
-                engine.inject_chaos(chaos)
-            except UnsupportedWorkerModeError as error:
-                print(str(error), file=sys.stderr)
-                raise SystemExit(2) from None
+        engine = _assemble_sharded(index, args, replicas)
     else:
         engine = DiversityEngine(index)
     _attach_cache(engine, args)
@@ -568,11 +557,6 @@ def _recover_engine(data_dir: Path, args) -> DiversityEngine:
     if isinstance(recovered, DurableIndex):
         engine: DiversityEngine = DiversityEngine(recovered)
     else:
-        policy = ResiliencePolicy(
-            deadline_ms=getattr(args, "deadline_ms", None),
-            max_retries=getattr(args, "retries", 2),
-            seed=getattr(args, "chaos_seed", 0),
-        )
         replicas = getattr(args, "replicas", None)
         if replicas is None:
             # The build-time --replicas choice lives in the manifest;
@@ -580,36 +564,33 @@ def _recover_engine(data_dir: Path, args) -> DiversityEngine:
             from .durability.store import read_manifest
 
             replicas = int(read_manifest(data_dir).get("replicas", 1))
-        if replicas > 1:
-            recovered.replicate(replicas, policy=policy,
-                                hedge=_hedge_from_args(args))
-        engine = ShardedEngine(
-            recovered, workers=getattr(args, "workers", 0),
-            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
-        )
-        chaos = _chaos_from_args(args)
-        if chaos is not None:
-            try:
-                engine.inject_chaos(chaos)
-            except UnsupportedWorkerModeError as error:
-                print(str(error), file=sys.stderr)
-                raise SystemExit(2) from None
+        engine = _assemble_sharded(recovered, args, replicas)
     _attach_cache(engine, args)
     return engine
 
 
-def _open_engine(path: Path, args) -> DiversityEngine:
-    """Serve either a bare snapshot file or a durable data directory."""
-    if path.is_dir():
+def _open_engine(path: Path | None, args) -> DiversityEngine:
+    """Serve a bare snapshot file, a durable data directory, or — with no
+    path — the paper's Figure 1 example."""
+    if path is None:
+        index = InvertedIndex.build(figure1_relation(), figure1_ordering())
+    elif path.is_dir():
         return _recover_engine(path, args)
-    return _make_engine(load_index(path), args)
+    else:
+        index = load_index(path)
+    return _make_engine(index, args)
 
 
 def _durable_stores(engine: DiversityEngine) -> list:
     """The DurableIndex stores behind an engine (empty when not durable)."""
     index = engine.index
-    candidates = getattr(index, "shards", [index])
-    return [store for store in candidates if hasattr(store, "recovery")]
+    stores = []
+    for slot in getattr(index, "shards", [index]):
+        store = getattr(slot, "replicas", [slot])[0]  # a replica set's primary
+        store = getattr(store, "inner", store)        # under a chaos proxy
+        if hasattr(store, "recovery"):
+            stores.append(store)
+    return stores
 
 
 def _cmd_recover(args) -> int:
@@ -676,14 +657,7 @@ def _cmd_serve(args) -> int:
     # The serving wrapper owns caching on this path: skip the CLI-attached
     # cache so there is exactly one ServingCache in front of the engine.
     args.cache = False
-    if args.index is None:
-        from .data.paper_example import figure1_ordering, figure1_relation
-
-        index = InvertedIndex.build(figure1_relation(), figure1_ordering())
-        engine = _make_engine(index, args)
-    else:
-        engine = _open_engine(args.index, args)
-    serving = ServingEngine(engine)
+    serving = ServingEngine(_open_engine(args.index, args))
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -765,12 +739,7 @@ def _cmd_plan(args) -> int:
             index_arg, text = None, str(index_arg)
         else:
             text = "Make = 'Honda'"
-    if index_arg is not None:
-        engine = _open_engine(index_arg, args)
-    else:
-        engine = _make_engine(
-            InvertedIndex.build(figure1_relation(), figure1_ordering()), args
-        )
+    engine = _open_engine(index_arg, args)
     try:
         parsed = parse_query(text)
     except QueryParseError as error:
@@ -808,12 +777,7 @@ def _cmd_metrics(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.index is not None:
-        engine = _open_engine(args.index, args)
-    else:
-        engine = _make_engine(
-            InvertedIndex.build(figure1_relation(), figure1_ordering()), args
-        )
+    engine = _open_engine(args.index, args)
     # Workload generation is control-plane work: read the vocabulary with
     # chaos disarmed, then re-inject so only the serving path sees faults.
     if hasattr(engine, "clear_chaos"):
@@ -883,8 +847,7 @@ def _cmd_shell(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    index = InvertedIndex.build(figure1_relation(), figure1_ordering())
-    engine = _make_engine(index, args)
+    engine = _open_engine(None, args)
     print("Figure 1(a) Cars relation (15 rows), "
           "ordering Make < Model < Color < Year < Description\n")
     return _run_query(engine, args, args.text)

@@ -51,8 +51,9 @@ from .store import (
     SNAPSHOT_NAME,
     WAL_NAME,
     _scan_wal_for_recovery,
-    parse_record,
+    fold_shard_state,
     read_manifest,
+    reopen_wal,
     write_manifest,
 )
 from .wal import WriteAheadLog
@@ -159,14 +160,8 @@ def create_sharded_store(
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def recover_sharded_store(
-    data_dir: Union[str, Path],
-    snapshot_every: Optional[int] = None,
-    fsync_every: Optional[int] = None,
-    injector: Optional[CrashInjector] = None,
-) -> ShardedIndex:
-    """Recover a full sharded deployment from its directory tree."""
-    data_dir = Path(data_dir)
+def read_sharded_manifest(data_dir: Path) -> tuple:
+    """A sharded deployment's ``(manifest, shard count)``."""
     manifest = read_manifest(data_dir)
     if manifest.get("kind") != "sharded":
         raise RecoveryError(
@@ -179,28 +174,54 @@ def recover_sharded_store(
         raise RecoveryError(data_dir, "manifest lacks a shard count") from None
     if num_shards < 1:
         raise RecoveryError(data_dir, f"bad shard count {num_shards}")
+    return manifest, num_shards
+
+
+def read_shard_dir(data_dir: Path, shard_id: int) -> tuple:
+    """One shard directory's ``(snapshot payload, WAL scan)``."""
+    shard_dir = data_dir / shard_dir_name(shard_id)
+    snapshot_path = shard_dir / SNAPSHOT_NAME
+    if not snapshot_path.exists():
+        raise RecoveryError(
+            data_dir, f"missing snapshot for shard {shard_id} ({snapshot_path})"
+        )
+    try:
+        payload = read_snapshot(snapshot_path)
+    except SnapshotError as error:
+        raise RecoveryError(data_dir, str(error)) from error
+    return payload, _scan_wal_for_recovery(shard_dir / WAL_NAME, shard_dir)
+
+
+def empty_relation(payload: dict, label) -> Relation:
+    """The (still row-less) relation a snapshot payload describes."""
+    try:
+        schema = Schema(
+            Attribute(name, AttributeKind(kind))
+            for name, kind in payload["schema"]
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise RecoveryError(label, f"bad schema: {error}") from None
+    return Relation(schema, name=payload.get("name", "R"))
+
+
+def recover_sharded_store(
+    data_dir: Union[str, Path],
+    snapshot_every: Optional[int] = None,
+    fsync_every: Optional[int] = None,
+    injector: Optional[CrashInjector] = None,
+) -> ShardedIndex:
+    """Recover a full sharded deployment from its directory tree."""
+    data_dir = Path(data_dir)
+    manifest, num_shards = read_sharded_manifest(data_dir)
     if snapshot_every is None:
         snapshot_every = int(manifest.get("snapshot_every", 0))
     if fsync_every is None:
         fsync_every = int(manifest.get("fsync_every", 1))
 
     # ---- Pass 1: read every shard's snapshot payload and WAL scan.
-    payloads = []
-    scans = []
-    for shard_id in range(num_shards):
-        shard_dir = data_dir / shard_dir_name(shard_id)
-        snapshot_path = shard_dir / SNAPSHOT_NAME
-        if not snapshot_path.exists():
-            raise RecoveryError(
-                data_dir, f"missing snapshot for shard {shard_id} "
-                f"({snapshot_path})"
-            )
-        try:
-            payloads.append(read_snapshot(snapshot_path))
-        except SnapshotError as error:
-            raise RecoveryError(data_dir, str(error)) from error
-        scans.append(_scan_wal_for_recovery(shard_dir / WAL_NAME, shard_dir))
-
+    payloads, scans = zip(*(
+        read_shard_dir(data_dir, shard_id) for shard_id in range(num_shards)
+    ))
     reference = payloads[0]
     for shard_id, payload in enumerate(payloads):
         for key in ("schema", "ordering", "backend", "name"):
@@ -210,91 +231,28 @@ def recover_sharded_store(
                     f"shard {shard_id} disagrees with shard 0 on {key!r}",
                 )
 
-    # ---- Pass 2: union rows/tombstones/assignments, replay per-shard WALs.
+    # ---- Pass 2: fold each shard's WAL over its snapshot, union the rest.
+    states = [
+        fold_shard_state(payload, scan.records,
+                         data_dir / shard_dir_name(shard_id))
+        for shard_id, (payload, scan) in enumerate(zip(payloads, scans))
+    ]
     rows: dict = {}
     deleted: Set[int] = set()
     assignments: dict = {}
-    shard_live: List[Set[int]] = [set() for _ in range(num_shards)]
-    owned: List[Set[int]] = [set() for _ in range(num_shards)]
-    epochs: List[int] = []
-    reports: List[RecoveryReport] = []
-    for shard_id, payload in enumerate(payloads):
-        label = data_dir / shard_dir_name(shard_id)
-        for rid, row in payload["rows"]:
-            rid = int(rid)
-            if rid in rows:
-                raise RecoveryError(
-                    label, f"rid {rid} appears in more than one shard snapshot"
-                )
-            rows[rid] = row
-            owned[shard_id].add(rid)
-        deleted.update(int(rid) for rid in payload.get("deleted", []))
-        for rid, components in payload["deweys"]:
-            rid = int(rid)
-            assignments[rid] = tuple(int(c) for c in components)
-            shard_live[shard_id].add(rid)
-        snapshot_epoch = int(payload.get("epoch", 0))
-        expected = snapshot_epoch
-        replayed = skipped = 0
-        for record in scans[shard_id].records:
-            seq, op, rid, dewey, row = parse_record(record, label)
-            if seq <= snapshot_epoch:
-                skipped += 1
-                continue
-            expected += 1
-            if seq != expected:
-                raise RecoveryError(
-                    label,
-                    f"WAL sequence gap: expected seq {expected}, found {seq}",
-                )
-            if op == "insert":
-                if rid in rows and list(rows[rid]) != list(row):
-                    raise RecoveryError(
-                        label,
-                        f"insert record {seq} disagrees with the snapshotted "
-                        f"row {rid}",
-                    )
-                existing = assignments.get(rid)
-                if existing is not None and existing != dewey:
-                    raise RecoveryError(
-                        label,
-                        f"insert record {seq} assigns rid {rid} Dewey "
-                        f"{list(dewey)} but {list(existing)} is already taken",
-                    )
-                rows[rid] = row
-                owned[shard_id].add(rid)
-                assignments[rid] = dewey
-                shard_live[shard_id].add(rid)
-            else:  # remove
-                if rid not in shard_live[shard_id] or assignments.get(rid) != dewey:
-                    raise RecoveryError(
-                        label,
-                        f"remove record {seq} references rid {rid} with "
-                        f"Dewey {list(dewey)} not live in this shard",
-                    )
-                shard_live[shard_id].discard(rid)
-                del assignments[rid]
-                deleted.add(rid)
-            replayed += 1
-        epochs.append(expected)
-        reports.append(RecoveryReport(
-            path=label,
-            snapshot_epoch=snapshot_epoch,
-            replayed=replayed,
-            skipped=skipped,
-            torn_bytes=scans[shard_id].dropped_bytes,
-            final_epoch=expected,
-        ))
+    for shard_id, state in enumerate(states):
+        shared = rows.keys() & state.rows.keys()
+        if shared:
+            raise RecoveryError(
+                data_dir / shard_dir_name(shard_id),
+                f"rid {min(shared)} appears in more than one shard",
+            )
+        rows.update(state.rows)
+        deleted |= state.deleted
+        assignments.update(state.assignments)
 
     # ---- Pass 3: rebuild the global relation and Dewey space.
-    try:
-        schema = Schema(
-            Attribute(name, AttributeKind(kind))
-            for name, kind in reference["schema"]
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise RecoveryError(data_dir, f"bad schema: {error}") from None
-    relation = Relation(schema, name=reference.get("name", "R"))
+    relation = empty_relation(reference, data_dir)
     for rid in range(len(rows)):
         if rid not in rows:
             raise RecoveryError(
@@ -311,36 +269,31 @@ def recover_sharded_store(
     except SnapshotError as error:
         raise RecoveryError(data_dir, str(error)) from error
     backend = reference["backend"]
-
-    # ---- Pass 4: per-shard posting lists over the shared Dewey space.
-    shards: List[InvertedIndex] = []
-    for shard_id in range(num_shards):
-        shard = InvertedIndex(relation, ordering, backend=backend, dewey=dewey)
-        for rid in sorted(shard_live[shard_id]):
-            shard.index_restored_row(rid)
-        shard.restore_epoch(epochs[shard_id])
-        shards.append(shard)
     router = router_from_spec(manifest.get("router"), num_shards, data_dir)
-    index = ShardedIndex.from_parts(
-        relation, ordering, dewey, router, shards, backend=backend
-    )
 
-    # ---- Pass 5: reopen each shard's WAL and re-wrap durably.
+    # ---- Pass 4: per-shard posting lists over the shared Dewey space,
+    # each re-wrapped durably around its reopened WAL.
     durable: List[DurableIndex] = []
-    for shard_id, shard in enumerate(shards):
+    for shard_id, (state, scan) in enumerate(zip(states, scans)):
+        shard = InvertedIndex(relation, ordering, backend=backend, dewey=dewey)
+        for rid in state.live:
+            shard.index_restored_row(rid)
+        shard.restore_epoch(state.epoch)
         shard_dir = data_dir / shard_dir_name(shard_id)
-        wal_path = shard_dir / WAL_NAME
-        if wal_path.exists():
-            wal, _ = WriteAheadLog.open_for_append(
-                wal_path, fsync_every=fsync_every, injector=injector
-            )
-        else:
-            wal = WriteAheadLog.create(wal_path, fsync_every=fsync_every,
-                                       injector=injector)
         durable.append(DurableIndex(
-            shard, wal, shard_dir / SNAPSHOT_NAME,
+            shard, reopen_wal(shard_dir / WAL_NAME, fsync_every, injector),
+            shard_dir / SNAPSHOT_NAME,
             snapshot_every=snapshot_every, injector=injector,
-            owned=owned[shard_id], recovery=reports[shard_id],
+            owned=set(state.rows),
+            recovery=RecoveryReport(
+                path=shard_dir,
+                snapshot_epoch=state.epoch - state.replayed,
+                replayed=state.replayed,
+                skipped=state.skipped,
+                torn_bytes=scan.dropped_bytes,
+                final_epoch=state.epoch,
+            ),
         ))
-    index._shards = durable
-    return index
+    return ShardedIndex.from_parts(
+        relation, ordering, dewey, router, durable, backend=backend
+    )

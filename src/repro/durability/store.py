@@ -30,12 +30,13 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Set, Union
+from typing import NamedTuple, Optional, Set, Union
 
 from ..core.dewey import DeweyId
 from ..index.dewey_index import DeweyAssignmentError
 from ..observability import get_registry, span
 from ..index.inverted import InvertedIndex
+from ..index.reader import ReaderProxy
 from ..index.snapshot import (
     SnapshotError,
     read_snapshot,
@@ -77,7 +78,7 @@ class RecoveryReport:
         return ", ".join(bits)
 
 
-class DurableIndex:
+class DurableIndex(ReaderProxy):
     """An inverted index whose mutations survive crashes.
 
     Presents the full InvertedIndex read protocol (so engines, cursors and
@@ -91,7 +92,7 @@ class DurableIndex:
     """
 
     __slots__ = (
-        "_index", "_wal", "_snapshot_path", "_snapshot_every",
+        "_target", "_wal", "_snapshot_path", "_snapshot_every",
         "_injector", "_owned", "snapshots", "recovery",
         "__weakref__",  # metrics collectors hold the index weakly
     )
@@ -108,7 +109,7 @@ class DurableIndex:
     ):
         if snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0 (0 disables)")
-        self._index = index
+        self._target = index
         self._wal = wal
         self._snapshot_path = Path(snapshot_path)
         self._snapshot_every = snapshot_every
@@ -118,14 +119,14 @@ class DurableIndex:
         self.recovery = recovery
 
     # ------------------------------------------------------------------
-    # Introspection / read protocol (delegates to the wrapped index).
+    # Introspection (the read protocol is ReaderProxy's, over the index).
     # NOTE: the unwrap accessor is deliberately named ``index`` — shards
     # expose chaos wrappers via ``inner`` and ShardedIndex.clear_chaos
     # strips *that* name; durability must survive chaos clearing.
     # ------------------------------------------------------------------
     @property
     def index(self) -> InvertedIndex:
-        return self._index
+        return self._target
 
     @property
     def wal(self) -> WriteAheadLog:
@@ -139,53 +140,11 @@ class DurableIndex:
     def snapshot_every(self) -> int:
         return self._snapshot_every
 
-    @property
-    def relation(self):
-        return self._index.relation
-
-    @property
-    def ordering(self):
-        return self._index.ordering
-
-    @property
-    def backend(self) -> str:
-        return self._index.backend
-
-    @property
-    def dewey(self):
-        return self._index.dewey
-
-    @property
-    def depth(self) -> int:
-        return self._index.depth
-
-    @property
-    def epoch(self) -> int:
-        return self._index.epoch
-
-    def __len__(self) -> int:
-        return len(self._index)
-
     def __repr__(self) -> str:
         return (
-            f"DurableIndex({self._index!r}, wal={self._wal.path.name}, "
+            f"DurableIndex({self._target!r}, wal={self._wal.path.name}, "
             f"snapshot_every={self._snapshot_every or 'off'})"
         )
-
-    def scalar_postings(self, attribute: str, value: Any):
-        return self._index.scalar_postings(attribute, value)
-
-    def token_postings(self, attribute: str, token: str):
-        return self._index.token_postings(attribute, token)
-
-    def all_postings(self):
-        return self._index.all_postings()
-
-    def vocabulary(self, attribute: str) -> list:
-        return self._index.vocabulary(attribute)
-
-    def memory_stats(self) -> dict:
-        return self._index.memory_stats()
 
     # ------------------------------------------------------------------
     # Durable mutations
@@ -198,26 +157,26 @@ class DurableIndex:
         assign — replay force-applies it bit-identically no matter what
         sibling-dictionary state a restored index happens to have.
         """
-        dewey = self._index.dewey.peek(rid)
-        if dewey in self._index.all_postings():
+        dewey = self._target.dewey.peek(rid)
+        if dewey in self._target.all_postings():
             return dewey  # idempotent re-insert: no mutation, no record
-        row = self._index.relation[rid]
-        self._wal.append(insert_record(self._index.epoch + 1, rid, row, dewey))
+        row = self._target.relation[rid]
+        self._wal.append(insert_record(self._target.epoch + 1, rid, row, dewey))
         if self._owned is not None:
             self._owned.add(rid)
-        applied = self._index.insert(rid)
+        applied = self._target.insert(rid)
         self._maybe_snapshot()
         return applied
 
     def remove(self, rid: int) -> Optional[DeweyId]:
         """WAL-then-unindex one row; returns its Dewey ID (None if absent)."""
-        if rid not in self._index.dewey:
+        if rid not in self._target.dewey:
             return None
-        dewey = self._index.dewey.dewey_of(rid)
-        if dewey not in self._index.all_postings():
+        dewey = self._target.dewey.dewey_of(rid)
+        if dewey not in self._target.all_postings():
             return None  # not this shard's row (shared global Dewey space)
-        self._wal.append(remove_record(self._index.epoch + 1, rid, dewey))
-        result = self._index.remove(rid)
+        self._wal.append(remove_record(self._target.epoch + 1, rid, dewey))
+        result = self._target.remove(rid)
         self._maybe_snapshot()
         return result
 
@@ -233,9 +192,9 @@ class DurableIndex:
 
     def snapshot(self) -> None:
         """Write an atomic snapshot, then truncate the now-covered log."""
-        with span("durability.snapshot", epoch=self._index.epoch):
+        with span("durability.snapshot", epoch=self._target.epoch):
             rids = sorted(self._owned) if self._owned is not None else None
-            save_index(self._index, self._snapshot_path, rids=rids,
+            save_index(self._target, self._snapshot_path, rids=rids,
                        injector=self._injector)
             self._wal.truncate()
             if self._injector is not None and self._injector.reach(
@@ -342,6 +301,93 @@ def parse_record(record, label) -> tuple:
     return seq, op, rid, dewey, row
 
 
+def unreplayed(records: list, snapshot_epoch: int, label):
+    """The parsed records a snapshot at ``snapshot_epoch`` does not cover.
+
+    Records with ``seq <=`` the snapshot epoch are dropped (superseded — a
+    crash between the snapshot rename and the log truncate leaves them
+    behind); the rest must be contiguous from the next epoch.  Every
+    record is either dropped or yielded, so a caller that counts what it
+    applied knows ``skipped = len(records) - replayed`` and lands on epoch
+    ``snapshot_epoch + replayed``.
+    """
+    expected = snapshot_epoch
+    for record in records:
+        parsed = parse_record(record, label)
+        if parsed[0] <= snapshot_epoch:
+            continue
+        expected += 1
+        if parsed[0] != expected:
+            raise RecoveryError(
+                label,
+                f"WAL sequence gap: expected seq {expected}, found "
+                f"{parsed[0]} (acknowledged mutations are missing)",
+            )
+        yield parsed
+
+
+class ShardState(NamedTuple):
+    """One store's content after its WAL is folded over its snapshot."""
+
+    rows: dict          # rid -> row, every slot the store owns (live or not)
+    assignments: dict   # live rid -> Dewey ID
+    deleted: set        # tombstoned rids
+    epoch: int
+    replayed: int       # WAL records applied on top of the snapshot
+    skipped: int        # stale records the snapshot already covered
+
+    @property
+    def live(self) -> list:
+        return sorted(self.assignments)
+
+
+def fold_shard_state(payload: dict, records: list, label) -> ShardState:
+    """Snapshot payload + scanned WAL records -> the state they describe.
+
+    Pure bookkeeping over rids and Dewey IDs (no index is built), shared by
+    every consumer of a shard directory: full recovery, replica bootstrap
+    and spawn-worker bootstrap.  Raises :class:`RecoveryError` under
+    ``label`` when the log contradicts the snapshot or itself.
+    """
+    rows = {int(rid): row for rid, row in payload["rows"]}
+    assignments = {
+        int(rid): tuple(int(component) for component in components)
+        for rid, components in payload["deweys"]
+    }
+    deleted = {int(rid) for rid in payload.get("deleted", [])}
+    snapshot_epoch = int(payload.get("epoch", 0))
+    replayed = 0
+    for seq, op, rid, dewey, row in unreplayed(records, snapshot_epoch, label):
+        taken = assignments.get(rid)
+        if op == "insert":
+            if rid in rows and list(rows[rid]) != list(row):
+                raise RecoveryError(
+                    label,
+                    f"insert record {seq} disagrees with the snapshotted "
+                    f"row {rid}",
+                )
+            if taken is not None and taken != dewey:
+                raise RecoveryError(
+                    label,
+                    f"insert record {seq} assigns rid {rid} Dewey "
+                    f"{list(dewey)} but {list(taken)} is already taken",
+                )
+            rows[rid] = row
+            assignments[rid] = dewey
+        else:  # remove
+            if taken != dewey:
+                raise RecoveryError(
+                    label,
+                    f"remove record {seq} references rid {rid} with Dewey "
+                    f"{list(dewey)} not live in this shard",
+                )
+            del assignments[rid]
+            deleted.add(rid)
+        replayed += 1
+    return ShardState(rows, assignments, deleted, snapshot_epoch + replayed,
+                      replayed, len(records) - replayed)
+
+
 def replay_wal_records(
     index: InvertedIndex,
     records: list,
@@ -349,29 +395,17 @@ def replay_wal_records(
 ) -> tuple[int, int]:
     """Apply WAL records on top of a freshly restored index.
 
-    Records the snapshot already covers (``seq <=`` the restored epoch)
-    are skipped; the remainder must be contiguous from the next epoch.
-    Every replayed record is cross-checked against the index (rows match,
-    Dewey assignments consistent) so damage that slipped past the
-    checksums still surfaces as :class:`RecoveryError`, never as a
-    silently wrong index.  Returns ``(replayed, skipped)``.
+    Records the snapshot already covers are skipped, the remainder must
+    be contiguous (:func:`unreplayed`).  Every replayed record is
+    cross-checked against the index (rows match, Dewey assignments
+    consistent) so damage that slipped past the checksums still surfaces
+    as :class:`RecoveryError`, never as a silently wrong index.  Returns
+    ``(replayed, skipped)``.
     """
     relation = index.relation
     start = index.epoch
-    expected = start
-    replayed = skipped = 0
-    for record in records:
-        seq, op, rid, dewey, row = parse_record(record, label)
-        if seq <= start:
-            skipped += 1  # superseded by the snapshot (post-rename crash)
-            continue
-        expected += 1
-        if seq != expected:
-            raise RecoveryError(
-                label,
-                f"WAL sequence gap: expected seq {expected}, found {seq} "
-                f"(acknowledged mutations are missing)",
-            )
+    replayed = 0
+    for seq, op, rid, dewey, row in unreplayed(records, start, label):
         if op == "insert":
             if rid == len(relation):
                 relation.insert(row)
@@ -405,8 +439,8 @@ def replay_wal_records(
             index.remove(rid)
             relation.delete(rid)
         replayed += 1
-    index.restore_epoch(expected)
-    return replayed, skipped
+    index.restore_epoch(start + replayed)
+    return replayed, len(records) - replayed
 
 
 def _scan_wal_for_recovery(wal_path: Path, label) -> WalScan:
@@ -418,6 +452,18 @@ def _scan_wal_for_recovery(wal_path: Path, label) -> WalScan:
         return read_wal(wal_path)
     except WALError as error:
         raise RecoveryError(label, str(error)) from error
+
+
+def reopen_wal(wal_path: Path, fsync_every: int,
+               injector: Optional[CrashInjector]) -> WriteAheadLog:
+    """A recovered store's log, open for appending (created when a crash
+    fell between the snapshot write and WAL creation)."""
+    if wal_path.exists():
+        return WriteAheadLog.open_for_append(
+            wal_path, fsync_every=fsync_every, injector=injector
+        )[0]
+    return WriteAheadLog.create(wal_path, fsync_every=fsync_every,
+                                injector=injector)
 
 
 def recover_store(
@@ -454,13 +500,7 @@ def recover_store(
         scan = _scan_wal_for_recovery(wal_path, data_dir)
         snapshot_epoch = index.epoch
         replayed, skipped = replay_wal_records(index, scan.records, data_dir)
-        if wal_path.exists():
-            wal, _ = WriteAheadLog.open_for_append(
-                wal_path, fsync_every=fsync_every, injector=injector
-            )
-        else:
-            wal = WriteAheadLog.create(wal_path, fsync_every=fsync_every,
-                                       injector=injector)
+        wal = reopen_wal(wal_path, fsync_every, injector)
     report = RecoveryReport(
         path=data_dir,
         snapshot_epoch=snapshot_epoch,

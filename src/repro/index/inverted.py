@@ -299,20 +299,8 @@ class InvertedIndex:
         """
         if rid not in self._dewey:
             return None
-        dewey = self._dewey.dewey_of(rid)
-        row = self._relation[rid]
-        self._all.remove(dewey)
-        for name, value in zip(self._relation.schema.names, row):
-            postings = self._scalar.get((name, value))
-            if postings is not None:
-                postings.remove(dewey)
-        for name in self._text_attributes:
-            for token in token_set(self._relation.value(rid, name)):
-                postings = self._token.get((name, token))
-                if postings is not None:
-                    postings.remove(dewey)
+        dewey = self.remove_mirrored(rid, self._dewey.dewey_of(rid))
         self._dewey.remove(rid)
-        self._epoch += 1
         return dewey
 
     def remove_mirrored(self, rid: int, dewey: DeweyId) -> DeweyId:

@@ -26,9 +26,7 @@ from typing import Union
 from ..core.ordering import DiversityOrdering
 from ..durability.errors import RecoveryError
 from ..index.inverted import InvertedIndex
-from ..index.snapshot import SnapshotError, read_snapshot, restore_dewey
-from ..storage.relation import Relation
-from ..storage.schema import Attribute, AttributeKind, Schema
+from ..index.snapshot import SnapshotError, restore_dewey
 
 
 def load_shard_replica(
@@ -42,89 +40,33 @@ def load_shard_replica(
     :class:`RecoveryError` on a damaged or inconsistent directory — a
     worker must refuse to serve from a shard it cannot prove complete.
     """
-    from ..durability.sharded import shard_dir_name
-    from ..durability.store import (
-        SNAPSHOT_NAME,
-        WAL_NAME,
-        _scan_wal_for_recovery,
-        parse_record,
-        read_manifest,
+    from ..durability.sharded import (
+        empty_relation,
+        read_shard_dir,
+        read_sharded_manifest,
+        shard_dir_name,
     )
+    from ..durability.store import fold_shard_state
 
     data_dir = Path(data_dir)
-    manifest = read_manifest(data_dir)
-    if manifest.get("kind") != "sharded":
-        raise RecoveryError(
-            data_dir,
-            f"manifest kind {manifest.get('kind')!r} is not a sharded store",
-        )
-    num_shards = int(manifest.get("shards", 0))
+    _, num_shards = read_sharded_manifest(data_dir)
     if not 0 <= shard_id < num_shards:
         raise RecoveryError(
             data_dir,
             f"shard {shard_id} outside the deployment's 0..{num_shards - 1}",
         )
-    shard_dir = data_dir / shard_dir_name(shard_id)
-    snapshot_path = shard_dir / SNAPSHOT_NAME
-    if not snapshot_path.exists():
-        raise RecoveryError(
-            data_dir, f"missing snapshot for shard {shard_id} ({snapshot_path})"
-        )
-    try:
-        payload = read_snapshot(snapshot_path)
-    except SnapshotError as error:
-        raise RecoveryError(data_dir, str(error)) from error
-    scan = _scan_wal_for_recovery(shard_dir / WAL_NAME, shard_dir)
-
-    # ---- Snapshot state: this shard's rows + live Dewey assignments.
-    rows = {int(rid): row for rid, row in payload["rows"]}
-    assignments = {
-        int(rid): tuple(int(component) for component in components)
-        for rid, components in payload["deweys"]
-    }
-    live = set(assignments)
-
-    # ---- WAL replay on top (same seq/gap discipline as full recovery).
-    snapshot_epoch = int(payload.get("epoch", 0))
-    expected = snapshot_epoch
-    for record in scan.records:
-        seq, op, rid, dewey, row = parse_record(record, shard_dir)
-        if seq <= snapshot_epoch:
-            continue  # superseded by the snapshot (post-rename crash)
-        expected += 1
-        if seq != expected:
-            raise RecoveryError(
-                shard_dir,
-                f"WAL sequence gap: expected seq {expected}, found {seq}",
-            )
-        if op == "insert":
-            rows[rid] = row
-            assignments[rid] = dewey
-            live.add(rid)
-        else:  # remove
-            if rid not in live or assignments.get(rid) != dewey:
-                raise RecoveryError(
-                    shard_dir,
-                    f"remove record {seq} references rid {rid} with Dewey "
-                    f"{list(dewey)} not live in this shard",
-                )
-            live.discard(rid)
-            del assignments[rid]
+    payload, scan = read_shard_dir(data_dir, shard_id)
+    state = fold_shard_state(
+        payload, scan.records, data_dir / shard_dir_name(shard_id)
+    )
 
     # ---- Local dense-rid relation over the live rows (global-rid order).
-    try:
-        schema = Schema(
-            Attribute(name, AttributeKind(kind))
-            for name, kind in payload["schema"]
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise RecoveryError(data_dir, f"bad schema: {error}") from None
-    relation = Relation(schema, name=payload.get("name", "R"))
+    relation = empty_relation(payload, data_dir)
     ordering = DiversityOrdering(payload["ordering"])
     local_assignments = {}
-    for local_rid, global_rid in enumerate(sorted(live)):
-        relation.insert(rows[global_rid])
-        local_assignments[local_rid] = assignments[global_rid]
+    for local_rid, global_rid in enumerate(state.live):
+        relation.insert(state.rows[global_rid])
+        local_assignments[local_rid] = state.assignments[global_rid]
     try:
         dewey = restore_dewey(relation, ordering, local_assignments)
     except SnapshotError as error:
@@ -134,5 +76,5 @@ def load_shard_replica(
     )
     for local_rid in range(len(relation)):
         index.index_restored_row(local_rid)
-    index.restore_epoch(expected)
+    index.restore_epoch(state.epoch)
     return index

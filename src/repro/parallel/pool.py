@@ -167,15 +167,6 @@ class ProcessShardPool:
             or self._built_epochs != list(self._index.shard_epochs())
         )
 
-    def matches(self, workers: int, mode: str, num_shards: int) -> bool:
-        """Is this pool still the right shape for the engine's config?"""
-        return (
-            not self._closed
-            and self._workers_requested == workers
-            and self._mode == mode
-            and len(self._built_epochs) == num_shards
-        )
-
     # ------------------------------------------------------------------
     # Build / rebuild
     # ------------------------------------------------------------------

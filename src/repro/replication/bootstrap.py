@@ -68,63 +68,38 @@ def clone_from_index(shard) -> InvertedIndex:
 def clone_from_store(store) -> InvertedIndex:
     """Bootstrap a copy from a durable primary: snapshot + WAL replay.
 
-    The snapshot envelope's sha256 digest is verified on read; every
-    restored or replayed Dewey assignment is cross-checked against the
-    live shared assignment (a replica must never invent coordinates); the
+    The snapshot envelope's sha256 digest is verified on read and the log
+    is folded over it under full recovery's checks
+    (:func:`~repro.durability.store.fold_shard_state`); every Dewey
+    assignment the fold ends with is then cross-checked against the live
+    shared assignment (a replica must never invent coordinates), and the
     replay lands on the primary's exact epoch via the WAL seq chain.
     """
     from ..durability.errors import RecoveryError
-    from ..durability.store import _scan_wal_for_recovery, parse_record
+    from ..durability.store import _scan_wal_for_recovery, fold_shard_state
 
     store = _raw(store)
     label = store.snapshot_path.parent
     payload = read_snapshot(store.snapshot_path)  # digest-verified envelope
-    dewey = store.dewey
-    live = set()
-    for rid, components in payload["deweys"]:
-        rid = int(rid)
-        assigned = tuple(int(component) for component in components)
-        if rid not in dewey or dewey.dewey_of(rid) != assigned:
-            raise ReplicaBootstrapError(
-                f"{label}: snapshot assigns rid {rid} Dewey {list(assigned)} "
-                f"but the live global assignment disagrees"
-            )
-        live.add(rid)
-    snapshot_epoch = int(payload.get("epoch", 0))
-    expected = snapshot_epoch
     store.wal.sync()  # flush buffered tail records so the scan sees them
     try:
         scan = _scan_wal_for_recovery(store.wal.path, label)
+        state = fold_shard_state(payload, scan.records, label)
     except RecoveryError as error:
         raise ReplicaBootstrapError(str(error)) from error
-    for record in scan.records:
-        try:
-            seq, op, rid, record_dewey, _row = parse_record(record, label)
-        except RecoveryError as error:
-            raise ReplicaBootstrapError(str(error)) from error
-        if seq <= snapshot_epoch:
-            continue
-        expected += 1
-        if seq != expected:
+    dewey = store.dewey
+    for rid, assigned in state.assignments.items():
+        if rid not in dewey or dewey.dewey_of(rid) != assigned:
             raise ReplicaBootstrapError(
-                f"{label}: WAL sequence gap during replica bootstrap "
-                f"(expected seq {expected}, found {seq})"
+                f"{label}: snapshot + WAL assign rid {rid} Dewey "
+                f"{list(assigned)} but the live global assignment disagrees"
             )
-        if op == "insert":
-            if rid not in dewey or dewey.dewey_of(rid) != record_dewey:
-                raise ReplicaBootstrapError(
-                    f"{label}: WAL insert {seq} assigns rid {rid} a Dewey "
-                    f"the live global assignment disagrees with"
-                )
-            live.add(rid)
-        else:  # remove
-            live.discard(rid)
     replica = InvertedIndex(
         store.relation, store.ordering, backend=store.backend, dewey=dewey
     )
-    for rid in sorted(live):
+    for rid in state.live:
         replica.index_restored_row(rid)
-    replica.restore_epoch(expected)
+    replica.restore_epoch(state.epoch)
     return replica
 
 

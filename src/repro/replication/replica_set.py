@@ -44,9 +44,10 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..index.reader import ReaderProxy, sum_memory_stats
 from ..observability import MONOTONIC, Clock, get_registry
 from ..resilience.breaker import CircuitBreaker, OPEN
 from ..resilience.errors import (
@@ -94,7 +95,7 @@ class _HedgedFailure(Exception):
         super().__init__(f"hedged read failed on replicas {sorted(reasons)}")
 
 
-class ReplicaSet:
+class ReplicaSet(ReaderProxy):
     """R replicas of one logical shard, speaking the shard read protocol."""
 
     def __init__(
@@ -123,14 +124,7 @@ class ReplicaSet:
             for replica_id in range(len(self._replicas))
         ]
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                threshold=self._policy.breaker_threshold,
-                window=self._policy.breaker_window,
-                min_calls=self._policy.breaker_min_calls,
-                cooldown_ms=self._policy.breaker_cooldown_ms,
-                clock=clock,
-            )
-            for _ in self._replicas
+            CircuitBreaker.from_policy(self._policy, clock) for _ in self._replicas
         ]
         self.failovers = 0
         self.hedges_fired = 0
@@ -176,22 +170,11 @@ class ReplicaSet:
     def health_rows(self) -> List[Dict]:
         """Per-replica health dicts (the HealthBoard snapshot contract)."""
         with self._lock:
-            rows = []
-            for replica_id, health in enumerate(self._health):
-                rows.append({
-                    "shard_id": self.shard_id,
-                    "replica_id": replica_id,
-                    "requests": health.requests,
-                    "successes": health.successes,
-                    "transient_failures": health.transient_failures,
-                    "hard_failures": health.hard_failures,
-                    "retries": 0,
-                    "skipped_open": health.skipped_open,
-                    "deadline_drops": 0,
-                    "breaker": self.breakers[replica_id].state,
-                    "ewma_ms": health.ewma_ms,
-                })
-            return rows
+            return [
+                {**asdict(health), "retries": 0, "deadline_drops": 0,
+                 "breaker": self.breakers[replica_id].state}
+                for replica_id, health in enumerate(self._health)
+            ]
 
     def __repr__(self) -> str:
         states = ",".join(breaker.state for breaker in self.breakers)
@@ -201,65 +184,24 @@ class ReplicaSet:
             f"hedges={self.hedges_fired})"
         )
 
-    def __getattr__(self, name: str):
-        # Control-plane pass-through to the raw primary copy: keeps the
-        # durability CLI (``wal``/``recovery``/``snapshot_path``) and other
-        # shard-introspection callers working through the wrapper.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._raw(self._replicas[0]), name)
-
     @staticmethod
     def _raw(replica):
         """Unwrap a chaos proxy (mutations and control reads skip chaos)."""
         return getattr(replica, "inner", replica)
 
-    # ------------------------------------------------------------------
-    # Control plane (no failover — identical on every copy by invariant)
-    # ------------------------------------------------------------------
     @property
-    def relation(self):
-        return self._raw(self._replicas[0]).relation
-
-    @property
-    def ordering(self):
-        return self._raw(self._replicas[0]).ordering
-
-    @property
-    def backend(self) -> str:
-        return self._raw(self._replicas[0]).backend
-
-    @property
-    def dewey(self):
-        return self._raw(self._replicas[0]).dewey
-
-    @property
-    def depth(self) -> int:
-        return self._raw(self._replicas[0]).depth
-
-    @property
-    def epoch(self) -> int:
-        return self._raw(self._replicas[0]).epoch
-
-    def __len__(self) -> int:
-        return len(self._raw(self._replicas[0]))
+    def _target(self):
+        # Control plane: no failover — identical on every copy by
+        # invariant, so the raw primary answers.
+        return self._raw(self._replicas[0])
 
     def memory_stats(self) -> dict:
         """Deployment-truthful accounting: every copy is resident memory."""
-        lists = postings = total_bytes = 0
-        for replica in self._replicas:
-            stats = self._raw(replica).memory_stats()
-            lists += stats["lists"]
-            postings += stats["postings"]
-            total_bytes += stats["bytes"]
-        return {
-            "backend": self.backend,
-            "lists": lists,
-            "postings": postings,
-            "bytes": total_bytes,
-            "bytes_per_posting": (total_bytes / postings) if postings else 0.0,
-            "replicas": self.num_replicas,
-        }
+        stats = sum_memory_stats(
+            self.backend, [self._raw(replica) for replica in self._replicas]
+        )
+        stats["replicas"] = self.num_replicas
+        return stats
 
     # ------------------------------------------------------------------
     # Data-path reads: failover (+ optional hedging)
@@ -419,11 +361,7 @@ class ReplicaSet:
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
-            width = (
-                self._pool_budget
-                if self._pool_budget is not None
-                else min(4, self.num_replicas + 1)
-            )
+            width = self.pool_width
             if self._pool is not None and self._pool_width != width:
                 pool, self._pool = self._pool, None
                 pool.shutdown(wait=False)
@@ -612,13 +550,9 @@ class ReplicaSet:
     def close(self) -> None:
         """Release the hedge pool and close closeable replicas (durable
         primaries sync + release their WAL handles)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        self.close_pool()
         for replica in self._replicas:
-            raw = self._raw(replica)
-            closer = getattr(raw, "close", None)
+            closer = getattr(self._raw(replica), "close", None)
             if callable(closer):
                 closer()
 

@@ -66,6 +66,17 @@ class CircuitBreaker:
         self._probing = False       # a half-open trial is in flight
         self.opens = 0              # cumulative open transitions
 
+    @classmethod
+    def from_policy(cls, policy, clock) -> "CircuitBreaker":
+        """A breaker with a :class:`ResiliencePolicy`'s ``breaker_*`` knobs."""
+        return cls(
+            threshold=policy.breaker_threshold,
+            window=policy.breaker_window,
+            min_calls=policy.breaker_min_calls,
+            cooldown_ms=policy.breaker_cooldown_ms,
+            clock=clock,
+        )
+
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
+from ..index.reader import ReaderProxy
 from .errors import ShardCrashedError, TransientShardError
 
 #: A fault-plan key: a logical shard (all replicas) or one specific copy.
@@ -160,17 +161,14 @@ class ChaosPolicy:
     def crash(self, shard_id: int, replica_id: Optional[int] = None) -> None:
         """Hard-kill one shard — or just one replica of it — from now on
         (other configured faults at that address are kept)."""
-        address = self._address(shard_id, replica_id)
-        with self._lock:
-            spec = self._per_shard.get(address)
-            if spec is None and replica_id is not None:
-                spec = self._per_shard.get(int(shard_id))
-            if spec is None:
-                spec = self._default
-            self._per_shard[address] = replace(spec, crashed=True)
+        self._set_crashed(shard_id, replica_id, True)
 
     def revive(self, shard_id: int, replica_id: Optional[int] = None) -> None:
         """Bring a killed shard (or single replica) back."""
+        self._set_crashed(shard_id, replica_id, False)
+
+    def _set_crashed(self, shard_id: int, replica_id: Optional[int],
+                     crashed: bool) -> None:
         address = self._address(shard_id, replica_id)
         with self._lock:
             spec = self._per_shard.get(address)
@@ -178,7 +176,7 @@ class ChaosPolicy:
                 spec = self._per_shard.get(int(shard_id))
             if spec is None:
                 spec = self._default
-            self._per_shard[address] = replace(spec, crashed=False)
+            self._per_shard[address] = replace(spec, crashed=crashed)
 
     # ------------------------------------------------------------------
     # Injection (called by FaultyShard on every read)
@@ -225,7 +223,7 @@ class ChaosPolicy:
         )
 
 
-class FaultyShard:
+class FaultyShard(ReaderProxy):
     """An :class:`InvertedIndex` read-protocol proxy that injects faults.
 
     Only the data-path reads go through :meth:`ChaosPolicy.before_read`;
@@ -235,11 +233,11 @@ class FaultyShard:
     replicated deployment) so the policy can target single replicas.
     """
 
-    __slots__ = ("_inner", "shard_id", "replica_id", "chaos")
+    __slots__ = ("_target", "shard_id", "replica_id", "chaos")
 
     def __init__(self, inner, shard_id: int, chaos: ChaosPolicy,
                  replica_id: Optional[int] = None):
-        self._inner = inner
+        self._target = inner
         self.shard_id = shard_id
         self.replica_id = replica_id
         self.chaos = chaos
@@ -247,66 +245,28 @@ class FaultyShard:
     @property
     def inner(self):
         """The wrapped shard index (unwrapping handle)."""
-        return self._inner
-
-    # ---- control plane: no injection -------------------------------
-    @property
-    def relation(self):
-        return self._inner.relation
-
-    @property
-    def ordering(self):
-        return self._inner.ordering
-
-    @property
-    def backend(self):
-        return self._inner.backend
-
-    @property
-    def dewey(self):
-        return self._inner.dewey
-
-    @property
-    def depth(self):
-        return self._inner.depth
-
-    @property
-    def epoch(self):
-        return self._inner.epoch
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    def memory_stats(self) -> dict:
-        return self._inner.memory_stats()
+        return self._target
 
     def __repr__(self) -> str:
         if self.replica_id is None:
-            return f"FaultyShard({self.shard_id}, {self._inner!r})"
+            return f"FaultyShard({self.shard_id}, {self._target!r})"
         return (
-            f"FaultyShard({self.shard_id}/r{self.replica_id}, {self._inner!r})"
+            f"FaultyShard({self.shard_id}/r{self.replica_id}, {self._target!r})"
         )
 
     # ---- data-path reads: injected ---------------------------------
     def scalar_postings(self, attribute: str, value: Any):
         self.chaos.before_read(self.shard_id, "scalar_postings", self.replica_id)
-        return self._inner.scalar_postings(attribute, value)
+        return self._target.scalar_postings(attribute, value)
 
     def token_postings(self, attribute: str, token: str):
         self.chaos.before_read(self.shard_id, "token_postings", self.replica_id)
-        return self._inner.token_postings(attribute, token)
+        return self._target.token_postings(attribute, token)
 
     def all_postings(self):
         self.chaos.before_read(self.shard_id, "all_postings", self.replica_id)
-        return self._inner.all_postings()
+        return self._target.all_postings()
 
     def vocabulary(self, attribute: str) -> list:
         self.chaos.before_read(self.shard_id, "vocabulary", self.replica_id)
-        return self._inner.vocabulary(attribute)
-
-    # ---- mutations: no injection (routing must stay reliable) ------
-    def insert(self, rid: int):
-        return self._inner.insert(rid)
-
-    def remove(self, rid: int):
-        return self._inner.remove(rid)
+        return self._target.vocabulary(attribute)

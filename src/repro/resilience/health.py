@@ -22,6 +22,7 @@ flattened into one shard counter.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -59,14 +60,7 @@ class HealthBoard:
             ShardHealth(shard_id=shard) for shard in range(num_shards)
         ]
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                threshold=policy.breaker_threshold,
-                window=policy.breaker_window,
-                min_calls=policy.breaker_min_calls,
-                cooldown_ms=policy.breaker_cooldown_ms,
-                clock=clock,
-            )
-            for _ in range(num_shards)
+            CircuitBreaker.from_policy(policy, clock) for _ in range(num_shards)
         ]
         self._replica_source: Optional[Callable[[], list]] = None
 
@@ -161,3 +155,69 @@ class HealthBoard:
     def __repr__(self) -> str:
         states = ",".join(breaker.state for breaker in self.breakers)
         return f"HealthBoard({len(self._shards)} shards, breakers=[{states}])"
+
+
+#: (gauge, help) per logical shard, exported as ``repro_shard_<gauge>{shard}``
+#: from the snapshot-row key of the same name.
+_SHARD_GAUGES = (
+    ("requests", "Calls admitted to the shard"),
+    ("successes", "Successful shard calls"),
+    ("transient_failures", "Transient shard faults observed"),
+    ("hard_failures", "Crashes / non-retryable shard errors"),
+    ("retries", "Re-attempts spent on the shard"),
+    ("skipped_open", "Calls rejected by an open circuit"),
+    ("deadline_drops", "Calls abandoned for deadline reasons"),
+    ("breaker_open", "1 while the shard's circuit breaker is open"),
+)
+#: Physical-copy rows (replicated deployments): their own metric family,
+#: ``repro_replica_<gauge>{shard, replica}`` — the logical per-shard
+#: gauges stay exactly as they are without replication.
+_REPLICA_GAUGES = (
+    ("requests", "Reads attempted on the replica"),
+    ("successes", "Successful replica reads"),
+    ("transient_failures", "Transient replica faults observed"),
+    ("hard_failures", "Crashes / non-retryable replica errors"),
+    ("skipped_open", "Reads rejected by the replica's open circuit"),
+    ("breaker_open", "1 while the replica's circuit breaker is open"),
+    ("ewma_latency_ms", "Smoothed replica read latency"),
+)
+
+
+def _gauge_value(entry: Dict, gauge: str) -> float:
+    if gauge == "breaker_open":
+        return 1.0 if entry["breaker"] == "open" else 0.0
+    if gauge == "ewma_latency_ms":
+        return entry.get("ewma_ms", 0.0)
+    return entry[gauge]
+
+
+def register_health_collector(registry, owner):
+    """Publish ``owner.health`` as per-shard gauges at export time.
+
+    Weakref'd like the serving cache collector: a collected engine
+    unhooks itself from the registry on the next export.  Returns the
+    ``(registry, collect)`` pair to unregister with, or ``None`` when the
+    registry is disabled.
+    """
+    if registry is None or not registry.enabled:
+        return None
+    ref = weakref.ref(owner)
+
+    def collect() -> None:
+        target = ref()
+        if target is None:
+            registry.unregister_collector(collect)
+            return
+        for entry in target.health.snapshot():
+            labels = {"shard": str(entry["shard_id"])}
+            family, table = "repro_shard_", _SHARD_GAUGES
+            if entry.get("replica_id") is not None:
+                labels["replica"] = str(entry["replica_id"])
+                family, table = "repro_replica_", _REPLICA_GAUGES
+            for gauge, help_text in table:
+                registry.gauge(family + gauge, help_text, **labels).set(
+                    _gauge_value(entry, gauge)
+                )
+
+    registry.register_collector(collect)
+    return (registry, collect)

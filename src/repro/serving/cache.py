@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.result import DiverseResult
@@ -87,19 +87,7 @@ class CacheStats:
         }
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            epoch_invalidations=self.epoch_invalidations,
-            plan_hits=self.plan_hits,
-            plan_misses=self.plan_misses,
-            plan_revalidations=self.plan_revalidations,
-            plan_evictions=self.plan_evictions,
-            decision_hits=self.decision_hits,
-            decision_misses=self.decision_misses,
-            decision_replans=self.decision_replans,
-        )
+        return replace(self)
 
 
 class _LRU:

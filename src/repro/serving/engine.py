@@ -58,6 +58,27 @@ class BatchReport:
         return self.cache_stats.get("hits", 0) / lookups
 
 
+#: (gauge, help, CacheStats field) published by the cache collector.
+_CACHE_GAUGES = (
+    ("repro_cache_hits", "Result-cache hits", "hits"),
+    ("repro_cache_misses", "Result-cache misses", "misses"),
+    ("repro_cache_evictions",
+     "Entries dropped (LRU pressure + epoch invalidation)", "evictions"),
+    ("repro_cache_epoch_invalidations",
+     "Entries dropped because the index epoch moved", "epoch_invalidations"),
+    ("repro_cache_plan_hits", "Plan-cache hits", "plan_hits"),
+    ("repro_cache_plan_misses", "Plan-cache misses", "plan_misses"),
+    ("repro_cache_plan_revalidations",
+     "Plans re-ordered after an epoch change", "plan_revalidations"),
+    ("repro_cache_decision_hits",
+     "auto decisions served from the plan cache", "decision_hits"),
+    ("repro_cache_decision_misses",
+     "auto decisions computed fresh", "decision_misses"),
+    ("repro_cache_decision_replans",
+     "auto decisions recomputed after an epoch change", "decision_replans"),
+)
+
+
 def register_cache_collector(registry, serving: "ServingEngine"):
     """Publish the serving cache's counters/sizes as gauges at export time.
 
@@ -75,31 +96,11 @@ def register_cache_collector(registry, serving: "ServingEngine"):
             registry.unregister_collector(collect)
             return
         stats = engine.cache.stats_snapshot()
-        gauge = registry.gauge
-        gauge("repro_cache_hits", "Result-cache hits").set(stats.hits)
-        gauge("repro_cache_misses", "Result-cache misses").set(stats.misses)
-        gauge("repro_cache_evictions",
-              "Entries dropped (LRU pressure + epoch invalidation)"
-              ).set(stats.evictions)
-        gauge("repro_cache_epoch_invalidations",
-              "Entries dropped because the index epoch moved"
-              ).set(stats.epoch_invalidations)
-        gauge("repro_cache_plan_hits", "Plan-cache hits").set(stats.plan_hits)
-        gauge("repro_cache_plan_misses", "Plan-cache misses").set(stats.plan_misses)
-        gauge("repro_cache_plan_revalidations",
-              "Plans re-ordered after an epoch change").set(stats.plan_revalidations)
-        gauge("repro_cache_decision_hits",
-              "auto decisions served from the plan cache").set(stats.decision_hits)
-        gauge("repro_cache_decision_misses",
-              "auto decisions computed fresh").set(stats.decision_misses)
-        gauge("repro_cache_decision_replans",
-              "auto decisions recomputed after an epoch change"
-              ).set(stats.decision_replans)
-        sizes = engine.cache.sizes()
-        gauge("repro_cache_entries", "Live cache entries",
-              kind="plans").set(sizes["plans"])
-        gauge("repro_cache_entries", "Live cache entries",
-              kind="results").set(sizes["results"])
+        for name, help_text, field_name in _CACHE_GAUGES:
+            registry.gauge(name, help_text).set(getattr(stats, field_name))
+        for kind, size in engine.cache.sizes().items():
+            registry.gauge("repro_cache_entries", "Live cache entries",
+                           kind=kind).set(size)
 
     registry.register_collector(collect)
     return (registry, collect)
@@ -107,16 +108,8 @@ def register_cache_collector(registry, serving: "ServingEngine"):
 
 def _stats_delta(after: CacheStats, before: CacheStats) -> Dict[str, int]:
     return {
-        "hits": after.hits - before.hits,
-        "misses": after.misses - before.misses,
-        "evictions": after.evictions - before.evictions,
-        "epoch_invalidations": after.epoch_invalidations - before.epoch_invalidations,
-        "plan_hits": after.plan_hits - before.plan_hits,
-        "plan_misses": after.plan_misses - before.plan_misses,
-        "plan_revalidations": after.plan_revalidations - before.plan_revalidations,
-        "decision_hits": after.decision_hits - before.decision_hits,
-        "decision_misses": after.decision_misses - before.decision_misses,
-        "decision_replans": after.decision_replans - before.decision_replans,
+        field_name: getattr(after, field_name) - getattr(before, field_name)
+        for _, _, field_name in _CACHE_GAUGES
     }
 
 
@@ -196,43 +189,25 @@ class ServingEngine:
         if replicas > 1 and shards <= 1:
             raise ValueError("replication needs a sharded deployment "
                              "(shards > 1)")
-        if replicas > 1:
-            from ..parallel import (
-                PROCESS_MODES,
-                UnsupportedWorkerModeError,
-                resolve_worker_mode,
-            )
-
-            if resolve_worker_mode(worker_mode) in PROCESS_MODES:
-                raise UnsupportedWorkerModeError(
-                    f"worker_mode={worker_mode!r} cannot serve a replicated "
-                    f"deployment (replicas={replicas}): failover and hedging "
-                    f"are coordinator-side state that worker processes "
-                    f"cannot mirror; use worker_mode='thread'"
-                )
         if shards > 1:
-            from ..sharding import ShardedEngine
+            from ..sharding import ShardedEngine, ShardedIndex
 
-            engine = ShardedEngine.from_relation(
-                relation, ordering, shards=shards, backend=backend,
-                router=router, workers=workers, worker_mode=worker_mode,
-                policy=policy, clock=clock,
+            index = ShardedIndex.build(
+                relation, ordering, shards=shards, backend=backend, router=router
             )
             if data_dir is not None:
                 from ..durability import create_sharded_store
 
                 create_sharded_store(
-                    engine.index, data_dir,
+                    index, data_dir,
                     snapshot_every=snapshot_every, fsync_every=fsync_every,
                     replicas=replicas,
                 )
-            if replicas > 1:
-                from ..replication import HedgePolicy
-
-                hedge = (HedgePolicy(delay_ms=hedge_ms)
-                         if hedge_ms is not None else None)
-                engine.index.replicate(replicas, policy=policy, clock=clock,
-                                       hedge=hedge)
+            engine = ShardedEngine.assemble(
+                index, workers=workers, worker_mode=worker_mode,
+                policy=policy, clock=clock,
+                replicas=replicas, hedge_ms=hedge_ms,
+            )
         else:
             engine = DiversityEngine.from_relation(relation, ordering, backend=backend)
             if data_dir is not None:
@@ -286,26 +261,10 @@ class ServingEngine:
                 from ..durability.store import read_manifest
 
                 replicas = int(read_manifest(data_dir).get("replicas", 1))
-            if replicas > 1:
-                from ..parallel import (
-                    PROCESS_MODES,
-                    UnsupportedWorkerModeError,
-                    resolve_worker_mode,
-                )
-
-                if resolve_worker_mode(worker_mode) in PROCESS_MODES:
-                    raise UnsupportedWorkerModeError(
-                        f"worker_mode={worker_mode!r} cannot serve a "
-                        f"replicated deployment (replicas={replicas}); use "
-                        f"worker_mode='thread'"
-                    )
-                from ..replication import HedgePolicy
-
-                hedge = (HedgePolicy(delay_ms=hedge_ms)
-                         if hedge_ms is not None else None)
-                recovered.replicate(replicas, policy=policy, hedge=hedge)
-            engine = ShardedEngine(recovered, workers=workers,
-                                   worker_mode=worker_mode, policy=policy)
+            engine = ShardedEngine.assemble(
+                recovered, workers=workers, worker_mode=worker_mode,
+                policy=policy, replicas=replicas, hedge_ms=hedge_ms,
+            )
         if cache is None and cache_options:
             cache = ServingCache(**cache_options)
         return cls(engine, cache)

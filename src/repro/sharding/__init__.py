@@ -10,12 +10,18 @@ unsharded engine:
   one global Dewey assignment, behind the single-index read protocol.
 * :mod:`~repro.sharding.merge` — the diverse-merge step: Definitions 1-2
   re-applied to the union of per-shard diverse top-k candidates.
-* :mod:`~repro.sharding.engine` — the fan-out engine (sequential,
-  persistent thread-pool, or — for the gather algorithms — a
-  :mod:`repro.parallel` process pool that sidesteps the GIL),
-  cache-compatible with the serving layer and failure-aware via
-  :mod:`repro.resilience` (deadlines, retries, circuit breakers,
-  survivor-only degraded answers for the gather algorithms).
+* :mod:`~repro.sharding.executor` — the executor seam: a gather query is
+  one picklable ``GatherTask``; ``ShardExecutor.scatter(task, deadline)``
+  takes it to every shard serially, on a persistent thread pool, or — in
+  :mod:`repro.parallel` — on worker processes that sidestep the GIL.
+  ``make_executor`` is the one place that choice is made; in-process
+  shard calls run under one ``PolicyRunner`` (deadlines, retries with a
+  single backoff step, circuit breakers).
+* :mod:`~repro.sharding.engine` — the engine over that seam:
+  scatter-gather with survivor-only degraded answers for the gather
+  algorithms, coordinator-driven union-cursor scans for the rest,
+  cache-compatible with the serving layer.  ``ShardedEngine.assemble`` is
+  the one assembler of a deployment (replicas, chaos) over a built index.
 
 Correctness is proven empirically by ``tests/test_sharding_differential.py``
 (and under injected faults by ``tests/test_resilience_differential.py``)

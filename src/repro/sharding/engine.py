@@ -52,30 +52,17 @@ from __future__ import annotations
 import random
 import threading
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..core import baselines
-from ..core.dewey import DeweyId
-from ..core.diversify import diverse_subset, scored_diverse_subset
 from ..core.engine import AUTO, DiversityEngine, run_algorithm
 from ..core.ordering import DiversityOrdering
 from ..core.result import DiverseResult
-from ..index.merged import MergedList
 from ..index.postings import ARRAY_BACKEND
+from ..index.reader import EMPTY_READER, ReaderProxy
 from ..observability import MONOTONIC, Clock, get_registry, span
-from ..observability.spans import SPAN_DURATION_METRIC, SpanRecord
 from ..parallel import (
-    CRASHED,
-    DEADLINE,
-    OK,
     PROCESS_MODES,
-    STALE,
-    ProcessShardPool,
     UnsupportedWorkerModeError,
-    WORKER_MODES,
     resolve_worker_mode,
 )
 from ..query.parser import parse_query
@@ -84,16 +71,14 @@ from ..query.rewrite import normalise
 from ..resilience import (
     ChaosPolicy,
     Deadline,
-    DeadlineExceededError,
     HealthBoard,
-    ResilienceError,
     ResiliencePolicy,
-    ShardCrashedError,
     ShardUnavailableError,
-    TransientShardError,
 )
-from ..resilience.policy import DEFAULT_POLICY, deadline_scope
+from ..resilience.health import register_health_collector
+from ..resilience.policy import DEFAULT_POLICY
 from ..storage.relation import Relation
+from .executor import GatherTask, PolicyRunner, ShardOutcome, make_executor
 from .merge import diverse_merge, merge_first_k, scored_diverse_merge
 from .router import ShardRouter
 from .sharded_index import ShardedIndex
@@ -104,123 +89,22 @@ from .sharded_index import ShardedIndex
 GATHER_ALGORITHMS = ("naive", "basic")
 
 
-class _ZeroStats:
-    """The index read protocol over nothing: every posting list empty.
-
-    The degraded-plan path prices its fallback decision against this
-    instead of touching an unreachable shard — the resulting feature
-    vector is honestly all-zero rather than partially read.
-    """
-
-    depth = 1
-    epoch = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def scalar_postings(self, attribute: str, value: Any):
-        return ()
-
-    def token_postings(self, attribute: str, token: str):
-        return ()
-
-    def all_postings(self):
-        return ()
+def _resolve_mode(worker_mode: str, replicas: int) -> str:
+    """The concrete fan-out backend for ``worker_mode`` — refusing, in
+    this one place, a process backend over a replicated deployment."""
+    resolved = resolve_worker_mode(worker_mode)
+    if resolved in PROCESS_MODES and replicas > 1:
+        raise UnsupportedWorkerModeError(
+            f"process workers (worker_mode={worker_mode!r}) cannot fan out "
+            f"over a replicated deployment (replicas={replicas}): replica "
+            f"failover and hedging are coordinator-side state that worker "
+            f"processes cannot mirror; use worker_mode='thread' with "
+            f"replicas > 1"
+        )
+    return resolved
 
 
-_EMPTY_STATS = _ZeroStats()
-
-
-def _register_health_collector(registry, engine: "ShardedEngine"):
-    """Publish the health board as per-shard gauges at export time.
-
-    Weakref'd like the serving cache collector: a collected engine
-    unhooks itself from the registry on the next export.
-    """
-    if registry is None or not registry.enabled:
-        return None
-    ref = weakref.ref(engine)
-
-    def collect() -> None:
-        target = ref()
-        if target is None:
-            registry.unregister_collector(collect)
-            return
-        gauge = registry.gauge
-        for entry in target.health.snapshot():
-            shard = str(entry["shard_id"])
-            if entry.get("replica_id") is not None:
-                # Physical-copy rows (replicated deployments): their own
-                # metric family, keyed {shard, replica} — the logical
-                # per-shard gauges below stay exactly as before.
-                replica = str(entry["replica_id"])
-                gauge("repro_replica_requests",
-                      "Reads attempted on the replica",
-                      shard=shard, replica=replica).set(entry["requests"])
-                gauge("repro_replica_successes",
-                      "Successful replica reads",
-                      shard=shard, replica=replica).set(entry["successes"])
-                gauge("repro_replica_transient_failures",
-                      "Transient replica faults observed",
-                      shard=shard, replica=replica
-                      ).set(entry["transient_failures"])
-                gauge("repro_replica_hard_failures",
-                      "Crashes / non-retryable replica errors",
-                      shard=shard, replica=replica).set(entry["hard_failures"])
-                gauge("repro_replica_skipped_open",
-                      "Reads rejected by the replica's open circuit",
-                      shard=shard, replica=replica).set(entry["skipped_open"])
-                gauge("repro_replica_breaker_open",
-                      "1 while the replica's circuit breaker is open",
-                      shard=shard, replica=replica
-                      ).set(1.0 if entry["breaker"] == "open" else 0.0)
-                gauge("repro_replica_ewma_latency_ms",
-                      "Smoothed replica read latency",
-                      shard=shard, replica=replica
-                      ).set(entry.get("ewma_ms", 0.0))
-                continue
-            gauge("repro_shard_requests",
-                  "Calls admitted to the shard", shard=shard
-                  ).set(entry["requests"])
-            gauge("repro_shard_successes",
-                  "Successful shard calls", shard=shard
-                  ).set(entry["successes"])
-            gauge("repro_shard_transient_failures",
-                  "Transient shard faults observed", shard=shard
-                  ).set(entry["transient_failures"])
-            gauge("repro_shard_hard_failures",
-                  "Crashes / non-retryable shard errors", shard=shard
-                  ).set(entry["hard_failures"])
-            gauge("repro_shard_retries",
-                  "Re-attempts spent on the shard", shard=shard
-                  ).set(entry["retries"])
-            gauge("repro_shard_skipped_open",
-                  "Calls rejected by an open circuit", shard=shard
-                  ).set(entry["skipped_open"])
-            gauge("repro_shard_deadline_drops",
-                  "Calls abandoned for deadline reasons", shard=shard
-                  ).set(entry["deadline_drops"])
-            gauge("repro_shard_breaker_open",
-                  "1 while the shard's circuit breaker is open", shard=shard
-                  ).set(1.0 if entry["breaker"] == "open" else 0.0)
-
-    registry.register_collector(collect)
-    return (registry, collect)
-
-
-@dataclass
-class ShardOutcome:
-    """One shard's fate within a single scatter-gather fan-out."""
-
-    shard_id: int
-    value: Any = None
-    ok: bool = False
-    reason: str = ""          # "" | "crashed" | "circuit open" |
-                              # "retries exhausted" | "deadline" | "error"
-    retries: int = 0
-
-
-class _RetryingReads:
+class RetryingReader(ReaderProxy):
     """The sharded index's read protocol with per-read transient retries.
 
     The coordinator-driven scan makes many small index reads (multq can
@@ -228,51 +112,46 @@ class _RetryingReads:
     a fault-free pass through all of them — exponentially unlikely.  Each
     read is idempotent, so retrying just the failed read is both cheap and
     exactly answer-preserving: once it succeeds the scan proceeds as if
-    the fault never happened.  All reads share one deadline budget.
+    the fault never happened.  All reads share one deadline budget; the
+    control plane (relation, dewey, depth, epoch, ...) passes through
+    untouched.
     """
 
-    __slots__ = ("_engine", "_deadline", "retries")
+    __slots__ = ("_target", "_retrying", "_deadline", "retries")
 
-    def __init__(self, engine: "ShardedEngine", deadline: Deadline):
-        self._engine = engine
+    def __init__(self, index: ShardedIndex, retrying, deadline: Deadline):
+        self._target = index
+        self._retrying = retrying   # PolicyRunner.retrying
         self._deadline = deadline
         self.retries = 0
 
     def _read(self, operation):
-        value, attempts = self._engine._run_with_retries(operation, self._deadline)
+        value, attempts = self._retrying(operation, self._deadline)
         self.retries += attempts
         return value
 
-    def scalar_postings(self, attribute: str, value: Any):
-        index = self._engine.sharded_index
+    def scalar_postings(self, attribute: str, value):
+        index = self._target
         return self._read(lambda: index.scalar_postings(attribute, value))
 
     def token_postings(self, attribute: str, token: str):
-        index = self._engine.sharded_index
+        index = self._target
         return self._read(lambda: index.token_postings(attribute, token))
 
     def all_postings(self):
-        index = self._engine.sharded_index
-        return self._read(index.all_postings)
+        return self._read(self._target.all_postings)
 
     def vocabulary(self, attribute: str) -> list:
-        index = self._engine.sharded_index
+        index = self._target
         return self._read(lambda: index.vocabulary(attribute))
-
-    def __len__(self) -> int:
-        return len(self._engine.sharded_index)
-
-    def __getattr__(self, name: str):
-        # Control plane (relation, ordering, dewey, depth, epoch, ...)
-        # passes through untouched.
-        return getattr(self._engine.sharded_index, name)
 
 
 class ShardedEngine(DiversityEngine):
     """Diverse top-k over a sharded index, answer-identical to unsharded.
 
-    ``workers`` > 1 fans scatter-gather queries out on a persistent thread
-    pool of that size (0 or 1 = sequential); :meth:`close` (or use as a
+    ``workers`` > 1 fans scatter-gather queries out on a persistent pool of
+    that size (0 or 1 = sequential) — threads or, per ``worker_mode``,
+    processes (:mod:`repro.sharding.executor`); :meth:`close` (or use as a
     context manager) releases it.  ``policy`` sets the failure-handling
     budgets (:class:`ResiliencePolicy`); per-shard breakers and health
     counters live in :attr:`health`.  Everything else — caching, prepare/
@@ -296,14 +175,7 @@ class ShardedEngine(DiversityEngine):
         super().__init__(index, cache=cache, registry=registry)
         self._workers = workers
         self._worker_mode = worker_mode
-        self._resolved_mode = resolve_worker_mode(worker_mode)
-        if (self._resolved_mode in PROCESS_MODES
-                and index.replication_factor > 1):
-            raise UnsupportedWorkerModeError(
-                "process workers cannot fan out over a replicated deployment "
-                "(replica failover is coordinator-side state); use "
-                "worker_mode='thread' with replicas > 1"
-            )
+        self._resolved_mode = _resolve_mode(worker_mode, index.replication_factor)
         self._policy = policy if policy is not None else DEFAULT_POLICY
         # One clock drives deadlines, breakers and backoff alike (and one
         # injectable sleep serves the backoff waits), so a FakeClock fakes
@@ -314,17 +186,54 @@ class ShardedEngine(DiversityEngine):
         self._health = HealthBoard(index.num_shards, self._policy, clock=clock)
         # Lazy binding: replica rows appear in health snapshots as soon as
         # the index is replicated, even when that happens after engine
-        # construction (the serving path replicates after wrapping shards
-        # in durable stores).
+        # construction.
         self._health.bind_replica_source(lambda: self._index.shards)
-        self._retry_rng = random.Random(self._policy.seed)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_width = 0
-        self._process_pool: Optional[ProcessShardPool] = None
+        self._runner = PolicyRunner(
+            self._policy, self._health, random.Random(self._policy.seed),
+            sleep, self._metrics,
+        )
         self._close_lock = threading.Lock()
-        self._closed = False
-        self._collector = _register_health_collector(self._metrics(), self)
+        self._executor = make_executor(
+            self._resolved_mode, workers, index, self._runner
+        )
+        self._collector = register_health_collector(self._metrics(), self)
         self._push_worker_budget()
+
+    @classmethod
+    def assemble(
+        cls,
+        index: ShardedIndex,
+        cache=None,
+        workers: int = 0,
+        worker_mode: str = "thread",
+        policy: Optional[ResiliencePolicy] = None,
+        clock: Clock = MONOTONIC,
+        sleep=time.sleep,
+        replicas: int = 1,
+        hedge_ms: Optional[float] = None,
+        chaos: Optional[ChaosPolicy] = None,
+    ) -> "ShardedEngine":
+        """Stack the deployment layers over a built (or recovered) index.
+
+        The layers only compose in one order — durable stores under
+        replica sets under chaos proxies, the engine's guards seeing the
+        finished stack — so every entry point funnels through here:
+        refuse what cannot work, :meth:`ShardedIndex.replicate` (``index``
+        is already durable-wrapped, or never will be), construct, then
+        :meth:`inject_chaos`.
+        """
+        _resolve_mode(worker_mode, max(replicas, index.replication_factor))
+        if replicas > 1:
+            from ..replication import HedgePolicy
+
+            hedge = HedgePolicy(delay_ms=hedge_ms) if hedge_ms is not None else None
+            index.replicate(replicas, policy=policy, clock=clock, hedge=hedge)
+        engine = cls(index, cache=cache, workers=workers,
+                     worker_mode=worker_mode, policy=policy,
+                     clock=clock, sleep=sleep)
+        if chaos is not None:
+            engine.inject_chaos(chaos)
+        return engine
 
     @classmethod
     def from_relation(
@@ -354,50 +263,31 @@ class ShardedEngine(DiversityEngine):
         process parallelism (:mod:`repro.parallel`) — incompatible with
         ``replicas`` > 1 and with chaos injection, both rejected loudly.
         """
-        if replicas > 1 and resolve_worker_mode(worker_mode) in PROCESS_MODES:
-            raise UnsupportedWorkerModeError(
-                "process workers cannot fan out over a replicated "
-                "deployment; use worker_mode='thread' with replicas > 1"
-            )
+        _resolve_mode(worker_mode, replicas)  # before the build, not after
         index = ShardedIndex.build(
             relation, ordering, shards=shards, backend=backend, router=router
         )
-        if replicas > 1:
-            from ..replication import HedgePolicy
-
-            hedge = HedgePolicy(delay_ms=hedge_ms) if hedge_ms is not None else None
-            index.replicate(replicas, policy=policy, clock=clock, hedge=hedge)
-        return cls(index, cache=cache, workers=workers,
-                   worker_mode=worker_mode, policy=policy,
-                   clock=clock, sleep=sleep)
+        return cls.assemble(index, cache=cache, workers=workers,
+                            worker_mode=worker_mode, policy=policy,
+                            clock=clock, sleep=sleep,
+                            replicas=replicas, hedge_ms=hedge_ms)
 
     # ------------------------------------------------------------------
     # Lifecycle (persistent fan-out pool)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the fan-out thread pool down.
+        """Release the fan-out pool and the replica sets' hedge pools.
 
         Idempotent and concurrency-safe (callable from a signal handler
         while a search is in flight): callers serialise on the close
-        lock, the first one tears down, the rest block until it has
-        finished and then return."""
+        lock.  The engine stays usable — a later gather query lazily
+        builds a new pool, which the next close releases in turn."""
         with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
             collector, self._collector = self._collector, None
             if collector is not None:
                 registry, collect = collector
                 registry.unregister_collector(collect)
-            pool, self._pool = self._pool, None
-            self._pool_width = 0
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            process_pool, self._process_pool = self._process_pool, None
-            if process_pool is not None:
-                # Joins every worker (terminate after a bounded grace),
-                # including after a failed fan-out left the pool broken.
-                process_pool.close()
+            self._executor.close()
             for shard in self._index.shards:
                 # Release replica-set hedge pools; the replicas themselves
                 # (and their WALs) belong to the serving layer's close.
@@ -405,78 +295,30 @@ class ShardedEngine(DiversityEngine):
                 if callable(close_pool):
                     close_pool()
 
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        # The pool width tracks the live config: min(workers, num_shards)
-        # is re-derived on every call and a mismatch rebuilds the pool —
-        # sizing it once at first use and never again would serve forever
-        # from a stale width after set_workers() or a topology change.
-        width = min(self._workers, self._index.num_shards)
-        if self._pool is not None and self._pool_width != width:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=width,
-                thread_name_prefix="repro-shard",
-            )
-            self._pool_width = width
-        return self._pool
-
-    def _ensure_process_pool(self) -> ProcessShardPool:
-        pool = self._process_pool
-        if pool is not None and not pool.matches(
-            self._workers, self._resolved_mode, self.num_shards
-        ):
-            # Worker config or topology changed: tear down and start over.
-            pool.close()
-            pool = self._process_pool = None
-        if pool is None:
-            pool = ProcessShardPool(
-                self._index, self._workers, self._resolved_mode,
-                registry=self._metrics(),
-            )
-            self._process_pool = pool
-        elif pool.stale():
-            # The index mutated (or a worker died) since the replicas were
-            # built: re-bootstrap at the current epoch *before* fanning
-            # out, so the common path never round-trips a stale answer.
-            reason = "worker-loss" if pool.broken else "epoch-drift"
-            pool.rebuild(reason)
-        return pool
-
     def _push_worker_budget(self) -> None:
-        """Publish the engine's worker budget to the index and its replica
-        sets, so hedge pools derive their width from it (never a width
-        that oversubscribes replicated + parallel fan-out)."""
-        from ..replication.replica_set import ReplicaSet
-
-        index = self._index
+        """Publish the worker budget to the index, which sizes its replica
+        sets' hedge pools from it (never a width that oversubscribes
+        replicated + parallel fan-out)."""
         try:
-            index.worker_budget = self._workers
+            self._index.worker_budget = self._workers
         except AttributeError:
             pass  # plain/duck-typed indexes without the budget slot
-        for shard in index.shards:
-            if isinstance(shard, ReplicaSet):
-                shard.set_pool_budget(ReplicaSet.derive_pool_width(
-                    shard.num_replicas, index.num_shards, self._workers
-                ))
 
     def set_workers(self, workers: int) -> None:
         """Re-size the fan-out worker budget at runtime.
 
-        The thread and process pools are lazily rebuilt at the new width
-        on the next fan-out; replica-set hedge pools re-derive theirs
-        immediately.
+        The executor is re-picked for the new budget (its pool is built
+        lazily, at the new width, on the next fan-out); replica-set hedge
+        pools re-derive theirs immediately.
         """
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        self._workers = workers
+        with self._close_lock:
+            self._workers = workers
+            retired, self._executor = self._executor, make_executor(
+                self._resolved_mode, workers, self._index, self._runner
+            )
+            retired.close()
         self._push_worker_budget()
 
     # ------------------------------------------------------------------
@@ -522,7 +364,7 @@ class ShardedEngine(DiversityEngine):
     # ------------------------------------------------------------------
     def inject_chaos(self, chaos: ChaosPolicy) -> ChaosPolicy:
         """Make shard reads fail per ``chaos`` (tests/benchmarks/CLI)."""
-        if self._uses_process_fanout():
+        if self._executor.mode in PROCESS_MODES:
             # Worker replicas answer the gather fan-out, and a fault plan
             # injected here would never reach them — the experiment would
             # silently run fault-free.  Refuse instead.
@@ -542,7 +384,7 @@ class ShardedEngine(DiversityEngine):
         self._index.clear_chaos()
 
     # ------------------------------------------------------------------
-    # Coordinator-side retry loop (prepare + scan algorithms)
+    # Coordinator-side retries (plan statistics + scan algorithms)
     # ------------------------------------------------------------------
     def _deadline(self) -> Deadline:
         return Deadline(self._policy.deadline_ms, clock=self._clock)
@@ -550,62 +392,37 @@ class ShardedEngine(DiversityEngine):
     def _metrics(self):
         return self._registry if self._registry is not None else get_registry()
 
-    def _count_retry(self, phase: str) -> None:
-        self._metrics().counter(
-            "repro_retries_total",
-            "Shard-call retries spent on transient faults, by phase",
-            phase=phase,
-        ).inc()
-
     def _run_with_retries(self, operation, deadline: Deadline,
                           phase: str = "scan"):
-        """Run ``operation()`` retrying transient shard faults per policy.
+        """``(operation(), retries_spent)`` under the policy's retry and
+        deadline budgets (:meth:`PolicyRunner.retrying`)."""
+        return self._runner.retrying(operation, deadline, phase)
 
-        Returns ``(value, retries_spent)``.  Crashes and exhausted retries
-        surface as :class:`ShardUnavailableError`; an expired deadline as
-        :class:`DeadlineExceededError`.  Used where the work cannot be
-        split per shard: plan preparation and the coordinator-driven scan,
-        both of which read through union cursors that touch every shard.
-        """
-        policy = self._policy
-        health = self._health
-        attempts = 0
-        while True:
+    def _read_stats(self, read, phase: str):
+        """One statistics read through the sharded index, retry-wrapped —
+        or ``None`` when the statistics are unreachable and the caller
+        must plan without them.
+
+        A shard whose breaker is already open is presumed down: the read
+        is skipped *immediately*, without touching any shard.  Re-proving
+        the failure here every query would charge the broken shard a fresh
+        hard failure per query on top of the one the execute phase records
+        — double-counting its health stats — and burn retry/backoff time
+        from every caller's budget while the breaker is trying to cool
+        down."""
+        if self._health.open_shards():
+            reason = "circuit open"
+        else:
             try:
-                # The deadline scope lets layers below the index read
-                # protocol (a ReplicaSet timing a hedged backup read) see
-                # the remaining budget without widening the protocol.
-                with deadline_scope(deadline):
-                    return operation(), attempts
-            except TransientShardError as error:
-                health.record_transient(error.shard_id)
-                if attempts >= policy.max_retries:
-                    raise ShardUnavailableError(
-                        {error.shard_id: "retries exhausted"}, self.num_shards
-                    ) from error
-                if deadline.expired():
-                    raise DeadlineExceededError(
-                        policy.deadline_ms or 0.0, deadline.elapsed_ms()
-                    ) from error
-                attempts += 1
-                health.record_retry(error.shard_id)
-                self._count_retry(phase)
-                delay_s = policy.backoff_ms(attempts, self._retry_rng) / 1000.0
-                delay_s = min(delay_s, deadline.remaining_ms() / 1000.0)
-                if delay_s > 0.0:
-                    self._sleep(delay_s)
-                if deadline.expired():
-                    # The backoff consumed the rest of the budget: without
-                    # this check the loop would grant one extra attempt
-                    # *after* the deadline fully elapsed (drift).
-                    raise DeadlineExceededError(
-                        policy.deadline_ms or 0.0, deadline.elapsed_ms()
-                    ) from error
-            except ShardCrashedError as error:
-                health.record_hard(error.shard_id)
-                raise ShardUnavailableError(
-                    {error.shard_id: "crashed"}, self.num_shards
-                ) from error
+                return self._run_with_retries(read, self._deadline(), phase)[0]
+            except ShardUnavailableError:
+                reason = "shard unavailable"
+        self._metrics().counter(
+            "repro_plan_degraded_total",
+            "Plans that skipped statistics-driven reordering",
+            reason=reason,
+        ).inc()
+        return None
 
     def prepare(
         self,
@@ -615,41 +432,21 @@ class ShardedEngine(DiversityEngine):
     ) -> Query:
         """Plan step, retry-wrapped: the leapfrog ordering reads posting
         statistics through the sharded index, so a flaky shard can fault
-        here too.  When a shard is hard-down (or retries run out) the
-        *plan* degrades instead of the query: parse + normalise are pure,
-        only the statistics-driven reordering is skipped — answers do not
-        depend on predicate order, so execution can still proceed (and
-        degrade, or fail fast, on its own terms).
-
-        A shard whose breaker is already open is presumed down: the plan
-        degrades *immediately*, without touching any shard.  Re-proving the
-        failure here every query would charge the broken shard a fresh
-        hard failure per query on top of the one the execute phase records
-        — double-counting its health stats — and burn retry/backoff time
-        from every caller's budget while the breaker is trying to cool
-        down."""
-        degraded_reason = None
-        if optimize and self._health.open_shards():
-            degraded_reason = "circuit open"
-        else:
-            parent = super()
-            try:
-                plan, _ = self._run_with_retries(
-                    lambda: parent.prepare(query, scored, optimize),
-                    self._deadline(), phase="prepare",
-                )
-            except ShardUnavailableError:
-                if not optimize:
-                    raise
-                degraded_reason = "shard unavailable"
-        if degraded_reason is not None:
-            self._metrics().counter(
-                "repro_plan_degraded_total",
-                "Plans that skipped statistics-driven reordering",
-                reason=degraded_reason,
-            ).inc()
+        here too.  When a shard is hard-down (or retries run out, or its
+        breaker is open — :meth:`_read_stats`) the *plan* degrades instead
+        of the query: parse + normalise are pure, only the statistics-
+        driven reordering is skipped — answers do not depend on predicate
+        order, so execution can still proceed (and degrade, or fail fast,
+        on its own terms)."""
+        parent = super()
+        if not optimize:
+            return parent.prepare(query, scored, False)  # pure: no shard read
+        plan = self._read_stats(
+            lambda: parent.prepare(query, scored, True), "prepare"
+        )
+        if plan is None:
             plan = parse_query(query) if isinstance(query, str) else query
-            if optimize and not scored:
+            if not scored:
                 plan = normalise(plan)
         return plan
 
@@ -679,34 +476,22 @@ class ShardedEngine(DiversityEngine):
 
         if isinstance(query, str):
             query = parse_query(query)
-        degraded_reason = None
-        if self._health.open_shards():
-            degraded_reason = "circuit open"
-        else:
-            index = self._index
-            try:
-                decision, _ = self._run_with_retries(
-                    lambda: choose(index, query, k, scored, candidates=candidates),
-                    self._deadline(), phase="plan",
-                )
-                return decision
-            except ShardUnavailableError:
-                degraded_reason = "shard unavailable"
-        self._metrics().counter(
-            "repro_plan_degraded_total",
-            "Plans that skipped statistics-driven reordering",
-            reason=degraded_reason,
-        ).inc()
+        index = self._index
+        decision = self._read_stats(
+            lambda: choose(index, query, k, scored, candidates=candidates),
+            "plan",
+        )
+        if decision is not None:
+            return decision
         # Stats are unreachable: a zeroed feature vector prices nothing,
         # so fall back to the degradable gather algorithm outright.
-        features = extract_features(_EMPTY_STATS, query, k, scored)
         return PlanDecision(
             algorithm="naive",
             k=k,
             scored=scored,
             epoch=self.epoch,
             costs={"naive": 0.0},
-            features=features,
+            features=extract_features(EMPTY_READER, query, k, scored),
             candidates=("naive",),
             reason="stats unavailable",
         )
@@ -728,10 +513,8 @@ class ShardedEngine(DiversityEngine):
         """
         if algorithm == AUTO:
             return self._execute_auto(query, k, scored, decision)
-        if algorithm == "naive":
-            return self._execute_gather_naive(query, k, scored)
-        if algorithm == "basic" and not scored:
-            return self._execute_gather_basic(query, k)
+        if algorithm == "naive" or (algorithm == "basic" and not scored):
+            return self._execute_gather(query, k, algorithm, scored)
         return self._execute_scan(query, k, algorithm, scored)
 
     def _execute_scan(
@@ -742,7 +525,7 @@ class ShardedEngine(DiversityEngine):
         An open circuit means a shard is presumed down — refuse before
         burning the deadline.  Transient faults retry the *failed read*
         (idempotent, so the answer stays bit-identical to the unsharded
-        scan — see :class:`_RetryingReads`); crashes surface immediately
+        scan — see :class:`RetryingReader`); crashes surface immediately
         as :class:`ShardUnavailableError` naming the dead shard.
         """
         open_shards = self._health.open_shards()
@@ -752,7 +535,9 @@ class ShardedEngine(DiversityEngine):
             )
         with span("shard.scan", registry=self._registry, algorithm=algorithm,
                   k=k, shards=self.num_shards):
-            reader = _RetryingReads(self, self._deadline())
+            reader = RetryingReader(
+                self._index, self._runner.retrying, self._deadline()
+            )
             deweys, scores, stats = run_algorithm(
                 reader, query, k, algorithm, scored
             )
@@ -761,316 +546,55 @@ class ShardedEngine(DiversityEngine):
         for shard in range(self.num_shards):
             self._health.record_success(shard)
         result = self._package(deweys, scores, stats, k, algorithm, scored)
-        result.stats.update(
-            degraded=False,
-            shards_failed=0,
-            shards_total=self.num_shards,
-            replicas=self._index.replication_factor,
-            retries=reader.retries,
-            deadline_ms=self._policy.deadline_ms or 0,
-        )
+        result.stats.update(self._resilience_stats((), reader.retries))
         return result
 
-    # ------------------------------------------------------------------
-    # Scatter-gather with degradation
-    # ------------------------------------------------------------------
-    def _run_shard_task(
-        self, shard_id: int, shard, task, deadline: Deadline
-    ) -> ShardOutcome:
-        """Run ``task(shard)`` under the policy; never raises.
-
-        Breaker-gated admission, bounded retries with jittered backoff on
-        transient faults, deadline checks between attempts.  The outcome
-        carries either the value or a machine-readable failure reason the
-        gather step turns into degradation stats.
-        """
-        policy = self._policy
-        health = self._health
-        if not health.allow(shard_id):
-            health.record_skip(shard_id)
-            return ShardOutcome(shard_id, reason="circuit open")
-        attempts = 0
-        while True:
-            if deadline.expired():
-                health.record_deadline_drop(shard_id)
-                return ShardOutcome(shard_id, reason="deadline", retries=attempts)
-            health.record_admitted(shard_id)
-            try:
-                with deadline_scope(deadline):
-                    value = task(shard)
-            except TransientShardError:
-                health.record_transient(shard_id)
-                if attempts >= policy.max_retries:
-                    return ShardOutcome(
-                        shard_id, reason="retries exhausted", retries=attempts
-                    )
-                attempts += 1
-                health.record_retry(shard_id)
-                self._count_retry("gather")
-                delay_s = policy.backoff_ms(attempts, self._retry_rng) / 1000.0
-                delay_s = min(delay_s, deadline.remaining_ms() / 1000.0)
-                if delay_s > 0.0:
-                    self._sleep(delay_s)
-            except ShardCrashedError:
-                health.record_hard(shard_id)
-                return ShardOutcome(shard_id, reason="crashed", retries=attempts)
-            except ResilienceError:
-                health.record_hard(shard_id)
-                return ShardOutcome(shard_id, reason="error", retries=attempts)
-            else:
-                health.record_success(shard_id)
-                return ShardOutcome(
-                    shard_id, value=value, ok=True, retries=attempts
-                )
-
-    def _uses_process_fanout(self) -> bool:
-        return (
-            self._resolved_mode in PROCESS_MODES
-            and self._workers > 1
-            and self.num_shards > 1
-        )
-
-    def _scatter(self, task, request=None) -> List[ShardOutcome]:
-        """Fan ``task(shard)`` out to every shard under the policy.
-
-        Returns one outcome per shard (shard order).  Raises only on total
-        loss: :class:`DeadlineExceededError` when the deadline killed every
-        shard, :class:`ShardUnavailableError` when no shard survived for
-        any other mix of reasons.
-
-        ``request`` is the wire form of the task — ``(algorithm, k,
-        scored, query)`` — for the process backend, which cannot ship a
-        closure; the gather executors pass both, and the scatter picks
-        the path the engine's ``worker_mode`` configures.
-        """
-        process = request is not None and self._uses_process_fanout()
+    def _execute_gather(
+        self, query: Query, k: int, algorithm: str, scored: bool
+    ) -> DiverseResult:
+        """Scatter-gather with degradation: each shard's local answer
+        (naive: its canonical diverse top-k; basic: its document-order
+        first-k), survivors re-merged under Definitions 1-2."""
+        executor = self._executor
         with span("shard.scatter", registry=self._registry,
                   shards=self.num_shards, workers=self._workers,
-                  mode=self._resolved_mode if process else "thread"):
-            if process:
-                return self._scatter_process(request)
-            return self._scatter_inner(task)
-
-    def _scatter_inner(self, task) -> List[ShardOutcome]:
-        deadline = self._deadline()
-        shards = self._index.shards
-        if self._workers > 1 and len(shards) > 1:
-            pool = self._ensure_pool()
-            futures = {
-                pool.submit(self._run_shard_task, shard_id, shard, task, deadline):
-                    shard_id
-                for shard_id, shard in enumerate(shards)
-            }
-            try:
-                timeout = deadline.remaining_ms() / 1000.0
-                done, not_done = wait(
-                    futures, timeout=None if timeout == float("inf") else timeout
-                )
-            except BaseException:
-                # The fan-out itself failed (not a shard): cancel what has
-                # not started and surface the error with the pool clean —
-                # never leak futures into a pool we may close right after.
-                for future in futures:
-                    future.cancel()
-                raise
-            outcomes: Dict[int, ShardOutcome] = {}
-            for future in done:
-                shard_id = futures[future]
-                error = future.exception()
-                if error is not None:
-                    # The runner is supposed to be total; treat a leak as a
-                    # hard shard failure rather than poisoning the pool.
-                    self._health.record_hard(shard_id)
-                    outcomes[shard_id] = ShardOutcome(shard_id, reason="error")
-                else:
-                    outcomes[shard_id] = future.result()
-            for future in not_done:
-                # Past deadline: cancel what never started, abandon (drain
-                # into the persistent pool) what is mid-flight.
-                shard_id = futures[future]
-                future.cancel()
-                self._health.record_deadline_drop(shard_id)
-                outcomes[shard_id] = ShardOutcome(shard_id, reason="deadline")
-            ordered = [outcomes[shard_id] for shard_id in sorted(outcomes)]
-        else:
-            ordered = [
-                self._run_shard_task(shard_id, shard, task, deadline)
-                for shard_id, shard in enumerate(shards)
-            ]
-        self._check_total_loss(ordered, deadline)
-        return ordered
-
-    def _check_total_loss(self, outcomes: List[ShardOutcome], deadline) -> None:
-        if not any(outcome.ok for outcome in outcomes):
-            if all(outcome.reason == "deadline" for outcome in outcomes):
-                raise DeadlineExceededError(
-                    self._policy.deadline_ms or 0.0, deadline.elapsed_ms()
-                )
-            raise ShardUnavailableError(
-                {outcome.shard_id: outcome.reason for outcome in outcomes},
-                self.num_shards,
+                  mode=executor.mode):
+            outcomes = executor.scatter(
+                GatherTask(algorithm, k, scored, query), self._deadline()
             )
-
-    def _scatter_process(self, request) -> List[ShardOutcome]:
-        """Process-backend fan-out: ship (query, k, algorithm, epoch) to
-        the worker pool and classify each shard's reply.
-
-        The stale path is two-level: the engine rebuilds a pool whose
-        built epochs drifted *before* fanning out (:meth:`_ensure_process_pool`),
-        and any worker that still answers ``stale`` (its replica raced a
-        mutation) triggers one rebuild-and-retry; a shard stale even then
-        degrades rather than merging the wrong epoch's candidates.
-        """
-        algorithm, k, scored, query = request
-        deadline = self._deadline()
-        pool = self._ensure_process_pool()
-        responses = pool.fanout(
-            query, k, algorithm, scored, self._index.shard_epochs(), deadline
-        )
-        if any(status == STALE for status, _, _ in responses.values()):
-            self._count_stale(responses)
-            pool.rebuild("stale-answer")
-            responses = pool.fanout(
-                query, k, algorithm, scored, self._index.shard_epochs(), deadline
-            )
-            if any(status == STALE for status, _, _ in responses.values()):
-                self._count_stale(responses)
-        registry = self._metrics()
-        health = self._health
-        outcomes: List[ShardOutcome] = []
-        for shard_id in range(self.num_shards):
-            status, value, elapsed_ms = responses.get(
-                shard_id, (CRASHED, "no reply", 0.0)
-            )
-            registry.counter(
-                "repro_parallel_tasks_total",
-                "Process-worker shard tasks, by outcome",
-                outcome=status,
-            ).inc()
-            if status == OK:
-                self._record_worker_span(
-                    registry, shard_id, pool.worker_of(shard_id), elapsed_ms
-                )
-                health.record_admitted(shard_id)
-                health.record_success(shard_id)
-                outcomes.append(ShardOutcome(shard_id, value=value, ok=True))
-            elif status == DEADLINE:
-                health.record_deadline_drop(shard_id)
-                outcomes.append(ShardOutcome(shard_id, reason="deadline"))
-            elif status == STALE:
-                # Not a shard fault — a pool-lifecycle race.  The shard is
-                # dropped from this answer (degraded) without charging its
-                # breaker; the pool already rebuilt for the next query.
-                outcomes.append(ShardOutcome(shard_id, reason="stale epoch"))
-            else:
-                health.record_hard(shard_id)
-                reason = "crashed" if status == CRASHED else "error"
-                outcomes.append(ShardOutcome(shard_id, reason=reason))
-        self._check_total_loss(outcomes, deadline)
-        return outcomes
-
-    def _count_stale(self, responses) -> None:
-        stale = sum(
-            1 for status, _, _ in responses.values() if status == STALE
-        )
-        self._metrics().counter(
-            "repro_parallel_stale_rejected_total",
-            "Worker answers rejected by the epoch fence",
-        ).inc(stale)
-
-    @staticmethod
-    def _record_worker_span(registry, shard_id: int, worker: int,
-                            elapsed_ms: float) -> None:
-        """Publish one worker task as a span record + duration histogram.
-
-        The duration was measured *inside* the worker process, so the
-        record is materialised directly instead of bracketing coordinator
-        code with :class:`span` (which would time pipe waiting, not work).
-        """
-        if not registry.enabled:
-            return
-        record = SpanRecord(
-            name="shard.worker",
-            duration_ms=elapsed_ms,
-            parent="shard.scatter",
-            fields={"shard": shard_id, "worker": worker},
-        )
-        registry.record_span(record)
-        registry.histogram(
-            SPAN_DURATION_METRIC,
-            help="Wall duration of instrumented pipeline spans",
-            span="shard.worker",
-        ).observe(elapsed_ms)
-        registry.histogram(
-            "repro_parallel_task_ms",
-            "Per-task worker compute time (measured worker-side)",
-            worker=str(worker),
-        ).observe(elapsed_ms)
-
-    def _execute_gather_naive(
-        self, query: Query, k: int, scored: bool
-    ) -> DiverseResult:
-        """Per-shard canonical diverse top-k, then Definitions 1-2 re-merge."""
-
-        def local_topk(shard):
-            merged = MergedList(query, shard)
-            if scored:
-                matches = baselines.collect_all_scored(merged)
-                chosen = scored_diverse_subset(matches, k)
-                local: Union[Dict[DeweyId, float], List[DeweyId]] = {
-                    dewey: matches[dewey] for dewey in chosen
-                }
-            else:
-                local = diverse_subset(baselines.collect_all(merged), k)
-            return local, merged.next_calls, merged.scored_next_calls
-
-        outcomes = self._scatter(local_topk, request=("naive", k, scored, query))
         gathered = [outcome.value for outcome in outcomes if outcome.ok]
         candidates = [local for local, _, _ in gathered]
-        stats = self._gather_stats(gathered, candidates)
-        stats.update(self._resilience_stats(outcomes))
-        if scored:
-            scores = scored_diverse_merge(candidates, k)
-            deweys = sorted(scores)
-        else:
-            scores = None
-            deweys = diverse_merge(candidates, k)
-        return self._package(deweys, scores, stats, k, "naive", scored)
-
-    def _execute_gather_basic(self, query: Query, k: int) -> DiverseResult:
-        """Per-shard first-k, merged to the global document-order first-k."""
-
-        def local_firstk(shard):
-            merged = MergedList(query, shard)
-            local = baselines.basic_unscored(merged, k)
-            return local, merged.next_calls, merged.scored_next_calls
-
-        outcomes = self._scatter(local_firstk, request=("basic", k, False, query))
-        gathered = [outcome.value for outcome in outcomes if outcome.ok]
-        candidates = [local for local, _, _ in gathered]
-        stats = self._gather_stats(gathered, candidates)
-        stats.update(self._resilience_stats(outcomes))
-        deweys = merge_first_k(candidates, k)
-        return self._package(deweys, None, stats, k, "basic", False)
-
-    def _gather_stats(self, gathered, candidates) -> Dict[str, int]:
-        return {
+        stats = {
             "next_calls": sum(calls for _, calls, _ in gathered),
             "scored_next_calls": sum(calls for _, _, calls in gathered),
             "shards_queried": len(gathered),
             "merge_candidates": sum(len(local) for local in candidates),
         }
+        stats.update(self._resilience_stats(
+            [outcome for outcome in outcomes if not outcome.ok],
+            sum(outcome.retries for outcome in outcomes),
+        ))
+        scores = None
+        if algorithm == "basic":
+            deweys = merge_first_k(candidates, k)
+        elif scored:
+            scores = scored_diverse_merge(candidates, k)
+            deweys = sorted(scores)
+        else:
+            deweys = diverse_merge(candidates, k)
+        return self._package(deweys, scores, stats, k, algorithm, scored)
 
-    def _resilience_stats(self, outcomes: Sequence[ShardOutcome]) -> Dict[str, int]:
+    def _resilience_stats(
+        self, failed: Sequence[ShardOutcome], retries: int
+    ) -> Dict[str, int]:
         """Per-query resilience stats for ``result.stats``.
 
-        These count the *execute* fan-out only — one entry per shard per
+        These count the *execute* phase only — one entry per shard per
         query, so a shard that also faulted during plan preparation is not
         double-counted here (prepare-phase faults show up in
         :attr:`health` and the ``repro_retries_total{phase="prepare"}`` /
         ``repro_plan_degraded_total`` metrics instead).
         """
-        failed = [outcome for outcome in outcomes if not outcome.ok]
         if failed:
             registry = self._metrics()
             registry.counter(
@@ -1088,6 +612,6 @@ class ShardedEngine(DiversityEngine):
             "shards_failed": len(failed),
             "shards_total": self.num_shards,
             "replicas": self._index.replication_factor,
-            "retries": sum(outcome.retries for outcome in outcomes),
+            "retries": retries,
             "deadline_ms": self._policy.deadline_ms or 0,
         }

@@ -37,6 +37,7 @@ from ..core.ordering import DiversityOrdering
 from ..index.dewey_index import DeweyIndex
 from ..index.inverted import InvertedIndex
 from ..index.postings import ARRAY_BACKEND, PostingList
+from ..index.reader import sum_memory_stats
 from ..storage.relation import Relation
 from .router import ShardRouter, make_router
 
@@ -267,9 +268,10 @@ class ShardedIndex:
     def worker_budget(self) -> int:
         """The owning engine's fan-out worker budget (0 = unset).
 
-        Published by :meth:`ShardedEngine._push_worker_budget` so replica
-        sets created by a later :meth:`replicate` size their hedge pools
-        from it instead of the standalone default.
+        Published by the owning :class:`ShardedEngine`; setting it sizes
+        every replica set's hedge pool, and sets created by a later
+        :meth:`replicate` size theirs from it instead of the standalone
+        default.
         """
         return self._worker_budget
 
@@ -278,6 +280,16 @@ class ShardedIndex:
         if budget < 0:
             raise ValueError("worker budget must be >= 0")
         self._worker_budget = budget
+        self._size_hedge_pools()
+
+    def _size_hedge_pools(self) -> None:
+        from ..replication.replica_set import ReplicaSet
+
+        for shard in self._shards:
+            if isinstance(shard, ReplicaSet):
+                shard.set_pool_budget(ReplicaSet.derive_pool_width(
+                    shard.num_replicas, self.num_shards, self._worker_budget
+                ))
 
     def replicate(
         self,
@@ -321,13 +333,9 @@ class ShardedIndex:
         ]
         if self._worker_budget:
             # Sets created after the engine published its budget pick the
-            # derived width up here; _push_worker_budget covers the other
+            # derived width up here; the budget setter covers the other
             # order (replicate first, engine construction after).
-            width = ReplicaSet.derive_pool_width(
-                count, self.num_shards, self._worker_budget
-            )
-            for replica_set in self._shards:
-                replica_set.set_pool_budget(width)
+            self._size_hedge_pools()
 
     @property
     def router(self) -> ShardRouter:
@@ -335,21 +343,7 @@ class ShardedIndex:
 
     def memory_stats(self) -> dict:
         """Deployment-wide posting-list memory accounting (sum of shards)."""
-        lists = 0
-        postings = 0
-        total_bytes = 0
-        for shard in self._shards:
-            stats = shard.memory_stats()
-            lists += stats["lists"]
-            postings += stats["postings"]
-            total_bytes += stats["bytes"]
-        return {
-            "backend": self._backend,
-            "lists": lists,
-            "postings": postings,
-            "bytes": total_bytes,
-            "bytes_per_posting": (total_bytes / postings) if postings else 0.0,
-        }
+        return sum_memory_stats(self._backend, self._shards)
 
     def shard_of(self, rid: int) -> int:
         """The shard number owning row ``rid`` (routes on its level-1 value)."""

@@ -290,6 +290,88 @@ class TestShardedStore:
         assert all(isinstance(shard, DurableIndex) for shard in index.shards)
 
 
+class TestReplayFold:
+    """One fold (``durability.store.fold_shard_state``) serves full
+    recovery, spawn-worker bootstrap and replica bootstrap, so a damaged
+    log is refused identically by all three — each in its own error type,
+    each naming the offending record."""
+
+    @staticmethod
+    def _bad_records(index):
+        """``{case: (record, match)}`` against shard 0 (epoch 0, so the
+        next legal seq is 1)."""
+        from repro.durability.wal import insert_record, remove_record
+
+        dewey = index.dewey
+        mine, other = (
+            [dewey.rid_of(d) for d in shard.all_postings()]
+            for shard in index.shards[:2]
+        )
+        rid = mine[0]
+        contradicting = list(index.relation[rid])
+        contradicting[-1] = "not what the snapshot says"
+        return {
+            "remove-not-live": (
+                remove_record(1, other[0], dewey.dewey_of(other[0])),
+                "remove record 1"),
+            "remove-wrong-dewey": (
+                remove_record(1, rid, dewey.dewey_of(mine[1])),
+                "remove record 1"),
+            "insert-contradicts-snapshot": (
+                insert_record(1, rid, contradicting, dewey.dewey_of(rid)),
+                "insert record 1"),
+            "sequence-gap": (
+                remove_record(2, rid, dewey.dewey_of(rid)),
+                "expected seq 1, found 2"),
+        }
+
+    @pytest.mark.parametrize("caller", ["recover", "worker", "replica"])
+    @pytest.mark.parametrize("case", [
+        "remove-not-live", "remove-wrong-dewey",
+        "insert-contradicts-snapshot", "sequence-gap",
+    ])
+    def test_every_fold_caller_refuses_a_damaged_log(
+        self, tmp_path, caller, case
+    ):
+        from repro.parallel import load_shard_replica
+        from repro.replication import ReplicaBootstrapError, clone_from_store
+
+        index = ShardedIndex.build(
+            figure1_relation(), figure1_ordering(), shards=2
+        )
+        create_sharded_store(index, tmp_path / "cluster")
+        store = index.shards[0]
+        record, match = self._bad_records(index)[case]
+        store.wal.append(record)  # straight into the log, past DurableIndex
+        if caller == "replica":
+            with pytest.raises(ReplicaBootstrapError, match=match):
+                clone_from_store(store)
+            return
+        for shard in index.shards:
+            shard.close()
+        with pytest.raises(RecoveryError, match=match):
+            if caller == "recover":
+                recover_sharded_store(tmp_path / "cluster")
+            else:
+                load_shard_replica(tmp_path / "cluster", 0)
+
+    def test_replicated_recovery_replays_a_remove(self, tmp_path):
+        """Regression: replica bootstrap cross-checked the *snapshot's*
+        Dewey table against the live assignment before replaying the log,
+        so a durable replicated deployment whose WAL tail held a remove
+        could not be recovered."""
+        relation = figure1_relation()
+        with ServingEngine.from_relation(
+            relation, figure1_ordering(), shards=2, replicas=2,
+            data_dir=tmp_path / "cluster",
+        ) as serving:
+            serving.delete(0)
+            expected = serving.search("Make = 'Honda'", k=4).deweys
+        with ServingEngine.recover(tmp_path / "cluster") as recovered:
+            assert recovered.engine.index.replication_factor == 2
+            assert recovered.search("Make = 'Honda'", k=4).deweys == expected
+
+
 class TestServingRestart:
     def test_warm_cache_survives_restart(self, tmp_path):
         """Epoch continuity: entries cached before a restart are served as

@@ -82,8 +82,8 @@ def test_fork_workers_match_serial(shards, backend):
         _assert_identical(engine, reference, _trials(rng),
                           f"fork shards={shards} backend={backend}")
         # The pool really was used (the gather algorithms went through it).
-        assert engine._process_pool is not None
-        assert engine._process_pool.width == 2
+        assert engine._executor._pool is not None
+        assert engine._executor._pool.width == 2
     assert mp.active_children() == []
 
 
@@ -149,7 +149,7 @@ def test_mutation_between_queries_is_fenced_not_merged():
     ) as engine:
         trials = _trials(rng, count=2)
         _assert_identical(engine, reference, trials, "pre-mutation")
-        first_pool = engine._process_pool
+        first_pool = engine._executor._pool
         assert first_pool is not None
         # Mutate: the workers' fork-inherited replicas are now stale.
         for row in [("A", "m1", "red", "fun miles"),
@@ -160,7 +160,7 @@ def test_mutation_between_queries_is_fenced_not_merged():
         # engine re-bootstrapped the workers rather than merging any
         # stale candidate list.
         _assert_identical(engine, reference, trials, "post-mutation")
-        assert engine._process_pool.built_epochs == \
+        assert engine._executor._pool.built_epochs == \
             engine.sharded_index.shard_epochs()
     assert mp.active_children() == []
 

@@ -61,9 +61,9 @@ class TestThreadPoolWidth:
         with ShardedEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=2, workers=8
         ) as engine:
-            pool = engine._ensure_pool()
+            pool = engine._executor._ensure_pool()
             assert pool._max_workers == 2
-            assert engine._pool_width == 2
+            assert engine._executor._pool_width == 2
 
     def test_set_workers_rebuilds_the_pool_at_the_new_width(self):
         """Regression: the pool was sized once at first use and never
@@ -71,21 +71,21 @@ class TestThreadPoolWidth:
         with ShardedEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=4, workers=2
         ) as engine:
-            first = engine._ensure_pool()
+            first = engine._executor._ensure_pool()
             assert first._max_workers == 2
             engine.set_workers(4)
-            second = engine._ensure_pool()
+            second = engine._executor._ensure_pool()
             assert second is not first
             assert second._max_workers == 4
             # And back down again.
             engine.set_workers(3)
-            assert engine._ensure_pool()._max_workers == 3
+            assert engine._executor._ensure_pool()._max_workers == 3
 
     def test_unchanged_width_reuses_the_pool(self):
         with ShardedEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=4, workers=2
         ) as engine:
-            assert engine._ensure_pool() is engine._ensure_pool()
+            assert engine._executor._ensure_pool() is engine._executor._ensure_pool()
 
     def test_set_workers_rejects_negative(self):
         with ShardedEngine.from_relation(
@@ -162,7 +162,7 @@ class TestTeardownAfterFailure:
         with pytest.raises(Exception):
             engine.search(random_query(rng), 5, algorithm="probe")
         engine.close()  # joins the fan-out threads despite the failure
-        assert engine._pool is None
+        assert engine._executor._pool is None
         engine.close()  # and stays idempotent
 
     @needs_fork
@@ -174,7 +174,7 @@ class TestTeardownAfterFailure:
             worker_mode="fork",
         )
         engine.search(random_query(rng), 5, algorithm="naive")
-        for pid in engine._process_pool.worker_pids():
+        for pid in engine._executor._pool.worker_pids():
             os.kill(pid, signal.SIGKILL)
         # The next query sees dead pipes; whatever it reports, close()
         # afterwards must still join everything.
@@ -213,6 +213,37 @@ class TestTeardownAfterFailure:
 
 
 # ----------------------------------------------------------------------
+# Reuse after close: the lazily rebuilt pool is released by the next close
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("worker_mode", [
+    "thread", pytest.param("fork", marks=needs_fork),
+])
+def test_close_search_close_leaves_no_pool_behind(worker_mode):
+    """Regression: ``close()`` latched a ``_closed`` flag, a later gather
+    query lazily rebuilt the pool, and the second ``close()`` returned
+    early — the rebuilt pool's threads/workers were never joined."""
+    engine = ShardedEngine.from_relation(
+        figure1_relation(), figure1_ordering(), shards=2, workers=2,
+        worker_mode=worker_mode,
+    )
+    engine.search("Make = 'Honda'", k=2, algorithm="naive")
+    engine.close()
+    engine.search("Make = 'Honda'", k=2, algorithm="naive")  # pool is back
+    rebuilt = engine._executor._pool
+    assert rebuilt is not None
+    pids = rebuilt.worker_pids() if worker_mode == "fork" else []
+    engine.close()
+    assert engine._executor._pool is None
+    assert not [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-shard")
+    ]
+    assert not [
+        child for child in mp.active_children() if child.pid in pids
+    ]
+
+
+# ----------------------------------------------------------------------
 # Self-healing: a killed worker costs one degraded answer, not the engine
 # ----------------------------------------------------------------------
 @needs_fork
@@ -226,7 +257,7 @@ def test_killed_worker_degrades_then_heals():
     ) as engine:
         expected = _payload(reference.search(query, 5, algorithm="naive"))
         assert _payload(engine.search(query, 5, algorithm="naive")) == expected
-        victim = engine._process_pool.worker_pids()[0]
+        victim = engine._executor._pool.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
         time.sleep(0.05)
         degraded = engine.search(query, 5, algorithm="naive")
@@ -234,12 +265,12 @@ def test_killed_worker_degrades_then_heals():
         # the degradation instead of hanging or crashing.
         assert degraded.stats["degraded"] is True
         assert degraded.stats["shards_failed"] >= 1
-        assert engine._process_pool.broken
+        assert engine._executor._pool.broken
         # Next query rebuilds the pool: full bit-identical answers again.
         healed = engine.search(query, 5, algorithm="naive")
         assert _payload(healed) == expected
         assert not healed.stats["degraded"]
-        assert not engine._process_pool.broken
+        assert not engine._executor._pool.broken
     assert mp.active_children() == []
 
 
@@ -375,5 +406,5 @@ def test_process_mode_with_one_shard_runs_serial():
     ) as engine:
         assert _payload(engine.search(query, 5, algorithm="naive")) == \
             _payload(reference.search(query, 5, algorithm="naive"))
-        assert engine._process_pool is None  # never built
+        assert engine._executor._pool is None  # never built
     assert mp.active_children() == []

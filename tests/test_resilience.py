@@ -294,14 +294,14 @@ def _small_sharded(workers=0, policy=None, shards=2, seed=11):
 
 def test_sharded_engine_pool_is_persistent_and_closable():
     engine = _small_sharded(workers=2)
-    assert engine._pool is None  # lazy
+    assert engine._executor._pool is None  # lazy
     engine.search("make = 'A'", 5, algorithm="naive")
-    pool = engine._pool
+    pool = engine._executor._pool
     assert pool is not None
     engine.search("make = 'B'", 5, algorithm="naive")
-    assert engine._pool is pool  # reused, not rebuilt per query
+    assert engine._executor._pool is pool  # reused, not rebuilt per query
     engine.close()
-    assert engine._pool is None
+    assert engine._executor._pool is None
     engine.close()  # idempotent
     # Usable again after close: the pool is lazily recreated.
     result = engine.search("make = 'A'", 5, algorithm="naive")
@@ -312,8 +312,8 @@ def test_sharded_engine_pool_is_persistent_and_closable():
 def test_sharded_engine_context_manager_closes_pool():
     with _small_sharded(workers=2) as engine:
         engine.search("make = 'A'", 5, algorithm="naive")
-        assert engine._pool is not None
-    assert engine._pool is None
+        assert engine._executor._pool is not None
+    assert engine._executor._pool is None
 
 
 def test_serving_engine_pool_is_persistent_and_resized():

@@ -121,7 +121,7 @@ class TestShardedEngineClose:
         for thread in threads:
             thread.join(timeout=30.0)
         assert not errors
-        assert engine._pool is None
+        assert engine._executor._pool is None
 
     def test_close_inside_serving_close_is_single_teardown(self):
         serving = ServingEngine.from_relation(
