@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from ..index.merged import MergedList
 from ..index.wand import wand_topk
-from .dewey import LEFT, MIDDLE, DeweyId, in_region, zeros
+from .dewey import LEFT, MIDDLE, DeweyId, zeros
 from .probe_node import ProbeNode
 
 
@@ -42,7 +42,7 @@ def probe_unscored(merged: MergedList, k: int) -> List[DeweyId]:
         return []
     root = ProbeNode(first, 0, LEFT)
     remaining = _budget(k, merged.depth)
-    while root.num_items() < k:
+    while root.count < k:
         remaining -= 1
         if remaining < 0:
             raise RuntimeError(
@@ -54,7 +54,7 @@ def probe_unscored(merged: MergedList, k: int) -> List[DeweyId]:
             break
         probe_id, direction, owner = request
         found = merged.next(probe_id, direction)
-        if found is None or not in_region(found, owner.prefix):
+        if found is None or found[: owner.level] != owner.prefix:
             # The unexplored gap holds no matches (the case the paper defers
             # to its full version): close it and re-probe elsewhere.
             owner.close_frontier()
@@ -84,7 +84,7 @@ def probe_scored(merged: MergedList, k: int) -> Dict[DeweyId, float]:
             scores[dewey] = score
     pending: Dict[DeweyId, float] = {}
     remaining = _budget(k, merged.depth)
-    while root.num_items() < k:
+    while root.count < k:
         remaining -= 1
         if remaining < 0:
             raise RuntimeError(
@@ -101,7 +101,7 @@ def probe_scored(merged: MergedList, k: int) -> Dict[DeweyId, float]:
                 scores[probe_id] = pending.pop(probe_id, theta)
             continue
         found = merged.next_scored(probe_id, direction, theta)
-        if found is None or not in_region(found, owner.prefix):
+        if found is None or found[: owner.level] != owner.prefix:
             owner.close_frontier()
             continue
         if root.contains(found):

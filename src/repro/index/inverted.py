@@ -25,7 +25,7 @@ from .postings import (
 )
 from .tokenize import token_set
 
-_EMPTY = ArrayPostingList()
+EMPTY_POSTINGS = ArrayPostingList()
 
 
 class InvertedIndex:
@@ -165,7 +165,7 @@ class InvertedIndex:
     def scalar_postings(self, attribute: str, value: Any) -> PostingList:
         """Postings of ``attribute = value`` (empty list if unseen)."""
         self._relation.validate_attribute(attribute)
-        return self._scalar.get((attribute, value), _EMPTY)
+        return self._scalar.get((attribute, value), EMPTY_POSTINGS)
 
     def token_postings(self, attribute: str, token: str) -> PostingList:
         """Postings of one keyword token in a TEXT attribute."""
@@ -175,7 +175,7 @@ class InvertedIndex:
                 f"attribute {attribute!r} is not TEXT; keyword predicates "
                 f"need a TEXT attribute"
             )
-        return self._token.get((attribute, token.lower()), _EMPTY)
+        return self._token.get((attribute, token.lower()), EMPTY_POSTINGS)
 
     def all_postings(self) -> PostingList:
         """Every indexed Dewey ID, in document order."""

@@ -20,7 +20,7 @@ from typing import Optional
 from ..core.dewey import LEFT, RIGHT, DeweyId, predecessor, successor, validate_direction
 from ..query.predicates import KeywordPredicate, ScalarPredicate
 from ..query.query import AND, LEAF, OR, Query
-from .inverted import InvertedIndex
+from .inverted import EMPTY_POSTINGS, InvertedIndex
 from .postings import PostingList
 
 
@@ -109,6 +109,15 @@ def compile_cursor(query: Query, index: InvertedIndex) -> Cursor:
     """Compile a query tree to a cursor over the inverted index."""
     if query.kind == LEAF:
         return _compile_leaf(query, index)
+    if query.kind == AND and _pins_attribute_twice(query):
+        # Nothing matches.  Reject what compiling would reject, but do not
+        # fetch the scalar lists (a fan-out on a sharded index).
+        for child in query.children:
+            if isinstance(child.predicate, ScalarPredicate):
+                index.relation.validate_attribute(child.predicate.attribute)
+            else:
+                compile_cursor(child, index)
+        return LeafCursor(EMPTY_POSTINGS)
     children = [compile_cursor(child, index) for child in query.children]
     if len(children) == 1:
         return children[0]
@@ -117,6 +126,21 @@ def compile_cursor(query: Query, index: InvertedIndex) -> Cursor:
     if query.kind == OR:
         return OrCursor(children)
     raise ValueError(f"unknown query node kind {query.kind!r}")
+
+
+def _pins_attribute_twice(conjunction: Query) -> bool:
+    """Do two scalar leaves of this AND pin one attribute to different
+    values?  A row is posted under exactly one value per attribute, so the
+    conjunction is empty — and leapfrogging two disjoint lists end to end
+    is the slowest way to learn it."""
+    pinned: dict = {}
+    for child in conjunction.children:
+        predicate = child.predicate
+        if isinstance(predicate, ScalarPredicate):
+            value = pinned.setdefault(predicate.attribute, predicate.value)
+            if value != predicate.value:
+                return True
+    return False
 
 
 def _compile_leaf(query: Query, index: InvertedIndex) -> Cursor:

@@ -73,6 +73,9 @@ class Schema:
             if attribute.name in self._index:
                 raise SchemaError(f"duplicate attribute name {attribute.name!r}")
             self._index[attribute.name] = position
+        # Read once per materialised row (Relation.row_dict); a schema never
+        # changes after construction, so the tuple is built here, once.
+        self._names = tuple(attribute.name for attribute in self._attributes)
 
     @classmethod
     def of(cls, **kinds: str) -> "Schema":
@@ -87,7 +90,7 @@ class Schema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(attribute.name for attribute in self._attributes)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._attributes)

@@ -71,3 +71,41 @@ def random_query(rng: random.Random, weighted: bool = False) -> Query:
 
 
 RANDOM_ORDERING = ["make", "model", "color", "desc"]
+
+
+def grown_copy(root):
+    """A deep copy of a probing structure with every stub grown down to its
+    leaf: the tree as the paper draws it.  ``ProbeNode.grow`` is the one way
+    to force growth; copying first keeps the live tree exactly as lazy as
+    the algorithm left it.  The eager oracle of ``reference_probe_node`` has
+    nothing to grow and is only copied."""
+    import copy
+
+    def grow(node):
+        if node.level < node.depth:
+            if hasattr(node, "grow"):
+                node.grow()
+            for child in node.children.values():
+                grow(child)
+
+    root = copy.deepcopy(root)
+    grow(root)
+    return root
+
+
+def logical_tree(root):
+    """:func:`grown_copy` as nested tuples, for equality between the lazy
+    structure and the eager oracle: inner nodes are ``(prefix, count,
+    tentative_count, done, edge_left, edge_right, next_dir, {component:
+    subtree})``, leaves ``(prefix, count, tentative_count)``."""
+
+    def dump(node):
+        if node.level == node.depth:
+            return (node.prefix, node.count, node.tentative_count)
+        return (
+            node.prefix, node.count, node.tentative_count, node.done,
+            node.edge_left, node.edge_right, node.next_dir,
+            {c: dump(child) for c, child in sorted(node.children.items())},
+        )
+
+    return dump(grown_copy(root))

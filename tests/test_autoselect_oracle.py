@@ -14,6 +14,7 @@ gate meaningful rather than vacuously satisfied by "always pick probe".
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -24,27 +25,42 @@ from repro.planner import DEFAULT_CANDIDATES, total_regret
 ROWS = 1500
 QUERIES = 25
 REPEATS = 3
+RACES = 3
 REGRET_CEILING = 1.05
+WORKLOAD_REGRET_CEILING = 2.0
 
 
 @pytest.fixture(scope="module")
-def raced():
-    """One timed race of the whole mix, shared by every assertion."""
+def races():
+    """RACES timed races of the whole mix over the same engines; the two
+    timing gates judge the median race.  One race times ~2 ms per runner
+    and workload, and auto's fixed ~30 us of planning per query puts it at
+    ~1.75x the oracle on the cheapest workload (match-all, k=5, ~50 us per
+    probe) - close enough to the 2.0 ceiling for a single race on a busy
+    machine to overshoot it."""
     workloads = mixed_workloads(rows=ROWS, queries=QUERIES, seed=1)
-    with use_registry() as registry:
-        reports = race_mix(workloads, repeats=REPEATS, registry=registry)
-    return reports, registry
+    out = []
+    for _ in range(RACES):
+        with use_registry() as registry:
+            out.append((race_mix(workloads, repeats=REPEATS, registry=registry),
+                        registry))
+    return out
+
+
+@pytest.fixture(scope="module")
+def raced(races):
+    """One race, for the assertions that do not read the clock."""
+    return races[0]
 
 
 class TestOracleRegret:
-    def test_total_regret_within_ceiling(self, raced):
-        reports, _ = raced
-        summary = total_regret(reports)
-        assert summary["best_fixed"] in DEFAULT_CANDIDATES
-        assert summary["regret_ratio"] <= REGRET_CEILING, (
-            f"auto total {summary['auto_seconds']:.4f}s vs best fixed "
-            f"({summary['best_fixed']}) {summary['best_fixed_seconds']:.4f}s "
-            f"-> ratio {summary['regret_ratio']}"
+    def test_total_regret_within_ceiling(self, races):
+        summaries = [total_regret(reports) for reports, _ in races]
+        for summary in summaries:
+            assert summary["best_fixed"] in DEFAULT_CANDIDATES
+        ratios = [summary["regret_ratio"] for summary in summaries]
+        assert statistics.median(ratios) <= REGRET_CEILING, (
+            f"auto total vs best fixed total, per race: {summaries}"
         )
 
     def test_mix_has_no_universal_fixed_winner(self, raced):
@@ -64,16 +80,16 @@ class TestOracleRegret:
         assert len(chosen) >= 2, f"auto chose {chosen} for every workload"
         assert chosen <= set(DEFAULT_CANDIDATES)
 
-    def test_per_workload_regret_is_bounded(self, raced):
+    def test_per_workload_regret_is_bounded(self, races):
         """Per-workload oracles are stricter than the aggregate gate; allow
         slack for timing noise at this small scale, but auto must never
         catastrophically lose a single regime (that is the failure mode
         cost-model bugs produce: e.g. probing a million-row scan regime)."""
-        reports, _ = raced
-        for report in reports:
-            assert report.regret_ratio <= 2.0, (
-                f"{report.name}: auto {report.auto_seconds:.4f}s vs "
-                f"{report.best_fixed} {report.best_fixed_seconds:.4f}s"
+        for reports in zip(*(reports for reports, _ in races)):
+            ratios = [report.regret_ratio for report in reports]
+            assert statistics.median(ratios) <= WORKLOAD_REGRET_CEILING, (
+                f"{reports[0].name}: auto vs {reports[0].best_fixed}, "
+                f"regret per race {ratios}"
             )
 
     def test_regret_exported_through_registry(self, raced):

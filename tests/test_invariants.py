@@ -14,18 +14,20 @@ from repro.core.probe_node import ProbeNode
 from repro.index.inverted import InvertedIndex
 from repro.index.merged import MergedList
 
-from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .conftest import RANDOM_ORDERING, grown_copy, random_query, random_relation
 
 
 def check_probe_tree(node: ProbeNode, members: set, tentatives: set) -> None:
-    """Recursively verify the probing structure's bookkeeping:
+    """Recursively verify the bookkeeping of a fully grown probing structure
+    (``grown_copy``: the logical tree, whatever the live one has grown):
 
     * ``count`` equals the number of confirmed leaves below,
     * ``tentative_count`` likewise for tentative leaves,
     * every leaf lies inside its ancestors' regions.
     """
     if node.level == node.depth:
-        if node.is_tentative:
+        assert node.count + node.tentative_count == 1
+        if node.tentative_count:
             tentatives.add(node.prefix)
         else:
             members.add(node.prefix)
@@ -46,7 +48,8 @@ def check_probe_tree(node: ProbeNode, members: set, tentatives: set) -> None:
 def check_paper_invariant(node: ProbeNode, all_ids) -> None:
     """Section IV-A: "Whenever id ∈ node, either id belongs to some child of
     node in our data structure, or node.edge[LEFT] <= id <= node.edge[RIGHT]"
-    — checked for every match of the query against every structure node."""
+    — checked for every match of the query against every node of the fully
+    grown structure."""
     if node.level == node.depth:
         return
     for dewey in all_ids:
@@ -85,7 +88,7 @@ def test_probe_structure_invariants_throughout_execution(seed, k):
         return
     root = ProbeNode(first, 0, LEFT)
     steps = 0
-    while root.num_items() < k and steps < 4 * k + 20:
+    while root.count < k and steps < 4 * k + 20:
         steps += 1
         request = root.get_probe_id()
         if request is None:
@@ -96,12 +99,14 @@ def test_probe_structure_invariants_throughout_execution(seed, k):
             owner.close_frontier()
             continue
         root.add(found, direction)
+        tree = grown_copy(root)
         members: set = set()
         tentatives: set = set()
-        check_probe_tree(root, members, tentatives)
+        check_probe_tree(tree, members, tentatives)
         assert members <= set(all_ids)
-        check_paper_invariant(root, all_ids)
-    assert root.num_items() == min(k, len(all_ids))
+        assert sorted(members) == root.items()
+        check_paper_invariant(tree, all_ids)
+    assert root.count == min(k, len(all_ids))
 
 
 def check_onepass_tree(tree: OnePassTree) -> None:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dewey import LEFT, RIGHT, maxes, predecessor, successor, zeros
+from repro.core.probing import probe_unscored
 from repro.index.inverted import InvertedIndex
 from repro.index.merged import (
     AndCursor,
@@ -21,7 +22,7 @@ from repro.query.evaluate import res, scored_res
 from repro.query.parser import parse_query
 from repro.query.query import Query
 
-from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .conftest import COLORS, MAKES, RANDOM_ORDERING, random_query, random_relation
 
 
 def build(relation):
@@ -232,3 +233,78 @@ def test_randomized_navigation_against_reference(seed):
             got.append(cur)
             cur = merged.next_scored(successor(cur), LEFT, theta)
         assert got == expected_tier
+
+
+class CountingPostings(ArrayPostingList):
+    """An array posting list that counts its seeks into a shared list."""
+
+    __slots__ = ("seeks",)
+
+    def seek(self, dewey):
+        self.seeks.append(dewey)
+        return super().seek(dewey)
+
+    def seek_floor(self, dewey):
+        self.seeks.append(dewey)
+        return super().seek_floor(dewey)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_same_attribute_conjunction_is_answered_without_leapfrogging(seed):
+    """``A = x AND A = y`` (x != y) matches nothing — a row is posted under
+    one value per attribute — and says so in O(1) seeks, where leapfrogging
+    the two disjoint lists walks both end to end.  ``A = x AND A = x``, ORs
+    and keyword leaves compile as before."""
+    rng = random.Random(seed)
+    relation = random_relation(rng, max_rows=60)
+    index = build(relation)
+    seeks = []
+    for key, postings in list(index._scalar.items()):
+        counted = CountingPostings(postings)
+        counted.seeks = seeks
+        index._scalar[key] = counted
+    attribute, values = rng.choice((("make", MAKES), ("color", COLORS)))
+    x, y = rng.sample(values, 2)
+    others = [Query.keyword("desc", "miles"), Query.scalar("model", "m1")]
+    leaves = [Query.scalar(attribute, x), Query.scalar(attribute, y)]
+    leaves += rng.sample(others, rng.randint(0, 2))
+    rng.shuffle(leaves)
+    query = Query.conjunction(*leaves)
+    assert res(relation, query) == []
+    for direction, bound in ((LEFT, zeros(index.depth)), (RIGHT, maxes(index.depth))):
+        del seeks[:]
+        merged = MergedList(query, index)
+        assert merged.next(bound, direction) is None
+        assert len(seeks) <= 1
+    merged = MergedList(query, index)
+    assert probe_unscored(merged, 5) == []
+    assert merged.next_calls == 1
+
+    same = Query.conjunction(Query.scalar(attribute, x), Query.scalar(attribute, x))
+    either = Query.disjunction(Query.scalar(attribute, x), Query.scalar(attribute, y))
+    for query in (same, either):
+        expected = sorted(index.dewey.dewey_of(rid) for rid in res(relation, query))
+        assert scan_all(MergedList(query, index)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "Nope = 1 AND Nope = 2",
+    "Year = 2007 AND Year = 2006 AND Nope = 1",
+    "Year = 2007 AND Year = 2006 AND (Nope = 1 OR Make = 'Honda')",
+    "Year = 2007 AND Year = 2006 AND Make CONTAINS 'honda'",
+])
+def test_same_attribute_conjunction_still_validates_its_leaves(cars_index, text):
+    with pytest.raises(ValueError):  # SchemaError, or "not TEXT"
+        MergedList(parse_query(text), cars_index)
+
+
+def test_same_attribute_conjunction_fetches_no_scalar_list(cars_index, monkeypatch):
+    fetched = []
+    monkeypatch.setattr(
+        InvertedIndex, "scalar_postings",
+        lambda self, attribute, value: fetched.append((attribute, value)),
+    )
+    cursor = compile_cursor(parse_query("Year = 2007 AND Year = 2006"), cars_index)
+    assert cursor.next(zeros(cars_index.depth), LEFT) is None
+    assert fetched == []

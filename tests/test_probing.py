@@ -22,45 +22,99 @@ from .conftest import RANDOM_ORDERING, random_query, random_relation
 
 
 class TestProbeNodeInit:
+    """A new node is a stub; ``grow()`` gives it the frontier the paper's
+    initializer prescribes for its level, and one child stub."""
+
+    def test_new_node_is_a_stub_with_the_right_counts(self):
+        root = ProbeNode((0, 0, 0), 0, LEFT)
+        assert root.landed == (0, 0, 0) and root.direction == LEFT
+        assert (root.count, root.tentative_count, root.done) == (1, 0, False)
+        assert root.items() == [(0, 0, 0)]
+        assert root.contains((0, 0, 0)) and not root.contains((0, 0, 1))
+        assert not hasattr(root, "children")
+
     def test_left_created_root_edges(self):
         """Per Section IV-A: a LEFT-created root excludes the discovered
         branch on the left and keeps the region maximum on the right."""
-        root = ProbeNode((0, 0, 0, 0, 0), 0, LEFT)
+        root = ProbeNode((0, 0, 0, 0, 0), 0, LEFT).grow()
         assert root.edge_left == (1, 0, 0, 0, 0)
         assert root.edge_right == (MAX_COMPONENT,) * 5
         assert root.next_dir == RIGHT
 
-    def test_spine_children_created(self):
-        root = ProbeNode((0, 0, 0), 0, LEFT)
+    def test_spine_grows_one_level_at_a_time(self):
+        root = ProbeNode((0, 0, 0), 0, LEFT).grow()
+        assert root.landed is None
         child = root.children[0]
+        assert child.landed == (0, 0, 0) and child.prefix == (0,)
+        child.grow()
         assert child.edge_left == (0, 1, 0)
         assert child.edge_right == (0, MAX_COMPONENT, MAX_COMPONENT)
         grandchild = child.children[0]
         assert grandchild.level == 2
+        assert grandchild.landed == (0, 0, 0)
+
+    def test_first_touch_grows(self):
+        """get_probe_id, add and close_frontier each grow the node they
+        reach — and nothing below it."""
+        for touch in (
+            lambda node: node.get_probe_id(),
+            lambda node: node.add((1, 0, 0), RIGHT),
+            lambda node: node.close_frontier(),
+        ):
+            root = ProbeNode((0, 0, 0), 0, LEFT)
+            touch(root)
+            assert root.landed is None
+            assert root.children[0].landed == (0, 0, 0)
+
+    def test_leaf_never_grows(self):
+        leaf = ProbeNode((0, 0, 0), 3, LEFT)
+        assert leaf.done and leaf.grow() is leaf
+        assert leaf.landed == (0, 0, 0)
+        assert leaf.get_probe_id() is None
 
     def test_right_created_edges(self):
-        node = ProbeNode((1, 3, 0), 0, RIGHT)
+        node = ProbeNode((1, 3, 0), 0, RIGHT).grow()
         assert node.edge_right == (0, MAX_COMPONENT, MAX_COMPONENT)
         assert node.edge_left == (0, 0, 0)
         assert node.next_dir == LEFT
 
     def test_right_created_at_zero_closes_left_side(self):
-        node = ProbeNode((0, 5, 0), 0, RIGHT)
+        node = ProbeNode((0, 5, 0), 0, RIGHT).grow()
         # Nothing can be left of branch 0: frontier is already closed.
         assert not node.frontier_open()
 
     def test_middle_created_keeps_full_region(self):
-        node = ProbeNode((2, 1, 0), 0, MIDDLE)
+        node = ProbeNode((2, 1, 0), 0, MIDDLE).grow()
         assert node.edge_left == (0, 0, 0)
         assert node.edge_right == (MAX_COMPONENT,) * 3
         assert node.frontier_open()
 
     def test_counts(self):
         root = ProbeNode((0, 0, 0), 0, LEFT)
-        assert root.num_items() == 1
+        assert root.count == 1
         root.add((2, 0, 0), RIGHT)
-        assert root.num_items() == 2
+        assert root.count == 2
         assert root.items() == [(0, 0, 0), (2, 0, 0)]
+
+    def test_duplicate_from_the_other_side_closes_every_level(self):
+        """The lone match of a query answers the first LEFT and the first
+        RIGHT probe: each level of its spine crosses its own edges."""
+        root = ProbeNode((1, 2, 0), 0, LEFT)
+        assert root.add((1, 2, 0), RIGHT) is False
+        node = root
+        while node.level < node.depth:
+            assert node.landed is None and not node.frontier_open()
+            node = node.children[(1, 2, 0)[node.level]]
+        assert root.get_probe_id() is None and root.done
+
+    def test_middle_stub_takes_the_direction_of_a_duplicate(self):
+        """A WAND member re-found by a frontier probe: the spine created
+        MIDDLE and then advanced is the spine created with that direction."""
+        root = ProbeNode((0, 0, 0), 0, LEFT)
+        root.add((2, 1, 0), MIDDLE)
+        stub = root.children[2]
+        assert root.add((2, 1, 0), RIGHT) is False
+        assert stub.landed == (2, 1, 0) and stub.direction == RIGHT
 
 
 class TestProbeNodeAddAndProbe:
@@ -87,7 +141,7 @@ class TestProbeNodeAddAndProbe:
     def test_add_duplicate_returns_false(self):
         root = ProbeNode((0, 0, 0), 0, LEFT)
         assert root.add((0, 0, 0), LEFT) is False
-        assert root.num_items() == 1
+        assert root.count == 1
 
     def test_min_child_phase(self):
         root = ProbeNode((0, 0, 0), 0, LEFT)
@@ -119,10 +173,10 @@ class TestProbeNodeAddAndProbe:
     def test_tentative_not_counted_until_confirmed(self):
         root = ProbeNode((0, 0, 0), 0, LEFT)
         root.add((0, 1, 0), LEFT, tentative=True)
-        assert root.num_items() == 1
+        assert root.count == 1
         assert root.tentative_items() == [(0, 1, 0)]
         assert root.confirm((0, 1, 0))
-        assert root.num_items() == 2
+        assert root.count == 2
         assert not root.confirm((0, 1, 0))  # already confirmed
 
     def test_confirm_unknown_is_false(self):
