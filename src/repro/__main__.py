@@ -34,19 +34,24 @@ from pathlib import Path
 
 from .core.engine import ALGORITHMS, AUTO, DiversityEngine
 from .data.paper_example import figure1_ordering, figure1_relation
+from .durability import RecoveryError
 from .index.inverted import InvertedIndex
 from .index.snapshot import load_index, save_index
 from .core.ordering import DiversityOrdering
-from .parallel import UnsupportedWorkerModeError
-from .query.parser import QueryParseError, parse_query
+from .observability import get_registry, register_postings_collector
+from .query.parser import QueryParseError
 from .resilience import (
     ChaosPolicy,
     ResilienceError,
     ResiliencePolicy,
     ShardFaultSpec,
 )
-from .serving import ServingCache
-from .sharding import ShardedEngine, ShardedIndex
+from .serving.engine import (
+    ServingEngine,
+    build_index,
+    check_shape,
+    durable_stores,
+)
 from .storage.csvio import read_csv
 
 
@@ -402,9 +407,9 @@ def _parse_crash_list(raw: str) -> list:
 
 def _chaos_from_args(args) -> ChaosPolicy | None:
     """A ChaosPolicy when any --chaos-* flag asks for faults, else None."""
-    latency = getattr(args, "chaos_latency_ms", 0.0)
-    transient = getattr(args, "chaos_transient", 0.0)
-    crashed = _parse_crash_list(getattr(args, "chaos_crash", ""))
+    latency = args.chaos_latency_ms
+    transient = args.chaos_transient
+    crashed = _parse_crash_list(args.chaos_crash)
     if not latency and not transient and not crashed:
         return None
     default = ShardFaultSpec(latency_ms=latency, transient_rate=transient)
@@ -414,94 +419,75 @@ def _chaos_from_args(args) -> ChaosPolicy | None:
         )
         for shard in crashed
     }
-    return ChaosPolicy(
-        seed=getattr(args, "chaos_seed", 0), default=default, per_shard=per_shard
-    )
+    return ChaosPolicy(seed=args.chaos_seed, default=default, per_shard=per_shard)
 
 
-def _assemble_sharded(index, args, replicas: int) -> DiversityEngine:
-    """A ShardedEngine over ``index`` per the deployment flags, or exit 2
-    when the flags name a combination the stack refuses."""
-    policy = ResiliencePolicy(
-        deadline_ms=getattr(args, "deadline_ms", None),
-        max_retries=getattr(args, "retries", 2),
-        seed=getattr(args, "chaos_seed", 0),
+def _open_serving(path: Path | None, args) -> ServingEngine:
+    """The deployment the flags describe — the one engine a command opens,
+    and closes by leaving its ``with`` block.
+
+    ``path`` is a bare snapshot file, a durable data directory to recover,
+    or ``None`` for the paper's Figure 1 example.  Exits 2 when the flags
+    name a combination the stack refuses, 4 when recovery fails.
+    """
+    options = dict(
+        workers=args.workers,
+        worker_mode=args.worker_mode,
+        policy=ResiliencePolicy(
+            deadline_ms=args.deadline_ms, max_retries=args.retries,
+            seed=args.chaos_seed,
+        ),
+        hedge_ms=args.hedge_ms,
     )
+    chaos = _chaos_from_args(args)
+    if path is None:
+        index = InvertedIndex.build(figure1_relation(), figure1_ordering())
+    else:
+        index = load_index(path) if path.is_file() else None
     try:
-        return ShardedEngine.assemble(
-            index, workers=getattr(args, "workers", 0),
-            worker_mode=getattr(args, "worker_mode", "thread"), policy=policy,
-            replicas=replicas, hedge_ms=getattr(args, "hedge_ms", None),
-            chaos=_chaos_from_args(args),
-        )
-    except UnsupportedWorkerModeError as error:
+        if index is None:
+            # The build-time --replicas choice lives in the manifest;
+            # recovery re-grows to that factor unless overridden.
+            serving = ServingEngine.recover(path, replicas=args.replicas, **options)
+        elif (args.shards, args.replicas or 1) == (1, 1):
+            serving = ServingEngine(DiversityEngine(index))
+        else:
+            # Snapshots store one index; sharding is a deployment decision
+            # made at serve time, so its rows are re-partitioned.
+            serving = ServingEngine.from_relation(
+                index.relation, index.ordering, backend=index.backend,
+                shards=args.shards, replicas=args.replicas or 1, **options,
+            )
+        if chaos is not None and hasattr(serving.engine, "inject_chaos"):
+            try:
+                serving.engine.inject_chaos(chaos)
+            except ValueError:
+                serving.close()
+                raise
+    except RecoveryError as error:
+        print(f"recovery failed: {error}", file=sys.stderr)
+        raise SystemExit(4) from None
+    except ValueError as error:
         print(str(error), file=sys.stderr)
         raise SystemExit(2) from None
+    register_postings_collector(get_registry(), serving.engine.index)
+    return serving
 
 
-def _make_engine(index, args) -> DiversityEngine:
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
-    replicas = getattr(args, "replicas", None) or 1
-    if replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
-    if replicas > 1 and shards <= 1:
-        print("--replicas needs a sharded deployment (--shards >= 2)",
-              file=sys.stderr)
-        raise SystemExit(2)
-    if shards > 1:
-        # Re-partition the loaded single index: snapshots store one index,
-        # sharding is a deployment decision made at serve time.
-        index = ShardedIndex.build(
-            index.relation, index.ordering, shards=shards, backend=index.backend
-        )
-        engine = _assemble_sharded(index, args, replicas)
-    else:
-        engine = DiversityEngine(index)
-    _attach_cache(engine, args)
-    return engine
-
-
-def _attach_cache(engine: DiversityEngine, args) -> None:
-    """Attach a serving cache per ``--cache`` and export its counters."""
-    _attach_postings_metrics(engine)
-    if not getattr(args, "cache", False):
-        return
-    from .observability import get_registry
-    from .serving.engine import register_cache_collector
-
-    engine.attach_cache(ServingCache())
-    collector = register_cache_collector(get_registry(), engine)
-    if collector is not None:
-        # Pin the weakref'd collector to the engine for the process lifetime.
-        engine._metrics_collector = collector
-
-
-def _attach_postings_metrics(engine: DiversityEngine) -> None:
-    """Export posting-list memory gauges for the engine's index."""
-    from .observability import get_registry, register_postings_collector
-
-    index = engine.index
-    if not hasattr(index, "memory_stats"):
-        return
-    collector = register_postings_collector(get_registry(), index)
-    if collector is not None:
-        engine._postings_collector = collector
+def _search(serving: ServingEngine, args):
+    """The search callable ``--cache``/``--no-cache`` selects: through the
+    serving caches, or past them straight to the engine."""
+    return serving.search if args.cache else serving.engine.search
 
 
 def _cmd_build(args) -> int:
     if args.out is None and args.data_dir is None:
         print("build needs --out and/or --data-dir", file=sys.stderr)
         return 2
-    if args.replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        return 2
-    if args.replicas > 1 and args.shards <= 1:
-        print("--replicas needs a sharded store (--shards >= 2)",
-              file=sys.stderr)
+    try:
+        check_shape(args.shards, args.replicas)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
     started = time.perf_counter()
     relation = read_csv(args.csv, name=args.csv.stem)
@@ -510,27 +496,20 @@ def _cmd_build(args) -> int:
     )
     destinations = []
     if args.data_dir is not None:
-        from .durability import create_sharded_store, create_store
-
+        index = build_index(
+            relation, ordering, backend=args.backend, shards=args.shards,
+            replicas=args.replicas, data_dir=args.data_dir,
+            snapshot_every=args.snapshot_every, fsync_every=args.fsync_every,
+        )
+        for store in durable_stores(index):
+            store.close()
         if args.shards > 1:
-            sharded = ShardedIndex.build(
-                relation, ordering, shards=args.shards, backend=args.backend
-            )
-            create_sharded_store(
-                sharded, args.data_dir, snapshot_every=args.snapshot_every,
-                fsync_every=args.fsync_every, replicas=args.replicas,
-            )
             suffix = (f", x{args.replicas} replicas on recovery"
                       if args.replicas > 1 else "")
             destinations.append(
                 f"{args.data_dir} ({args.shards} durable shards{suffix})"
             )
         else:
-            index = InvertedIndex.build(relation, ordering, backend=args.backend)
-            create_store(
-                index, args.data_dir, snapshot_every=args.snapshot_every,
-                fsync_every=args.fsync_every,
-            )
             destinations.append(f"{args.data_dir} (durable store)")
     if args.out is not None:
         index = InvertedIndex.build(relation, ordering, backend=args.backend)
@@ -545,82 +524,32 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _recover_engine(data_dir: Path, args) -> DiversityEngine:
-    """Recover a durable data directory into a query engine, or exit 4."""
-    from .durability import DurableIndex, RecoveryError, recover
-
-    try:
-        recovered = recover(data_dir)
-    except RecoveryError as error:
-        print(f"recovery failed: {error}", file=sys.stderr)
-        raise SystemExit(4) from None
-    if isinstance(recovered, DurableIndex):
-        engine: DiversityEngine = DiversityEngine(recovered)
-    else:
-        replicas = getattr(args, "replicas", None)
-        if replicas is None:
-            # The build-time --replicas choice lives in the manifest;
-            # recovery re-grows to that factor unless overridden.
-            from .durability.store import read_manifest
-
-            replicas = int(read_manifest(data_dir).get("replicas", 1))
-        engine = _assemble_sharded(recovered, args, replicas)
-    _attach_cache(engine, args)
-    return engine
-
-
-def _open_engine(path: Path | None, args) -> DiversityEngine:
-    """Serve a bare snapshot file, a durable data directory, or — with no
-    path — the paper's Figure 1 example."""
-    if path is None:
-        index = InvertedIndex.build(figure1_relation(), figure1_ordering())
-    elif path.is_dir():
-        return _recover_engine(path, args)
-    else:
-        index = load_index(path)
-    return _make_engine(index, args)
-
-
-def _durable_stores(engine: DiversityEngine) -> list:
-    """The DurableIndex stores behind an engine (empty when not durable)."""
-    index = engine.index
-    stores = []
-    for slot in getattr(index, "shards", [index]):
-        store = getattr(slot, "replicas", [slot])[0]  # a replica set's primary
-        store = getattr(store, "inner", store)        # under a chaos proxy
-        if hasattr(store, "recovery"):
-            stores.append(store)
-    return stores
-
-
 def _cmd_recover(args) -> int:
-    engine = _recover_engine(args.data_dir, args)
-    stores = _durable_stores(engine)
-    for store in stores:
-        label = store.wal.path.parent
-        print(f"{label}: {store.recovery.describe()}")
-    relation = engine.relation
-    print(
-        f"recovered {relation.live_count} live rows "
-        f"({len(relation)} slots) at epoch {engine.epoch} "
-        f"across {len(stores)} store(s)"
-    )
-    if args.query is not None:
-        return _run_query(engine, args, args.query)
+    with _open_serving(args.data_dir, args) as serving:
+        stores = durable_stores(serving.engine.index)
+        for store in stores:
+            label = store.wal.path.parent
+            print(f"{label}: {store.recovery.describe()}")
+        relation = serving.engine.relation
+        print(
+            f"recovered {relation.live_count} live rows "
+            f"({len(relation)} slots) at epoch {serving.epoch} "
+            f"across {len(stores)} store(s)"
+        )
+        if args.query is not None:
+            return _run_query(serving, args, args.query)
     return 0
 
 
-def _run_query(engine: DiversityEngine, args, text: str) -> int:
+def _run_query(serving: ServingEngine, args, text: str) -> int:
+    started = time.perf_counter()
     try:
-        parsed = parse_query(text)
+        result = _search(serving, args)(
+            text, k=args.k, algorithm=args.algorithm, scored=args.scored
+        )
     except QueryParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2
-    started = time.perf_counter()
-    try:
-        result = engine.search(
-            parsed, k=args.k, algorithm=args.algorithm, scored=args.scored
-        )
     except ResilienceError as error:
         # Structured failure from the sharded fan-out: deadline exhausted,
         # or shards lost that the scan algorithms cannot answer without.
@@ -652,12 +581,7 @@ def _run_query(engine: DiversityEngine, args, text: str) -> int:
 def _cmd_serve(args) -> int:
     """Run the HTTP front-end until SIGTERM/SIGINT, then drain."""
     from .server import ServerConfig, run_server
-    from .serving.engine import ServingEngine
 
-    # The serving wrapper owns caching on this path: skip the CLI-attached
-    # cache so there is exactly one ServingCache in front of the engine.
-    args.cache = False
-    serving = ServingEngine(_open_engine(args.index, args))
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -670,11 +594,11 @@ def _cmd_serve(args) -> int:
         quota_burst=args.quota_burst,
     )
     try:
-        return run_server(serving, config)
-    finally:
         # Drain has finished every admitted request by the time run_server
-        # returns, so closing here never cuts an answer off mid-execution.
-        serving.close()
+        # returns, so closing then never cuts an answer off mid-execution.
+        with _open_serving(args.index, args) as serving:
+            return run_server(serving, config)
+    finally:
         _write_metrics_snapshot(args)
 
 
@@ -684,8 +608,6 @@ def _write_metrics_snapshot(args) -> None:
     if path is None:
         return
     import json
-
-    from .observability import get_registry
 
     document = get_registry().snapshot()
     Path(path).write_text(
@@ -739,21 +661,20 @@ def _cmd_plan(args) -> int:
             index_arg, text = None, str(index_arg)
         else:
             text = "Make = 'Honda'"
-    engine = _open_engine(index_arg, args)
-    try:
-        parsed = parse_query(text)
-    except QueryParseError as error:
-        print(f"parse error: {error}", file=sys.stderr)
-        return 2
-    try:
-        prepared = engine.prepare(parsed, args.scored)
-        decision = engine.plan(prepared, args.k, args.scored)
-        all_costs = estimate_costs(
-            engine.index, prepared, args.k, args.scored
-        )
-    except ResilienceError as error:
-        print(f"unavailable: {error}", file=sys.stderr)
-        return 3
+    with _open_serving(index_arg, args) as serving:
+        engine = serving.engine
+        try:
+            prepared = engine.prepare(text, args.scored)
+            decision = engine.plan(prepared, args.k, args.scored)
+            all_costs = estimate_costs(
+                engine.index, prepared, args.k, args.scored
+            )
+        except QueryParseError as error:
+            print(f"parse error: {error}", file=sys.stderr)
+            return 2
+        except ResilienceError as error:
+            print(f"unavailable: {error}", file=sys.stderr)
+            return 3
     print(f"query: {prepared.describe()}")
     print(render_explain(decision, all_costs))
     _write_metrics_snapshot(args)
@@ -762,8 +683,6 @@ def _cmd_plan(args) -> int:
 
 def _cmd_metrics(args) -> int:
     import json
-
-    from .observability import get_registry
 
     algorithms = [
         name.strip() for name in args.algorithms.split(",") if name.strip()
@@ -777,33 +696,36 @@ def _cmd_metrics(args) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = _open_engine(args.index, args)
-    # Workload generation is control-plane work: read the vocabulary with
-    # chaos disarmed, then re-inject so only the serving path sees faults.
-    if hasattr(engine, "clear_chaos"):
-        engine.clear_chaos()
-    queries = _workload_queries(engine, args.limit)
-    chaos = _chaos_from_args(args)
-    if chaos is not None and hasattr(engine, "inject_chaos"):
-        engine.inject_chaos(chaos)
-    failures = 0
-    for _ in range(max(1, args.repeat)):
-        for parsed in queries:
-            for algorithm in algorithms:
-                try:
-                    engine.search(
-                        parsed, k=args.k, algorithm=algorithm, scored=args.scored
-                    )
-                except ResilienceError:
-                    # Chaos/degradation is part of the point: the workload
-                    # keeps going and the failure lands in the metrics.
-                    failures += 1
-    registry = get_registry()
-    snapshot = registry.snapshot()
-    if args.format == "prometheus":
-        text = registry.render_prometheus()
-    else:
-        text = json.dumps(snapshot, indent=2, sort_keys=True, default=str) + "\n"
+    with _open_serving(args.index, args) as serving:
+        engine = serving.engine
+        # Workload generation is control-plane work: read the vocabulary
+        # with chaos disarmed, then re-inject so only the serving path
+        # sees faults.
+        if hasattr(engine, "clear_chaos"):
+            engine.clear_chaos()
+        queries = _workload_queries(engine, args.limit)
+        chaos = _chaos_from_args(args)
+        if chaos is not None and hasattr(engine, "inject_chaos"):
+            engine.inject_chaos(chaos)
+        search = _search(serving, args)
+        failures = 0
+        for _ in range(max(1, args.repeat)):
+            for query in queries:
+                for algorithm in algorithms:
+                    try:
+                        search(query, k=args.k, algorithm=algorithm,
+                               scored=args.scored)
+                    except ResilienceError:
+                        # Chaos/degradation is part of the point: the
+                        # workload keeps going and the failure lands in
+                        # the metrics.
+                        failures += 1
+        registry = get_registry()
+        snapshot = registry.snapshot()
+        if args.format == "prometheus":
+            text = registry.render_prometheus()
+        else:
+            text = json.dumps(snapshot, indent=2, sort_keys=True, default=str) + "\n"
     if args.out is not None:
         args.out.write_text(text)
         print(f"wrote {args.out} ({args.format}, "
@@ -826,31 +748,31 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    engine = _open_engine(args.index, args)
-    return _run_query(engine, args, args.text)
+    with _open_serving(args.index, args) as serving:
+        return _run_query(serving, args, args.text)
 
 
 def _cmd_shell(args) -> int:
-    engine = _open_engine(args.index, args)
-    print(
-        f"repro shell — {engine.index!r}\n"
-        f"ordering: {engine.ordering!r}\n"
-        "enter a query per line (blank or 'exit' quits):"
-    )
-    for line in sys.stdin:
-        text = line.strip()
-        if not text or text.lower() in ("exit", "quit", r"\q"):
-            break
-        _run_query(engine, args, text)
-        print()
+    with _open_serving(args.index, args) as serving:
+        print(
+            f"repro shell — {serving.engine.index!r}\n"
+            f"ordering: {serving.engine.ordering!r}\n"
+            "enter a query per line (blank or 'exit' quits):"
+        )
+        for line in sys.stdin:
+            text = line.strip()
+            if not text or text.lower() in ("exit", "quit", r"\q"):
+                break
+            _run_query(serving, args, text)
+            print()
     return 0
 
 
 def _cmd_demo(args) -> int:
-    engine = _open_engine(None, args)
     print("Figure 1(a) Cars relation (15 rows), "
           "ordering Make < Model < Color < Year < Description\n")
-    return _run_query(engine, args, args.text)
+    with _open_serving(None, args) as serving:
+        return _run_query(serving, args, args.text)
 
 
 if __name__ == "__main__":

@@ -48,11 +48,7 @@ ALGORITHM_TAGS = {
 
 @dataclass
 class WorkloadTiming:
-    """Outcome of one algorithm over one workload.
-
-    The ``cache_*`` fields are zero for the direct (uncached) runners and
-    filled in by :func:`run_serving_workload`.
-    """
+    """Outcome of one algorithm over one workload."""
 
     algorithm: str
     total_seconds: float
@@ -61,10 +57,6 @@ class WorkloadTiming:
     next_calls: int
     scored_next_calls: int
     queries_issued: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_epoch_invalidations: int = 0
     shards: int = 1                  # index partitions (1 = unsharded)
     workers: int = 0                 # fan-out worker pool (0 = sequential)
     worker_mode: str = "thread"      # fan-out backend (thread/fork/spawn)
@@ -74,11 +66,6 @@ class WorkloadTiming:
         if self.queries == 0:
             return 0.0
         return 1000.0 * self.total_seconds / self.queries
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
 
 @dataclass
@@ -211,55 +198,6 @@ def run_workload(
     )
 
 
-def run_serving_workload(
-    serving,
-    queries: Sequence[Query],
-    k: int,
-    tag: str,
-    threads: int = 0,
-) -> WorkloadTiming:
-    """Run a workload through a :class:`repro.serving.ServingEngine`.
-
-    Same reporting shape as :func:`run_workload`, but the queries go
-    through the serving caches (plan + result), so repeated queries
-    short-circuit; the cache counter deltas of the run are attached.
-    ``next_calls`` here counts only the probes of cache *misses* — hits do
-    no index work.
-    """
-    if tag not in ALGORITHM_TAGS:
-        raise ValueError(
-            f"unknown algorithm tag {tag!r}; choose from {sorted(ALGORITHM_TAGS)}"
-        )
-    name, scored = ALGORITHM_TAGS[tag]
-    if name not in ("naive", "basic", "onepass", "probe", "multq"):
-        raise ValueError(f"algorithm tag {tag!r} has no engine-level equivalent")
-    report = serving.search_many(
-        queries, k=k, algorithm=name, scored=scored, threads=threads
-    )
-    next_calls = 0
-    scored_next_calls = 0
-    issued = 0
-    for result in report.results:
-        if result.stats.get("cache_hit"):
-            continue
-        next_calls += result.stats.get("next_calls", 0)
-        scored_next_calls += result.stats.get("scored_next_calls", 0)
-        issued += result.stats.get("queries_issued", 0)
-    return WorkloadTiming(
-        algorithm=tag,
-        total_seconds=report.total_seconds,
-        queries=report.queries,
-        results_returned=sum(len(result) for result in report.results),
-        next_calls=next_calls,
-        scored_next_calls=scored_next_calls,
-        queries_issued=issued,
-        cache_hits=report.cache_stats.get("hits", 0),
-        cache_misses=report.cache_stats.get("misses", 0),
-        cache_evictions=report.cache_stats.get("evictions", 0),
-        cache_epoch_invalidations=report.cache_stats.get("epoch_invalidations", 0),
-    )
-
-
 def run_sharded_workload(
     engine,
     queries: Sequence[Query],
@@ -271,8 +209,8 @@ def run_sharded_workload(
     Accepts any :class:`~repro.core.engine.DiversityEngine` — in particular
     :class:`repro.sharding.ShardedEngine` — and times ``prepare`` +
     ``execute`` per query, mirroring :func:`run_workload`'s methodology so
-    sharded and unsharded timings compare directly.  Attached caches are
-    bypassed: this measures the fan-out hot path itself.
+    sharded and unsharded timings compare directly: this measures the
+    fan-out hot path itself.
     """
     if tag not in ALGORITHM_TAGS:
         raise ValueError(

@@ -102,14 +102,24 @@ def run_algorithm(
     return deweys, scores, stats
 
 
+def validate_search(k: int, algorithm: str) -> None:
+    """Reject a ``search`` call no engine can answer (shared by the
+    serving layer, which fronts :meth:`DiversityEngine.execute` itself)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if algorithm not in ALGORITHMS and algorithm != AUTO:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from "
+            f"{ALGORITHMS + (AUTO,)}"
+        )
+
+
 class DiversityEngine:
     """Diverse top-k search over one indexed relation.
 
-    ``cache`` (optional) is a serving-layer cache — any object with the
-    :class:`repro.serving.ServingCache` interface (a ``search(engine, query,
-    k, algorithm, scored, optimize)`` method).  When attached, repeated
-    :meth:`search` calls are answered from the cache; ``insert``/``delete``
-    bump the index epoch, which lazily invalidates stale entries.
+    Every :meth:`search` is validate → :meth:`prepare` → :meth:`execute`;
+    caching is a stage in front of the engine
+    (:class:`repro.serving.ServingEngine`), not a mode of it.
 
     ``registry`` (optional) pins the engine's metrics destination; the
     default (``None``) resolves the process-wide
@@ -117,9 +127,8 @@ class DiversityEngine:
     the global registry (tests, benchmarks) takes effect immediately.
     """
 
-    def __init__(self, index: InvertedIndex, cache=None, registry=None):
+    def __init__(self, index: InvertedIndex, registry=None):
         self._index = index
-        self._cache = cache
         self._registry = registry
 
     @classmethod
@@ -128,12 +137,11 @@ class DiversityEngine:
         relation: Relation,
         ordering: Union[DiversityOrdering, Sequence[str]],
         backend: str = "array",
-        cache=None,
     ) -> "DiversityEngine":
         """Build the index (offline step) and wrap it in an engine."""
         if not isinstance(ordering, DiversityOrdering):
             ordering = DiversityOrdering(ordering)
-        return cls(InvertedIndex.build(relation, ordering, backend=backend), cache=cache)
+        return cls(InvertedIndex.build(relation, ordering, backend=backend))
 
     @property
     def index(self) -> InvertedIndex:
@@ -151,15 +159,6 @@ class DiversityEngine:
     def epoch(self) -> int:
         """The index mutation epoch (see :attr:`InvertedIndex.epoch`)."""
         return self._index.epoch
-
-    @property
-    def cache(self):
-        """The attached serving cache, or ``None``."""
-        return self._cache
-
-    def attach_cache(self, cache) -> None:
-        """Attach (or detach, with ``None``) a serving-layer cache."""
-        self._cache = cache
 
     def close(self) -> None:
         """Release execution resources.  A plain engine holds none; the
@@ -196,15 +195,7 @@ class DiversityEngine:
         bit-exact) and orders conjunctions rarest-list-first for the
         leapfrog intersection.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if algorithm not in ALGORITHMS and algorithm != AUTO:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose from "
-                f"{ALGORITHMS + (AUTO,)}"
-            )
-        if self._cache is not None:
-            return self._cache.search(self, query, k, algorithm, scored, optimize)
+        validate_search(k, algorithm)
         return self.execute(self.prepare(query, scored, optimize), k, algorithm, scored)
 
     def prepare(

@@ -4,6 +4,12 @@ One :class:`Router` serves four endpoints over a
 :class:`~repro.serving.engine.ServingEngine`:
 
 * ``GET /search`` — the admitted, priced, deadline-bounded query path.
+  The router never parses or plans: it asks the serving layer for the
+  admission price of ``(q, k, algorithm, scored)`` — answered from the
+  memoised plan entry, so a repeated request at an unchanged epoch costs
+  no parse, no ordering and no cost-model walk — and then submits
+  ``serving.search(q, ...)`` with the raw text, the key the plan cache
+  hits without parsing.
   Plain mode returns one JSON document; ``page=`` returns one diverse
   result page (:mod:`repro.core.pagination` semantics: every page is
   maximally diverse over the inventory not yet shown); ``pages=N``
@@ -68,9 +74,9 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 #: other algorithms fall back to probe (documented in the README).
 PAGEABLE_ALGORITHMS = ("probe", "onepass")
 
-#: Safety net when the cost model cannot price a query (statistics behind
-#: a crashed shard): assume a moderately expensive request rather than
-#: letting unpriceable traffic bypass admission maths.
+#: Safety net when the serving layer cannot price a query (statistics
+#: behind a crashed shard): assume a moderately expensive request rather
+#: than letting unpriceable traffic bypass admission maths.
 FALLBACK_COST_UNITS = 200.0
 
 
@@ -117,34 +123,6 @@ def result_payload(result: DiverseResult, **extra) -> Dict:
         payload["shards_total"] = stats.get("shards_total")
     payload.update(extra)
     return payload
-
-
-def price_query(engine, prepared, k: int, scored: bool, algorithm: str) -> float:
-    """Seek-unit price of one prepared query (the admission currency).
-
-    Reuses the PR 7 cost model: for ``auto`` the admission price is the
-    cheapest candidate (what the planner will actually run); a fixed
-    algorithm is priced as itself when the model knows it.  Unpriceable
-    queries (statistics unreachable mid-outage) fall back to a fixed
-    conservative constant — pricing must never take the serving path down.
-    """
-    from ..planner import DEFAULT_CANDIDATES, estimate_costs
-    from ..planner.cost import PRICEABLE
-
-    if algorithm in PRICEABLE:
-        candidates: Tuple[str, ...] = (algorithm,)
-    else:
-        candidates = DEFAULT_CANDIDATES
-    try:
-        costs = estimate_costs(
-            engine.index, prepared, k, scored, algorithms=candidates
-        )
-        price = min(costs.values())
-    except Exception:
-        return FALLBACK_COST_UNITS
-    if not math.isfinite(price) or price <= 0.0:
-        return FALLBACK_COST_UNITS
-    return price
 
 
 class Router:
@@ -310,6 +288,23 @@ class Router:
     # ------------------------------------------------------------------
     # The search path
     # ------------------------------------------------------------------
+    def _price(self, text: str, k: int, algorithm: str, scored: bool) -> float:
+        """Seek-unit admission price of one request, from the serving
+        layer's memoised plan (for ``auto``, the cost of what the planner
+        will actually run).  A malformed query raises
+        :class:`QueryParseError`; anything else that keeps the model from
+        a positive finite price falls back to a fixed conservative
+        constant — pricing must never take the serving path down."""
+        try:
+            price = self._serving.price(text, k, algorithm, scored)
+        except QueryParseError:
+            raise
+        except Exception:
+            return FALLBACK_COST_UNITS
+        if not math.isfinite(price) or price <= 0.0:
+            return FALLBACK_COST_UNITS
+        return price
+
     def _search_params(self, request: Request):
         text = request.param("q")
         if not text:
@@ -383,16 +378,12 @@ class Router:
                 outcome="rejected")
             return request.keep_alive
 
-        engine = self._serving.engine
         try:
-            parsed = engine.prepare(text, scored, optimize=False)
+            cost = self._price(text, k, algorithm, scored)
         except QueryParseError as exc:
             await self._error(writer, request, 400, "parse_error", str(exc),
                               started=started, outcome="rejected")
             return request.keep_alive
-
-        cost = price_query(engine, engine.prepare(parsed, scored), k, scored,
-                           algorithm)
         page_count = pages if pages is not None else (page or 0)
         if page_count:
             cost *= page_count
@@ -400,17 +391,17 @@ class Router:
         serving = self._serving
         if pages is not None:
             return await self._stream_pages(
-                request, writer, started, parsed, pages,
+                request, writer, started, text, pages,
                 page_size or k, algorithm, cost, deadline_ms)
 
         if page is not None:
             def work():
                 return serving.search_page(
-                    parsed, k, page=page, page_size=page_size,
+                    text, k, page=page, page_size=page_size,
                     algorithm=algorithm)
         else:
             def work():
-                return serving.search(parsed, k, algorithm=algorithm,
+                return serving.search(text, k, algorithm=algorithm,
                                       scored=scored)
 
         try:
@@ -493,7 +484,7 @@ class Router:
     # Streaming pagination
     # ------------------------------------------------------------------
     async def _stream_pages(self, request: Request, writer, started: float,
-                            parsed, pages: int, page_size: int,
+                            text: str, pages: int, page_size: int,
                             algorithm: str, cost: float,
                             deadline_ms: Optional[float]) -> bool:
         """Chunked NDJSON: one diverse page per chunk, as computed.
@@ -512,7 +503,7 @@ class Router:
             produced = 0
             for number in range(1, pages + 1):
                 result = serving.search_page(
-                    parsed, page_size, page=number, page_size=page_size,
+                    text, page_size, page=number, page_size=page_size,
                     algorithm=algorithm)
                 payload = result_payload(result, page=number,
                                          page_size=page_size)

@@ -3,22 +3,30 @@
 Interactive shopping traffic is highly skewed — the same query strings
 arrive over and over (cf. Capannini et al., *Efficient Diversification of
 Web Search Results*, which treats caching of the diversification pipeline
-as a first-class concern).  The engine alone re-parses, re-normalises,
-re-orders and re-executes every call; this module amortises all four:
+as a first-class *stage* of the serving path, not a mode of the retrieval
+engine).  The engine alone re-parses, re-normalises, re-orders, re-prices
+and re-executes every call; this module amortises all five, and is reached
+only through :class:`~repro.serving.engine.ServingEngine` — the engine
+itself holds no cache:
 
 * :class:`PlanCache` memoises the plan step (parse -> normalise ->
-  leapfrog ordering).  Parsing and normalisation never go stale; the
+  leapfrog ordering) under the caller's own key — a raw query string hits
+  without being parsed.  Parsing and normalisation never go stale; the
   leapfrog ordering depends on posting-list statistics, so a plan compiled
   under an older index epoch is *revalidated* (re-ordered only) on its next
-  hit instead of being rebuilt from scratch.
+  hit instead of being rebuilt from scratch.  Each entry also memoises,
+  per epoch, what the planner said about it: the ``auto`` decision per
+  ``(k, scored)`` and the seek-unit price per ``(k, algorithm)`` — the
+  admission currency of :mod:`repro.server`, which therefore plans a
+  repeated request zero times.
 * :class:`ResultCache` is an LRU over full :class:`DiverseResult` answers,
   keyed by ``(canonical query, k, algorithm, scored, optimize)`` and
   stamped with the index epoch at execution time.  ``insert``/``delete``
   bump the epoch, so stale entries are rejected lazily on lookup — no full
   flush, no eager scanning.
-* :class:`ServingCache` combines both behind one thread-safe ``search``
-  call and keeps exact counters (:class:`CacheStats`) that surface in
-  ``DiverseResult.stats``.
+* :class:`ServingCache` combines both behind thread-safe ``search`` /
+  ``search_page`` / ``price`` calls and keeps exact counters
+  (:class:`CacheStats`) that surface in ``DiverseResult.stats``.
 
 The caches never change answers: a cached result is bit-identical to what
 a cache-free engine would return for the same index state (the property
@@ -32,9 +40,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
 
+from ..core.engine import AUTO
 from ..core.result import DiverseResult
 from ..query.query import Query
-from ..query.rewrite import to_query_string
+from ..query.rewrite import normalise, to_query_string
 
 DEFAULT_PLAN_CAPACITY = 1024
 DEFAULT_RESULT_CAPACITY = 4096
@@ -132,7 +141,8 @@ class _LRU:
 class _PlanEntry:
     """One memoised plan: the epoch-independent base + the ordered form."""
 
-    __slots__ = ("base", "ordered", "canonical", "epoch", "decisions")
+    __slots__ = ("base", "ordered", "canonical", "epoch", "decisions",
+                 "prices")
 
     def __init__(self, base: Query, ordered: Query, canonical: str, epoch: int):
         self.base = base            # parsed (+ normalised when applicable)
@@ -144,13 +154,17 @@ class _PlanEntry:
         # under older statistics is replaced on its next lookup (mutations
         # move selectivities, which can flip the cheapest algorithm).
         self.decisions: Dict[Tuple[int, bool], Any] = {}
+        # Seek-unit prices of the fixed algorithms, ``(k, algorithm) ->
+        # (epoch, price)``: stale on the same terms as a decision.
+        self.prices: Dict[Tuple[int, str], Tuple[int, float]] = {}
 
 
 class PlanCache:
-    """Memoises ``DiversityEngine.prepare`` per canonical query.
+    """Memoises ``DiversityEngine.prepare`` per query as the caller sent it.
 
-    Keys accept raw query strings (the common serving case — no parse
-    needed to hit) and :class:`Query` objects (hashable trees).  Parsing
+    Keys are ``(query, scored, optimize)`` over raw query strings (the
+    common serving case — no parse needed to hit) and :class:`Query`
+    objects (hashable trees).  Parsing
     and normalisation are epoch-independent and cached forever (modulo
     LRU); the leapfrog ordering is epoch-stamped and lazily recomputed
     from the cached base plan when the index has mutated since.
@@ -166,16 +180,12 @@ class PlanCache:
     def evictions(self) -> int:
         return self._lru.evictions
 
-    @staticmethod
-    def key(query: Union[Query, str], scored: bool, optimize: bool) -> Hashable:
-        return (query, scored, optimize)
-
     def lookup(
         self, engine, query: Union[Query, str], scored: bool, optimize: bool
     ) -> Tuple[_PlanEntry, str]:
         """Return ``(entry, outcome)`` where outcome is ``"hit"``,
         ``"revalidated"`` or ``"miss"``; compiles and caches on miss."""
-        key = self.key(query, scored, optimize)
+        key = (query, scored, optimize)
         epoch = engine.epoch
         entry = self._lru.get(key)
         if entry is not None:
@@ -193,8 +203,6 @@ class PlanCache:
             # same normalised tree as the base so revalidation is pure
             # re-ordering (orderings permute, never rewrite).
             if not scored:
-                from ..query.rewrite import normalise
-
                 base = normalise(base)
         else:
             ordered = base
@@ -222,6 +230,27 @@ class PlanCache:
         if decision.reason != "stats unavailable":
             entry.decisions[(k, scored)] = decision
         return decision, outcome
+
+    def price(
+        self, engine, entry: _PlanEntry, k: int, algorithm: str, scored: bool,
+        epoch: int,
+    ) -> float:
+        """Seek units the cost model charges one fixed ``algorithm`` for
+        this plan, memoised per ``(k, algorithm)`` and epoch.
+
+        Priced through ``engine.plan`` with the algorithm forced, so a
+        sharded engine's statistics reads keep their retry wrapping; like
+        a decision, a price taken while statistics were unreachable
+        reflects the outage and is never stored.
+        """
+        slot = entry.prices.get((k, algorithm))
+        if slot is not None and slot[0] == epoch:
+            return slot[1]
+        decision = engine.plan(entry.ordered, k, scored, candidates=(algorithm,))
+        price = decision.costs.get(algorithm, 0.0)
+        if decision.reason != "stats unavailable":
+            entry.prices[(k, algorithm)] = (epoch, price)
+        return price
 
     def clear(self) -> None:
         self._lru.clear()
@@ -278,11 +307,11 @@ class ResultCache:
 class ServingCache:
     """Plan + result caching behind one thread-safe ``search`` call.
 
-    Attach to an engine (``DiversityEngine(index, cache=ServingCache())``
-    or ``engine.attach_cache(...)``) and every ``engine.search`` routes
-    through here.  Answers are always bit-identical to an uncached engine
-    at the same index epoch; every result's ``stats`` carries a
-    ``cache_hit`` flag plus the cumulative ``cache_*`` counters.
+    Owned by a :class:`~repro.serving.engine.ServingEngine`, which hands
+    the engine it fronts to every call; the engine never sees the cache.
+    Answers are always bit-identical to the engine's own at the same index
+    epoch; every result's ``stats`` carries a ``cache_hit`` flag plus the
+    cumulative ``cache_*`` counters.
     """
 
     def __init__(
@@ -308,14 +337,7 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan, outcome = self.plans.lookup(engine, query, scored, optimize)
-            if outcome == "hit":
-                stats.plan_hits += 1
-            elif outcome == "revalidated":
-                stats.plan_revalidations += 1
-            else:
-                stats.plan_misses += 1
-            stats.plan_evictions = self.plans.evictions
+            plan = self._plan(engine, query, scored, optimize)
             key = self.results.key(plan.canonical, k, algorithm, scored, optimize)
             cached, invalidated = self.results.lookup(key, epoch)
             if invalidated:
@@ -331,19 +353,11 @@ class ServingCache:
             stats.misses += 1
             ordered = plan.ordered
             decision = None
-            if algorithm == "auto":
+            if algorithm == AUTO:
                 # Resolve the memoised decision under the lock (cheap pure
                 # statistics work) so concurrent callers share one plan;
                 # the selected algorithm executes outside the lock below.
-                decision, outcome = self.plans.decision(
-                    engine, plan, k, scored, epoch
-                )
-                if outcome == "hit":
-                    stats.decision_hits += 1
-                elif outcome == "replanned":
-                    stats.decision_replans += 1
-                else:
-                    stats.decision_misses += 1
+                decision = self._decision(engine, plan, k, scored, epoch)
         # Execute outside the lock: concurrent misses may race, but both
         # compute the same answer for the same epoch, so last-write-wins.
         result = engine.execute(ordered, k, algorithm, scored, decision=decision)
@@ -380,14 +394,7 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan, outcome = self.plans.lookup(engine, query, False, True)
-            if outcome == "hit":
-                stats.plan_hits += 1
-            elif outcome == "revalidated":
-                stats.plan_revalidations += 1
-            else:
-                stats.plan_misses += 1
-            stats.plan_evictions = self.plans.evictions
+            plan = self._plan(engine, query, False, True)
             keys = [
                 self.results.key(
                     plan.canonical, page_size, f"page:{algorithm}:{n}",
@@ -433,6 +440,59 @@ class ServingCache:
                         self.results.store(keys[number - 1], fresh, epoch)
                 self._sync_eviction_counters()
             return self._serve(result, hit=False)
+
+    def price(
+        self,
+        engine,
+        query: Union[Query, str],
+        k: int,
+        algorithm: str,
+        scored: bool,
+    ) -> float:
+        """Seek-unit price of ``search(query, k, algorithm, scored)`` — the
+        admission currency — resolved from the memoised plan.
+
+        For ``auto`` it is the cost of the memoised decision's own pick, so
+        admission and the execution that follows share one planning; a
+        fixed algorithm is priced as itself.  At an unchanged epoch a
+        repeated request parses, orders and prices nothing.  A malformed
+        query raises :class:`~repro.query.parser.QueryParseError`; a query
+        whose statistics are unreachable prices at ``0.0``.
+        """
+        with self._lock:
+            epoch = engine.epoch
+            plan = self._plan(engine, query, scored, True)
+            if algorithm == AUTO:
+                decision = self._decision(engine, plan, k, scored, epoch)
+                return decision.costs[decision.algorithm]
+            return self.plans.price(engine, plan, k, algorithm, scored, epoch)
+
+    def _plan(self, engine, query: Union[Query, str], scored: bool,
+              optimize: bool) -> _PlanEntry:
+        """The memoised plan for ``query``, counted (lock held)."""
+        stats = self.stats
+        plan, outcome = self.plans.lookup(engine, query, scored, optimize)
+        if outcome == "hit":
+            stats.plan_hits += 1
+        elif outcome == "revalidated":
+            stats.plan_revalidations += 1
+        else:
+            stats.plan_misses += 1
+        stats.plan_evictions = self.plans.evictions
+        return plan
+
+    def _decision(self, engine, plan: _PlanEntry, k: int, scored: bool,
+                  epoch: int):
+        """The memoised ``auto`` decision for ``plan``, counted (lock held)."""
+        stats = self.stats
+        decision, outcome = self.plans.decision(engine, plan, k, scored, epoch)
+        if outcome == "hit":
+            stats.decision_hits += 1
+        elif outcome == "replanned":
+            stats.decision_replans += 1
+        else:
+            stats.decision_misses += 1
+        return decision
 
     def _sync_eviction_counters(self) -> None:
         """Refresh ``stats.evictions`` from the result cache (lock held).

@@ -1,12 +1,28 @@
-"""The serving front-end: a cached engine plus batched workload execution.
+"""The serving front-end: the one owner of cache, plan and assembly.
 
-:class:`ServingEngine` wraps a :class:`~repro.core.engine.DiversityEngine`
-with a :class:`~repro.serving.cache.ServingCache` and adds
-:meth:`ServingEngine.search_many`, which drives a whole workload (a list of
-query strings or :class:`Query` trees) through the cache — sequentially or
-on a thread pool — and reports aggregate timings and exact cache counters.
-This is the layer a web tier would call: skewed traffic hits the caches,
-mutations bump the index epoch, stale entries die lazily.
+:class:`ServingEngine` fronts a :class:`~repro.core.engine.DiversityEngine`
+(which itself holds no cache and is left exactly as it was found) and owns
+the three decisions a deployment has to make once:
+
+* **who holds the cache** — :meth:`ServingEngine.search` is validate →
+  :meth:`ServingCache.search <repro.serving.cache.ServingCache.search>`;
+  ``serving.engine.search`` is the same query with the cache bypassed
+  (what the CLI's ``--no-cache`` calls);
+* **who plans a query** — the memoised plan entry answers both the search
+  and :meth:`ServingEngine.price`, the admission price the HTTP router
+  asks for before it queues a request;
+* **who stacks a deployment** — :meth:`ServingEngine.from_relation` and
+  :meth:`ServingEngine.recover` put durable stores under replica sets
+  under the sharded engine under the cache, :func:`build_index` is the
+  index-and-store half a bare ``build`` shares, and :meth:`close` releases
+  everything they opened (:func:`durable_stores` is the one place that
+  knows what may wrap a store).
+
+:meth:`ServingEngine.search_many` drives a whole workload (query strings or
+:class:`Query` trees) through the cache — sequentially or on a thread pool
+— and reports aggregate timings and exact cache counters.  This is the
+layer a web tier calls: skewed traffic hits the caches, mutations bump the
+index epoch, stale entries die lazily.
 """
 
 from __future__ import annotations
@@ -17,10 +33,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.engine import DiversityEngine
+from ..core.engine import DiversityEngine, validate_search
 from ..core.result import DiverseResult
+from ..durability import (
+    DurableIndex,
+    create_sharded_store,
+    create_store,
+    read_manifest,
+    recover as recover_index,
+)
 from ..observability import MONOTONIC, Clock, get_registry, span
 from ..query.query import Query
+from ..sharding import ShardedEngine, ShardedIndex
+from ..sharding.engine import resolve_mode
 from .cache import CacheStats, ServingCache
 
 
@@ -113,15 +138,82 @@ def _stats_delta(after: CacheStats, before: CacheStats) -> Dict[str, int]:
     }
 
 
-class ServingEngine:
-    """A :class:`DiversityEngine` fronted by plan + result caches.
+def check_shape(shards: int, replicas: int) -> None:
+    """Refuse a deployment shape nothing can stand up — the one statement
+    of the rule, reached by every constructor and by the CLI's ``build``."""
+    if shards < 1:
+        raise ValueError("shards must be >= 1")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if replicas > 1 and shards <= 1:
+        raise ValueError("replication needs a sharded deployment (shards > 1)")
 
-    ``search``/``insert``/``delete`` delegate to the wrapped engine (with
-    the cache attached, so repeated queries short-circuit);
-    :meth:`search_many` runs whole workloads and reports throughput.  The
-    batch thread pool is persistent across calls — :meth:`close` (or use
-    as a context manager) releases it along with the wrapped engine's own
-    resources.
+
+def build_index(
+    relation,
+    ordering,
+    backend: str = "array",
+    shards: int = 1,
+    router="hash",
+    replicas: int = 1,
+    data_dir=None,
+    snapshot_every: int = 0,
+    fsync_every: int = 1,
+):
+    """Build one deployment's index: sharded when ``shards > 1``, and made
+    durable under ``data_dir`` (snapshot + one WAL per store) when given.
+
+    The index-and-store half of :meth:`ServingEngine.from_relation`, which
+    the CLI's ``build`` calls on its own: a build writes a store, it does
+    not stand a deployment up.  ``replicas`` is only *recorded* here (in a
+    sharded store's manifest, for recovery to re-grow); a shape no
+    deployment can have is refused before anything is built or written.
+    """
+    check_shape(shards, replicas)
+    if shards > 1:
+        index = ShardedIndex.build(
+            relation, ordering, shards=shards, backend=backend, router=router
+        )
+        if data_dir is not None:
+            create_sharded_store(
+                index, data_dir, snapshot_every=snapshot_every,
+                fsync_every=fsync_every, replicas=replicas,
+            )
+        return index
+    index = DiversityEngine.from_relation(relation, ordering, backend=backend).index
+    if data_dir is not None:
+        index = create_store(
+            index, data_dir, snapshot_every=snapshot_every, fsync_every=fsync_every
+        )
+    return index
+
+
+def durable_stores(index) -> List[DurableIndex]:
+    """The durable stores under ``index`` (empty when it is not durable).
+
+    The one place that knows what may wrap a store: a sharded index holds
+    one per shard slot, a replica set keeps it as its primary, and a chaos
+    proxy exposes it as ``inner``.
+    """
+    stores = []
+    for slot in getattr(index, "shards", [index]):
+        store = getattr(slot, "replicas", [slot])[0]
+        store = getattr(store, "inner", store)
+        if isinstance(store, DurableIndex):
+            stores.append(store)
+    return stores
+
+
+class ServingEngine:
+    """Plan + result caches in front of a :class:`DiversityEngine`.
+
+    ``search`` answers through the cache; ``insert``/``delete`` delegate to
+    the engine, whose epoch invalidates lazily.  The engine is only ever
+    *called*: ``serving.engine.search`` stays uncached, and other holders
+    of the engine see no change.  :meth:`search_many` runs whole workloads
+    and reports throughput.  The batch thread pool is persistent across
+    calls — :meth:`close` (or use as a context manager) releases it along
+    with the engine's own resources and any durable stores under it.
     """
 
     def __init__(
@@ -138,7 +230,6 @@ class ServingEngine:
         self._pool_size = 0
         self._close_lock = threading.Lock()
         self._closed = False
-        engine.attach_cache(self._cache)
         self._collector = register_cache_collector(
             registry if registry is not None else get_registry(), self
         )
@@ -186,37 +277,22 @@ class ServingEngine:
         ``hedge_ms`` additionally arms hedged reads
         (:mod:`repro.replication`).
         """
-        if replicas > 1 and shards <= 1:
-            raise ValueError("replication needs a sharded deployment "
-                             "(shards > 1)")
         if shards > 1:
-            from ..sharding import ShardedEngine, ShardedIndex
-
-            index = ShardedIndex.build(
-                relation, ordering, shards=shards, backend=backend, router=router
-            )
-            if data_dir is not None:
-                from ..durability import create_sharded_store
-
-                create_sharded_store(
-                    index, data_dir,
-                    snapshot_every=snapshot_every, fsync_every=fsync_every,
-                    replicas=replicas,
-                )
+            # Before the build and before ``data_dir`` exists, not after.
+            resolve_mode(worker_mode, replicas)
+        index = build_index(
+            relation, ordering, backend=backend, shards=shards, router=router,
+            replicas=replicas, data_dir=data_dir,
+            snapshot_every=snapshot_every, fsync_every=fsync_every,
+        )
+        if shards > 1:
             engine = ShardedEngine.assemble(
                 index, workers=workers, worker_mode=worker_mode,
                 policy=policy, clock=clock,
                 replicas=replicas, hedge_ms=hedge_ms,
             )
         else:
-            engine = DiversityEngine.from_relation(relation, ordering, backend=backend)
-            if data_dir is not None:
-                from ..durability import create_store
-
-                engine._index = create_store(
-                    engine.index, data_dir,
-                    snapshot_every=snapshot_every, fsync_every=fsync_every,
-                )
+            engine = DiversityEngine(index)
         return cls(engine, ServingCache(**cache_options) if cache_options else None,
                    clock=clock)
 
@@ -248,18 +324,12 @@ class ServingEngine:
         each is re-bootstrapped from its shard's snapshot + WAL); pass an
         explicit count to grow or shrink the factor across the restart.
         """
-        from ..durability import DurableIndex, recover
-
-        recovered = recover(data_dir, snapshot_every=snapshot_every,
-                            fsync_every=fsync_every)
+        recovered = recover_index(data_dir, snapshot_every=snapshot_every,
+                                  fsync_every=fsync_every)
         if isinstance(recovered, DurableIndex):
             engine = DiversityEngine(recovered)
         else:
-            from ..sharding import ShardedEngine
-
             if replicas is None:
-                from ..durability.store import read_manifest
-
                 replicas = int(read_manifest(data_dir).get("replicas", 1))
             engine = ShardedEngine.assemble(
                 recovered, workers=workers, worker_mode=worker_mode,
@@ -286,12 +356,21 @@ class ServingEngine:
         return self._engine.epoch
 
     # ------------------------------------------------------------------
-    # Single-call surface (delegates, cache-mediated)
+    # Single-call surface (cache-mediated reads, delegated writes)
     # ------------------------------------------------------------------
     def search(self, query, k: int, algorithm: str = "probe", scored: bool = False,
                optimize: bool = True) -> DiverseResult:
-        return self._engine.search(query, k, algorithm=algorithm, scored=scored,
-                                   optimize=optimize)
+        """``engine.search`` through the plan and result caches."""
+        validate_search(k, algorithm)
+        return self._cache.search(self._engine, query, k, algorithm, scored,
+                                  optimize)
+
+    def price(self, query, k: int, algorithm: str = "probe",
+              scored: bool = False) -> float:
+        """Seek-unit admission price of the same ``search`` call, from the
+        memoised plan (:meth:`ServingCache.price
+        <repro.serving.cache.ServingCache.price>`)."""
+        return self._cache.price(self._engine, query, k, algorithm, scored)
 
     def search_page(self, query, k: int = 10, page: int = 1,
                     page_size: Optional[int] = None,
@@ -359,12 +438,8 @@ class ServingEngine:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
             self._engine.close()
-            index = self._engine.index
-            stores = getattr(index, "shards", [index])
-            for store in stores:
-                closer = getattr(store, "close", None)
-                if callable(closer):
-                    closer()
+            for store in durable_stores(self._engine.index):
+                store.close()
 
     def __enter__(self) -> "ServingEngine":
         return self
@@ -421,15 +496,15 @@ class ServingEngine:
             started = self._clock()
             if threads == 0:
                 results = [
-                    self._engine.search(query, k, algorithm=algorithm,
-                                        scored=scored, optimize=optimize)
+                    self.search(query, k, algorithm=algorithm,
+                                scored=scored, optimize=optimize)
                     for query in queries
                 ]
             else:
                 pool = self._ensure_pool(threads)
                 futures = [
                     pool.submit(
-                        self._engine.search, query, k, algorithm=algorithm,
+                        self.search, query, k, algorithm=algorithm,
                         scored=scored, optimize=optimize,
                     )
                     for query in queries

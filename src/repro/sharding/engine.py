@@ -43,8 +43,8 @@ differently:
   shards.
 
 Mutations (``insert``/``delete``) route to exactly one shard and bump only
-that shard's epoch; the serving caches of PR 1 attach unchanged, keying on
-the global (summed) epoch (degraded answers are never cached).
+that shard's epoch; the serving layer's caches front this engine unchanged,
+keying on the global (summed) epoch (degraded answers are never cached).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from .sharded_index import ShardedIndex
 GATHER_ALGORITHMS = ("naive", "basic")
 
 
-def _resolve_mode(worker_mode: str, replicas: int) -> str:
+def resolve_mode(worker_mode: str, replicas: int) -> str:
     """The concrete fan-out backend for ``worker_mode`` — refusing, in
     this one place, a process backend over a replicated deployment."""
     resolved = resolve_worker_mode(worker_mode)
@@ -154,15 +154,14 @@ class ShardedEngine(DiversityEngine):
     processes (:mod:`repro.sharding.executor`); :meth:`close` (or use as a
     context manager) releases it.  ``policy`` sets the failure-handling
     budgets (:class:`ResiliencePolicy`); per-shard breakers and health
-    counters live in :attr:`health`.  Everything else — caching, prepare/
-    execute split, weighted search, explain — is inherited: the sharded
-    index implements the single-index read protocol.
+    counters live in :attr:`health`.  Everything else — prepare/execute
+    split, weighted search, explain — is inherited: the sharded index
+    implements the single-index read protocol.
     """
 
     def __init__(
         self,
         index: ShardedIndex,
-        cache=None,
         workers: int = 0,
         worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
@@ -172,10 +171,10 @@ class ShardedEngine(DiversityEngine):
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        super().__init__(index, cache=cache, registry=registry)
+        super().__init__(index, registry=registry)
         self._workers = workers
         self._worker_mode = worker_mode
-        self._resolved_mode = _resolve_mode(worker_mode, index.replication_factor)
+        self._resolved_mode = resolve_mode(worker_mode, index.replication_factor)
         self._policy = policy if policy is not None else DEFAULT_POLICY
         # One clock drives deadlines, breakers and backoff alike (and one
         # injectable sleep serves the backoff waits), so a FakeClock fakes
@@ -203,7 +202,6 @@ class ShardedEngine(DiversityEngine):
     def assemble(
         cls,
         index: ShardedIndex,
-        cache=None,
         workers: int = 0,
         worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
@@ -222,15 +220,14 @@ class ShardedEngine(DiversityEngine):
         is already durable-wrapped, or never will be), construct, then
         :meth:`inject_chaos`.
         """
-        _resolve_mode(worker_mode, max(replicas, index.replication_factor))
+        resolve_mode(worker_mode, max(replicas, index.replication_factor))
         if replicas > 1:
             from ..replication import HedgePolicy
 
             hedge = HedgePolicy(delay_ms=hedge_ms) if hedge_ms is not None else None
             index.replicate(replicas, policy=policy, clock=clock, hedge=hedge)
-        engine = cls(index, cache=cache, workers=workers,
-                     worker_mode=worker_mode, policy=policy,
-                     clock=clock, sleep=sleep)
+        engine = cls(index, workers=workers, worker_mode=worker_mode,
+                     policy=policy, clock=clock, sleep=sleep)
         if chaos is not None:
             engine.inject_chaos(chaos)
         return engine
@@ -243,7 +240,6 @@ class ShardedEngine(DiversityEngine):
         shards: int = 2,
         backend: str = ARRAY_BACKEND,
         router: Union[str, ShardRouter] = "hash",
-        cache=None,
         workers: int = 0,
         worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
@@ -263,13 +259,12 @@ class ShardedEngine(DiversityEngine):
         process parallelism (:mod:`repro.parallel`) — incompatible with
         ``replicas`` > 1 and with chaos injection, both rejected loudly.
         """
-        _resolve_mode(worker_mode, replicas)  # before the build, not after
+        resolve_mode(worker_mode, replicas)  # before the build, not after
         index = ShardedIndex.build(
             relation, ordering, shards=shards, backend=backend, router=router
         )
-        return cls.assemble(index, cache=cache, workers=workers,
-                            worker_mode=worker_mode, policy=policy,
-                            clock=clock, sleep=sleep,
+        return cls.assemble(index, workers=workers, worker_mode=worker_mode,
+                            policy=policy, clock=clock, sleep=sleep,
                             replicas=replicas, hedge_ms=hedge_ms)
 
     # ------------------------------------------------------------------

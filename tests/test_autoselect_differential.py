@@ -23,7 +23,14 @@ import random
 
 import pytest
 
-from repro import AUTO, DiversityEngine, Query, ServingCache, ShardedEngine
+from repro import (
+    AUTO,
+    DiversityEngine,
+    Query,
+    ServingCache,
+    ServingEngine,
+    ShardedEngine,
+)
 from repro.core.engine import ALGORITHMS
 from repro.observability import use_registry
 from repro.planner import DEFAULT_CANDIDATES
@@ -155,11 +162,11 @@ class TestServingCacheAuto:
         rng = random.Random(seed)
         relation = random_relation(rng, max_rows=rows)
         rows_copy = [row for _, row in relation.iter_live()]
-        cached = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
         # A tiny result cache forces evictions, so same-epoch re-searches
         # miss the result cache and exercise the decision memo.
         cache = ServingCache(result_capacity=2)
-        cached.attach_cache(cache)
+        cached = ServingEngine(
+            DiversityEngine.from_relation(relation, RANDOM_ORDERING), cache)
         from repro import Relation, Schema
 
         twin_relation = Relation.from_rows(
@@ -198,9 +205,9 @@ class TestServingCacheAuto:
         rows = [("A", f"m{i % 7}") for i in range(300)]
         rows += [("B", f"m{i % 7}") for i in range(5)]
         relation = Relation.from_rows(schema, rows)
-        engine = DiversityEngine.from_relation(relation, ["make", "model"])
         cache = ServingCache()
-        engine.attach_cache(cache)
+        engine = ServingEngine(
+            DiversityEngine.from_relation(relation, ["make", "model"]), cache)
         query = Query.scalar("make", "A")
 
         first = engine.search(query, 10, algorithm=AUTO)
@@ -237,15 +244,15 @@ class TestServingCacheAuto:
         assert cache.stats.decision_hits == 0
 
     def test_serving_engine_auto_end_to_end(self):
-        from repro import ServingEngine
         from repro.data.paper_example import figure1_ordering, figure1_relation
 
         with ServingEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=2
         ) as serving:
-            report = serving.engine.search("Make = 'Honda'", 4, algorithm=AUTO)
+            bare = serving.engine.search("Make = 'Honda'", 4, algorithm=AUTO)
+            first = serving.search("Make = 'Honda'", 4, algorithm=AUTO)
             again = serving.search("Make = 'Honda'", 4, algorithm=AUTO)
-            assert _answers(report) == _answers(again)
+            assert _answers(bare) == _answers(first) == _answers(again)
             assert again.stats["cache_hit"] == 1
             batch = serving.search_many(
                 ["Make = 'Honda'", "Color = 'Red'"], k=3, algorithm=AUTO

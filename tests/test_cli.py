@@ -208,3 +208,99 @@ class TestMetricsAuto:
         captured = capsys.readouterr()
         assert "bounds ok" in captured.err
         assert "repro_plan_choice_total" in captured.out
+
+
+class TestCommandsCloseWhatTheyOpen:
+    """Every command owns one ``ServingEngine`` for the length of a
+    ``with`` block: ``main`` runs in-process here, so a WAL handle or a
+    fan-out pool left open would leak into the pytest process."""
+
+    @pytest.fixture
+    def opened_wals(self, monkeypatch):
+        from repro.durability.wal import WriteAheadLog
+
+        opened = []
+        original = WriteAheadLog.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(WriteAheadLog, "__init__", recording)
+        return opened
+
+    @staticmethod
+    def _shard_threads():
+        import threading
+
+        return sorted(thread.name for thread in threading.enumerate()
+                      if thread.name.startswith(("repro-shard", "repro-hedge")))
+
+    def _build_store(self, cars_csv, tmp_path, *extra):
+        store = tmp_path / "store"
+        assert main([
+            "build", str(cars_csv), "--ordering", "Make,Model,Color",
+            "--data-dir", str(store), *extra,
+        ]) == 0
+        return store
+
+    def test_build_closes_the_stores_it_writes(
+            self, cars_csv, tmp_path, opened_wals):
+        self._build_store(cars_csv, tmp_path, "--shards", "2")
+        assert len(opened_wals) == 2
+        assert all(wal.closed for wal in opened_wals)
+
+    def test_recover_and_query_close_every_wal(
+            self, cars_csv, tmp_path, opened_wals, capsys):
+        store = self._build_store(cars_csv, tmp_path, "--shards", "2",
+                                  "--replicas", "2")
+        del opened_wals[:]
+        threads = self._shard_threads()
+        assert main(["recover", str(store)]) == 0
+        assert main([
+            "query", str(store), "Make = 'Honda'", "-k", "2",
+            "--algorithm", "naive", "--workers", "2", "--hedge-ms", "5",
+        ]) == 0
+        assert main([
+            "plan", "explain", str(store), "Make = 'Honda'",
+        ]) == 0
+        assert len(opened_wals) == 6  # three commands x two shard logs
+        assert all(wal.closed for wal in opened_wals)
+        assert self._shard_threads() == threads
+        assert "Honda" in capsys.readouterr().out
+
+    def test_query_over_chaos_wrapped_stores_still_closes_them(
+            self, cars_csv, tmp_path, opened_wals, capsys):
+        store = self._build_store(cars_csv, tmp_path, "--shards", "2")
+        del opened_wals[:]
+        assert main([
+            "query", str(store), "Make = 'Honda'", "--algorithm", "naive",
+            "--chaos-latency-ms", "0.01",
+        ]) == 0
+        assert len(opened_wals) == 2
+        assert all(wal.closed for wal in opened_wals)
+
+    def test_sharded_snapshot_query_releases_its_workers(
+            self, built_snapshot, capsys):
+        import multiprocessing
+
+        threads = self._shard_threads()
+        children = multiprocessing.active_children()
+        for mode in ("thread", "process"):
+            assert main([
+                "query", str(built_snapshot), "Make = 'Honda'", "-k", "3",
+                "--algorithm", "naive", "--shards", "3", "--workers", "2",
+                "--worker-mode", mode,
+            ]) == 0
+            assert "[3 results, naive" in capsys.readouterr().out
+        assert self._shard_threads() == threads
+        assert multiprocessing.active_children() == children
+
+    def test_refused_flag_combinations_exit_2(self, built_snapshot, capsys):
+        for flags in (["--shards", "0"], ["--replicas", "2"],
+                      ["--shards", "2", "--replicas", "2",
+                       "--worker-mode", "process"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["query", str(built_snapshot), "Make = 'Honda'", *flags])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.strip()

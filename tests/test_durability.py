@@ -423,6 +423,48 @@ class TestServingRestart:
         recovered.close()
 
 
+class TestServingAssembly:
+    """``ServingEngine`` is the one assembler and the one closer of a
+    durable deployment."""
+
+    def test_refused_deployment_never_touches_disk(self, tmp_path):
+        """Process workers cannot serve replicas: the refusal comes before
+        the build, so no store directory is left behind."""
+        from repro.parallel import UnsupportedWorkerModeError
+
+        data_dir = tmp_path / "store"
+        with pytest.raises(UnsupportedWorkerModeError):
+            ServingEngine.from_relation(
+                figure1_relation(), figure1_ordering(), shards=2, replicas=2,
+                worker_mode="process", data_dir=data_dir,
+            )
+        assert not data_dir.exists()
+        with pytest.raises(ValueError, match="sharded deployment"):
+            ServingEngine.from_relation(
+                figure1_relation(), figure1_ordering(), replicas=2,
+                data_dir=data_dir,
+            )
+        assert not data_dir.exists()
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_close_reaches_stores_under_replicas_and_chaos(
+            self, tmp_path, replicas):
+        from repro.resilience import ChaosPolicy, ShardFaultSpec
+        from repro.serving.engine import durable_stores
+
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2,
+            replicas=replicas, data_dir=tmp_path / "store",
+        )
+        serving.engine.inject_chaos(
+            ChaosPolicy(default=ShardFaultSpec(latency_ms=0.01)))
+        stores = durable_stores(serving.engine.index)
+        assert len(stores) == 2
+        assert not any(store.wal.closed for store in stores)
+        serving.close()
+        assert all(store.wal.closed for store in stores)
+
+
 class TestCli:
     def _write_csv(self, tmp_path):
         csv = tmp_path / "cars.csv"

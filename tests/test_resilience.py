@@ -379,10 +379,10 @@ def test_search_many_sequential_propagates_typed_error():
 def test_degraded_results_are_never_cached():
     engine = _small_sharded(seed=29)
     cache = ServingCache()
-    engine.attach_cache(cache)
+    serving = ServingEngine(engine, cache)
     engine.inject_chaos(ChaosPolicy.crash_shards(0))
-    first = engine.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
-    second = engine.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
+    first = serving.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
+    second = serving.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
     assert first.stats["degraded"] and second.stats["degraded"]
     assert cache.stats.hits == 0
     assert cache.stats.misses == 2  # the degraded answer was not stored
@@ -391,40 +391,38 @@ def test_degraded_results_are_never_cached():
 
 def test_cached_full_answer_serves_through_outage_at_same_epoch():
     engine = _small_sharded(seed=31)
-    cache = ServingCache()
-    engine.attach_cache(cache)
+    serving = ServingEngine(engine, ServingCache())
     query = "make = 'A' OR make = 'B'"
-    healthy = engine.search(query, 5, algorithm="naive")
+    healthy = serving.search(query, 5, algorithm="naive")
     assert healthy.stats["degraded"] is False
     chaos = engine.inject_chaos(ChaosPolicy.crash_shards(0))
     # Same epoch: the cached full answer keeps serving while the shard is
     # down — the outage is invisible to repeat traffic.
-    during = engine.search(query, 5, algorithm="naive")
+    during = serving.search(query, 5, algorithm="naive")
     assert during.stats["cache_hit"] == 1
     assert not during.stats.get("degraded")
     assert [i.dewey for i in during] == [i.dewey for i in healthy]
     # A *new* query during the outage degrades (and is not cached) ...
-    fresh = engine.search("model = 'm1'", 5, algorithm="naive")
+    fresh = serving.search("model = 'm1'", 5, algorithm="naive")
     assert fresh.stats["degraded"]
     # ... and once the shard revives, it computes and caches normally.
     chaos.revive(0)
-    recovered = engine.search("model = 'm1'", 5, algorithm="naive")
+    recovered = serving.search("model = 'm1'", 5, algorithm="naive")
     assert recovered.stats["degraded"] is False
-    again = engine.search("model = 'm1'", 5, algorithm="naive")
+    again = serving.search("model = 'm1'", 5, algorithm="naive")
     assert again.stats["cache_hit"] == 1
 
 
 def test_mutation_during_outage_invalidates_cached_answer():
     engine = _small_sharded(seed=37)
-    cache = ServingCache()
-    engine.attach_cache(cache)
+    serving = ServingEngine(engine, ServingCache())
     query = "make = 'A' OR make = 'B'"
-    engine.search(query, 5, algorithm="naive")
+    serving.search(query, 5, algorithm="naive")
     engine.inject_chaos(ChaosPolicy.crash_shards(0))
     engine.insert(("A", "m2", "blue", "clean"))  # bumps a shard epoch
     # The cached answer is stale (epoch moved): the re-execution runs
     # against the degraded deployment and must not be served as full.
-    result = engine.search(query, 5, algorithm="naive")
+    result = serving.search(query, 5, algorithm="naive")
     assert result.stats["cache_hit"] == 0
     assert result.stats["degraded"]
 

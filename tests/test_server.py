@@ -528,6 +528,121 @@ class TestServerEndToEnd:
         assert "repro_http_request_ms" in histograms
 
 
+class TestPlannedOnce:
+    """The router never plans: the admission price and the search both
+    come from the serving layer's memoised plan entry, keyed by the raw
+    query text."""
+
+    @pytest.fixture
+    def planning(self, monkeypatch):
+        """Call counts of every planning step a request could trigger."""
+        import collections
+
+        import repro.core.engine as core_engine
+        import repro.planner.cost as cost
+        import repro.serving.cache as serving_cache
+
+        calls = collections.Counter()
+        for module, name in (
+            (core_engine, "parse_query"),
+            (core_engine, "normalise"),
+            (core_engine, "order_for_leapfrog"),
+            (serving_cache, "normalise"),
+            (cost, "extract_features"),
+        ):
+            def counting(*args, _original=getattr(module, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @staticmethod
+    def _ticket_costs(thread):
+        """Record the cost of every ticket the router submits."""
+        admission = thread.server.admission
+        costs, submit = [], admission.submit
+
+        def recording(cost, *args, **kwargs):
+            costs.append(cost)
+            return submit(cost, *args, **kwargs)
+
+        admission.submit = recording
+        return costs
+
+    @pytest.mark.parametrize("algorithm", ["auto", "probe"])
+    def test_repeated_request_plans_nothing(self, registry, planning,
+                                            algorithm):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        target = f"/search?q={QUERY}&k=2&algorithm={algorithm}"
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            costs = self._ticket_costs(thread)
+            status, headers, _ = _request(thread.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "miss")
+            # Admission and execution shared one parse and one pricing.
+            assert planning["parse_query"] == 1
+            assert planning["extract_features"] == 1
+            first = dict(planning)
+
+            status, headers, _ = _request(thread.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            assert dict(planning) == first  # zero planning calls of any kind
+            assert costs[1] == costs[0] > 0.0
+
+            # A mutation moves the epoch: the plan is re-ordered (never
+            # re-parsed) and the price recomputed exactly once.
+            serving.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
+            status, headers, _ = _request(thread.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "miss")
+            assert planning["parse_query"] == 1
+            assert planning["order_for_leapfrog"] == first["order_for_leapfrog"] + 1
+            assert planning["extract_features"] == 2
+            after_insert = dict(planning)
+            status, headers, _ = _request(thread.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            assert dict(planning) == after_insert
+            assert len(costs) == 4 and costs[3] == costs[2] > 0.0
+        serving.close()
+
+    def test_malformed_query_never_reaches_admission(self, registry):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            costs = self._ticket_costs(thread)
+            status, _, body = _request(thread.address, "/search?q=%3D%3D%3D")
+            assert status == 400
+            assert json.loads(body)["error"] == "parse_error"
+            assert costs == []
+        serving.close()
+
+    @pytest.mark.parametrize("algorithm", ["auto", "naive"])
+    def test_unpriceable_query_gets_the_fallback_price(self, registry,
+                                                       algorithm):
+        """Statistics behind a crashed shard: the request is admitted at
+        the conservative constant, and that price is never memoised."""
+        from repro.server.routes import FALLBACK_COST_UNITS
+
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2)
+        chaos = serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
+        target = f"/search?q={QUERY}&k=3&algorithm={algorithm}"
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            costs = self._ticket_costs(thread)
+            status, headers, _ = _request(thread.address, target)
+            assert status == 200 and "X-Repro-Degraded" in headers
+            assert costs == [FALLBACK_COST_UNITS]
+            chaos.revive(0)
+            for _ in range(60):  # outlasts a breaker cooldown, if one opened
+                _request(thread.address, target)
+                if costs[-1] != FALLBACK_COST_UNITS:
+                    break
+                time.sleep(0.05)
+            assert 0.0 < costs[-1] != FALLBACK_COST_UNITS
+        serving.close()
+
+
 class _SlowServing(ServingEngine):
     """A serving engine whose every search takes ``delay_s`` (overload rig)."""
 

@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro import ALGORITHMS, DiversityEngine, Query
-from repro.bench.harness import run_serving_workload
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.serving import BatchReport, CacheStats, ServingCache, ServingEngine
@@ -32,9 +31,10 @@ from .conftest import (
 
 
 def _paired_engines(**cache_options):
-    """One shared index, one plain engine, one cached engine."""
+    """One engine, bare and behind a serving cache (wrapping leaves the
+    bare engine exactly as it was)."""
     plain = DiversityEngine.from_relation(figure1_relation(), figure1_ordering())
-    cached = DiversityEngine(plain.index, cache=ServingCache(**cache_options))
+    cached = ServingEngine(plain, ServingCache(**cache_options))
     return plain, cached
 
 
@@ -268,10 +268,10 @@ def test_cached_engine_identical_under_mutations(algorithm, scored):
     """Property: interleaving insert/delete/search, the cached engine's
     answers stay bit-identical to a cache-disabled engine sharing the same
     index — for every algorithm, scored and unscored."""
-    rng = random.Random(20080 + hash((algorithm, scored)) % 1000)
+    rng = random.Random(f"20080:{algorithm}:{scored}")  # hash-seed independent
     relation = random_relation(rng, max_rows=30)
     plain = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
-    cached = DiversityEngine(plain.index, cache=ServingCache(result_capacity=64))
+    cached = ServingEngine(plain, ServingCache(result_capacity=64))
     live_rids = list(relation.live_rids()) if hasattr(relation, "live_rids") else [
         rid for rid, _ in relation.iter_live()
     ]
@@ -394,38 +394,13 @@ class TestServingEngine:
         assert serving.epoch == 1
         assert serving.delete(rid)
         assert serving.epoch == 2
-        assert serving.engine.cache is serving.cache
+        assert not hasattr(serving.engine, "cache")  # the engine holds none
 
     def test_clear_cache(self):
         serving = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
         serving.search("Make = 'Honda'", k=3)
         serving.clear_cache()
         assert serving.search("Make = 'Honda'", k=3).stats["cache_hit"] == 0
-
-
-class TestHarnessIntegration:
-    def test_run_serving_workload_counts(self):
-        relation = figure1_relation()
-        serving = ServingEngine.from_relation(relation, figure1_ordering())
-        workload = WorkloadGenerator(
-            relation,
-            WorkloadSpec(queries=50, predicates=1, distinct=5, zipf_s=1.0, seed=2),
-        ).materialise()
-        timing = run_serving_workload(serving, workload, 5, "UProbe")
-        assert timing.queries == 50
-        assert timing.cache_hits + timing.cache_misses == 50
-        assert timing.cache_hits >= 40  # only 5 distinct queries
-        assert 0.0 < timing.cache_hit_ratio <= 1.0
-        warm = run_serving_workload(serving, workload, 5, "UProbe")
-        assert warm.cache_hits == 50
-        assert warm.next_calls == 0  # pure hits touch no posting lists
-
-    def test_run_serving_workload_rejects_ablation_tags(self):
-        serving = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
-        with pytest.raises(ValueError):
-            run_serving_workload(serving, [], 5, "UOnePassNoSkip")
-        with pytest.raises(ValueError):
-            run_serving_workload(serving, [], 5, "NoSuchTag")
 
 
 class TestEngineFacadeHooks:
@@ -436,16 +411,19 @@ class TestEngineFacadeHooks:
             cars_engine.search("Make = 'Honda' AND Color = 'Green'", 3)
         )
 
-    def test_attach_and_detach_cache(self, cars_engine):
+    def test_wrapping_leaves_engine_uncached(self, cars_engine):
+        """The serving layer owns the cache: fronting an engine changes
+        nothing for the engine's other holders."""
         cache = ServingCache()
-        cars_engine.attach_cache(cache)
-        assert cars_engine.cache is cache
-        cars_engine.search("Make = 'Honda'", k=2)
-        cars_engine.search("Make = 'Honda'", k=2)
+        serving = ServingEngine(cars_engine, cache)
+        serving.search("Make = 'Honda'", k=2)
+        assert serving.search("Make = 'Honda'", k=2).stats["cache_hit"] == 1
         assert cache.stats.hits == 1
-        cars_engine.attach_cache(None)
-        assert cars_engine.cache is None
-        assert "cache_hit" not in cars_engine.search("Make = 'Honda'", k=2).stats
+        for _ in range(2):
+            bare = cars_engine.search("Make = 'Honda'", k=2)
+            assert "cache_hit" not in bare.stats
+        assert serving.engine is cars_engine
+        assert cache.stats.hits == 1  # the bare calls never reached it
 
     def test_index_epoch_counts_mutations(self, cars_engine):
         assert cars_engine.epoch == 0
