@@ -16,14 +16,16 @@ plus that shard's Dewey postings and its private mutation epoch.  Shards
 snapshot independently, at different times, so the per-shard WALs are
 replayed against per-shard snapshot epochs.
 
-Recovery unions the per-shard states: routing partitions the row space,
-so the union must cover every rid slot exactly once — a gap means an
-acknowledged insert is missing (possible only with cross-shard fsync
+Recovery is :func:`~repro.durability.store.recover_stores` over the shard
+directories — the routine a single-index store runs over its one
+directory.  It unions the per-shard folds: routing partitions the row
+space, so the union must cover every rid slot exactly once — a gap means
+an acknowledged insert is missing (possible only with cross-shard fsync
 batching) and raises :class:`RecoveryError` rather than renumbering rows.
 The global Dewey assignment is force-restored from the per-shard tables,
-each shard's posting lists are rebuilt over the shared Dewey space, and
+each shard's posting lists are bulk-built over the shared Dewey space, and
 the persisted router (including a RangeRouter's exact boundaries) is
-rehydrated so every future insert routes exactly as before the crash.
+rehydrated here so every future insert routes exactly as before the crash.
 """
 
 from __future__ import annotations
@@ -31,29 +33,18 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Set, Union
 
-from ..core.ordering import DiversityOrdering
 from ..index.inverted import InvertedIndex
-from ..index.snapshot import (
-    SnapshotError,
-    read_snapshot,
-    restore_dewey,
-    save_index,
-)
+from ..index.snapshot import save_index
 from ..sharding.router import HashRouter, RangeRouter, ShardRouter
 from ..sharding.sharded_index import ShardedIndex
-from ..storage.relation import Relation
-from ..storage.schema import Attribute, AttributeKind, Schema
 from .crash import CrashInjector
 from .errors import RecoveryError
 from .store import (
     DurableIndex,
-    RecoveryReport,
     SNAPSHOT_NAME,
     WAL_NAME,
-    _scan_wal_for_recovery,
-    fold_shard_state,
     read_manifest,
-    reopen_wal,
+    recover_stores,
     write_manifest,
 )
 from .wal import WriteAheadLog
@@ -177,31 +168,15 @@ def read_sharded_manifest(data_dir: Path) -> tuple:
     return manifest, num_shards
 
 
-def read_shard_dir(data_dir: Path, shard_id: int) -> tuple:
-    """One shard directory's ``(snapshot payload, WAL scan)``."""
-    shard_dir = data_dir / shard_dir_name(shard_id)
-    snapshot_path = shard_dir / SNAPSHOT_NAME
-    if not snapshot_path.exists():
+def shard_store_dir(data_dir: Path, shard_id: int) -> Path:
+    """Shard ``shard_id``'s store directory, which must hold a snapshot."""
+    path = data_dir / shard_dir_name(shard_id)
+    if not (path / SNAPSHOT_NAME).exists():
         raise RecoveryError(
-            data_dir, f"missing snapshot for shard {shard_id} ({snapshot_path})"
+            data_dir,
+            f"missing snapshot for shard {shard_id} ({path / SNAPSHOT_NAME})",
         )
-    try:
-        payload = read_snapshot(snapshot_path)
-    except SnapshotError as error:
-        raise RecoveryError(data_dir, str(error)) from error
-    return payload, _scan_wal_for_recovery(shard_dir / WAL_NAME, shard_dir)
-
-
-def empty_relation(payload: dict, label) -> Relation:
-    """The (still row-less) relation a snapshot payload describes."""
-    try:
-        schema = Schema(
-            Attribute(name, AttributeKind(kind))
-            for name, kind in payload["schema"]
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise RecoveryError(label, f"bad schema: {error}") from None
-    return Relation(schema, name=payload.get("name", "R"))
+    return path
 
 
 def recover_sharded_store(
@@ -213,87 +188,14 @@ def recover_sharded_store(
     """Recover a full sharded deployment from its directory tree."""
     data_dir = Path(data_dir)
     manifest, num_shards = read_sharded_manifest(data_dir)
-    if snapshot_every is None:
-        snapshot_every = int(manifest.get("snapshot_every", 0))
-    if fsync_every is None:
-        fsync_every = int(manifest.get("fsync_every", 1))
-
-    # ---- Pass 1: read every shard's snapshot payload and WAL scan.
-    payloads, scans = zip(*(
-        read_shard_dir(data_dir, shard_id) for shard_id in range(num_shards)
-    ))
-    reference = payloads[0]
-    for shard_id, payload in enumerate(payloads):
-        for key in ("schema", "ordering", "backend", "name"):
-            if payload.get(key) != reference.get(key):
-                raise RecoveryError(
-                    data_dir,
-                    f"shard {shard_id} disagrees with shard 0 on {key!r}",
-                )
-
-    # ---- Pass 2: fold each shard's WAL over its snapshot, union the rest.
-    states = [
-        fold_shard_state(payload, scan.records,
-                         data_dir / shard_dir_name(shard_id))
-        for shard_id, (payload, scan) in enumerate(zip(payloads, scans))
-    ]
-    rows: dict = {}
-    deleted: Set[int] = set()
-    assignments: dict = {}
-    for shard_id, state in enumerate(states):
-        shared = rows.keys() & state.rows.keys()
-        if shared:
-            raise RecoveryError(
-                data_dir / shard_dir_name(shard_id),
-                f"rid {min(shared)} appears in more than one shard",
-            )
-        rows.update(state.rows)
-        deleted |= state.deleted
-        assignments.update(state.assignments)
-
-    # ---- Pass 3: rebuild the global relation and Dewey space.
-    relation = empty_relation(reference, data_dir)
-    for rid in range(len(rows)):
-        if rid not in rows:
-            raise RecoveryError(
-                data_dir,
-                f"row table has a gap at rid {rid}: an acknowledged insert "
-                f"is missing from every shard",
-            )
-        relation.insert(rows[rid])
-    for rid in sorted(deleted):
-        relation.delete(rid)
-    ordering = DiversityOrdering(reference["ordering"])
-    try:
-        dewey = restore_dewey(relation, ordering, assignments)
-    except SnapshotError as error:
-        raise RecoveryError(data_dir, str(error)) from error
-    backend = reference["backend"]
     router = router_from_spec(manifest.get("router"), num_shards, data_dir)
-
-    # ---- Pass 4: per-shard posting lists over the shared Dewey space,
-    # each re-wrapped durably around its reopened WAL.
-    durable: List[DurableIndex] = []
-    for shard_id, (state, scan) in enumerate(zip(states, scans)):
-        shard = InvertedIndex(relation, ordering, backend=backend, dewey=dewey)
-        for rid in state.live:
-            shard.index_restored_row(rid)
-        shard.restore_epoch(state.epoch)
-        shard_dir = data_dir / shard_dir_name(shard_id)
-        durable.append(DurableIndex(
-            shard, reopen_wal(shard_dir / WAL_NAME, fsync_every, injector),
-            shard_dir / SNAPSHOT_NAME,
-            snapshot_every=snapshot_every, injector=injector,
-            owned=set(state.rows),
-            recovery=RecoveryReport(
-                path=shard_dir,
-                snapshot_epoch=state.epoch - state.replayed,
-                replayed=state.replayed,
-                skipped=state.skipped,
-                torn_bytes=scan.dropped_bytes,
-                final_epoch=state.epoch,
-            ),
-        ))
+    store_dirs = [
+        shard_store_dir(data_dir, shard_id) for shard_id in range(num_shards)
+    ]
+    durable = recover_stores(data_dir, manifest, store_dirs, snapshot_every,
+                             fsync_every, injector)
+    first = durable[0]  # every shard shares the relation and the Dewey space
     return ShardedIndex.from_parts(
-        relation, ordering, dewey, router, durable, backend=backend
+        first.relation, first.ordering, first.dewey, router, durable,
+        backend=first.backend,
     )

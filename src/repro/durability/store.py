@@ -18,28 +18,37 @@ non-atomic: recovery simply skips records whose seq the snapshot already
 covers, so a crash between the snapshot rename and the WAL truncate
 replays nothing twice.
 
-Recovery (:func:`recover_store`) validates the snapshot digest, replays
-the log tolerating only a torn tail, verifies seq contiguity and that
-every replayed Dewey assignment is consistent, and lands the index on the
-exact pre-crash epoch so warm serving-cache entries stay valid.
+Recovery is one routine for both store shapes (:func:`recover_stores`; a
+single-index store is its one-store case): validate the snapshot digest,
+fold the log over the snapshot tolerating only a torn tail
+(:func:`fold_shard_state`, the only code that walks a log — seq
+contiguity, rows and Dewey assignments cross-checked), then derive the
+posting lists from the folded state with the paper's one offline build,
+landing on the exact pre-crash epoch so warm serving-cache entries stay
+valid.  Like a snapshot, the fold keeps Dewey assignments of live rows
+only: sibling numbers and ordinals of rows inserted *and* removed inside
+the log tail are forgotten, as they are for rows removed before the
+snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Set, Union
+from typing import List, NamedTuple, Optional, Set, Union
 
 from ..core.dewey import DeweyId
-from ..index.dewey_index import DeweyAssignmentError
 from ..observability import get_registry, span
 from ..index.inverted import InvertedIndex
 from ..index.reader import ReaderProxy
 from ..index.snapshot import (
     SnapshotError,
+    payload_tables,
     read_snapshot,
+    restore_dewey_space,
     restore_index,
     save_index,
 )
@@ -301,31 +310,6 @@ def parse_record(record, label) -> tuple:
     return seq, op, rid, dewey, row
 
 
-def unreplayed(records: list, snapshot_epoch: int, label):
-    """The parsed records a snapshot at ``snapshot_epoch`` does not cover.
-
-    Records with ``seq <=`` the snapshot epoch are dropped (superseded — a
-    crash between the snapshot rename and the log truncate leaves them
-    behind); the rest must be contiguous from the next epoch.  Every
-    record is either dropped or yielded, so a caller that counts what it
-    applied knows ``skipped = len(records) - replayed`` and lands on epoch
-    ``snapshot_epoch + replayed``.
-    """
-    expected = snapshot_epoch
-    for record in records:
-        parsed = parse_record(record, label)
-        if parsed[0] <= snapshot_epoch:
-            continue
-        expected += 1
-        if parsed[0] != expected:
-            raise RecoveryError(
-                label,
-                f"WAL sequence gap: expected seq {expected}, found "
-                f"{parsed[0]} (acknowledged mutations are missing)",
-            )
-        yield parsed
-
-
 class ShardState(NamedTuple):
     """One store's content after its WAL is folded over its snapshot."""
 
@@ -344,20 +328,31 @@ class ShardState(NamedTuple):
 def fold_shard_state(payload: dict, records: list, label) -> ShardState:
     """Snapshot payload + scanned WAL records -> the state they describe.
 
-    Pure bookkeeping over rids and Dewey IDs (no index is built), shared by
-    every consumer of a shard directory: full recovery, replica bootstrap
-    and spawn-worker bootstrap.  Raises :class:`RecoveryError` under
-    ``label`` when the log contradicts the snapshot or itself.
+    Pure bookkeeping over rids and Dewey IDs (no index is built) and the
+    only code that walks a log, shared by every consumer of a store
+    directory: recovery of either shape, replica bootstrap and
+    spawn-worker bootstrap.  Raises :class:`RecoveryError` under ``label``
+    when the log contradicts the snapshot or itself.
+
+    Records with ``seq <=`` the snapshot epoch are skipped (superseded — a
+    crash between the snapshot rename and the log truncate leaves them
+    behind); the rest must be contiguous from the next epoch, so the fold
+    lands on epoch ``snapshot epoch + replayed``.
     """
-    rows = {int(rid): row for rid, row in payload["rows"]}
-    assignments = {
-        int(rid): tuple(int(component) for component in components)
-        for rid, components in payload["deweys"]
-    }
-    deleted = {int(rid) for rid in payload.get("deleted", [])}
+    rows, assignments, deleted = payload_tables(payload)
     snapshot_epoch = int(payload.get("epoch", 0))
     replayed = 0
-    for seq, op, rid, dewey, row in unreplayed(records, snapshot_epoch, label):
+    for record in records:
+        seq, op, rid, dewey, row = parse_record(record, label)
+        if seq <= snapshot_epoch:
+            continue
+        if seq != snapshot_epoch + replayed + 1:
+            raise RecoveryError(
+                label,
+                f"WAL sequence gap: expected seq "
+                f"{snapshot_epoch + replayed + 1}, found {seq} "
+                f"(acknowledged mutations are missing)",
+            )
         taken = assignments.get(rid)
         if op == "insert":
             if rid in rows and list(rows[rid]) != list(row):
@@ -388,70 +383,37 @@ def fold_shard_state(payload: dict, records: list, label) -> ShardState:
                       replayed, len(records) - replayed)
 
 
-def replay_wal_records(
-    index: InvertedIndex,
-    records: list,
-    label: Union[str, Path],
-) -> tuple[int, int]:
-    """Apply WAL records on top of a freshly restored index.
+def read_store(store_dir: Path) -> tuple[dict, WalScan]:
+    """One store directory's ``(snapshot payload, WAL scan)``.
 
-    Records the snapshot already covers are skipped, the remainder must
-    be contiguous (:func:`unreplayed`).  Every replayed record is
-    cross-checked against the index (rows match, Dewey assignments
-    consistent) so damage that slipped past the checksums still surfaces
-    as :class:`RecoveryError`, never as a silently wrong index.  Returns
-    ``(replayed, skipped)``.
+    The payload is digest-verified and the log tolerates only a torn
+    tail; anything else raises ``SnapshotError``/``WALError``, which
+    callers turn into their own error under :func:`refusing_damage`.
     """
-    relation = index.relation
-    start = index.epoch
-    replayed = 0
-    for seq, op, rid, dewey, row in unreplayed(records, start, label):
-        if op == "insert":
-            if rid == len(relation):
-                relation.insert(row)
-            elif rid < len(relation):
-                if list(relation[rid]) != list(relation.schema.coerce_row(row)):
-                    raise RecoveryError(
-                        label,
-                        f"insert record {seq} disagrees with row {rid} "
-                        f"restored from the snapshot",
-                    )
-            else:
-                raise RecoveryError(
-                    label,
-                    f"insert record {seq} references rid {rid} beyond the "
-                    f"row table (gap in acknowledged inserts)",
-                )
-            try:
-                index.dewey.force(rid, dewey)
-            except DeweyAssignmentError as error:
-                raise RecoveryError(
-                    label, f"insert record {seq}: {error}"
-                ) from None
-            index.index_restored_row(rid)
-        else:  # remove
-            if rid not in index.dewey or index.dewey.dewey_of(rid) != dewey:
-                raise RecoveryError(
-                    label,
-                    f"remove record {seq} references rid {rid} with Dewey "
-                    f"{list(dewey)} not present in the recovered index",
-                )
-            index.remove(rid)
-            relation.delete(rid)
-        replayed += 1
-    index.restore_epoch(start + replayed)
-    return replayed, len(records) - replayed
-
-
-def _scan_wal_for_recovery(wal_path: Path, label) -> WalScan:
+    payload = read_snapshot(store_dir / SNAPSHOT_NAME)
+    wal_path = store_dir / WAL_NAME
     if not wal_path.exists():
         # A crash between the snapshot write and WAL creation: no log means
         # no mutations past the snapshot.
-        return WalScan([], valid_end=0, file_size=0, torn=False)
+        return payload, WalScan([], valid_end=0, file_size=0, torn=False)
+    return payload, read_wal(wal_path)
+
+
+@contextmanager
+def refusing_damage(label):
+    """Whatever decoding a damaged store raises leaves as a
+    :class:`RecoveryError` under ``label`` — including the raw exceptions
+    of a checksummed snapshot whose payload is nevertheless malformed
+    (wrong nesting, unknown backend or attribute kind, non-numeric Dewey
+    components, a tombstone past the row table)."""
     try:
-        return read_wal(wal_path)
-    except WALError as error:
+        yield
+    except (SnapshotError, WALError) as error:
         raise RecoveryError(label, str(error)) from error
+    except (LookupError, TypeError, ValueError) as error:
+        raise RecoveryError(
+            label, f"malformed snapshot payload: {error}"
+        ) from None
 
 
 def reopen_wal(wal_path: Path, fsync_every: int,
@@ -464,6 +426,113 @@ def reopen_wal(wal_path: Path, fsync_every: int,
         )[0]
     return WriteAheadLog.create(wal_path, fsync_every=fsync_every,
                                 injector=injector)
+
+
+def recover_stores(
+    data_dir: Path,
+    manifest: dict,
+    store_dirs: List[Path],
+    snapshot_every: Optional[int],
+    fsync_every: Optional[int],
+    injector: Optional[CrashInjector],
+) -> List[DurableIndex]:
+    """Recover every store of one deployment and reopen it for writing.
+
+    The one recovery: a single-index store is the one-store case (files at
+    the directory root, whole-relation snapshot), a sharded deployment has
+    one store per shard directory.  Each store's log is folded over its
+    snapshot, the folds are unioned into one relation and one Dewey space
+    — routing partitions the row space, so the union must cover every rid
+    slot exactly once — and every store's posting lists are bulk-built
+    over that space (:func:`~repro.index.snapshot.restore_index`), landing
+    on the exact pre-crash epoch so warm serving-cache entries stay valid.
+    ``snapshot_every`` / ``fsync_every`` default to the manifest's values.
+    """
+    sharded = manifest.get("kind") == "sharded"
+    if snapshot_every is None:
+        snapshot_every = int(manifest.get("snapshot_every", 0))
+    if fsync_every is None:
+        fsync_every = int(manifest.get("fsync_every", 1))
+    header: dict = {}
+    rows: dict = {}
+    deleted: Set[int] = set()
+    assignments: dict = {}
+    stores = []  # per store: (report, live rids, owned rids)
+    with refusing_damage(data_dir):
+        for store_dir in store_dirs:
+            payload, scan = read_store(store_dir)
+            if payload.get("partial") and not sharded:
+                raise RecoveryError(
+                    data_dir,
+                    f"{store_dir / SNAPSHOT_NAME} is a shard-subset snapshot, "
+                    f"not a single-index store's",
+                )
+            if not header:
+                header = {key: payload.get(key)
+                          for key in ("schema", "ordering", "backend", "name")}
+            for key, value in header.items():
+                if payload.get(key) != value:
+                    raise RecoveryError(
+                        data_dir,
+                        f"{store_dir.name} disagrees with "
+                        f"{store_dirs[0].name} on {key!r}",
+                    )
+            state = fold_shard_state(payload, scan.records, store_dir)
+            shared = rows.keys() & state.rows.keys()
+            if shared:
+                raise RecoveryError(
+                    store_dir,
+                    f"rid {min(shared)} appears in more than one shard",
+                )
+            rows.update(state.rows)
+            deleted |= state.deleted
+            assignments.update(state.assignments)
+            stores.append((
+                RecoveryReport(
+                    path=store_dir,
+                    snapshot_epoch=state.epoch - state.replayed,
+                    replayed=state.replayed,
+                    skipped=state.skipped,
+                    torn_bytes=scan.dropped_bytes,
+                    final_epoch=state.epoch,
+                ),
+                state.live,
+                set(state.rows) if sharded else None,
+            ))
+        # The decoded documents are dropped before the bulk builds, whose
+        # run accumulators are recovery's memory peak.
+        del payload, scan, state
+        relation, ordering, dewey = restore_dewey_space(
+            header, rows, deleted, assignments
+        )
+        del rows, deleted, assignments
+        indexes = []
+        for report, live, _ in stores:
+            with span("durability.recover", path=str(report.path)):
+                indexes.append(restore_index(
+                    relation, ordering, header["backend"], dewey, live,
+                    report.final_epoch,
+                ))
+    registry = get_registry()
+    durable: List[DurableIndex] = []
+    for (report, _, owned), index in zip(stores, indexes):
+        registry.counter("repro_recoveries_total", "Store recoveries").inc()
+        registry.counter("repro_recovery_replayed_total",
+                         "WAL records replayed during recovery"
+                         ).inc(report.replayed)
+        registry.counter("repro_recovery_skipped_total",
+                         "Stale WAL records skipped during recovery"
+                         ).inc(report.skipped)
+        registry.counter("repro_recovery_torn_bytes_total",
+                         "Torn WAL tail bytes dropped during recovery"
+                         ).inc(report.torn_bytes)
+        durable.append(DurableIndex(
+            index, reopen_wal(report.path / WAL_NAME, fsync_every, injector),
+            report.path / SNAPSHOT_NAME,
+            snapshot_every=snapshot_every, injector=injector,
+            owned=owned, recovery=report,
+        ))
+    return durable
 
 
 def recover_store(
@@ -485,39 +554,5 @@ def recover_store(
             f"manifest kind {manifest.get('kind')!r} is not a single-index "
             f"store (use repro.durability.recover for dispatch)",
         )
-    if snapshot_every is None:
-        snapshot_every = int(manifest.get("snapshot_every", 0))
-    if fsync_every is None:
-        fsync_every = int(manifest.get("fsync_every", 1))
-    snapshot_path = data_dir / SNAPSHOT_NAME
-    with span("durability.recover", path=str(data_dir)):
-        try:
-            payload = read_snapshot(snapshot_path)
-            index = restore_index(payload, label=f"snapshot {snapshot_path}")
-        except SnapshotError as error:
-            raise RecoveryError(data_dir, str(error)) from error
-        wal_path = data_dir / WAL_NAME
-        scan = _scan_wal_for_recovery(wal_path, data_dir)
-        snapshot_epoch = index.epoch
-        replayed, skipped = replay_wal_records(index, scan.records, data_dir)
-        wal = reopen_wal(wal_path, fsync_every, injector)
-    report = RecoveryReport(
-        path=data_dir,
-        snapshot_epoch=snapshot_epoch,
-        replayed=replayed,
-        skipped=skipped,
-        torn_bytes=scan.dropped_bytes,
-        final_epoch=index.epoch,
-    )
-    registry = get_registry()
-    registry.counter("repro_recoveries_total", "Store recoveries").inc()
-    registry.counter("repro_recovery_replayed_total",
-                     "WAL records replayed during recovery").inc(replayed)
-    registry.counter("repro_recovery_skipped_total",
-                     "Stale WAL records skipped during recovery").inc(skipped)
-    registry.counter("repro_recovery_torn_bytes_total",
-                     "Torn WAL tail bytes dropped during recovery"
-                     ).inc(scan.dropped_bytes)
-    return DurableIndex(index, wal, snapshot_path,
-                        snapshot_every=snapshot_every, injector=injector,
-                        recovery=report)
+    return recover_stores(data_dir, manifest, [data_dir], snapshot_every,
+                          fsync_every, injector)[0]

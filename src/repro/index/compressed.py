@@ -60,10 +60,6 @@ BLOCK = 64
 MIN_COMPACTION = 32
 COMPACTION_SHIFT = 3
 
-#: Version tag of the packed wire format (snapshot serialisation).
-PACKED_FORMAT = "repro-packed-postings"
-PACKED_VERSION = 1
-
 #: Widest bracket the Python gallop loop may open before handing the
 #: rest of the array to C bisect (8 probes ≈ the loop's break-even).
 _GALLOP_CAP = 8
@@ -551,106 +547,3 @@ class CompressedPostingList(PostingList):
             f"{self._segment.count} packed, {len(self._tail)} tail, "
             f"{len(self._deleted)} tombstones)"
         )
-
-    # ------------------------------------------------------------------
-    # Packed wire format (snapshot serialisation)
-    # ------------------------------------------------------------------
-    def packed_state(self) -> dict:
-        """The list as a JSON-able packed-buffer document.
-
-        Compacts first, so the canonical delta stream *is* the payload —
-        snapshots dump the buffer instead of re-encoding per posting.
-        Block offsets, field widths and the key array are all derivable
-        by one linear decode pass, so only the stream itself travels.
-        """
-        import base64
-
-        self.compact()
-        return {
-            "format": PACKED_FORMAT,
-            "version": PACKED_VERSION,
-            "depth": self._depth,
-            "block": BLOCK,
-            "count": self._segment.count,
-            "data": base64.b64encode(self._segment.data).decode("ascii"),
-        }
-
-    @classmethod
-    def from_packed_state(cls, state: dict) -> "CompressedPostingList":
-        """Rebuild a list from :meth:`packed_state` output.
-
-        The delta stream is adopted verbatim; offsets, widths and keys
-        are regenerated by one linear decode (no per-posting inserts).
-        """
-        import base64
-
-        if state.get("format") != PACKED_FORMAT:
-            raise ValueError(
-                f"not a {PACKED_FORMAT} document: {state.get('format')!r}"
-            )
-        if state.get("version") != PACKED_VERSION:
-            raise ValueError(
-                f"unsupported packed-postings version {state.get('version')!r}"
-            )
-        if state.get("block") != BLOCK:
-            raise ValueError(
-                f"packed stream uses block size {state.get('block')!r}, "
-                f"this build expects {BLOCK}"
-            )
-        depth = int(state["depth"])
-        count = int(state["count"])
-        data = base64.b64decode(state["data"])
-        instance = cls.__new__(cls)
-        instance._depth = depth
-        instance._tail = []
-        instance._deleted = set()
-        instance._hint = 0
-        if count == 0:
-            if data:
-                raise ValueError("packed stream declares 0 postings but has data")
-            instance._segment = _Segment.empty(depth)
-            return instance
-        # Linear decode pass: recover offsets and per-level maxima, then
-        # let the adopted buffer serve as-is.
-        offsets = array("Q")
-        maxima = [0] * depth
-        previous: Optional[DeweyId] = None
-        postings: List[DeweyId] = []
-        pos = 0
-        try:
-            for index in range(count):
-                if index % BLOCK == 0:
-                    offsets.append(pos)
-                    components = []
-                    for _ in range(depth):
-                        value, pos = _decode_varint(data, pos)
-                        components.append(value)
-                else:
-                    shared, pos = _decode_varint(data, pos)
-                    if shared >= depth:
-                        raise ValueError("shared-prefix length out of range")
-                    delta, pos = _decode_varint(data, pos)
-                    components = list(previous[:shared])
-                    components.append(previous[shared] + delta + 1)
-                    for _ in range(shared + 1, depth):
-                        value, pos = _decode_varint(data, pos)
-                        components.append(value)
-                current = tuple(components)
-                if previous is not None and current <= previous:
-                    raise ValueError("packed stream is not strictly increasing")
-                for level, component in enumerate(current):
-                    if component > maxima[level]:
-                        maxima[level] = component
-                postings.append(current)
-                previous = current
-        except IndexError:
-            raise ValueError("packed stream is truncated") from None
-        if pos != len(data):
-            raise ValueError(
-                f"packed stream has {len(data) - pos} trailing bytes"
-            )
-        widths = tuple(max(1, value.bit_length()) for value in maxima)
-        instance._segment = _Segment(
-            depth, count, data, offsets, widths, postings=postings
-        )
-        return instance

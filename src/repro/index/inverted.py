@@ -15,17 +15,34 @@ from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
 from ..storage.relation import Relation
 from ..storage.schema import AttributeKind
+from .compressed import CompressedPostingList
 from .dewey_index import DeweyIndex
 from .postings import (
     ARRAY_BACKEND,
     ArrayPostingList,
     BACKENDS,
+    COMPRESSED_BACKEND,
     PostingList,
     make_posting_list,
 )
 from .tokenize import token_set
 
 EMPTY_POSTINGS = ArrayPostingList()
+
+
+def _posting_list_of_run(
+    run: list[DeweyId], backend: str, depth: int
+) -> PostingList:
+    """A posting list over one of :meth:`InvertedIndex.build`'s runs —
+    strictly sorted by construction, so the array and compressed backends
+    adopt it as is, without ``make_posting_list``'s sort-and-dedupe pass."""
+    if backend == ARRAY_BACKEND:
+        # An exact-size copy: the append-grown accumulator itself carries
+        # up to 12.5 % of unused slots.
+        return ArrayPostingList.from_sorted(run.copy())
+    if backend == COMPRESSED_BACKEND:
+        return CompressedPostingList.from_sorted(run, depth)
+    return make_posting_list(run, backend, depth=depth)
 
 
 class InvertedIndex:
@@ -84,7 +101,9 @@ class InvertedIndex:
         ``dewey`` adopts an existing (shared) Dewey assignment instead of
         building a fresh one; ``rids`` restricts the posting lists to a
         subset of rows — together they let :class:`repro.sharding.ShardedIndex`
-        build per-shard indexes that all live in one global Dewey space.
+        build per-shard indexes that all live in one global Dewey space, and
+        every restore site (:func:`repro.index.snapshot.restore_index`)
+        derive a stored index's posting lists the way they were first made.
         """
         index = cls(relation, ordering, backend=backend, dewey=dewey)
         if dewey is None:
@@ -106,17 +125,18 @@ class InvertedIndex:
                 text = relation.value(rid, name)
                 for token in token_set(text):
                     token_acc.setdefault((name, token), []).append(dewey_id)
-        # The accumulators were filled in Dewey order, so lists are sorted.
+        # The accumulators were filled in Dewey order, so every run is
+        # sorted and duplicate-free.
         depth = ordering.depth
         index._scalar = {
-            key: make_posting_list(postings, backend, depth=depth)
-            for key, postings in scalar_acc.items()
+            key: _posting_list_of_run(run, backend, depth)
+            for key, run in scalar_acc.items()
         }
         index._token = {
-            key: make_posting_list(postings, backend, depth=depth)
-            for key, postings in token_acc.items()
+            key: _posting_list_of_run(run, backend, depth)
+            for key, run in token_acc.items()
         }
-        index._all = make_posting_list(everything, backend, depth=depth)
+        index._all = _posting_list_of_run(everything, backend, depth)
         return index
 
     # ------------------------------------------------------------------
@@ -214,7 +234,7 @@ class InvertedIndex:
         }
 
     # ------------------------------------------------------------------
-    # Restore hooks (snapshot load / WAL replay)
+    # Restore hook (snapshot load / recovery / replica bootstrap)
     # ------------------------------------------------------------------
     def restore_epoch(self, epoch: int) -> None:
         """Adopt a persisted mutation epoch.
@@ -228,64 +248,6 @@ class InvertedIndex:
                 f"cannot move epoch backwards ({self._epoch} -> {epoch})"
             )
         self._epoch = epoch
-
-    def restore_posting_lists(
-        self,
-        all_postings: PostingList,
-        scalar: dict,
-        token: dict,
-    ) -> None:
-        """Adopt fully-built posting lists (snapshot packed fast path).
-
-        Snapshots of the compressed backend persist the delta-encoded
-        buffers directly; restore decodes each buffer once and hands the
-        finished lists here, skipping the per-row
-        :meth:`index_restored_row` loop entirely.  The Dewey assignment
-        must already be restored — the adopted lists are cross-checked
-        against it.
-        """
-        expected = len(self._dewey)
-        if len(all_postings) != expected:
-            raise ValueError(
-                f"adopted posting lists cover {len(all_postings)} rows, "
-                f"Dewey index has {expected}"
-            )
-        self._all = all_postings
-        self._scalar = dict(scalar)
-        self._token = dict(token)
-
-    def index_restored_row(self, rid: int) -> DeweyId:
-        """Add one restored row to the posting lists.
-
-        Unlike :meth:`insert`, the Dewey ID must already be force-assigned
-        (see :meth:`DeweyIndex.force`) and the epoch is *not* bumped — the
-        caller restores the persisted epoch separately.
-        """
-        dewey = self._dewey.dewey_of(rid)
-        if dewey in self._all:
-            return dewey
-        row = self._relation[rid]
-        self._all.insert(dewey)
-        for name, value in zip(self._relation.schema.names, row):
-            key = (name, value)
-            postings = self._scalar.get(key)
-            if postings is None:
-                postings = make_posting_list(
-                    (), self._backend, depth=self._ordering.depth
-                )
-                self._scalar[key] = postings
-            postings.insert(dewey)
-        for name in self._text_attributes:
-            for token in token_set(self._relation.value(rid, name)):
-                key = (name, token)
-                postings = self._token.get(key)
-                if postings is None:
-                    postings = make_posting_list(
-                        (), self._backend, depth=self._ordering.depth
-                    )
-                    self._token[key] = postings
-                postings.insert(dewey)
-        return dewey
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -330,6 +292,26 @@ class InvertedIndex:
         dewey = self._dewey.add(rid)
         if dewey in self._all:
             return dewey
-        self.index_restored_row(rid)
+        row = self._relation[rid]
+        self._all.insert(dewey)
+        for name, value in zip(self._relation.schema.names, row):
+            key = (name, value)
+            postings = self._scalar.get(key)
+            if postings is None:
+                postings = make_posting_list(
+                    (), self._backend, depth=self._ordering.depth
+                )
+                self._scalar[key] = postings
+            postings.insert(dewey)
+        for name in self._text_attributes:
+            for token in token_set(self._relation.value(rid, name)):
+                key = (name, token)
+                postings = self._token.get(key)
+                if postings is None:
+                    postings = make_posting_list(
+                        (), self._backend, depth=self._ordering.depth
+                    )
+                    self._token[key] = postings
+                postings.insert(dewey)
         self._epoch += 1
         return dewey

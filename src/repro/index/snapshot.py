@@ -11,6 +11,13 @@ assignment matters: bulk builds number siblings in sorted-value order while
 incremental builds number them first-come, and a restore must reproduce the
 exact IDs so that previously returned Dewey IDs stay valid.
 
+The posting lists themselves are never stored, whatever the backend:
+they are *derived* — every consumer of stored state (:func:`load_index`
+here, recovery in :mod:`repro.durability`, replica and spawn-worker
+bootstrap) rebuilds them with the paper's one offline build,
+``InvertedIndex.build(dewey=, rids=)`` over the restored Dewey space
+(:func:`restore_index`).
+
 Format (version 2): a gzip-compressed JSON envelope ``{format, version,
 digest, payload}`` where ``digest`` is the SHA-256 of the canonical payload
 serialisation — a flipped bit anywhere in the payload fails the load
@@ -20,7 +27,7 @@ renamed over the target, so a crash mid-write can never leave a truncated
 snapshot under the real name.  Rows are keyed by rid, which lets a
 snapshot carry a *subset* of the relation (``rids=``) — one file per shard
 of a sharded deployment (see :mod:`repro.durability.sharded`).  Version-1
-snapshots (whole-relation, no digest) still load.
+files (no digest) are refused.
 """
 
 from __future__ import annotations
@@ -29,17 +36,16 @@ import gzip
 import hashlib
 import json
 import os
+import zlib
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
 from ..storage.relation import Relation
 from ..storage.schema import Attribute, AttributeKind, Schema
-from .compressed import CompressedPostingList
 from .dewey_index import DeweyAssignmentError, DeweyIndex
 from .inverted import InvertedIndex
-from .postings import COMPRESSED_BACKEND
 
 FORMAT_NAME = "repro-diversity-index"
 FORMAT_VERSION = 2
@@ -76,7 +82,7 @@ def build_payload(index: InvertedIndex, rids: Optional[Iterable[int]] = None) ->
         (dewey.rid_of(dewey_id), list(dewey_id))
         for dewey_id in index.all_postings()
     )
-    payload = {
+    return {
         "name": relation.name,
         "backend": index.backend,
         "ordering": list(index.ordering.attributes),
@@ -91,46 +97,6 @@ def build_payload(index: InvertedIndex, rids: Optional[Iterable[int]] = None) ->
         "deleted": deleted,
         "deweys": deweys,
         "epoch": index.epoch,
-    }
-    if index.backend == COMPRESSED_BACKEND and not partial:
-        packed = _packed_postings_section(index)
-        if packed is not None:
-            payload["postings"] = packed
-    return payload
-
-
-def _packed_postings_section(index: InvertedIndex) -> Optional[dict]:
-    """Serialise the compressed backend's buffers directly.
-
-    Each list is compacted (folding its tail/tombstones into the canonical
-    delta stream) and dumped as base64 bytes — restore adopts the buffer
-    with one linear decode instead of re-encoding every posting through
-    :meth:`InvertedIndex.index_restored_row`.  Entry order is made
-    deterministic so the payload digest is reproducible.  Returns ``None``
-    when any list is not actually a :class:`CompressedPostingList`
-    (defensive; restore then falls back to the per-row path).
-    """
-    all_list = index.all_postings()
-    if not isinstance(all_list, CompressedPostingList):
-        return None
-    scalar_entries = []
-    for (attribute, value), posting_list in index._scalar.items():
-        if not isinstance(posting_list, CompressedPostingList):
-            return None
-        scalar_entries.append([attribute, value, posting_list.packed_state()])
-    token_entries = []
-    for (attribute, token), posting_list in index._token.items():
-        if not isinstance(posting_list, CompressedPostingList):
-            return None
-        token_entries.append([attribute, token, posting_list.packed_state()])
-    scalar_entries.sort(
-        key=lambda entry: (entry[0], json.dumps(entry[1], sort_keys=True))
-    )
-    token_entries.sort(key=lambda entry: (entry[0], entry[1]))
-    return {
-        "all": all_list.packed_state(),
-        "scalar": scalar_entries,
-        "token": token_entries,
     }
 
 
@@ -222,7 +188,7 @@ def _fsync_dir(directory: Path) -> None:
 # Loading
 # ----------------------------------------------------------------------
 def read_snapshot(source: Union[str, Path]) -> dict:
-    """Read, checksum-verify and normalise a snapshot into a v2 payload.
+    """Read, checksum-verify and validate a snapshot; returns its payload.
 
     Every failure mode — unreadable file, bad gzip, bad JSON, unknown
     format/version, missing fields, digest mismatch — surfaces as a
@@ -231,17 +197,19 @@ def read_snapshot(source: Union[str, Path]) -> dict:
     try:
         with gzip.open(source, "rb") as handle:
             document = json.loads(handle.read().decode("utf-8"))
-    except (OSError, ValueError) as error:
+    except (OSError, EOFError, zlib.error, ValueError) as error:
+        # A damaged deflate stream raises zlib.error or EOFError, neither
+        # an OSError: most single flipped bytes land there.
         raise SnapshotError(f"cannot read snapshot {source}: {error}") from None
     try:
-        return _normalise_document(document)
+        return _validate_document(document)
     except SnapshotError as error:
         raise SnapshotError(f"snapshot {source}: {error}") from None
     except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise SnapshotError(f"malformed snapshot {source}: {error}") from None
 
 
-def _normalise_document(document) -> dict:
+def _validate_document(document) -> dict:
     if not isinstance(document, dict):
         raise SnapshotError("root must be an object")
     if document.get("format") != FORMAT_NAME:
@@ -249,195 +217,133 @@ def _normalise_document(document) -> dict:
             f"not a {FORMAT_NAME} snapshot (format={document.get('format')!r})"
         )
     version = document.get("version")
-    if version == 1:
-        payload = _upgrade_v1(document)
-    elif version == FORMAT_VERSION:
-        payload = document.get("payload")
-        if not isinstance(payload, dict):
-            raise SnapshotError("version-2 snapshot missing payload object")
-        declared = document.get("digest")
-        actual = payload_digest(payload)
-        if declared != actual:
-            raise SnapshotError(
-                f"payload digest mismatch (declared {declared!r}, "
-                f"computed {actual!r}) — snapshot is corrupt"
-            )
-    else:
+    if version != FORMAT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
+    payload = document.get("payload")
+    if not isinstance(payload, dict):
+        raise SnapshotError("version-2 snapshot missing payload object")
+    declared = document.get("digest")
+    actual = payload_digest(payload)
+    if declared != actual:
+        raise SnapshotError(
+            f"payload digest mismatch (declared {declared!r}, "
+            f"computed {actual!r}) — snapshot is corrupt"
+        )
     for key in _PAYLOAD_FIELDS:
         if key not in payload:
             raise SnapshotError(f"snapshot missing field {key!r}")
+    # Silent truncation of the row table must raise, never load short.
     if len(payload["rows"]) != payload["row_slots"] and not payload.get("partial"):
         raise SnapshotError(
             f"row count mismatch: {payload['row_slots']} slots declared, "
             f"{len(payload['rows'])} rows present — snapshot is truncated"
         )
+    live = len(payload["rows"]) - len(payload.get("deleted", []))
+    if live != payload["live_rows"]:
+        raise SnapshotError(
+            f"{payload['live_rows']} live rows declared, the row table and "
+            f"its tombstones leave {live}"
+        )
     return payload
 
 
-def _upgrade_v1(document: dict) -> dict:
-    """Rewrite a legacy whole-relation v1 document as a v2 payload."""
-    for key in ("schema", "rows", "ordering", "deweys", "backend"):
-        if key not in document:
-            raise SnapshotError(f"snapshot missing field {key!r}")
-    rows = [[rid, list(row)] for rid, row in enumerate(document["rows"])]
-    deleted = [int(rid) for rid in document.get("deleted", [])]
-    return {
-        "name": document.get("name", "R"),
-        "backend": document["backend"],
-        "ordering": document["ordering"],
-        "schema": document["schema"],
-        "row_slots": len(rows),
-        "live_rows": len(rows) - len(deleted),
-        "partial": False,
-        "rows": rows,
-        "deleted": deleted,
-        "deweys": document["deweys"],
-        "epoch": 0,
+def payload_tables(payload: dict) -> tuple[dict, dict, set]:
+    """A payload's ``(rid -> row, live rid -> Dewey ID, tombstoned rids)``."""
+    rows = {int(rid): row for rid, row in payload["rows"]}
+    assignments = {
+        int(rid): tuple(int(component) for component in components)
+        for rid, components in payload["deweys"]
     }
+    deleted = {int(rid) for rid in payload.get("deleted", [])}
+    return rows, assignments, deleted
 
 
-def restore_relation(payload: dict, label: str = "snapshot") -> Relation:
-    """Rebuild the relation from a *complete* payload (every slot present).
+def restore_dewey_space(
+    payload: dict, rows: dict, deleted: Iterable[int], assignments: dict
+) -> tuple[Relation, DiversityOrdering, DeweyIndex]:
+    """Stored rows and their persisted rid -> Dewey table, as a live
+    relation and the Dewey index over it.
 
-    The declared slot and live counts are enforced: silent truncation of
-    the row table (fewer rows than ``row_slots``, or tombstones that do
-    not add up to ``live_rows``) raises instead of loading short.
+    ``payload`` supplies the schema, relation name and ordering; ``rows``
+    must fill every slot ``0 .. len(rows) - 1`` (a gap is a lost row, and
+    raises rather than renumbering).  Sibling dictionaries are rebuilt
+    from the (row value, component) pairs; inconsistencies (same value
+    mapping to two components under one prefix, duplicate IDs, wrong
+    depth) are rejected.
     """
     schema = Schema(
         Attribute(name, AttributeKind(kind)) for name, kind in payload["schema"]
     )
     relation = Relation(schema, name=payload.get("name", "R"))
-    expected = 0
-    for rid, row in sorted((int(rid), row) for rid, row in payload["rows"]):
-        if rid != expected:
+    for rid in range(len(rows)):
+        if rid not in rows:
             raise SnapshotError(
-                f"{label} row table has a gap at rid {expected} "
-                f"(next recorded rid is {rid})"
+                f"row table has a gap at rid {rid}: an acknowledged insert "
+                f"is missing"
             )
-        relation.insert(row)
-        expected += 1
-    if expected != payload["row_slots"]:
-        raise SnapshotError(
-            f"{label} declares {payload['row_slots']} row slots but only "
-            f"{expected} rows are present — truncated document"
-        )
-    for rid in payload.get("deleted", []):
-        relation.delete(int(rid))
-    if relation.live_count != payload["live_rows"]:
-        raise SnapshotError(
-            f"{label} declares {payload['live_rows']} live rows but the "
-            f"restored relation has {relation.live_count}"
-        )
-    return relation
+        relation.insert(rows[rid])
+    for rid in deleted:
+        relation.delete(rid)
+    ordering = DiversityOrdering(payload["ordering"])
+    dewey = DeweyIndex(relation, ordering)
+    for rid, dewey_id in sorted(assignments.items()):
+        if not 0 <= rid < len(relation):
+            raise SnapshotError(f"Dewey table references unknown rid {rid}")
+        try:
+            dewey.force(rid, dewey_id)
+        except DeweyAssignmentError as error:
+            raise SnapshotError(f"inconsistent Dewey table: {error}") from None
+    return relation, ordering, dewey
 
 
-def restore_dewey(
+def restore_index(
     relation: Relation,
     ordering: DiversityOrdering,
-    assignments: dict[int, DeweyId],
-) -> DeweyIndex:
-    """Rebuild a DeweyIndex with the exact persisted assignment.
+    backend: str,
+    dewey: DeweyIndex,
+    live: Collection[int],
+    epoch: int,
+) -> InvertedIndex:
+    """The one way from stored state to a served index: bulk-build the
+    posting lists of the ``live`` rids over an already-restored Dewey
+    space (Section V-A's offline build) and adopt the persisted epoch.
 
-    Internal sibling dictionaries are reconstructed from the (row value,
-    component) pairs; inconsistencies (same value mapping to two components
-    under one prefix, duplicate IDs, wrong depth) are rejected.
+    A build that posts fewer rows than are live — a live rid the Dewey
+    space does not know — is an error, never a short index.
     """
-    index = DeweyIndex(relation, ordering)
-    for rid, dewey in sorted(assignments.items()):
-        if not 0 <= rid < len(relation):
-            raise SnapshotError(f"snapshot references unknown rid {rid}")
-        try:
-            index.force(rid, dewey)
-        except DeweyAssignmentError as error:
-            raise SnapshotError(f"inconsistent snapshot: {error}") from None
-    return index
-
-
-def restore_index(payload: dict, label: str = "snapshot") -> InvertedIndex:
-    """Materialise an :class:`InvertedIndex` from a complete payload."""
-    if payload.get("partial"):
+    index = InvertedIndex.build(
+        relation, ordering, backend=backend, dewey=dewey, rids=live
+    )
+    if len(index) != len(live):
         raise SnapshotError(
-            f"{label} is a shard-subset snapshot; recover the deployment "
-            f"directory instead (repro.durability)"
+            f"{len(live)} rows are live but the Dewey space posts only "
+            f"{len(index)} of them"
         )
-    relation = restore_relation(payload, label)
-    ordering = DiversityOrdering(payload["ordering"])
-    assignments = {
-        int(rid): tuple(int(c) for c in components)
-        for rid, components in payload["deweys"]
-    }
-    dewey = restore_dewey(relation, ordering, assignments)
-    index = InvertedIndex(relation, ordering, backend=payload["backend"],
-                          dewey=dewey)
-    packed = payload.get("postings")
-    if packed is not None and payload["backend"] == COMPRESSED_BACKEND:
-        _adopt_packed_postings(index, packed, set(assignments.values()), label)
-    else:
-        for rid in sorted(assignments):
-            index.index_restored_row(rid)
-    index.restore_epoch(int(payload.get("epoch", 0)))
+    index.restore_epoch(epoch)
     return index
-
-
-def _adopt_packed_postings(
-    index: InvertedIndex,
-    packed: dict,
-    expected_deweys: set,
-    label: str,
-) -> None:
-    """Restore compressed posting lists straight from their buffers.
-
-    The packed section travels inside the digest-protected payload, but the
-    buffers must still agree with the Dewey table they were saved beside —
-    a writer bug that diverges them would otherwise restore an index whose
-    posting lists disagree with its Dewey assignment.
-    """
-    try:
-        all_list = CompressedPostingList.from_packed_state(packed["all"])
-        scalar = {
-            (attribute, value): CompressedPostingList.from_packed_state(state)
-            for attribute, value, state in packed["scalar"]
-        }
-        token = {
-            (attribute, token_text): CompressedPostingList.from_packed_state(state)
-            for attribute, token_text, state in packed["token"]
-        }
-    except (KeyError, TypeError, ValueError) as error:
-        raise SnapshotError(
-            f"{label} has a malformed packed-postings section: {error}"
-        ) from None
-    if set(all_list) != expected_deweys:
-        raise SnapshotError(
-            f"{label} packed postings disagree with the Dewey table "
-            f"({len(all_list)} packed vs {len(expected_deweys)} assigned)"
-        )
-    for (attribute, value), posting_list in scalar.items():
-        stray = set(posting_list) - expected_deweys
-        if stray:
-            raise SnapshotError(
-                f"{label} packed postings for {attribute}={value!r} contain "
-                f"{len(stray)} Dewey IDs absent from the Dewey table"
-            )
-    for (attribute, token_text), posting_list in token.items():
-        stray = set(posting_list) - expected_deweys
-        if stray:
-            raise SnapshotError(
-                f"{label} packed postings for {attribute}:{token_text!r} "
-                f"contain {len(stray)} Dewey IDs absent from the Dewey table"
-            )
-    index.restore_posting_lists(all_list, scalar, token)
 
 
 def load_index(source: Union[str, Path]) -> InvertedIndex:
     """Restore an inverted index (and its relation) from a snapshot."""
     payload = read_snapshot(source)
     try:
-        return restore_index(payload, label=f"snapshot {source}")
-    except SnapshotError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
+        if payload.get("partial"):
+            raise SnapshotError(
+                "a shard-subset snapshot; recover the deployment directory "
+                "instead (repro.durability)"
+            )
+        rows, assignments, deleted = payload_tables(payload)
+        relation, ordering, dewey = restore_dewey_space(
+            payload, rows, deleted, assignments
+        )
+        return restore_index(
+            relation, ordering, payload["backend"], dewey, assignments,
+            int(payload.get("epoch", 0)),
+        )
+    except SnapshotError as error:
+        raise SnapshotError(f"snapshot {source}: {error}") from None
+    except (LookupError, TypeError, ValueError) as error:
         # Malformed structures inside a well-checksummed envelope (wrong
-        # nesting, bad attribute kinds, non-numeric components) must not
-        # leak raw exceptions to callers.
+        # nesting, bad attribute kinds, non-numeric components, a tombstone
+        # past the row table) must not leak raw exceptions to callers.
         raise SnapshotError(f"malformed snapshot {source}: {error}") from None

@@ -12,10 +12,13 @@ A worker needs none of that: the gather algorithms observe only Dewey
 IDs — posting lists, ``MergedList`` cursors and ``diverse_subset`` never
 read a rid — so the replica packs just its own shard's live rows into a
 local dense-rid relation and force-restores the *shared global* Dewey
-assignment over them.  Posting-list content (the set of Dewey IDs per
-``(attribute, value)``) is bit-identical to the coordinator's shard, and
-the replica lands on the shard's exact mutation epoch, which is what the
-coordinator's epoch fence checks against.
+assignment over them.  Everything else is recovery's own code: the same
+directory read, the same log fold
+(:func:`repro.durability.store.fold_shard_state`) and the same bulk build
+(:func:`repro.index.snapshot.restore_index`).  Posting-list content (the
+set of Dewey IDs per ``(attribute, value)``) is bit-identical to the
+coordinator's shard, and the replica lands on the shard's exact mutation
+epoch, which is what the coordinator's epoch fence checks against.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from ..core.ordering import DiversityOrdering
 from ..durability.errors import RecoveryError
 from ..index.inverted import InvertedIndex
-from ..index.snapshot import SnapshotError, restore_dewey
+from ..index.snapshot import restore_dewey_space, restore_index
 
 
 def load_shard_replica(
@@ -36,17 +38,12 @@ def load_shard_replica(
 
     Returns a standalone read-only :class:`InvertedIndex` whose posting
     lists, Dewey assignments and mutation epoch match the coordinator's
-    shard exactly (snapshot + full WAL replay).  Raises
-    :class:`RecoveryError` on a damaged or inconsistent directory — a
-    worker must refuse to serve from a shard it cannot prove complete.
+    shard exactly (snapshot + full WAL fold, then the one bulk build).
+    Raises :class:`RecoveryError` on a damaged or inconsistent directory —
+    a worker must refuse to serve from a shard it cannot prove complete.
     """
-    from ..durability.sharded import (
-        empty_relation,
-        read_shard_dir,
-        read_sharded_manifest,
-        shard_dir_name,
-    )
-    from ..durability.store import fold_shard_state
+    from ..durability.sharded import read_sharded_manifest, shard_store_dir
+    from ..durability.store import fold_shard_state, read_store, refusing_damage
 
     data_dir = Path(data_dir)
     _, num_shards = read_sharded_manifest(data_dir)
@@ -55,26 +52,19 @@ def load_shard_replica(
             data_dir,
             f"shard {shard_id} outside the deployment's 0..{num_shards - 1}",
         )
-    payload, scan = read_shard_dir(data_dir, shard_id)
-    state = fold_shard_state(
-        payload, scan.records, data_dir / shard_dir_name(shard_id)
-    )
-
-    # ---- Local dense-rid relation over the live rows (global-rid order).
-    relation = empty_relation(payload, data_dir)
-    ordering = DiversityOrdering(payload["ordering"])
-    local_assignments = {}
-    for local_rid, global_rid in enumerate(state.live):
-        relation.insert(state.rows[global_rid])
-        local_assignments[local_rid] = state.assignments[global_rid]
-    try:
-        dewey = restore_dewey(relation, ordering, local_assignments)
-    except SnapshotError as error:
-        raise RecoveryError(data_dir, str(error)) from error
-    index = InvertedIndex(
-        relation, ordering, backend=payload["backend"], dewey=dewey
-    )
-    for local_rid in range(len(relation)):
-        index.index_restored_row(local_rid)
-    index.restore_epoch(state.epoch)
-    return index
+    store_dir = shard_store_dir(data_dir, shard_id)
+    with refusing_damage(data_dir):
+        payload, scan = read_store(store_dir)
+        state = fold_shard_state(payload, scan.records, store_dir)
+        # Local dense rids over the live rows, in global-rid order.
+        live = state.live
+        relation, ordering, dewey = restore_dewey_space(
+            payload,
+            {local: state.rows[rid] for local, rid in enumerate(live)},
+            (),
+            {local: state.assignments[rid] for local, rid in enumerate(live)},
+        )
+        return restore_index(
+            relation, ordering, payload["backend"], dewey,
+            range(len(live)), state.epoch,
+        )

@@ -6,17 +6,20 @@ at the *same* mutation epoch:
 
 * **From a durable store** (:class:`~repro.durability.store.DurableIndex`
   primary): read the shard's snapshot (its sha256 payload digest is
-  verified by :func:`~repro.index.snapshot.read_snapshot`), then replay
-  the WAL records past the snapshot epoch — the exact recovery discipline
-  of :func:`~repro.durability.sharded.recover_sharded_store`, applied to
-  a *live* primary to birth a peer instead of resurrecting a corpse.
-* **From a live in-memory shard**: re-index the primary's live rid set
-  over the shared Dewey assignment (the ``InvertedIndex.build``
-  subset idiom the sharded build itself uses).
+  verified by :func:`~repro.index.snapshot.read_snapshot`), then fold
+  the WAL records past the snapshot epoch over it — the exact recovery
+  discipline of :func:`~repro.durability.store.recover_stores`, applied
+  to a *live* primary to birth a peer instead of resurrecting a corpse.
+* **From a live in-memory shard**: the live rid set is read off the
+  primary's own postings.
 
-Either way the result is cross-checked end-to-end: primary and replica
-must produce the same canonical snapshot-payload sha256 over the same
-rid scope (rows, Dewey postings, epoch) before the copy may serve reads.
+Either way the copy's posting lists come from the one bulk build every
+restore site uses (:func:`~repro.index.snapshot.restore_index`:
+``InvertedIndex.build`` over the shared Dewey assignment, restricted to
+the live rids), and the result is cross-checked end-to-end: primary and
+replica must produce the same canonical snapshot-payload sha256 over the
+same rid scope (rows, Dewey postings, epoch) before the copy may serve
+reads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from ..index.inverted import InvertedIndex
-from ..index.snapshot import build_payload, payload_digest, read_snapshot
+from ..index.snapshot import build_payload, payload_digest, restore_index
 
 
 class ReplicaBootstrapError(RuntimeError):
@@ -56,35 +59,32 @@ def replica_digest(shard) -> str:
 def clone_from_index(shard) -> InvertedIndex:
     """Rebuild a copy of a live in-memory shard over the shared Dewey space."""
     shard = _raw(shard)
-    replica = InvertedIndex(
-        shard.relation, shard.ordering, backend=shard.backend, dewey=shard.dewey
+    return restore_index(
+        shard.relation, shard.ordering, shard.backend, shard.dewey,
+        live_rids(shard), shard.epoch,
     )
-    for rid in live_rids(shard):
-        replica.index_restored_row(rid)
-    replica.restore_epoch(shard.epoch)
-    return replica
 
 
 def clone_from_store(store) -> InvertedIndex:
-    """Bootstrap a copy from a durable primary: snapshot + WAL replay.
+    """Bootstrap a copy from a durable primary: snapshot + WAL fold.
 
     The snapshot envelope's sha256 digest is verified on read and the log
     is folded over it under full recovery's checks
     (:func:`~repro.durability.store.fold_shard_state`); every Dewey
     assignment the fold ends with is then cross-checked against the live
     shared assignment (a replica must never invent coordinates), and the
-    replay lands on the primary's exact epoch via the WAL seq chain.
+    fold lands on the primary's exact epoch via the WAL seq chain.
     """
     from ..durability.errors import RecoveryError
-    from ..durability.store import _scan_wal_for_recovery, fold_shard_state
+    from ..durability.store import fold_shard_state, read_store, refusing_damage
 
     store = _raw(store)
     label = store.snapshot_path.parent
-    payload = read_snapshot(store.snapshot_path)  # digest-verified envelope
     store.wal.sync()  # flush buffered tail records so the scan sees them
     try:
-        scan = _scan_wal_for_recovery(store.wal.path, label)
-        state = fold_shard_state(payload, scan.records, label)
+        with refusing_damage(label):
+            payload, scan = read_store(label)
+            state = fold_shard_state(payload, scan.records, label)
     except RecoveryError as error:
         raise ReplicaBootstrapError(str(error)) from error
     dewey = store.dewey
@@ -94,13 +94,10 @@ def clone_from_store(store) -> InvertedIndex:
                 f"{label}: snapshot + WAL assign rid {rid} Dewey "
                 f"{list(assigned)} but the live global assignment disagrees"
             )
-    replica = InvertedIndex(
-        store.relation, store.ordering, backend=store.backend, dewey=dewey
+    return restore_index(
+        store.relation, store.ordering, store.backend, dewey,
+        state.live, state.epoch,
     )
-    for rid in state.live:
-        replica.index_restored_row(rid)
-    replica.restore_epoch(state.epoch)
-    return replica
 
 
 def bootstrap_replicas(primary, count: int) -> List[InvertedIndex]:

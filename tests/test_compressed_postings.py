@@ -14,8 +14,6 @@ from repro.core.dewey import MAX_COMPONENT
 from repro.index.compressed import (
     BLOCK,
     MIN_COMPACTION,
-    PACKED_FORMAT,
-    PACKED_VERSION,
     CompressedPostingList,
 )
 from repro.index.postings import ArrayPostingList
@@ -193,99 +191,3 @@ def test_wide_components_fall_back_to_bigint_keys():
                   (MAX_COMPONENT,) * 3]:
         assert plist.seek(probe) == oracle.seek(probe)
         assert plist.seek_floor(probe) == oracle.seek_floor(probe)
-
-
-# ----------------------------------------------------------------------
-# Packed wire format
-# ----------------------------------------------------------------------
-def test_packed_state_roundtrip():
-    rng = random.Random(21)
-    postings = random_postings(rng, 3, 700, span=500)
-    plist = CompressedPostingList(postings, depth=3)
-    plist.insert((501, 0, 0))           # dirty state: roundtrip compacts
-    plist.remove(postings[0])
-    state = plist.packed_state()
-    assert state["format"] == PACKED_FORMAT
-    assert state["version"] == PACKED_VERSION
-    restored = CompressedPostingList.from_packed_state(state)
-    assert list(restored) == list(plist)
-    assert len(restored) == len(plist)
-
-
-def test_packed_state_roundtrip_empty():
-    plist = CompressedPostingList(depth=4)
-    restored = CompressedPostingList.from_packed_state(plist.packed_state())
-    assert list(restored) == []
-    restored.insert((1, 2, 3, 4))
-    assert len(restored) == 1
-
-
-def test_from_packed_state_rejects_malformed_documents():
-    plist = CompressedPostingList([(1, 2), (3, 4)])
-    good = plist.packed_state()
-
-    with pytest.raises(ValueError, match="not a"):
-        CompressedPostingList.from_packed_state({**good, "format": "nope"})
-    with pytest.raises(ValueError, match="version"):
-        CompressedPostingList.from_packed_state({**good, "version": 99})
-    with pytest.raises(ValueError, match="block size"):
-        CompressedPostingList.from_packed_state({**good, "block": BLOCK * 2})
-    with pytest.raises(ValueError, match="truncated"):
-        CompressedPostingList.from_packed_state({**good, "count": good["count"] + 5})
-    import base64
-
-    padded = base64.b64decode(good["data"]) + b"\x00"
-    with pytest.raises(ValueError, match="trailing"):
-        CompressedPostingList.from_packed_state(
-            {**good, "data": base64.b64encode(padded).decode("ascii")}
-        )
-    with pytest.raises(ValueError, match="declares 0"):
-        CompressedPostingList.from_packed_state({**good, "count": 0})
-
-
-def test_from_packed_state_rejects_out_of_range_shared_prefix():
-    import base64
-
-    from repro.index.compressed import _encode_varint
-
-    data = bytearray()
-    _encode_varint(3, data)      # first posting: (3, 9)
-    _encode_varint(9, data)
-    _encode_varint(5, data)      # shared=5 out of range for depth 2
-    _encode_varint(0, data)
-    state = {
-        "format": PACKED_FORMAT,
-        "version": PACKED_VERSION,
-        "depth": 2,
-        "block": BLOCK,
-        "count": 2,
-        "data": base64.b64encode(bytes(data)).decode("ascii"),
-    }
-    with pytest.raises(ValueError, match="shared-prefix"):
-        CompressedPostingList.from_packed_state(state)
-
-
-def test_from_packed_state_rejects_non_increasing_block_boundary():
-    """Within a block the delta coding is increasing by construction; a
-    regression can only hide at a block boundary, where the first posting
-    is stored absolute and may sort below its predecessor."""
-    import base64
-
-    from repro.index.compressed import _encode_varint
-
-    data = bytearray()
-    _encode_varint(0, data)                  # block 0 first posting: (0,)
-    for _ in range(BLOCK - 1):               # then (1,), (2,), ... by delta
-        _encode_varint(0, data)              # shared = 0
-        _encode_varint(0, data)              # delta -> previous + 1
-    _encode_varint(10, data)                 # block 1 absolute: (10,) <= (63,)
-    state = {
-        "format": PACKED_FORMAT,
-        "version": PACKED_VERSION,
-        "depth": 1,
-        "block": BLOCK,
-        "count": BLOCK + 1,
-        "data": base64.b64encode(bytes(data)).decode("ascii"),
-    }
-    with pytest.raises(ValueError, match="not strictly increasing"):
-        CompressedPostingList.from_packed_state(state)

@@ -372,6 +372,250 @@ class TestReplayFold:
             assert recovered.search("Make = 'Honda'", k=4).deweys == expected
 
 
+def _logged_store(tmp_path, shards):
+    """A store of either shape (``shards == 1``: single-index) with a log
+    tail — three inserts and a remove past the snapshot — closed.  Returns
+    ``(data_dir, [store directories])``."""
+    data_dir = tmp_path / "data"
+    relation = figure1_relation()
+    if shards == 1:
+        index = create_store(
+            InvertedIndex.build(relation, figure1_ordering()), data_dir
+        )
+        stores = [index]
+    else:
+        index = create_sharded_store(
+            ShardedIndex.build(relation, figure1_ordering(), shards=shards),
+            data_dir,
+        )
+        stores = index.shards
+    for row in NEW_ROWS[:3]:
+        index.insert(relation.insert(row))
+    relation.delete(2)
+    index.remove(2)
+    for store in stores:
+        store.close()
+    return data_dir, [store.snapshot_path.parent for store in stores]
+
+
+def _recovered_stores(data_dir):
+    """The durable stores of ``recover(data_dir)``, already closed."""
+    recovered = recover(data_dir)
+    stores = getattr(recovered, "shards", [recovered])
+    for store in stores:
+        store.close()
+    return stores
+
+
+def _tamper(snapshot_path, edit, reseal=True):
+    """Apply ``edit(payload)`` to a snapshot file; ``reseal`` recomputes
+    the digest so the damage is *checksummed*."""
+    from .test_snapshot import read_document, write_document
+
+    document = read_document(snapshot_path)
+    edit(document["payload"])
+    write_document(snapshot_path, document, reseal=reseal)
+
+
+# Edits that leave a snapshot payload checksummed (resealed) but wrong.
+# Each skips a table too short to take it (an empty shard), so every store
+# of a deployment can be tampered and the shards still agree on the header.
+def _unknown_backend(payload):
+    payload["backend"] = "no-such-backend"
+
+
+def _non_numeric_dewey(payload):
+    for _, components in payload["deweys"][:1]:
+        components[0] = "x"
+
+
+def _unknown_attribute_kind(payload):
+    payload["schema"][0][1] = "no-such-kind"
+
+
+def _bad_rows_nesting(payload):
+    payload["rows"] = [7] * len(payload["rows"])
+
+
+def _tombstone_past_the_row_table(payload):
+    payload["deleted"].append(10_000)
+    payload["live_rows"] -= 1
+
+
+def _live_rows_truncated(payload):
+    payload["live_rows"] += 1
+
+
+def _duplicate_dewey(payload):
+    deweys = payload["deweys"]
+    if len(deweys) > 1:
+        deweys[1][1] = deweys[0][1]
+
+
+PAYLOAD_DAMAGE = {
+    edit.__name__.strip("_").replace("_", "-"): edit
+    for edit in (
+        _unknown_backend, _non_numeric_dewey, _unknown_attribute_kind,
+        _bad_rows_nesting, _tombstone_past_the_row_table,
+        _live_rows_truncated, _duplicate_dewey,
+    )
+}
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+class TestRecoveryRefusals:
+    """Both store shapes recover through one routine
+    (``durability.store.recover_stores``), so each refusal below is made
+    once and surfaces as ``RecoveryError`` naming the store."""
+
+    @pytest.mark.parametrize("damage", sorted(PAYLOAD_DAMAGE))
+    def test_checksummed_but_malformed_snapshot(
+        self, tmp_path, capsys, shards, damage
+    ):
+        """Regression: a resealed (valid digest) but malformed payload
+        escaped as a raw ``ValueError``/``TypeError`` — which one depended
+        on the store shape — and the CLI mapped it to exit 2."""
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        for store_dir in store_dirs:  # all of them: shards must still agree
+            _tamper(store_dir / SNAPSHOT_NAME, PAYLOAD_DAMAGE[damage])
+        with pytest.raises(RecoveryError, match=str(data_dir)):
+            recover(data_dir)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["recover", str(data_dir)])
+        assert excinfo.value.code == 4
+        assert "recovery failed" in capsys.readouterr().err
+
+    def test_digest_mismatch(self, tmp_path, shards):
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        _tamper(store_dirs[-1] / SNAPSHOT_NAME,
+                lambda payload: payload.update(name="tampered"), reseal=False)
+        with pytest.raises(RecoveryError, match="digest mismatch"):
+            recover(data_dir)
+
+    def test_any_flipped_snapshot_byte(self, tmp_path, shards):
+        """Regression: a damaged deflate stream raises ``zlib.error`` or
+        ``EOFError`` (not ``OSError``), which ``read_snapshot`` let through."""
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        snapshot = store_dirs[0] / SNAPSHOT_NAME
+        pristine = snapshot.read_bytes()
+        for position in range(0, len(pristine), 7):
+            data = bytearray(pristine)
+            data[position] ^= 0xFF
+            snapshot.write_bytes(bytes(data))
+            try:
+                recover(data_dir)
+            except RecoveryError as error:
+                assert str(store_dirs[0]) in str(error)
+            else:  # the flip fell in gzip header bytes nothing verifies
+                assert position < 10
+
+    def test_log_tail_refusals(self, tmp_path, shards):
+        """Records that pass their frame checksum but contradict the
+        snapshot: a rid past the row table (an acknowledged insert is
+        missing), and a Dewey ID another live row already holds."""
+        from repro.durability.wal import WriteAheadLog, insert_record
+
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        stores = _recovered_stores(data_dir)
+        slots = len(stores[0].relation)
+        epoch = stores[-1].epoch
+        taken = next(iter(stores[0].all_postings()))
+        for rid, dewey, match in [
+            (slots + 1, (9, 9, 9, 9, 9, 0), f"gap at rid {slots}"),
+            (slots, taken, "duplicate Dewey ID"),
+        ]:
+            wal_path = store_dirs[-1] / WAL_NAME
+            pristine = wal_path.read_bytes()
+            wal, _ = WriteAheadLog.open_for_append(wal_path)
+            wal.append(insert_record(epoch + 1, rid, list(NEW_ROWS[3]), dewey))
+            wal.close()
+            with pytest.raises(RecoveryError, match=match) as excinfo:
+                recover(data_dir)
+            assert str(data_dir) in str(excinfo.value)
+            wal_path.write_bytes(pristine)
+
+    def test_missing_log_is_no_tail(self, tmp_path, shards):
+        """A crash between the snapshot write and WAL creation: no log
+        means no mutations past the snapshot, not an error."""
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        (store_dirs[-1] / WAL_NAME).unlink()
+        stores = _recovered_stores(data_dir)
+        assert stores[-1].recovery.replayed == 0
+        assert stores[-1].epoch == 0
+        assert (store_dirs[-1] / WAL_NAME).exists()  # reopened for writing
+
+    def test_recovery_is_observable_per_store(self, tmp_path, shards):
+        """Regression: only single-index recovery opened a span and
+        bumped the recovery counters; a sharded one was invisible."""
+        from repro.observability import use_registry
+
+        from repro.durability import CrashInjector, SimulatedCrash
+
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        # A crash after a snapshot's rename, before the log truncation:
+        # every record of that store is stale on the next recovery.
+        recovered = recover(data_dir)
+        stores = getattr(recovered, "shards", [recovered])
+        stores[0].arm(CrashInjector("snapshot-post-rename"))
+        with pytest.raises(SimulatedCrash):
+            stores[0].snapshot()
+        for store in stores:
+            store.close()
+        with use_registry() as registry:
+            reports = [store.recovery for store in _recovered_stores(data_dir)]
+            assert sum(report.replayed + report.skipped for report in reports) == 4
+            assert sum(report.skipped for report in reports) > 0
+            assert registry.value("repro_recoveries_total") == shards
+            assert registry.value("repro_recovery_replayed_total") == sum(
+                report.replayed for report in reports)
+            assert registry.value("repro_recovery_skipped_total") == sum(
+                report.skipped for report in reports)
+            spans = [record for record in registry.spans
+                     if record.name == "durability.recover"]
+            assert sorted(record.fields["path"] for record in spans) == sorted(
+                str(path) for path in store_dirs)
+
+
+def test_single_recovery_refuses_a_shard_subset_snapshot(tmp_path):
+    import shutil
+
+    cluster, shard_dirs = _logged_store(tmp_path / "cluster", 3)
+    single, _ = _logged_store(tmp_path / "single", 1)
+    shutil.copy(shard_dirs[0] / SNAPSHOT_NAME, single / SNAPSHOT_NAME)
+    with pytest.raises(RecoveryError, match="shard-subset") as excinfo:
+        recover(single)
+    assert str(single) in str(excinfo.value)
+
+
+def test_replica_bootstrap_cross_checks_the_live_assignment(tmp_path):
+    """A durable primary whose snapshot + log assign a Dewey ID the live
+    shared assignment does not hold must not be cloned."""
+    from repro.durability.wal import insert_record
+    from repro.replication import ReplicaBootstrapError, clone_from_store
+
+    index = ShardedIndex.build(figure1_relation(), figure1_ordering(), shards=2)
+    create_sharded_store(index, tmp_path / "cluster")
+    store = index.shards[0]
+    rid = index.relation.insert(NEW_ROWS[0])
+    store.wal.append(insert_record(
+        store.epoch + 1, rid, list(index.relation[rid]), store.dewey.peek(rid)
+    ))  # logged, never applied
+    with pytest.raises(ReplicaBootstrapError, match="live global assignment"):
+        clone_from_store(store)
+    for shard in index.shards:
+        shard.close()
+
+
+def test_a_short_build_is_an_error_not_a_short_index():
+    from repro.index.snapshot import SnapshotError, restore_index
+
+    index = InvertedIndex.build(figure1_relation(), figure1_ordering())
+    live = [*index.dewey.iter_rids(), 99]  # 99 has no Dewey ID
+    with pytest.raises(SnapshotError, match="posts only 15"):
+        restore_index(index.relation, index.ordering, index.backend,
+                      index.dewey, live, index.epoch)
+
+
 class TestServingRestart:
     def test_warm_cache_survives_restart(self, tmp_path):
         """Epoch continuity: entries cached before a restart are served as

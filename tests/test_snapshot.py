@@ -220,38 +220,28 @@ class TestValidation:
 
 
 class TestLegacyV1:
-    def _v1_document(self, index) -> dict:
-        relation = index.relation
-        return {
+    def test_v1_snapshot_is_refused(self, built_index, tmp_path):
+        """Version 1 carries no digest, so nothing could vouch for the
+        file; its last writer is long gone and the loader refuses it."""
+        relation = built_index.relation
+        document = {
             "format": FORMAT_NAME,
             "version": 1,
             "name": relation.name,
-            "backend": index.backend,
-            "ordering": list(index.ordering.attributes),
+            "backend": built_index.backend,
+            "ordering": list(built_index.ordering.attributes),
             "schema": [[a.name, a.kind.value] for a in relation.schema],
             "rows": [list(row) for row in relation],
             "deleted": relation.deleted_rids(),
             "deweys": [
-                [rid, list(index.dewey.dewey_of(rid))]
-                for rid in sorted(index.dewey.iter_rids())
+                [rid, list(built_index.dewey.dewey_of(rid))]
+                for rid in sorted(built_index.dewey.iter_rids())
             ],
         }
-
-    def test_v1_snapshot_still_loads(self, built_index, tmp_path):
-        path = tmp_path / "legacy.idx"
-        with gzip.open(path, "wb") as handle:
-            handle.write(json.dumps(self._v1_document(built_index)).encode())
-        restored = load_index(path)
-        assert restored.dewey.all_deweys() == built_index.dewey.all_deweys()
-        assert restored.epoch == 0
-
-    def test_v1_truncated_rows_rejected(self, built_index, tmp_path):
-        document = self._v1_document(built_index)
-        document["rows"] = document["rows"][:-2]  # silently chopped file
         path = tmp_path / "legacy.idx"
         with gzip.open(path, "wb") as handle:
             handle.write(json.dumps(document).encode())
-        with pytest.raises(SnapshotError):
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
             load_index(path)
 
 
