@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from ..index.merged import MergedList
 from ..query.parser import parse_query
 from ..query.query import Query
+from .baselines import collect_all
 from .dewey import DeweyId
 from .engine import DiversityEngine
 from .onepass import OnePassTree
@@ -46,9 +47,6 @@ class DiverseView:
         self._query = query
         self._k = k
         self._scored = scored
-        self._tree = OnePassTree(engine.index.depth, k)
-        self._offered = 0
-        self._accepted = 0
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -70,18 +68,16 @@ class DiverseView:
         mapping = relation.row_dict(rid)
         if not self._query.matches(mapping):
             return False
-        self._offered += 1
         dewey = self._engine.index.dewey.dewey_of(rid)
-        score = self._query.score(mapping) if self._scored else 0.0
-        before = self._tree.num_items()
+        self._take(dewey, self._query.score(mapping) if self._scored else 0.0)
+        return True
+
+    def _take(self, dewey: DeweyId, score: float) -> None:
+        """The one-pass exchange step: add, then evict if over k."""
+        self._offered += 1
         self._tree.add(dewey, score)
         if self._tree.num_items() > self._k:
-            evicted = self._tree.remove()
-            if evicted != dewey:
-                self._accepted += 1
-        elif self._tree.num_items() > before:
-            self._accepted += 1
-        return True
+            self._tree.remove()
 
     def retract_rid(self, rid: int) -> bool:
         """Drop a (deleted) row from the view if it is currently shown.
@@ -99,36 +95,19 @@ class DiverseView:
 
     def retract_dewey(self, dewey: DeweyId) -> bool:
         """Drop a shown Dewey ID from the view (see :meth:`retract_rid`)."""
-        scores = self._tree.scored_results()
-        if dewey not in scores:
-            return False
-        self._tree._delete(dewey, scores[dewey])  # noqa: SLF001
-        return True
+        return self._tree.discard(dewey)
 
     def refresh(self) -> None:
         """Rebuild the view from the engine's current index contents."""
         self._tree = OnePassTree(self._engine.index.depth, self._k)
         self._offered = 0
-        self._accepted = 0
         merged = MergedList(self._query, self._engine.index)
-        for dewey in _scan(merged):
-            self._offered += 1
-            score = merged.score(dewey) if self._scored else 0.0
-            self._tree.add(dewey, score)
-            if self._tree.num_items() > self._k:
-                self._tree.remove()
+        for dewey in collect_all(merged):
+            self._take(dewey, merged.score(dewey) if self._scored else 0.0)
 
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    @property
-    def k(self) -> int:
-        return self._k
-
-    @property
-    def query(self) -> Query:
-        return self._query
-
     @property
     def offered(self) -> int:
         """Matching tuples seen since the last refresh."""
@@ -159,12 +138,3 @@ class DiverseView:
                 )
             )
         return out
-
-
-def _scan(merged: MergedList):
-    from .dewey import successor
-
-    current = merged.first()
-    while current is not None:
-        yield current
-        current = merged.next(successor(current))

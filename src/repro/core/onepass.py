@@ -30,28 +30,60 @@ realisation, derived in DESIGN.md:
   level; if no level can benefit, it terminates (unscored) or continues for
   strictly higher scores only (scored).  Evictability ("tier") means holding
   a minimum-score leaf — in the unscored case, any leaf.
+
+Stubs: the lazy tree
+--------------------
+
+Every quantity above is a count below a prefix, so the structure is a tree
+of :class:`OnePassNode`: int-keyed ``children``, the item ``count`` and the
+per-score ``tier`` counter on the node.  A branch holding exactly one item
+is a single *stub* (``children is None``, the id in ``item``) hanging where
+its path leaves the rest of the tree.  A stub grows by one level — its item
+moves into a new stub below — only when a second item arrives in its
+branch; a grown node that falls back to one item stays grown.  A visited
+item then usually costs one or two nodes, not ``depth + 1`` entries in each
+of three prefix-keyed dicts as in the eager structure kept in
+``tests/reference_onepass_tree.py`` (``tests/test_onepass_lazy.py`` holds
+the two to the same victims and skip ids at every step).
+
+``remove`` and ``get_skip_id`` descend through grown nodes only.  The first
+stub ``remove`` meets is its victim (of equally crowded children the
+smallest component loses; see its docstring).  ``get_skip_id`` may stop at
+the first stub or missing child: no node below holds two items, so A(j)
+fails at every deeper level and an ancestor's B(j') alone decides whether
+the scan stays inside the branch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..index.merged import MergedList
-from .dewey import LEFT, DeweyId, next_id, successor
-
-Prefix = Tuple[int, ...]
+from .dewey import DeweyId, successor
 
 #: Score used for every tuple in the unscored variant (any constant works:
 #: with all scores equal, scored diversity reduces to unscored diversity).
 _UNSCORED = 0.0
 
 
+class OnePassNode:
+    """One node of :class:`OnePassTree`: a stub while ``children`` is None
+    (``item`` is the one kept id below it), grown otherwise."""
+
+    __slots__ = ("count", "tier", "children", "item")
+
+    def __init__(self, count, tier, children, item):
+        self.count: int = count  # kept items below; ``tier``: how many per score
+        self.tier: Dict[float, int] = tier
+        self.children: Optional[Dict[int, OnePassNode]] = children
+        self.item: Optional[DeweyId] = item
+
+
 class OnePassTree:
     """The paper's ``Node`` structure: a Dewey tree over the kept items.
 
-    All bookkeeping is incremental so every operation is O(depth x fan-out):
-    per-prefix item counts, child sets, and per-prefix counters of
-    minimum-score ("evictable") leaves, keyed by score value.
+    All bookkeeping is incremental and lives on the nodes; every operation
+    is a walk down the grown part of one path, O(depth x fan-out) at worst.
     """
 
     def __init__(self, depth: int, k: int):
@@ -62,12 +94,11 @@ class OnePassTree:
         self.depth = depth
         self.k = k
         self._scores: Dict[DeweyId, float] = {}
-        self._counts: Dict[Prefix, int] = {}
-        self._children: Dict[Prefix, Set[int]] = {}
-        # prefix -> {score value -> number of leaves with that score below}.
-        self._score_counts: Dict[Prefix, Dict[float, int]] = {}
-        # Multiset of all kept scores, plus a cached minimum.
-        self._score_totals: Dict[float, int] = {}
+        # Always grown; its tier is the multiset of all kept scores.
+        self._root = OnePassNode(0, {}, {}, None)
+        # score -> the ``{score: 1}`` tier shared by every stub of that
+        # score.  Never mutated: growing a stub copies it.
+        self._unit_tiers: Dict[float, Dict[float, int]] = {}
         self._cached_min: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -80,7 +111,7 @@ class OnePassTree:
         if not self._scores:
             raise ValueError("empty tree has no minimum score")
         if self._cached_min is None:
-            self._cached_min = min(self._score_totals)
+            self._cached_min = min(self._root.tier)
         return self._cached_min
 
     def results(self) -> List[DeweyId]:
@@ -95,26 +126,27 @@ class OnePassTree:
         if dewey in self._scores:
             return
         self._scores[dewey] = score
-        self._score_totals[score] = self._score_totals.get(score, 0) + 1
         if self._cached_min is not None and score < self._cached_min:
             self._cached_min = score
-        counts = self._counts
-        children = self._children
-        score_counts = self._score_counts
-        for level in range(self.depth + 1):
-            prefix = dewey[:level]
-            counts[prefix] = counts.get(prefix, 0) + 1
-            per_score = score_counts.get(prefix)
-            if per_score is None:
-                per_score = {}
-                score_counts[prefix] = per_score
-            per_score[score] = per_score.get(score, 0) + 1
-            if level < self.depth:
-                bucket = children.get(prefix)
-                if bucket is None:
-                    bucket = set()
-                    children[prefix] = bucket
-                bucket.add(dewey[level])
+        unit = self._unit_tiers.get(score)
+        if unit is None:
+            unit = self._unit_tiers[score] = {score: 1}
+        node = self._root
+        for level, component in enumerate(dewey, 1):
+            node.count += 1
+            tier = node.tier
+            tier[score] = tier.get(score, 0) + 1
+            child = node.children.get(component)
+            if child is None:
+                node.children[component] = OnePassNode(1, unit, None, dewey)
+                return
+            if child.children is None:
+                # A stub in the way grows: its item moves into a new stub below.
+                item = child.item
+                child.children = {item[level]: OnePassNode(1, child.tier, None, item)}
+                child.tier = dict(child.tier)  # the unit tier stays shared
+                child.item = None
+            node = child
 
     def remove(self) -> Optional[DeweyId]:
         """Drop one most redundant minimum-score leaf; returns it.
@@ -122,59 +154,56 @@ class OnePassTree:
         Descends from the root into a highest-count child that still holds a
         minimum-score leaf — the reverse-greedy step of the (bounded)
         water-fill, which keeps every prefix optimal for its shrunken
-        cardinality (allocations are nested, DESIGN.md §3).
+        cardinality (allocations are nested, DESIGN.md §3).  Ties between
+        equally crowded children go left, to the smallest component: a
+        left-to-right scan then always keeps the later-seen of two equals,
+        and the answer does not depend on the order a dict or set happens
+        to iterate in.
         """
         if not self._scores:
             return None
         theta = self.min_score()
-        counts = self._counts
-        children = self._children
-        score_counts = self._score_counts
-        prefix: Prefix = ()
-        for _ in range(self.depth):
-            best_component = None
-            best_count = -1
-            for component in children[prefix]:
-                child = prefix + (component,)
-                if not score_counts[child].get(theta, 0):
+        node = self._root
+        while node.children is not None:
+            best = None
+            best_count = 0
+            best_component = 0
+            for component, child in node.children.items():
+                count = child.count
+                if count < best_count or theta not in child.tier:
                     continue
-                count = counts[child]
-                if count > best_count:
-                    best_component, best_count = component, count
-            prefix = prefix + (best_component,)
-        victim = prefix
-        self._delete(victim, theta)
+                if count > best_count or component < best_component:
+                    best, best_count, best_component = child, count, component
+            node = best
+        victim = node.item
+        self.discard(victim)
         return victim
 
-    def _delete(self, victim: DeweyId, score: float) -> None:
-        del self._scores[victim]
-        remaining_total = self._score_totals[score] - 1
-        if remaining_total:
-            self._score_totals[score] = remaining_total
-        else:
-            del self._score_totals[score]
+    def discard(self, dewey: DeweyId) -> bool:
+        """Drop ``dewey`` if it is kept; returns whether it was."""
+        score = self._scores.pop(dewey, None)
+        if score is None:
+            return False
+        node = self._root
+        for component in dewey:
+            node.count -= 1
+            tier = node.tier
+            left = tier[score] - 1
+            if left:
+                tier[score] = left
+            else:
+                del tier[score]
+            child = node.children[component]
+            if child.count == 1:
+                # ``dewey`` is all that hangs here, stub or grown: unlink it.
+                del node.children[component]
+                break
+            node = child
+        if score not in self._root.tier:
+            del self._unit_tiers[score]
             if self._cached_min == score:
                 self._cached_min = None
-        counts = self._counts
-        children = self._children
-        score_counts = self._score_counts
-        for level in range(self.depth, -1, -1):
-            prefix = victim[:level]
-            remaining = counts[prefix] - 1
-            if remaining == 0 and level > 0:
-                del counts[prefix]
-                del score_counts[prefix]
-                children.pop(prefix, None)
-                bucket = children.get(victim[: level - 1])
-                if bucket is not None:
-                    bucket.discard(victim[level - 1])
-            else:
-                counts[prefix] = remaining
-                per_score = score_counts[prefix]
-                if per_score.get(score, 0) <= 1:
-                    per_score.pop(score, None)
-                else:
-                    per_score[score] -= 1
+        return True
 
     # ------------------------------------------------------------------
     # Skipping
@@ -188,34 +217,37 @@ class OnePassTree:
         if not self._scores:
             return None
         theta = self.min_score()
-        counts = self._counts
-        children = self._children
-        score_counts = self._score_counts
+        depth = self.depth
         deepest = -1
         ancestor_benefit = False
-        for level in range(self.depth):
-            prefix = current[:level]
-            path_child = current[: level + 1]
-            path_count = counts.get(path_child, 0)
+        node = self._root
+        for level in range(depth):
+            path_child = node.children.get(current[level])
+            path_count = path_child.count if path_child is not None else 0
             swap_here = False        # A(level): new branch at level+1 helps
             swap_below = False       # B(level): insertions below path help
-            for component in children.get(prefix, ()):
-                child = prefix + (component,)
-                count = counts.get(child, 0)
-                if count < 2 or not score_counts[child].get(theta, 0):
+            for child in node.children.values():
+                count = child.count
+                if count < 2 or theta not in child.tier:
                     continue
                 swap_here = True
-                if child != path_child and count >= path_count + 2:
+                if child is not path_child and count >= path_count + 2:
                     swap_below = True
                     break
             if swap_here or ancestor_benefit:
                 deepest = level
             ancestor_benefit = ancestor_benefit or swap_below
+            if path_child is None or path_child.children is None:
+                # Off the grown tree: only an ancestor's B(j') helps below.
+                if ancestor_benefit:
+                    deepest = depth - 1
+                break
+            node = path_child
         if deepest < 0:
             return None
-        if deepest == self.depth - 1:
-            return successor(current)
-        return next_id(current, deepest + 1, LEFT)
+        # The paper's nextId(current, deepest + 1, LEFT).
+        tail = (current[deepest] + 1,) + (0,) * (depth - 1 - deepest)
+        return current[:deepest] + tail
 
 
 def one_pass_unscored(

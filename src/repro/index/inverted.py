@@ -271,7 +271,10 @@ class InvertedIndex:
         alone.  In a replicated shard the primary's :meth:`remove` retires
         the global assignment exactly once; the follower copies — which
         share that assignment — mirror only the posting-list effect here,
-        so every replica lands on the same epoch and content.
+        so every replica lands on the same epoch and content.  A list this
+        empties is dropped: a live index holds exactly the lists a rebuild
+        over its rows would (a reader that fetched the list earlier keeps
+        an empty object, the right answer for its epoch).
         """
         row = self._relation[rid]
         self._all.remove(dewey)
@@ -279,11 +282,15 @@ class InvertedIndex:
             postings = self._scalar.get((name, value))
             if postings is not None:
                 postings.remove(dewey)
+                if not len(postings):
+                    del self._scalar[name, value]
         for name in self._text_attributes:
             for token in token_set(self._relation.value(rid, name)):
                 postings = self._token.get((name, token))
                 if postings is not None:
                     postings.remove(dewey)
+                    if not len(postings):
+                        del self._token[name, token]
         self._epoch += 1
         return dewey
 

@@ -75,7 +75,8 @@ class CostConstants:
     Calibrated once against the repo's own benchmarks (bench_autoselect);
     the differential tests do not depend on them (auto is compared against
     whatever it picked), and the oracle tests only need the *ranking* to be
-    right away from the crossover.
+    right away from the crossover.  ``tree_op``'s "per visit, per level" no
+    longer describes ``OnePassTree``; re-fit it with ``probe_op`` (ROADMAP 4b).
     """
 
     seek_log: float = 0.12        # marginal bisect cost per doubling of a list
@@ -143,16 +144,6 @@ class PlanDecision:
     features: PlanFeatures
     candidates: Tuple[str, ...]
     reason: str = "cost"                # "cost" | "forced" | "stats unavailable"
-
-    def margin(self) -> float:
-        """Chosen cost / runner-up cost (1.0 when there is no runner-up)."""
-        others = [v for a, v in self.costs.items()
-                  if a != self.algorithm and a in self.candidates]
-        if not others:
-            return 1.0
-        best_other = min(others)
-        mine = self.costs[self.algorithm]
-        return mine / best_other if best_other > 0 else 1.0
 
 
 def _leaf_seek_cost(leaf: Query, index, constants: CostConstants) -> float:

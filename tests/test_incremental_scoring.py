@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import DiversityEngine, Query, is_diverse, is_scored_diverse
 from repro.core.incremental import DiverseView
@@ -14,6 +16,9 @@ from repro.query.evaluate import res, scored_res
 from repro.query.parser import parse_query
 from repro.query.scoring import coarsen_weights, idf, idf_weights, scale_weights
 from repro.storage.relation import Relation
+
+from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .test_invariants import check_onepass_tree
 
 
 def empty_engine():
@@ -99,6 +104,50 @@ class TestDiverseView:
             if i % 10 == 0:
                 assert is_diverse(view.deweys(), matching, 6)
         assert is_diverse(view.deweys(), matching, 6)
+
+
+@given(
+    st.integers(min_value=0, max_value=1_000_000),
+    st.integers(1, 8),
+    st.booleans(),
+)
+@settings(deadline=None)
+def test_view_against_recompute_under_any_offer_order(seed, k, scored):
+    """Rows are indexed first and offered in shuffled order, so the view's
+    tree is fed out of document order.  Until the first retraction the view
+    is a diverse (scored-diverse) top-k of everything offered; a retraction
+    leaves exactly the previous kept set minus that id — the view cannot
+    recall what it evicted, so no diversity is claimed over the survivors."""
+    rng = random.Random(seed)
+    source = random_relation(rng, max_rows=40)
+    relation = Relation(source.schema)
+    engine = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
+    query = random_query(rng, weighted=scored)
+    view = DiverseView(engine, query, k, scored=scored)
+    rids = relation.extend(source)
+    for rid in rids:
+        engine.index.insert(rid)
+    rng.shuffle(rids)
+    retract_from = rng.randint(0, len(rids))
+    dewey_of = engine.index.dewey.dewey_of
+    offered: dict = {}
+    for position, rid in enumerate(rids):
+        if position >= retract_from and rng.random() < 0.4:
+            gone = rng.choice(rids)
+            expected = view.scores()
+            assert view.retract_rid(gone) == (dewey_of(gone) in expected)
+            expected.pop(dewey_of(gone), None)
+            assert view.scores() == expected
+        if view.offer_rid(rid):
+            mapping = relation.row_dict(rid)
+            offered[dewey_of(rid)] = query.score(mapping) if scored else 0.0
+        if position < retract_from:
+            if scored:
+                assert is_scored_diverse(view.deweys(), offered, k)
+            else:
+                assert is_diverse(view.deweys(), list(offered), k)
+        assert len(view) <= k and set(view.deweys()) <= set(offered)
+        check_onepass_tree(view._tree)
 
 
 class TestScoringModels:

@@ -1,6 +1,8 @@
 """Tests for tokenisation, posting lists, sibling dictionaries, the Dewey
 index and the inverted index."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.index.dewey_index import DeweyIndex
 from repro.index.dictionary import SiblingDictionary
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import (
+    BACKENDS,
     ArrayPostingList,
     BTreePostingList,
     make_posting_list,
@@ -19,6 +22,8 @@ from repro.index.postings import (
 from repro.index.tokenize import contains_all, token_set, tokens
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+
+from .conftest import RANDOM_ORDERING, random_relation
 
 
 class TestTokenize:
@@ -339,3 +344,60 @@ class TestInvertedIndex:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             InvertedIndex(figure1_relation(), figure1_ordering(), backend="x")
+
+
+def assert_same_lists(live: InvertedIndex, rebuilt: InvertedIndex) -> None:
+    for name in live.relation.schema.names:
+        assert sorted(live.vocabulary(name)) == sorted(rebuilt.vocabulary(name))
+    stats, expected = live.memory_stats(), rebuilt.memory_stats()
+    assert stats["lists"] == expected["lists"]
+    assert stats["postings"] == expected["postings"]
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_removing_the_last_row_of_a_value_drops_its_list(backend):
+    """A server and its own restart must agree on ``vocabulary()``: the
+    emptied 'Zastava' list used to stay behind in the live index."""
+    relation = figure1_relation()
+    index = InvertedIndex.build(relation, figure1_ordering(), backend=backend)
+    lists = index.memory_stats()["lists"]
+    for _ in range(2):  # the second round re-inserts the dropped value
+        rid = relation.insert(("Zastava", "Yugo", "Red", 1988, "one owner"))
+        index.insert(rid)
+        assert sorted(index.vocabulary("Make")) == ["Honda", "Toyota", "Zastava"]
+        assert list(index.scalar_postings("Make", "Zastava")) == [
+            index.dewey.dewey_of(rid)
+        ]
+        relation.delete(rid)
+        index.remove(rid)
+        assert sorted(index.vocabulary("Make")) == ["Honda", "Toyota"]
+        assert len(index.scalar_postings("Make", "Zastava")) == 0
+        assert len(index.token_postings("Description", "owner")) == 0
+        assert index.memory_stats()["lists"] == lists
+        assert_same_lists(
+            index, InvertedIndex.build(relation, figure1_ordering(), backend=backend)
+        )
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000))
+def test_live_index_holds_the_lists_a_rebuild_would(backend, seed):
+    rng = random.Random(seed)
+    relation = random_relation(rng, max_rows=12)
+    ordering = DiversityOrdering(RANDOM_ORDERING)
+    index = InvertedIndex.build(relation, ordering, backend=backend)
+    spare = list(random_relation(rng, max_rows=30))
+    live = list(range(len(relation)))
+    while spare:
+        if live and rng.random() < 0.6:
+            rid = live.pop(rng.randrange(len(live)))
+            relation.delete(rid)
+            index.remove(rid)
+        else:
+            rid = relation.insert(spare.pop())
+            index.insert(rid)
+            live.append(rid)
+        assert_same_lists(
+            index, InvertedIndex.build(relation, ordering, backend=backend)
+        )

@@ -2,6 +2,7 @@
 algorithm execution (not just on the outputs)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -110,26 +111,45 @@ def test_probe_structure_invariants_throughout_execution(seed, k):
 
 
 def check_onepass_tree(tree: OnePassTree) -> None:
-    """Verify OnePassTree's incremental counters against its leaf set."""
-    leaves = tree.scored_results()
-    from collections import Counter, defaultdict
+    """Walk OnePassTree's nodes and verify the bookkeeping on each:
 
-    expected_counts: Counter = Counter()
-    expected_scores: dict = defaultdict(Counter)
-    for dewey, score in leaves.items():
-        for level in range(tree.depth + 1):
-            expected_counts[dewey[:level]] += 1
-            expected_scores[dewey[:level]][score] += 1
-    for prefix, count in expected_counts.items():
-        assert tree._counts[prefix] == count
-        assert dict(expected_scores[prefix]) == tree._score_counts[prefix]
-    # No stale entries beyond the root.
-    for prefix, count in tree._counts.items():
-        if prefix != ():
-            assert count == expected_counts[prefix] > 0
-    for prefix, bucket in tree._children.items():
-        for component in bucket:
-            assert expected_counts.get(prefix + (component,), 0) > 0
+    * ``count`` equals the number of kept leaves below and ``tier`` the
+      Counter of their scores; no reachable node has a count of zero,
+    * a stub's ``item`` extends the prefix of the place it hangs from,
+    * the unit tiers stubs share are still ``{score: 1}``, one per kept
+      score,
+    * the leaves are exactly the ids ``_scores`` holds.
+    """
+    kept = tree.scored_results()
+
+    def walk(node, prefix):
+        """The kept ids below ``node``, which hangs at ``prefix``."""
+        if node.children is None:
+            assert node.item[: len(prefix)] == prefix
+            assert node.tier is tree._unit_tiers[kept[node.item]]
+            below = [node.item]
+        else:
+            assert node.item is None
+            assert len(prefix) < tree.depth
+            below = [
+                leaf
+                for component, child in node.children.items()
+                for leaf in walk(child, prefix + (component,))
+            ]
+        assert node.count == len(below) > 0
+        assert node.tier == Counter(kept[leaf] for leaf in below)
+        return below
+
+    root = tree._root
+    assert root.children is not None and root.count == len(kept)
+    assert root.tier == Counter(kept.values())
+    leaves = [
+        leaf
+        for component, child in root.children.items()
+        for leaf in walk(child, (component,))
+    ]
+    assert sorted(leaves) == tree.results() == sorted(kept)
+    assert tree._unit_tiers == {score: {score: 1} for score in root.tier}
 
 
 @settings(max_examples=60, deadline=None)
