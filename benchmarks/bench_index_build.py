@@ -9,6 +9,7 @@ import pytest
 
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.index.inverted import InvertedIndex
+from repro.index.postings import BACKENDS
 from repro.index.snapshot import load_index, save_index
 
 from conftest import BENCH_ROWS
@@ -19,7 +20,7 @@ def relation():
     return generate_autos(AutosSpec(rows=BENCH_ROWS, seed=42))
 
 
-@pytest.mark.parametrize("backend", ["array", "bptree"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_bulk_build(benchmark, relation, backend):
     benchmark.group = "index build"
     index = benchmark.pedantic(
@@ -32,7 +33,7 @@ def test_bulk_build(benchmark, relation, backend):
     assert len(index) == len(relation)
 
 
-@pytest.mark.parametrize("backend", ["array", "bptree"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_incremental_inserts(benchmark, relation, backend):
     benchmark.group = "index build"
     rows = min(2000, len(relation))

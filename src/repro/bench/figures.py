@@ -13,6 +13,7 @@ recorded outcomes.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -22,6 +23,7 @@ from ..data.autos import AutosSpec, generate_autos
 from ..data.workload import WorkloadGenerator, WorkloadSpec
 from ..index.inverted import InvertedIndex
 from ..index.merged import MergedList
+from ..index.postings import BACKENDS
 from ..query.evaluate import selectivity as exact_selectivity
 from .harness import WorkloadTiming, env_int, run_matrix, run_workload
 
@@ -306,7 +308,8 @@ def ablation_backend(
     k: int = 10,
     seed: int = 42,
 ) -> FigureResult:
-    """Ablation: sorted-array vs B+-tree posting lists (UOnePass/UProbe)."""
+    """Ablation: the three posting backends — workload seconds
+    (UOnePass/UProbe), build seconds and resident bytes per posting."""
     rows = rows or env_int("REPRO_BENCH_ROWS", 20_000)
     queries = queries or env_int("REPRO_BENCH_QUERIES", 50)
     from ..data.autos import autos_ordering
@@ -317,8 +320,13 @@ def ablation_backend(
         WorkloadSpec(queries=queries, predicates=2, selectivity=0.5, seed=seed),
     ).materialise()
     series: Dict[str, List[float]] = {}
-    for backend in ("array", "bptree"):
+    for backend in BACKENDS:
+        started = time.perf_counter()
         index = InvertedIndex.build(relation, autos_ordering(), backend=backend)
+        series[f"build/{backend}"] = [time.perf_counter() - started]
+        series[f"bytes_per_posting/{backend}"] = [
+            index.memory_stats()["bytes_per_posting"]
+        ]
         for timing in run_matrix(index, workload, k, ("UOnePass", "UProbe")):
             series[f"{timing.algorithm}/{backend}"] = [timing.total_seconds]
     return FigureResult(

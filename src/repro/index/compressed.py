@@ -1,39 +1,40 @@
 """Compressed, array-backed posting lists (``backend="compressed"``).
 
-The array and B+-tree backends spend ~90 bytes per posting on Python
-object headers (one tuple per Dewey ID plus a pointer slot), which caps
-in-memory indexes at a few thousand rows per benchmark.  This backend
-stores postings in flat buffers with **no per-posting Python objects**:
+The array and B+-tree backends spend ~70-90 bytes per posting on Python
+object headers (one tuple per Dewey ID plus a pointer slot).  This
+backend holds **one** representation with no per-posting Python object:
+every posting bit-packed into one integer of an ``array("Q")`` — 8 bytes
+per posting whatever the field widths.  Packing gives each Dewey level a
+fixed-width field, most significant level first, so it is strictly
+order-preserving for equal-depth Dewey IDs: ``seek``/``seek_floor`` are
+a **galloping** (exponential-then-binary) search over the flat array and
+iteration is ``map(decode_key, keys)``.
 
-* ``_data`` — the canonical compressed store: Dewey components
-  delta-encoded against the previous posting (shared-prefix length, then
-  the strictly-greater first divergent component as a delta, then the
-  absolute remainder) as LEB128 varints in one ``bytes`` buffer.  The
-  first posting of every :data:`BLOCK`-sized block is stored absolute, so
-  any block decodes independently.
-* ``_offsets`` — ``array("Q")`` of per-block byte offsets into ``_data``
-  (random block access for iteration and integrity checks).
-* ``_keys`` — the seek accelerator: every posting bit-packed into one
-  integer using per-level field widths sized to the segment's largest
-  component per level.  Packing is strictly order-preserving for
-  equal-depth Dewey IDs, so ``seek``/``seek_floor`` are a **galloping**
-  (exponential-then-binary) search over a flat ``array("Q")`` — or a
-  plain list of ints when the packed width exceeds 64 bits.
+The field widths, and the four generated pack/unpack expressions that
+go with them (:func:`_compile_codecs`, memoised on the widths), are
+index-wide: :meth:`InvertedIndex.build` sizes them once over the whole
+relation (:func:`field_widths`) and every list shares one codec.  A
+standalone list, and every compaction, sizes the fields to its own
+content — as does every list of an index whose shared widths would sum
+past 64 bits.  A list that is itself wider than that keeps its keys in
+a plain list of Python ints: still correct, no longer small (48
+bytes per posting at 98 bits of fields, 7 + 41 + 50, against the array
+backend's 72 for the same depth-3 ids).
 
-Why delta-encoded Dewey *prefixes* are safe: Definitions 1–2 and the
-2k+1 probe bound of Theorem 2 only ever compare Dewey IDs
-lexicographically and ask for floor/ceiling neighbours.  Both the
-prefix-delta stream and the fixed-width packing are monotone bijections
+Why packing is safe: Definitions 1-2 and the 2k+1 probe bound of
+Theorem 2 only ever compare Dewey IDs lexicographically and ask for
+floor/ceiling neighbours.  Fixed-width packing is a monotone bijection
 of the posting sequence — sibling order and subtree containment (shared
-prefixes) survive encoding exactly, so every ``seek`` answer is
-bit-identical to the array backend's.
+prefixes) survive it exactly, so every ``seek`` answer is bit-identical
+to the array backend's.
 
 Mutations go through a small uncompressed **tail** (sorted list of
-inserted Dewey tuples) plus a **tombstone** set for postings removed from
-the packed segment; when either outgrows the compaction threshold the
-segment is rebuilt from the merged content.  Queries see the merge of
-segment-minus-tombstones and tail, so interleaved insert/delete behaves
-exactly like the uncompressed backends.
+inserted Dewey tuples; an id too wide for the packed fields can only
+live here) plus a **tombstone** set for postings removed from the
+packed segment; when either outgrows the compaction threshold the
+segment is rebuilt, and re-sized, from the merged content.  Queries see
+the merge of segment-minus-tombstones and tail, so interleaved
+insert/delete behaves exactly like the uncompressed backends.
 
 Seek bounds may carry the ``MAX_COMPONENT`` sentinel (region edges,
 ``nextId(…, RIGHT)``), which exceeds any packed field width; such
@@ -47,13 +48,11 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.dewey import DeweyId
+from ..core.dewey import MAX_COMPONENT, DeweyId
 from .postings import PostingList
-
-#: Postings per independently-decodable block of the delta stream.
-BLOCK = 64
 
 #: Compaction fires when tail + tombstones exceed
 #: ``max(MIN_COMPACTION, len(segment) >> COMPACTION_SHIFT)``.
@@ -65,30 +64,16 @@ COMPACTION_SHIFT = 3
 _GALLOP_CAP = 8
 
 
-# ----------------------------------------------------------------------
-# LEB128 varints
-# ----------------------------------------------------------------------
-def _encode_varint(value: int, out: bytearray) -> None:
-    """Append ``value`` (non-negative) to ``out`` as an LEB128 varint."""
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
+def field_widths(postings: Sequence[DeweyId], depth: int) -> Tuple[int, ...]:
+    """Per-level field widths that fit every component of ``postings``
+    (and so of any sub-list: what :meth:`InvertedIndex.build` hands to
+    :meth:`CompressedPostingList.from_sorted` for each of its runs)."""
+    if not postings:
+        return (1,) * depth
+    return tuple(max(1, top.bit_length()) for top in map(max, zip(*postings)))
 
 
-def _decode_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Decode one varint at ``pos``; returns ``(value, next_pos)``."""
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
+@lru_cache(maxsize=1024)
 def _compile_codecs(widths: Tuple[int, ...]):
     """Generate ``(pack_exact, decode_key, ceil_key, floor_key)``
     specialised to ``widths``.
@@ -109,7 +94,12 @@ def _compile_codecs(widths: Tuple[int, ...]):
     differ only in ``seek``, where bisect-left is ``upper_bound(key-1)``.
 
     All four are single generated expressions — seeks call one each, so
-    avoiding a per-level Python loop roughly halves seek latency.
+    avoiding a per-level Python loop roughly halves seek latency.  They
+    are a pure function of ``widths`` and compiling them costs four
+    ``eval`` calls, hence the memo: an index build compiles one codec,
+    not one per list, and the lists share the code objects.  The memo is
+    bounded because compactions re-size list by list; an evicted codec
+    lives on in the segments that hold it.
     """
     depth = len(widths)
     shifts = [sum(widths[level + 1 :]) for level in range(depth)]
@@ -161,13 +151,10 @@ def _compile_codecs(widths: Tuple[int, ...]):
 # The immutable packed segment
 # ----------------------------------------------------------------------
 class _Segment:
-    """An immutable run of delta-encoded postings plus its key array."""
+    """An immutable, strictly-increasing run of postings as packed keys."""
 
     __slots__ = (
-        "depth",
         "count",
-        "data",
-        "offsets",
         "widths",
         "keys",
         "pack_exact",
@@ -178,69 +165,32 @@ class _Segment:
 
     def __init__(
         self,
+        postings: Sequence[DeweyId],
         depth: int,
-        count: int,
-        data: bytes,
-        offsets: "array",
-        widths: Tuple[int, ...],
-        postings: Optional[Sequence[DeweyId]] = None,
+        widths: Optional[Tuple[int, ...]] = None,
     ):
-        self.depth = depth
-        self.count = count
-        self.data = data
-        self.offsets = offsets
+        """Pack strictly-increasing, equal-depth ``postings`` — into
+        fields of the given ``widths`` (which must fit every component)
+        or, without them, fields sized to this content."""
+        # Shared widths past one word would make every list's keys Python
+        # ints; sized to its own content a narrow list still packs.
+        if widths is None or sum(widths) > 64:
+            widths = field_widths(postings, depth)
+        self.count = len(postings)
         self.widths = widths
         # Pack/unpack run once per seek, so they are generated as single
-        # expressions specialised to this segment's field widths (the
-        # namedtuple technique) instead of a generic per-level loop.
+        # expressions specialised to the field widths (the namedtuple
+        # technique) instead of a generic per-level loop.
         (
             self.pack_exact,
             self.decode_key,
             self.ceil_key,
             self.floor_key,
         ) = _compile_codecs(widths)
-        pack = self.pack_exact
-        source = postings if postings is not None else self
-        packed = [pack(dewey) for dewey in source]
+        # Through a list: ``array`` sizes itself exactly from one, but
+        # over-allocates by 1/16 when it has to grow from an iterator.
+        packed = list(map(self.pack_exact, postings))
         self.keys = array("Q", packed) if sum(widths) <= 64 else packed
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, postings: Sequence[DeweyId], depth: int) -> "_Segment":
-        """Encode strictly-increasing, equal-depth postings."""
-        data = bytearray()
-        offsets = array("Q")
-        maxima = [0] * depth
-        previous: Optional[DeweyId] = None
-        for index, dewey in enumerate(postings):
-            for level, component in enumerate(dewey):
-                if component > maxima[level]:
-                    maxima[level] = component
-            if index % BLOCK == 0:
-                offsets.append(len(data))
-                for component in dewey:
-                    _encode_varint(component, data)
-            else:
-                shared = 0
-                while dewey[shared] == previous[shared]:
-                    shared += 1
-                _encode_varint(shared, data)
-                # Document order guarantees the first divergent component
-                # is strictly greater than the previous posting's.
-                _encode_varint(dewey[shared] - previous[shared] - 1, data)
-                for component in dewey[shared + 1 :]:
-                    _encode_varint(component, data)
-            previous = dewey
-        widths = tuple(max(1, value.bit_length()) for value in maxima)
-        return cls(
-            depth, len(postings), bytes(data), offsets, widths, postings=postings
-        )
-
-    @classmethod
-    def empty(cls, depth: int) -> "_Segment":
-        return cls(depth, 0, b"", array("Q"), (1,) * depth, postings=())
 
     # ------------------------------------------------------------------
     # Galloping search
@@ -253,14 +203,21 @@ class _Segment:
         reduce to this one primitive: ``bisect_left(keys, k)`` equals
         ``upper_bound(k - 1)``.
 
-        ``hint`` is the last answered position; successive seeks of a
-        scan land near it, so the gallop pays ``O(1)`` for gaps within
-        ``_GALLOP_CAP`` instead of ``O(log n)``.  The gallop makes a
-        single probe at the cap distance rather than looping through
-        doubling steps: each Python-level probe boxes an ``array('Q')``
-        element, so once the answer is outside the cap the remaining
-        range goes straight to :func:`bisect_right`, whose C-speed
-        comparisons beat any further Python probes.
+        ``hint`` is the last answered position.  A scan mostly asks for
+        that answer again or for its successor (53-81 % of the one-pass
+        and naive seeks), so the hint's neighbour is read first and, when
+        it brackets ``key``, answers without a bisect call; a miss has
+        read one element more than the gallop alone would.  Every answer
+        is bracketed on both sides by keys read here or inside
+        :func:`bisect_right`, so a stale, raced or out-of-range hint
+        costs time, never an answer.
+
+        Past the neighbour the gallop makes a single probe at the cap
+        distance rather than looping through doubling steps: each
+        Python-level probe boxes an ``array('Q')`` element, so once the
+        answer is outside the cap the remaining range goes straight to
+        :func:`bisect_right`, whose C-speed comparisons beat any further
+        Python probes.
         """
         keys = self.keys
         count = self.count
@@ -271,57 +228,30 @@ class _Segment:
         elif hint < 0:
             hint = 0
         if keys[hint] <= key:
-            # Answer lies right of the hint: gallop up.
+            # Answer lies right of the hint: its successor, or gallop up.
+            index = hint + 1
+            if index == count or keys[index] > key:
+                return index
             jump = hint + _GALLOP_CAP
             if jump < count and keys[jump] <= key:
                 return bisect_right(keys, key, jump + 1, count)
-            return bisect_right(keys, key, hint + 1, min(jump + 1, count))
-        # Answer lies at or left of the hint: gallop down.
+            return bisect_right(keys, key, index + 1, min(jump + 1, count))
+        # Answer lies at or left of the hint: the hint, or gallop down.
+        if not hint or keys[hint - 1] <= key:
+            return hint
         jump = hint - _GALLOP_CAP
         if jump >= 0 and keys[jump] > key:
             return bisect_right(keys, key, 0, jump)
-        return bisect_right(keys, key, max(jump + 1, 0), hint)
-
-    # ------------------------------------------------------------------
-    # Block decode / iteration
-    # ------------------------------------------------------------------
-    def decode_block(self, block: int) -> List[DeweyId]:
-        """Decode one block of the delta stream into Dewey tuples."""
-        data = self.data
-        pos = self.offsets[block]
-        depth = self.depth
-        end = min(self.count, (block + 1) * BLOCK)
-        out: List[DeweyId] = []
-        previous: Optional[DeweyId] = None
-        for _ in range(block * BLOCK, end):
-            if previous is None:
-                components = []
-                for _ in range(depth):
-                    value, pos = _decode_varint(data, pos)
-                    components.append(value)
-            else:
-                shared, pos = _decode_varint(data, pos)
-                delta, pos = _decode_varint(data, pos)
-                components = list(previous[:shared])
-                components.append(previous[shared] + delta + 1)
-                for _ in range(shared + 1, depth):
-                    value, pos = _decode_varint(data, pos)
-                    components.append(value)
-            previous = tuple(components)
-            out.append(previous)
-        return out
+        return bisect_right(keys, key, max(jump + 1, 0), hint - 1)
 
     def __iter__(self) -> Iterator[DeweyId]:
-        for block in range(len(self.offsets)):
-            yield from self.decode_block(block)
+        return map(self.decode_key, self.keys)
 
     def memory_bytes(self) -> int:
-        total = len(self.data) + self.offsets.itemsize * len(self.offsets)
         if isinstance(self.keys, array):
-            total += self.keys.itemsize * len(self.keys)
-        else:  # big-key fallback: pointer slot + int object per posting
-            total += sum(sys.getsizeof(key) + 8 for key in self.keys)
-        return total
+            return self.keys.itemsize * len(self.keys)
+        # big-key fallback: pointer slot + int object per posting
+        return sum(sys.getsizeof(key) + 8 for key in self.keys)
 
 
 # ----------------------------------------------------------------------
@@ -347,53 +277,55 @@ class CompressedPostingList(PostingList):
                     f"posting {dewey!r} has depth {len(dewey)}, expected {depth}"
                 )
         self._depth = depth
-        self._segment = (
-            _Segment.build(unique, depth) if unique else _Segment.empty(depth)
-        )
-        self._tail: List[DeweyId] = []
-        self._deleted: Set[DeweyId] = set()
-        self._hint = 0
+        self._adopt(unique)
 
     @classmethod
     def from_sorted(
-        cls, postings: List[DeweyId], depth: Optional[int] = None
+        cls,
+        postings: List[DeweyId],
+        depth: int,
+        widths: Optional[Tuple[int, ...]] = None,
     ) -> "CompressedPostingList":
-        """Adopt an already strictly-sorted, duplicate-free list."""
-        if depth is None:
-            if not postings:
-                raise ValueError("from_sorted needs postings or an explicit depth")
-            depth = len(postings[0])
+        """Adopt an already strictly-sorted, duplicate-free list.
+
+        ``widths`` packs it with the :func:`field_widths` the caller
+        sized over a superset of ``postings``, sharing that superset's
+        one codec; without them, or when they sum past 64 bits, the list
+        sizes its own.
+        """
         instance = cls.__new__(cls)
         instance._depth = depth
-        instance._segment = (
-            _Segment.build(postings, depth) if postings else _Segment.empty(depth)
-        )
-        instance._tail = []
-        instance._deleted = set()
-        instance._hint = 0
+        instance._adopt(postings, widths)
         return instance
+
+    def _adopt(
+        self, postings: List[DeweyId], widths: Optional[Tuple[int, ...]] = None
+    ) -> None:
+        """Start over from a sorted run: all packed, nothing pending."""
+        self._segment = _Segment(postings, self._depth, widths)
+        self._tail: List[DeweyId] = []
+        self._deleted: Set[DeweyId] = set()
+        self._hint = 0
 
     # ------------------------------------------------------------------
     # Seek primitives
     # ------------------------------------------------------------------
     def seek(self, dewey: DeweyId) -> Optional[DeweyId]:
+        """Smallest posting >= ``dewey`` (which must have the list's depth)."""
         segment = self._segment
         best: Optional[DeweyId] = None
-        if segment.count:
+        count = segment.count
+        if count:
             index = segment.upper_bound(segment.ceil_key(dewey), self._hint)
             self._hint = index
-            if index < segment.count:
-                deleted = self._deleted
-                if not deleted:
-                    best = segment.decode_key(segment.keys[index])
-                else:
-                    keys = segment.keys
-                    while index < segment.count:
-                        found = segment.decode_key(keys[index])
-                        if found not in deleted:
-                            best = found
-                            break
-                        index += 1
+            keys = segment.keys
+            deleted = self._deleted
+            while index < count:
+                found = segment.decode_key(keys[index])
+                if not deleted or found not in deleted:
+                    best = found
+                    break
+                index += 1
         tail = self._tail
         if tail:
             position = bisect_left(tail, dewey)
@@ -404,23 +336,20 @@ class CompressedPostingList(PostingList):
         return best
 
     def seek_floor(self, dewey: DeweyId) -> Optional[DeweyId]:
+        """Largest posting <= ``dewey`` (which must have the list's depth)."""
         segment = self._segment
         best: Optional[DeweyId] = None
         if segment.count:
-            index = segment.upper_bound(segment.floor_key(dewey), self._hint) - 1
-            self._hint = index + 1
-            if index >= 0:
-                deleted = self._deleted
-                if not deleted:
-                    best = segment.decode_key(segment.keys[index])
-                else:
-                    keys = segment.keys
-                    while index >= 0:
-                        found = segment.decode_key(keys[index])
-                        if found not in deleted:
-                            best = found
-                            break
-                        index -= 1
+            index = segment.upper_bound(segment.floor_key(dewey), self._hint)
+            self._hint = index
+            keys = segment.keys
+            deleted = self._deleted
+            while index:
+                index -= 1
+                found = segment.decode_key(keys[index])
+                if not deleted or found not in deleted:
+                    best = found
+                    break
         tail = self._tail
         if tail:
             position = bisect_right(tail, dewey) - 1
@@ -440,8 +369,7 @@ class CompressedPostingList(PostingList):
                 f"posting {dewey!r} has depth {len(dewey)}, expected {self._depth}"
             )
         if self._in_segment(dewey):
-            if dewey in self._deleted:
-                self._deleted.discard(dewey)  # re-insertion: undo tombstone
+            self._deleted.discard(dewey)  # re-insertion: undo tombstone
             return
         position = bisect_left(self._tail, dewey)
         if position < len(self._tail) and self._tail[position] == dewey:
@@ -464,7 +392,9 @@ class CompressedPostingList(PostingList):
     def _in_segment(self, dewey: DeweyId) -> bool:
         """Exact membership in the packed segment (tombstones ignored)."""
         segment = self._segment
-        if not segment.count:
+        # The codecs read exactly ``depth`` components: a longer id would
+        # match its own prefix, a shorter one raise.
+        if not segment.count or len(dewey) != self._depth:
             return False
         key = segment.pack_exact(dewey)
         if key is None:
@@ -479,46 +409,30 @@ class CompressedPostingList(PostingList):
 
     def compact(self) -> None:
         """Merge tail and tombstones into a fresh packed segment."""
-        if not self._tail and not self._deleted:
-            return
-        merged = list(self)
-        self._segment = (
-            _Segment.build(merged, self._depth)
-            if merged
-            else _Segment.empty(self._depth)
-        )
-        self._tail = []
-        self._deleted = set()
-        self._hint = 0
+        if self._tail or self._deleted:
+            self._adopt(list(self))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def first(self) -> Optional[DeweyId]:
-        for dewey in self:
-            return dewey
-        return None
+        return self.seek((0,) * self._depth)
 
     def last(self) -> Optional[DeweyId]:
-        segment = self._segment
-        best: Optional[DeweyId] = None
-        index = segment.count - 1
-        while index >= 0:
-            found = segment.decode_key(segment.keys[index])
-            if found not in self._deleted:
-                best = found
-                break
-            index -= 1
-        if self._tail:
-            candidate = self._tail[-1]
-            if best is None or candidate > best:
-                best = candidate
-        return best
+        return self.seek_floor((MAX_COMPONENT,) * self._depth)
 
     def __len__(self) -> int:
         return self._segment.count - len(self._deleted) + len(self._tail)
 
+    def __contains__(self, dewey: DeweyId) -> bool:
+        return len(dewey) == self._depth and self.seek(dewey) == dewey
+
     def __iter__(self) -> Iterator[DeweyId]:
+        if self._tail or self._deleted:
+            return self._merged()
+        return iter(self._segment)
+
+    def _merged(self) -> Iterator[DeweyId]:
         """Document-order merge of segment-minus-tombstones and tail."""
         deleted = self._deleted
         tail = self._tail

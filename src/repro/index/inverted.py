@@ -15,7 +15,7 @@ from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
 from ..storage.relation import Relation
 from ..storage.schema import AttributeKind
-from .compressed import CompressedPostingList
+from .compressed import CompressedPostingList, field_widths
 from .dewey_index import DeweyIndex
 from .postings import (
     ARRAY_BACKEND,
@@ -31,17 +31,18 @@ EMPTY_POSTINGS = ArrayPostingList()
 
 
 def _posting_list_of_run(
-    run: list[DeweyId], backend: str, depth: int
+    run: list[DeweyId], backend: str, depth: int, widths: Optional[tuple[int, ...]]
 ) -> PostingList:
     """A posting list over one of :meth:`InvertedIndex.build`'s runs —
     strictly sorted by construction, so the array and compressed backends
-    adopt it as is, without ``make_posting_list``'s sort-and-dedupe pass."""
+    adopt it as is, without ``make_posting_list``'s sort-and-dedupe pass.
+    ``widths`` are the compressed backend's index-wide field widths."""
     if backend == ARRAY_BACKEND:
         # An exact-size copy: the append-grown accumulator itself carries
         # up to 12.5 % of unused slots.
         return ArrayPostingList.from_sorted(run.copy())
     if backend == COMPRESSED_BACKEND:
-        return CompressedPostingList.from_sorted(run, depth)
+        return CompressedPostingList.from_sorted(run, depth, widths)
     return make_posting_list(run, backend, depth=depth)
 
 
@@ -128,15 +129,22 @@ class InvertedIndex:
         # The accumulators were filled in Dewey order, so every run is
         # sorted and duplicate-free.
         depth = ordering.depth
+        # Every run is a subset of ``everything``, so field widths sized to
+        # it fit them all: one codec per index, no per-run sizing pass.
+        widths = (
+            field_widths(everything, depth)
+            if backend == COMPRESSED_BACKEND
+            else None
+        )
         index._scalar = {
-            key: _posting_list_of_run(run, backend, depth)
+            key: _posting_list_of_run(run, backend, depth, widths)
             for key, run in scalar_acc.items()
         }
         index._token = {
-            key: _posting_list_of_run(run, backend, depth)
+            key: _posting_list_of_run(run, backend, depth, widths)
             for key, run in token_acc.items()
         }
-        index._all = _posting_list_of_run(everything, backend, depth)
+        index._all = _posting_list_of_run(everything, backend, depth, widths)
         return index
 
     # ------------------------------------------------------------------

@@ -8,10 +8,10 @@ algorithms only ever touch posting lists through two primitives:
 * ``seek_floor(id)`` — largest posting <= id (a RIGHT-moving ``next``),
 
 which all backends implement in logarithmic time: a packed sorted array
-(binary search), a B+-tree (the paper's choice, Section I), and a
-delta-compressed flat-buffer layout with galloping search
-(:mod:`repro.index.compressed`).  The merged multi-list navigation lives
-in :mod:`repro.index.merged`.
+(binary search), a B+-tree (the paper's choice, Section I), and a flat
+array of bit-packed keys, one machine word per posting, with galloping
+search (:mod:`repro.index.compressed`).  The merged multi-list navigation
+lives in :mod:`repro.index.merged`.
 """
 
 from __future__ import annotations

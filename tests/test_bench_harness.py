@@ -158,8 +158,10 @@ class TestFigureDrivers:
 
     def test_ablation_backend(self):
         result = ablation_backend(rows=300, queries=2, k=3)
-        assert "UProbe/array" in result.series
-        assert "UProbe/bptree" in result.series
+        for backend in ("array", "bptree", "compressed"):
+            assert f"UProbe/{backend}" in result.series
+            assert result.series[f"build/{backend}"][0] > 0
+        assert result.series["bytes_per_posting/compressed"] == [8.0]
 
     def test_ablation_skipping(self):
         result = ablation_skipping(k_grid=[3], rows=300, queries=2)

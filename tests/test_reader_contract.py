@@ -22,7 +22,12 @@ from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.durability import create_sharded_store, create_store, recover
 from repro.index.compressed import CompressedPostingList
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import BACKENDS, ArrayPostingList, BTreePostingList
+from repro.index.postings import (
+    BACKENDS,
+    ArrayPostingList,
+    BTreePostingList,
+    make_posting_list,
+)
 from repro.index.reader import EMPTY_READER, IndexReader
 from repro.index.snapshot import load_index, save_index
 from repro.parallel import load_shard_replica
@@ -235,3 +240,15 @@ def test_empty_reader_has_the_surface_and_reads_nothing():
     reads = _reads(EMPTY_READER)
     assert reads.keys() == _reads(_bare()).keys()
     assert not any(reads.values())
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_posting_lists_answer_false_to_ids_of_another_depth(backend):
+    """An id that is not of the list's depth is in no list: ``remove``
+    and ``in`` say so and change nothing, on every backend."""
+    postings = [(1, 2, 3), (1, 2, 4), (2, 0, 0)]
+    plist = make_posting_list(postings, backend, depth=3)
+    for wrong in [(1, 2, 3, 4), (1, 2), ()]:
+        assert plist.remove(wrong) is False
+        assert wrong not in plist
+    assert len(plist) == 3 and list(plist) == postings
