@@ -5,12 +5,14 @@ queue turns every request into a deadline miss (queue collapse — everyone
 waits, everyone times out, throughput goes to zero useful work).  The
 controller here keeps the queue *short and honest* instead:
 
-* **Pricing.**  Every request is priced *before* admission with the
-  planner's cost model (PR 7): the same seek-unit estimate that picks the
-  cheapest algorithm also tells the queue how much work it is being asked
-  to hold.  Theorem 2 is what makes this workable — probe answers any
-  admitted query in at most ``2k+1`` probes regardless of how many rows
-  match, so per-query cost is predictable enough to schedule against.
+* **Pricing.**  Every request that has to *run* is priced before
+  admission with the planner's cost model (PR 7): the same seek-unit
+  estimate that picks the cheapest algorithm also tells the queue how much
+  work it is being asked to hold (a result-cache hit is answered by the
+  router and never comes here: the EWMA learns from executions only).
+  Theorem 2 is what makes this workable — probe answers any admitted
+  query in at most ``2k+1`` probes regardless of how many rows match, so
+  per-query cost is predictable enough to schedule against.
 * **Deadline-aware admission.**  The controller tracks an EWMA of observed
   milliseconds per seek unit.  At arrival, the projected wait (work queued
   and in flight, over the worker count) plus the request's own estimated
@@ -225,8 +227,6 @@ class AdmissionController:
         now = self._clock()
         costliest: Optional[Ticket] = None
         for ticket in self._queue:
-            if ticket.state != "queued":
-                continue
             if ticket.deadline_expired(now):
                 return ticket
             if costliest is None or ticket.cost > costliest.cost:
@@ -236,6 +236,9 @@ class AdmissionController:
         return None
 
     def _shed(self, ticket: Ticket, now: float) -> None:
+        # Out of the queue at once, so its length is the live depth: the
+        # bound, the gauge and the idle check read it without a scan.
+        self._queue.remove(ticket)
         ticket.state = "shed"
         self._queued_units -= ticket.cost
         self.shed += 1
@@ -252,21 +255,18 @@ class AdmissionController:
     # Worker side
     # ------------------------------------------------------------------
     async def next_ticket(self) -> Ticket:
-        """Block until a queued (non-shed) ticket is available; claim it."""
-        while True:
-            while self._queue:
-                ticket = self._queue.popleft()
-                if ticket.state != "queued":
-                    continue  # shed while waiting — already answered
-                ticket.state = "running"
-                ticket.started_at = self._clock()
-                self._queued_units -= ticket.cost
-                self._inflight += 1
-                self._inflight_units += ticket.cost
-                self._publish_depth()
-                return ticket
+        """Block until a queued ticket is available; claim it."""
+        while not self._queue:
             self._available.clear()
             await self._available.wait()
+        ticket = self._queue.popleft()
+        ticket.state = "running"
+        ticket.started_at = self._clock()
+        self._queued_units -= ticket.cost
+        self._inflight += 1
+        self._inflight_units += ticket.cost
+        self._publish_depth()
+        return ticket
 
     def finish(self, ticket: Ticket, service_ms: float) -> None:
         """Record one execution's end; negative ``service_ms`` skips the
@@ -299,13 +299,10 @@ class AdmissionController:
         await self._idle.wait()
 
     def _check_idle(self) -> None:
-        if self._inflight == 0 and not any(
-            t.state == "queued" for t in self._queue
-        ):
+        if self._inflight == 0 and not self._queue:
             self._idle.set()
 
     def _publish_depth(self) -> None:
         if self._depth_gauge is not None:
-            self._depth_gauge.set(
-                sum(1 for t in self._queue if t.state == "queued"))
+            self._depth_gauge.set(len(self._queue))
             self._inflight_gauge.set(self._inflight)

@@ -3,17 +3,21 @@
 :class:`ReproServer` owns the asyncio plumbing around one
 :class:`~repro.serving.engine.ServingEngine`:
 
-* ``asyncio.start_server`` accepts connections; each connection runs a
-  keep-alive loop of ``read_request`` → ``Router.dispatch``.
-* A fixed pool of worker tasks pulls admitted tickets off the
-  :class:`~repro.server.admission.AdmissionController` and runs the
-  engine work on a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (the engine is synchronous pure Python; the event loop must never
-  block on it).
+* ``asyncio.start_server`` accepts connections; each connection is one
+  handler task running a keep-alive loop of ``read_request`` →
+  ``Router.dispatch`` and no task per request: the idle timeout is a
+  re-armed timer handle that closes the transport, and a result-cache hit
+  is answered inside ``dispatch`` without leaving the loop.
+* A fixed pool of worker tasks pulls admitted tickets (searches that have
+  to *run*) off the :class:`~repro.server.admission.AdmissionController`
+  and runs the engine work on a
+  :class:`~concurrent.futures.ThreadPoolExecutor` (the engine is
+  synchronous pure Python; the event loop must never block on it).
 * :meth:`drain` implements graceful shutdown: stop accepting, refuse new
-  work, finish every admitted request, then close connections — nothing
-  is ever cut off mid-answer.  ``run_server`` wires SIGTERM/SIGINT to it
-  for the CLI ``serve`` subcommand.
+  work, finish every admitted request, then close connections and wait
+  for their handlers to exit — nothing is ever cut off mid-answer and no
+  task is left for the loop's teardown to cancel.  ``run_server`` wires
+  SIGTERM/SIGINT to it for the CLI ``serve`` subcommand.
 
 Everything here is standard library only, like the rest of the project.
 """
@@ -24,7 +28,7 @@ import asyncio
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..observability import MONOTONIC, Clock, get_registry
 from .admission import AdmissionController, Ticket
@@ -39,6 +43,10 @@ from .quotas import TenantQuotas
 from .routes import Router
 
 from ..resilience.errors import DeadlineExceededError
+
+#: How long :meth:`ReproServer.drain` waits for connection handlers to see
+#: their closed transport and return (one loop iteration when healthy).
+HANDLER_EXIT_GRACE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ class ReproServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: list = []
-        self._connections: Set[asyncio.StreamWriter] = set()
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._drained = asyncio.Event()
         self._drain_started = False
         self.admission = AdmissionController(
@@ -130,14 +138,18 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
+        loop = asyncio.get_running_loop()
+        idle_timeout_s = self.config.idle_timeout_s
+        # One timer per connection, re-armed per request: a client that
+        # does not deliver a whole request in time has its transport
+        # closed, which the read below sees as EOF — the client-close exit.
+        idle = loop.call_later(idle_timeout_s, writer.close)
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        read_request(reader), self.config.idle_timeout_s)
-                except asyncio.TimeoutError:
-                    break
+                    request = await read_request(reader)
                 except ProtocolError as exc:
                     await write_response(
                         writer, exc.status,
@@ -148,6 +160,7 @@ class ReproServer:
                     break
                 if request is None:
                     break  # clean EOF between requests
+                idle.cancel()
                 try:
                     keep_alive = await self.router.dispatch(request, writer)
                 except asyncio.CancelledError:
@@ -164,10 +177,12 @@ class ReproServer:
                     break
                 if not keep_alive:
                     break
+                idle = loop.call_later(idle_timeout_s, writer.close)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
+            idle.cancel()
+            self._connections.pop(handler, None)
             try:
                 writer.close()
             except Exception:
@@ -206,14 +221,11 @@ class ReproServer:
         try:
             result = await loop.run_in_executor(self._executor, ticket.work)
         except BaseException as exc:  # noqa: BLE001 — forwarded to caller
-            if not ticket.future.done():
+            if not ticket.future.done():  # else already answered (client gone)
                 ticket.future.set_exception(exc)
-            else:
-                _ = exc  # future already answered (client gone)
-            self.admission.finish(ticket, (self._clock() - started) * 1000.0)
-            return
-        if not ticket.future.done():
-            ticket.future.set_result(result)
+        else:
+            if not ticket.future.done():
+                ticket.future.set_result(result)
         self.admission.finish(ticket, (self._clock() - started) * 1000.0)
 
     # ------------------------------------------------------------------
@@ -224,26 +236,23 @@ class ReproServer:
 
         Idempotent and safe to call concurrently (second caller awaits the
         first drain).  Order matters: stop accepting sockets, flip
-        admission/router to draining (new /search answers 503), wait for
+        admission to draining (new /search answers 503), wait for
         the queue and in-flight work to empty, then tear down workers,
-        executor, and any idle keep-alive connections.
+        executor, and any idle keep-alive connections — and wait for their
+        handlers to return, so the loop has no task left to cancel.
         """
         if self._drain_started:
             await self._drained.wait()
             return
         self._drain_started = True
         self.admission.start_draining()
-        self.router.set_draining()
         if self._server is not None:
             self._server.close()
             # Deliberately no wait_closed(): on newer asyncio it waits for
             # every connection handler, and idle keep-alive connections
             # would stall drain; we close them explicitly below.
-        try:
-            if timeout_s is not None:
-                await asyncio.wait_for(self.admission.wait_idle(), timeout_s)
-            else:
-                await self.admission.wait_idle()
+        try:  # timeout_s=None waits for as long as the work takes
+            await asyncio.wait_for(self.admission.wait_idle(), timeout_s)
         except asyncio.TimeoutError:
             pass  # forced drain — workers are cancelled below
         for worker in self._workers:
@@ -253,12 +262,16 @@ class ReproServer:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        for writer in list(self._connections):
+        handlers = dict(self._connections)
+        for writer in handlers.values():
             try:
                 writer.close()
             except Exception:
                 pass
-        self._connections.clear()
+        if handlers:
+            # Each sees EOF and returns; never cancelled (a cancelled
+            # handler is what the stream protocol's callback chokes on).
+            await asyncio.wait(handlers, timeout=HANDLER_EXIT_GRACE_S)
         self._drained.set()
 
 

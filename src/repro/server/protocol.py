@@ -166,14 +166,30 @@ async def read_request(reader) -> Optional[Request]:
     return Request(method, target, version, headers, body)
 
 
+#: Built once (``json.dumps`` with options builds an encoder per call —
+#: a third of a cold 19-item body); keys keep their insertion order.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+
 def json_bytes(document: object) -> bytes:
     """Compact JSON encoding used for every response body."""
-    return json.dumps(
-        document, separators=(",", ":"), sort_keys=True, default=str
-    ).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")
 
 
 HeaderList = Sequence[Tuple[str, str]]
+
+
+def _preamble(status: int, content_type: str, framing: Sequence[str],
+              extra_headers: HeaderList) -> bytes:
+    """Status line and header block of either response shape."""
+    lines = [
+        f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
+        f"Server: {SERVER_NAME}",
+        f"Content-Type: {content_type}",
+        *framing,
+    ]
+    lines.extend(f"{name}: {value}" for name, value in extra_headers)
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
 def render_response(
@@ -183,20 +199,15 @@ def render_response(
     content_type: str = "application/json",
     extra_headers: HeaderList = (),
     keep_alive: bool = True,
+    head: bool = False,
 ) -> bytes:
-    """One buffered response, Content-Length framed."""
-    reason = REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Server: {SERVER_NAME}",
-        f"Content-Type: {content_type}",
+    """One buffered response, Content-Length framed; the answer to a
+    ``HEAD`` keeps the length and sends no body."""
+    preamble = _preamble(status, content_type, (
         f"Content-Length: {len(body)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in extra_headers:
-        lines.append(f"{name}: {value}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    return head + body
+    ), extra_headers)
+    return preamble if head else preamble + body
 
 
 def error_body(status: int, error: str, message: str, **fields) -> bytes:
@@ -206,19 +217,10 @@ def error_body(status: int, error: str, message: str, **fields) -> bytes:
     return json_bytes(document)
 
 
-async def write_response(
-    writer,
-    status: int,
-    body: bytes = b"",
-    *,
-    content_type: str = "application/json",
-    extra_headers: HeaderList = (),
-    keep_alive: bool = True,
-) -> None:
-    writer.write(render_response(
-        status, body, content_type=content_type,
-        extra_headers=extra_headers, keep_alive=keep_alive,
-    ))
+async def write_response(writer, status: int, body: bytes = b"",
+                         **options) -> None:
+    """Write and flush one :func:`render_response` (same options)."""
+    writer.write(render_response(status, body, **options))
     await writer.drain()
 
 
@@ -227,13 +229,15 @@ class ChunkedWriter:
 
     Used by the streaming search path — each diverse result page is one
     chunk holding one NDJSON line, so clients render pages as they are
-    computed instead of waiting for the last one.
+    computed instead of waiting for the last one.  The answer to a
+    ``HEAD`` is the header block alone: chunks are dropped, not framed.
     """
 
     def __init__(self, writer, status: int = 200,
                  content_type: str = "application/x-ndjson",
-                 extra_headers: HeaderList = ()):
+                 extra_headers: HeaderList = (), head: bool = False):
         self._writer = writer
+        self._head = head
         self._status = status
         self._content_type = content_type
         self._extra_headers = extra_headers
@@ -244,30 +248,23 @@ class ChunkedWriter:
         if self._started:
             return
         self._started = True
-        reason = REASONS.get(self._status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {self._status} {reason}",
-            f"Server: {SERVER_NAME}",
-            f"Content-Type: {self._content_type}",
-            "Transfer-Encoding: chunked",
-            "Connection: keep-alive",
-        ]
-        for name, value in self._extra_headers:
-            lines.append(f"{name}: {value}")
-        self._writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        self._writer.write(_preamble(
+            self._status, self._content_type,
+            ("Transfer-Encoding: chunked", "Connection: keep-alive"),
+            self._extra_headers))
         await self._writer.drain()
+
+    async def _send(self, framed: bytes) -> None:
+        await self.start()
+        if not self._head:
+            self._writer.write(framed)
+            await self._writer.drain()
 
     async def write_chunk(self, payload: bytes) -> None:
-        if not payload:
-            return
-        await self.start()
-        self._writer.write(b"%x\r\n" % len(payload) + payload + b"\r\n")
-        await self._writer.drain()
+        if payload:
+            await self._send(b"%x\r\n" % len(payload) + payload + b"\r\n")
 
     async def finish(self) -> None:
-        if self._finished:
-            return
-        await self.start()
-        self._finished = True
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()
+        if not self._finished:
+            self._finished = True
+            await self._send(b"0\r\n\r\n")

@@ -3,18 +3,23 @@
 One :class:`Router` serves four endpoints over a
 :class:`~repro.serving.engine.ServingEngine`:
 
-* ``GET /search`` — the admitted, priced, deadline-bounded query path.
-  The router never parses or plans: it asks the serving layer for the
-  admission price of ``(q, k, algorithm, scored)`` — answered from the
-  memoised plan entry, so a repeated request at an unchanged epoch costs
-  no parse, no ordering and no cost-model walk — and then submits
-  ``serving.search(q, ...)`` with the raw text, the key the plan cache
-  hits without parsing.
+* ``GET /search`` — the priced, deadline-bounded query path.  The router
+  never parses or plans: it asks the serving layer one question about
+  ``(q, k, algorithm, scored)`` — :meth:`ServingEngine.lookup
+  <repro.serving.engine.ServingEngine.lookup>`, answered from the
+  memoised plan entry under one acquisition of the cache lock.  A result
+  cached at the current epoch is written straight back on the event loop:
+  it never queues, never crosses the executor and teaches the admission
+  EWMA nothing (a hit is a stored full answer, never a degraded one, and
+  refusing it would cost more than serving it).  Otherwise the answer is
+  the admission price, and ``serving.search(q, ...)`` is submitted with
+  the raw text, the key the plan cache hits without parsing.  Draining,
+  bad parameters, quota and parse errors are refused before the lookup.
   Plain mode returns one JSON document; ``page=`` returns one diverse
   result page (:mod:`repro.core.pagination` semantics: every page is
   maximally diverse over the inventory not yet shown); ``pages=N``
   streams N pages as chunked NDJSON, each page written as soon as the
-  engine computes it.
+  engine computes it (both are admitted and priced per page).
 * ``GET /metrics`` — the process metrics registry
   (``?format=json`` for the repro-metrics snapshot, Prometheus text
   exposition otherwise).  Control plane: never queued, never priced.
@@ -45,11 +50,12 @@ the process boundary so clients can tell, too).
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import ALGORITHMS, AUTO
-from ..core.result import DiverseResult
+from ..core.result import DiverseResult, ResultItem
 from ..observability import MONOTONIC, Clock
 from ..query.parser import QueryParseError
 from ..resilience.errors import (
@@ -60,7 +66,6 @@ from ..resilience.errors import (
 from .admission import Rejection
 from .protocol import (
     ChunkedWriter,
-    ProtocolError,
     Request,
     error_body,
     json_bytes,
@@ -73,6 +78,10 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 #: Pagination runs the probing/one-pass drivers over an exclusion view;
 #: other algorithms fall back to probe (documented in the README).
 PAGEABLE_ALGORITHMS = ("probe", "onepass")
+
+#: The ``route`` labels of ``repro_http_requests_total``; any other path
+#: a client probes is counted as ``other``, so the series stay bounded.
+ROUTES = ("/", "/healthz", "/metrics", "/search")
 
 #: Safety net when the serving layer cannot price a query (statistics
 #: behind a crashed shard): assume a moderately expensive request rather
@@ -98,31 +107,57 @@ def _flag(raw: Optional[str]) -> bool:
     return raw is not None and raw.lower() in ("1", "true", "yes", "on")
 
 
-def result_payload(result: DiverseResult, **extra) -> Dict:
-    """The JSON document one :class:`DiverseResult` serialises to."""
+def _envelope(result: DiverseResult, extra: Dict) -> Dict:
+    """Everything one result serialises to except its items."""
     stats = result.stats
-    payload = {
+    envelope = {
         "k": result.k,
         "algorithm": stats.get("algorithm_selected", result.algorithm),
         "scored": result.scored,
         "count": len(result),
         "degraded": bool(stats.get("degraded")),
         "cache_hit": bool(stats.get("cache_hit")),
-        "items": [
-            {
-                "rid": item.rid,
-                "dewey": list(item.dewey),
-                "score": item.score,
-                "values": item.values,
-            }
-            for item in result.items
-        ],
     }
-    if payload["degraded"]:
-        payload["shards_failed"] = stats.get("shards_failed")
-        payload["shards_total"] = stats.get("shards_total")
-    payload.update(extra)
+    if envelope["degraded"]:
+        envelope["shards_failed"] = stats.get("shards_failed")
+        envelope["shards_total"] = stats.get("shards_total")
+    envelope.update(extra)
+    return envelope
+
+
+def item_payload(item: ResultItem) -> Dict:
+    return {
+        "rid": item.rid,
+        "dewey": list(item.dewey),
+        "score": item.score,
+        "values": item.values,
+    }
+
+
+def result_payload(result: DiverseResult, **extra) -> Dict:
+    """The JSON document one :class:`DiverseResult` serialises to."""
+    payload = _envelope(result, extra)
+    payload["items"] = [item_payload(item) for item in result.items]
     return payload
+
+
+def _item_json(item: ResultItem) -> bytes:
+    """One item's JSON, encoded at most once.  A ``ResultItem`` is
+    immutable and shared by every hit of the cache entry that holds it, so
+    the bytes are kept on the item itself (beside its fields: the class is
+    frozen, not slotted) and die with that entry — no second cache."""
+    encoded = item.__dict__.get("_json")
+    if encoded is None:
+        encoded = item.__dict__["_json"] = json_bytes(item_payload(item))
+    return encoded
+
+
+def result_body(result: DiverseResult, **extra) -> bytes:
+    """:func:`result_payload` as response bytes: the small envelope is
+    encoded per response, the items are joined from their kept bytes."""
+    envelope = json_bytes(_envelope(result, extra))
+    return b'%s,"items":[%s]}' % (
+        envelope[:-1], b",".join([_item_json(item) for item in result.items]))
 
 
 class Router:
@@ -141,50 +176,34 @@ class Router:
         self._quotas = quotas
         self._registry = registry
         self._clock = clock
-        self._draining = False
-        enabled = registry is not None and registry.enabled
-        self._requests_total = (lambda route, status: registry.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by route and status",
-            route=route, status=str(status),
-        )) if enabled else (lambda route, status: None)
-        if enabled:
-            self._admitted_total = registry.counter(
-                "repro_http_admitted_total",
-                "Search requests admitted past admission control")
-            self._shed_total = (lambda reason: registry.counter(
-                "repro_http_shed_total",
-                "Search requests rejected or shed by admission control",
-                reason=reason))
-            self._quota_total = registry.counter(
-                "repro_http_quota_rejected_total",
-                "Search requests rejected by per-tenant quotas")
-            self._degraded_total = registry.counter(
-                "repro_http_degraded_total",
-                "Search answers served degraded (survivor shards only)")
-            self._latency = {
-                outcome: registry.histogram(
-                    "repro_http_request_ms",
-                    "End-to-end request latency, by outcome",
-                    outcome=outcome)
-                for outcome in ("admitted", "rejected")
-            }
-            self._queue_wait = registry.histogram(
-                "repro_http_queue_wait_ms",
-                "Time admitted requests spent queued before execution")
-        else:
-            self._admitted_total = None
-            self._shed_total = lambda reason: None
-            self._quota_total = None
-            self._degraded_total = None
-            self._latency = {}
-            self._queue_wait = None
+        # ``(route, status) -> counter``, resolved once each (bounded by
+        # ROUTES + "other"); a disabled registry hands out no-op handles.
+        self._requests_total: Dict[Tuple[str, int], object] = {}
+        self._admitted_total = registry.counter(
+            "repro_http_admitted_total",
+            "Search requests admitted past admission control")
+        self._quota_total = registry.counter(
+            "repro_http_quota_rejected_total",
+            "Search requests rejected by per-tenant quotas")
+        self._degraded_total = registry.counter(
+            "repro_http_degraded_total",
+            "Search answers served degraded (survivor shards only)")
+        self._latency = {
+            outcome: registry.histogram(
+                "repro_http_request_ms",
+                "End-to-end request latency, by outcome",
+                outcome=outcome)
+            for outcome in ("admitted", "rejected")
+        }
+        self._queue_wait = registry.histogram(
+            "repro_http_queue_wait_ms",
+            "Time admitted requests spent queued before execution")
 
-    # ------------------------------------------------------------------
-    # Drain
-    # ------------------------------------------------------------------
-    def set_draining(self) -> None:
-        self._draining = True
+    def _shed_total(self, reason: str) -> None:
+        self._registry.counter(
+            "repro_http_shed_total",
+            "Search requests rejected or shed by admission control",
+            reason=reason).inc()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -195,9 +214,9 @@ class Router:
         route = request.path
         try:
             if request.method not in ("GET", "HEAD"):
-                await self._error(writer, request, 405, "method_not_allowed",
-                                  f"{request.method} is not supported")
-                return request.keep_alive
+                return await self._error(
+                    writer, request, 405, "method_not_allowed",
+                    f"{request.method} is not supported")
             if route == "/healthz":
                 return await self._healthz(request, writer)
             if route == "/metrics":
@@ -206,72 +225,77 @@ class Router:
                 return await self._index(request, writer)
             if route == "/search":
                 return await self._search(request, writer, started)
-            await self._error(writer, request, 404, "not_found",
-                              f"no route {route!r}")
-            return request.keep_alive
+            return await self._error(writer, request, 404, "not_found",
+                                     f"no route {route!r}")
         except (ConnectionResetError, BrokenPipeError):
             return False
 
     def _observe(self, request: Request, status: int,
                  started: Optional[float] = None,
                  outcome: Optional[str] = None) -> None:
-        counter = self._requests_total(request.path, status)
-        if counter is not None:
-            counter.inc()
+        route = request.path if request.path in ROUTES else "other"
+        counter = self._requests_total.get((route, status))
+        if counter is None:
+            counter = self._requests_total[route, status] = self._registry.counter(
+                "repro_http_requests_total",
+                "HTTP requests served, by route and status",
+                route=route, status=str(status))
+        counter.inc()
         if outcome is not None and started is not None:
-            hist = self._latency.get(outcome)
-            if hist is not None:
-                hist.observe((self._clock() - started) * 1000.0)
+            self._latency[outcome].observe((self._clock() - started) * 1000.0)
+
+    async def _respond(self, writer, request: Request, status: int,
+                       body: bytes, headers=(),
+                       content_type: str = "application/json",
+                       started: Optional[float] = None,
+                       outcome: Optional[str] = None) -> bool:
+        """Count and write one buffered answer (headers only to a ``HEAD``);
+        returns whether the client wants the connection kept."""
+        self._observe(request, status, started, outcome)
+        await write_response(
+            writer, status, body, content_type=content_type,
+            extra_headers=headers, keep_alive=request.keep_alive,
+            head=request.method == "HEAD")
+        return request.keep_alive
 
     async def _error(self, writer, request: Request, status: int, error: str,
                      message: str, retry_after_ms: Optional[float] = None,
                      started: Optional[float] = None,
-                     outcome: Optional[str] = None) -> None:
+                     outcome: Optional[str] = None) -> bool:
         headers: List[Tuple[str, str]] = []
         if retry_after_ms is not None and math.isfinite(retry_after_ms):
             headers.append(
                 ("Retry-After", str(max(1, math.ceil(retry_after_ms / 1000.0))))
             )
-        self._observe(request, status, started, outcome)
-        await write_response(
-            writer, status, error_body(status, error, message),
-            extra_headers=headers, keep_alive=request.keep_alive,
-        )
+        return await self._respond(
+            writer, request, status, error_body(status, error, message),
+            headers, started=started, outcome=outcome)
 
     # ------------------------------------------------------------------
     # Control-plane routes
     # ------------------------------------------------------------------
     async def _healthz(self, request: Request, writer) -> bool:
-        body = json_bytes({
-            "status": "draining" if self._draining else "ok",
+        return await self._respond(writer, request, 200, json_bytes({
+            "status": "draining" if self._admission.draining else "ok",
             "epoch": self._serving.epoch,
             "queued": self._admission.queued,
             "inflight": self._admission.inflight,
-        })
-        self._observe(request, 200)
-        await write_response(writer, 200, body, keep_alive=request.keep_alive)
-        return request.keep_alive
+        }))
 
     async def _metrics(self, request: Request, writer) -> bool:
-        from ..observability import get_registry
-
-        registry = self._registry if self._registry is not None else get_registry()
+        registry = self._registry
         if request.param("format", "prometheus") == "json":
-            import json as _json
-
-            body = (_json.dumps(registry.snapshot(), indent=2, sort_keys=True,
+            body = (json.dumps(registry.snapshot(), indent=2, sort_keys=True,
                                 default=str) + "\n").encode("utf-8")
             content_type = "application/json"
         else:
             body = registry.render_prometheus().encode("utf-8")
             content_type = "text/plain; version=0.0.4"
-        self._observe(request, 200)
-        await write_response(writer, 200, body, content_type=content_type,
-                             keep_alive=request.keep_alive)
-        return request.keep_alive
+        return await self._respond(writer, request, 200, body,
+                                   content_type=content_type)
 
     async def _index(self, request: Request, writer) -> bool:
-        body = json_bytes({
+        return await self._respond(writer, request, 200, json_bytes({
             "service": "repro-serve",
             "endpoints": {
                 "/search": "q, k, algorithm, scored, page, pages, page_size, "
@@ -280,30 +304,32 @@ class Router:
                 "/metrics": "format=prometheus|json",
                 "/healthz": "liveness + drain state",
             },
-        })
-        self._observe(request, 200)
-        await write_response(writer, 200, body, keep_alive=request.keep_alive)
-        return request.keep_alive
+        }))
 
     # ------------------------------------------------------------------
     # The search path
     # ------------------------------------------------------------------
-    def _price(self, text: str, k: int, algorithm: str, scored: bool) -> float:
-        """Seek-unit admission price of one request, from the serving
-        layer's memoised plan (for ``auto``, the cost of what the planner
-        will actually run).  A malformed query raises
-        :class:`QueryParseError`; anything else that keeps the model from
-        a positive finite price falls back to a fixed conservative
-        constant — pricing must never take the serving path down."""
+    def _lookup(self, text: str, k: int, algorithm: str, scored: bool,
+                paged: bool):
+        """``(hit, price)`` — the one question a request asks the serving
+        layer: the cached answer, or ``None`` and the seek-unit admission
+        price of the memoised plan (paged requests are only priced).  A
+        malformed query raises :class:`QueryParseError`; anything else
+        that keeps the model from a positive finite price falls back to a
+        fixed conservative constant — pricing must never take the serving
+        path down."""
         try:
-            price = self._serving.price(text, k, algorithm, scored)
+            if paged:
+                hit, price = None, self._serving.price(text, k, algorithm, scored)
+            else:
+                hit, price = self._serving.lookup(text, k, algorithm, scored)
         except QueryParseError:
             raise
         except Exception:
-            return FALLBACK_COST_UNITS
-        if not math.isfinite(price) or price <= 0.0:
-            return FALLBACK_COST_UNITS
-        return price
+            return None, FALLBACK_COST_UNITS
+        if hit is None and not (math.isfinite(price) and price > 0.0):
+            price = FALLBACK_COST_UNITS
+        return hit, price
 
     def _search_params(self, request: Request):
         text = request.param("q")
@@ -352,7 +378,7 @@ class Router:
         return text, k, algorithm, scored, page, pages, page_size, deadline_ms
 
     async def _search(self, request: Request, writer, started: float) -> bool:
-        if self._draining:
+        if self._admission.draining:
             await self._error(
                 writer, request, 503, "draining",
                 "server is draining; retry against another instance",
@@ -362,87 +388,91 @@ class Router:
             (text, k, algorithm, scored, page, pages, page_size,
              deadline_ms) = self._search_params(request)
         except BadRequest as exc:
-            await self._error(writer, request, 400, "bad_request", str(exc),
-                              started=started, outcome="rejected")
-            return request.keep_alive
+            return await self._error(
+                writer, request, 400, "bad_request", str(exc),
+                started=started, outcome="rejected")
 
         tenant = request.header(TENANT_HEADER)
         retry_after_ms = self._quotas.check(tenant)
         if retry_after_ms > 0.0:
-            if self._quota_total is not None:
-                self._quota_total.inc()
-            await self._error(
+            self._quota_total.inc()
+            return await self._error(
                 writer, request, 429, "quota_exceeded",
                 f"tenant {tenant or 'anonymous'!r} is over its request quota",
                 retry_after_ms=retry_after_ms, started=started,
                 outcome="rejected")
-            return request.keep_alive
 
-        try:
-            cost = self._price(text, k, algorithm, scored)
-        except QueryParseError as exc:
-            await self._error(writer, request, 400, "parse_error", str(exc),
-                              started=started, outcome="rejected")
-            return request.keep_alive
         page_count = pages if pages is not None else (page or 0)
+        try:
+            result, cost = self._lookup(text, k, algorithm, scored,
+                                        paged=bool(page_count))
+        except QueryParseError as exc:
+            return await self._error(
+                writer, request, 400, "parse_error", str(exc),
+                started=started, outcome="rejected")
         if page_count:
             cost *= page_count
-
-        serving = self._serving
         if pages is not None:
             return await self._stream_pages(
                 request, writer, started, text, pages,
                 page_size or k, algorithm, cost, deadline_ms)
 
-        if page is not None:
+        ticket = None
+        if result is None:  # not cached at this epoch: queue the search
             def work():
-                return serving.search_page(
+                if page is None:
+                    return self._serving.search(text, k, algorithm=algorithm,
+                                                scored=scored)
+                return self._serving.search_page(
                     text, k, page=page, page_size=page_size,
                     algorithm=algorithm)
-        else:
-            def work():
-                return serving.search(text, k, algorithm=algorithm,
-                                      scored=scored)
 
+            ticket = await self._submit(request, writer, started, cost,
+                                        deadline_ms, work, request.path)
+            if ticket is None:
+                return request.keep_alive
+            try:
+                result = await asyncio.shield(ticket.future)
+            except asyncio.CancelledError:
+                raise
+            except BaseException as exc:
+                status, error, message, retry_after = self._map_failure(exc)
+                shed = isinstance(exc, Rejection)  # while it was queued
+                if shed:
+                    self._shed_total(exc.reason)
+                return await self._error(
+                    writer, request, status, error, message,
+                    retry_after_ms=retry_after, started=started,
+                    outcome="rejected" if shed else "admitted")
+            if ticket.started_at is not None:
+                self._queue_wait.observe(
+                    (ticket.started_at - ticket.enqueued_at) * 1000.0)
+
+        # One tail for both outcomes: a hit is a stored full answer, so it
+        # is counted and written as the admitted request it stands in for.
+        body = result_body(
+            result, query=text,
+            **({"page": page, "page_size": page_size or k} if page else {}))
+        return await self._respond(
+            writer, request, 200, body, self._result_headers(result, ticket),
+            started=started, outcome="admitted")
+
+    async def _submit(self, request: Request, writer, started: float,
+                      cost: float, deadline_ms: Optional[float], work,
+                      label: str):
+        """Queue one priced piece of work; a refusal is answered here and
+        returns ``None``."""
         try:
             ticket = self._admission.submit(cost, deadline_ms, work,
-                                            label=request.path)
+                                            label=label)
         except Rejection as exc:
             self._shed_total(exc.reason)
             await self._error(writer, request, exc.status, exc.reason,
                               str(exc), retry_after_ms=exc.retry_after_ms,
                               started=started, outcome="rejected")
-            return request.keep_alive
-        if self._admitted_total is not None:
-            self._admitted_total.inc()
-
-        try:
-            result = await asyncio.shield(ticket.future)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            status, error, message, retry_after = self._map_failure(exc)
-            if isinstance(exc, Rejection):
-                self._shed_total(exc.reason)
-                outcome = "rejected"
-            else:
-                outcome = "admitted"
-            await self._error(writer, request, status, error, message,
-                              retry_after_ms=retry_after, started=started,
-                              outcome=outcome)
-            return request.keep_alive
-
-        if ticket.started_at is not None and self._queue_wait is not None:
-            self._queue_wait.observe(
-                (ticket.started_at - ticket.enqueued_at) * 1000.0)
-        headers = self._result_headers(result, ticket)
-        body = json_bytes(result_payload(
-            result, query=text,
-            **({"page": page, "page_size": page_size or k} if page else {})))
-        self._observe(request, 200, started, "admitted")
-        await write_response(writer, 200, body, extra_headers=headers,
-                             keep_alive=request.keep_alive)
-        return request.keep_alive
+            return None
+        self._admitted_total.inc()
+        return ticket
 
     def _result_headers(self, result: DiverseResult, ticket) -> List[Tuple[str, str]]:
         stats = result.stats
@@ -451,14 +481,13 @@ class Router:
              str(stats.get("algorithm_selected", result.algorithm))),
             ("X-Repro-Cache", "hit" if stats.get("cache_hit") else "miss"),
         ]
-        if ticket.started_at is not None:
+        if ticket is not None and ticket.started_at is not None:
             headers.append((
                 "X-Repro-Queue-Ms",
                 f"{(ticket.started_at - ticket.enqueued_at) * 1000.0:.2f}",
             ))
         if stats.get("degraded"):
-            if self._degraded_total is not None:
-                self._degraded_total.inc()
+            self._degraded_total.inc()
             headers.append((
                 "X-Repro-Degraded",
                 f"shards={stats.get('shards_failed', '?')}"
@@ -490,10 +519,10 @@ class Router:
         """Chunked NDJSON: one diverse page per chunk, as computed.
 
         The whole stream is one admission ticket (priced for all pages):
-        the executor thread computes pages and hands each to the event
-        loop, which writes it while the next page is being computed.
-        Admission never truncates a started stream — a failure mid-stream
-        surfaces as a final NDJSON error line, not a silent cut.
+        the executor thread computes and encodes pages and hands each line
+        to the event loop, which writes it while the next page is being
+        computed.  Admission never truncates a started stream — a failure
+        mid-stream surfaces as a final NDJSON error line, not a silent cut.
         """
         loop = asyncio.get_running_loop()
         page_queue: asyncio.Queue = asyncio.Queue()
@@ -505,30 +534,23 @@ class Router:
                 result = serving.search_page(
                     text, page_size, page=number, page_size=page_size,
                     algorithm=algorithm)
-                payload = result_payload(result, page=number,
-                                         page_size=page_size)
-                loop.call_soon_threadsafe(page_queue.put_nowait, payload)
+                line = result_body(result, page=number,
+                                   page_size=page_size) + b"\n"
+                loop.call_soon_threadsafe(page_queue.put_nowait, line)
                 produced += 1
                 if len(result) < page_size:
                     break  # results ran out; later pages are empty
             return produced
 
-        try:
-            ticket = self._admission.submit(cost, deadline_ms, work,
-                                            label="/search:stream")
-        except Rejection as exc:
-            self._shed_total(exc.reason)
-            await self._error(writer, request, exc.status, exc.reason,
-                              str(exc), retry_after_ms=exc.retry_after_ms,
-                              started=started, outcome="rejected")
+        ticket = await self._submit(request, writer, started, cost,
+                                    deadline_ms, work, "/search:stream")
+        if ticket is None:
             return request.keep_alive
-        if self._admitted_total is not None:
-            self._admitted_total.inc()
 
         chunked = ChunkedWriter(writer, extra_headers=[
             ("X-Repro-Algorithm", algorithm),
             ("X-Repro-Page-Size", str(page_size)),
-        ])
+        ], head=request.method == "HEAD")
         future = ticket.future
         failure: Optional[BaseException] = None
         try:
@@ -537,14 +559,12 @@ class Router:
                 done, _ = await asyncio.wait(
                     {getter, future}, return_when=asyncio.FIRST_COMPLETED)
                 if getter in done:
-                    await chunked.write_chunk(
-                        json_bytes(getter.result()) + b"\n")
+                    await chunked.write_chunk(getter.result())
                     continue
                 getter.cancel()
                 # Work finished (or failed): flush anything still queued.
                 while not page_queue.empty():
-                    await chunked.write_chunk(
-                        json_bytes(page_queue.get_nowait()) + b"\n")
+                    await chunked.write_chunk(page_queue.get_nowait())
                 if not future.cancelled() and future.exception() is not None:
                     failure = future.exception()
                 break
@@ -555,9 +575,7 @@ class Router:
             await chunked.write_chunk(json_bytes(
                 {"error": error, "status": status, "message": message}
             ) + b"\n")
-            self._observe(request, 200, started, "admitted")
-            await chunked.finish()
-            return False  # a truncated stream must not be reused
         self._observe(request, 200, started, "admitted")
         await chunked.finish()
-        return request.keep_alive
+        # A truncated stream must not be reused.
+        return failure is None and request.keep_alive

@@ -25,7 +25,7 @@ itself holds no cache:
   bump the epoch, so stale entries are rejected lazily on lookup — no full
   flush, no eager scanning.
 * :class:`ServingCache` combines both behind thread-safe ``search`` /
-  ``search_page`` / ``price`` calls and keeps exact counters
+  ``search_page`` / ``price`` / ``lookup`` calls and keeps exact counters
   (:class:`CacheStats`) that surface in ``DiverseResult.stats``.
 
 The caches never change answers: a cached result is bit-identical to what
@@ -462,10 +462,46 @@ class ServingCache:
         with self._lock:
             epoch = engine.epoch
             plan = self._plan(engine, query, scored, True)
-            if algorithm == AUTO:
-                decision = self._decision(engine, plan, k, scored, epoch)
-                return decision.costs[decision.algorithm]
-            return self.plans.price(engine, plan, k, algorithm, scored, epoch)
+            return self._price(engine, plan, k, algorithm, scored, epoch)
+
+    def lookup(
+        self,
+        engine,
+        query: Union[Query, str],
+        k: int,
+        algorithm: str,
+        scored: bool,
+    ) -> Tuple[Optional[DiverseResult], float]:
+        """``(hit, price)`` for ``search(query, k, algorithm, scored)``,
+        under one acquisition of the lock: the served answer when the
+        result cache holds it at the current epoch (counted as one hit and
+        one plan lookup, exactly as :meth:`search` would), else ``None``
+        and the :meth:`price` to admit the search at.  Nothing executes
+        and a miss is not counted — the ``search`` that follows counts it.
+        """
+        stats = self.stats
+        with self._lock:
+            epoch = engine.epoch
+            plan = self._plan(engine, query, scored, True)
+            key = self.results.key(plan.canonical, k, algorithm, scored, True)
+            cached, invalidated = self.results.lookup(key, epoch)
+            if cached is not None:
+                stats.hits += 1
+                return self._serve(cached, hit=True), 0.0
+            if invalidated:
+                # The stale entry is gone, so the search that follows
+                # cannot see it: count its death here, its miss there.
+                stats.epoch_invalidations += 1
+                self._sync_eviction_counters()
+            return None, self._price(engine, plan, k, algorithm, scored, epoch)
+
+    def _price(self, engine, plan: _PlanEntry, k: int, algorithm: str,
+               scored: bool, epoch: int) -> float:
+        """The memoised admission price of one plan (lock held)."""
+        if algorithm == AUTO:
+            decision = self._decision(engine, plan, k, scored, epoch)
+            return decision.costs[decision.algorithm]
+        return self.plans.price(engine, plan, k, algorithm, scored, epoch)
 
     def _plan(self, engine, query: Union[Query, str], scored: bool,
               optimize: bool) -> _PlanEntry:

@@ -8,9 +8,10 @@ the three decisions a deployment has to make once:
   :meth:`ServingCache.search <repro.serving.cache.ServingCache.search>`;
   ``serving.engine.search`` is the same query with the cache bypassed
   (what the CLI's ``--no-cache`` calls);
-* **who plans a query** — the memoised plan entry answers both the search
-  and :meth:`ServingEngine.price`, the admission price the HTTP router
-  asks for before it queues a request;
+* **who plans a query** — the memoised plan entry answers the search,
+  :meth:`ServingEngine.price` and :meth:`ServingEngine.lookup`, the one
+  question the HTTP router asks per request: the cached answer, or the
+  admission price to queue the search at;
 * **who stacks a deployment** — :meth:`ServingEngine.from_relation` and
   :meth:`ServingEngine.recover` put durable stores under replica sets
   under the sharded engine under the cache, :func:`build_index` is the
@@ -371,6 +372,14 @@ class ServingEngine:
         memoised plan (:meth:`ServingCache.price
         <repro.serving.cache.ServingCache.price>`)."""
         return self._cache.price(self._engine, query, k, algorithm, scored)
+
+    def lookup(self, query, k: int, algorithm: str = "probe",
+               scored: bool = False):
+        """``(hit, price)``: the cached answer of the same ``search`` call
+        if there is one at this epoch, else ``None`` and its :meth:`price`
+        (:meth:`ServingCache.lookup
+        <repro.serving.cache.ServingCache.lookup>`); executes nothing."""
+        return self._cache.lookup(self._engine, query, k, algorithm, scored)
 
     def search_page(self, query, k: int = 10, page: int = 1,
                     page_size: Optional[int] = None,

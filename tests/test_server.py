@@ -529,9 +529,9 @@ class TestServerEndToEnd:
 
 
 class TestPlannedOnce:
-    """The router never plans: the admission price and the search both
-    come from the serving layer's memoised plan entry, keyed by the raw
-    query text."""
+    """The router never plans: the cached answer, the admission price and
+    the search all come from the serving layer's memoised plan entry,
+    keyed by the raw query text."""
 
     @pytest.fixture
     def planning(self, monkeypatch):
@@ -589,10 +589,11 @@ class TestPlannedOnce:
             status, headers, _ = _request(thread.address, target)
             assert (status, headers["X-Repro-Cache"]) == (200, "hit")
             assert dict(planning) == first  # zero planning calls of any kind
-            assert costs[1] == costs[0] > 0.0
+            assert len(costs) == 1 and costs[0] > 0.0  # a hit submits none
 
-            # A mutation moves the epoch: the plan is re-ordered (never
-            # re-parsed) and the price recomputed exactly once.
+            # A mutation moves the epoch (the lookup checks it: the next
+            # request is a miss through admission): the plan is re-ordered
+            # (never re-parsed) and the price recomputed exactly once.
             serving.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
             status, headers, _ = _request(thread.address, target)
             assert (status, headers["X-Repro-Cache"]) == (200, "miss")
@@ -603,7 +604,7 @@ class TestPlannedOnce:
             status, headers, _ = _request(thread.address, target)
             assert (status, headers["X-Repro-Cache"]) == (200, "hit")
             assert dict(planning) == after_insert
-            assert len(costs) == 4 and costs[3] == costs[2] > 0.0
+            assert len(costs) == 2 and costs[1] > 0.0
         serving.close()
 
     def test_malformed_query_never_reaches_admission(self, registry):
@@ -657,6 +658,290 @@ class _SlowServing(ServingEngine):
         time.sleep(self._delay_s)
         return super().search(query, k, algorithm=algorithm, scored=scored,
                               optimize=optimize)
+
+
+class _CountingLock:
+    """Stands in for ``ServingCache._lock``; counts acquisitions."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestHitPath:
+    """A result cached at the current epoch is answered on the event loop:
+    one lookup, one write.  Pinned as counts, not timings."""
+
+    @pytest.fixture
+    def item_encodings(self, monkeypatch):
+        """Every ``ResultItem`` the router encodes, in order."""
+        from repro.server import routes
+
+        encoded, item_payload = [], routes.item_payload
+
+        def counting(item):
+            encoded.append(item)
+            return item_payload(item)
+
+        monkeypatch.setattr(routes, "item_payload", counting)
+        return encoded
+
+    def test_hit_crosses_no_queue_no_executor_and_one_lock(
+            self, registry, monkeypatch, item_encodings):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        target = f"/search?q={QUERY}&k=3"
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            status, headers, miss = _request(thread.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "miss")
+            assert "X-Repro-Queue-Ms" in headers
+            assert len(item_encodings) == 3
+            admission = thread.server.admission
+            learned = (admission.admitted, admission.completed,
+                       admission.ms_per_unit)
+            assert learned[:2] == (1, 1)
+            before = serving.cache.stats_snapshot()
+
+            executor, executed = thread.server._executor, []
+            submit = executor.submit
+            monkeypatch.setattr(
+                executor, "submit",
+                lambda *args: executed.append(args) or submit(*args))
+            lock = serving.cache._lock = _CountingLock(serving.cache._lock)
+            hits = 25
+            for _ in range(hits):
+                status, headers, body = _request(thread.address, target)
+                assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+                assert "X-Repro-Queue-Ms" not in headers  # it never queued
+                document = json.loads(body)
+                assert document["cache_hit"] is True
+                assert document["items"] == json.loads(miss)["items"]
+            assert lock.acquired == hits  # one acquisition per hit
+            assert executed == []
+            assert len(item_encodings) == 3  # items were encoded once, ever
+            # Admission saw, and learned from, the one execution only.
+            assert (admission.admitted, admission.completed,
+                    admission.ms_per_unit) == learned
+            after = serving.cache.stats_snapshot()
+            assert after.hits - before.hits == hits
+            assert after.plan_hits - before.plan_hits == hits  # not 2x
+            assert after.misses == before.misses
+            assert registry.find(
+                "repro_http_request_ms", outcome="admitted").count == 1 + hits
+        serving.close()
+
+    def test_refusals_run_before_the_lookup(self, registry):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        config = ServerConfig(quota_rate_per_s=0.001, quota_burst=3.0)
+        target = f"/search?q={QUERY}&k=2"
+        with ServerThread(serving, config, registry=registry) as thread:
+            address = thread.address
+            assert _request(address, target)[1]["X-Repro-Cache"] == "miss"
+            assert _request(address, target)[1]["X-Repro-Cache"] == "hit"
+            hits = serving.cache.stats_snapshot().hits
+            # Bad parameter (spends no quota), then over quota, then drain:
+            # each is refused although the answer is sitting in the cache.
+            assert _request(address, f"/search?q={QUERY}&k=0")[0] == 400
+            assert _request(address, target)[0] == 200  # third token
+            status, headers, _ = _request(address, target)
+            assert status == 429 and "Retry-After" in headers
+            thread._loop.call_soon_threadsafe(
+                thread.server.admission.start_draining)
+            status, _, body = _request(
+                address, target, headers={"X-Repro-Tenant": "other"})
+            assert status == 503
+            assert json.loads(body)["error"] == "draining"
+            assert serving.cache.stats_snapshot().hits == hits + 1
+        serving.close()
+
+    def test_hit_is_served_while_misses_are_shed(self, registry):
+        """Worker blocked in a slow miss, queue full: the cached query is
+        answered, a fresh one is refused."""
+        serving = _SlowServing(figure1_relation(), delay_s=0.5)
+        config = ServerConfig(queue_depth=1, workers=1,
+                              default_deadline_ms=0.0)
+        cached = f"/search?q={QUERY}&k=2&deadline_ms=0"
+        fresh = ("/search?q=" + urllib.parse.quote("Make = 'Toyota'")
+                 + "&k=2&deadline_ms=0")
+        with ServerThread(serving, config, registry=registry) as thread:
+            address = thread.address
+            assert _request(address, cached)[0] == 200  # fills the cache
+            admission = thread.server.admission
+            slow = [threading.Thread(target=_request, args=(address, fresh))
+                    for _ in range(2)]
+            # One running, then one queued: the queue is full.
+            for worker, state in zip(slow, ((1, 0), (1, 1))):
+                worker.start()
+                for _ in range(200):
+                    if (admission.inflight, admission.queued) == state:
+                        break
+                    time.sleep(0.005)
+            assert (admission.inflight, admission.queued) == (1, 1)
+            status, headers, _ = _request(address, cached)
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+            status, _, body = _request(address, fresh)
+            assert status == 503
+            assert json.loads(body)["error"] == REASON_OVERLOAD
+            assert registry.value("repro_http_shed_total",
+                                  reason=REASON_OVERLOAD) == 1
+            assert (admission.inflight, admission.queued) == (1, 1)
+            for worker in slow:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        serving.close()
+
+    def test_bodies_equal_the_payload_document(self, registry,
+                                               item_encodings):
+        """Wire bytes of a miss, a hit, ``page=2`` and a two-page stream
+        decode to ``result_payload`` of the same result (a twin engine
+        replays the same calls in-process)."""
+        from repro.server.routes import result_payload
+
+        text = "Make = 'Honda'"
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        twin = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            address = thread.address
+            target = f"/search?q={QUERY}&k=3&algorithm=probe"
+            for cache_hit in (False, True, True):
+                expected = result_payload(
+                    twin.search(text, 3, algorithm="probe"), query=text)
+                encoded = len(item_encodings)
+                document = json.loads(_request(address, target)[2])
+                assert document["cache_hit"] is cache_hit
+                assert document == expected
+                # The miss encodes its three items; no hit encodes again.
+                assert len(item_encodings) - encoded == (0 if cache_hit else 3)
+            document = json.loads(_request(
+                address, f"/search?q={QUERY}&page=2&page_size=1")[2])
+            assert document == result_payload(
+                twin.search_page(text, 10, page=2, page_size=1),
+                query=text, page=2, page_size=1)
+            _, headers, body = _request(
+                address, f"/search?q={QUERY}&pages=2&page_size=1")
+            assert headers["Transfer-Encoding"] == "chunked"
+            assert [json.loads(line) for line in body.splitlines()] == [
+                result_payload(
+                    twin.search_page(text, 1, page=number, page_size=1),
+                    page=number, page_size=1)
+                for number in (1, 2)
+            ]
+        serving.close()
+        twin.close()
+
+
+class TestConnections:
+    """What one keep-alive connection costs, and how it ends."""
+
+    def test_keep_alive_requests_create_no_tasks(self, figure1_server):
+        loop, created = figure1_server._loop, []
+
+        def factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        connection = http.client.HTTPConnection(
+            *figure1_server.address, timeout=30.0)
+        try:
+            def get(target):
+                connection.request("GET", target)
+                response = connection.getresponse()
+                return response.getheader("X-Repro-Cache"), response.read()
+
+            # Connected (its one handler task exists) and cached.
+            assert get(f"/search?q={QUERY}&k=2")[0] == "miss"
+            loop.call_soon_threadsafe(loop.set_task_factory, factory)
+            for _ in range(50):
+                assert get(f"/search?q={QUERY}&k=2")[0] == "hit"
+                assert json.loads(get("/healthz")[1])["status"] == "ok"
+            assert created == []
+        finally:
+            connection.close()
+
+    def test_idle_timeout_is_rearmed_per_request(self, registry):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        config = ServerConfig(idle_timeout_s=1.0)
+        with ServerThread(serving, config, registry=registry) as thread:
+            connection = http.client.HTTPConnection(
+                *thread.address, timeout=10.0)
+            try:
+                for _ in range(4):  # 1.2 s of life: each request re-arms
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    assert response.status == 200 and response.read()
+                    time.sleep(0.3)
+                # Left idle, the server hangs up (recv sees EOF, no timeout).
+                assert connection.sock.recv(1) == b""
+            finally:
+                connection.close()
+        serving.close()
+
+    def test_head_sends_headers_only(self, figure1_server):
+        connection = http.client.HTTPConnection(
+            *figure1_server.address, timeout=30.0)
+        try:
+            for target in ("/healthz", f"/search?q={QUERY}&k=2",  # a miss
+                           f"/search?q={QUERY}&k=2",              # a hit
+                           f"/search?q={QUERY}&pages=2&page_size=1", "/nope"):
+                connection.request("HEAD", target)
+                head = connection.getresponse()
+                assert head.read() == b""
+                # The next response on the same connection must parse: a
+                # body after the HEAD would be read as its status line.
+                connection.request("GET", target)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == head.status
+                if "/search" not in target:  # same document both times
+                    assert int(head.getheader("Content-Length")) == len(body)
+        finally:
+            connection.close()
+
+    def test_unknown_paths_share_one_metric_series(self, figure1_server,
+                                                   registry):
+        for number in range(50):
+            status, _, _ = _request(figure1_server.address, f"/nope/{number}")
+            assert status == 404
+        series = [counter for counter in registry.snapshot()["counters"]
+                  if counter["name"] == "repro_http_requests_total"]
+        assert [(c["labels"], c["value"]) for c in series] == [
+            ({"route": "other", "status": "404"}, 50)]
+
+    def test_drain_leaves_no_handler_to_cancel(self, registry, capfd):
+        """Stopping while a client holds an idle keep-alive connection:
+        drain returns only once its handler has exited, so the loop's
+        teardown cancels nothing and nothing is reported."""
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        thread = ServerThread(serving, ServerConfig(), registry=registry)
+        thread.start()
+        reported = []
+        thread._loop.call_soon_threadsafe(
+            thread._loop.set_exception_handler,
+            lambda loop, context: reported.append(context))
+        connection = http.client.HTTPConnection(*thread.address, timeout=30.0)
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            thread.stop()
+            assert not thread._thread.is_alive()
+            assert not thread.server._connections
+        finally:
+            connection.close()
+            serving.close()
+        assert reported == []
+        assert capfd.readouterr().err == ""
 
 
 # ======================================================================

@@ -126,6 +126,38 @@ class TestResultCacheBehaviour:
         assert after.stats["cache_epoch_invalidations"] == 1
         assert victim not in after.rids
 
+    @pytest.mark.parametrize("algorithm", ["probe", "auto"])
+    def test_lookup_is_the_hit_or_the_price_and_counts_once(self, algorithm):
+        """``lookup`` answers what ``search`` would serve from the cache,
+        or prices the search that has to run; every counter moves once."""
+        plain, cached = _paired_engines()
+        query = "Make = 'Honda'"
+        hit, price = cached.lookup(query, 3, algorithm)
+        assert hit is None
+        assert price == cached.price(query, 3, algorithm) > 0.0
+        assert (cached.stats.hits, cached.stats.misses) == (0, 0)
+        computed = cached.search(query, 3, algorithm)
+        before = cached.cache.stats_snapshot()
+        hit, _ = cached.lookup(query, 3, algorithm)
+        assert hit.stats["cache_hit"] == 1
+        assert _answers(hit) == _answers(computed)
+        assert hit.items is not computed.items  # a copy, like any hit
+        after = cached.cache.stats_snapshot()
+        assert after.hits - before.hits == 1
+        assert after.plan_hits - before.plan_hits == 1
+        assert after.misses == before.misses
+        # A mutation: the stale entry dies in the lookup (counted there,
+        # once), the miss is counted by the search that follows.
+        plain.insert(("Honda", "Prelude", "Black", 1999, "classic coupe"))
+        hit, price = cached.lookup(query, 3, algorithm)
+        assert hit is None and price > 0.0
+        fresh = cached.search(query, 3, algorithm)
+        assert fresh.stats["cache_hit"] == 0
+        assert fresh.stats["cache_epoch_invalidations"] == 1
+        assert fresh.stats["cache_evictions"] == 1
+        assert fresh.stats["cache_misses"] == after.misses + 1
+        assert _answers(fresh) == _answers(plain.search(query, 3, algorithm))
+
     def test_unrelated_entries_survive_by_revalidation(self):
         """Epoch invalidation is lazy: an entry computed *after* the bump
         is immediately servable again."""
