@@ -96,7 +96,3 @@ class DiversityOrdering:
                 raise OrderingError(
                     f"ordering attribute {name!r} not in schema {schema!r}"
                 )
-
-    def key_for(self, values: dict) -> tuple:
-        """Project a row mapping onto the ordering (used for grouping)."""
-        return tuple(values[name] for name in self._attributes)

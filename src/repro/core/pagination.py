@@ -101,10 +101,6 @@ class DiversePaginator:
         self._shown: Set[DeweyId] = set(shown) if shown is not None else set()
         self._exhausted = False
 
-    @property
-    def shown(self) -> Set[DeweyId]:
-        return set(self._shown)
-
     def next_page(self) -> DiverseResult:
         """The next diverse page (empty once results run out)."""
         if self._exhausted:

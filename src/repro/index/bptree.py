@@ -132,10 +132,6 @@ class BPlusTree:
     def __repr__(self) -> str:
         return f"BPlusTree(order={self._order}, size={self._size})"
 
-    @property
-    def order(self) -> int:
-        return self._order
-
     def height(self) -> int:
         """Number of levels (1 for a lone leaf)."""
         node, levels = self._root, 1

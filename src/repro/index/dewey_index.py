@@ -10,7 +10,7 @@ attribute values still receive distinct IDs.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
@@ -197,9 +197,6 @@ class DeweyIndex:
             return self._rid_by_dewey[dewey]
         except KeyError:
             raise KeyError(f"no tuple with Dewey ID {dewey}") from None
-
-    def rids_of(self, deweys: Iterable[DeweyId]) -> list[int]:
-        return [self.rid_of(dewey) for dewey in deweys]
 
     def all_deweys(self) -> list[DeweyId]:
         """All assigned Dewey IDs in document order."""

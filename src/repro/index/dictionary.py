@@ -85,7 +85,3 @@ class SiblingDictionary:
         """Number of distinct children observed under ``prefix``."""
         children = self._forward.get(prefix)
         return len(children) if children is not None else 0
-
-    def prefixes(self) -> list[tuple]:
-        """All parent prefixes observed so far."""
-        return list(self._forward)

@@ -163,16 +163,16 @@ class MergedList:
     """The façade used by all diversity algorithms.
 
     Wraps the boolean cursor of a query plus the per-leaf weighted cursors
-    needed for scoring, and counts every probe for instrumentation.
+    needed for scoring, and counts every probe for instrumentation.  The
+    weighted cursors fetch every leaf's list a second time (a fan-out on a
+    sharded index), so they are built on the first scored use only.
     """
 
     def __init__(self, query: Query, index: InvertedIndex):
         self._query = query
         self._index = index
         self._root = compile_cursor(query, index)
-        self._leaves: list[tuple[Cursor, float]] = [
-            (_compile_leaf(leaf, index), leaf.weight) for leaf in query.leaves()
-        ]
+        self._leaves: Optional[list[tuple[Cursor, float]]] = None
         self.next_calls = 0
         self.scored_next_calls = 0
         # Always-on access accounting (repro.observability.probes): cheap
@@ -234,20 +234,27 @@ class MergedList:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
+    def _build_leaves(self) -> list[tuple[Cursor, float]]:
+        self._leaves = leaves = [
+            (_compile_leaf(leaf, self._index), leaf.weight)
+            for leaf in self._query.leaves()
+        ]
+        return leaves
+
     def score(self, dewey: DeweyId) -> float:
         """Sum of the weights of the leaf predicates containing ``dewey``."""
         total = 0.0
-        for cursor, weight in self._leaves:
+        for cursor, weight in self._leaves or self._build_leaves():
             if weight and cursor.next(dewey, LEFT) == dewey:
                 total += weight
         return total
 
     def max_score(self) -> float:
-        return sum(weight for _, weight in self._leaves)
+        return self._query.max_score()
 
     def weighted_leaves(self) -> list[tuple[Cursor, float]]:
         """Per-leaf cursors with weights (consumed by WAND)."""
-        return list(self._leaves)
+        return list(self._leaves or self._build_leaves())
 
     def next_scored(
         self,
@@ -277,7 +284,7 @@ class MergedList:
         self.scored_next_calls += 1
         forward = direction == LEFT
         states: list[list] = []
-        for cursor, weight in self._leaves:
+        for cursor, weight in self._leaves or self._build_leaves():
             if weight <= 0.0:
                 continue
             position = cursor.next(bound, direction)

@@ -7,7 +7,8 @@ reads.  :class:`~repro.index.inverted.InvertedIndex` and
 :class:`~repro.sharding.ShardedIndex` implement it over real posting
 lists; every other layer (durability, chaos, replication, per-read
 retries) is a :class:`ReaderProxy` that forwards the whole surface to one
-target and overrides only what it changes.
+target and overrides only what it changes (:class:`NamedReads` when that
+is all four posting reads alike).
 """
 
 from __future__ import annotations
@@ -97,6 +98,25 @@ class ReaderProxy:
 
     def remove(self, rid: int):
         return self._target.remove(rid)
+
+
+class NamedReads(ReaderProxy):
+    """A proxy whose four posting reads are one ``_read(operation, *args)``:
+    the layers that treat them alike (chaos, failover, retries, a pin)."""
+
+    __slots__ = ()
+
+    def scalar_postings(self, attribute: str, value: Any):
+        return self._read("scalar_postings", attribute, value)
+
+    def token_postings(self, attribute: str, token: str):
+        return self._read("token_postings", attribute, token)
+
+    def all_postings(self):
+        return self._read("all_postings")
+
+    def vocabulary(self, attribute: str) -> list:
+        return self._read("vocabulary", attribute)
 
 
 def sum_memory_stats(backend: str, parts) -> dict:

@@ -104,9 +104,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_max(self, value: float) -> None:
         """Raise the gauge to ``value`` if it is below (running maximum)."""
         with self._lock:
@@ -218,7 +215,6 @@ class _NullInstrument:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None: ...
-    def dec(self, amount: float = 1.0) -> None: ...
     def set(self, value: float) -> None: ...
     def set_max(self, value: float) -> None: ...
     def observe(self, value: float) -> None: ...

@@ -140,10 +140,6 @@ class span:
             ).inc()
         return False
 
-    def annotate(self, **fields) -> None:
-        """Attach extra fields to the eventual record (inside the span)."""
-        self.fields.update(fields)
-
 
 def current_span() -> Optional[span]:
     """The innermost active span of this context, or ``None``."""

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 
 from ..core import baselines
 from ..core.diversify import diverse_subset, scored_diverse_subset
+from ..index.merged import MergedList
 
 #: Fork-inherited shard views, published by the parent just before the
 #: pool forks and cleared right after — never used by spawn workers.
@@ -58,8 +59,6 @@ def compute_candidates(shard, query, k: int, algorithm: str, scored: bool):
     (their probe order must see the union cursors) and never reach a
     worker.
     """
-    from ..index.merged import MergedList
-
     merged = MergedList(query, shard)
     if algorithm == "naive":
         if scored:

@@ -37,13 +37,14 @@ def estimate_cardinality(query: Query, index: InvertedIndex) -> float:
     exclusion on the independence assumption.  Clamped to [0, |R|].
     """
     total = len(index)
-    if total == 0:
-        return 0.0
-    return total * estimate_selectivity(query, index)
+    return total * estimate_selectivity(query, index, total)
 
 
-def estimate_selectivity(query: Query, index: InvertedIndex) -> float:
-    total = len(index)
+def estimate_selectivity(query: Query, index: InvertedIndex, total=None) -> float:
+    """Estimated match fraction.  ``total``: ``len(index)`` if the caller
+    has it (a sum over shards when sharded: once per plan, not per node)."""
+    if total is None:
+        total = len(index)
     if total == 0:
         return 0.0
     if query.kind == LEAF:
@@ -51,17 +52,17 @@ def estimate_selectivity(query: Query, index: InvertedIndex) -> float:
     if query.kind == AND:
         selectivity = 1.0
         for child in query.children:
-            selectivity *= estimate_selectivity(child, index)
+            selectivity *= estimate_selectivity(child, index, total)
         return selectivity
     if query.kind == OR:
         miss = 1.0
         for child in query.children:
-            miss *= 1.0 - estimate_selectivity(child, index)
+            miss *= 1.0 - estimate_selectivity(child, index, total)
         return 1.0 - miss
     raise ValueError(f"unknown query node kind {query.kind!r}")
 
 
-def order_for_leapfrog(query: Query, index: InvertedIndex) -> Query:
+def order_for_leapfrog(query: Query, index: InvertedIndex, total=None) -> Query:
     """Physical rewrite: order AND children rarest-first, recursively.
 
     Boolean/scoring semantics are untouched (AND is commutative and scores
@@ -70,8 +71,10 @@ def order_for_leapfrog(query: Query, index: InvertedIndex) -> Query:
     """
     if query.kind == LEAF:
         return query
-    children = [order_for_leapfrog(child, index) for child in query.children]
+    if total is None:
+        total = len(index)
+    children = [order_for_leapfrog(child, index, total) for child in query.children]
     if query.kind == AND:
-        children.sort(key=lambda child: estimate_cardinality(child, index))
+        children.sort(key=lambda c: total * estimate_selectivity(c, index, total))
         return Query.conjunction(*children)
     return Query.disjunction(*children)

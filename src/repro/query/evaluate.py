@@ -7,8 +7,6 @@ the test oracles and the selectivity estimator are built on it.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..storage.relation import Relation
 from .query import Query
 
@@ -40,8 +38,3 @@ def selectivity(relation: Relation, query: Query) -> float:
     if relation.live_count == 0:
         return 0.0
     return len(res(relation, query)) / relation.live_count
-
-
-def count_matches(relation: Relation, queries: Iterable[Query]) -> list[int]:
-    """Match counts for a workload of queries (used by workload calibration)."""
-    return [len(res(relation, query)) for query in queries]

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .predicates import Predicate
-from .query import AND, LEAF, OR, Query
+from .predicates import KeywordPredicate, Predicate, ScalarPredicate
+from .query import AND, LEAF, OR, Query, _MatchAllPredicate
 
 
 def normalise(query: Query) -> Query:
@@ -72,8 +72,6 @@ def normalise(query: Query) -> Query:
 
 def is_match_all_leaf(query: Query) -> bool:
     """True for the TRUE (match-everything) leaf."""
-    from .query import _MatchAllPredicate
-
     return query.kind == LEAF and isinstance(query.predicate, _MatchAllPredicate)
 
 
@@ -97,8 +95,6 @@ def to_query_string(query: Query) -> str:
 
 
 def _leaf_to_string(query: Query) -> str:
-    from .predicates import KeywordPredicate, ScalarPredicate
-
     predicate = query.predicate
     weight = "" if query.weight == 1.0 else f" [{query.weight:g}]"
     if isinstance(predicate, ScalarPredicate):

@@ -19,7 +19,12 @@ replication exists.  Guarantees:
   copy fails does the set surface a shard-level error — transient if any
   copy failed transiently (the engine's retry machinery may yet succeed),
   crashed otherwise — so the engine degrades or fails exactly as if the
-  whole logical shard were lost.
+  whole logical shard were lost.  The preference order is resolved per
+  query *phase*, not per read (:meth:`ReplicaSet.pin`): it cannot change
+  inside one healthy phase, so the phase's reads go straight to the chosen
+  copy and their bookkeeping (counts, one latency sample, the breaker
+  window) is batched into the release, not dropped; a read that fails is
+  booked at once and re-enters the failover loop.
 * **Optional hedged reads.**  With a :class:`~repro.replication.hedging
   .HedgePolicy`, the first attempt of a read races a backup on the
   next-best replica after the configured latency percentile; first
@@ -45,9 +50,9 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import wait
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..index.reader import ReaderProxy, sum_memory_stats
+from ..index.reader import NamedReads, sum_memory_stats
 from ..observability import MONOTONIC, Clock, get_registry
 from ..resilience.breaker import CircuitBreaker, OPEN
 from ..resilience.errors import (
@@ -95,7 +100,7 @@ class _HedgedFailure(Exception):
         super().__init__(f"hedged read failed on replicas {sorted(reasons)}")
 
 
-class ReplicaSet(ReaderProxy):
+class ReplicaSet(NamedReads):
     """R replicas of one logical shard, speaking the shard read protocol."""
 
     def __init__(
@@ -163,10 +168,6 @@ class ReplicaSet(ReaderProxy):
     def num_replicas(self) -> int:
         return len(self._replicas)
 
-    @property
-    def hedge_policy(self) -> Optional[HedgePolicy]:
-        return self._hedge
-
     def health_rows(self) -> List[Dict]:
         """Per-replica health dicts (the HealthBoard snapshot contract)."""
         with self._lock:
@@ -206,41 +207,39 @@ class ReplicaSet(ReaderProxy):
     # ------------------------------------------------------------------
     # Data-path reads: failover (+ optional hedging)
     # ------------------------------------------------------------------
-    def scalar_postings(self, attribute: str, value: Any):
-        return self._read(
-            "scalar_postings",
-            lambda replica: replica.scalar_postings(attribute, value),
-        )
-
-    def token_postings(self, attribute: str, token: str):
-        return self._read(
-            "token_postings",
-            lambda replica: replica.token_postings(attribute, token),
-        )
-
-    def all_postings(self):
-        return self._read("all_postings", lambda replica: replica.all_postings())
-
-    def vocabulary(self, attribute: str) -> list:
-        return self._read(
-            "vocabulary", lambda replica: replica.vocabulary(attribute)
-        )
+    def pin(self):
+        """This set's reader for one query phase: a :class:`PinnedReplica`
+        on the preferred copy, admitted by its breaker once — or the set
+        itself (the per-read path) when hedged or refused."""
+        if self._hedge is None:
+            replica_id = self._selection_order()[0]
+            if self.breakers[replica_id].allow():
+                return PinnedReplica(self, replica_id)
+        return self
 
     def _selection_order(self) -> List[int]:
         """Preference order: closed breakers before open ones, then lowest
         EWMA latency, then replica id (the deterministic tiebreak that keeps
         unhedged fault-free runs pinned to the primary)."""
-        with self._lock:
-            latencies = [health.ewma_ms for health in self._health]
-        return sorted(
-            range(len(self._replicas)),
-            key=lambda rid: (self.breakers[rid].state == OPEN, latencies[rid], rid),
+        # Lock-free: each ``ewma_ms`` is one float stored under the lock,
+        # and a preference needs no consistent snapshot across copies.
+        order = sorted(
+            (breaker.state == OPEN, health.ewma_ms, health.replica_id)
+            for breaker, health in zip(self.breakers, self._health)
         )
+        return [replica_id for _, _, replica_id in order]
 
-    def _read(self, operation: str, call: Callable):
+    def _read(self, operation: str, *args, pinned=None):
+        """One read, moving down the preference order past failed copies.
+        ``pinned``: a pin whose copy just failed this read (booked already)
+        — that copy is skipped and the pin moves to the one that answers."""
         candidates = deque(self._selection_order())
         reasons: Dict[int, str] = {}
         hedged = False
+        if pinned is not None:
+            reasons[pinned.replica_id] = pinned.failure
+            candidates.remove(pinned.replica_id)
+            self._count_failovers(1)
         while candidates:
             replica_id = candidates.popleft()
             if not self.breakers[replica_id].allow():
@@ -254,9 +253,12 @@ class ReplicaSet(ReaderProxy):
             try:
                 if use_hedge:
                     hedged = True  # at most one backup per shard read
-                    return self._call_hedged(operation, replica_id, call,
+                    return self._call_hedged(operation, replica_id, args,
                                              candidates)
-                return self._call(operation, replica_id, call)
+                value = self._call(operation, replica_id, args)
+                if pinned is not None:
+                    pinned.move_to(replica_id)
+                return value
             except TransientShardError:
                 reasons[replica_id] = "transient"
             except ShardCrashedError:
@@ -283,35 +285,50 @@ class ReplicaSet(ReaderProxy):
             raise TransientShardError(self.shard_id, operation, message=message)
         raise ShardCrashedError(self.shard_id, operation, message=message)
 
-    def _call(self, operation: str, replica_id: int, call: Callable):
+    def _call(self, operation: str, replica_id: int, args: tuple):
         """One timed, health-recorded read against one copy."""
-        health = self._health[replica_id]
-        breaker = self.breakers[replica_id]
         with self._lock:
-            health.requests += 1
+            self._health[replica_id].requests += 1
         started = self._clock()
         try:
-            value = call(self._replicas[replica_id])
-        except TransientShardError:
-            with self._lock:
-                health.transient_failures += 1
-            breaker.record_failure()
+            value = getattr(self._replicas[replica_id], operation)(*args)
+        except (TransientShardError, ShardCrashedError) as error:
+            self._book_failure(replica_id, error)
             raise
-        except ShardCrashedError:
-            with self._lock:
-                health.hard_failures += 1
-            breaker.record_failure()
-            raise
-        elapsed_ms = (self._clock() - started) * 1000.0
-        with self._lock:
-            health.successes += 1
-            if health.successes == 1:
-                health.ewma_ms = elapsed_ms
-            else:
-                health.ewma_ms += _EWMA_ALPHA * (elapsed_ms - health.ewma_ms)
-            self._samples.append(elapsed_ms)
-        breaker.record_success()
+        self._book_successes(replica_id, 1, (self._clock() - started) * 1000.0)
         return value
+
+    def _book_failure(self, replica_id: int, error: Exception,
+                      requests: int = 0) -> str:
+        """Book one failed read on one copy; returns the failover reason."""
+        health = self._health[replica_id]
+        transient = isinstance(error, TransientShardError)
+        with self._lock:
+            health.requests += requests
+            if transient:
+                health.transient_failures += 1
+            else:
+                health.hard_failures += 1
+        self.breakers[replica_id].record_failure()
+        return "transient" if transient else "crashed"
+
+    def _book_successes(self, replica_id: int, reads: int, elapsed_ms: float,
+                        requests: int = 0) -> None:
+        """Book ``reads`` successes on one copy under one lock acquisition:
+        counters advance by ``reads`` (``requests`` by a pin's not-yet-
+        counted attempts), EWMA and hedge window take the mean latency."""
+        health = self._health[replica_id]
+        if reads:
+            sample_ms = elapsed_ms / reads
+            with self._lock:
+                health.requests += requests
+                if health.successes == 0:
+                    health.ewma_ms = sample_ms
+                else:
+                    health.ewma_ms += _EWMA_ALPHA * (sample_ms - health.ewma_ms)
+                health.successes += reads
+                self._samples.append(sample_ms)
+        self.breakers[replica_id].record_successes(reads)
 
     # ------------------------------------------------------------------
     # Hedged reads
@@ -373,7 +390,7 @@ class ReplicaSet(ReaderProxy):
                 self._pool_width = width
             return self._pool
 
-    def _call_hedged(self, operation: str, primary_id: int, call: Callable,
+    def _call_hedged(self, operation: str, primary_id: int, args: tuple,
                      candidates) -> Any:
         """First attempt with a backup racer: primary now, next-best replica
         after the hedge delay, first response wins, loser cancelled."""
@@ -383,7 +400,7 @@ class ReplicaSet(ReaderProxy):
         if remaining_s is not None:
             delay_s = min(delay_s, remaining_s)
         pool = self._ensure_pool()
-        primary_future = pool.submit(self._call, operation, primary_id, call)
+        primary_future = pool.submit(self._call, operation, primary_id, args)
         try:
             return primary_future.result(timeout=delay_s)
         except FutureTimeoutError:
@@ -401,7 +418,7 @@ class ReplicaSet(ReaderProxy):
         with self._lock:
             self.hedges_fired += 1
         self._count_hedge("fired")
-        backup_future = pool.submit(self._call, operation, backup_id, call)
+        backup_future = pool.submit(self._call, operation, backup_id, args)
         futures = {primary_future: primary_id, backup_future: backup_id}
         reasons: Dict[int, str] = {}
         while futures:
@@ -563,3 +580,47 @@ class ReplicaSet(ReaderProxy):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+class PinnedReplica(NamedReads):
+    """One :class:`ReplicaSet`'s reader for one query phase: posting reads
+    are the chosen copy's own (chaos proxy included, so injected faults
+    still land), timed but lock-free; :meth:`release` books them in one
+    batch.  A failed read is booked at once, continues down the set's
+    failover loop, and moves the pin to the copy that answered."""
+
+    __slots__ = ("_set", "_target", "replica_id", "failure", "_clock",
+                 "_reads", "_elapsed")
+
+    def __init__(self, replicas: "ReplicaSet", replica_id: int):
+        self._set = replicas
+        self._clock = replicas._clock
+        self._reads = 0
+        self._elapsed = 0.0
+        self.failure = ""          # why the pinned copy's last read failed
+        self.move_to(replica_id)
+
+    def move_to(self, replica_id: int) -> None:
+        self.replica_id = replica_id
+        self._target = self._set._replicas[replica_id]
+
+    def _read(self, operation: str, *args):
+        started = self._clock()
+        try:
+            value = getattr(self._target, operation)(*args)
+        except (TransientShardError, ShardCrashedError) as error:
+            # Booked in the order it happened: this copy's reads so far,
+            # then its failure; the set's loop books the survivor's read.
+            self.release()
+            self.failure = self._set._book_failure(self.replica_id, error, 1)
+            return self._set._read(operation, *args, pinned=self)
+        self._elapsed += self._clock() - started
+        self._reads += 1
+        return value
+
+    def release(self) -> None:
+        """Book the phase's reads on the pinned copy (none: the breaker's
+        admission is handed back unused)."""
+        reads, elapsed = self._reads, self._elapsed * 1000.0
+        self._reads, self._elapsed = 0, 0.0
+        self._set._book_successes(self.replica_id, reads, elapsed, reads)

@@ -116,16 +116,24 @@ class CircuitBreaker:
     # Outcome recording
     # ------------------------------------------------------------------
     def record_success(self) -> None:
+        self.record_successes(1)
+
+    def record_successes(self, count: int) -> None:
+        """``count`` successes of one admitted phase at once: the window
+        ends up exactly as ``count`` :meth:`record_success` calls leave it.
+        Zero: the admission went unused — a half-open trial is handed back."""
         with self._lock:
             state = self._state_locked()
             if state == HALF_OPEN:
+                self._probing = False
+                if not count:
+                    return
                 # The trial call came back healthy: fully close.
                 self._state = CLOSED
                 self._outcomes.clear()
-                self._probing = False
                 _count_transition(CLOSED)
-                return
-            self._outcomes.append(True)
+                count -= 1
+            self._outcomes.extend([True] * count)
 
     def record_failure(self) -> None:
         with self._lock:

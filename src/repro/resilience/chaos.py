@@ -35,9 +35,9 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from ..index.reader import ReaderProxy
+from ..index.reader import NamedReads
 from .errors import ShardCrashedError, TransientShardError
 
 #: A fault-plan key: a logical shard (all replicas) or one specific copy.
@@ -223,7 +223,7 @@ class ChaosPolicy:
         )
 
 
-class FaultyShard(ReaderProxy):
+class FaultyShard(NamedReads):
     """An :class:`InvertedIndex` read-protocol proxy that injects faults.
 
     Only the data-path reads go through :meth:`ChaosPolicy.before_read`;
@@ -254,19 +254,7 @@ class FaultyShard(ReaderProxy):
             f"FaultyShard({self.shard_id}/r{self.replica_id}, {self._target!r})"
         )
 
-    # ---- data-path reads: injected ---------------------------------
-    def scalar_postings(self, attribute: str, value: Any):
-        self.chaos.before_read(self.shard_id, "scalar_postings", self.replica_id)
-        return self._target.scalar_postings(attribute, value)
-
-    def token_postings(self, attribute: str, token: str):
-        self.chaos.before_read(self.shard_id, "token_postings", self.replica_id)
-        return self._target.token_postings(attribute, token)
-
-    def all_postings(self):
-        self.chaos.before_read(self.shard_id, "all_postings", self.replica_id)
-        return self._target.all_postings()
-
-    def vocabulary(self, attribute: str) -> list:
-        self.chaos.before_read(self.shard_id, "vocabulary", self.replica_id)
-        return self._target.vocabulary(attribute)
+    def _read(self, operation: str, *args):
+        """A data-path read: injected."""
+        self.chaos.before_read(self.shard_id, operation, self.replica_id)
+        return getattr(self._target, operation)(*args)

@@ -126,8 +126,8 @@ class HealthBoard:
     # Introspection
     # ------------------------------------------------------------------
     def open_shards(self) -> List[int]:
-        """Shards whose breaker currently rejects calls (open, or half-open
-        with the single trial slot taken — i.e. ``allow`` would fail)."""
+        """Shards whose breaker is open right now.  A half-open breaker is
+        not listed, whether or not its trial slot is taken."""
         return [
             shard for shard, breaker in enumerate(self.breakers)
             if breaker.state == "open"

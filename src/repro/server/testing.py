@@ -72,13 +72,6 @@ class ServerThread:
                 pass  # loop already closed
         self._thread.join(timeout=timeout_s)
 
-    @property
-    def base_url(self) -> str:
-        if self.address is None:
-            raise RuntimeError("server not started")
-        host, port = self.address
-        return f"http://{host}:{port}"
-
     def __enter__(self) -> "ServerThread":
         return self.start()
 

@@ -1,50 +1,59 @@
 """The sharded serving engine: fan-out, per-shard top-k, diverse-merge.
 
 :class:`ShardedEngine` is a :class:`~repro.core.engine.DiversityEngine`
-over a :class:`~repro.sharding.sharded_index.ShardedIndex`.  Two execution
-strategies, picked per algorithm so every answer stays bit-identical to an
-unsharded engine:
+over a :class:`~repro.sharding.sharded_index.ShardedIndex`.  Three
+execution strategies, picked per query and algorithm so every answer stays
+bit-identical to an unsharded engine:
 
 * **Scatter-gather** (``naive``, and unscored ``basic``): the query fans
-  out to all shards — sequentially or on a persistent thread pool
-  (``workers``) — each shard computes its *local* diverse top-k (the
-  canonical Definitions 1-2 selection over its rows), and the coordinator
-  re-applies Definitions 1-2 to the union (:mod:`repro.sharding.merge`).
-  Subtree co-location + the shared Dewey space make each shard's answer a
-  superset of its contribution to the global answer, so the merge is exact.
-
+  out to all shards — sequentially or on a persistent pool (``workers``) —
+  each shard computes its *local* diverse top-k (the canonical Definitions
+  1-2 selection over its rows), and the coordinator re-applies Definitions
+  1-2 to the union (:mod:`repro.sharding.merge`).  Subtree co-location +
+  the shared Dewey space make each shard's answer a superset of its
+  contribution to the global answer, so the merge is exact.
 * **Coordinator-driven scan** (``onepass``, ``probe``, scored ``basic``,
-  ``multq``): these algorithms' outputs depend on the scan/probing order
-  over the merged list, not just on the match set — a maximally diverse
-  subset is not unique, and one-pass keeps whichever representative it
-  meets first.  Gathering per-shard one-pass answers and re-merging would
-  return a *valid* diverse set but not *the* set the unsharded scan
-  returns.  Instead the unmodified algorithm runs on the coordinator
-  against the sharded index's union cursors: every ``next`` probe fans out
-  to all shards and takes the min/max — a distributed leapfrog whose probe
-  responses (and therefore whose answers, probe counts included) are
-  identical to the unsharded run.
+  ``multq``): these outputs depend on the probing order over the merged
+  list, not just on the match set (a maximally diverse subset is not
+  unique; one-pass keeps the representative it meets first), so gathering
+  per-shard answers would return *a* diverse set, not *the* unsharded
+  one.  Instead the unmodified algorithm runs on the coordinator against
+  the sharded index's union cursors: every ``next`` fans out to all shards
+  and takes the min/max — probe responses, answers and probe counts are
+  those of the unsharded run.
+* **Routed** (either of the above but ``multq``, when the plan is a leaf
+  or a top-level AND with an equality on the routing attribute): rows
+  route on that attribute, so every match lives in
+  ``router.shard_of(value)`` (subtree co-location) and the unmodified
+  driver runs on that one shard's reader — same matches, so the same
+  ``next`` responses, answers and probe counts; no union view, no fan-out.
 
 **Failure story** (:mod:`repro.resilience`): every shard call runs under
 the engine's :class:`~repro.resilience.policy.ResiliencePolicy` — deadline
-budget, bounded retries with jittered exponential backoff for transient
-faults, and a per-shard circuit breaker.  The two strategies degrade
-differently:
+budget, bounded retries with jittered backoff for transient faults, and a
+per-shard circuit breaker.  The strategies degrade differently:
 
 * Scatter-gather *drops* a shard that is crashed, open-circuit, out of
   retries, or past deadline, and diverse-merges the survivors — still a
   valid Definitions 1-2 diverse top-k over the reachable rows
   (docs/paper_mapping.md), flagged ``degraded`` in ``result.stats``.  Only
   a total loss raises.
-* The coordinator-driven scan needs every shard (union cursors have no
-  survivors-only mode that preserves bit-identity), so it retries whole
-  runs on transient faults and otherwise **fails fast** with a structured
+* The scan needs every shard (union cursors have no survivors-only mode
+  that preserves bit-identity), so it retries the failed read on transient
+  faults and otherwise **fails fast** with a structured
   :class:`~repro.resilience.errors.ShardUnavailableError` naming the lost
   shards.
+* A routed query is hostage to its home shard only: it consults and
+  credits that shard's breaker alone, exact and undegraded while any other
+  shard is down.  With the home shard lost a routed scan fails fast naming
+  it and a routed gather returns what the fan-out would: the degraded,
+  empty, never-cached answer.
 
-Mutations (``insert``/``delete``) route to exactly one shard and bump only
-that shard's epoch; the serving layer's caches front this engine unchanged,
-keying on the global (summed) epoch (degraded answers are never cached).
+Posting reads run in *phases* (plan statistics, one scan, one gather
+task), each over :meth:`ShardedIndex.pinned`: a replicated deployment
+chooses every shard's serving copy once per phase, not once per read.
+Mutations route to exactly one shard and bump only its epoch; the serving
+caches key on the summed epoch (degraded answers are never cached).
 """
 
 from __future__ import annotations
@@ -52,21 +61,24 @@ from __future__ import annotations
 import random
 import threading
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.engine import AUTO, DiversityEngine, run_algorithm
 from ..core.ordering import DiversityOrdering
 from ..core.result import DiverseResult
 from ..index.postings import ARRAY_BACKEND
-from ..index.reader import EMPTY_READER, ReaderProxy
+from ..index.reader import EMPTY_READER, NamedReads
 from ..observability import MONOTONIC, Clock, get_registry, span
 from ..parallel import (
     PROCESS_MODES,
     UnsupportedWorkerModeError,
     resolve_worker_mode,
 )
+from ..query.estimate import order_for_leapfrog
 from ..query.parser import parse_query
-from ..query.query import Query
+from ..query.predicates import ScalarPredicate
+from ..query.query import AND, Query
 from ..query.rewrite import normalise
 from ..resilience import (
     ChaosPolicy,
@@ -104,46 +116,32 @@ def resolve_mode(worker_mode: str, replicas: int) -> str:
     return resolved
 
 
-class RetryingReader(ReaderProxy):
-    """The sharded index's read protocol with per-read transient retries.
+class RetryingReader(NamedReads):
+    """A reader (the sharded index's pinned view, or one shard's) with
+    per-read transient retries.
 
     The coordinator-driven scan makes many small index reads (multq can
     make hundreds); retrying the *whole run* on one flaky read would need
     a fault-free pass through all of them — exponentially unlikely.  Each
-    read is idempotent, so retrying just the failed read is both cheap and
-    exactly answer-preserving: once it succeeds the scan proceeds as if
-    the fault never happened.  All reads share one deadline budget; the
-    control plane (relation, dewey, depth, epoch, ...) passes through
-    untouched.
+    read is idempotent, so retrying just the failed read is cheap and
+    exactly answer-preserving.  All reads share one deadline budget; the
+    control plane (relation, dewey, depth, epoch, ...) passes through.
     """
 
     __slots__ = ("_target", "_retrying", "_deadline", "retries")
 
-    def __init__(self, index: ShardedIndex, retrying, deadline: Deadline):
-        self._target = index
+    def __init__(self, reader, retrying, deadline: Deadline):
+        self._target = reader
         self._retrying = retrying   # PolicyRunner.retrying
         self._deadline = deadline
         self.retries = 0
 
-    def _read(self, operation):
-        value, attempts = self._retrying(operation, self._deadline)
+    def _read(self, operation: str, *args):
+        value, attempts = self._retrying(
+            partial(getattr(self._target, operation), *args), self._deadline
+        )
         self.retries += attempts
         return value
-
-    def scalar_postings(self, attribute: str, value):
-        index = self._target
-        return self._read(lambda: index.scalar_postings(attribute, value))
-
-    def token_postings(self, attribute: str, token: str):
-        index = self._target
-        return self._read(lambda: index.token_postings(attribute, token))
-
-    def all_postings(self):
-        return self._read(self._target.all_postings)
-
-    def vocabulary(self, attribute: str) -> list:
-        index = self._target
-        return self._read(lambda: index.vocabulary(attribute))
 
 
 class ShardedEngine(DiversityEngine):
@@ -332,12 +330,6 @@ class ShardedEngine(DiversityEngine):
         return self._workers
 
     @property
-    def worker_mode(self) -> str:
-        """The configured fan-out backend (as passed: ``process`` stays
-        ``process``; see :attr:`resolved_worker_mode` for the concrete one)."""
-        return self._worker_mode
-
-    @property
     def resolved_worker_mode(self) -> str:
         """The concrete backend: ``thread``, ``fork`` or ``spawn``."""
         return self._resolved_mode
@@ -394,24 +386,27 @@ class ShardedEngine(DiversityEngine):
         return self._runner.retrying(operation, deadline, phase)
 
     def _read_stats(self, read, phase: str):
-        """One statistics read through the sharded index, retry-wrapped —
-        or ``None`` when the statistics are unreachable and the caller
-        must plan without them.
+        """``read(view)``, one statistics phase over the sharded index's
+        pinned view, retry-wrapped — or ``None`` when the statistics are
+        unreachable and the caller must plan without them.
 
         A shard whose breaker is already open is presumed down: the read
-        is skipped *immediately*, without touching any shard.  Re-proving
-        the failure here every query would charge the broken shard a fresh
-        hard failure per query on top of the one the execute phase records
-        — double-counting its health stats — and burn retry/backoff time
-        from every caller's budget while the breaker is trying to cool
-        down."""
+        is skipped at once, touching no shard.  Re-proving the failure
+        every query would charge the broken shard a second hard failure
+        per query (the execute phase records one) and burn every caller's
+        retry budget while the breaker is trying to cool down."""
         if self._health.open_shards():
             reason = "circuit open"
         else:
+            view = self._index.pinned()
             try:
-                return self._run_with_retries(read, self._deadline(), phase)[0]
+                return self._run_with_retries(
+                    partial(read, view), self._deadline(), phase
+                )[0]
             except ShardUnavailableError:
                 reason = "shard unavailable"
+            finally:
+                self._index.release(view)
         self._metrics().counter(
             "repro_plan_degraded_total",
             "Plans that skipped statistics-driven reordering",
@@ -427,23 +422,17 @@ class ShardedEngine(DiversityEngine):
     ) -> Query:
         """Plan step, retry-wrapped: the leapfrog ordering reads posting
         statistics through the sharded index, so a flaky shard can fault
-        here too.  When a shard is hard-down (or retries run out, or its
-        breaker is open — :meth:`_read_stats`) the *plan* degrades instead
-        of the query: parse + normalise are pure, only the statistics-
-        driven reordering is skipped — answers do not depend on predicate
-        order, so execution can still proceed (and degrade, or fail fast,
-        on its own terms)."""
-        parent = super()
+        here too.  When the statistics are unreachable (:meth:`_read_stats`)
+        the *plan* degrades instead of the query: parse + normalise are
+        pure, only the reordering is skipped — answers do not depend on
+        predicate order, so execution still proceeds on its own terms."""
         if not optimize:
-            return parent.prepare(query, scored, False)  # pure: no shard read
-        plan = self._read_stats(
-            lambda: parent.prepare(query, scored, True), "prepare"
-        )
-        if plan is None:
-            plan = parse_query(query) if isinstance(query, str) else query
-            if not scored:
-                plan = normalise(plan)
-        return plan
+            return super().prepare(query, scored, False)  # pure: no shard read
+        plan = parse_query(query) if isinstance(query, str) else query
+        if not scored:
+            plan = normalise(plan)
+        ordered = self._read_stats(partial(order_for_leapfrog, plan), "prepare")
+        return plan if ordered is None else ordered
 
     # ------------------------------------------------------------------
     # Execution
@@ -471,9 +460,8 @@ class ShardedEngine(DiversityEngine):
 
         if isinstance(query, str):
             query = parse_query(query)
-        index = self._index
         decision = self._read_stats(
-            lambda: choose(index, query, k, scored, candidates=candidates),
+            lambda view: choose(view, query, k, scored, candidates=candidates),
             "plan",
         )
         if decision is not None:
@@ -503,19 +491,38 @@ class ShardedEngine(DiversityEngine):
 
         Scatter-gather (degradable) for the canonical algorithms,
         coordinator-driven union-cursor scan (all-shards-or-fail) for the
-        scan-order-dependent ones; ``auto`` plans first (see :meth:`plan`)
-        and dispatches the selected algorithm through the same split.
+        scan-order-dependent ones, either on the :meth:`_home_shard` alone
+        when there is one; ``auto`` plans first (see :meth:`plan`) and
+        dispatches the selected algorithm through the same split.
         """
         if algorithm == AUTO:
             return self._execute_auto(query, k, scored, decision)
+        home = None if algorithm == "multq" else self._home_shard(query)
         if algorithm == "naive" or (algorithm == "basic" and not scored):
-            return self._execute_gather(query, k, algorithm, scored)
-        return self._execute_scan(query, k, algorithm, scored)
+            return self._execute_gather(query, k, algorithm, scored, home)
+        return self._execute_scan(query, k, algorithm, scored, home)
+
+    def _home_shard(self, query: Query) -> Optional[int]:
+        """The one shard holding every match of ``query``, or ``None``:
+        rows route on the ordering's top attribute, so a leaf or top-level
+        conjunct ``top = v`` confines the matches to ``shard_of(v)``.  Only
+        direct children of the top AND are inspected (scored plans are not
+        normalised) — a missed nesting is a missed saving, never a wrong
+        shard; two contradicting values match nothing on any shard."""
+        index = self._index
+        top = index.ordering.attributes[0]
+        for conjunct in query.children if query.kind == AND else (query,):
+            predicate = conjunct.predicate  # None on an AND/OR node
+            if isinstance(predicate, ScalarPredicate) and predicate.attribute == top:
+                return index.router.shard_of(predicate.value)
+        return None
 
     def _execute_scan(
-        self, query: Query, k: int, algorithm: str, scored: bool
+        self, query: Query, k: int, algorithm: str, scored: bool,
+        home: Optional[int] = None,
     ) -> DiverseResult:
-        """Coordinator-driven scan: needs every shard, so fail fast.
+        """Coordinator-driven scan, over the union view or the ``home``
+        shard's reader: needs every shard it reads, so fail fast.
 
         An open circuit means a shard is presumed down — refuse before
         burning the deadline.  Transient faults retry the *failed read*
@@ -523,40 +530,51 @@ class ShardedEngine(DiversityEngine):
         scan — see :class:`RetryingReader`); crashes surface immediately
         as :class:`ShardUnavailableError` naming the dead shard.
         """
-        open_shards = self._health.open_shards()
+        read_shards = range(self.num_shards) if home is None else (home,)
+        open_shards = [shard for shard in self._health.open_shards()
+                       if shard in read_shards]
         if open_shards:
             raise ShardUnavailableError(
                 {shard: "circuit open" for shard in open_shards}, self.num_shards
             )
         with span("shard.scan", registry=self._registry, algorithm=algorithm,
-                  k=k, shards=self.num_shards):
-            reader = RetryingReader(
-                self._index, self._runner.retrying, self._deadline()
-            )
-            deweys, scores, stats = run_algorithm(
-                reader, query, k, algorithm, scored
-            )
-        # A completed scan heard back from the whole deployment: credit the
-        # breakers so a recovered shard's circuit can close again.
-        for shard in range(self.num_shards):
+                  k=k, shards=len(read_shards)):
+            view = self._index.pinned(home)
+            try:
+                reader = RetryingReader(view, self._runner.retrying, self._deadline())
+                deweys, scores, stats = run_algorithm(
+                    reader, query, k, algorithm, scored
+                )
+            finally:
+                self._index.release(view)
+        # A completed scan heard back from the shards it read: credit those
+        # breakers (and no other) so a recovered shard's circuit can close.
+        for shard in read_shards:
             self._health.record_success(shard)
         result = self._package(deweys, scores, stats, k, algorithm, scored)
         result.stats.update(self._resilience_stats((), reader.retries))
         return result
 
     def _execute_gather(
-        self, query: Query, k: int, algorithm: str, scored: bool
+        self, query: Query, k: int, algorithm: str, scored: bool,
+        home: Optional[int] = None,
     ) -> DiverseResult:
         """Scatter-gather with degradation: each shard's local answer
         (naive: its canonical diverse top-k; basic: its document-order
-        first-k), survivors re-merged under Definitions 1-2."""
+        first-k), survivors re-merged under Definitions 1-2.  A routed
+        gather is the ``home`` shard's task run here, whatever the executor
+        (one shard is not a fan-out); losing it degrades, never raises."""
         executor = self._executor
+        task = GatherTask(algorithm, k, scored, query)
         with span("shard.scatter", registry=self._registry,
-                  shards=self.num_shards, workers=self._workers,
-                  mode=executor.mode):
-            outcomes = executor.scatter(
-                GatherTask(algorithm, k, scored, query), self._deadline()
-            )
+                  shards=self.num_shards if home is None else 1,
+                  workers=self._workers, mode=executor.mode):
+            if home is None:
+                outcomes = executor.scatter(task, self._deadline())
+            else:
+                outcomes = [self._runner.shard_task(
+                    home, self._index, task, self._deadline()
+                )]
         gathered = [outcome.value for outcome in outcomes if outcome.ok]
         candidates = [local for local, _, _ in gathered]
         stats = {

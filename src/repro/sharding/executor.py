@@ -129,9 +129,10 @@ class PolicyRunner:
                     {error.shard_id: "crashed"}, len(health)
                 ) from error
 
-    def shard_task(self, shard_id: int, shard, task,
+    def shard_task(self, shard_id: int, index, task,
                    deadline: Deadline) -> ShardOutcome:
-        """Run ``task(shard)`` under the policy; never raises.
+        """Run ``task`` on shard ``shard_id`` of ``index`` under the
+        policy; never raises.
 
         Breaker-gated admission, bounded retries with jittered backoff on
         transient faults, deadline checks between attempts.  The outcome
@@ -148,9 +149,10 @@ class PolicyRunner:
                 health.record_deadline_drop(shard_id)
                 return ShardOutcome(shard_id, reason="deadline", retries=attempts)
             health.record_admitted(shard_id)
+            reader = index.pinned(shard_id)  # one replica choice per attempt
             try:
                 with deadline_scope(deadline):
-                    value = task(shard)
+                    value = task(reader)
             except TransientShardError:
                 health.record_transient(shard_id)
                 if attempts >= self.policy.max_retries:
@@ -170,6 +172,8 @@ class PolicyRunner:
                 return ShardOutcome(
                     shard_id, value=value, ok=True, retries=attempts
                 )
+            finally:
+                index.release(reader)
 
 
 class ShardExecutor:
@@ -227,10 +231,10 @@ class SerialExecutor(ShardExecutor):
     """Shard after shard on the calling thread."""
 
     def _fan_out(self, task, deadline):
-        run = self._runner.shard_task
+        run, index = self._runner.shard_task, self._index
         return [
-            run(shard_id, shard, task, deadline)
-            for shard_id, shard in enumerate(self._index.shards)
+            run(shard_id, index, task, deadline)
+            for shard_id in range(index.num_shards)
         ]
 
 
@@ -256,8 +260,8 @@ class ThreadExecutor(ShardExecutor):
         run = self._runner.shard_task
         health = self._runner.health
         futures = {
-            pool.submit(run, shard_id, shard, task, deadline): shard_id
-            for shard_id, shard in enumerate(self._index.shards)
+            pool.submit(run, shard_id, self._index, task, deadline): shard_id
+            for shard_id in range(self._index.num_shards)
         }
         try:
             timeout = deadline.remaining_ms() / 1000.0

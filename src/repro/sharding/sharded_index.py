@@ -12,19 +12,20 @@ make it a drop-in replacement for a single index:
 * **Subtree co-location.**  Rows are routed on the value of the diversity
   ordering's *top* attribute (:mod:`repro.sharding.router`), so every
   level-1 subtree of the global Dewey tree lives wholly inside one shard —
-  the invariant the diverse-merge correctness argument rests on.
+  the invariant the diverse-merge argument rests on, and the reason a
+  query pinning that attribute needs its home shard only.
 * **The InvertedIndex read protocol.**  ``scalar_postings`` /
   ``token_postings`` / ``all_postings`` return k-way *union views* over the
   per-shard posting lists (level-1 lookups route straight to their owning
-  shard).  Every existing consumer — the merged-list cursors, the
-  selectivity estimator, WAND, MultQ's vocabulary enumeration — runs
-  unmodified on a :class:`ShardedIndex`, and since the algorithms only
-  observe ``seek``/``seek_floor`` results, their answers are identical to
-  the unsharded engine's.
+  shard).  Every consumer — merged-list cursors, the selectivity
+  estimator, WAND, MultQ's vocabulary enumeration — runs unmodified, and
+  since the algorithms only observe ``seek``/``seek_floor`` results, their
+  answers are identical to the unsharded engine's.
 
-Mutations route to exactly one shard and bump only that shard's epoch;
-the global ``epoch`` (the sum) preserves the serving-cache invalidation
-contract of PR 1.
+:meth:`ShardedIndex.pinned` is the same index for one query phase, every
+replicated slot resolved to one copy.  Mutations route to exactly one
+shard and bump only its epoch; the global ``epoch`` (the sum) preserves
+the serving-cache invalidation contract.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from ..index.dewey_index import DeweyIndex
 from ..index.inverted import InvertedIndex
 from ..index.postings import ARRAY_BACKEND, PostingList
 from ..index.reader import sum_memory_stats
+from ..observability import MONOTONIC
+from ..replication.replica_set import PinnedReplica, ReplicaSet
+from ..resilience.chaos import FaultyShard
 from ..storage.relation import Relation
 from .router import ShardRouter, make_router
 
@@ -115,30 +119,6 @@ class ShardedIndex:
         "__weakref__",  # metrics collectors hold the index weakly
     )
 
-    def __init__(
-        self,
-        relation: Relation,
-        ordering: DiversityOrdering,
-        shards: int = 2,
-        backend: str = ARRAY_BACKEND,
-        router: Union[str, ShardRouter] = "hash",
-    ):
-        if not isinstance(ordering, DiversityOrdering):
-            ordering = DiversityOrdering(ordering)
-        if shards < 1:
-            raise ValueError("shard count must be positive")
-        self._relation = relation
-        self._ordering = ordering
-        self._backend = backend
-        self._dewey = DeweyIndex(relation, ordering)
-        self._route_position = relation.schema.position(ordering.attributes[0])
-        self._router = make_router(router, shards, self._route_values())
-        self._worker_budget = 0
-        self._shards: List[InvertedIndex] = [
-            InvertedIndex(relation, ordering, backend=backend, dewey=self._dewey)
-            for _ in range(shards)
-        ]
-
     @classmethod
     def build(
         cls,
@@ -152,18 +132,19 @@ class ShardedIndex:
         posting lists over each shard's routed row subset."""
         if not isinstance(ordering, DiversityOrdering):
             ordering = DiversityOrdering(ordering)
-        index = cls(relation, ordering, shards=shards, backend=backend, router=router)
-        index._dewey = DeweyIndex.build(relation, ordering)
+        dewey = DeweyIndex.build(relation, ordering)
+        position = relation.schema.position(ordering.attributes[0])
+        values = [row[position] for _, row in relation.iter_live()]
+        router = make_router(router, shards, values)
         routed: List[List[int]] = [[] for _ in range(shards)]
-        for rid in index._dewey.iter_rids():
-            routed[index.shard_of(rid)].append(rid)
-        index._shards = [
+        for rid in dewey.iter_rids():
+            routed[router.shard_of(relation[rid][position])].append(rid)
+        return cls.from_parts(relation, ordering, dewey, router, [
             InvertedIndex.build(
-                relation, ordering, backend=backend, dewey=index._dewey, rids=rids
+                relation, ordering, backend=backend, dewey=dewey, rids=rids
             )
             for rids in routed
-        ]
-        return index
+        ], backend)
 
     @classmethod
     def from_parts(
@@ -175,13 +156,11 @@ class ShardedIndex:
         shards: Sequence,
         backend: str = ARRAY_BACKEND,
     ) -> "ShardedIndex":
-        """Reassemble a sharded index from already-built parts.
-
-        The recovery path (:mod:`repro.durability.sharded`) restores the
-        relation, the global Dewey assignment, the persisted router, and
-        each shard index separately, then stitches them back together here
-        — no re-routing or re-building happens.
-        """
+        """A sharded index over already-built parts — no re-routing, no
+        re-building.  :meth:`build` ends here; so does recovery
+        (:mod:`repro.durability.sharded`, which restores relation, Dewey
+        assignment, persisted router and every shard separately), and so
+        does :meth:`pinned`."""
         if router.shards != len(shards):
             raise ValueError(
                 f"router covers {router.shards} shards, got {len(shards)}"
@@ -196,10 +175,6 @@ class ShardedIndex:
         index._worker_budget = 0
         index._shards = list(shards)
         return index
-
-    def _route_values(self) -> list:
-        position = self._route_position
-        return [row[position] for _, row in self._relation.iter_live()]
 
     # ------------------------------------------------------------------
     # Introspection (the InvertedIndex protocol)
@@ -257,8 +232,6 @@ class ShardedIndex:
     @property
     def replication_factor(self) -> int:
         """Copies per logical shard (1 until :meth:`replicate` is called)."""
-        from ..replication.replica_set import ReplicaSet
-
         first = self._shards[0]
         if isinstance(first, ReplicaSet):
             return first.num_replicas
@@ -283,8 +256,6 @@ class ShardedIndex:
         self._size_hedge_pools()
 
     def _size_hedge_pools(self) -> None:
-        from ..replication.replica_set import ReplicaSet
-
         for shard in self._shards:
             if isinstance(shard, ReplicaSet):
                 shard.set_pool_budget(ReplicaSet.derive_pool_width(
@@ -310,9 +281,6 @@ class ShardedIndex:
         failover transparently.  Replicate *after* durability wrapping and
         *before* chaos injection.
         """
-        from ..observability import MONOTONIC
-        from ..replication.replica_set import ReplicaSet
-
         if count < 1:
             raise ValueError("replica count must be >= 1")
         if any(isinstance(shard, ReplicaSet) for shard in self._shards):
@@ -336,6 +304,30 @@ class ShardedIndex:
             # derived width up here; the budget setter covers the other
             # order (replicate first, engine construction after).
             self._size_hedge_pools()
+
+    def pinned(self, shard_id: Optional[int] = None):
+        """The reader for one query phase: this index with every replica
+        set resolved to one copy (:meth:`ReplicaSet.pin`), so its posting
+        reads skip the per-read replica choice — or, given ``shard_id``,
+        that shard's reader alone (a routed query, a gather task).  Hand it
+        to :meth:`release` in a ``finally``.  Unreplicated, the index and
+        its shards are their own readers."""
+        if not isinstance(self._shards[0], ReplicaSet):
+            return self if shard_id is None else self._shards[shard_id]
+        if shard_id is not None:
+            return self._shards[shard_id].pin()
+        return self.from_parts(
+            self._relation, self._ordering, self._dewey, self._router,
+            [shard.pin() for shard in self._shards], self._backend,
+        )
+
+    @staticmethod
+    def release(reader) -> None:
+        """End the phase :meth:`pinned` began: book the pins ``reader`` holds."""
+        slots = reader._shards if isinstance(reader, ShardedIndex) else (reader,)
+        for slot in slots:
+            if isinstance(slot, PinnedReplica):
+                slot.release()
 
     @property
     def router(self) -> ShardRouter:
@@ -406,31 +398,20 @@ class ShardedIndex:
         Replicated shards inject *inside* the :class:`ReplicaSet` so each
         copy gets its own ``(shard, replica)``-addressed proxy.
         Idempotent-safe: injecting over an existing wrapper replaces it."""
-        from ..replication.replica_set import ReplicaSet
-        from ..resilience.chaos import FaultyShard
-
         self.clear_chaos()
-        wrapped = []
         for shard_id, shard in enumerate(self._shards):
             if isinstance(shard, ReplicaSet):
                 shard.inject_chaos(chaos)
-                wrapped.append(shard)
             else:
-                wrapped.append(FaultyShard(shard, shard_id, chaos))
-        self._shards = wrapped
+                self._shards[shard_id] = FaultyShard(shard, shard_id, chaos)
 
     def clear_chaos(self) -> None:
         """Unwrap any chaos proxies; reads go straight to the shards again."""
-        from ..replication.replica_set import ReplicaSet
-
-        cleared = []
-        for shard in self._shards:
+        for shard_id, shard in enumerate(self._shards):
             if isinstance(shard, ReplicaSet):
                 shard.clear_chaos()
-                cleared.append(shard)
             else:
-                cleared.append(getattr(shard, "inner", shard))
-        self._shards = cleared
+                self._shards[shard_id] = getattr(shard, "inner", shard)
 
     @property
     def chaos(self):

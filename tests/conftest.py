@@ -9,6 +9,7 @@ import pytest
 from repro import DiversityEngine, Query, Relation, Schema
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.inverted import InvertedIndex
+from repro.query.predicates import ScalarPredicate
 
 
 @pytest.fixture
@@ -71,6 +72,28 @@ def random_query(rng: random.Random, weighted: bool = False) -> Query:
 
 
 RANDOM_ORDERING = ["make", "model", "color", "desc"]
+
+
+def home_shard(engine, query: Query):
+    """The test-side oracle for shard pruning: the one shard a sharded
+    engine reads for ``query`` — a leaf, or a top-level AND child, pinning
+    the routing attribute — or ``None`` when it reads them all."""
+    routing = engine.ordering.attributes[0]
+    conjuncts = {"leaf": [query], "and": query.children}.get(query.kind, [])
+    for conjunct in conjuncts:
+        predicate = conjunct.predicate
+        if isinstance(predicate, ScalarPredicate) and predicate.attribute == routing:
+            return engine.sharded_index.router.shard_of(predicate.value)
+    return None
+
+
+def fanout_query(rng: random.Random, weighted: bool = False) -> Query:
+    """A :func:`random_query` no shard pruning applies to: one that reads
+    every shard, for tests that exercise the fan-out itself."""
+    while True:
+        query = random_query(rng, weighted)
+        if query.kind == "or" or query.is_match_all():
+            return query
 
 
 def grown_copy(root):

@@ -308,3 +308,25 @@ def test_same_attribute_conjunction_fetches_no_scalar_list(cars_index, monkeypat
     cursor = compile_cursor(parse_query("Year = 2007 AND Year = 2006"), cars_index)
     assert cursor.next(zeros(cars_index.depth), LEFT) is None
     assert fetched == []
+
+
+@pytest.mark.parametrize("algorithm", ["probe", "onepass", "naive", "basic"])
+def test_a_leaf_list_is_fetched_once_unscored_twice_scored(
+        cars_index, monkeypatch, algorithm):
+    """The weighted leaf cursors are a second fetch of every list (a
+    fan-out on a sharded index): built on the first scored use only."""
+    from repro.core.engine import run_algorithm
+
+    fetched = []
+    scalar_postings = InvertedIndex.scalar_postings
+    monkeypatch.setattr(
+        InvertedIndex, "scalar_postings",
+        lambda self, attribute, value: fetched.append(value)
+        or scalar_postings(self, attribute, value),
+    )
+    query = parse_query("Make = 'Honda' AND (Color = 'Blue' OR Year = 2007)")
+    run_algorithm(cars_index, query, 3, algorithm, scored=False)
+    assert sorted(fetched, key=str) == [2007, "Blue", "Honda"]
+    del fetched[:]
+    run_algorithm(cars_index, query, 3, algorithm, scored=True)
+    assert 3 <= len(fetched) <= 6 and set(fetched) == {2007, "Blue", "Honda"}

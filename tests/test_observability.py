@@ -557,7 +557,8 @@ class TestBreakerFixes:
                 cars, figure1_ordering(), shards=3, policy=policy
             ) as engine:
                 engine.inject_chaos(ChaosPolicy.crash_shards(0))
-                first = engine.search("Make = 'Honda'", 3, algorithm="naive")
+                # No routing conjunct: the gather must read the dead shard.
+                first = engine.search("Color = 'Blue'", 3, algorithm="naive")
                 assert first.stats["degraded"] is True
                 assert engine.health.open_shards() == [0]
                 hard_after_first = engine.health[0].hard_failures
@@ -565,7 +566,7 @@ class TestBreakerFixes:
 
                 for _ in range(4):
                     result = engine.search(
-                        "Make = 'Honda'", 3, algorithm="naive")
+                        "Color = 'Blue'", 3, algorithm="naive")
                     assert result.stats["degraded"] is True
                 # The open breaker short-circuits both phases: no fresh
                 # hard failures are charged, the circuit is not re-tripped,

@@ -21,7 +21,12 @@ from repro.core.engine import ALGORITHMS
 from repro.durability.sharded import create_sharded_store
 from repro.sharding import ShardedEngine
 
-from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .conftest import (
+    RANDOM_ORDERING,
+    fanout_query,
+    random_query,
+    random_relation,
+)
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -147,7 +152,8 @@ def test_mutation_between_queries_is_fenced_not_merged():
     with ShardedEngine.from_relation(
         relation_b, RANDOM_ORDERING, shards=3, workers=2, worker_mode="fork"
     ) as engine:
-        trials = _trials(rng, count=2)
+        # A fan-out query first: routed gathers alone would build no pool.
+        trials = [(fanout_query(rng), 3)] + _trials(rng, count=2)
         _assert_identical(engine, reference, trials, "pre-mutation")
         first_pool = engine._executor._pool
         assert first_pool is not None

@@ -37,7 +37,12 @@ from repro.resilience import ChaosPolicy, ResiliencePolicy
 from repro.resilience.policy import Deadline
 from repro.sharding import ShardedEngine, ShardedIndex
 
-from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .conftest import (
+    RANDOM_ORDERING,
+    fanout_query,
+    random_query,
+    random_relation,
+)
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -173,13 +178,14 @@ class TestTeardownAfterFailure:
             relation, RANDOM_ORDERING, shards=2, workers=2,
             worker_mode="fork",
         )
-        engine.search(random_query(rng), 5, algorithm="naive")
+        # Fan-out queries: a routed gather never reaches the workers.
+        engine.search(fanout_query(rng), 5, algorithm="naive")
         for pid in engine._executor._pool.worker_pids():
             os.kill(pid, signal.SIGKILL)
         # The next query sees dead pipes; whatever it reports, close()
         # afterwards must still join everything.
         try:
-            engine.search(random_query(rng), 5, algorithm="naive")
+            engine.search(fanout_query(rng), 5, algorithm="naive")
         except Exception:
             pass
         engine.close()
@@ -226,9 +232,10 @@ def test_close_search_close_leaves_no_pool_behind(worker_mode):
         figure1_relation(), figure1_ordering(), shards=2, workers=2,
         worker_mode=worker_mode,
     )
-    engine.search("Make = 'Honda'", k=2, algorithm="naive")
+    # No ``Make = v`` conjunct: a routed gather builds no pool.
+    engine.search("Color = 'Blue'", k=2, algorithm="naive")
     engine.close()
-    engine.search("Make = 'Honda'", k=2, algorithm="naive")  # pool is back
+    engine.search("Color = 'Blue'", k=2, algorithm="naive")  # pool is back
     rebuilt = engine._executor._pool
     assert rebuilt is not None
     pids = rebuilt.worker_pids() if worker_mode == "fork" else []
@@ -377,7 +384,7 @@ class TestUnsupportedCombinations:
         ) as engine:
             with pytest.raises(UnsupportedWorkerModeError,
                                match="durable store"):
-                engine.search(random_query(rng), 5, algorithm="naive")
+                engine.search(fanout_query(rng), 5, algorithm="naive")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -473,3 +473,247 @@ class TestReplicaHealth:
             assert registry.value(
                 "repro_replica_failovers_total", shard="0") > 0
             engine.close()
+
+
+# ----------------------------------------------------------------------
+# One replica choice per query phase: the pin, as counts
+# ----------------------------------------------------------------------
+class _CountingLock:
+    """Stands in for ``ReplicaSet._lock``; counts acquisitions."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class _NthReadFlakes(ChaosPolicy):
+    """One transient fault: the ``nth`` read of one ``(shard, replica)``."""
+
+    def __init__(self, address, nth):
+        super().__init__()
+        self._address = address
+        self._countdown = nth
+
+    def before_read(self, shard_id, operation, replica_id=None):
+        if (shard_id, replica_id) == self._address:
+            self._countdown -= 1
+            if self._countdown == 0:
+                self.injected["transient"] += 1
+                raise TransientShardError(shard_id, operation)
+
+
+#: Breakers that never trip (min_calls above the window) with a window
+#: wide enough to hold every outcome a test books.
+WIDE_WINDOW = ResiliencePolicy(breaker_window=64, breaker_min_calls=65)
+
+#: A query whose two leaves are read from every shard, in the prepare
+#: phase (ordering the AND) and again in the scan phase.
+TWO_LEAVES = "color = 'red' AND desc CONTAINS 'miles'"
+
+
+def _books(engine):
+    """What every replica set booked: per copy, and the breaker windows."""
+    return [
+        [(health.requests, health.successes, len(breaker._outcomes))
+         for health, breaker in zip(replicas._health, replicas.breakers)]
+        for replicas in engine.sharded_index.shards
+    ]
+
+
+def _single_index():
+    from repro import DiversityOrdering
+
+    return InvertedIndex.build(_relation(), DiversityOrdering(RANDOM_ORDERING))
+
+
+class TestPinnedPhase:
+    def _engine(self, policy=WIDE_WINDOW, shards=4, **options):
+        clock = FakeClock()  # zero latencies: replica 0 wins every tie
+        return ShardedEngine.from_relation(
+            _relation(), RANDOM_ORDERING, shards=shards, replicas=2,
+            policy=policy, clock=clock, sleep=clock.sleep, **options)
+
+    def test_healthy_probe_chooses_and_locks_once_per_phase(self, monkeypatch):
+        engine = self._engine()
+        sorts = []
+        selection_order = ReplicaSet._selection_order
+        monkeypatch.setattr(
+            ReplicaSet, "_selection_order",
+            lambda self: sorts.append(self.shard_id) or selection_order(self))
+        locks = []
+        for replicas in engine.sharded_index.shards:
+            replicas._lock = _CountingLock(replicas._lock)
+            locks.append(replicas._lock)
+        engine.search(TWO_LEAVES, 5, algorithm="probe")
+        # Two phases read postings (prepare, scan), each from every shard.
+        assert sorted(sorts) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert [lock.acquired for lock in locks] == [2, 2, 2, 2]
+        engine.close()
+
+    @pytest.mark.parametrize("text, algorithm, scored", [
+        (TWO_LEAVES, "probe", False),
+        (TWO_LEAVES, "probe", True),
+        (TWO_LEAVES, "onepass", True),
+        ("model = 'm1' OR color = 'blue'", "naive", False),
+        ("make = 'A' AND color = 'red'", "probe", True),
+        ("make = 'B'", "naive", False),
+    ])
+    def test_batched_books_equal_the_per_read_books(
+            self, monkeypatch, text, algorithm, scored):
+        pinned = self._engine()
+        pinned.search(text, 5, algorithm=algorithm, scored=scored)
+        per_read = self._engine()
+        monkeypatch.setattr(ReplicaSet, "pin", lambda self: self)
+        per_read.search(text, 5, algorithm=algorithm, scored=scored)
+        assert _books(pinned) == _books(per_read)
+        assert sum(requests for shard in _books(pinned)
+                   for requests, _, _ in shard) > 0
+
+    def test_books_of_a_scored_probe_are_the_parents(self):
+        """Recorded once at the parent commit (per-read bookkeeping, three
+        fetches per leaf): a scored run still fetches every leaf three
+        times, so the batched books must be the very same numbers."""
+        engine = self._engine()
+        engine.search(TWO_LEAVES, 5, algorithm="probe", scored=True)
+        assert _books(engine) == [[(6, 6, 6), (0, 0, 0)]] * 4
+
+    def test_transient_on_a_pinned_read_fails_over_mid_phase(self):
+        index = _single_index()
+        replicas = ReplicaSet.grow(index, 2, shard_id=0, policy=WIDE_WINDOW,
+                                   clock=FakeClock())
+        replicas.inject_chaos(_NthReadFlakes((0, 0), nth=3))
+        expected = list(index.scalar_postings("color", "red"))
+        pin = replicas.pin()
+        assert pin is not replicas and pin.replica_id == 0
+        for _ in range(5):
+            assert list(pin.scalar_postings("color", "red")) == expected
+        assert pin.replica_id == 1  # moved to the copy that answered
+        pin.release()
+        first, survivor = replicas._health
+        assert (first.requests, first.successes,
+                first.transient_failures) == (3, 2, 1)
+        assert (survivor.requests, survivor.successes) == (3, 3)
+        assert replicas.failovers == 1
+        # The window holds the outcomes in the order they happened.
+        assert list(replicas.breakers[0]._outcomes) == [True, True, False]
+        assert list(replicas.breakers[1]._outcomes) == [True, True, True]
+
+    def test_transient_on_a_pinned_read_is_invisible_to_the_query(self):
+        reference = DiversityEngine.from_relation(_relation(), RANDOM_ORDERING)
+        engine = self._engine(shards=2)
+        chaos = engine.inject_chaos(_NthReadFlakes((1, 0), nth=3))
+        for algorithm, scored in [("probe", True), ("naive", False)]:
+            expected = reference.search(TWO_LEAVES, 5, algorithm=algorithm,
+                                        scored=scored)
+            actual = engine.search(TWO_LEAVES, 5, algorithm=algorithm,
+                                   scored=scored)
+            assert [(item.rid, item.dewey, item.score) for item in actual] \
+                == [(item.rid, item.dewey, item.score) for item in expected]
+            assert actual.stats["degraded"] is False
+            assert actual.stats["retries"] == 0
+        assert chaos.injected["transient"] == 1
+        flaky = engine.sharded_index.shards[1]
+        assert flaky._health[0].transient_failures == 1
+        assert flaky.failovers == 1
+        engine.close()
+
+    def test_half_open_copy_is_closed_or_retripped_by_a_pinned_phase(self):
+        clock = FakeClock()
+        policy = ResiliencePolicy(breaker_threshold=0.5, breaker_window=4,
+                                  breaker_min_calls=2,
+                                  breaker_cooldown_ms=1000.0)
+        replicas = ReplicaSet.grow(
+            _single_index(), 2, shard_id=0, policy=policy, clock=clock)
+        chaos = ChaosPolicy.crash_shards((0, 0))
+        replicas.inject_chaos(chaos)
+        breaker = replicas.breakers[0]
+        while breaker.state != "open":
+            replicas.all_postings()  # fails over to replica 1
+        assert replicas.pin().replica_id == 1  # an open copy is not preferred
+
+        clock.advance(1.5)
+        assert breaker.state == "half_open"
+        pin = replicas.pin()  # replica 0 again: its breaker admits the trial
+        assert pin.replica_id == 0
+        pin.all_postings()  # still crashed
+        assert breaker.state == "open" and pin.replica_id == 1
+        pin.release()
+
+        chaos.revive(0, replica_id=0)
+        clock.advance(1.5)
+        pin = replicas.pin()
+        assert pin.replica_id == 0 and breaker.state == "half_open"
+        # A phase that reads nothing hands the trial slot back ...
+        pin.release()
+        assert breaker.state == "half_open" and breaker.allow()
+        breaker.record_successes(0)
+        # ... and one that reads closes the circuit on release.
+        pin = replicas.pin()
+        pin.all_postings()
+        pin.all_postings()
+        assert breaker.state == "half_open"  # booked when the phase ends
+        pin.release()
+        assert breaker.state == "closed"
+        assert list(breaker._outcomes) == [True]  # as two record_success
+
+    def test_hedged_or_refused_set_hands_back_itself(self):
+        index = _single_index()
+        hedged = ReplicaSet.grow(index, 2, shard_id=0,
+                                 hedge=HedgePolicy(delay_ms=5.0))
+        assert hedged.pin() is hedged
+        hedged.close_pool()
+        refused = ReplicaSet.grow(index, 2, shard_id=0, policy=TRIGGER_HAPPY)
+        for breaker in refused.breakers:
+            breaker.record_failure()
+            breaker.record_failure()
+        assert refused.pin() is refused
+
+    def test_pin_is_released_when_the_algorithm_raises(self, monkeypatch):
+        from repro.sharding import engine as sharding_engine
+
+        def broken(reader, *args):
+            reader.all_postings()
+            raise RuntimeError("algorithm bug")
+
+        monkeypatch.setattr(sharding_engine, "run_algorithm", broken)
+        engine = self._engine()
+        with pytest.raises(RuntimeError, match="algorithm bug"):
+            engine.execute(engine.prepare("color = 'red'"), 5, "probe")
+        # The one read of every shard was booked: each pin was released.
+        assert _books(engine) == [[(1, 1, 1), (0, 0, 0)]] * 4
+        engine.close()
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 10])
+@pytest.mark.parametrize("state", ["closed", "half_open", "open"])
+def test_record_successes_is_n_record_success_calls(state, count):
+    from repro.resilience import CircuitBreaker
+
+    def breaker_in(state):
+        clock = FakeClock()
+        breaker = CircuitBreaker(threshold=0.5, window=4, min_calls=2,
+                                 cooldown_ms=1000.0, clock=clock)
+        breaker.record_success()
+        if state != "closed":
+            breaker.record_failure()
+            assert breaker.state == "open"
+        if state == "half_open":
+            clock.advance(1.5)
+            assert breaker.allow()
+        return breaker
+
+    batched, one_by_one = breaker_in(state), breaker_in(state)
+    batched.record_successes(count)
+    for _ in range(count):
+        one_by_one.record_success()
+    assert batched.state == one_by_one.state
+    assert list(batched._outcomes) == list(one_by_one._outcomes)
+    if count:
+        assert batched._probing == one_by_one._probing

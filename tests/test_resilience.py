@@ -293,25 +293,27 @@ def _small_sharded(workers=0, policy=None, shards=2, seed=11):
 
 
 def test_sharded_engine_pool_is_persistent_and_closable():
+    # Queries without a ``make = v`` conjunct: a routed gather runs on its
+    # home shard alone and builds no pool.
     engine = _small_sharded(workers=2)
     assert engine._executor._pool is None  # lazy
-    engine.search("make = 'A'", 5, algorithm="naive")
+    engine.search("color = 'red'", 5, algorithm="naive")
     pool = engine._executor._pool
     assert pool is not None
-    engine.search("make = 'B'", 5, algorithm="naive")
+    engine.search("color = 'blue'", 5, algorithm="naive")
     assert engine._executor._pool is pool  # reused, not rebuilt per query
     engine.close()
     assert engine._executor._pool is None
     engine.close()  # idempotent
     # Usable again after close: the pool is lazily recreated.
-    result = engine.search("make = 'A'", 5, algorithm="naive")
+    result = engine.search("color = 'red'", 5, algorithm="naive")
     assert result.stats["degraded"] is False
     engine.close()
 
 
 def test_sharded_engine_context_manager_closes_pool():
     with _small_sharded(workers=2) as engine:
-        engine.search("make = 'A'", 5, algorithm="naive")
+        engine.search("color = 'red'", 5, algorithm="naive")  # fans out
         assert engine._executor._pool is not None
     assert engine._executor._pool is None
 
@@ -347,7 +349,9 @@ def test_search_many_surfaces_typed_error_and_pool_survives():
         policy=ResiliencePolicy(max_retries=0),
     ) as serving:
         serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
-        queries = ["make = 'A'", "model = 'm1' OR color = 'red'"] * 3
+        # Neither query is routed (no ``make = v`` conjunct): both must
+        # read the dead shard.
+        queries = ["color = 'blue'", "model = 'm1' OR color = 'red'"] * 3
         with pytest.raises(ShardUnavailableError) as excinfo:
             serving.search_many(queries, k=5, algorithm="probe", threads=2)
         assert 0 in excinfo.value.failures

@@ -161,6 +161,29 @@ class TestOrderForLeapfrog:
         first = ordered.children[0]
         assert first.predicate.attribute == "Description"
 
+    def test_len_of_the_index_is_taken_once_per_plan(self, cars):
+        """``len`` of a sharded index is a sum over shards: one per plan,
+        not one per node of the query tree."""
+        from repro import DiversityEngine
+        from repro.data.paper_example import figure1_ordering
+        from repro.index.reader import ReaderProxy
+
+        class Counting(ReaderProxy):
+            lens = 0
+
+            def __init__(self, target):
+                self._target = target
+
+            def __len__(self):
+                self.lens += 1
+                return len(self._target)
+
+        index = Counting(InvertedIndex.build(cars, figure1_ordering()))
+        engine = DiversityEngine(index)
+        engine.prepare("Make = 'Honda' AND (Color = 'Blue' OR Year = 2007) "
+                       "AND Description CONTAINS 'Rare'")
+        assert index.lens == 1
+
     def test_or_children_untouched_in_order_semantics(self, index):
         q = parse_query("Make = 'Honda' OR Make = 'Toyota'")
         ordered = order_for_leapfrog(q, index)
