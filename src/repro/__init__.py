@@ -55,7 +55,6 @@ from .planner import (
     measure_regret,
     render_explain,
 )
-from .query.scoring import coarsen_weights, idf_weights, scale_weights
 from .resilience import (
     ChaosPolicy,
     CircuitBreaker,
@@ -150,7 +149,6 @@ __all__ = [
     "WeightedDiversifier",
     "balance_violations",
     "choose_algorithm",
-    "coarsen_weights",
     "create_sharded_store",
     "create_store",
     "diverse_merge",
@@ -163,7 +161,6 @@ __all__ = [
     "measure_regret",
     "mmr_select",
     "normalise",
-    "idf_weights",
     "is_diverse",
     "is_scored_diverse",
     "one_pass_scored",
@@ -177,7 +174,6 @@ __all__ = [
     "render_explain",
     "retrieve_ck_diverse",
     "save_index",
-    "scale_weights",
     "symmetric_search",
     "to_query_string",
     "probe_unscored",

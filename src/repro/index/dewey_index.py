@@ -43,7 +43,10 @@ class DeweyIndex:
             relation.schema.position(name) for name in ordering.attributes
         ]
         self._dictionary = SiblingDictionary()
-        self._uniqueness: dict[tuple, int] = {}
+        # Next uniqueness ordinal per full prefix, kept under its *parent*
+        # (the tuple the last level's ``encode`` gets anyway) in a list by
+        # last component: one key per parent, not per (near-unique) prefix.
+        self._uniqueness: dict[tuple, list[int]] = {}
         self._dewey_by_rid: dict[int, DeweyId] = {}
         self._rid_by_dewey: dict[DeweyId, int] = {}
 
@@ -93,11 +96,16 @@ class DeweyIndex:
         encode = self._dictionary.encode
         components: list[int] = []
         for position in self._positions:
-            components.append(encode(tuple(components), row[position]))
-        prefix = tuple(components)
-        ordinal = self._uniqueness.get(prefix, 0)
-        self._uniqueness[prefix] = ordinal + 1
-        components.append(ordinal)
+            parent = tuple(components)
+            components.append(encode(parent, row[position]))
+        last = components[-1]
+        counts = self._uniqueness.get(parent)
+        if counts is not None and last == len(counts):
+            counts.append(0)  # the usual case: a new last-level sibling
+        elif counts is None or last > len(counts):
+            counts = self._counts(parent, last)
+        components.append(counts[last])
+        counts[last] += 1
         dewey = tuple(components)
         self._dewey_by_rid[rid] = dewey
         self._rid_by_dewey[dewey] = rid
@@ -119,13 +127,14 @@ class DeweyIndex:
         lookup = self._dictionary.lookup
         components: list[int] = []
         for position in self._positions:
-            prefix = tuple(components)
-            number = lookup(prefix, row[position])
+            parent = tuple(components)
+            number = lookup(parent, row[position])
             if number is None:
-                number = self._dictionary.next_number(prefix)
+                number = self._dictionary.next_number(parent)
             components.append(number)
-        prefix = tuple(components)
-        components.append(self._uniqueness.get(prefix, 0))
+        counts = self._uniqueness.get(parent, ())
+        last = components[-1]
+        components.append(counts[last] if last < len(counts) else 0)
         return tuple(components)
 
     def force(self, rid: int, dewey: DeweyId) -> DeweyId:
@@ -154,6 +163,7 @@ class DeweyIndex:
         row = self._relation[rid]
         prefix: tuple = ()
         for position, component in zip(self._positions, dewey):
+            parent = prefix
             value = row[position]
             known = self._dictionary.lookup(prefix, value)
             if known is None:
@@ -169,10 +179,17 @@ class DeweyIndex:
             prefix = prefix + (component,)
         self._dewey_by_rid[rid] = dewey
         self._rid_by_dewey[dewey] = rid
-        stem = dewey[:-1]
-        current = self._uniqueness.get(stem, 0)
-        self._uniqueness[stem] = max(current, dewey[-1] + 1)
+        last = dewey[-2]
+        counts = self._counts(parent, last)
+        counts[last] = max(counts[last], dewey[-1] + 1)
         return dewey
+
+    def _counts(self, parent: tuple, last: int) -> list[int]:
+        """The uniqueness counters under ``parent``, long enough for ``last``."""
+        counts = self._uniqueness.setdefault(parent, [])
+        if last >= len(counts):
+            counts.extend([0] * (last + 1 - len(counts)))
+        return counts
 
     def remove(self, rid: int) -> Optional[DeweyId]:
         """Forget row ``rid``'s Dewey ID (tombstoned listing); returns it.

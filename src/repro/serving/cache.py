@@ -11,58 +11,73 @@ itself holds no cache:
 
 * :class:`PlanCache` memoises the plan step (parse -> normalise ->
   leapfrog ordering) under the caller's own key — a raw query string hits
-  without being parsed.  Parsing and normalisation never go stale; the
-  leapfrog ordering depends on posting-list statistics, so a plan compiled
-  under an older index epoch is *revalidated* (re-ordered only) on its next
-  hit instead of being rebuilt from scratch.  Each entry also memoises,
-  per epoch, what the planner said about it: the ``auto`` decision per
-  ``(k, scored)`` and the seek-unit price per ``(k, algorithm)`` — the
-  admission currency of :mod:`repro.server`, which therefore plans a
-  repeated request zero times.
+  without being parsed, at any epoch.  The leapfrog ordering depends on
+  posting-list statistics, so a plan about to run or be priced at a newer
+  epoch is *revalidated* (re-ordered only) first; a hit never plans.
+  Each entry also memoises, per epoch, what the planner said about it:
+  the ``auto`` decision per ``(k, scored)`` and the seek-unit price per
+  ``(k, algorithm)`` — the admission currency of :mod:`repro.server`.
 * :class:`ResultCache` is an LRU over full :class:`DiverseResult` answers,
   keyed by ``(canonical query, k, algorithm, scored, optimize)`` and
-  stamped with the index epoch at execution time.  ``insert``/``delete``
-  bump the epoch, so stale entries are rejected lazily on lookup — no full
-  flush, no eager scanning.
+  stamped with the epoch they were last known good at.  A write records
+  its row in a ring of the last :data:`WRITE_RING` epoch steps and touches
+  no entry; a lookup that finds an older stamp tests the rows written
+  since against the entry's plan.  A row the plan does not match cannot
+  change the answer (Definitions 1-2 make it a function of ``RES(R, Q)``
+  and those rows' Dewey IDs, which no write renumbers), so if none
+  matches the entry is re-stamped and served; otherwise, or when the ring
+  cannot vouch for every step, it is dropped.
 * :class:`ServingCache` combines both behind thread-safe ``search`` /
   ``search_page`` / ``price`` / ``lookup`` calls and keeps exact counters
   (:class:`CacheStats`) that surface in ``DiverseResult.stats``.
 
-The caches never change answers: a cached result is bit-identical to what
-a cache-free engine would return for the same index state (the property
-tests interleave mutations with searches to prove it).
+The caches never change answers: a hit is bit-identical to a cache-free
+run at the same index state of the algorithm it reports (an ``auto``
+answer keeps its ``algorithm_selected``); the property tests interleave
+mutations with searches to prove it.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.engine import AUTO
 from ..core.result import DiverseResult
-from ..query.query import Query
+from ..index.tokenize import token_set
+from ..query.predicates import KeywordPredicate, ScalarPredicate
+from ..query.query import AND, LEAF, Query
 from ..query.rewrite import normalise, to_query_string
 
 DEFAULT_PLAN_CAPACITY = 1024
 DEFAULT_RESULT_CAPACITY = 4096
+
+#: Epoch steps whose written rows the result cache keeps: this caps one
+#: validation at 64 row tests, and the rank-500 entry of the ladder's
+#: ``serving-zipf-mutating`` pool sees about 17 writes between its reads.
+WRITE_RING = 64
 
 
 @dataclass
 class CacheStats:
     """Exact serving-cache counters (monotone, cumulative)."""
 
-    hits: int = 0                   # result-cache hits (fresh epoch)
+    hits: int = 0                   # result-cache hits (current or validated)
     misses: int = 0                 # result-cache misses (incl. invalidations)
     evictions: int = 0              # result entries dropped for ANY reason:
                                     #   LRU pressure or epoch invalidation,
                                     #   each dropped entry counted exactly once
-    epoch_invalidations: int = 0    # stale result entries rejected on lookup
-                                    #   (a subset of both misses and evictions)
-    plan_hits: int = 0              # plan served fully from cache
+    epoch_invalidations: int = 0    # stale entries dropped on lookup: a write
+                                    #   touched their plan or the write ring
+                                    #   could not vouch (a subset of both
+                                    #   misses and evictions)
+    plan_hits: int = 0              # plan found in cache (at any epoch)
     plan_misses: int = 0            # plan compiled from scratch
-    plan_revalidations: int = 0     # plan re-ordered after an epoch bump
+    plan_revalidations: int = 0     # re-ordered before executing (or being
+                                    #   priced) at a newer epoch
     plan_evictions: int = 0         # plan entries dropped by LRU pressure
     decision_hits: int = 0          # auto decision served from cache
     decision_misses: int = 0        # auto decision computed fresh
@@ -166,8 +181,9 @@ class PlanCache:
     common serving case — no parse needed to hit) and :class:`Query`
     objects (hashable trees).  Parsing
     and normalisation are epoch-independent and cached forever (modulo
-    LRU); the leapfrog ordering is epoch-stamped and lazily recomputed
-    from the cached base plan when the index has mutated since.
+    LRU); the leapfrog ordering is epoch-stamped, and the serving cache
+    re-orders it from the base only before the plan runs or is priced at
+    a newer epoch (orderings permute AND children, never the matches).
     """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CAPACITY):
@@ -183,19 +199,13 @@ class PlanCache:
     def lookup(
         self, engine, query: Union[Query, str], scored: bool, optimize: bool
     ) -> Tuple[_PlanEntry, str]:
-        """Return ``(entry, outcome)`` where outcome is ``"hit"``,
-        ``"revalidated"`` or ``"miss"``; compiles and caches on miss."""
+        """Return ``(entry, outcome)`` where outcome is ``"hit"`` (whatever
+        the epoch) or ``"miss"``; compiles and caches on miss."""
         key = (query, scored, optimize)
-        epoch = engine.epoch
         entry = self._lru.get(key)
         if entry is not None:
-            if entry.epoch == epoch or not optimize:
-                return entry, "hit"
-            # Parsing/normalisation stay valid; only the statistics-driven
-            # leapfrog ordering may have shifted.  Re-order from the base.
-            entry.ordered = engine.prepare(entry.base, scored, optimize=True)
-            entry.epoch = epoch
-            return entry, "revalidated"
+            return entry, "hit"
+        epoch = engine.epoch
         base = query if isinstance(query, Query) else engine.prepare(query, scored, False)
         if optimize:
             ordered = engine.prepare(base, scored, optimize=True)
@@ -264,12 +274,43 @@ class _ResultEntry:
         self.epoch = epoch
 
 
+class _Write:
+    """One recorded epoch step: the row its write inserted or deleted (the
+    relation's immutable tuple, shared) and its token sets, memoised."""
+
+    __slots__ = ("epoch", "row", "tokens")
+
+    def __init__(self, epoch: int, row: tuple):
+        self.epoch, self.row, self.tokens = epoch, row, {}
+
+    def touches(self, node: Query, position: Callable[[str], int]) -> bool:
+        """Is the row in ``RES(node)`` by the index's own rule?"""
+        if node.kind != LEAF:
+            hits = (self.touches(child, position) for child in node.children)
+            return all(hits) if node.kind == AND else any(hits)
+        predicate = node.predicate
+        if type(predicate) is ScalarPredicate:
+            return self.row[position(predicate.attribute)] == predicate.value
+        if type(predicate) is KeywordPredicate:
+            tokens = self.tokens.get(predicate.attribute)
+            if tokens is None:
+                tokens = self.tokens[predicate.attribute] = token_set(
+                    self.row[position(predicate.attribute)])
+            return tokens.issuperset(predicate.terms)
+        return True  # TRUE, or a predicate kind this test cannot vouch for
+
+
 class ResultCache:
-    """LRU of executed answers with epoch-based lazy invalidation."""
+    """LRU of executed answers, validated against the writes since their
+    stamp (see the module docstring)."""
 
     def __init__(self, capacity: int = DEFAULT_RESULT_CAPACITY):
         self._lru = _LRU(capacity)
         self.invalidations = 0  # stale entries discarded on lookup
+        # Slot ``epoch % WRITE_RING``, for one engine (weakly held: a cache
+        # handed to a recovered engine vouches for none of the old one's).
+        self._writes: List[Optional[_Write]] = [None] * WRITE_RING
+        self._writer: Optional[weakref.ref] = None
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -286,16 +327,41 @@ class ResultCache:
     ) -> Hashable:
         return (canonical, k, algorithm, scored, optimize)
 
-    def lookup(self, key: Hashable, epoch: int) -> Tuple[Optional[DiverseResult], bool]:
-        """Return ``(result, invalidated)``; drops stale entries lazily."""
+    def lookup(self, key: Hashable, epoch: int, engine,
+               plan: Query) -> Tuple[Optional[DiverseResult], bool]:
+        """Return ``(result, invalidated)``: an older entry is re-stamped
+        if no write since touches ``plan``, else dropped."""
         entry = self._lru.get(key)
         if entry is None:
             return None, False
         if entry.epoch != epoch:
-            self._lru.discard(key)
-            self.invalidations += 1
-            return None, True
+            if not self._untouched(engine, plan, entry.epoch, epoch):
+                self._lru.discard(key)
+                self.invalidations += 1
+                return None, True
+            entry.epoch = epoch
         return entry.result, False
+
+    def record(self, engine, epoch: int, row: tuple) -> None:
+        """Writing ``row`` moved ``engine`` to ``epoch``: one slot, O(1)."""
+        if self._writer is None or self._writer() is not engine:
+            self._writer = weakref.ref(engine)
+            self._writes = [None] * WRITE_RING
+        self._writes[epoch % WRITE_RING] = _Write(epoch, row)
+
+    def _untouched(self, engine, plan: Query, stamp: int, epoch: int) -> bool:
+        """Whether every step from ``stamp`` to ``epoch`` is a recorded
+        write to ``engine`` whose row misses ``plan``."""
+        if not 0 < epoch - stamp <= WRITE_RING or self._writer is None \
+                or self._writer() is not engine:
+            return False
+        position = engine.relation.schema.position
+        writes = self._writes
+        for step in range(stamp + 1, epoch + 1):
+            write = writes[step % WRITE_RING]
+            if write is None or write.epoch != step or write.touches(plan, position):
+                return False
+        return True
 
     def store(self, key: Hashable, result: DiverseResult, epoch: int) -> None:
         self._lru.put(key, _ResultEntry(result, epoch))
@@ -339,7 +405,7 @@ class ServingCache:
             epoch = engine.epoch
             plan = self._plan(engine, query, scored, optimize)
             key = self.results.key(plan.canonical, k, algorithm, scored, optimize)
-            cached, invalidated = self.results.lookup(key, epoch)
+            cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
             if invalidated:
                 # A stale entry was just dropped: one miss (below) and one
                 # eviction, both exactly once — _sync_eviction_counters
@@ -351,7 +417,7 @@ class ServingCache:
                 stats.hits += 1
                 return self._serve(cached, hit=True)
             stats.misses += 1
-            ordered = plan.ordered
+            ordered = self._ordered(engine, plan, scored, optimize, epoch)
             decision = None
             if algorithm == AUTO:
                 # Resolve the memoised decision under the lock (cheap pure
@@ -385,9 +451,9 @@ class ServingCache:
         can never collide with whole-answer entries).  A request for page
         N reuses the longest cached prefix of pages 1..N-1 to seed the
         paginator's exclusion set — computing only the missing suffix —
-        and stores each newly computed page.  Pages are epoch-keyed like
-        every other entry, and degraded pages are never stored (same
-        invariant as :meth:`search`).
+        and stores each newly computed page.  Pages are validated like
+        every other entry, under the same plan, and degraded pages are
+        never stored (same invariant as :meth:`search`).
         """
         from ..core.pagination import DiversePaginator
 
@@ -404,7 +470,7 @@ class ServingCache:
             ]
             cached_pages: List[Optional[DiverseResult]] = []
             for key in keys:
-                cached, invalidated = self.results.lookup(key, epoch)
+                cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
                 if invalidated:
                     stats.epoch_invalidations += 1
                     self._sync_eviction_counters()
@@ -413,7 +479,7 @@ class ServingCache:
                 stats.hits += 1
                 return self._serve(cached_pages[-1], hit=True)
             stats.misses += 1
-            ordered = plan.ordered
+            ordered = self._ordered(engine, plan, False, True, epoch)
         # Compute outside the lock (same discipline as ``search``): seed
         # the exclusion set from the contiguous cached prefix, then run
         # the paginator only over the missing pages.
@@ -474,7 +540,7 @@ class ServingCache:
     ) -> Tuple[Optional[DiverseResult], float]:
         """``(hit, price)`` for ``search(query, k, algorithm, scored)``,
         under one acquisition of the lock: the served answer when the
-        result cache holds it at the current epoch (counted as one hit and
+        result cache holds it for the current epoch (counted as one hit and
         one plan lookup, exactly as :meth:`search` would), else ``None``
         and the :meth:`price` to admit the search at.  Nothing executes
         and a miss is not counted — the ``search`` that follows counts it.
@@ -484,7 +550,7 @@ class ServingCache:
             epoch = engine.epoch
             plan = self._plan(engine, query, scored, True)
             key = self.results.key(plan.canonical, k, algorithm, scored, True)
-            cached, invalidated = self.results.lookup(key, epoch)
+            cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
             if cached is not None:
                 stats.hits += 1
                 return self._serve(cached, hit=True), 0.0
@@ -495,9 +561,16 @@ class ServingCache:
                 self._sync_eviction_counters()
             return None, self._price(engine, plan, k, algorithm, scored, epoch)
 
+    def record_write(self, engine, epoch: int, row: tuple) -> None:
+        """Inserting or deleting ``row`` moved ``engine`` to ``epoch`` by
+        exactly one step (entries are validated against it lazily)."""
+        with self._lock:
+            self.results.record(engine, epoch, row)
+
     def _price(self, engine, plan: _PlanEntry, k: int, algorithm: str,
                scored: bool, epoch: int) -> float:
         """The memoised admission price of one plan (lock held)."""
+        self._ordered(engine, plan, scored, True, epoch)
         if algorithm == AUTO:
             decision = self._decision(engine, plan, k, scored, epoch)
             return decision.costs[decision.algorithm]
@@ -510,12 +583,20 @@ class ServingCache:
         plan, outcome = self.plans.lookup(engine, query, scored, optimize)
         if outcome == "hit":
             stats.plan_hits += 1
-        elif outcome == "revalidated":
-            stats.plan_revalidations += 1
         else:
             stats.plan_misses += 1
         stats.plan_evictions = self.plans.evictions
         return plan
+
+    def _ordered(self, engine, plan: _PlanEntry, scored: bool, optimize: bool,
+                 epoch: int) -> Query:
+        """The plan about to run or be priced at ``epoch``: re-ordered from
+        its base first if the index moved since (lock held)."""
+        if optimize and plan.epoch != epoch:
+            plan.ordered = engine.prepare(plan.base, scored, optimize=True)
+            plan.epoch = epoch
+            self.stats.plan_revalidations += 1
+        return plan.ordered
 
     def _decision(self, engine, plan: _PlanEntry, k: int, scored: bool,
                   epoch: int):

@@ -23,7 +23,8 @@ the three decisions a deployment has to make once:
 :class:`Query` trees) through the cache — sequentially or on a thread pool
 — and reports aggregate timings and exact cache counters.  This is the
 layer a web tier calls: skewed traffic hits the caches, mutations bump the
-index epoch, stale entries die lazily.
+index epoch and hand the cache their row, and a cached answer survives
+every write whose row its plan does not match.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ _CACHE_GAUGES = (
     ("repro_cache_evictions",
      "Entries dropped (LRU pressure + epoch invalidation)", "evictions"),
     ("repro_cache_epoch_invalidations",
-     "Entries dropped because the index epoch moved", "epoch_invalidations"),
+     "Entries dropped: a write touched them or went unrecorded", "epoch_invalidations"),
     ("repro_cache_plan_hits", "Plan-cache hits", "plan_hits"),
     ("repro_cache_plan_misses", "Plan-cache misses", "plan_misses"),
     ("repro_cache_plan_revalidations",
-     "Plans re-ordered after an epoch change", "plan_revalidations"),
+     "Plans re-ordered before running at a newer epoch", "plan_revalidations"),
     ("repro_cache_decision_hits",
      "auto decisions served from the plan cache", "decision_hits"),
     ("repro_cache_decision_misses",
@@ -209,7 +210,8 @@ class ServingEngine:
     """Plan + result caches in front of a :class:`DiversityEngine`.
 
     ``search`` answers through the cache; ``insert``/``delete`` delegate to
-    the engine, whose epoch invalidates lazily.  The engine is only ever
+    the engine and record the written row with the cache, which validates
+    older entries against it lazily.  The engine is only ever
     *called*: ``serving.engine.search`` stays uncached, and other holders
     of the engine see no change.  :meth:`search_many` runs whole workloads
     and reports throughput.  The batch thread pool is persistent across
@@ -317,8 +319,9 @@ class ServingEngine:
         replays each WAL over its snapshot, and reopens the logs for
         writing.  The recovered index lands on the exact epoch the crashed
         process had acknowledged, so passing the previous process's
-        ``cache`` (e.g. an external cache tier) keeps its warm entries
-        valid — epoch-keyed invalidation carries across the restart.
+        ``cache`` (e.g. an external cache tier) keeps its entries stamped
+        at that epoch valid; the rows it recorded for the old engine vouch
+        for nothing here, so any older entry is dropped.
 
         ``replicas=None`` re-replicates a sharded deployment to the factor
         recorded in its manifest (replica copies are never persisted —
@@ -405,10 +408,24 @@ class ServingEngine:
                                        algorithm)
 
     def insert(self, row) -> int:
-        return self._engine.insert(row)
+        before = self._engine.epoch
+        rid = self._engine.insert(row)
+        self._wrote(before, rid)
+        return rid
 
     def delete(self, rid: int) -> bool:
-        return self._engine.delete(rid)
+        before = self._engine.epoch
+        deleted = self._engine.delete(rid)
+        if deleted:
+            self._wrote(before, rid)
+        return deleted
+
+    def _wrote(self, before: int, rid: int) -> None:
+        """Hand the cache the written row if the epoch moved by exactly
+        this write's one step (never a concurrent write's)."""
+        engine = self._engine
+        if engine.epoch == before + 1:
+            self._cache.record_write(engine, before + 1, engine.relation[rid])
 
     def clear_cache(self) -> None:
         self._cache.clear()

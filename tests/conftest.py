@@ -74,6 +74,21 @@ def random_query(rng: random.Random, weighted: bool = False) -> Query:
 RANDOM_ORDERING = ["make", "model", "color", "desc"]
 
 
+class CountingLock:
+    """Stands in for a component's ``_lock``; counts acquisitions."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
 def home_shard(engine, query: Query):
     """The test-side oracle for shard pruning: the one shard a sharded
     engine reads for ``query`` — a leaf, or a top-level AND child, pinning

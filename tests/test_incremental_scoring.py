@@ -14,10 +14,10 @@ from repro.data.autos import autos_schema
 from repro.index.inverted import InvertedIndex
 from repro.query.evaluate import res, scored_res
 from repro.query.parser import parse_query
-from repro.query.scoring import coarsen_weights, idf, idf_weights, scale_weights
 from repro.storage.relation import Relation
 
 from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .scoring_models import coarsen_weights, idf, idf_weights, scale_weights
 from .test_invariants import check_onepass_tree
 
 

@@ -35,7 +35,7 @@ from repro.resilience import (
 )
 from repro.sharding import ShardedEngine, ShardedIndex
 
-from .conftest import RANDOM_ORDERING, random_relation
+from .conftest import RANDOM_ORDERING, CountingLock, random_relation
 
 #: Fast-failing policy for breaker-path tests (trips after two failures).
 TRIGGER_HAPPY = ResiliencePolicy(
@@ -478,21 +478,6 @@ class TestReplicaHealth:
 # ----------------------------------------------------------------------
 # One replica choice per query phase: the pin, as counts
 # ----------------------------------------------------------------------
-class _CountingLock:
-    """Stands in for ``ReplicaSet._lock``; counts acquisitions."""
-
-    def __init__(self, lock):
-        self._lock = lock
-        self.acquired = 0
-
-    def __enter__(self):
-        self.acquired += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc_info):
-        return self._lock.__exit__(*exc_info)
-
-
 class _NthReadFlakes(ChaosPolicy):
     """One transient fault: the ``nth`` read of one ``(shard, replica)``."""
 
@@ -549,7 +534,7 @@ class TestPinnedPhase:
             lambda self: sorts.append(self.shard_id) or selection_order(self))
         locks = []
         for replicas in engine.sharded_index.shards:
-            replicas._lock = _CountingLock(replicas._lock)
+            replicas._lock = CountingLock(replicas._lock)
             locks.append(replicas._lock)
         engine.search(TWO_LEAVES, 5, algorithm="probe")
         # Two phases read postings (prepare, scan), each from every shard.

@@ -51,6 +51,8 @@ from repro.server.protocol import (
     render_response,
 )
 
+from .conftest import CountingLock
+
 QUERY = urllib.parse.quote("Make = 'Honda'")
 
 
@@ -660,21 +662,6 @@ class _SlowServing(ServingEngine):
                               optimize=optimize)
 
 
-class _CountingLock:
-    """Stands in for ``ServingCache._lock``; counts acquisitions."""
-
-    def __init__(self, lock):
-        self._lock = lock
-        self.acquired = 0
-
-    def __enter__(self):
-        self.acquired += 1
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc_info):
-        return self._lock.__exit__(*exc_info)
-
-
 class TestHitPath:
     """A result cached at the current epoch is answered on the event loop:
     one lookup, one write.  Pinned as counts, not timings."""
@@ -714,7 +701,7 @@ class TestHitPath:
             monkeypatch.setattr(
                 executor, "submit",
                 lambda *args: executed.append(args) or submit(*args))
-            lock = serving.cache._lock = _CountingLock(serving.cache._lock)
+            lock = serving.cache._lock = CountingLock(serving.cache._lock)
             hits = 25
             for _ in range(hits):
                 status, headers, body = _request(thread.address, target)

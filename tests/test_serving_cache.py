@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from repro import ALGORITHMS, DiversityEngine, Query
+from repro import ALGORITHMS, AUTO, DiversityEngine, Query, Relation
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
+from repro.query.rewrite import normalise, to_query_string
 from repro.serving import BatchReport, CacheStats, ServingCache, ServingEngine
 from repro.serving.cache import PlanCache, ResultCache, _LRU
 
@@ -251,15 +252,23 @@ class TestPlanCacheBehaviour:
 
     def test_plan_cache_standalone(self):
         engine = DiversityEngine.from_relation(figure1_relation(), figure1_ordering())
-        plans = PlanCache(capacity=4)
+        cache = ServingCache(plan_capacity=4)
+        plans = cache.plans
+        assert isinstance(plans, PlanCache)
         entry, outcome = plans.lookup(engine, "Make = 'Honda'", False, True)
         assert outcome == "miss"
         entry2, outcome2 = plans.lookup(engine, "Make = 'Honda'", False, True)
         assert outcome2 == "hit"
         assert entry2 is entry
         engine.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
+        # A lookup never re-orders: the entry is served whatever the epoch.
         _, outcome3 = plans.lookup(engine, "Make = 'Honda'", False, True)
-        assert outcome3 == "revalidated"
+        assert outcome3 == "hit"
+        # The execution that follows re-orders the plan, once.
+        cache.search(engine, "Make = 'Honda'", 3, "probe", False, True)
+        assert cache.stats.plan_revalidations == 1
+        cache.search(engine, "Make = 'Honda'", 3, "probe", False, True)
+        assert cache.stats.plan_revalidations == 1
 
 
 class TestCacheStats:
@@ -294,48 +303,73 @@ class TestCacheStats:
         assert result.stats["cache_misses"] == 2
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def _deployments(relation, tmp_path):
+    """The same rows served three ways, each behind a serving cache."""
+    plain, sharded, durable = (
+        Relation.from_rows(relation.schema, iter(relation)) for _ in range(3))
+    yield "unsharded", ServingEngine(
+        DiversityEngine.from_relation(plain, RANDOM_ORDERING),
+        ServingCache(result_capacity=64))
+    yield "2x2", ServingEngine.from_relation(
+        sharded, RANDOM_ORDERING, shards=2, replicas=2, result_capacity=64)
+    yield "durable", ServingEngine.from_relation(
+        durable, RANDOM_ORDERING, data_dir=tmp_path / "store",
+        result_capacity=64)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS + (AUTO,))
 @pytest.mark.parametrize("scored", [False, True])
-def test_cached_engine_identical_under_mutations(algorithm, scored):
-    """Property: interleaving insert/delete/search, the cached engine's
-    answers stay bit-identical to a cache-disabled engine sharing the same
-    index — for every algorithm, scored and unscored."""
-    rng = random.Random(f"20080:{algorithm}:{scored}")  # hash-seed independent
-    relation = random_relation(rng, max_rows=30)
-    plain = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
-    cached = ServingEngine(plain, ServingCache(result_capacity=64))
-    live_rids = list(relation.live_rids()) if hasattr(relation, "live_rids") else [
-        rid for rid, _ in relation.iter_live()
-    ]
-    recent_queries = []
-    for _ in range(60):
-        action = rng.random()
-        if action < 0.12:
-            row = (
-                rng.choice(MAKES),
-                rng.choice(MODELS),
-                rng.choice(COLORS),
-                " ".join(rng.sample(WORDS, rng.randint(1, 3))),
-            )
-            live_rids.append(cached.insert(row))
-        elif action < 0.18 and live_rids:
-            cached.delete(live_rids.pop(rng.randrange(len(live_rids))))
-        else:
-            # Re-ask recent (query, k) pairs often so the cache gets hits.
-            if recent_queries and rng.random() < 0.6:
-                query, k = rng.choice(recent_queries)
+def test_cached_engine_identical_under_mutations(algorithm, scored, tmp_path):
+    """Property: interleaving insert/delete/search, every cached answer is
+    bit-identical to a from-scratch run, past the caches, of the algorithm
+    it reports (``algorithm_selected`` for ``auto``) — for every
+    algorithm, scored and unscored, unsharded, 2 shards x 2 replicas and
+    durable.  Some hits must come from entries stored before a write."""
+    seeded = random.Random(f"20080:{algorithm}:{scored}")  # hash-seed independent
+    relation = random_relation(seeded, max_rows=30)
+    for name, cached in _deployments(relation, tmp_path):
+        rng = random.Random(f"20080:{algorithm}:{scored}:ops")
+        plain = cached.engine
+        live_rids = [rid for rid, _ in plain.relation.iter_live()]
+        recent_queries = []
+        stored_at = {}  # result-cache key -> epoch the entry was computed at
+        hits_after_writes = 0
+        for _ in range(60):
+            action = rng.random()
+            if action < 0.12:
+                row = (
+                    rng.choice(MAKES),
+                    rng.choice(MODELS),
+                    rng.choice(COLORS),
+                    " ".join(rng.sample(WORDS, rng.randint(1, 3))),
+                )
+                live_rids.append(cached.insert(row))
+            elif action < 0.18 and live_rids:
+                cached.delete(live_rids.pop(rng.randrange(len(live_rids))))
             else:
-                query = random_query(rng, weighted=scored)
-                k = rng.randint(0, 8)
-                recent_queries.append((query, k))
-            expected = plain.search(query, k, algorithm=algorithm, scored=scored)
-            actual = cached.search(query, k, algorithm=algorithm, scored=scored)
-            assert _answers(actual) == _answers(expected), (
-                f"cached answers diverged for {query!r} (k={k}, "
-                f"algorithm={algorithm}, scored={scored})"
-            )
-    # The interleave must actually have exercised the cache.
-    assert cached.cache.stats.hits > 0
+                # Re-ask recent (query, k) pairs often so the cache gets hits.
+                if recent_queries and rng.random() < 0.6:
+                    query, k = rng.choice(recent_queries)
+                else:
+                    query = random_query(rng, weighted=scored)
+                    k = rng.randint(0, 8)
+                    recent_queries.append((query, k))
+                actual = cached.search(query, k, algorithm=algorithm, scored=scored)
+                ran = actual.stats.get("algorithm_selected", algorithm)
+                expected = plain.search(query, k, algorithm=ran, scored=scored)
+                assert _answers(actual) == _answers(expected), (
+                    f"{name}: cached answers diverged for {query!r} (k={k}, "
+                    f"algorithm={algorithm}, scored={scored})"
+                )
+                key = (to_query_string(query if scored else normalise(query)), k)
+                if not actual.stats["cache_hit"]:
+                    stored_at[key] = cached.epoch
+                elif stored_at[key] < cached.epoch:
+                    hits_after_writes += 1
+        # The interleave must have exercised the cache across writes.
+        assert cached.cache.stats.hits > 0, name
+        assert hits_after_writes > 0, name
+        cached.close()
 
 
 class TestServingEngine:
