@@ -1,8 +1,7 @@
-"""Ablation: sorted-array vs B+-tree vs compressed posting lists.
+"""Ablation: sorted-array vs compressed posting lists.
 
-All three backends implement the same seek interface; the array is
-cache-friendly (binary search over a packed list of tuples), the B+-tree
-supports cheaper incremental maintenance, and the compressed backend
+Both backends implement the same seek interface; the array is a binary
+search over a sorted list of tuples, and the compressed backend
 bit-packs every Dewey ID into one word of an ``array("Q")`` with
 galloping seek — 8 bytes a posting, an order of magnitude less resident
 memory for query times in the same ballpark.  Each benchmark row carries

@@ -6,7 +6,7 @@ very close to the performance of SBasic."
 
 Every row carries a ``bytes_per_posting`` column so the summary reads as a
 time/space table, and a third group re-runs the index-driven algorithms on
-each posting backend (sorted-array, B+-tree, compressed) — the summary-level
+each posting backend (sorted-array, compressed) — the summary-level
 view of ``bench_ablation_backend.py``.
 """
 

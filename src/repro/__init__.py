@@ -35,7 +35,6 @@ from .core.similarity import balance_violations, is_diverse, is_scored_diverse
 from .core.symmetric import SymmetricObjective, greedy_symmetric_select, symmetric_search
 from .core.trace import TracingMergedList
 from .core.weighted import WeightedDiversifier, weighted_waterfill
-from .index.bptree import BPlusTree
 from .index.inverted import InvertedIndex
 from .index.merged import MergedList
 from .index.snapshot import load_index, save_index
@@ -77,10 +76,9 @@ from .durability import (
     create_store,
     recover,
 )
-from .serving import BatchReport, CacheStats, ServingCache, ServingEngine
+from .serving import CacheStats, ServingCache, ServingEngine
 from .sharding import (
     HashRouter,
-    RangeRouter,
     ShardedEngine,
     ShardedIndex,
     diverse_merge,
@@ -97,8 +95,6 @@ __all__ = [
     "AUTO",
     "Attribute",
     "AttributeKind",
-    "BPlusTree",
-    "BatchReport",
     "CacheStats",
     "Catalog",
     "ChaosPolicy",
@@ -135,7 +131,6 @@ __all__ = [
     "ServingCache",
     "ServingEngine",
     "HashRouter",
-    "RangeRouter",
     "ShardFaultSpec",
     "ShardUnavailableError",
     "ShardedEngine",

@@ -36,6 +36,7 @@ from .core.engine import ALGORITHMS, AUTO, DiversityEngine
 from .data.paper_example import figure1_ordering, figure1_relation
 from .durability import RecoveryError
 from .index.inverted import InvertedIndex
+from .index.postings import BACKENDS
 from .index.snapshot import load_index, save_index
 from .core.ordering import DiversityOrdering
 from .observability import get_registry, register_postings_collector
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
     )
     build.add_argument("--out", type=Path, default=None, help="snapshot path")
     build.add_argument(
-        "--backend", choices=["array", "bptree", "compressed"], default="array"
+        "--backend", choices=BACKENDS, default="array"
     )
     durability = build.add_argument_group(
         "durability",

@@ -308,7 +308,7 @@ def ablation_backend(
     k: int = 10,
     seed: int = 42,
 ) -> FigureResult:
-    """Ablation: the three posting backends — workload seconds
+    """Ablation: the posting backends — workload seconds
     (UOnePass/UProbe), build seconds and resident bytes per posting."""
     rows = rows or env_int("REPRO_BENCH_ROWS", 20_000)
     queries = queries or env_int("REPRO_BENCH_QUERIES", 50)

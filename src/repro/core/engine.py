@@ -182,7 +182,6 @@ class DiversityEngine:
         k: int,
         algorithm: str = "probe",
         scored: bool = False,
-        optimize: bool = True,
     ) -> DiverseResult:
         """Diverse top-k search.
 
@@ -190,32 +189,25 @@ class DiversityEngine:
         the cost model pick among the diversity-preserving algorithms
         (see :meth:`plan`); ``scored=True`` switches
         to the scored variants (tuples ranked by summed leaf weights, with
-        diversity among the lowest-score ties).  ``optimize`` runs the
-        logical normaliser (unscored only, to keep reported scores
-        bit-exact) and orders conjunctions rarest-list-first for the
-        leapfrog intersection.
+        diversity among the lowest-score ties).
         """
         validate_search(k, algorithm)
-        return self.execute(self.prepare(query, scored, optimize), k, algorithm, scored)
+        return self.execute(self.prepare(query, scored), k, algorithm, scored)
 
-    def prepare(
-        self,
-        query: Union[Query, str],
-        scored: bool = False,
-        optimize: bool = True,
-    ) -> Query:
+    def prepare(self, query: Union[Query, str], scored: bool = False) -> Query:
         """The plan step of :meth:`search`: parse, normalise, order.
 
-        Deterministic given the query and the current index statistics —
-        this is exactly what the serving layer's plan cache memoises.
+        Runs the logical normaliser (unscored only, to keep reported scores
+        bit-exact) and orders conjunctions rarest-list-first for the
+        leapfrog intersection.  Deterministic given the query and the
+        current index statistics — this is exactly what the serving layer's
+        plan cache memoises.
         """
         if isinstance(query, str):
             query = parse_query(query)
-        if optimize:
-            if not scored:
-                query = normalise(query)
-            query = order_for_leapfrog(query, self._index)
-        return query
+        if not scored:
+            query = normalise(query)
+        return order_for_leapfrog(query, self._index)
 
     def plan(
         self,
@@ -300,7 +292,7 @@ class DiversityEngine:
         # span: execute is the per-query hot path, and the full span
         # machinery (contextvars, record ring, field dicts) costs several
         # microseconds a query where this is well under one.  Spans
-        # bracket pipeline *stages* (serve.batch, shard.scatter, WAL);
+        # bracket pipeline *stages* (shard.scatter, WAL);
         # per-query visibility is counters and this histogram.
         registry = self._registry if self._registry is not None else get_registry()
         if not registry.enabled:

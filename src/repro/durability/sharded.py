@@ -23,9 +23,10 @@ space, so the union must cover every rid slot exactly once — a gap means
 an acknowledged insert is missing (possible only with cross-shard fsync
 batching) and raises :class:`RecoveryError` rather than renumbering rows.
 The global Dewey assignment is force-restored from the per-shard tables,
-each shard's posting lists are bulk-built over the shared Dewey space, and
-the persisted router (including a RangeRouter's exact boundaries) is
-rehydrated here so every future insert routes exactly as before the crash.
+and each shard's posting lists are bulk-built over the shared Dewey space.
+Rows always route by :class:`~repro.sharding.router.HashRouter`, so the
+manifest's router spec is ``{"kind": "hash"}``; any other spec is refused,
+never re-routed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import List, Optional, Set, Union
 
 from ..index.inverted import InvertedIndex
 from ..index.snapshot import save_index
-from ..sharding.router import HashRouter, RangeRouter, ShardRouter
 from ..sharding.sharded_index import ShardedIndex
 from .crash import CrashInjector
 from .errors import RecoveryError
@@ -50,38 +50,12 @@ from .store import (
 from .wal import WriteAheadLog
 
 
+#: The one router spec a manifest holds (rows route by stable hash).
+HASH_ROUTER_SPEC = {"kind": "hash"}
+
+
 def shard_dir_name(shard_id: int) -> str:
     return f"shard-{shard_id:04d}"
-
-
-# ----------------------------------------------------------------------
-# Router persistence
-# ----------------------------------------------------------------------
-def router_spec(router: ShardRouter) -> dict:
-    """A JSON-safe description that rebuilds this exact router."""
-    if isinstance(router, RangeRouter):
-        return {
-            "kind": "range",
-            "boundaries": [list(boundary) for boundary in router.boundaries],
-        }
-    if isinstance(router, HashRouter):
-        return {"kind": "hash"}
-    raise TypeError(f"cannot persist router {router!r}")
-
-
-def router_from_spec(spec: dict, shards: int, label) -> ShardRouter:
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind == "hash":
-        return HashRouter(shards)
-    if kind == "range":
-        try:
-            boundaries = [tuple(boundary) for boundary in spec["boundaries"]]
-            return RangeRouter(shards, boundaries)
-        except (KeyError, TypeError, ValueError) as error:
-            raise RecoveryError(
-                label, f"bad range-router spec: {error}"
-            ) from None
-    raise RecoveryError(label, f"unknown router spec {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +98,7 @@ def create_sharded_store(
     write_manifest(data_dir, {
         "kind": "sharded",
         "shards": index.num_shards,
-        "router": router_spec(index.router),
+        "router": HASH_ROUTER_SPEC,
         "snapshot_every": snapshot_every,
         "fsync_every": fsync_every,
         "replicas": replicas,
@@ -188,7 +162,10 @@ def recover_sharded_store(
     """Recover a full sharded deployment from its directory tree."""
     data_dir = Path(data_dir)
     manifest, num_shards = read_sharded_manifest(data_dir)
-    router = router_from_spec(manifest.get("router"), num_shards, data_dir)
+    if manifest.get("router") != HASH_ROUTER_SPEC:
+        raise RecoveryError(
+            data_dir, f"unknown router spec {manifest.get('router')!r}"
+        )
     store_dirs = [
         shard_store_dir(data_dir, shard_id) for shard_id in range(num_shards)
     ]
@@ -196,6 +173,6 @@ def recover_sharded_store(
                              fsync_every, injector)
     first = durable[0]  # every shard shares the relation and the Dewey space
     return ShardedIndex.from_parts(
-        first.relation, first.ordering, first.dewey, router, durable,
+        first.relation, first.ordering, first.dewey, durable,
         backend=first.backend,
     )

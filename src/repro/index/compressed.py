@@ -1,6 +1,6 @@
 """Compressed, array-backed posting lists (``backend="compressed"``).
 
-The array and B+-tree backends spend ~70-90 bytes per posting on Python
+The array backend spends ~70-90 bytes per posting on Python
 object headers (one tuple per Dewey ID plus a pointer slot).  This
 backend holds **one** representation with no per-posting Python object:
 every posting bit-packed into one integer of an ``array("Q")`` — 8 bytes

@@ -34,16 +34,14 @@ def _posting_list_of_run(
     run: list[DeweyId], backend: str, depth: int, widths: Optional[tuple[int, ...]]
 ) -> PostingList:
     """A posting list over one of :meth:`InvertedIndex.build`'s runs —
-    strictly sorted by construction, so the array and compressed backends
-    adopt it as is, without ``make_posting_list``'s sort-and-dedupe pass.
+    strictly sorted by construction, so both backends adopt it as is,
+    without ``make_posting_list``'s sort-and-dedupe pass.
     ``widths`` are the compressed backend's index-wide field widths."""
     if backend == ARRAY_BACKEND:
         # An exact-size copy: the append-grown accumulator itself carries
         # up to 12.5 % of unused slots.
         return ArrayPostingList.from_sorted(run.copy())
-    if backend == COMPRESSED_BACKEND:
-        return CompressedPostingList.from_sorted(run, depth, widths)
-    return make_posting_list(run, backend, depth=depth)
+    return CompressedPostingList.from_sorted(run, depth, widths)
 
 
 class InvertedIndex:

@@ -7,11 +7,12 @@ algorithms only ever touch posting lists through two primitives:
 * ``seek(id)``   — smallest posting >= id  (a LEFT-moving ``next``),
 * ``seek_floor(id)`` — largest posting <= id (a RIGHT-moving ``next``),
 
-which all backends implement in logarithmic time: a packed sorted array
-(binary search), a B+-tree (the paper's choice, Section I), and a flat
-array of bit-packed keys, one machine word per posting, with galloping
-search (:mod:`repro.index.compressed`).  The merged multi-list navigation
-lives in :mod:`repro.index.merged`.
+which both backends implement in logarithmic time: a packed sorted array
+(binary search) and a flat array of bit-packed keys, one machine word per
+posting, with galloping search (:mod:`repro.index.compressed`).  Either
+serves the paper's "skip over similar answers" (Section I) — the skip is
+the log-time seek, not the structure behind it.  The merged multi-list
+navigation lives in :mod:`repro.index.merged`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import sys
 from typing import Iterable, Iterator, Optional
 
 from ..core.dewey import DeweyId
-from .bptree import BPlusTree
 
 ARRAY_BACKEND = "array"
-BPTREE_BACKEND = "bptree"
 COMPRESSED_BACKEND = "compressed"
-BACKENDS = (ARRAY_BACKEND, BPTREE_BACKEND, COMPRESSED_BACKEND)
+BACKENDS = (ARRAY_BACKEND, COMPRESSED_BACKEND)
 
 
 class PostingList:
@@ -133,50 +132,6 @@ class ArrayPostingList(PostingList):
         return f"ArrayPostingList({len(self._postings)} postings)"
 
 
-class BTreePostingList(PostingList):
-    """B+-tree backend: logarithmic inserts, the paper's skip structure."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, postings: Iterable[DeweyId] = (), order: int = 64):
-        unique = sorted(set(postings))
-        self._tree = BPlusTree.from_sorted([(p, None) for p in unique], order=order)
-
-    def seek(self, dewey: DeweyId) -> Optional[DeweyId]:
-        entry = self._tree.ceiling(dewey)
-        return entry[0] if entry is not None else None
-
-    def seek_floor(self, dewey: DeweyId) -> Optional[DeweyId]:
-        entry = self._tree.floor(dewey)
-        return entry[0] if entry is not None else None
-
-    def insert(self, dewey: DeweyId) -> None:
-        self._tree.insert(dewey, None)
-
-    def remove(self, dewey: DeweyId) -> bool:
-        return self._tree.delete(dewey)
-
-    def first(self) -> Optional[DeweyId]:
-        entry = self._tree.first()
-        return entry[0] if entry is not None else None
-
-    def last(self) -> Optional[DeweyId]:
-        entry = self._tree.last()
-        return entry[0] if entry is not None else None
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def __iter__(self) -> Iterator[DeweyId]:
-        return self._tree.keys()
-
-    def memory_bytes(self) -> int:
-        return self._tree.memory_bytes()
-
-    def __repr__(self) -> str:
-        return f"BTreePostingList({len(self._tree)} postings)"
-
-
 def make_posting_list(
     postings: Iterable[DeweyId],
     backend: str = ARRAY_BACKEND,
@@ -186,12 +141,10 @@ def make_posting_list(
 
     ``depth`` (the diversity ordering's attribute count) is required by the
     compressed backend when ``postings`` may be empty — packed buffers need
-    a fixed Dewey depth up front; the other backends ignore it.
+    a fixed Dewey depth up front; the array backend ignores it.
     """
     if backend == ARRAY_BACKEND:
         return ArrayPostingList(postings)
-    if backend == BPTREE_BACKEND:
-        return BTreePostingList(postings)
     if backend == COMPRESSED_BACKEND:
         # Imported lazily: repro.index.compressed subclasses PostingList.
         from .compressed import CompressedPostingList

@@ -1,9 +1,9 @@
-"""repro.serving — the caching/batching layer in front of the engine.
+"""repro.serving — the caching layer in front of the engine.
 
 An engineering extension beyond the paper (the paper computes each diverse
-top-k from scratch; see docs/paper_mapping.md): plan caching, epoch-
-invalidated LRU result caching, and batched workload execution for
-skewed, repeated-query serving traffic.
+top-k from scratch; see docs/paper_mapping.md): plan caching and
+write-validated LRU result caching for skewed, repeated-query serving
+traffic.
 """
 
 from .cache import (
@@ -12,10 +12,9 @@ from .cache import (
     ResultCache,
     ServingCache,
 )
-from .engine import BatchReport, ServingEngine
+from .engine import ServingEngine
 
 __all__ = [
-    "BatchReport",
     "CacheStats",
     "PlanCache",
     "ResultCache",

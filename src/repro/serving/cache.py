@@ -18,7 +18,7 @@ itself holds no cache:
   the ``auto`` decision per ``(k, scored)`` and the seek-unit price per
   ``(k, algorithm)`` — the admission currency of :mod:`repro.server`.
 * :class:`ResultCache` is an LRU over full :class:`DiverseResult` answers,
-  keyed by ``(canonical query, k, algorithm, scored, optimize)`` and
+  keyed by ``(canonical query, k, algorithm, scored)`` and
   stamped with the epoch they were last known good at.  A write records
   its row in a ring of the last :data:`WRITE_RING` epoch steps and touches
   no entry; a lookup that finds an older stamp tests the rows written
@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 from ..core.engine import AUTO
 from ..core.result import DiverseResult
 from ..index.tokenize import token_set
+from ..query.parser import parse_query
 from ..query.predicates import KeywordPredicate, ScalarPredicate
 from ..query.query import AND, LEAF, Query
 from ..query.rewrite import normalise, to_query_string
@@ -177,7 +178,7 @@ class _PlanEntry:
 class PlanCache:
     """Memoises ``DiversityEngine.prepare`` per query as the caller sent it.
 
-    Keys are ``(query, scored, optimize)`` over raw query strings (the
+    Keys are ``(query, scored)`` over raw query strings (the
     common serving case — no parse needed to hit) and :class:`Query`
     objects (hashable trees).  Parsing
     and normalisation are epoch-independent and cached forever (modulo
@@ -197,26 +198,23 @@ class PlanCache:
         return self._lru.evictions
 
     def lookup(
-        self, engine, query: Union[Query, str], scored: bool, optimize: bool
+        self, engine, query: Union[Query, str], scored: bool
     ) -> Tuple[_PlanEntry, str]:
         """Return ``(entry, outcome)`` where outcome is ``"hit"`` (whatever
         the epoch) or ``"miss"``; compiles and caches on miss."""
-        key = (query, scored, optimize)
+        key = (query, scored)
         entry = self._lru.get(key)
         if entry is not None:
             return entry, "hit"
         epoch = engine.epoch
-        base = query if isinstance(query, Query) else engine.prepare(query, scored, False)
-        if optimize:
-            ordered = engine.prepare(base, scored, optimize=True)
-            # Normalisation folded duplicate leaves into `ordered`; keep the
-            # same normalised tree as the base so revalidation is pure
-            # re-ordering (orderings permute, never rewrite).
-            if not scored:
-                base = normalise(base)
-        else:
-            ordered = base
-        entry = _PlanEntry(base, ordered, to_query_string(base), epoch)
+        base = parse_query(query) if isinstance(query, str) else query
+        # The base is normalised exactly as ``engine.prepare`` normalises,
+        # so revalidation is pure re-ordering (orderings permute, never
+        # rewrite).
+        if not scored:
+            base = normalise(base)
+        entry = _PlanEntry(base, engine.prepare(base, scored),
+                           to_query_string(base), epoch)
         self._lru.put(key, entry)
         return entry, "miss"
 
@@ -322,10 +320,8 @@ class ResultCache:
         return self._lru.evictions
 
     @staticmethod
-    def key(
-        canonical: str, k: int, algorithm: str, scored: bool, optimize: bool
-    ) -> Hashable:
-        return (canonical, k, algorithm, scored, optimize)
+    def key(canonical: str, k: int, algorithm: str, scored: bool) -> Hashable:
+        return (canonical, k, algorithm, scored)
 
     def lookup(self, key: Hashable, epoch: int, engine,
                plan: Query) -> Tuple[Optional[DiverseResult], bool]:
@@ -397,14 +393,13 @@ class ServingCache:
         k: int,
         algorithm: str,
         scored: bool,
-        optimize: bool,
     ) -> DiverseResult:
         """The cached equivalent of ``engine.search`` (same semantics)."""
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, scored, optimize)
-            key = self.results.key(plan.canonical, k, algorithm, scored, optimize)
+            plan = self._plan(engine, query, scored)
+            key = self.results.key(plan.canonical, k, algorithm, scored)
             cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
             if invalidated:
                 # A stale entry was just dropped: one miss (below) and one
@@ -417,7 +412,7 @@ class ServingCache:
                 stats.hits += 1
                 return self._serve(cached, hit=True)
             stats.misses += 1
-            ordered = self._ordered(engine, plan, scored, optimize, epoch)
+            ordered = self._ordered(engine, plan, scored, epoch)
             decision = None
             if algorithm == AUTO:
                 # Resolve the memoised decision under the lock (cheap pure
@@ -460,11 +455,10 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, False, True)
+            plan = self._plan(engine, query, False)
             keys = [
                 self.results.key(
-                    plan.canonical, page_size, f"page:{algorithm}:{n}",
-                    False, True,
+                    plan.canonical, page_size, f"page:{algorithm}:{n}", False
                 )
                 for n in range(1, page + 1)
             ]
@@ -479,7 +473,7 @@ class ServingCache:
                 stats.hits += 1
                 return self._serve(cached_pages[-1], hit=True)
             stats.misses += 1
-            ordered = self._ordered(engine, plan, False, True, epoch)
+            ordered = self._ordered(engine, plan, False, epoch)
         # Compute outside the lock (same discipline as ``search``): seed
         # the exclusion set from the contiguous cached prefix, then run
         # the paginator only over the missing pages.
@@ -527,7 +521,7 @@ class ServingCache:
         """
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, scored, True)
+            plan = self._plan(engine, query, scored)
             return self._price(engine, plan, k, algorithm, scored, epoch)
 
     def lookup(
@@ -548,8 +542,8 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, scored, True)
-            key = self.results.key(plan.canonical, k, algorithm, scored, True)
+            plan = self._plan(engine, query, scored)
+            key = self.results.key(plan.canonical, k, algorithm, scored)
             cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
             if cached is not None:
                 stats.hits += 1
@@ -570,17 +564,16 @@ class ServingCache:
     def _price(self, engine, plan: _PlanEntry, k: int, algorithm: str,
                scored: bool, epoch: int) -> float:
         """The memoised admission price of one plan (lock held)."""
-        self._ordered(engine, plan, scored, True, epoch)
+        self._ordered(engine, plan, scored, epoch)
         if algorithm == AUTO:
             decision = self._decision(engine, plan, k, scored, epoch)
             return decision.costs[decision.algorithm]
         return self.plans.price(engine, plan, k, algorithm, scored, epoch)
 
-    def _plan(self, engine, query: Union[Query, str], scored: bool,
-              optimize: bool) -> _PlanEntry:
+    def _plan(self, engine, query: Union[Query, str], scored: bool) -> _PlanEntry:
         """The memoised plan for ``query``, counted (lock held)."""
         stats = self.stats
-        plan, outcome = self.plans.lookup(engine, query, scored, optimize)
+        plan, outcome = self.plans.lookup(engine, query, scored)
         if outcome == "hit":
             stats.plan_hits += 1
         else:
@@ -588,12 +581,12 @@ class ServingCache:
         stats.plan_evictions = self.plans.evictions
         return plan
 
-    def _ordered(self, engine, plan: _PlanEntry, scored: bool, optimize: bool,
+    def _ordered(self, engine, plan: _PlanEntry, scored: bool,
                  epoch: int) -> Query:
         """The plan about to run or be priced at ``epoch``: re-ordered from
         its base first if the index moved since (lock held)."""
-        if optimize and plan.epoch != epoch:
-            plan.ordered = engine.prepare(plan.base, scored, optimize=True)
+        if plan.epoch != epoch:
+            plan.ordered = engine.prepare(plan.base, scored)
             plan.epoch = epoch
             self.stats.plan_revalidations += 1
         return plan.ordered
@@ -642,7 +635,7 @@ class ServingCache:
 
         Reading ``cache.stats`` field by field while pool threads serve
         queries can observe a torn set (a hit counted, its lookup not yet);
-        batch reporting and metrics collection snapshot through here.
+        metrics collection snapshots through here.
         """
         with self._lock:
             return self.stats.snapshot()

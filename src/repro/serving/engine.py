@@ -19,21 +19,16 @@ the three decisions a deployment has to make once:
   everything they opened (:func:`durable_stores` is the one place that
   knows what may wrap a store).
 
-:meth:`ServingEngine.search_many` drives a whole workload (query strings or
-:class:`Query` trees) through the cache — sequentially or on a thread pool
-— and reports aggregate timings and exact cache counters.  This is the
-layer a web tier calls: skewed traffic hits the caches, mutations bump the
-index epoch and hand the cache their row, and a cached answer survives
-every write whose row its plan does not match.
+This is the layer a web tier calls: skewed traffic hits the caches,
+mutations bump the index epoch and hand the cache their row, and a cached
+answer survives every write whose row its plan does not match.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional
 
 from ..core.engine import DiversityEngine, validate_search
 from ..core.result import DiverseResult
@@ -44,45 +39,10 @@ from ..durability import (
     read_manifest,
     recover as recover_index,
 )
-from ..observability import MONOTONIC, Clock, get_registry, span
-from ..query.query import Query
+from ..observability import MONOTONIC, Clock, get_registry
 from ..sharding import ShardedEngine, ShardedIndex
 from ..sharding.engine import resolve_mode
 from .cache import CacheStats, ServingCache
-
-
-@dataclass
-class BatchReport:
-    """Outcome of one :meth:`ServingEngine.search_many` run."""
-
-    results: List[DiverseResult]
-    total_seconds: float
-    queries: int
-    k: int
-    algorithm: str
-    scored: bool
-    threads: int                     # 0 = sequential execution
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_ms(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return 1000.0 * self.total_seconds / self.queries
-
-    @property
-    def queries_per_second(self) -> float:
-        if self.total_seconds <= 0.0:
-            return 0.0
-        return self.queries / self.total_seconds
-
-    @property
-    def hit_ratio(self) -> float:
-        """Result-cache hit ratio within this batch alone."""
-        lookups = self.cache_stats.get("hits", 0) + self.cache_stats.get("misses", 0)
-        if lookups == 0:
-            return 0.0
-        return self.cache_stats.get("hits", 0) / lookups
 
 
 #: (gauge, help, CacheStats field) published by the cache collector.
@@ -133,13 +93,6 @@ def register_cache_collector(registry, serving: "ServingEngine"):
     return (registry, collect)
 
 
-def _stats_delta(after: CacheStats, before: CacheStats) -> Dict[str, int]:
-    return {
-        field_name: getattr(after, field_name) - getattr(before, field_name)
-        for _, _, field_name in _CACHE_GAUGES
-    }
-
-
 def check_shape(shards: int, replicas: int) -> None:
     """Refuse a deployment shape nothing can stand up — the one statement
     of the rule, reached by every constructor and by the CLI's ``build``."""
@@ -156,7 +109,6 @@ def build_index(
     ordering,
     backend: str = "array",
     shards: int = 1,
-    router="hash",
     replicas: int = 1,
     data_dir=None,
     snapshot_every: int = 0,
@@ -173,9 +125,7 @@ def build_index(
     """
     check_shape(shards, replicas)
     if shards > 1:
-        index = ShardedIndex.build(
-            relation, ordering, shards=shards, backend=backend, router=router
-        )
+        index = ShardedIndex.build(relation, ordering, shards=shards, backend=backend)
         if data_dir is not None:
             create_sharded_store(
                 index, data_dir, snapshot_every=snapshot_every,
@@ -213,24 +163,19 @@ class ServingEngine:
     the engine and record the written row with the cache, which validates
     older entries against it lazily.  The engine is only ever
     *called*: ``serving.engine.search`` stays uncached, and other holders
-    of the engine see no change.  :meth:`search_many` runs whole workloads
-    and reports throughput.  The batch thread pool is persistent across
-    calls — :meth:`close` (or use as a context manager) releases it along
-    with the engine's own resources and any durable stores under it.
+    of the engine see no change.  :meth:`close` (or use as a context
+    manager) releases the engine's own resources and any durable stores
+    under it.
     """
 
     def __init__(
         self,
         engine: DiversityEngine,
         cache: Optional[ServingCache] = None,
-        clock: Clock = MONOTONIC,
         registry=None,
     ):
         self._engine = engine
         self._cache = cache if cache is not None else ServingCache()
-        self._clock = clock
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
         self._close_lock = threading.Lock()
         self._closed = False
         self._collector = register_cache_collector(
@@ -244,7 +189,6 @@ class ServingEngine:
         ordering,
         backend: str = "array",
         shards: int = 1,
-        router="hash",
         workers: int = 0,
         worker_mode: str = "thread",
         policy=None,
@@ -284,7 +228,7 @@ class ServingEngine:
             # Before the build and before ``data_dir`` exists, not after.
             resolve_mode(worker_mode, replicas)
         index = build_index(
-            relation, ordering, backend=backend, shards=shards, router=router,
+            relation, ordering, backend=backend, shards=shards,
             replicas=replicas, data_dir=data_dir,
             snapshot_every=snapshot_every, fsync_every=fsync_every,
         )
@@ -296,8 +240,7 @@ class ServingEngine:
             )
         else:
             engine = DiversityEngine(index)
-        return cls(engine, ServingCache(**cache_options) if cache_options else None,
-                   clock=clock)
+        return cls(engine, ServingCache(**cache_options) if cache_options else None)
 
     @classmethod
     def recover(
@@ -362,12 +305,11 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # Single-call surface (cache-mediated reads, delegated writes)
     # ------------------------------------------------------------------
-    def search(self, query, k: int, algorithm: str = "probe", scored: bool = False,
-               optimize: bool = True) -> DiverseResult:
+    def search(self, query, k: int, algorithm: str = "probe",
+               scored: bool = False) -> DiverseResult:
         """``engine.search`` through the plan and result caches."""
         validate_search(k, algorithm)
-        return self._cache.search(self._engine, query, k, algorithm, scored,
-                                  optimize)
+        return self._cache.search(self._engine, query, k, algorithm, scored)
 
     def price(self, query, k: int, algorithm: str = "probe",
               scored: bool = False) -> float:
@@ -431,14 +373,14 @@ class ServingEngine:
         self._cache.clear()
 
     # ------------------------------------------------------------------
-    # Lifecycle (persistent batch pool)
+    # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the batch pool down and close the wrapped engine.
+        """Close the wrapped engine and the durable stores under it.
 
         Idempotent and safe to call concurrently — e.g. from a signal
-        handler while another thread is mid-``close`` or mid-
-        ``search_many`` (the server's drain path).  The first caller does
+        handler while another thread is mid-``close`` or mid-``search``
+        (the server's drain path).  The first caller does
         the teardown; everyone else returns immediately.  Durable stores
         attached to the index (single or per-shard) are closed too,
         syncing and releasing their WAL file handles.
@@ -459,10 +401,6 @@ class ServingEngine:
                 # open.
                 collect()
                 registry.unregister_collector(collect)
-            pool, self._pool = self._pool, None
-            self._pool_size = 0
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
             self._engine.close()
             for store in durable_stores(self._engine.index):
                 store.close()
@@ -472,89 +410,3 @@ class ServingEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _ensure_pool(self, threads: int) -> ThreadPoolExecutor:
-        """The persistent batch executor, resized only when ``threads`` changes."""
-        if self._pool is not None and self._pool_size != threads:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="repro-serve"
-            )
-            self._pool_size = threads
-        return self._pool
-
-    # ------------------------------------------------------------------
-    # Batched workload execution
-    # ------------------------------------------------------------------
-    def search_many(
-        self,
-        queries: Sequence[Union[Query, str]],
-        k: int = 10,
-        algorithm: str = "probe",
-        scored: bool = False,
-        optimize: bool = True,
-        threads: int = 0,
-    ) -> BatchReport:
-        """Run a whole workload through the cache, preserving input order.
-
-        ``threads=0`` executes sequentially (the default and, for this
-        CPU-bound pure-python engine, usually the fastest); ``threads>=1``
-        uses the persistent batch pool — the caches are thread-safe, and
-        concurrent misses of the same query are benign (both compute the
-        same epoch-stamped answer).  If any query fails (e.g. a sharded
-        engine raising :class:`~repro.resilience.errors
-        .ShardUnavailableError`), the remaining futures are cancelled or
-        drained before the typed error propagates — the pool is left
-        clean and reusable, never holding half-completed work.  Timing
-        covers the entire batch wall clock; ``cache_stats`` is the exact
-        counter delta of this batch.
-        """
-        if threads < 0:
-            raise ValueError("threads must be >= 0")
-        # Locked snapshots: field-by-field reads of a cache being mutated by
-        # pool workers would tear, skewing the reported batch delta.
-        before = self._cache.stats_snapshot()
-        queries = list(queries)
-        with span("serve.batch", queries=len(queries), k=k,
-                  algorithm=algorithm, threads=threads):
-            started = self._clock()
-            if threads == 0:
-                results = [
-                    self.search(query, k, algorithm=algorithm,
-                                scored=scored, optimize=optimize)
-                    for query in queries
-                ]
-            else:
-                pool = self._ensure_pool(threads)
-                futures = [
-                    pool.submit(
-                        self.search, query, k, algorithm=algorithm,
-                        scored=scored, optimize=optimize,
-                    )
-                    for query in queries
-                ]
-                try:
-                    results = [future.result() for future in futures]
-                except BaseException:
-                    # One query failed: stop what has not started, wait out
-                    # what has, then surface the (typed) error with the pool
-                    # intact.
-                    for future in futures:
-                        future.cancel()
-                    for future in futures:
-                        if not future.cancelled():
-                            future.exception()  # drain without re-raising
-                    raise
-            total = self._clock() - started
-        return BatchReport(
-            results=results,
-            total_seconds=total,
-            queries=len(queries),
-            k=k,
-            algorithm=algorithm,
-            scored=scored,
-            threads=threads,
-            cache_stats=_stats_delta(self._cache.stats_snapshot(), before),
-        )

@@ -30,21 +30,17 @@ and argued in ``docs/paper_mapping.md``.
 
 from .engine import GATHER_ALGORITHMS, ShardOutcome, ShardedEngine
 from .merge import diverse_merge, merge_first_k, scored_diverse_merge
-from .router import HashRouter, RangeRouter, ROUTERS, ShardRouter, make_router
+from .router import HashRouter
 from .sharded_index import ShardedIndex, UnionPostingView
 
 __all__ = [
     "GATHER_ALGORITHMS",
     "ShardOutcome",
     "HashRouter",
-    "RangeRouter",
-    "ROUTERS",
-    "ShardRouter",
     "ShardedEngine",
     "ShardedIndex",
     "UnionPostingView",
     "diverse_merge",
-    "make_router",
     "merge_first_k",
     "scored_diverse_merge",
 ]

@@ -92,7 +92,6 @@ from ..resilience.policy import DEFAULT_POLICY
 from ..storage.relation import Relation
 from .executor import GatherTask, PolicyRunner, ShardOutcome, make_executor
 from .merge import diverse_merge, merge_first_k, scored_diverse_merge
-from .router import ShardRouter
 from .sharded_index import ShardedIndex
 
 #: Algorithms served by scatter-gather + diverse-merge (their unsharded
@@ -237,7 +236,6 @@ class ShardedEngine(DiversityEngine):
         ordering: Union[DiversityOrdering, Sequence[str]],
         shards: int = 2,
         backend: str = ARRAY_BACKEND,
-        router: Union[str, ShardRouter] = "hash",
         workers: int = 0,
         worker_mode: str = "thread",
         policy: Optional[ResiliencePolicy] = None,
@@ -258,9 +256,7 @@ class ShardedEngine(DiversityEngine):
         ``replicas`` > 1 and with chaos injection, both rejected loudly.
         """
         resolve_mode(worker_mode, replicas)  # before the build, not after
-        index = ShardedIndex.build(
-            relation, ordering, shards=shards, backend=backend, router=router
-        )
+        index = ShardedIndex.build(relation, ordering, shards=shards, backend=backend)
         return cls.assemble(index, workers=workers, worker_mode=worker_mode,
                             policy=policy, clock=clock, sleep=sleep,
                             replicas=replicas, hedge_ms=hedge_ms)
@@ -414,20 +410,13 @@ class ShardedEngine(DiversityEngine):
         ).inc()
         return None
 
-    def prepare(
-        self,
-        query: Union[Query, str],
-        scored: bool = False,
-        optimize: bool = True,
-    ) -> Query:
+    def prepare(self, query: Union[Query, str], scored: bool = False) -> Query:
         """Plan step, retry-wrapped: the leapfrog ordering reads posting
         statistics through the sharded index, so a flaky shard can fault
         here too.  When the statistics are unreachable (:meth:`_read_stats`)
         the *plan* degrades instead of the query: parse + normalise are
         pure, only the reordering is skipped — answers do not depend on
         predicate order, so execution still proceeds on its own terms."""
-        if not optimize:
-            return super().prepare(query, scored, False)  # pure: no shard read
         plan = parse_query(query) if isinstance(query, str) else query
         if not scored:
             plan = normalise(plan)

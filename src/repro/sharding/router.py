@@ -7,38 +7,24 @@ every level-1 subtree of the global Dewey tree lives wholly inside one
 shard, so a shard's local diverse top-k is computed over whole subtrees and
 the merge step never has to reconcile a subtree split across shards (see
 ``docs/paper_mapping.md``, "Sharding").
-
-Two strategies:
-
-* :class:`HashRouter` — a stable (process-independent) CRC32 hash of the
-  typed value, modulo the shard count.  The default: uniform, stateless,
-  and new values route deterministically forever.
-* :class:`RangeRouter` — contiguous value ranges, boundaries chosen from
-  the values observed at build time.  Keeps sort-adjacent values together
-  (useful when queries correlate with value ranges); unseen values fall
-  into the nearest existing range.
 """
 
 from __future__ import annotations
 
-import bisect
 import zlib
-from typing import Any, Iterable, Sequence, Union
-
-ROUTERS = ("hash", "range")
+from typing import Any
 
 
-def _sort_key(value: Any) -> tuple:
-    """Type-tagged sort key (mirrors the Dewey builder's mixed-type order)."""
-    if isinstance(value, bool):
-        return (0, int(value))
-    if isinstance(value, (int, float)):
-        return (0, value)
-    return (1, str(value))
+class HashRouter:
+    """Stable-hash partitioning: ``crc32(typed value) % shards``.
 
-
-class ShardRouter:
-    """Maps a level-1 diversity value to a shard number in ``[0, shards)``."""
+    Uniform, stateless, and new values route deterministically forever.
+    Python's builtin ``hash`` for strings is salted per process, so it
+    cannot be used — two runs (or a coordinator and its shards) must agree
+    on every placement.  CRC32 over a typed repr is stable everywhere and
+    keeps ``1``, ``1.0``-as-int, ``'1'`` and ``True`` distinct exactly when
+    the index's value equality does not conflate them.
+    """
 
     __slots__ = ("_shards",)
 
@@ -52,90 +38,8 @@ class ShardRouter:
         return self._shards
 
     def shard_of(self, value: Any) -> int:
-        raise NotImplementedError
-
-
-class HashRouter(ShardRouter):
-    """Stable-hash partitioning: ``crc32(typed value) % shards``.
-
-    Python's builtin ``hash`` for strings is salted per process, so it
-    cannot be used — two runs (or a coordinator and its shards) must agree
-    on every placement.  CRC32 over a typed repr is stable everywhere and
-    keeps ``1``, ``1.0``-as-int, ``'1'`` and ``True`` distinct exactly when
-    the index's value equality does not conflate them.
-    """
-
-    __slots__ = ()
-
-    def shard_of(self, value: Any) -> int:
         tag = f"{type(value).__name__}:{value!r}"
         return zlib.crc32(tag.encode("utf-8")) % self._shards
 
     def __repr__(self) -> str:
         return f"HashRouter(shards={self._shards})"
-
-
-class RangeRouter(ShardRouter):
-    """Range partitioning over the sort order of observed values.
-
-    ``boundaries`` holds the (exclusive) upper sort-key of each shard but
-    the last; a value routes to the first shard whose boundary exceeds its
-    key.  Build with :meth:`from_values` to get near-equal shards from the
-    distinct values present at index time.
-    """
-
-    __slots__ = ("_boundaries",)
-
-    def __init__(self, shards: int, boundaries: Sequence[tuple]):
-        super().__init__(shards)
-        if len(boundaries) != shards - 1:
-            raise ValueError(
-                f"{shards} shards need {shards - 1} boundaries, "
-                f"got {len(boundaries)}"
-            )
-        if list(boundaries) != sorted(boundaries):
-            raise ValueError("range boundaries must be sorted")
-        self._boundaries = list(boundaries)
-
-    @classmethod
-    def from_values(cls, values: Iterable[Any], shards: int) -> "RangeRouter":
-        """Split the distinct observed values into ``shards`` even ranges."""
-        if shards < 1:
-            raise ValueError("shard count must be positive")
-        keys = sorted({_sort_key(value) for value in values})
-        boundaries = []
-        for cut in range(1, shards):
-            position = (cut * len(keys)) // shards
-            boundaries.append(keys[position] if position < len(keys) else (2, ""))
-        return cls(shards, boundaries)
-
-    def shard_of(self, value: Any) -> int:
-        return bisect.bisect_right(self._boundaries, _sort_key(value))
-
-    @property
-    def boundaries(self) -> list:
-        """The boundary sort-keys (for persistence: a recovered deployment
-        must route exactly like the one that wrote the shards)."""
-        return [tuple(boundary) for boundary in self._boundaries]
-
-    def __repr__(self) -> str:
-        return f"RangeRouter(shards={self._shards})"
-
-
-def make_router(
-    strategy: Union[str, ShardRouter],
-    shards: int,
-    values: Iterable[Any] = (),
-) -> ShardRouter:
-    """Resolve a router spec: an instance passes through, a name builds one."""
-    if isinstance(strategy, ShardRouter):
-        if strategy.shards != shards:
-            raise ValueError(
-                f"router covers {strategy.shards} shards, index has {shards}"
-            )
-        return strategy
-    if strategy == "hash":
-        return HashRouter(shards)
-    if strategy == "range":
-        return RangeRouter.from_values(values, shards)
-    raise ValueError(f"unknown router {strategy!r}; choose from {ROUTERS}")

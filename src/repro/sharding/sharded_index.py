@@ -43,7 +43,7 @@ from ..observability import MONOTONIC
 from ..replication.replica_set import PinnedReplica, ReplicaSet
 from ..resilience.chaos import FaultyShard
 from ..storage.relation import Relation
-from .router import ShardRouter, make_router
+from .router import HashRouter
 
 
 class UnionPostingView(PostingList):
@@ -126,7 +126,6 @@ class ShardedIndex:
         ordering: Union[DiversityOrdering, Sequence[str]],
         shards: int = 2,
         backend: str = ARRAY_BACKEND,
-        router: Union[str, ShardRouter] = "hash",
     ) -> "ShardedIndex":
         """Offline sharded build: one global Dewey pass, then per-shard
         posting lists over each shard's routed row subset."""
@@ -134,12 +133,11 @@ class ShardedIndex:
             ordering = DiversityOrdering(ordering)
         dewey = DeweyIndex.build(relation, ordering)
         position = relation.schema.position(ordering.attributes[0])
-        values = [row[position] for _, row in relation.iter_live()]
-        router = make_router(router, shards, values)
+        router = HashRouter(shards)
         routed: List[List[int]] = [[] for _ in range(shards)]
         for rid in dewey.iter_rids():
             routed[router.shard_of(relation[rid][position])].append(rid)
-        return cls.from_parts(relation, ordering, dewey, router, [
+        return cls.from_parts(relation, ordering, dewey, [
             InvertedIndex.build(
                 relation, ordering, backend=backend, dewey=dewey, rids=rids
             )
@@ -152,26 +150,20 @@ class ShardedIndex:
         relation: Relation,
         ordering: DiversityOrdering,
         dewey: DeweyIndex,
-        router: ShardRouter,
         shards: Sequence,
         backend: str = ARRAY_BACKEND,
     ) -> "ShardedIndex":
         """A sharded index over already-built parts — no re-routing, no
         re-building.  :meth:`build` ends here; so does recovery
         (:mod:`repro.durability.sharded`, which restores relation, Dewey
-        assignment, persisted router and every shard separately), and so
-        does :meth:`pinned`."""
-        if router.shards != len(shards):
-            raise ValueError(
-                f"router covers {router.shards} shards, got {len(shards)}"
-            )
+        assignment and every shard separately), and so does :meth:`pinned`."""
         index = cls.__new__(cls)
         index._relation = relation
         index._ordering = ordering
         index._backend = backend
         index._dewey = dewey
         index._route_position = relation.schema.position(ordering.attributes[0])
-        index._router = router
+        index._router = HashRouter(len(shards))
         index._worker_budget = 0
         index._shards = list(shards)
         return index
@@ -317,7 +309,7 @@ class ShardedIndex:
         if shard_id is not None:
             return self._shards[shard_id].pin()
         return self.from_parts(
-            self._relation, self._ordering, self._dewey, self._router,
+            self._relation, self._ordering, self._dewey,
             [shard.pin() for shard in self._shards], self._backend,
         )
 
@@ -330,7 +322,7 @@ class ShardedIndex:
                 slot.release()
 
     @property
-    def router(self) -> ShardRouter:
+    def router(self) -> HashRouter:
         return self._router
 
     def memory_stats(self) -> dict:

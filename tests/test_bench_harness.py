@@ -158,7 +158,7 @@ class TestFigureDrivers:
 
     def test_ablation_backend(self):
         result = ablation_backend(rows=300, queries=2, k=3)
-        for backend in ("array", "bptree", "compressed"):
+        for backend in ("array", "compressed"):
             assert f"UProbe/{backend}" in result.series
             assert result.series[f"build/{backend}"][0] > 0
         assert result.series["bytes_per_posting/compressed"] == [8.0]

@@ -34,12 +34,12 @@ class TestBuild:
         code = main([
             "build", str(cars_csv),
             "--ordering", "Make,Model",
-            "--out", str(out), "--backend", "bptree",
+            "--out", str(out), "--backend", "compressed",
         ])
         assert code == 0
         text = capsys.readouterr().out
         assert "indexed 15 rows" in text
-        assert "backend=bptree" in text
+        assert "backend=compressed" in text
         assert out.exists()
 
 

@@ -1,6 +1,6 @@
 """Cross-backend and persistence property tests.
 
-All three posting-list backends (array, B+-tree, compressed) must drive
+Both posting-list backends (array, compressed) must drive
 every algorithm to equivalent answers, agree on every seek edge case, and
 snapshots must round-trip arbitrary relations bit-exactly.
 """
@@ -27,7 +27,7 @@ from .conftest import RANDOM_ORDERING, random_query, random_relation
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=1_000_000), st.integers(1, 8))
 def test_backends_drive_identical_algorithm_outputs(seed, k):
-    """Array vs B+-tree vs compressed: same navigation, same answers."""
+    """Array vs compressed: same navigation, same answers."""
     rng = random.Random(seed)
     relation = random_relation(rng, max_rows=35)
     query = random_query(rng, weighted=True)

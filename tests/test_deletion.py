@@ -6,7 +6,8 @@ from repro import DiversityEngine, is_diverse
 from repro.core.incremental import DiverseView
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import ArrayPostingList, BTreePostingList
+from repro.index.compressed import CompressedPostingList
+from repro.index.postings import ArrayPostingList
 from repro.index.snapshot import load_index, save_index
 from repro.query.evaluate import res, selectivity
 from repro.query.parser import parse_query
@@ -52,7 +53,7 @@ class TestRelationTombstones:
         assert len(text.strip().splitlines()) == 1 + 14
 
 
-@pytest.mark.parametrize("backend_cls", [ArrayPostingList, BTreePostingList])
+@pytest.mark.parametrize("backend_cls", [ArrayPostingList, CompressedPostingList])
 class TestPostingRemoval:
     def test_remove(self, backend_cls):
         postings = backend_cls([(0, 1), (2, 3)])

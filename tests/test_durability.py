@@ -16,7 +16,12 @@ from repro.durability import (
     recover_store,
     recover_sharded_store,
 )
-from repro.durability.store import SNAPSHOT_NAME, WAL_NAME
+from repro.durability.store import (
+    SNAPSHOT_NAME,
+    WAL_NAME,
+    read_manifest,
+    write_manifest,
+)
 from repro.durability.wal import read_wal
 from repro.index.inverted import InvertedIndex
 from repro.sharding.sharded_index import ShardedIndex
@@ -187,11 +192,9 @@ class TestSingleStore:
 
 
 class TestShardedStore:
-    def _build(self, tmp_path, shards=3, router="hash", snapshot_every=0):
+    def _build(self, tmp_path, shards=3, snapshot_every=0):
         relation = figure1_relation()
-        index = ShardedIndex.build(
-            relation, figure1_ordering(), shards=shards, router=router
-        )
+        index = ShardedIndex.build(relation, figure1_ordering(), shards=shards)
         create_sharded_store(
             index, tmp_path / "cluster", snapshot_every=snapshot_every
         )
@@ -248,17 +251,24 @@ class TestShardedStore:
         recovered = recover(tmp_path / "cluster")
         assert _signature(recovered) == expected
 
-    def test_range_router_boundaries_survive(self, tmp_path):
-        index = self._build(tmp_path, shards=3, router="range")
-        expected_boundaries = index.router.boundaries
+    def test_range_router_manifest_is_refused(self, tmp_path):
+        """Rows route only by hash: a manifest naming a range router is
+        refused, never recovered under a router that would place its rows
+        elsewhere."""
+        index = self._build(tmp_path, shards=3)
         for shard in index.shards:
             shard.close()
-        recovered = recover(tmp_path / "cluster")
-        assert recovered.router.boundaries == expected_boundaries
-        # New values route identically post-recovery.
-        rid = recovered.relation.insert(NEW_ROWS[0])
-        assert index.relation.insert(NEW_ROWS[0]) == rid
-        assert recovered.shard_of(rid) == index.shard_of(rid)
+        data_dir = tmp_path / "cluster"
+        manifest = read_manifest(data_dir)
+        assert manifest["router"] == {"kind": "hash"}
+        manifest["router"] = {
+            "kind": "range", "boundaries": [[1, "Honda"], [1, "Toyota"]],
+        }
+        write_manifest(data_dir, manifest)
+        with pytest.raises(RecoveryError, match="range"):
+            recover(data_dir)
+        with pytest.raises(RecoveryError, match="range"):
+            ServingEngine.recover(data_dir)
 
     def test_missing_shard_raises(self, tmp_path):
         index = self._build(tmp_path, shards=3)
@@ -484,6 +494,16 @@ class TestRecoveryRefusals:
             cli_main(["recover", str(data_dir)])
         assert excinfo.value.code == 4
         assert "recovery failed" in capsys.readouterr().err
+
+    def test_removed_bptree_backend_refused(self, tmp_path, shards):
+        """A store whose snapshots name the retired ``bptree`` backend is
+        refused by the serving entry point, not loaded as another one."""
+        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        for store_dir in store_dirs:
+            _tamper(store_dir / SNAPSHOT_NAME,
+                    lambda payload: payload.update(backend="bptree"))
+        with pytest.raises(RecoveryError, match="bptree"):
+            ServingEngine.recover(data_dir)
 
     def test_digest_mismatch(self, tmp_path, shards):
         data_dir, store_dirs = _logged_store(tmp_path, shards)

@@ -94,11 +94,11 @@ class TestConstruction:
         engine = DiversityEngine.from_relation(cars, ["Make", "Model"])
         assert engine.ordering.attributes == ("Make", "Model")
 
-    def test_from_relation_with_bptree_backend(self, cars):
+    def test_from_relation_with_compressed_backend(self, cars):
         engine = DiversityEngine.from_relation(
-            cars, ["Make", "Model"], backend="bptree"
+            cars, ["Make", "Model"], backend="compressed"
         )
-        assert engine.index.backend == "bptree"
+        assert engine.index.backend == "compressed"
         assert len(engine.search("Make = 'Honda'", k=2)) == 2
 
     def test_compile(self, cars_engine):

@@ -12,13 +12,9 @@ from repro.core.ordering import DiversityOrdering, OrderingError
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.dewey_index import DeweyIndex
 from repro.index.dictionary import SiblingDictionary
+from repro.index.compressed import CompressedPostingList
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import (
-    BACKENDS,
-    ArrayPostingList,
-    BTreePostingList,
-    make_posting_list,
-)
+from repro.index.postings import BACKENDS, ArrayPostingList, make_posting_list
 from repro.index.tokenize import contains_all, token_set, tokens
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
@@ -87,7 +83,7 @@ class TestOrdering:
 POSTINGS = [(0, 0, 0), (0, 1, 0), (0, 1, 2), (2, 0, 1), (3, 3, 3)]
 
 
-@pytest.mark.parametrize("backend_cls", [ArrayPostingList, BTreePostingList])
+@pytest.mark.parametrize("backend_cls", [ArrayPostingList, CompressedPostingList])
 class TestPostingLists:
     def test_seek(self, backend_cls):
         postings = backend_cls(POSTINGS)
@@ -131,14 +127,17 @@ class TestPostingLists:
         assert len(postings) == 2
 
     def test_empty(self, backend_cls):
-        postings = backend_cls([])
+        # A packed list fixes its Dewey depth up front, even when empty.
+        depth = {"depth": 1} if backend_cls is CompressedPostingList else {}
+        postings = backend_cls([], **depth)
         assert postings.first() is None and postings.last() is None
         assert postings.seek((0,)) is None and postings.seek_floor((9,)) is None
 
 
 def test_make_posting_list_backends():
     assert isinstance(make_posting_list([], "array"), ArrayPostingList)
-    assert isinstance(make_posting_list([], "bptree"), BTreePostingList)
+    assert isinstance(make_posting_list([], "compressed", depth=2),
+                      CompressedPostingList)
     with pytest.raises(ValueError):
         make_posting_list([], "hashmap")
 
@@ -152,10 +151,10 @@ def test_make_posting_list_backends():
 )
 def test_backends_agree(postings, probe):
     array = ArrayPostingList(postings)
-    btree = BTreePostingList(postings, order=4)
-    assert array.seek(probe) == btree.seek(probe)
-    assert array.seek_floor(probe) == btree.seek_floor(probe)
-    assert list(array) == list(btree)
+    packed = CompressedPostingList(postings, depth=2)
+    assert array.seek(probe) == packed.seek(probe)
+    assert array.seek_floor(probe) == packed.seek_floor(probe)
+    assert list(array) == list(packed)
 
 
 class TestSiblingDictionary:
@@ -334,11 +333,12 @@ class TestInvertedIndex:
         index.insert(0)
         assert len(index) == len(relation)
 
-    def test_bptree_backend(self):
+    def test_compressed_backend(self):
         index = InvertedIndex.build(
-            figure1_relation(), figure1_ordering(), backend="bptree"
+            figure1_relation(), figure1_ordering(), backend="compressed"
         )
-        assert isinstance(index.scalar_postings("Make", "Honda"), BTreePostingList)
+        assert isinstance(index.scalar_postings("Make", "Honda"),
+                          CompressedPostingList)
         assert len(index.all_postings()) == 15
 
     def test_unknown_backend_rejected(self):

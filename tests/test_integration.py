@@ -75,13 +75,13 @@ class TestWorkloadCorrectness:
 
 
 class TestBackendsAgree:
-    def test_array_and_bptree_same_results(self, inventory):
+    def test_array_and_compressed_same_results(self, inventory):
         ordering = autos_ordering()
         array_engine = DiversityEngine(
             InvertedIndex.build(inventory, ordering, backend="array")
         )
-        btree_engine = DiversityEngine(
-            InvertedIndex.build(inventory, ordering, backend="bptree")
+        packed_engine = DiversityEngine(
+            InvertedIndex.build(inventory, ordering, backend="compressed")
         )
         for text in [
             "Make = 'Honda'",
@@ -89,7 +89,7 @@ class TestBackendsAgree:
             "Make = 'Toyota' [2] OR Description CONTAINS 'rare' [3]",
         ]:
             a = array_engine.search(text, k=8, algorithm="probe")
-            b = btree_engine.search(text, k=8, algorithm="probe")
+            b = packed_engine.search(text, k=8, algorithm="probe")
             assert a.deweys == b.deweys
 
 

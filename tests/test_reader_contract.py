@@ -22,12 +22,7 @@ from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.durability import create_sharded_store, create_store, recover
 from repro.index.compressed import CompressedPostingList
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import (
-    BACKENDS,
-    ArrayPostingList,
-    BTreePostingList,
-    make_posting_list,
-)
+from repro.index.postings import BACKENDS, ArrayPostingList, make_posting_list
 from repro.index.reader import EMPTY_READER, IndexReader
 from repro.index.snapshot import load_index, save_index
 from repro.parallel import load_shard_replica
@@ -220,8 +215,7 @@ def test_materialising_performs_no_posting_insert(
     durable primaries, and ``load_shard_replica``."""
     origin = _prepare(kind, backend, tmp_path)
     inserts = []
-    for backend_class in (ArrayPostingList, BTreePostingList,
-                          CompressedPostingList):
+    for backend_class in (ArrayPostingList, CompressedPostingList):
         monkeypatch.setattr(
             backend_class, "insert",
             lambda self, dewey: inserts.append(dewey),

@@ -318,20 +318,6 @@ def test_sharded_engine_context_manager_closes_pool():
     assert engine._executor._pool is None
 
 
-def test_serving_engine_pool_is_persistent_and_resized():
-    relation = random_relation(random.Random(13), max_rows=30)
-    with ServingEngine.from_relation(relation, RANDOM_ORDERING) as serving:
-        queries = ["make = 'A'", "make = 'B'"]
-        serving.search_many(queries, k=5, threads=2)
-        pool = serving._pool
-        assert pool is not None
-        serving.search_many(queries, k=5, threads=2)
-        assert serving._pool is pool            # same size: reused
-        serving.search_many(queries, k=5, threads=3)
-        assert serving._pool is not pool        # resized: rebuilt
-    assert serving._pool is None
-
-
 def test_plain_engine_close_is_noop():
     relation = random_relation(random.Random(17), max_rows=10)
     with DiversityEngine.from_relation(relation, RANDOM_ORDERING) as engine:
@@ -340,31 +326,33 @@ def test_plain_engine_close_is_noop():
 
 
 # ----------------------------------------------------------------------
-# Typed-error propagation out of batched fan-outs (satellite 2)
+# Typed-error propagation out of served searches (satellite 2)
 # ----------------------------------------------------------------------
-def test_search_many_surfaces_typed_error_and_pool_survives():
+def test_search_surfaces_typed_error_and_pool_survives():
     relation = random_relation(random.Random(19), max_rows=30)
     with ServingEngine.from_relation(
-        relation, RANDOM_ORDERING, shards=2,
+        relation, RANDOM_ORDERING, shards=2, workers=2,
         policy=ResiliencePolicy(max_retries=0),
     ) as serving:
         serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
         # Neither query is routed (no ``make = v`` conjunct): both must
         # read the dead shard.
-        queries = ["color = 'blue'", "model = 'm1' OR color = 'red'"] * 3
-        with pytest.raises(ShardUnavailableError) as excinfo:
-            serving.search_many(queries, k=5, algorithm="probe", threads=2)
-        assert 0 in excinfo.value.failures
-        pool = serving._pool
-        assert pool is not None  # pool intact after the failure
-        # Degradable algorithm on the same pool still answers.
-        report = serving.search_many(queries, k=5, algorithm="naive", threads=2)
-        assert serving._pool is pool
-        assert len(report.results) == len(queries)
-        assert all(r.stats["degraded"] for r in report.results)
+        queries = ["color = 'blue'", "model = 'm1' OR color = 'red'"]
+        serving.search(queries[0], k=5, algorithm="naive")  # starts the pool
+        pool = serving.engine._executor._pool
+        assert pool is not None
+        for query in queries:
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                serving.search(query, k=5, algorithm="probe")
+            assert 0 in excinfo.value.failures
+        # The degradable algorithm still answers, on the same fan-out pool.
+        results = [serving.search(query, k=5, algorithm="naive")
+                   for query in queries]
+        assert serving.engine._executor._pool is pool
+        assert all(result.stats["degraded"] for result in results)
 
 
-def test_search_many_sequential_propagates_typed_error():
+def test_search_propagates_typed_error():
     relation = random_relation(random.Random(23), max_rows=30)
     with ServingEngine.from_relation(
         relation, RANDOM_ORDERING, shards=2,
@@ -372,9 +360,8 @@ def test_search_many_sequential_propagates_typed_error():
     ) as serving:
         serving.engine.inject_chaos(ChaosPolicy.crash_shards(1))
         with pytest.raises(ShardUnavailableError):
-            serving.search_many(
-                ["model = 'm1' OR color = 'red'"], k=5, algorithm="onepass"
-            )
+            serving.search("model = 'm1' OR color = 'red'", k=5,
+                           algorithm="onepass")
 
 
 # ----------------------------------------------------------------------

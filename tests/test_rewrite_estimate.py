@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import ALGORITHMS, run_algorithm
 from repro.index.inverted import InvertedIndex
 from repro.core.ordering import DiversityOrdering
 from repro.query.estimate import (
@@ -205,17 +206,45 @@ class TestOrderForLeapfrog:
 
 
 class TestEngineOptimizeFlag:
+    """The rewrite-and-order step that used to sit behind an ``optimize``
+    switch is always on; the un-ordered parse is the reference."""
+
     def test_same_answers_with_and_without(self, cars_engine):
         text = "Description CONTAINS 'Rare' AND Make = 'Honda'"
-        a = cars_engine.search(text, k=3, optimize=True)
-        b = cars_engine.search(text, k=3, optimize=False)
-        assert a.deweys == b.deweys
+        a = cars_engine.search(text, k=3)
+        b, _, _ = run_algorithm(cars_engine.index, parse_query(text), 3)
+        assert a.deweys == list(b)
 
     def test_optimized_conjunction_probes_less_or_equal(self, cars_engine):
         text = "Make = 'Honda' AND Description CONTAINS 'Rare'"
-        optimized = cars_engine.search(text, k=3, algorithm="naive", optimize=True)
-        plain = cars_engine.search(text, k=3, algorithm="naive", optimize=False)
-        assert optimized.deweys == plain.deweys
+        optimized = run_algorithm(cars_engine.index, cars_engine.prepare(text),
+                                  3, "naive")
+        plain = run_algorithm(cars_engine.index, parse_query(text), 3, "naive")
+        assert list(optimized[0]) == list(plain[0])
+        assert optimized[2]["next_calls"] <= plain[2]["next_calls"]
+
+
+class TestEngineOrdering:
+    def test_ordering_never_changes_answers(self, cars_engine):
+        """``search`` always normalises (unscored) and leapfrog-orders its
+        plan; every algorithm answers exactly as it does on the parsed,
+        un-ordered plan."""
+        for text in ["Description CONTAINS 'Rare' AND Make = 'Honda'",
+                     "Make = 'Honda' AND Description CONTAINS 'Rare'",
+                     "Make = 'Honda' AND (Color = 'Blue' OR Year = 2007)"]:
+            for algorithm in ALGORITHMS:
+                for scored in (False, True):
+                    result = cars_engine.search(text, k=3, algorithm=algorithm,
+                                                scored=scored)
+                    deweys, scores, _ = run_algorithm(
+                        cars_engine.index, parse_query(text), 3, algorithm,
+                        scored)
+                    context = f"{algorithm} scored={scored} {text!r}"
+                    if scored:
+                        assert {item.dewey: item.score
+                                for item in result.items} == scores, context
+                    else:
+                        assert result.deweys == list(deweys), context
 
 
 class TestEstimateInvariants:

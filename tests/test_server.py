@@ -549,6 +549,7 @@ class TestPlannedOnce:
             (core_engine, "parse_query"),
             (core_engine, "normalise"),
             (core_engine, "order_for_leapfrog"),
+            (serving_cache, "parse_query"),
             (serving_cache, "normalise"),
             (cost, "extract_features"),
         ):
@@ -656,10 +657,9 @@ class _SlowServing(ServingEngine):
             DiversityEngine.from_relation(relation, figure1_ordering()))
         self._delay_s = delay_s
 
-    def search(self, query, k, algorithm="probe", scored=False, optimize=True):
+    def search(self, query, k, algorithm="probe", scored=False):
         time.sleep(self._delay_s)
-        return super().search(query, k, algorithm=algorithm, scored=scored,
-                              optimize=optimize)
+        return super().search(query, k, algorithm=algorithm, scored=scored)
 
 
 class TestHitPath:

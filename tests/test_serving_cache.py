@@ -1,4 +1,4 @@
-"""The serving layer: plan/result caching, epoch invalidation, batching.
+"""The serving layer: plan/result caching and epoch invalidation.
 
 The central contract under test: **a cached engine is answer-identical to
 an uncached engine at every index state** — caching changes timings and
@@ -10,6 +10,7 @@ algorithms, scored and unscored.
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro import ALGORITHMS, AUTO, DiversityEngine, Query, Relation
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.query.rewrite import normalise, to_query_string
-from repro.serving import BatchReport, CacheStats, ServingCache, ServingEngine
+from repro.serving import CacheStats, ServingCache, ServingEngine
 from repro.serving.cache import PlanCache, ResultCache, _LRU
 
 from .conftest import (
@@ -242,32 +243,24 @@ class TestPlanCacheBehaviour:
         assert after.stats["cache_plan_revalidations"] == 1
         assert after.stats["cache_plan_misses"] == 1
 
-    def test_unoptimized_plans_never_revalidate(self):
-        plain, cached = _paired_engines()
-        cached.search("Make = 'Honda'", k=2, optimize=False)
-        plain.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
-        after = cached.search("Make = 'Honda'", k=2, optimize=False)
-        assert after.stats["cache_plan_hits"] == 1
-        assert after.stats["cache_plan_revalidations"] == 0
-
     def test_plan_cache_standalone(self):
         engine = DiversityEngine.from_relation(figure1_relation(), figure1_ordering())
         cache = ServingCache(plan_capacity=4)
         plans = cache.plans
         assert isinstance(plans, PlanCache)
-        entry, outcome = plans.lookup(engine, "Make = 'Honda'", False, True)
+        entry, outcome = plans.lookup(engine, "Make = 'Honda'", False)
         assert outcome == "miss"
-        entry2, outcome2 = plans.lookup(engine, "Make = 'Honda'", False, True)
+        entry2, outcome2 = plans.lookup(engine, "Make = 'Honda'", False)
         assert outcome2 == "hit"
         assert entry2 is entry
         engine.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
         # A lookup never re-orders: the entry is served whatever the epoch.
-        _, outcome3 = plans.lookup(engine, "Make = 'Honda'", False, True)
+        _, outcome3 = plans.lookup(engine, "Make = 'Honda'", False)
         assert outcome3 == "hit"
         # The execution that follows re-orders the plan, once.
-        cache.search(engine, "Make = 'Honda'", 3, "probe", False, True)
+        cache.search(engine, "Make = 'Honda'", 3, "probe", False)
         assert cache.stats.plan_revalidations == 1
-        cache.search(engine, "Make = 'Honda'", 3, "probe", False, True)
+        cache.search(engine, "Make = 'Honda'", 3, "probe", False)
         assert cache.stats.plan_revalidations == 1
 
 
@@ -373,38 +366,10 @@ def test_cached_engine_identical_under_mutations(algorithm, scored, tmp_path):
 
 
 class TestServingEngine:
-    def test_search_many_preserves_order_and_counts(self):
-        serving = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
-        queries = ["Make = 'Honda'", "Make = 'Toyota'", "Make = 'Honda'"]
-        report = serving.search_many(queries, k=3)
-        assert isinstance(report, BatchReport)
-        assert report.queries == 3
-        assert report.cache_stats["hits"] == 1
-        assert report.cache_stats["misses"] == 2
-        assert report.hit_ratio == pytest.approx(1 / 3)
-        assert report.results[0].deweys == report.results[2].deweys
-        assert report.total_seconds >= 0.0
-        assert report.mean_ms >= 0.0
-
-    def test_search_many_threaded_matches_sequential(self):
-        relation = figure1_relation()
-        workload = WorkloadGenerator(
-            relation,
-            WorkloadSpec(queries=40, predicates=1, distinct=8, zipf_s=1.0, seed=7),
-        ).materialise()
-        sequential = ServingEngine.from_relation(relation, figure1_ordering())
-        threaded = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
-        seq_report = sequential.search_many(workload, k=4)
-        thr_report = threaded.search_many(workload, k=4, threads=4)
-        assert thr_report.threads == 4
-        assert [r.deweys for r in seq_report.results] == [
-            r.deweys for r in thr_report.results
-        ]
-
-    def test_search_many_threaded_counters_sum(self):
-        """Under a thread pool the cache counters must still account for
-        every query exactly once: hits + misses == len(queries), and the
-        result payloads equal the sequential run's."""
+    def test_threaded_searches_count_every_lookup_once(self):
+        """Searches from several threads must still account for every
+        query exactly once: hits + misses == len(queries), and the result
+        payloads equal a sequential run's."""
         relation = figure1_relation()
         workload = WorkloadGenerator(
             relation,
@@ -412,16 +377,16 @@ class TestServingEngine:
         ).materialise()
         sequential = ServingEngine.from_relation(relation, figure1_ordering())
         threaded = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
-        seq = sequential.search_many(workload, k=4)
-        thr = threaded.search_many(workload, k=4, threads=4)
-        assert thr.cache_stats["hits"] + thr.cache_stats["misses"] == len(workload)
-        assert seq.cache_stats["hits"] + seq.cache_stats["misses"] == len(workload)
+        seq = [sequential.search(query, k=4) for query in workload]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            thr = list(pool.map(lambda query: threaded.search(query, k=4), workload))
+        for serving in (sequential, threaded):
+            stats = serving.cache.stats_snapshot()
+            assert stats.hits + stats.misses == len(workload)
         # Concurrent misses of one query may each compute (benign): the
         # threaded run can only trade hits for misses, never lose lookups.
-        assert thr.cache_stats["misses"] >= seq.cache_stats["misses"]
-        assert [_answers(a) for a in thr.results] == [
-            _answers(b) for b in seq.results
-        ]
+        assert threaded.stats.misses >= sequential.stats.misses
+        assert [_answers(a) for a in thr] == [_answers(b) for b in seq]
 
     def test_from_relation_sharded_wiring(self):
         """shards>1 builds a ShardedEngine under the serving facade; the
@@ -447,11 +412,6 @@ class TestServingEngine:
         assert after.stats["cache_hit"] == 0
         assert sharded.delete(rid)
         assert sharded.epoch == 2
-
-    def test_search_many_rejects_negative_threads(self):
-        serving = ServingEngine.from_relation(figure1_relation(), figure1_ordering())
-        with pytest.raises(ValueError):
-            serving.search_many(["Make = 'Honda'"], k=3, threads=-1)
 
     def test_delegation_and_epoch(self):
         serving = ServingEngine.from_relation(figure1_relation(), figure1_ordering())

@@ -1,18 +1,15 @@
 """Satellite: engine ``close()`` is idempotent and concurrency-safe.
 
 The server's drain path closes engines from a signal-handler context
-while worker threads may still be inside ``search_many`` — so ``close``
-must tolerate double calls, concurrent calls from many threads, and a
-close racing a live batch (whose futures may then complete or be
-cancelled, but must never wedge or corrupt the engine).
+while worker threads may still be inside ``ServingEngine.search`` — so
+``close`` must tolerate double calls, concurrent calls from many threads,
+and a close racing live searches (which must finish, never wedge or
+corrupt the engine).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import CancelledError
-
-import pytest
 
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.serving import ServingEngine
@@ -40,7 +37,8 @@ class TestServingEngineClose:
 
     def test_concurrent_close_from_many_threads(self):
         serving = _make_serving()
-        serving.search_many(QUERIES[:10], k=2)
+        for query in QUERIES[:10]:
+            serving.search(query, k=2)
         barrier = threading.Barrier(8)
         errors = []
 
@@ -57,37 +55,35 @@ class TestServingEngineClose:
         for thread in threads:
             thread.join(timeout=30.0)
         assert not errors
-        # "close returned" means "fully closed": the pool is gone.
-        assert serving._pool is None
+        # "close returned" means "fully closed": the collector is gone.
+        assert serving._collector is None
 
-    def test_close_during_search_many(self):
+    def test_close_during_searches(self):
         serving = _make_serving()
-        finished = threading.Event()
-        outcome = {}
+        started = threading.Barrier(3)
+        answers, errors = [[], []], []
 
-        def batch():
+        def searches(slot):
+            started.wait()
             try:
-                outcome["report"] = serving.search_many(
-                    QUERIES, k=3, threads=2)
-            except CancelledError:
-                outcome["cancelled"] = True
-            except RuntimeError as exc:
-                # "cannot schedule new futures after shutdown" — the close
-                # won the race before the batch submitted everything.
-                outcome["shutdown"] = str(exc)
-            finally:
-                finished.set()
+                for query in QUERIES:
+                    answers[slot].append(serving.search(query, k=3))
+            except BaseException as exc:  # noqa: BLE001 — recorded for assert
+                errors.append(exc)
 
-        worker = threading.Thread(target=batch)
-        worker.start()
-        serving.close()  # races the in-flight batch
-        assert finished.wait(timeout=30.0)
-        worker.join(timeout=30.0)
-        # Whichever way the race went, it resolved: a finished report,
-        # cancelled futures, or a refused submission — never a hang.
-        assert outcome
-        if "report" in outcome:
-            assert len(outcome["report"].results) == len(QUERIES)
+        workers = [threading.Thread(target=searches, args=(slot,))
+                   for slot in range(2)]
+        for worker in workers:
+            worker.start()
+        started.wait()
+        serving.close()  # races the in-flight searches
+        for worker in workers:
+            worker.join(timeout=30.0)
+        # The searches the drain raced all finished, with full answers.
+        assert not any(worker.is_alive() for worker in workers)
+        assert not errors
+        assert [len(slot) for slot in answers] == [len(QUERIES)] * 2
+        assert all(len(result) == 3 for slot in answers for result in slot)
         serving.close()  # and close stays idempotent afterwards
 
 

@@ -6,7 +6,7 @@ is a leaf ``top = v``, or a top-level AND holding one, lives in
 ``router.shard_of(v)``.  The sharded engine hands that one shard's reader
 to the unmodified driver; this suite holds the result — rids, deweys,
 scores and both probe counters — against a fault-free *unsharded* engine
-across shard counts, routers, replica counts and every algorithm but
+across shard counts, replica counts and every algorithm but
 ``multq`` (which keeps the union reader), and counts posting reads per
 shard to show exactly one shard was asked.  The failure story follows: a
 routed query is hostage to its home shard only.
@@ -141,16 +141,13 @@ def _probe_counts(result):
 
 
 @pytest.mark.parametrize("replicas", [1, 2])
-@pytest.mark.parametrize("router", ["hash", "range"])
 @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-def test_routed_queries_match_unsharded_and_read_one_shard(
-        shards, router, replicas):
-    rng = random.Random(4000 + 100 * shards + 10 * replicas + len(router))
+def test_routed_queries_match_unsharded_and_read_one_shard(shards, replicas):
+    rng = random.Random(4000 + 100 * shards + 10 * replicas + 4)
     relation = random_relation(rng, max_rows=60)
     reference = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
     engine = ShardedEngine.from_relation(
-        relation, RANDOM_ORDERING, shards=shards, router=router,
-        replicas=replicas)
+        relation, RANDOM_ORDERING, shards=shards, replicas=replicas)
     by_shard = _count_reads(engine)
     for query, routed_when_scored in _routed_queries(rng):
         k = rng.choice([1, 3, 7])

@@ -2,7 +2,7 @@
 
 A sharded deployment persisted through per-shard snapshots (plus empty
 WALs) and recovered must answer every query bit-identically to the
-original, for both routers, several shard counts and all five diversity
+original, for several shard counts and all five diversity
 algorithms, scored and unscored."""
 
 import pytest
@@ -37,13 +37,10 @@ def _answers(index, algorithm, scored):
         engine.close()
 
 
-@pytest.mark.parametrize("router", ["hash", "range"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
-def test_roundtrip_bit_identical(tmp_path, router, shards):
+def test_roundtrip_bit_identical(tmp_path, shards):
     relation = figure1_relation()
-    index = ShardedIndex.build(
-        relation, figure1_ordering(), shards=shards, router=router
-    )
+    index = ShardedIndex.build(relation, figure1_ordering(), shards=shards)
     create_sharded_store(index, tmp_path / "cluster")
     for shard in index.shards:
         shard.close()
@@ -58,12 +55,9 @@ def test_roundtrip_bit_identical(tmp_path, router, shards):
             ), f"{algorithm} scored={scored} diverged after round trip"
 
 
-@pytest.mark.parametrize("router", ["hash", "range"])
-def test_roundtrip_after_mutations(tmp_path, router):
+def test_roundtrip_after_mutations(tmp_path):
     relation = figure1_relation()
-    index = ShardedIndex.build(
-        relation, figure1_ordering(), shards=2, router=router
-    )
+    index = ShardedIndex.build(relation, figure1_ordering(), shards=2)
     create_sharded_store(index, tmp_path / "cluster")
     for row in [
         ("Tesla", "ModelS", "Red", 2008, "rare electric clean"),

@@ -4,7 +4,7 @@ The contract under test: a :class:`repro.sharding.ShardedEngine` over any
 shard count answers every query *bit-identically* to an unsharded
 :class:`repro.core.engine.DiversityEngine` over the same rows — same Dewey
 IDs, same rids, same materialised values, same scores, same order — for all
-five algorithms, scored and unscored, under both routers, and across
+five algorithms, scored and unscored, and across
 interleaved insert/delete mutations.
 
 Stats are deliberately *not* compared: the scatter-gather paths report
@@ -24,12 +24,9 @@ from repro.core.engine import ALGORITHMS
 from repro.sharding import (
     GATHER_ALGORITHMS,
     HashRouter,
-    RangeRouter,
-    ROUTERS,
     ShardedEngine,
     ShardedIndex,
     UnionPostingView,
-    make_router,
 )
 
 from .conftest import COLORS, MAKES, MODELS, RANDOM_ORDERING, WORDS, random_query, random_relation
@@ -66,16 +63,13 @@ def _assert_identical(reference: DiversityEngine, sharded: ShardedEngine, query,
 # ----------------------------------------------------------------------
 # Static differential: random relations, random queries, every combination
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("router", ROUTERS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_answers_match_unsharded(shards, router):
-    rng = random.Random(1000 * shards + len(router))
+def test_sharded_answers_match_unsharded(shards):
+    rng = random.Random(1000 * shards + 4)
     for trial in range(4):
         relation = random_relation(rng, max_rows=60)
         reference = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
-        sharded = ShardedEngine.from_relation(
-            relation, RANDOM_ORDERING, shards=shards, router=router
-        )
+        sharded = ShardedEngine.from_relation(relation, RANDOM_ORDERING, shards=shards)
         assert sharded.num_shards == shards
         for _ in range(6):
             query = random_query(rng, weighted=rng.random() < 0.5)
@@ -186,7 +180,7 @@ def test_gather_stats_report_fanout():
 
 
 # ----------------------------------------------------------------------
-# Routers
+# The router
 # ----------------------------------------------------------------------
 def test_hash_router_is_stable_and_in_range():
     router = HashRouter(5)
@@ -197,31 +191,6 @@ def test_hash_router_is_stable_and_in_range():
     # The typed hash must not conflate equal-repr values of different types.
     assert router.shard_of("3") is not None  # routes, regardless of int 3
 
-
-def test_range_router_partitions_sorted_values_contiguously():
-    router = RangeRouter.from_values(["A", "B", "C", "D", "E", "F"], 3)
-    shards = [router.shard_of(value) for value in ["A", "B", "C", "D", "E", "F"]]
-    assert shards == sorted(shards)  # sort-adjacent values stay adjacent
-    assert set(shards) == {0, 1, 2}
-    # Unseen values still route in range.
-    assert 0 <= router.shard_of("ZZZ") < 3
-    assert 0 <= router.shard_of(42) < 3
-
-
-def test_range_router_validates_boundaries():
-    with pytest.raises(ValueError, match="boundaries"):
-        RangeRouter(3, boundaries=[(1, "B")])  # needs 2
-    with pytest.raises(ValueError, match="sorted"):
-        RangeRouter(3, boundaries=[(1, "Z"), (1, "A")])
-
-
-def test_make_router_rejects_unknown_and_mismatched():
-    with pytest.raises(ValueError, match="unknown router"):
-        make_router("zorp", 2)
-    with pytest.raises(ValueError, match="covers"):
-        make_router(HashRouter(2), 3)
-    assert make_router("hash", 4).shards == 4
-    assert make_router("range", 2, ["A", "B"]).shards == 2
 
 
 # ----------------------------------------------------------------------

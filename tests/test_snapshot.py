@@ -72,10 +72,10 @@ class TestRoundtrip:
             )
 
     def test_backend_preserved(self, cars, tmp_path):
-        index = InvertedIndex.build(cars, figure1_ordering(), backend="bptree")
+        index = InvertedIndex.build(cars, figure1_ordering(), backend="compressed")
         path = tmp_path / "cars.idx"
         save_index(index, path)
-        assert load_index(path).backend == "bptree"
+        assert load_index(path).backend == "compressed"
 
     def test_incremental_assignment_preserved(self, tmp_path):
         """Incremental (first-come) sibling numbers survive the roundtrip —
@@ -138,6 +138,17 @@ class TestValidation:
         del document["payload"]["deweys"]
         write_document(path, document)
         with pytest.raises(SnapshotError):
+            load_index(path)
+
+    def test_removed_backend_refused(self, built_index, tmp_path):
+        """A snapshot naming the retired ``bptree`` backend is refused as a
+        snapshot error, never loaded under another backend."""
+        path = tmp_path / "cars.idx"
+        save_index(built_index, path)
+        document = read_document(path)
+        document["payload"]["backend"] = "bptree"
+        write_document(path, document)
+        with pytest.raises(SnapshotError, match="bptree"):
             load_index(path)
 
     def test_corrupt_dewey_depth(self, built_index, tmp_path):
