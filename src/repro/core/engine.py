@@ -65,11 +65,16 @@ def run_algorithm(
     protocol (including :class:`repro.sharding.ShardedIndex` — the
     algorithms only observe ``next`` results, which the protocol fixes).
     Returns ``(deweys, scores, stats)`` where ``scores`` is ``None`` for
-    unscored runs.
+    unscored runs.  A scored plan whose matches all score alike runs the
+    unscored driver, each answer stamped with :meth:`Query.max_score`;
+    ``naive`` keeps its scored path, which the sharded gather repeats.
     """
     merged = MergedList(query, index)
     stats: Dict[str, int] = {}
     scores: Optional[Dict[DeweyId, float]] = None
+    scored_driver = scored and (
+        algorithm in ("naive", "multq") or not query.uniform_score()
+    )
     if algorithm == "multq":
         if scored:
             scores, issued = baselines.multq_scored(index, query, k)
@@ -77,7 +82,7 @@ def run_algorithm(
         else:
             deweys, issued = baselines.multq_unscored(index, query, k)
         stats["queries_issued"] = issued
-    elif scored:
+    elif scored_driver:
         if algorithm == "onepass":
             scores = one_pass_scored(merged, k)
         elif algorithm == "probe":
@@ -96,9 +101,11 @@ def run_algorithm(
             deweys = baselines.naive_unscored(merged, k)
         else:
             deweys = baselines.basic_unscored(merged, k)
+        if scored:
+            scores = dict.fromkeys(deweys, query.max_score())
     stats["next_calls"] = merged.next_calls
     stats["scored_next_calls"] = merged.scored_next_calls
-    annotate_query_stats(stats, merged, algorithm, scored, k)
+    annotate_query_stats(stats, merged, algorithm, scored_driver, k)
     return deweys, scores, stats
 
 

@@ -84,8 +84,11 @@ class TracingMergedList:
     def max_score(self) -> float:
         return self._merged.max_score()
 
-    def weighted_leaves(self):
-        return self._merged.weighted_leaves()
+    def wand_states(self, *args):
+        return self._merged.wand_states(*args)
+
+    def wand_pivot(self, *args):
+        return self._merged.wand_pivot(*args)
 
     def first(self) -> Optional[DeweyId]:
         return self.next((0,) * self.depth, LEFT)

@@ -15,6 +15,7 @@ ablation benchmarks can be checked empirically.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from ..core.dewey import LEFT, RIGHT, DeweyId, predecessor, successor, validate_direction
@@ -22,6 +23,9 @@ from ..query.predicates import KeywordPredicate, ScalarPredicate
 from ..query.query import AND, LEAF, OR, Query
 from .inverted import EMPTY_POSTINGS, InvertedIndex
 from .postings import PostingList
+
+
+_POSITION, _ORDER = itemgetter(0), itemgetter(3)
 
 
 class Cursor:
@@ -32,9 +36,6 @@ class Cursor:
     def next(self, bound: DeweyId, direction: str = LEFT) -> Optional[DeweyId]:
         """Nearest match at-or-beyond ``bound`` in ``direction``."""
         raise NotImplementedError
-
-    def contains(self, dewey: DeweyId) -> bool:
-        return self.next(dewey, LEFT) == dewey
 
 
 class LeafCursor(Cursor):
@@ -173,6 +174,9 @@ class MergedList:
         self._index = index
         self._root = compile_cursor(query, index)
         self._leaves: Optional[list[tuple[Cursor, float]]] = None
+        self._recheck = True
+        # The last scored landing: ``score()`` answers it without seeking.
+        self._landing: Optional[tuple[DeweyId, float]] = None
         self.next_calls = 0
         self.scored_next_calls = 0
         # Always-on access accounting (repro.observability.probes): cheap
@@ -235,14 +239,23 @@ class MergedList:
     # Scoring
     # ------------------------------------------------------------------
     def _build_leaves(self) -> list[tuple[Cursor, float]]:
+        query = self._query
+        # A leaf's match is a query match when the query is that leaf or an
+        # OR of leaves: the pivot step then skips its boolean re-check.
+        self._recheck = not (query.kind == LEAF or (
+            query.kind == OR
+            and all(child.kind == LEAF for child in query.children)))
         self._leaves = leaves = [
             (_compile_leaf(leaf, self._index), leaf.weight)
-            for leaf in self._query.leaves()
+            for leaf in query.leaves()
         ]
         return leaves
 
     def score(self, dewey: DeweyId) -> float:
         """Sum of the weights of the leaf predicates containing ``dewey``."""
+        landing = self._landing
+        if landing is not None and landing[0] == dewey:
+            return landing[1]
         total = 0.0
         for cursor, weight in self._leaves or self._build_leaves():
             if weight and cursor.next(dewey, LEFT) == dewey:
@@ -252,9 +265,66 @@ class MergedList:
     def max_score(self) -> float:
         return self._query.max_score()
 
-    def weighted_leaves(self) -> list[tuple[Cursor, float]]:
-        """Per-leaf cursors with weights (consumed by WAND)."""
-        return list(self._leaves or self._build_leaves())
+    def wand_states(self, bound: DeweyId, direction: str, theta: float,
+                    strict: bool) -> list[list]:
+        """``[position, cursor, weight, leaf index]`` per leaf, seeked from
+        ``bound``; a zero-weight leaf only if a score of 0 qualifies."""
+        zero_counts = 0.0 > theta if strict else 0.0 >= theta
+        return [[cursor.next(bound, direction) if weight > 0.0 or zero_counts
+                 else None, cursor, weight, order] for order, (cursor, weight)
+                in enumerate(self._leaves or self._build_leaves())]
+
+    def wand_pivot(self, states: list[list], bound: DeweyId, direction: str,
+                   theta: float, strict: bool) -> Optional[tuple[DeweyId, float]]:
+        """WAND's pivot loop: the nearest match at-or-beyond ``bound``
+        scoring >= theta (> when ``strict``), with its score; not a probe.
+
+        Every position is the nearest posting to a bound at or before the
+        pivot, so the lists standing on it are exactly those holding it and
+        their weights, added in leaf order as :meth:`score` adds them, are
+        its score.  A prefix's bound adds three or more weights in that
+        order too: by position, a lagging list can leave it an ulp short of
+        a score.  ``states`` advance in place: pass them back with a bound
+        beyond the landing to resume."""
+        forward = direction == LEFT
+        zero_counts = 0.0 > theta if strict else 0.0 >= theta
+        recheck = self._recheck
+        while True:
+            live = []
+            for state in states:
+                position = state[0]
+                if position is None or not (zero_counts or state[2] > 0.0):
+                    continue
+                if position < bound if forward else position > bound:
+                    position = state[0] = state[1].next(bound, direction)
+                    if position is None:
+                        continue
+                live.append(state)
+            live.sort(key=_POSITION, reverse=not forward)
+            accumulated = 0.0
+            for index, state in enumerate(live):
+                accumulated += state[2]
+                if index > 1:
+                    prefix = sorted(live[:index + 1], key=_ORDER)
+                    accumulated = sum(other[2] for other in prefix)
+                if accumulated > theta if strict else accumulated >= theta:
+                    pivot = state[0]
+                    break
+            else:
+                return None
+            if live[0][0] != pivot:
+                bound = pivot  # advance the lagging lists up to the pivot
+                continue
+            score = 0.0
+            for state in states:
+                if state[0] == pivot:
+                    score += state[2]
+            if (score > theta if strict else score >= theta) and (
+                    not recheck or self._root.next(pivot, direction) == pivot):
+                return pivot, score
+            bound = successor(pivot) if forward else predecessor(pivot)
+            if bound is None:
+                return None
 
     def next_scored(
         self,
@@ -273,67 +343,13 @@ class MergedList:
         step = self._wand_step(bound, direction, theta, strict)
         return step[0] if step is not None else None
 
-    def _wand_step(
-        self,
-        bound: DeweyId,
-        direction: str,
-        theta: float,
-        strict: bool,
-    ) -> Optional[tuple[DeweyId, float]]:
-        """WAND pivot search for the nearest match scoring >= / > theta."""
+    def _wand_step(self, bound: DeweyId, direction: str, theta: float,
+                   strict: bool) -> Optional[tuple[DeweyId, float]]:
+        """One counted scored ``next``, its landing kept for :meth:`score`."""
         self.scored_next_calls += 1
-        forward = direction == LEFT
-        states: list[list] = []
-        for cursor, weight in self._leaves or self._build_leaves():
-            if weight <= 0.0:
-                continue
-            position = cursor.next(bound, direction)
-            if position is not None:
-                states.append([position, cursor, weight])
-        while states:
-            states.sort(key=lambda state: state[0], reverse=not forward)
-            accumulated = 0.0
-            pivot_index = None
-            for index, state in enumerate(states):
-                accumulated += state[2]
-                if accumulated > theta if strict else accumulated >= theta:
-                    pivot_index = index
-                    break
-            if pivot_index is None:
-                return None
-            pivot = states[pivot_index][0]
-            if states[0][0] == pivot:
-                # Fully evaluate the pivot: boolean match + exact score.
-                if self._root.next(pivot, direction) == pivot:
-                    score = self.score(pivot)
-                    if score > theta if strict else score >= theta:
-                        return pivot, score
-                beyond = successor(pivot) if forward else predecessor(pivot)
-                if beyond is None:
-                    return None
-                remaining = []
-                for state in states:
-                    at_or_before = state[0] <= pivot if forward else state[0] >= pivot
-                    if at_or_before:
-                        position = state[1].next(beyond, direction)
-                        if position is None:
-                            continue
-                        state[0] = position
-                    remaining.append(state)
-                states = remaining
-            else:
-                # Advance the lagging lists up to the pivot.
-                remaining = []
-                for state in states:
-                    lagging = state[0] < pivot if forward else state[0] > pivot
-                    if lagging:
-                        position = state[1].next(pivot, direction)
-                        if position is None:
-                            continue
-                        state[0] = position
-                    remaining.append(state)
-                states = remaining
-        return None
+        states = self.wand_states(bound, direction, theta, strict)
+        self._landing = self.wand_pivot(states, bound, direction, theta, strict)
+        return self._landing
 
     def next_onepass_scored(
         self,

@@ -12,28 +12,18 @@ bootstrap phase of the scored probing algorithm (Algorithm 4, line 1).
 
 Scores here follow the engine's model: ``score(t) = sum of weights of the
 query leaves containing t``; each leaf cursor's upper bound is its weight.
-Boolean filtering (tuples must also *match* the query, e.g. satisfy a
-conjunction) is applied on top of the candidate stream.
+The pivot loop is :meth:`MergedList.wand_pivot`, the one the scored
+``next(id, dir, theta)`` runs; this driver only raises the threshold as the
+top-k fills and resumes the loop beyond each landing.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.dewey import LEFT, DeweyId, successor
-from .merged import Cursor, MergedList
-
-
-class _ListState:
-    """One posting cursor with its weight and current position."""
-
-    __slots__ = ("cursor", "weight", "position")
-
-    def __init__(self, cursor: Cursor, weight: float, position: Optional[DeweyId]):
-        self.cursor = cursor
-        self.weight = weight
-        self.position = position
+from .merged import MergedList
 
 
 def wand_topk(merged: MergedList, k: int) -> List[Tuple[DeweyId, float]]:
@@ -45,49 +35,22 @@ def wand_topk(merged: MergedList, k: int) -> List[Tuple[DeweyId, float]]:
     """
     if k <= 0:
         return []
-    depth = merged.depth
-    start = (0,) * depth
-    states = [
-        _ListState(cursor, weight, cursor.next(start, LEFT))
-        for cursor, weight in merged.weighted_leaves()
-        if weight > 0.0
-    ]
     # Min-heap of the current top-k as (score, negated-dewey, dewey): among
     # score ties the heap minimum is the *largest* Dewey ID, so evictions
     # keep the first-encountered (smallest) IDs — matching the oracle.
     heap: List[Tuple[float, DeweyId, DeweyId]] = []
+    threshold = float("-inf")
+    bound = (0,) * merged.depth
+    states = merged.wand_states(bound, LEFT, threshold, True)
     while True:
-        states = [s for s in states if s.position is not None]
-        if not states:
+        landing = merged.wand_pivot(states, bound, LEFT, threshold, True)
+        if landing is None:
             break
-        states.sort(key=lambda s: s.position)
-        threshold = heap[0][0] if len(heap) == k else float("-inf")
-        pivot_index = None
-        accumulated = 0.0
-        for index, state in enumerate(states):
-            accumulated += state.weight
-            if accumulated > threshold:
-                pivot_index = index
-                break
-        if pivot_index is None:
-            # No remaining document can beat the threshold: done.
-            break
-        pivot_id = states[pivot_index].position
-        if states[0].position == pivot_id:
-            # Fully evaluate the pivot document (boolean match + exact score).
-            if merged.contains(pivot_id):
-                score = merged.score(pivot_id)
-                _offer(heap, k, score, pivot_id)
-            bound = successor(pivot_id)
-            for state in states:
-                if state.position is not None and state.position <= pivot_id:
-                    state.position = state.cursor.next(bound, LEFT)
-        else:
-            # Advance the lagging lists up to the pivot.
-            for state in states:
-                if state.position is None or state.position >= pivot_id:
-                    break
-                state.position = state.cursor.next(pivot_id, LEFT)
+        dewey, score = landing
+        _offer(heap, k, score, dewey)
+        if len(heap) == k:
+            threshold = heap[0][0]
+        bound = successor(dewey)
     return sorted(
         ((d, s) for s, _, d in heap), key=lambda pair: (-pair[1], pair[0])
     )

@@ -47,21 +47,22 @@ def annotate_query_stats(
     stats: Dict[str, int],
     merged,
     algorithm: str,
-    scored: bool,
+    scored_driver: bool,
     k: int,
 ) -> Dict[str, int]:
     """Fold one run's merged-list counters into its stats dict.
 
     Called by ``run_algorithm`` after the algorithm finished with
     ``merged`` (a :class:`~repro.index.merged.MergedList` or compatible).
-    Adds the generic access counters plus the per-algorithm bound checks;
-    everything here is plain integer work.
+    ``scored_driver`` is false when the unscored driver ran, also for a
+    scored uniform-score plan.  Adds the generic access counters plus the
+    per-algorithm bound checks; everything here is plain integer work.
     """
     stats["rows_touched"] = merged.rows_touched
     if algorithm == "probe":
         probes = merged.next_calls + merged.scored_next_calls
         stats["probe_calls"] = probes
-        if not scored:
+        if not scored_driver:
             # Theorem 2 covers the unscored driver; the scored one pays an
             # extra WAND top-k pass whose cost Section IV-B bounds separately.
             stats["probe_bound"] = probe_bound(k)
@@ -85,7 +86,6 @@ def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
     bundle = registry.hot_cache.get(key)
     if bundle is not None:
         return bundle
-    scored = mode == "scored"
     bundle = {
         "queries": registry.counter(
             "repro_queries_total",
@@ -109,13 +109,12 @@ def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
             "repro_probe_calls",
             help="per-query probe count of the probing algorithm",
             buckets=PROBE_COUNT_BUCKETS, mode=mode)
-        if not scored:
-            bundle["probe_max"] = registry.gauge(
-                "repro_probe_max_calls",
-                help="largest unscored-probe probe count seen (bound: 2k+1)")
-            bundle["probe_max_bound"] = registry.gauge(
-                "repro_probe_max_bound",
-                help="2k+1 bound matching repro_probe_max_calls traffic")
+        bundle["probe_max"] = registry.gauge(
+            "repro_probe_max_calls",
+            help="largest unscored-driver probe count seen (bound: 2k+1)")
+        bundle["probe_max_bound"] = registry.gauge(
+            "repro_probe_max_bound",
+            help="2k+1 bound matching repro_probe_max_calls traffic")
     elif algorithm == "onepass":
         bundle["skips"] = registry.counter(
             "repro_onepass_skips_total",
@@ -152,16 +151,17 @@ def record_query_metrics(
     bundle["rows_touched"].inc(stats.get("rows_touched", 0))
     if algorithm == "probe" and "probe_calls" in stats:
         bundle["probe_calls"].observe(stats["probe_calls"])
-        if not scored:
+        if "probe_bound" in stats:  # the unscored driver ran
             bundle["probe_max"].set_max(stats["probe_calls"])
-            bundle["probe_max_bound"].set_max(stats.get("probe_bound", 0))
+            bundle["probe_max_bound"].set_max(stats["probe_bound"])
             if stats.get("probe_bound_exceeded"):
                 # Violations are the exception path: resolved on demand so
                 # a clean run exports no misleading zero-valued series.
                 registry.counter(
                     "repro_probe_bound_violations_total",
-                    help="unscored probe queries exceeding the Theorem 2 "
-                         "bound of 2k (+1 positioning probe); must stay 0",
+                    help="unscored-driver probe queries exceeding the "
+                         "Theorem 2 bound of 2k (+1 positioning probe); "
+                         "must stay 0",
                 ).inc()
     elif algorithm == "onepass":
         bundle["skips"].inc(stats.get("skips", 0))

@@ -111,7 +111,7 @@ class PlanFeatures:
     next_cost: float          # seek units one merged next() costs
     depth: int                # diversity-tree depth
     k: int
-    scored: bool
+    scored: bool              # the scored drivers run (not a uniform-score plan)
     disjunctive: bool         # any OR node in the tree
 
     def as_stats(self) -> Dict[str, float]:
@@ -192,8 +192,11 @@ def extract_features(
     row is touched.  Works over anything implementing the index read
     protocol (including :class:`repro.sharding.ShardedIndex`, whose union
     posting views report the same global lengths as an unsharded index, so
-    sharded and unsharded deployments plan identically).
+    sharded and unsharded deployments plan identically).  A scored plan
+    whose matches all score alike runs the unscored drivers
+    (``run_algorithm``), so it is priced as unscored.
     """
+    scored = scored and not query.uniform_score()
     rows = len(index)
     leaves = list(query.leaves())
     cardinalities = [leaf_cardinality(leaf, index) for leaf in leaves]

@@ -9,7 +9,7 @@ Scoring (Section II-A): each *leaf* may carry a weight; the score of a tuple
 is the sum of the weights of the leaf predicates it satisfies — a monotone
 combination, as required by threshold-style algorithms.  Conjunctive queries
 therefore give every result the same score (scored diversity degenerates to
-unscored, as the paper notes).
+unscored, as the paper notes, and the engine runs the unscored drivers).
 """
 
 from __future__ import annotations
@@ -135,6 +135,12 @@ class Query:
     def max_score(self) -> float:
         """Largest achievable score (every leaf satisfied)."""
         return sum(leaf.weight for leaf in self.leaves())
+
+    def uniform_score(self) -> bool:
+        """Does every match score :meth:`max_score`?  True for a leaf and
+        for an AND of such plans, where Definition 2 is Definition 1."""
+        return self.kind == LEAF or self.kind == AND and all(
+            child.uniform_score() for child in self.children)
 
     def __repr__(self) -> str:
         return f"Query({self.describe()})"

@@ -288,6 +288,58 @@ def test_same_attribute_conjunction_is_answered_without_leapfrogging(seed):
         assert scan_all(MergedList(query, index)) == expected
 
 
+def test_zero_weight_leaves_join_only_when_a_zero_score_qualifies(cars, cars_index):
+    """``Year = 2006 [0]`` matches score 0: a scored ``next`` at theta 0
+    must land on them, and at any theta above 0 must not seek that list."""
+    query = parse_query("Make = 'Toyota' OR Year = 2006 [0]")
+    scored = {cars_index.dewey.dewey_of(rid): score
+              for rid, score in scored_res(cars, query)}
+    assert 0.0 in scored.values()
+    merged = MergedList(query, cars_index)
+    for theta, strict in ((0.0, False), (-1.0, True), (0.5, False), (0.0, True)):
+        expected = [d for d in sorted(scored)
+                    if (scored[d] > theta if strict else scored[d] >= theta)]
+        got = []
+        cur = merged.next_scored(zeros(merged.depth), LEFT, theta, strict)
+        while cur is not None:
+            assert merged.score(cur) == scored[cur]
+            got.append(cur)
+            cur = merged.next_scored(successor(cur), LEFT, theta, strict)
+        assert got == expected
+    seeks = []
+    year = CountingPostings(cars_index.scalar_postings("Year", 2006))
+    year.seeks = seeks
+    cars_index._scalar[("Year", 2006)] = year
+    merged = MergedList(query, cars_index)
+    cur = merged.next_scored(zeros(merged.depth), LEFT, 1.0)
+    while cur is not None:
+        cur = merged.next_scored(successor(cur), LEFT, 1.0)
+    assert merged.scored_next_calls == 5  # four Toyotas, then None
+    # An OR of leaves needs no boolean re-check, so nothing reads the list.
+    assert seeks == []
+
+
+def test_the_pivot_bound_adds_weights_as_score_does():
+    """0.2 + 0.2 + 0.7 is 1.1 in leaf order, 0.7 + 0.2 + 0.2 an ulp less.
+    The 0.7 list lags on an earlier row, so summing in position order left
+    the bound short of the score it must reach, and the row was skipped."""
+    from repro import Relation, Schema
+
+    schema = Schema.of(make="categorical", model="categorical",
+                       color="categorical", desc="text")
+    relation = Relation.from_rows(schema, [
+        ("A", "m1", "red", "y"), ("B", "m1", "green", "x")])
+    index = build(relation)
+    query = parse_query(
+        "color = 'green' [0.2] OR desc CONTAINS 'x' [0.2] OR model = 'm1' [0.7]")
+    merged = MergedList(query, index)
+    full = index.dewey.dewey_of(1)
+    theta = merged.score(full)
+    assert 0.7 + 0.2 + 0.2 < theta
+    assert merged.next_scored(zeros(index.depth), LEFT, theta) == full
+    assert merged.next_scored(maxes(index.depth), RIGHT, theta) == full
+
+
 @pytest.mark.parametrize("text", [
     "Nope = 1 AND Nope = 2",
     "Year = 2007 AND Year = 2006 AND Nope = 1",

@@ -501,6 +501,7 @@ WIDE_WINDOW = ResiliencePolicy(breaker_window=64, breaker_min_calls=65)
 #: A query whose two leaves are read from every shard, in the prepare
 #: phase (ordering the AND) and again in the scan phase.
 TWO_LEAVES = "color = 'red' AND desc CONTAINS 'miles'"
+TWO_LEAVES_OR = "color = 'red' OR desc CONTAINS 'miles'"
 
 
 def _books(engine):
@@ -562,12 +563,23 @@ class TestPinnedPhase:
                    for requests, _, _ in shard) > 0
 
     def test_books_of_a_scored_probe_are_the_parents(self):
-        """Recorded once at the parent commit (per-read bookkeeping, three
-        fetches per leaf): a scored run still fetches every leaf three
-        times, so the batched books must be the very same numbers."""
+        """Recorded once at the parent commit (per-read bookkeeping, two
+        fetches per leaf): a scored OR run still fetches every leaf for the
+        boolean cursor and again for the weighted ones, so the batched
+        books must be the very same numbers."""
         engine = self._engine()
-        engine.search(TWO_LEAVES, 5, algorithm="probe", scored=True)
-        assert _books(engine) == [[(6, 6, 6), (0, 0, 0)]] * 4
+        result = engine.search(TWO_LEAVES_OR, 5, algorithm="probe", scored=True)
+        assert result.stats["scored_next_calls"] > 0
+        assert _books(engine) == [[(4, 4, 4), (0, 0, 0)]] * 4
+
+    def test_books_of_a_scored_probe_on_an_and_plan(self):
+        """Every match of an AND scores alike, so its scored probe runs the
+        unscored driver: two fetches per leaf (leapfrog ordering, the
+        boolean cursor) where the WAND driver took three."""
+        engine = self._engine()
+        result = engine.search(TWO_LEAVES, 5, algorithm="probe", scored=True)
+        assert result.stats["scored_next_calls"] == 0
+        assert _books(engine) == [[(4, 4, 4), (0, 0, 0)]] * 4
 
     def test_transient_on_a_pinned_read_fails_over_mid_phase(self):
         index = _single_index()

@@ -12,8 +12,17 @@ from repro.index.merged import MergedList
 from repro.index.wand import wand_topk
 from repro.query.evaluate import scored_res
 from repro.query.parser import parse_query
+from repro.query.query import Query
 
-from .conftest import RANDOM_ORDERING, random_query, random_relation
+from .conftest import (
+    COLORS,
+    MAKES,
+    MODELS,
+    RANDOM_ORDERING,
+    WORDS,
+    random_query,
+    random_relation,
+)
 
 
 def exhaustive_topk(relation, index, query, k):
@@ -74,6 +83,50 @@ class TestWandOnFigure1:
         top = wand_topk(merged, 10)
         scores = [score for _, score in top]
         assert scores == sorted(scores, reverse=True)
+
+
+    def test_a_landing_on_a_conjunct_is_rechecked(self, cars, cars_index):
+        """In an OR of an AND, a row on the AND's heaviest list is not yet
+        a match: the pivot step must still ask the boolean cursor."""
+        query = parse_query(
+            "(Make = 'Honda' [2] AND Color = 'Red') OR Year = 2006"
+        )
+        assert not query.matches(dict(zip(cars.schema.names, cars[0])))
+        top = wand_topk(MergedList(query, cars_index), 10)
+        assert top == exhaustive_topk(cars, cars_index, query, 10)
+        assert {cars_index.dewey.rid_of(d) for d, _ in top} == {2, 4, 6, 8, 9, 10}
+
+
+def weighted_plan(rng):
+    """A random plan whose leaves may weigh 0: a leaf, an OR of leaves, an
+    OR of an AND (the boolean re-check matters) or an AND of an OR."""
+    def leaf(attribute, values):
+        weight = float(rng.choice((0, 0, 1, 2, 3)))
+        if attribute == "desc":
+            return Query.keyword(attribute, rng.choice(values), weight=weight)
+        return Query.scalar(attribute, rng.choice(values), weight=weight)
+
+    make = leaf("make", MAKES)
+    word = leaf("desc", WORDS)
+    color = leaf("color", COLORS)
+    model = leaf("model", MODELS)
+    return rng.choice((
+        make,
+        Query.disjunction(make, word, color),
+        Query.disjunction(Query.conjunction(make, word), color, model),
+        Query.conjunction(make, Query.disjunction(word, color)),
+    ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=12))
+def test_wand_exact_with_zero_weights_and_nested_plans(seed, k):
+    rng = random.Random(seed)
+    relation = random_relation(rng, max_rows=40)
+    index = InvertedIndex.build(relation, DiversityOrdering(RANDOM_ORDERING))
+    query = weighted_plan(rng)
+    got = wand_topk(MergedList(query, index), k)
+    assert got == exhaustive_topk(relation, index, query, k)
 
 
 @settings(max_examples=60, deadline=None)
