@@ -13,7 +13,7 @@ scale) where the time half never could be.
 
 import pytest
 
-from repro.bench.harness import run_workload
+from paper.harness import run_workload
 from repro.index.postings import BACKENDS
 
 ALGORITHMS = ["UOnePass", "UProbe"]

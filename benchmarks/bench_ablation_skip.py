@@ -19,7 +19,7 @@ from unittest import mock
 
 import pytest
 
-from repro.bench.harness import run_workload
+from paper.harness import run_workload
 from repro.core.onepass import OnePassNode, OnePassTree, one_pass_unscored
 from repro.index.merged import MergedList
 

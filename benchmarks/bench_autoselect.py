@@ -2,7 +2,7 @@
 
 Races ``algorithm="auto"`` against every fixed diversity-preserving
 algorithm over the standard mixed workload mix
-(:data:`repro.bench.autoselect.WORKLOAD_MIX` — autos match-all, narrow
+(:data:`paper.autoselect.WORKLOAD_MIX` — autos match-all, narrow
 big-k, scored, disjunctive auctions, Zipf-repeated) and reports:
 
 * per-workload **regret tables** — auto seconds, each fixed algorithm's
@@ -35,8 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.autoselect import mixed_workloads, race_mix, summarise
-from repro.bench.harness import env_int
+from paper.autoselect import mixed_workloads, race_mix, summarise
+from paper.harness import env_int
 from repro.observability import MetricsRegistry
 from repro.planner import DEFAULT_CANDIDATES
 

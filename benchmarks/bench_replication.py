@@ -36,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.harness import env_int, run_chaos_workload, run_sharded_workload
+from paper.harness import env_int, run_chaos_workload
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.observability import MetricsRegistry, use_registry
@@ -145,12 +145,12 @@ def _overhead_cell(relation, workload, tag, trials=3):
         replicated = _engine(relation, replicas=2)
         gc.collect()
         base = min(
-            (run_sharded_workload(bare, workload, K, tag)
+            (run_chaos_workload(bare, workload, K, tag)
              for _ in range(trials)),
             key=lambda timing: timing.total_seconds,
         )
         doubled = min(
-            (run_sharded_workload(replicated, workload, K, tag)
+            (run_chaos_workload(replicated, workload, K, tag)
              for _ in range(trials)),
             key=lambda timing: timing.total_seconds,
         )

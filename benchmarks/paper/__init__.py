@@ -1,0 +1,6 @@
+"""The paper's Section V experiments, run on the served ``repro`` package.
+
+One driver per figure (:mod:`paper.figures`), its timing harness, text,
+CSV and ASCII-chart output, and the auto-selection regret races.  Run it
+with ``PYTHONPATH=src:benchmarks python -m paper --list``.
+"""

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Mini tour of the experiment harness: regenerate a paper figure from code.
 
-The full reproduction runs via ``python -m repro.bench`` (see
-EXPERIMENTS.md); this example shows the programmatic API at a small scale —
+The full reproduction runs via ``python -m paper`` (see EXPERIMENTS.md);
+this example shows the programmatic API of that harness at a small scale —
 generate a figure, print its table, draw it in the terminal, and check the
 paper's claims mechanically.
 
-Run:  python examples/experiments_tour.py
+Run:  PYTHONPATH=src:benchmarks python examples/experiments_tour.py
 """
 
-from repro.bench.figures import ablation_probe_counts, figure5
-from repro.bench.plots import render_ascii_chart
-from repro.bench.report import render_text, to_csv_string
+from paper.figures import ablation_probe_counts, figure5
+from paper.plots import render_ascii_chart
+from paper.report import render_text, to_csv_string
 
 
 def main() -> None:

@@ -48,10 +48,8 @@ from .planner import (
     CostConstants,
     PlanDecision,
     PlanFeatures,
-    RegretReport,
     choose as choose_algorithm,
     estimate_costs,
-    measure_regret,
     render_explain,
 )
 from .resilience import (
@@ -120,7 +118,6 @@ __all__ = [
     "PlanDecision",
     "PlanFeatures",
     "Query",
-    "RegretReport",
     "Relation",
     "ResultItem",
     "RIGHT",
@@ -153,7 +150,6 @@ __all__ = [
     "estimate_selectivity",
     "greedy_symmetric_select",
     "load_index",
-    "measure_regret",
     "mmr_select",
     "normalise",
     "is_diverse",

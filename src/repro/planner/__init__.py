@@ -2,10 +2,11 @@
 
 The paper's Figs. 5-8 show the best of naive/onepass/probe flips with
 selectivity, k and scoring; this package prices each algorithm from index
-statistics (:mod:`repro.planner.cost`) and measures the planner against the
-oracle (:mod:`repro.planner.regret`).  The engines integrate it through
+statistics (:mod:`repro.planner.cost`).  The engines integrate it through
 ``DiversityEngine.plan`` / ``algorithm="auto"``; the serving layer memoises
-decisions in the plan cache keyed by index epoch + k + scored.
+decisions in the plan cache keyed by index epoch + k + scored.  The regret
+races that score the planner against the oracle live with the benchmarks
+(``benchmarks/paper/regret.py``).
 """
 
 from .cost import (
@@ -21,7 +22,6 @@ from .cost import (
     extract_features,
     render_explain,
 )
-from .regret import RegretReport, measure_regret, total_regret
 
 __all__ = [
     "CostConstants",
@@ -29,13 +29,10 @@ __all__ = [
     "DEFAULT_CONSTANTS",
     "PlanDecision",
     "PlanFeatures",
-    "RegretReport",
     "algorithm_cost",
     "annotate_plan_stats",
     "choose",
     "estimate_costs",
     "extract_features",
-    "measure_regret",
     "render_explain",
-    "total_regret",
 ]

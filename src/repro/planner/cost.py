@@ -76,7 +76,7 @@ class CostConstants:
     the differential tests do not depend on them (auto is compared against
     whatever it picked), and the oracle tests only need the *ranking* to be
     right away from the crossover.  ``tree_op``'s "per visit, per level" no
-    longer describes ``OnePassTree``; re-fit it with ``probe_op`` (ROADMAP 4b).
+    longer describes ``OnePassTree``; re-fit it with ``probe_op`` (ROADMAP 7(b)).
     """
 
     seek_log: float = 0.12        # marginal bisect cost per doubling of a list

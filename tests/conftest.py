@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+# The figure harness (``paper``) lives beside the served package, in
+# benchmarks/; its tests import it from there.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from repro import DiversityEngine, Query, Relation, Schema
 from repro.data.paper_example import figure1_ordering, figure1_relation

@@ -3,7 +3,7 @@
 Races auto against every fixed diversity-preserving algorithm over the
 standard mixed workload mix (autos match-all, narrow big-k, scored,
 disjunctive auctions, Zipf-repeated — see
-``repro.bench.autoselect.WORKLOAD_MIX``) and asserts the ISSUE's
+``paper.autoselect.WORKLOAD_MIX``) and asserts the ISSUE's
 acceptance bar: auto's total wall-clock within 1.05x of the best *single*
 fixed algorithm across the whole mix.  The full-scale version of this
 harness is ``benchmarks/bench_autoselect.py``.
@@ -18,9 +18,10 @@ import statistics
 
 import pytest
 
-from repro.bench.autoselect import mixed_workloads, race_mix, summarise
+from paper.autoselect import mixed_workloads, race_mix, summarise
+from paper.regret import total_regret
 from repro.observability import use_registry
-from repro.planner import DEFAULT_CANDIDATES, total_regret
+from repro.planner import DEFAULT_CANDIDATES
 
 ROWS = 1500
 QUERIES = 25

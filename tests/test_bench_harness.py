@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.bench.figures import (
+from paper.figures import (
     ALL_FIGURES,
     FigureResult,
     ablation_backend,
@@ -16,17 +16,18 @@ from repro.bench.figures import (
     figure8,
     summary_table,
 )
-from repro.bench.harness import (
+from paper.harness import (
     ALGORITHM_TAGS,
+    ResilientTiming,
     env_int,
+    run_chaos_workload,
     run_matrix,
     run_one,
-    run_sharded_workload,
     run_workload,
 )
+from paper.report import render_text, to_csv_string, write_csv
 from repro.core.engine import DiversityEngine
 from repro.sharding import ShardedEngine
-from repro.bench.report import render_text, to_csv_string, write_csv
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.index.inverted import InvertedIndex
@@ -64,30 +65,42 @@ class TestHarness:
         assert stats["next_calls"] <= 10 + 1
 
     def test_run_sharded_workload(self, small_index, small_workload):
-        """The sharded runner reports shard/worker metadata and returns the
+        """The engine runner reports shard/worker metadata and returns the
         same result counts as the plain runner (answers are identical)."""
         sharded = ShardedEngine.from_relation(
             small_index.relation, autos_ordering(), shards=3, workers=2
         )
         plain = run_workload(small_index, small_workload, 5, "UProbe")
-        timing = run_sharded_workload(sharded, small_workload, 5, "UProbe")
+        timing = run_chaos_workload(sharded, small_workload, 5, "UProbe")
         assert timing.shards == 3 and timing.workers == 2
         assert timing.queries == plain.queries
         assert timing.results_returned == plain.results_returned
         assert timing.total_seconds >= 0
+        assert timing.failed_queries == timing.degraded_queries == 0
 
     def test_run_sharded_workload_accepts_plain_engine(self, small_index, small_workload):
         engine = DiversityEngine(small_index)
-        timing = run_sharded_workload(engine, small_workload, 5, "UNaive")
+        timing = run_chaos_workload(engine, small_workload, 5, "UNaive")
         assert timing.shards == 1 and timing.workers == 0
         assert timing.queries == len(small_workload)
 
     def test_run_sharded_workload_rejects_bad_tags(self, small_index, small_workload):
         engine = DiversityEngine(small_index)
         with pytest.raises(ValueError):
-            run_sharded_workload(engine, small_workload, 5, "NoSuchTag")
+            run_chaos_workload(engine, small_workload, 5, "NoSuchTag")
         with pytest.raises(ValueError):
-            run_sharded_workload(engine, small_workload, 5, "UOnePassNoSkip")
+            run_chaos_workload(engine, small_workload, 5, "UOnePassNoSkip")
+
+    def test_percentile_is_nearest_rank(self):
+        """Rank ``ceil(p/100 * n)``: no round-half-to-even on the midpoints."""
+        timing = ResilientTiming(
+            algorithm="UProbe", total_seconds=0.0, queries=5,
+            results_returned=0, next_calls=0, scored_next_calls=0,
+            latencies_ms=[5.0, 1.0, 4.0, 2.0, 3.0],
+        )
+        assert [timing.percentile_ms(p) for p in (0, 20, 50, 90, 100)] == [
+            1.0, 1.0, 3.0, 5.0, 5.0,
+        ]
 
     def test_multq_counts_queries(self, small_index, small_workload):
         timing = run_workload(small_index, small_workload[:1], 3, "MultQ")
@@ -174,7 +187,7 @@ class TestFigureDrivers:
         }
 
     def test_ablation_cxk(self):
-        from repro.bench.figures import ablation_cxk
+        from paper.figures import ablation_cxk
 
         result = ablation_cxk(c_values=(1, 4), rows=300, queries=3, k=4)
         assert set(result.series) == {"retrieve-c*k + MMR", "UProbe (exact)"}
@@ -213,14 +226,14 @@ class TestReport:
 
 class TestCli:
     def test_list(self, capsys):
-        from repro.bench.__main__ import main
+        from paper.__main__ import main
 
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig5" in out and "abl-skip" in out
 
     def test_unknown_figure(self):
-        from repro.bench.__main__ import main
+        from paper.__main__ import main
 
         with pytest.raises(SystemExit):
             main(["fig99"])

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.figures import FigureResult
-from repro.bench.plots import render_ascii_chart
+from paper.figures import FigureResult
+from paper.plots import render_ascii_chart
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ class TestRenderAsciiChart:
     def test_cli_plot_flag(self, capsys):
         import os
 
-        from repro.bench.__main__ import main
+        from paper.__main__ import main
 
         os.environ["REPRO_BENCH_ROWS"] = "300"
         os.environ["REPRO_BENCH_QUERIES"] = "2"
