@@ -30,6 +30,7 @@ from ..observability import (
     get_registry,
     record_query_metrics,
 )
+from ..planner.cost import annotate_plan_stats, choose
 from ..query.estimate import order_for_leapfrog
 from ..query.parser import parse_query
 from ..query.query import Query
@@ -40,7 +41,7 @@ from .dewey import DeweyId
 from .onepass import one_pass_scored, one_pass_unscored
 from .ordering import DiversityOrdering
 from .probing import probe_scored, probe_unscored
-from .result import DiverseResult, ResultItem
+from .result import DiverseResult
 
 ALGORITHMS = ("onepass", "probe", "naive", "basic", "multq")
 
@@ -231,8 +232,6 @@ class DiversityEngine:
         epoch moves).  ``candidates`` defaults to the diversity-preserving
         algorithms; pure statistics work, no row is touched.
         """
-        from ..planner import choose
-
         if isinstance(query, str):
             query = parse_query(query)
         return choose(self._index, query, k, scored, candidates=candidates)
@@ -246,8 +245,6 @@ class DiversityEngine:
         strategies (the sharded scatter/scan split) apply to the selected
         algorithm unchanged.
         """
-        from ..planner import annotate_plan_stats
-
         if decision is None:
             decision = self.plan(query, k, scored)
         result = self.execute(query, k, decision.algorithm, scored)
@@ -262,12 +259,16 @@ class DiversityEngine:
         registry = self._registry if self._registry is not None else get_registry()
         if not registry.enabled:
             return
-        registry.counter(
-            "repro_plan_choice_total",
-            help="auto-planned queries, by selected algorithm",
-            algorithm=decision.algorithm,
-            mode="scored" if decision.scored else "unscored",
-        ).inc()
+        key = ("plan_choice", decision.algorithm, decision.scored)
+        choices = registry.hot_cache.get(key)
+        if choices is None:
+            choices = registry.hot_cache[key] = registry.counter(
+                "repro_plan_choice_total",
+                help="auto-planned queries, by selected algorithm",
+                algorithm=decision.algorithm,
+                mode="scored" if decision.scored else "unscored",
+            )
+        choices.inc()
         if stats.get("probe_bound_exceeded") or stats.get("scan_passes", 1) > 1:
             registry.counter(
                 "repro_plan_bound_violations_total",
@@ -295,33 +296,16 @@ class DiversityEngine:
         """
         if algorithm == AUTO:
             return self._execute_auto(query, k, scored, decision)
-        # Per-query latency goes to a plain memoised histogram, not a
-        # span: execute is the per-query hot path, and the full span
-        # machinery (contextvars, record ring, field dicts) costs several
-        # microseconds a query where this is well under one.  Spans
-        # bracket pipeline *stages* (shard.scatter, WAL);
-        # per-query visibility is counters and this histogram.
-        registry = self._registry if self._registry is not None else get_registry()
-        if not registry.enabled:
-            deweys, scores, stats = run_algorithm(
-                self._index, query, k, algorithm, scored
-            )
-            return self._package(deweys, scores, stats, k, algorithm, scored)
+        # Per-query latency goes to the ``repro_query_ms`` histogram of the
+        # query's instrument bundle, not a span: execute is the per-query
+        # hot path, and the full span machinery (contextvars, record ring,
+        # field dicts) costs several microseconds a query where this is well
+        # under one.  Spans bracket pipeline *stages* (shard.scatter, WAL).
         started = MONOTONIC()
         deweys, scores, stats = run_algorithm(
             self._index, query, k, algorithm, scored
         )
-        result = self._package(deweys, scores, stats, k, algorithm, scored)
-        hist = registry.hot_cache.get(("query_ms", algorithm))
-        if hist is None:
-            hist = registry.histogram(
-                "repro_query_ms",
-                help="End-to-end execute latency per query, by algorithm",
-                algorithm=algorithm,
-            )
-            registry.hot_cache[("query_ms", algorithm)] = hist
-        hist.observe((MONOTONIC() - started) * 1000.0)
-        return result
+        return self._package(deweys, scores, stats, k, algorithm, scored, started)
 
     def _package(
         self,
@@ -331,15 +315,15 @@ class DiversityEngine:
         k: int,
         algorithm: str,
         scored: bool,
+        started: Optional[float] = None,
     ) -> DiverseResult:
-        """Materialise selected Dewey IDs into a sorted :class:`DiverseResult`."""
-        record_query_metrics(self._registry, algorithm, scored, k, stats)
-        items = [self._materialise(dewey, scores) for dewey in deweys]
-        if scored:
-            items.sort(key=lambda item: (-(item.score or 0.0), item.dewey))
-        return DiverseResult(
-            items=items, k=k, algorithm=algorithm, scored=scored, stats=stats
-        )
+        """Package the answer as columns (:meth:`DiverseResult.package`; no
+        row is materialised here), then publish the query's metrics, with
+        its latency since ``started`` when given."""
+        result = DiverseResult.package(
+            self._index, deweys, scores, k, algorithm, scored, stats)
+        record_query_metrics(self._registry, algorithm, scored, k, stats, started)
+        return result
 
     def insert(self, row) -> int:
         """Add a listing: insert into the relation and index it."""
@@ -377,25 +361,10 @@ class DiversityEngine:
         matches = baselines.collect_all(merged)
         diversifier = WeightedDiversifier(self._index.dewey, value_weights)
         chosen = diversifier.select(matches, k)
-        items = [self._materialise(dewey, None) for dewey in chosen]
-        return DiverseResult(
-            items=items,
-            k=k,
-            algorithm="weighted",
-            scored=False,
-            stats={
-                "next_calls": merged.next_calls,
-                "scored_next_calls": merged.scored_next_calls,
-            },
-        )
-
-    def _materialise(
-        self, dewey: DeweyId, scores: Optional[Dict[DeweyId, float]]
-    ) -> ResultItem:
-        rid = self._index.dewey.rid_of(dewey)
-        values = self._index.relation.row_dict(rid)
-        score = scores.get(dewey) if scores is not None else None
-        return ResultItem(dewey=dewey, rid=rid, values=values, score=score)
+        return DiverseResult.package(
+            self._index, chosen, None, k, "weighted", False,
+            {"next_calls": merged.next_calls,
+             "scored_next_calls": merged.scored_next_calls})
 
     def explain(self, query: Union[Query, str]) -> str:
         """A short human-readable description of the compiled query."""

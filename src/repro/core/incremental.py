@@ -26,7 +26,7 @@ from .baselines import collect_all
 from .dewey import DeweyId
 from .engine import DiversityEngine
 from .onepass import OnePassTree
-from .result import ResultItem
+from .result import DiverseResult, ResultItem
 
 
 class DiverseView:
@@ -123,18 +123,7 @@ class DiverseView:
         return self._tree.scored_results()
 
     def items(self) -> List[ResultItem]:
-        dewey_index = self._engine.index.dewey
-        relation = self._engine.relation
-        scores = self._tree.scored_results()
-        out = []
-        for dewey in self._tree.results():
-            rid = dewey_index.rid_of(dewey)
-            out.append(
-                ResultItem(
-                    dewey=dewey,
-                    rid=rid,
-                    values=relation.row_dict(rid),
-                    score=scores[dewey] if self._scored else None,
-                )
-            )
-        return out
+        scores = self._tree.scored_results() if self._scored else None
+        return DiverseResult.package(
+            self._engine.index, self._tree.results(), scores, self._k,
+            "incremental", False, {}).items

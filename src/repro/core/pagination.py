@@ -24,7 +24,7 @@ from .dewey import LEFT, RIGHT, DeweyId, predecessor, successor
 from .engine import DiversityEngine
 from .onepass import one_pass_unscored
 from .probing import probe_unscored
-from .result import DiverseResult, ResultItem
+from .result import DiverseResult
 
 
 class ExcludingMergedList:
@@ -104,7 +104,9 @@ class DiversePaginator:
     def next_page(self) -> DiverseResult:
         """The next diverse page (empty once results run out)."""
         if self._exhausted:
-            return self._empty_page()
+            return DiverseResult.package(self._engine.index, (), None,
+                                         self._page_size, self._algorithm,
+                                         False, {})
         merged = MergedList(self._query, self._engine.index)
         view = ExcludingMergedList(merged, self._shown)
         if self._algorithm == "probe":
@@ -114,17 +116,11 @@ class DiversePaginator:
         if len(deweys) < self._page_size:
             self._exhausted = True
         self._shown.update(deweys)
-        items = [self._materialise(dewey) for dewey in deweys]
-        return DiverseResult(
-            items=items,
-            k=self._page_size,
-            algorithm=self._algorithm,
-            scored=False,
-            stats={
-                "next_calls": merged.next_calls,
-                "scored_next_calls": merged.scored_next_calls,
-            },
-        )
+        return DiverseResult.package(
+            self._engine.index, deweys, None, self._page_size,
+            self._algorithm, False,
+            {"next_calls": merged.next_calls,
+             "scored_next_calls": merged.scored_next_calls})
 
     def pages(self, limit: Optional[int] = None) -> Iterator[DiverseResult]:
         """Yield pages until the results run out (or ``limit`` pages)."""
@@ -142,18 +138,3 @@ class DiversePaginator:
         """Forget shown items; the next page is page 1 again."""
         self._shown.clear()
         self._exhausted = False
-
-    def _materialise(self, dewey: DeweyId) -> ResultItem:
-        rid = self._engine.index.dewey.rid_of(dewey)
-        return ResultItem(
-            dewey=dewey,
-            rid=rid,
-            values=self._engine.relation.row_dict(rid),
-            score=None,
-        )
-
-    def _empty_page(self) -> DiverseResult:
-        return DiverseResult(
-            items=[], k=self._page_size, algorithm=self._algorithm,
-            scored=False, stats={},
-        )

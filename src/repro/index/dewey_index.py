@@ -10,7 +10,7 @@ attribute values still receive distinct IDs.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
@@ -214,6 +214,13 @@ class DeweyIndex:
             return self._rid_by_dewey[dewey]
         except KeyError:
             raise KeyError(f"no tuple with Dewey ID {dewey}") from None
+
+    def rids_of(self, deweys: Iterable[DeweyId]) -> tuple[int, ...]:
+        """:meth:`rid_of` for many Dewey IDs, in one C-level pass."""
+        try:
+            return tuple(map(self._rid_by_dewey.__getitem__, deweys))
+        except KeyError as missing:
+            raise KeyError(f"no tuple with Dewey ID {missing.args[0]}") from None
 
     def all_deweys(self) -> list[DeweyId]:
         """All assigned Dewey IDs in document order."""

@@ -148,17 +148,21 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         with self._lock:
-            # Linear scan beats bisect for the short (≤17) bucket lists here.
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[index] += 1
-                    break
-            self._sum += value
-            self._count += 1
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
+            self._record(value)
+
+    def _record(self, value: float) -> None:
+        """``observe`` with ``_lock`` already held."""
+        # Linear scan beats bisect for the short (≤17) bucket lists here.
+        for index, bound in enumerate(self.buckets):
+            if value <= bound:
+                self._counts[index] += 1
+                break
+        self._sum += value
+        self._count += 1
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     @property
     def count(self) -> int:

@@ -26,8 +26,10 @@ metrics dependency beyond a single call.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
+from .clock import MONOTONIC
 from .metrics import MetricsRegistry, get_registry
 
 #: Histogram buckets for per-query probe counts (calls, not latency).
@@ -76,17 +78,23 @@ def annotate_query_stats(
 def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
     """The per-(algorithm, mode) instrument bundle, memoised per registry.
 
-    ``record_query_metrics`` runs once per query; resolving eight labelled
+    ``record_query_metrics`` runs once per query; resolving nine labelled
     instruments through the factory methods each time (label-key build +
     dict lookup apiece) is the dominant cost of the whole seam.  The
     bundle is resolved once and parked in the registry's ``hot_cache``,
     which ``reset()`` clears together with the instruments themselves.
+    Every bundled instrument is switched, once, to the registry's query
+    lock (bundles share instruments): a query takes one lock, not eight.
     """
     key = ("query", algorithm, mode)
     bundle = registry.hot_cache.get(key)
     if bundle is not None:
         return bundle
     bundle = {
+        "query_ms": registry.histogram(
+            "repro_query_ms",
+            help="End-to-end execute latency per query, by algorithm",
+            algorithm=algorithm),
         "queries": registry.counter(
             "repro_queries_total",
             help="Queries executed, by algorithm and scoring mode",
@@ -123,6 +131,10 @@ def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
         bundle["onepass_queries"] = registry.counter(
             "repro_onepass_queries_total",
             help="one-pass queries executed", mode=mode)
+    lock = registry.hot_cache.setdefault(("query", "lock"), threading.Lock())
+    for instrument in bundle.values():
+        instrument._lock = lock
+    bundle["lock"] = lock
     registry.hot_cache[key] = bundle
     return bundle
 
@@ -133,8 +145,10 @@ def record_query_metrics(
     scored: bool,
     k: int,
     stats: Dict[str, int],
+    started: Optional[float] = None,
 ) -> None:
-    """Publish one executed query's stats dict to ``registry``.
+    """Publish one executed query's stats dict to ``registry``, and its
+    latency since ``started`` (a :data:`MONOTONIC` reading) when given.
 
     The single per-query seam between the engine and the metrics layer:
     one counter bump per stat of interest, nothing per probe.
@@ -145,31 +159,38 @@ def record_query_metrics(
         return
     mode = "scored" if scored else "unscored"
     bundle = _query_instruments(registry, algorithm, mode)
-    bundle["queries"].inc()
-    bundle["next_calls"].inc(stats.get("next_calls", 0))
-    bundle["scored_next_calls"].inc(stats.get("scored_next_calls", 0))
-    bundle["rows_touched"].inc(stats.get("rows_touched", 0))
-    if algorithm == "probe" and "probe_calls" in stats:
-        bundle["probe_calls"].observe(stats["probe_calls"])
-        if "probe_bound" in stats:  # the unscored driver ran
-            bundle["probe_max"].set_max(stats["probe_calls"])
-            bundle["probe_max_bound"].set_max(stats["probe_bound"])
-            if stats.get("probe_bound_exceeded"):
-                # Violations are the exception path: resolved on demand so
-                # a clean run exports no misleading zero-valued series.
-                registry.counter(
-                    "repro_probe_bound_violations_total",
-                    help="unscored-driver probe queries exceeding the "
-                         "Theorem 2 bound of 2k (+1 positioning probe); "
-                         "must stay 0",
-                ).inc()
-    elif algorithm == "onepass":
-        bundle["skips"].inc(stats.get("skips", 0))
-        bundle["onepass_queries"].inc()
-        if stats.get("scan_passes", 1) > 1:
-            registry.counter(
-                "repro_onepass_scan_violations_total",
-                help="one-pass queries whose scan restarted (single-scan "
-                     "property broken); must stay 0",
-                mode=mode,
-            ).inc()
+    probe_calls = stats.get("probe_calls") if algorithm == "probe" else None
+    elapsed_ms = None if started is None else (MONOTONIC() - started) * 1000.0
+    with bundle["lock"]:
+        if elapsed_ms is not None:
+            bundle["query_ms"]._record(elapsed_ms)
+        bundle["queries"]._value += 1
+        bundle["next_calls"]._value += stats.get("next_calls", 0)
+        bundle["scored_next_calls"]._value += stats.get("scored_next_calls", 0)
+        bundle["rows_touched"]._value += stats.get("rows_touched", 0)
+        if probe_calls is not None:
+            bundle["probe_calls"]._record(probe_calls)
+            if "probe_bound" in stats:  # the unscored driver ran
+                for name, value in (("probe_max", probe_calls),
+                                    ("probe_max_bound", stats["probe_bound"])):
+                    gauge = bundle[name]
+                    gauge._value = max(gauge._value, float(value))
+        elif algorithm == "onepass":
+            bundle["skips"]._value += stats.get("skips", 0)
+            bundle["onepass_queries"]._value += 1
+    if stats.get("probe_bound_exceeded"):
+        # Violations are the exception path: resolved on demand so a
+        # clean run exports no misleading zero-valued series.
+        registry.counter(
+            "repro_probe_bound_violations_total",
+            help="unscored-driver probe queries exceeding the "
+                 "Theorem 2 bound of 2k (+1 positioning probe); "
+                 "must stay 0",
+        ).inc()
+    if algorithm == "onepass" and stats.get("scan_passes", 1) > 1:
+        registry.counter(
+            "repro_onepass_scan_violations_total",
+            help="one-pass queries whose scan restarted (single-scan "
+                 "property broken); must stay 0",
+            mode=mode,
+        ).inc()

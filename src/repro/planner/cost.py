@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ..query.estimate import estimate_cardinality, leaf_cardinality
+from ..query.estimate import leaf_cardinality
 from ..query.query import AND, LEAF, OR, Query
 
 #: Every algorithm the model can price (mirrors ``repro.core.ALGORITHMS``;
@@ -93,13 +93,14 @@ class CostConstants:
 DEFAULT_CONSTANTS = CostConstants()
 
 
-@dataclass(frozen=True)
-class PlanFeatures:
+class PlanFeatures(NamedTuple):
     """The feature vector the cost model prices from.
 
     Everything here comes from statistics the index keeps exactly (posting
     lengths, vocabulary) or from :mod:`repro.query.estimate`'s independence
-    estimates — no data is scanned to plan.
+    estimates — no data is scanned to plan.  A named tuple, not a frozen
+    dataclass, whose per-field ``object.__setattr__`` was a fifth of a
+    match-all query's planning.
     """
 
     rows: int                 # |R|: live indexed tuples
@@ -126,8 +127,7 @@ class PlanFeatures:
         }
 
 
-@dataclass(frozen=True)
-class PlanDecision:
+class PlanDecision(NamedTuple):
     """One planning verdict: the chosen algorithm plus its evidence.
 
     ``epoch`` is the index mutation epoch the statistics were read at — the
@@ -146,37 +146,38 @@ class PlanDecision:
     reason: str = "cost"                # "cost" | "forced" | "stats unavailable"
 
 
-def _leaf_seek_cost(leaf: Query, index, constants: CostConstants) -> float:
-    """Seek units one ``next`` on one leaf cursor costs.
-
-    A keyword leaf compiles to an AND over its token lists, so it pays one
-    seek per token; every seek carries a logarithmic bisect surcharge that
-    grows with the list it lands in.
-    """
-    predicate = leaf.predicate
-    terms = getattr(predicate, "terms", None)
-    if terms:
-        cost = 0.0
-        for token in terms:
-            length = len(index.token_postings(predicate.attribute, token))
-            cost += 1.0 + constants.seek_log * math.log2(1.0 + length)
-        return cost
-    length = leaf_cardinality(leaf, index)
-    return 1.0 + constants.seek_log * math.log2(1.0 + length)
-
-
-def _next_cost(query: Query, index, constants: CostConstants) -> float:
-    """Seek units one merged-list ``next`` costs for this query shape.
-
-    AND cursors leapfrog: each next runs ~``and_rounds`` agreement rounds
-    over all children; OR cursors probe every child once per next.
-    """
+def _walk(query: Query, index, total: int, constants: CostConstants,
+          cardinalities: list) -> Tuple[float, float, bool]:
+    """``(selectivity, next_cost, disjunctive)`` in one walk, appending
+    each leaf's exact cardinality.  Selectivity as in ``estimate_selectivity``;
+    ``next_cost`` is one merged ``next`` in seek units: a seek per list a leaf
+    reads (a keyword leaf ANDs its tokens) plus a log bisect surcharge, times
+    ~``and_rounds`` leapfrog rounds under an AND, summed under an OR."""
     if query.kind == LEAF:
-        return _leaf_seek_cost(query, index, constants)
-    child_cost = sum(_next_cost(child, index, constants) for child in query.children)
-    if query.kind == AND and len(query.children) > 1:
-        return constants.and_rounds * child_cost
-    return child_cost
+        cardinality = leaf_cardinality(query, index)
+        cardinalities.append(cardinality)
+        predicate = query.predicate
+        terms = getattr(predicate, "terms", None)
+        cost = 0.0
+        for length in ([len(index.token_postings(predicate.attribute, token))
+                        for token in terms] if terms else (cardinality,)):
+            cost += 1.0 + constants.seek_log * math.log2(1.0 + length)
+        return (min(1.0, cardinality / total) if total else 0.0), cost, False
+    parts = [_walk(child, index, total, constants, cardinalities)
+             for child in query.children]
+    cost = sum(part[1] for part in parts)
+    disjunctive = query.kind == OR or any(part[2] for part in parts)
+    if query.kind == AND:
+        selectivity = 1.0
+        for part in parts:
+            selectivity *= part[0]
+        if len(parts) > 1:
+            cost = constants.and_rounds * cost
+        return selectivity, cost, disjunctive
+    miss = 1.0
+    for part in parts:
+        miss *= 1.0 - part[0]
+    return 1.0 - miss, cost, disjunctive
 
 
 def extract_features(
@@ -188,8 +189,8 @@ def extract_features(
 ) -> PlanFeatures:
     """Read the planning statistics for one prepared query.
 
-    Pure index-statistics work — O(tree size) posting-length lookups, no
-    row is touched.  Works over anything implementing the index read
+    Pure index-statistics work — one tree walk of posting-length lookups,
+    no row is touched.  Works over anything implementing the index read
     protocol (including :class:`repro.sharding.ShardedIndex`, whose union
     posting views report the same global lengths as an unsharded index, so
     sharded and unsharded deployments plan identically).  A scored plan
@@ -198,28 +199,23 @@ def extract_features(
     """
     scored = scored and not query.uniform_score()
     rows = len(index)
-    leaves = list(query.leaves())
-    cardinalities = [leaf_cardinality(leaf, index) for leaf in leaves]
-    est = estimate_cardinality(query, index)
+    cardinalities: list = []
+    selectivity, next_cost, disjunctive = _walk(
+        query, index, rows, constants, cardinalities)
+    est = rows * selectivity
     return PlanFeatures(
         rows=rows,
         est_matches=est,
         selectivity=(est / rows) if rows else 0.0,
-        leaves=len(leaves),
+        leaves=len(cardinalities),
         rarest_leaf=min(cardinalities) if cardinalities else 0,
         total_leaf_postings=sum(cardinalities),
-        next_cost=_next_cost(query, index, constants),
+        next_cost=next_cost,
         depth=index.depth,
         k=k,
         scored=scored,
-        disjunctive=_has_or(query),
+        disjunctive=disjunctive,
     )
-
-
-def _has_or(query: Query) -> bool:
-    if query.kind == OR:
-        return True
-    return any(_has_or(child) for child in query.children)
 
 
 def _multq_issued(index, constants: CostConstants) -> float:

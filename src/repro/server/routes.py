@@ -126,11 +126,12 @@ def _envelope(result: DiverseResult, extra: Dict) -> Dict:
 
 
 def item_payload(item: ResultItem) -> Dict:
+    """One item's JSON document, read straight off its captured row."""
     return {
         "rid": item.rid,
         "dewey": list(item.dewey),
         "score": item.score,
-        "values": item.values,
+        "values": dict(zip(item.names, item.row)),
     }
 
 
@@ -142,13 +143,12 @@ def result_payload(result: DiverseResult, **extra) -> Dict:
 
 
 def _item_json(item: ResultItem) -> bytes:
-    """One item's JSON, encoded at most once.  A ``ResultItem`` is
-    immutable and shared by every hit of the cache entry that holds it, so
-    the bytes are kept on the item itself (beside its fields: the class is
-    frozen, not slotted) and die with that entry — no second cache."""
-    encoded = item.__dict__.get("_json")
+    """One item's JSON, encoded at most once.  An item is shared by every
+    hit of the cache entry that holds it, so the bytes are kept in its
+    ``_json`` slot and die with that entry; no second cache."""
+    encoded = item._json
     if encoded is None:
-        encoded = item.__dict__["_json"] = json_bytes(item_payload(item))
+        encoded = item._json = json_bytes(item_payload(item))
     return encoded
 
 

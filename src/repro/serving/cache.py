@@ -616,19 +616,15 @@ class ServingCache:
     def _serve(self, result: DiverseResult, hit: bool) -> DiverseResult:
         """Wrap a stored/fresh result with the current cache counters.
 
-        Items are immutable and shared; the stats dict is rebuilt per call
-        so callers can never corrupt a cached entry.
+        The answer's columns and item objects are shared, so an entry
+        builds its items at most once whatever its hit count; the items
+        list and the stats dict are new per call, so callers can never
+        corrupt a cached entry.
         """
         stats: Dict[str, int] = dict(result.stats)
         stats["cache_hit"] = 1 if hit else 0
         stats.update(self.stats.as_stats_dict())
-        return DiverseResult(
-            items=list(result.items),
-            k=result.k,
-            algorithm=result.algorithm,
-            scored=result.scored,
-            stats=stats,
-        )
+        return result.share(stats)
 
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of the counters, taken under the cache lock.

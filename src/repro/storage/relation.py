@@ -57,6 +57,10 @@ class Relation:
     def __getitem__(self, rid: int) -> tuple:
         return self._rows[rid]
 
+    def rows_of(self, rids: Iterable[int]) -> tuple[tuple, ...]:
+        """``self[rid]`` for many rids, in one C-level pass."""
+        return tuple(map(self._rows.__getitem__, rids))
+
     def __repr__(self) -> str:
         return f"Relation({self._name!r}, {len(self._rows)} rows, {self._schema!r})"
 

@@ -174,6 +174,45 @@ class TestRegistry:
             worker.join()
         assert counter.value == 20000
 
+    def test_query_bundle_exact_under_threads(self):
+        """``record_query_metrics`` updates a whole instrument bundle under
+        one shared lock: no update is lost, and a direct ``inc`` on a
+        bundled counter (which takes that same lock) does not race it."""
+        import sys
+
+        from repro.observability import record_query_metrics
+
+        registry = MetricsRegistry()
+        stats = {"next_calls": 3, "scored_next_calls": 0, "rows_touched": 2,
+                 "probe_calls": 3, "probe_bound": 21}
+
+        def spin(scored):
+            for _ in range(2000):
+                record_query_metrics(registry, "probe", scored, 10, stats, 0.0)
+            for _ in range(500):
+                registry.counter("repro_queries_total", algorithm="probe",
+                                 mode="unscored").inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=spin, args=(n % 2 == 0,))
+                       for n in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert registry.value("repro_queries_total", algorithm="probe",
+                              mode="unscored") == 3 * 2000 + 6 * 500
+        assert registry.value("repro_index_next_calls_total",
+                              algorithm="probe") == 6 * 2000 * 3
+        assert registry.find("repro_query_ms", algorithm="probe").count == 12000
+        assert registry.find("repro_probe_calls", mode="scored").count == 6000
+        assert registry.value("repro_probe_max_calls") == 3.0
+
 
 class TestSpans:
     def test_span_times_with_injected_clock(self):

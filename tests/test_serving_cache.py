@@ -188,6 +188,18 @@ class TestResultCacheBehaviour:
         assert second.stats["cache_hit"] == 1
         assert "garbage" not in second.items
 
+    def test_item_values_are_isolated_copies(self):
+        """Every hit of an entry shares its items, so an item's ``values``
+        must not be a dict one caller can change for all later hits."""
+        plain, cached = _paired_engines()
+        first = cached.search("Make = 'Honda'", k=2)
+        first.items[0].values["Color"] = "MUTATED"
+        second = cached.search("Make = 'Honda'", k=2)
+        assert second.stats["cache_hit"] == 1
+        item = second.items[0]
+        assert item.values["Color"] == plain.relation.row_dict(item.rid)["Color"]
+        assert item.values["Color"] != "MUTATED"
+
 
 class TestEmptyPostingListInvalidation:
     """Regression: deleting the *last* row matching a term must invalidate
