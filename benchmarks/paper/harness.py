@@ -62,7 +62,7 @@ class WorkloadTiming:
     queries_issued: int = 0
     shards: int = 1                  # index partitions (1 = unsharded)
     workers: int = 0                 # fan-out worker pool (0 = sequential)
-    worker_mode: str = "thread"      # fan-out backend (thread/fork/spawn)
+    worker_mode: str = "serial"      # fan-out backend (serial/fork/spawn)
 
     @property
     def mean_ms(self) -> float:
@@ -262,7 +262,7 @@ def run_chaos_workload(
         queries_issued=issued,
         shards=getattr(engine, "num_shards", 1),
         workers=getattr(engine, "workers", 0),
-        worker_mode=getattr(engine, "resolved_worker_mode", "thread"),
+        worker_mode=getattr(engine, "resolved_worker_mode", "serial"),
         degraded_queries=degraded,
         failed_queries=failed,
         retries=retries,

@@ -40,6 +40,7 @@ from .index.postings import BACKENDS
 from .index.snapshot import load_index, save_index
 from .core.ordering import DiversityOrdering
 from .observability import get_registry, register_postings_collector
+from .parallel import WORKER_MODES
 from .query.parser import QueryParseError
 from .resilience import (
     ChaosPolicy,
@@ -301,15 +302,16 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=0,
-        help="worker-pool size for the sharded fan-out (0 = sequential)",
+        help="worker processes for the sharded gather fan-out (0 or 1 = "
+        "shard after shard on the calling thread)",
     )
     parser.add_argument(
         "--worker-mode",
-        choices=["thread", "process", "fork", "spawn"],
-        default="thread",
-        help="fan-out backend for the gather algorithms: 'thread' (GIL-"
-        "bound), 'process' (real OS processes; picks fork where the "
-        "platform has it, else spawn), or an explicit 'fork'/'spawn'",
+        choices=WORKER_MODES,
+        default="process",
+        help="how --workers starts its processes: 'process' picks fork "
+        "where the platform has it, else spawn; or an explicit "
+        "'fork'/'spawn'",
     )
     resilience = parser.add_argument_group(
         "resilience (sharded deployments)",

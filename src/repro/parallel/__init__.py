@@ -1,10 +1,9 @@
 """Process-based shard execution for the scatter-gather fan-out.
 
 CPython threads cannot run the pure-python per-shard diverse top-k
-concurrently (the GIL serialises them), so this package supplies the
-third :class:`~repro.sharding.executor.ShardExecutor` — the same
-``GatherTask`` the serial and thread executors run, computed in real OS
-processes:
+concurrently (the GIL serialises them), so this package supplies the one
+:class:`~repro.sharding.executor.ShardExecutor` besides the serial loop —
+the same ``GatherTask``, computed in real OS processes:
 
 * :class:`~repro.parallel.executor.ProcessExecutor` — the executor: ships
   the task to the pool, classifies each shard's reply into a
@@ -30,8 +29,9 @@ processes:
 Deployments the workers cannot faithfully mirror are rejected with
 :class:`UnsupportedWorkerModeError` (never silently bypassed): chaos
 fault plans and replica-set failover are coordinator-side state that does
-not exist inside a worker process.  The eager refusals live in
-``ShardedEngine``; :func:`~repro.parallel.pool._data_shard` is the lazy
+not exist inside a worker process.  The eager refusal is
+:func:`~repro.sharding.executor.gather_backend`, asked before a
+deployment is built; :func:`~repro.parallel.pool._data_shard` is the lazy
 one, for wrappers added after the engine was built.
 """
 

@@ -10,6 +10,7 @@ the merge.
 
 from __future__ import annotations
 
+import threading
 from typing import List
 
 from ..observability.spans import SPAN_DURATION_METRIC, SpanRecord
@@ -18,12 +19,19 @@ from .pool import CRASHED, DEADLINE, OK, STALE, ProcessShardPool
 
 
 class ProcessExecutor(ShardExecutor):
-    """Fan-out over dedicated worker processes (``fork`` or ``spawn``)."""
+    """Fan-out over dedicated worker processes (``fork`` or ``spawn``).
+
+    The pool is built lazily on the first fan-out and released by
+    :meth:`close`, which is idempotent and keeps no "closed" flag of its
+    own: an executor used again after a close simply builds a new pool,
+    and the next close releases that one.
+    """
 
     def __init__(self, index, runner, workers: int, mode: str):
         super().__init__(index, runner)
         self._workers = workers
         self.mode = mode
+        self._lock = threading.Lock()
 
     def _ensure_pool(self) -> ProcessShardPool:
         with self._lock:
@@ -135,7 +143,11 @@ class ProcessExecutor(ShardExecutor):
             worker=str(worker),
         ).observe(elapsed_ms)
 
-    def _shutdown(self, pool: ProcessShardPool) -> None:
-        # Joins every worker (terminate after a bounded grace), including
-        # after a failed fan-out left the pool broken.
-        pool.close()
+    def close(self) -> None:
+        """Release the pool, if one was built; callable from any thread.
+        Joins every worker (terminate after a bounded grace), including
+        after a failed fan-out left the pool broken."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()

@@ -37,7 +37,7 @@ from .worker import clear_fork_shards, set_fork_shards, worker_main
 
 #: Every accepted ``worker_mode``; "process" resolves to the platform's
 #: best process mode (fork where available, spawn otherwise).
-WORKER_MODES = ("thread", "process", "fork", "spawn")
+WORKER_MODES = ("process", "fork", "spawn")
 PROCESS_MODES = ("fork", "spawn")
 
 #: Per-shard fan-out statuses.
@@ -92,13 +92,13 @@ def _data_shard(shard, shard_id: int):
             f"process workers cannot fan out over a replicated deployment: "
             f"shard {shard_id} is a ReplicaSet, and replica failover/hedging "
             f"is coordinator-side state that does not exist inside a worker "
-            f"process; use worker_mode='thread' with replicas > 1"
+            f"process; use workers=0 with replicas > 1"
         )
     if getattr(shard, "chaos", None) is not None:
         raise UnsupportedWorkerModeError(
             f"process workers cannot honour an injected chaos policy: shard "
             f"{shard_id} carries a fault plan the worker replicas would "
-            f"silently ignore; clear chaos or use worker_mode='thread'"
+            f"silently ignore; clear chaos or use workers=0"
         )
     return shard
 
@@ -188,7 +188,7 @@ class ProcessShardPool:
                     f"worker_mode='spawn' bootstraps workers from per-shard "
                     f"snapshot directories, but shard {shard_id} has no "
                     f"durable store; create the deployment with a data_dir "
-                    f"(repro.durability) or use worker_mode='fork'/'thread'"
+                    f"(repro.durability) or use worker_mode='fork'"
                 )
             wal.sync()
             roots.add(Path(snapshot_path).parent.parent)
@@ -291,9 +291,8 @@ class ProcessShardPool:
         elapsed_ms)}`` with every shard present.
 
         Serialised on the pool lock — one fan-out owns the pipes at a
-        time (concurrent batched serving should use thread mode).  On
-        deadline expiry the in-flight shards report ``deadline`` and
-        their late replies are discarded by request-id matching on the
+        time.  On deadline expiry the in-flight shards report ``deadline``
+        and their late replies are discarded by request-id matching on the
         next fan-out.  A dead pipe reports ``crashed`` for the worker's
         shards and marks the pool broken (rebuilt on next use).
         """

@@ -122,8 +122,6 @@ class ReplicaSet(NamedReads):
         self._registry = registry
         self._lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_budget: Optional[int] = None
-        self._pool_width = 0
         self._health = [
             ReplicaHealth(shard_id=shard_id, replica_id=replica_id)
             for replica_id in range(len(self._replicas))
@@ -333,61 +331,15 @@ class ReplicaSet(NamedReads):
     # ------------------------------------------------------------------
     # Hedged reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def derive_pool_width(num_replicas: int, num_shards: int,
-                          worker_budget: int) -> int:
-        """Hedge-pool width for one shard's replica set under an engine-wide
-        worker budget.
-
-        Without a budget (standalone sets, ``workers=0`` engines) this is
-        the historical ``min(4, R + 1)``.  With one, each of the
-        ``num_shards`` sets gets its per-shard share of the budget plus the
-        hedge slot, floored at 2 (a hedge needs two legs to race) and
-        capped at ``R + 1`` (more threads than legs is pure oversubscription
-        — with an engine fanning out to every shard at once, S sets of
-        hardcoded width 4 could stack 4·S threads on a budget of W).
-        """
-        legacy = min(4, num_replicas + 1)
-        if not worker_budget:
-            return legacy
-        share = max(1, worker_budget // max(1, num_shards))
-        return max(2, min(num_replicas + 1, share + 1))
-
-    def set_pool_budget(self, width: int) -> None:
-        """Pin the hedge pool's width (from the owning engine's budget).
-
-        An existing pool at another width is retired — it drains its
-        in-flight legs and exits; the next hedge builds at the new width.
-        """
-        if width < 1:
-            raise ValueError("pool width must be >= 1")
-        with self._lock:
-            self._pool_budget = width
-            if self._pool is not None and self._pool_width != width:
-                pool, self._pool = self._pool, None
-                # wait=False: a leg may be blocked on this very lock for
-                # its bookkeeping; joining it here would deadlock.
-                pool.shutdown(wait=False)
-
-    @property
-    def pool_width(self) -> int:
-        """The width the next hedge pool will be built at."""
-        if self._pool_budget is not None:
-            return self._pool_budget
-        return min(4, self.num_replicas + 1)
-
     def _ensure_pool(self) -> ThreadPoolExecutor:
+        """The hedge pool, built on the first hedged read: ``min(4, R + 1)``
+        threads, enough for every leg a hedge can race."""
         with self._lock:
-            width = self.pool_width
-            if self._pool is not None and self._pool_width != width:
-                pool, self._pool = self._pool, None
-                pool.shutdown(wait=False)
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=width,
+                    max_workers=min(4, self.num_replicas + 1),
                     thread_name_prefix=f"repro-hedge-{self.shard_id}",
                 )
-                self._pool_width = width
             return self._pool
 
     def _call_hedged(self, operation: str, primary_id: int, args: tuple,

@@ -39,9 +39,10 @@ from ..durability import (
     read_manifest,
     recover as recover_index,
 )
+from ..durability.sharded import read_sharded_manifest
 from ..observability import MONOTONIC, Clock, get_registry
 from ..sharding import ShardedEngine, ShardedIndex
-from ..sharding.engine import resolve_mode
+from ..sharding.executor import gather_backend
 from .cache import CacheStats, ServingCache
 
 
@@ -190,7 +191,7 @@ class ServingEngine:
         backend: str = "array",
         shards: int = 1,
         workers: int = 0,
-        worker_mode: str = "thread",
+        worker_mode: str = "process",
         policy=None,
         data_dir=None,
         snapshot_every: int = 0,
@@ -205,7 +206,8 @@ class ServingEngine:
         The sharded engine keeps per-shard mutation epochs (``insert``/
         ``delete`` route to one shard and bump only its counter); the
         caches key on the summed epoch, so the PR 1 invalidation contract
-        holds unchanged.  ``workers`` sizes the scatter-gather thread pool;
+        holds unchanged.  ``workers`` > 1 sizes the scatter-gather
+        process pool (``worker_mode`` picks how its workers start);
         ``policy`` (a :class:`~repro.resilience.ResiliencePolicy`) sets the
         deadline/retry/breaker budgets of the sharded fan-out.
 
@@ -224,9 +226,8 @@ class ServingEngine:
         ``hedge_ms`` additionally arms hedged reads
         (:mod:`repro.replication`).
         """
-        if shards > 1:
-            # Before the build and before ``data_dir`` exists, not after.
-            resolve_mode(worker_mode, replicas)
+        # Before the build and before ``data_dir`` exists, not after.
+        gather_backend(worker_mode, workers, shards, replicas)
         index = build_index(
             relation, ordering, backend=backend, shards=shards,
             replicas=replicas, data_dir=data_dir,
@@ -247,7 +248,7 @@ class ServingEngine:
         cls,
         data_dir,
         workers: int = 0,
-        worker_mode: str = "thread",
+        worker_mode: str = "process",
         policy=None,
         snapshot_every: Optional[int] = None,
         fsync_every: Optional[int] = None,
@@ -270,14 +271,18 @@ class ServingEngine:
         recorded in its manifest (replica copies are never persisted —
         each is re-bootstrapped from its shard's snapshot + WAL); pass an
         explicit count to grow or shrink the factor across the restart.
+        A deployment the stack refuses is refused before any log reopens.
         """
+        if read_manifest(data_dir).get("kind") == "sharded":
+            manifest, shards = read_sharded_manifest(data_dir)
+            if replicas is None:
+                replicas = int(manifest.get("replicas", 1))
+            gather_backend(worker_mode, workers, shards, replicas)
         recovered = recover_index(data_dir, snapshot_every=snapshot_every,
                                   fsync_every=fsync_every)
         if isinstance(recovered, DurableIndex):
             engine = DiversityEngine(recovered)
         else:
-            if replicas is None:
-                replicas = int(read_manifest(data_dir).get("replicas", 1))
             engine = ShardedEngine.assemble(
                 recovered, workers=workers, worker_mode=worker_mode,
                 policy=policy, replicas=replicas, hedge_ms=hedge_ms,

@@ -12,11 +12,11 @@ unsharded engine:
   re-applied to the union of per-shard diverse top-k candidates.
 * :mod:`~repro.sharding.executor` — the executor seam: a gather query is
   one picklable ``GatherTask``; ``ShardExecutor.scatter(task, deadline)``
-  takes it to every shard serially, on a persistent thread pool, or — in
-  :mod:`repro.parallel` — on worker processes that sidestep the GIL.
-  ``make_executor`` is the one place that choice is made; in-process
-  shard calls run under one ``PolicyRunner`` (deadlines, retries with a
-  single backoff step, circuit breakers).
+  takes it to every shard serially or — in :mod:`repro.parallel` — on
+  worker processes that sidestep the GIL.  ``gather_backend`` is the one
+  place that choice is made; in-process shard calls run under one
+  ``PolicyRunner`` (deadlines, retries with a single backoff step,
+  circuit breakers).
 * :mod:`~repro.sharding.engine` — the engine over that seam:
   scatter-gather with survivor-only degraded answers for the gather
   algorithms, coordinator-driven union-cursor scans for the rest,

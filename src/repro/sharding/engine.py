@@ -6,12 +6,12 @@ execution strategies, picked per query and algorithm so every answer stays
 bit-identical to an unsharded engine:
 
 * **Scatter-gather** (``naive``, and unscored ``basic``): the query fans
-  out to all shards — sequentially or on a persistent pool (``workers``) —
-  each shard computes its *local* diverse top-k (the canonical Definitions
-  1-2 selection over its rows), and the coordinator re-applies Definitions
-  1-2 to the union (:mod:`repro.sharding.merge`).  Subtree co-location +
-  the shared Dewey space make each shard's answer a superset of its
-  contribution to the global answer, so the merge is exact.
+  out to all shards — shard after shard, or on worker processes
+  (``workers`` > 1) — each shard computes its *local* diverse top-k (the
+  canonical Definitions 1-2 selection over its rows), and the coordinator
+  re-applies Definitions 1-2 to the union (:mod:`repro.sharding.merge`).
+  Subtree co-location + the shared Dewey space make each shard's answer a
+  superset of its contribution to the global answer, so the merge is exact.
 * **Coordinator-driven scan** (``onepass``, ``probe``, scored ``basic``,
   ``multq``): these outputs depend on the probing order over the merged
   list, not just on the match set (a maximally diverse subset is not
@@ -70,11 +70,6 @@ from ..core.result import DiverseResult
 from ..index.postings import ARRAY_BACKEND
 from ..index.reader import EMPTY_READER, NamedReads
 from ..observability import MONOTONIC, Clock, get_registry, span
-from ..parallel import (
-    PROCESS_MODES,
-    UnsupportedWorkerModeError,
-    resolve_worker_mode,
-)
 from ..query.estimate import order_for_leapfrog
 from ..query.parser import parse_query
 from ..query.predicates import ScalarPredicate
@@ -90,7 +85,14 @@ from ..resilience import (
 from ..resilience.health import register_health_collector
 from ..resilience.policy import DEFAULT_POLICY
 from ..storage.relation import Relation
-from .executor import GatherTask, PolicyRunner, ShardOutcome, make_executor
+from .executor import (
+    GatherTask,
+    PolicyRunner,
+    ShardExecutor,
+    ShardOutcome,
+    gather_backend,
+    make_executor,
+)
 from .merge import diverse_merge, merge_first_k, scored_diverse_merge
 from .sharded_index import ShardedIndex
 
@@ -98,21 +100,6 @@ from .sharded_index import ShardedIndex
 #: output is the canonical Definitions 1-2 selection, which the merge
 #: reconstructs exactly); the rest run coordinator-driven.
 GATHER_ALGORITHMS = ("naive", "basic")
-
-
-def resolve_mode(worker_mode: str, replicas: int) -> str:
-    """The concrete fan-out backend for ``worker_mode`` — refusing, in
-    this one place, a process backend over a replicated deployment."""
-    resolved = resolve_worker_mode(worker_mode)
-    if resolved in PROCESS_MODES and replicas > 1:
-        raise UnsupportedWorkerModeError(
-            f"process workers (worker_mode={worker_mode!r}) cannot fan out "
-            f"over a replicated deployment (replicas={replicas}): replica "
-            f"failover and hedging are coordinator-side state that worker "
-            f"processes cannot mirror; use worker_mode='thread' with "
-            f"replicas > 1"
-        )
-    return resolved
 
 
 class RetryingReader(NamedReads):
@@ -147,9 +134,10 @@ class ShardedEngine(DiversityEngine):
     """Diverse top-k over a sharded index, answer-identical to unsharded.
 
     ``workers`` > 1 fans scatter-gather queries out on a persistent pool of
-    that size (0 or 1 = sequential) — threads or, per ``worker_mode``,
-    processes (:mod:`repro.sharding.executor`); :meth:`close` (or use as a
-    context manager) releases it.  ``policy`` sets the failure-handling
+    that many worker processes (``worker_mode``: ``process``, ``fork`` or
+    ``spawn``); 0 or 1 runs them shard after shard
+    (:mod:`repro.sharding.executor`).  :meth:`close` (or use as a context
+    manager) releases the pool.  ``policy`` sets the failure-handling
     budgets (:class:`ResiliencePolicy`); per-shard breakers and health
     counters live in :attr:`health`.  Everything else — prepare/execute
     split, weighted search, explain — is inherited: the sharded index
@@ -160,7 +148,7 @@ class ShardedEngine(DiversityEngine):
         self,
         index: ShardedIndex,
         workers: int = 0,
-        worker_mode: str = "thread",
+        worker_mode: str = "process",
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
@@ -168,10 +156,11 @@ class ShardedEngine(DiversityEngine):
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
+        backend = gather_backend(worker_mode, workers, index.num_shards,
+                                 index.replication_factor)
         super().__init__(index, registry=registry)
         self._workers = workers
         self._worker_mode = worker_mode
-        self._resolved_mode = resolve_mode(worker_mode, index.replication_factor)
         self._policy = policy if policy is not None else DEFAULT_POLICY
         # One clock drives deadlines, breakers and backoff alike (and one
         # injectable sleep serves the backoff waits), so a FakeClock fakes
@@ -189,18 +178,15 @@ class ShardedEngine(DiversityEngine):
             sleep, self._metrics,
         )
         self._close_lock = threading.Lock()
-        self._executor = make_executor(
-            self._resolved_mode, workers, index, self._runner
-        )
+        self._executor = make_executor(backend, workers, index, self._runner)
         self._collector = register_health_collector(self._metrics(), self)
-        self._push_worker_budget()
 
     @classmethod
     def assemble(
         cls,
         index: ShardedIndex,
         workers: int = 0,
-        worker_mode: str = "thread",
+        worker_mode: str = "process",
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
@@ -217,7 +203,9 @@ class ShardedEngine(DiversityEngine):
         is already durable-wrapped, or never will be), construct, then
         :meth:`inject_chaos`.
         """
-        resolve_mode(worker_mode, max(replicas, index.replication_factor))
+        gather_backend(worker_mode, workers, index.num_shards,
+                       max(replicas, index.replication_factor),
+                       chaos=chaos is not None)
         if replicas > 1:
             from ..replication import HedgePolicy
 
@@ -237,7 +225,7 @@ class ShardedEngine(DiversityEngine):
         shards: int = 2,
         backend: str = ARRAY_BACKEND,
         workers: int = 0,
-        worker_mode: str = "thread",
+        worker_mode: str = "process",
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
@@ -249,13 +237,14 @@ class ShardedEngine(DiversityEngine):
         ``replicas`` > 1 grows every shard to that many bit-identical
         copies behind automatic failover; ``hedge_ms`` additionally arms
         hedged reads with that cold-start delay (see
-        :mod:`repro.replication`).  ``worker_mode`` picks the fan-out
-        backend for the gather algorithms: ``"thread"`` (the GIL-bound
-        default), or ``"process"``/``"fork"``/``"spawn"`` for true
-        process parallelism (:mod:`repro.parallel`) — incompatible with
+        :mod:`repro.replication`).  ``workers`` > 1 runs the gather
+        algorithms on that many worker processes, started per
+        ``worker_mode`` (``"process"`` picks the platform's best of
+        ``"fork"``/``"spawn"``; :mod:`repro.parallel`) — incompatible with
         ``replicas`` > 1 and with chaos injection, both rejected loudly.
         """
-        resolve_mode(worker_mode, replicas)  # before the build, not after
+        # Before the build, not after.
+        gather_backend(worker_mode, workers, shards, replicas)
         index = ShardedIndex.build(relation, ordering, shards=shards, backend=backend)
         return cls.assemble(index, workers=workers, worker_mode=worker_mode,
                             policy=policy, clock=clock, sleep=sleep,
@@ -284,32 +273,6 @@ class ShardedEngine(DiversityEngine):
                 if callable(close_pool):
                     close_pool()
 
-    def _push_worker_budget(self) -> None:
-        """Publish the worker budget to the index, which sizes its replica
-        sets' hedge pools from it (never a width that oversubscribes
-        replicated + parallel fan-out)."""
-        try:
-            self._index.worker_budget = self._workers
-        except AttributeError:
-            pass  # plain/duck-typed indexes without the budget slot
-
-    def set_workers(self, workers: int) -> None:
-        """Re-size the fan-out worker budget at runtime.
-
-        The executor is re-picked for the new budget (its pool is built
-        lazily, at the new width, on the next fan-out); replica-set hedge
-        pools re-derive theirs immediately.
-        """
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        with self._close_lock:
-            self._workers = workers
-            retired, self._executor = self._executor, make_executor(
-                self._resolved_mode, workers, self._index, self._runner
-            )
-            retired.close()
-        self._push_worker_budget()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -327,8 +290,8 @@ class ShardedEngine(DiversityEngine):
 
     @property
     def resolved_worker_mode(self) -> str:
-        """The concrete backend: ``thread``, ``fork`` or ``spawn``."""
-        return self._resolved_mode
+        """The backend gathers run on: ``serial``, ``fork`` or ``spawn``."""
+        return self._executor.mode
 
     @property
     def policy(self) -> ResiliencePolicy:
@@ -347,16 +310,10 @@ class ShardedEngine(DiversityEngine):
     # ------------------------------------------------------------------
     def inject_chaos(self, chaos: ChaosPolicy) -> ChaosPolicy:
         """Make shard reads fail per ``chaos`` (tests/benchmarks/CLI)."""
-        if self._executor.mode in PROCESS_MODES:
-            # Worker replicas answer the gather fan-out, and a fault plan
-            # injected here would never reach them — the experiment would
-            # silently run fault-free.  Refuse instead.
-            raise UnsupportedWorkerModeError(
-                f"chaos injection is not supported with process workers "
-                f"(worker_mode={self._worker_mode!r}): injected faults "
-                f"would never reach the worker replicas; use "
-                f"worker_mode='thread' for chaos experiments"
-            )
+        # Worker replicas answer a pooled fan-out, and a fault plan
+        # injected here would never reach them: refuse instead.
+        gather_backend(self._worker_mode, self._workers, self.num_shards,
+                       self._index.replication_factor, chaos=True)
         # Latency injection sleeps on the engine's injectable sleep, so a
         # FakeClock-driven test fakes chaos delays too (no real blocking).
         chaos.bind_sleep(self._sleep)
@@ -557,7 +514,8 @@ class ShardedEngine(DiversityEngine):
         task = GatherTask(algorithm, k, scored, query)
         with span("shard.scatter", registry=self._registry,
                   shards=self.num_shards if home is None else 1,
-                  workers=self._workers, mode=executor.mode):
+                  workers=self._workers,
+                  mode=executor.mode if home is None else ShardExecutor.mode):
             if home is None:
                 outcomes = executor.scatter(task, self._deadline())
             else:

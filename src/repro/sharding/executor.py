@@ -2,10 +2,11 @@
 
 A scatter-gather query is one picklable :class:`GatherTask`; a
 :class:`ShardExecutor` takes it to every shard and returns one
-:class:`ShardOutcome` per shard.  Three executors run the *same* task —
-:class:`SerialExecutor` and :class:`ThreadExecutor` here, the process one
-in :mod:`repro.parallel.executor` — and :func:`make_executor` is the one
-place ``(worker_mode, workers, num_shards)`` picks among them.
+:class:`ShardOutcome` per shard.  Two executors run the *same* task —
+:class:`ShardExecutor` itself, shard after shard on the calling thread,
+and the process one in :mod:`repro.parallel.executor` — and
+:func:`gather_backend` is the one place ``(worker_mode, workers,
+num_shards)`` picks between them.
 
 In-process shard calls run under one :class:`PolicyRunner`: breaker-gated
 admission, bounded retries around a single backoff step, and deadline
@@ -15,12 +16,10 @@ union-cursor scan) go through the same runner.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple
+from typing import Any, Callable, List, NamedTuple
 
-from ..parallel.pool import PROCESS_MODES
+from ..parallel.pool import UnsupportedWorkerModeError, resolve_worker_mode
 from ..parallel.worker import compute_candidates
 from ..query.query import Query
 from ..resilience.errors import (
@@ -179,21 +178,20 @@ class PolicyRunner:
 class ShardExecutor:
     """``scatter(task, deadline)`` to every shard, plus ``close()``.
 
-    Subclasses implement :meth:`_fan_out`.  Pools are built lazily on the
-    first fan-out and released by :meth:`close`, which is idempotent and
-    keeps no "closed" flag of its own: an executor used again after a
-    close simply builds a new pool, and the next close releases that one.
+    This base runs shard after shard on the calling thread; a shard the
+    loop reaches after the deadline is dropped unread.
+    :class:`~repro.parallel.executor.ProcessExecutor` overrides
+    :meth:`_fan_out` and :meth:`close` with its worker pool.
     """
 
     #: What spans report as the fan-out backend.
-    mode = "thread"
-    #: The fan-out pool once built (never, for the serial executor).
+    mode = "serial"
+    #: The fan-out pool once built (never, for the serial loop).
     _pool = None
 
     def __init__(self, index, runner: PolicyRunner):
         self._index = index
         self._runner = runner
-        self._lock = threading.Lock()
 
     def scatter(self, task: GatherTask, deadline: Deadline) -> List[ShardOutcome]:
         """One outcome per shard, in shard order.  Raises only on total
@@ -214,100 +212,55 @@ class ShardExecutor:
         return outcomes
 
     def _fan_out(self, task: GatherTask, deadline: Deadline) -> List[ShardOutcome]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the pool, if one was built; callable from any thread."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            self._shutdown(pool)
-
-    def _shutdown(self, pool) -> None:
-        raise NotImplementedError
-
-
-class SerialExecutor(ShardExecutor):
-    """Shard after shard on the calling thread."""
-
-    def _fan_out(self, task, deadline):
         run, index = self._runner.shard_task, self._index
         return [
             run(shard_id, index, task, deadline)
             for shard_id in range(index.num_shards)
         ]
 
-
-class ThreadExecutor(ShardExecutor):
-    """All shards at once on a persistent ``min(workers, shards)``-wide
-    thread pool (GIL-bound: concurrency, not parallelism)."""
-
-    def __init__(self, index, runner: PolicyRunner, workers: int):
-        super().__init__(index, runner)
-        self._pool_width = min(workers, index.num_shards)
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._pool_width,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._pool
-
-    def _fan_out(self, task, deadline):
-        pool = self._ensure_pool()
-        run = self._runner.shard_task
-        health = self._runner.health
-        futures = {
-            pool.submit(run, shard_id, self._index, task, deadline): shard_id
-            for shard_id in range(self._index.num_shards)
-        }
-        try:
-            timeout = deadline.remaining_ms() / 1000.0
-            done, not_done = wait(
-                futures, timeout=None if timeout == float("inf") else timeout
-            )
-        except BaseException:
-            # The fan-out itself failed (not a shard): cancel what has
-            # not started and surface the error with the pool clean —
-            # never leak futures into a pool we may close right after.
-            for future in futures:
-                future.cancel()
-            raise
-        outcomes: Dict[int, ShardOutcome] = {}
-        for future in done:
-            shard_id = futures[future]
-            if future.exception() is not None:
-                # The runner is supposed to be total; treat a leak as a
-                # hard shard failure rather than poisoning the pool.
-                health.record_hard(shard_id)
-                outcomes[shard_id] = ShardOutcome(shard_id, reason="error")
-            else:
-                outcomes[shard_id] = future.result()
-        for future in not_done:
-            # Past deadline: cancel what never started, abandon (drain
-            # into the persistent pool) what is mid-flight.
-            shard_id = futures[future]
-            future.cancel()
-            health.record_deadline_drop(shard_id)
-            outcomes[shard_id] = ShardOutcome(shard_id, reason="deadline")
-        return [outcomes[shard_id] for shard_id in sorted(outcomes)]
-
-    def _shutdown(self, pool: ThreadPoolExecutor) -> None:
-        pool.shutdown(wait=True, cancel_futures=True)
+    def close(self) -> None:
+        """Release the pool, if one was built (the serial loop has none)."""
 
 
-def make_executor(mode: str, workers: int, index,
+def gather_backend(worker_mode: str, workers: int, num_shards: int,
+                   replicas: int = 1, chaos: bool = False) -> str:
+    """Where a deployment's scatter-gathers run: ``"serial"``, or the
+    resolved process mode (``fork``/``spawn``) when more than one worker
+    *and* more than one shard ask for a pool.
+
+    The one statement of that rule and of what a pool cannot serve:
+    replica failover and chaos fault plans are coordinator-side state a
+    worker process never sees, so a deployment that would run a pool over
+    them is refused here — callers ask before they build or write
+    anything.  ``worker_mode`` is validated either way.
+    """
+    mode = resolve_worker_mode(worker_mode)
+    if workers <= 1 or num_shards <= 1:
+        return ShardExecutor.mode
+    if replicas > 1:
+        raise UnsupportedWorkerModeError(
+            f"process workers (workers={workers}, worker_mode="
+            f"{worker_mode!r}) cannot fan out over a replicated deployment "
+            f"(replicas={replicas}): replica failover and hedging are "
+            f"coordinator-side state that worker processes cannot mirror; "
+            f"use workers=0 with replicas > 1"
+        )
+    if chaos:
+        raise UnsupportedWorkerModeError(
+            f"chaos injection is not supported with process workers "
+            f"(workers={workers}, worker_mode={worker_mode!r}): injected "
+            f"faults would never reach the worker replicas; use workers=0 "
+            f"for chaos experiments"
+        )
+    return mode
+
+
+def make_executor(backend: str, workers: int, index,
                   runner: PolicyRunner) -> ShardExecutor:
-    """Pick the executor for a resolved ``worker_mode``, a worker budget
-    and a topology — the only place that rule is written down: fan-out
-    needs more than one worker *and* more than one shard, otherwise every
-    mode runs serially (and builds no pool)."""
-    if workers > 1 and index.num_shards > 1:
-        if mode in PROCESS_MODES:
-            from ..parallel.executor import ProcessExecutor
+    """The executor for a :func:`gather_backend` verdict: the serial loop,
+    or a ``workers``-wide process pool built lazily on the first fan-out."""
+    if backend == ShardExecutor.mode:
+        return ShardExecutor(index, runner)
+    from ..parallel.executor import ProcessExecutor
 
-            return ProcessExecutor(index, runner, workers, mode)
-        return ThreadExecutor(index, runner, workers)
-    return SerialExecutor(index, runner)
+    return ProcessExecutor(index, runner, workers, backend)

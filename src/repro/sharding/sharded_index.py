@@ -115,7 +115,6 @@ class ShardedIndex:
         "_router",
         "_shards",
         "_route_position",
-        "_worker_budget",
         "__weakref__",  # metrics collectors hold the index weakly
     )
 
@@ -164,7 +163,6 @@ class ShardedIndex:
         index._dewey = dewey
         index._route_position = relation.schema.position(ordering.attributes[0])
         index._router = HashRouter(len(shards))
-        index._worker_budget = 0
         index._shards = list(shards)
         return index
 
@@ -229,31 +227,6 @@ class ShardedIndex:
             return first.num_replicas
         return 1
 
-    @property
-    def worker_budget(self) -> int:
-        """The owning engine's fan-out worker budget (0 = unset).
-
-        Published by the owning :class:`ShardedEngine`; setting it sizes
-        every replica set's hedge pool, and sets created by a later
-        :meth:`replicate` size theirs from it instead of the standalone
-        default.
-        """
-        return self._worker_budget
-
-    @worker_budget.setter
-    def worker_budget(self, budget: int) -> None:
-        if budget < 0:
-            raise ValueError("worker budget must be >= 0")
-        self._worker_budget = budget
-        self._size_hedge_pools()
-
-    def _size_hedge_pools(self) -> None:
-        for shard in self._shards:
-            if isinstance(shard, ReplicaSet):
-                shard.set_pool_budget(ReplicaSet.derive_pool_width(
-                    shard.num_replicas, self.num_shards, self._worker_budget
-                ))
-
     def replicate(
         self,
         count: int,
@@ -291,11 +264,6 @@ class ShardedIndex:
             )
             for shard_id, shard in enumerate(self._shards)
         ]
-        if self._worker_budget:
-            # Sets created after the engine published its budget pick the
-            # derived width up here; the budget setter covers the other
-            # order (replicate first, engine construction after).
-            self._size_hedge_pools()
 
     def pinned(self, shard_id: Optional[int] = None):
         """The reader for one query phase: this index with every replica

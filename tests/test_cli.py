@@ -234,7 +234,7 @@ class TestCommandsCloseWhatTheyOpen:
         import threading
 
         return sorted(thread.name for thread in threading.enumerate()
-                      if thread.name.startswith(("repro-shard", "repro-hedge")))
+                      if thread.name.startswith("repro-hedge"))
 
     def _build_store(self, cars_csv, tmp_path, *extra):
         store = tmp_path / "store"
@@ -259,7 +259,7 @@ class TestCommandsCloseWhatTheyOpen:
         assert main(["recover", str(store)]) == 0
         assert main([
             "query", str(store), "Make = 'Honda'", "-k", "2",
-            "--algorithm", "naive", "--workers", "2", "--hedge-ms", "5",
+            "--algorithm", "naive", "--hedge-ms", "5",
         ]) == 0
         assert main([
             "plan", "explain", str(store), "Make = 'Honda'",
@@ -286,19 +286,18 @@ class TestCommandsCloseWhatTheyOpen:
 
         threads = self._shard_threads()
         children = multiprocessing.active_children()
-        for mode in ("thread", "process"):
-            assert main([
-                "query", str(built_snapshot), "Make = 'Honda'", "-k", "3",
-                "--algorithm", "naive", "--shards", "3", "--workers", "2",
-                "--worker-mode", mode,
-            ]) == 0
-            assert "[3 results, naive" in capsys.readouterr().out
+        assert main([
+            "query", str(built_snapshot), "Make = 'Honda'", "-k", "3",
+            "--algorithm", "naive", "--shards", "3", "--workers", "2",
+            "--worker-mode", "process",
+        ]) == 0
+        assert "[3 results, naive" in capsys.readouterr().out
         assert self._shard_threads() == threads
         assert multiprocessing.active_children() == children
 
     def test_refused_flag_combinations_exit_2(self, built_snapshot, capsys):
         for flags in (["--shards", "0"], ["--replicas", "2"],
-                      ["--shards", "2", "--replicas", "2",
+                      ["--shards", "2", "--replicas", "2", "--workers", "2",
                        "--worker-mode", "process"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["query", str(built_snapshot), "Make = 'Honda'", *flags])

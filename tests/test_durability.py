@@ -692,7 +692,7 @@ class TestServingAssembly:
     durable deployment."""
 
     def test_refused_deployment_never_touches_disk(self, tmp_path):
-        """Process workers cannot serve replicas: the refusal comes before
+        """A process pool cannot serve replicas: the refusal comes before
         the build, so no store directory is left behind."""
         from repro.parallel import UnsupportedWorkerModeError
 
@@ -700,7 +700,7 @@ class TestServingAssembly:
         with pytest.raises(UnsupportedWorkerModeError):
             ServingEngine.from_relation(
                 figure1_relation(), figure1_ordering(), shards=2, replicas=2,
-                worker_mode="process", data_dir=data_dir,
+                workers=2, worker_mode="process", data_dir=data_dir,
             )
         assert not data_dir.exists()
         with pytest.raises(ValueError, match="sharded deployment"):
@@ -709,6 +709,22 @@ class TestServingAssembly:
                 data_dir=data_dir,
             )
         assert not data_dir.exists()
+
+    def test_refused_recovery_reopens_no_log(self, tmp_path, monkeypatch):
+        """Recovery asks the same rule, with the manifest's replica count,
+        before any log is replayed or reopened."""
+        import repro.serving.engine as serving_engine
+        from repro.parallel import UnsupportedWorkerModeError
+
+        data_dir = tmp_path / "store"
+        ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2, replicas=2,
+            data_dir=data_dir,
+        ).close()
+        monkeypatch.setattr(serving_engine, "recover_index",
+                            lambda *args, **kwargs: pytest.fail("recovered"))
+        with pytest.raises(UnsupportedWorkerModeError):
+            ServingEngine.recover(data_dir, workers=2)
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_close_reaches_stores_under_replicas_and_chaos(

@@ -1,17 +1,14 @@
 """Pool-lifecycle suite: sizing, teardown, self-healing, fencing, refusals.
 
-The bugfix sweep riding along with the process backend:
-
-* the thread pool's width tracks the live config (the historical bug
-  sized it once at first use and never resized);
-* replica-set hedge pools derive their width from the owning engine's
-  worker budget instead of a hardcoded ``min(4, R + 1)``;
-* a failed fan-out never leaks futures, and ``close()`` after a failed
-  ``execute()`` joins every worker — thread and process alike;
+* the process pool is ``min(workers, shards)`` wide and reused while the
+  index stands still;
+* replica-set hedge pools are ``min(4, R + 1)`` wide;
+* ``close()`` after a killed worker or from many threads at once joins
+  every worker process;
 * a killed worker process costs one degraded answer, not the engine;
-* unsupported mode combinations (process + chaos, process + replication,
-  spawn without a durable store) raise loudly instead of silently
-  serving wrong experiments.
+* unsupported combinations (a pool over replicas or chaos, spawn without
+  a durable store) raise loudly instead of silently serving wrong
+  experiments, and refuse only when a pool would actually run.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from repro.parallel import (
     resolve_worker_mode,
 )
 from repro.replication.replica_set import ReplicaSet
-from repro.resilience import ChaosPolicy, ResiliencePolicy
+from repro.observability import use_registry
+from repro.resilience import ChaosPolicy
 from repro.resilience.policy import Deadline
 from repro.sharding import ShardedEngine, ShardedIndex
 
@@ -59,117 +57,48 @@ def _payload(result):
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: thread-pool width tracks the live configuration
+# Pool widths
 # ----------------------------------------------------------------------
-class TestThreadPoolWidth:
+@needs_fork
+class TestProcessPoolWidth:
     def test_pool_width_is_min_of_workers_and_shards(self):
         with ShardedEngine.from_relation(
-            figure1_relation(), figure1_ordering(), shards=2, workers=8
+            figure1_relation(), figure1_ordering(), shards=2, workers=8,
+            worker_mode="fork",
         ) as engine:
-            pool = engine._executor._ensure_pool()
-            assert pool._max_workers == 2
-            assert engine._executor._pool_width == 2
-
-    def test_set_workers_rebuilds_the_pool_at_the_new_width(self):
-        """Regression: the pool was sized once at first use and never
-        resized, so a later ``set_workers`` silently kept the old width."""
-        with ShardedEngine.from_relation(
-            figure1_relation(), figure1_ordering(), shards=4, workers=2
-        ) as engine:
-            first = engine._executor._ensure_pool()
-            assert first._max_workers == 2
-            engine.set_workers(4)
-            second = engine._executor._ensure_pool()
-            assert second is not first
-            assert second._max_workers == 4
-            # And back down again.
-            engine.set_workers(3)
-            assert engine._executor._ensure_pool()._max_workers == 3
+            assert engine._executor._ensure_pool().width == 2
 
     def test_unchanged_width_reuses_the_pool(self):
         with ShardedEngine.from_relation(
-            figure1_relation(), figure1_ordering(), shards=4, workers=2
+            figure1_relation(), figure1_ordering(), shards=4, workers=2,
+            worker_mode="fork",
         ) as engine:
             assert engine._executor._ensure_pool() is engine._executor._ensure_pool()
 
-    def test_set_workers_rejects_negative(self):
-        with ShardedEngine.from_relation(
-            figure1_relation(), figure1_ordering(), shards=2, workers=2
-        ) as engine:
-            with pytest.raises(ValueError):
-                engine.set_workers(-1)
 
-
-# ----------------------------------------------------------------------
-# Satellite 3: hedge-pool width derives from the engine's worker budget
-# ----------------------------------------------------------------------
 class TestHedgePoolWidth:
     def test_no_budget_keeps_the_legacy_width(self):
-        assert ReplicaSet.derive_pool_width(1, 4, 0) == 2
-        assert ReplicaSet.derive_pool_width(2, 4, 0) == 3
-        assert ReplicaSet.derive_pool_width(3, 4, 0) == 4
-        assert ReplicaSet.derive_pool_width(9, 4, 0) == 4  # legacy cap
-
-    def test_budget_share_caps_at_replica_count_plus_hedge(self):
-        # 16 workers over 2 shards: an 8-wide share, but 2 replicas only
-        # ever race 3 legs.
-        assert ReplicaSet.derive_pool_width(2, 2, 16) == 3
-
-    def test_small_budget_floors_at_two_legs(self):
-        # 1 worker over 4 shards: a hedge still needs a racer.
-        assert ReplicaSet.derive_pool_width(3, 4, 1) == 2
-
-    def test_budget_splits_across_shards(self):
-        # 8 workers over 4 shards -> share 2 -> width 3 (capped by R+1=4).
-        assert ReplicaSet.derive_pool_width(3, 4, 8) == 3
-
-    def test_engine_budget_reaches_replica_sets(self):
-        relation = random_relation(random.Random(11), max_rows=30)
-        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
-        with ShardedEngine(index, workers=8) as engine:
-            index.replicate(2)
-            expected = ReplicaSet.derive_pool_width(2, 2, 8)
-            for shard in index.shards:
-                assert shard.pool_width == expected
-            # Re-sizing the engine re-derives the hedge widths too.
-            engine.set_workers(2)
-            narrowed = ReplicaSet.derive_pool_width(2, 2, 2)
-            for shard in index.shards:
-                assert shard.pool_width == narrowed
+        shard = ShardedIndex.build(
+            figure1_relation(), figure1_ordering(), shards=2
+        ).shards[0]
+        for replicas, width in ((1, 2), (2, 3), (3, 4), (9, 4)):
+            replica_set = ReplicaSet([shard] * replicas, 0)
+            assert replica_set._ensure_pool()._max_workers == width
+            replica_set.close_pool()
 
     def test_standalone_set_keeps_legacy_width(self):
         relation = random_relation(random.Random(12), max_rows=20)
         index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
         index.replicate(2)
         for shard in index.shards:
-            assert shard.pool_width == 3  # min(4, R + 1), no budget
-
-    def test_set_pool_budget_rejects_zero(self):
-        relation = random_relation(random.Random(13), max_rows=20)
-        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
-        index.replicate(2)
-        with pytest.raises(ValueError):
-            index.shards[0].set_pool_budget(0)
+            assert shard._ensure_pool()._max_workers == 3  # min(4, R + 1)
+            shard.close_pool()
 
 
 # ----------------------------------------------------------------------
-# Satellite 2: teardown on exception paths, thread and process
+# Teardown on exception paths
 # ----------------------------------------------------------------------
 class TestTeardownAfterFailure:
-    def test_thread_close_after_failed_execute(self):
-        rng = random.Random(21)
-        relation = random_relation(rng, max_rows=30)
-        engine = ShardedEngine.from_relation(
-            relation, RANDOM_ORDERING, shards=2, workers=2,
-            policy=ResiliencePolicy(max_retries=0),
-        )
-        engine.inject_chaos(ChaosPolicy.crash_shards(0, 1))
-        with pytest.raises(Exception):
-            engine.search(random_query(rng), 5, algorithm="probe")
-        engine.close()  # joins the fan-out threads despite the failure
-        assert engine._executor._pool is None
-        engine.close()  # and stays idempotent
-
     @needs_fork
     def test_process_close_after_killed_worker(self):
         rng = random.Random(22)
@@ -222,12 +151,12 @@ class TestTeardownAfterFailure:
 # Reuse after close: the lazily rebuilt pool is released by the next close
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("worker_mode", [
-    "thread", pytest.param("fork", marks=needs_fork),
+    pytest.param("fork", marks=needs_fork),
 ])
 def test_close_search_close_leaves_no_pool_behind(worker_mode):
     """Regression: ``close()`` latched a ``_closed`` flag, a later gather
     query lazily rebuilt the pool, and the second ``close()`` returned
-    early — the rebuilt pool's threads/workers were never joined."""
+    early — the rebuilt pool's workers were never joined."""
     engine = ShardedEngine.from_relation(
         figure1_relation(), figure1_ordering(), shards=2, workers=2,
         worker_mode=worker_mode,
@@ -238,13 +167,9 @@ def test_close_search_close_leaves_no_pool_behind(worker_mode):
     engine.search("Color = 'Blue'", k=2, algorithm="naive")  # pool is back
     rebuilt = engine._executor._pool
     assert rebuilt is not None
-    pids = rebuilt.worker_pids() if worker_mode == "fork" else []
+    pids = rebuilt.worker_pids()
     engine.close()
     assert engine._executor._pool is None
-    assert not [
-        thread for thread in threading.enumerate()
-        if thread.name.startswith("repro-shard")
-    ]
     assert not [
         child for child in mp.active_children() if child.pid in pids
     ]
@@ -390,6 +315,50 @@ class TestUnsupportedCombinations:
         with pytest.raises(ValueError):
             resolve_worker_mode("gevent")
 
+    @pytest.mark.parametrize("workers, replicas, chaos, worker_mode, refused", [
+        (0, 2, False, "process", None),
+        (2, 2, False, "process", UnsupportedWorkerModeError),
+        (0, 1, True, "process", None),
+        (2, 1, True, "process", UnsupportedWorkerModeError),
+        (0, 1, False, "thread", ValueError),
+    ], ids=["serial-replicas", "pool-replicas", "serial-chaos", "pool-chaos",
+            "thread-mode"])
+    def test_refusals_apply_only_when_a_pool_would_run(
+            self, tmp_path, workers, replicas, chaos, worker_mode, refused):
+        from repro.serving import ServingEngine
+
+        data_dir = tmp_path / "store"
+
+        def deploy():
+            serving = ServingEngine.from_relation(
+                figure1_relation(), figure1_ordering(), shards=2,
+                replicas=replicas, workers=workers, worker_mode=worker_mode,
+                data_dir=data_dir,
+            )
+            if chaos:
+                try:
+                    serving.engine.inject_chaos(ChaosPolicy.slow_shards(0.01))
+                except ValueError:
+                    serving.close()
+                    raise
+            return serving
+
+        if refused is None:
+            with deploy() as serving:
+                assert serving.engine.resolved_worker_mode == "serial"
+                assert serving.engine.sharded_index.replication_factor == replicas
+                result = serving.search("Color = 'Blue'", k=2, algorithm="naive")
+                assert len(result) == 2
+                assert (serving.engine.sharded_index.chaos is not None) == chaos
+            return
+        with pytest.raises(refused) as excinfo:
+            deploy()
+        if worker_mode == "thread":
+            assert "('process', 'fork', 'spawn')" in str(excinfo.value)
+        if not chaos:
+            # Refused before the build: nothing was written.
+            assert not data_dir.exists()
+
     def test_serving_replicas_plus_process_raises(self):
         from repro.serving import ServingEngine
 
@@ -414,4 +383,26 @@ def test_process_mode_with_one_shard_runs_serial():
         assert _payload(engine.search(query, 5, algorithm="naive")) == \
             _payload(reference.search(query, 5, algorithm="naive"))
         assert engine._executor._pool is None  # never built
+        assert engine.resolved_worker_mode == "serial"
     assert mp.active_children() == []
+
+
+def test_serial_gathers_are_labelled_serial():
+    """Regression: the serial loop inherited ``mode = "thread"``, so its
+    ``shard.scatter`` spans and ``resolved_worker_mode`` named a thread
+    pool that never ran."""
+    with use_registry() as registry:
+        engine = ShardedEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=2, workers=0
+        )
+        # A fan-out gather, then a routed one.
+        for query in ("Color = 'Blue'", "Make = 'Honda'"):
+            engine.search(query, k=2, algorithm="naive")
+    assert engine.resolved_worker_mode == "serial"
+    assert [
+        record.fields for record in registry.spans
+        if record.name == "shard.scatter"
+    ] == [
+        {"shards": 2, "workers": 0, "mode": "serial"},
+        {"shards": 1, "workers": 0, "mode": "serial"},
+    ]

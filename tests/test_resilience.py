@@ -331,24 +331,22 @@ def test_plain_engine_close_is_noop():
 def test_search_surfaces_typed_error_and_pool_survives():
     relation = random_relation(random.Random(19), max_rows=30)
     with ServingEngine.from_relation(
-        relation, RANDOM_ORDERING, shards=2, workers=2,
+        relation, RANDOM_ORDERING, shards=2,
         policy=ResiliencePolicy(max_retries=0),
     ) as serving:
         serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
         # Neither query is routed (no ``make = v`` conjunct): both must
         # read the dead shard.
         queries = ["color = 'blue'", "model = 'm1' OR color = 'red'"]
-        serving.search(queries[0], k=5, algorithm="naive")  # starts the pool
-        pool = serving.engine._executor._pool
-        assert pool is not None
+        executor = serving.engine._executor
         for query in queries:
             with pytest.raises(ShardUnavailableError) as excinfo:
                 serving.search(query, k=5, algorithm="probe")
             assert 0 in excinfo.value.failures
-        # The degradable algorithm still answers, on the same fan-out pool.
+        # The degradable algorithm still answers, on the same fan-out.
         results = [serving.search(query, k=5, algorithm="naive")
                    for query in queries]
-        assert serving.engine._executor._pool is pool
+        assert serving.engine._executor is executor
         assert all(result.stats["degraded"] for result in results)
 
 

@@ -11,9 +11,9 @@ Three contracts, each under deterministic (seeded) fault injection:
    answers that are *verified* diverse (Definitions 1-2) over the rows of
    the surviving shards; the coordinator-driven scan algorithms raise a
    structured :class:`ShardUnavailableError` naming the dead shard.
-3. **Deadlines bound waiting.**  A shard slower than the deadline is
-   dropped from the gather fan-out (degraded answer from the fast
-   shards); when nothing can answer in time the query fails with
+3. **Deadlines bound waiting.**  A gather drops every shard it reaches
+   after the deadline (degraded answer from the shards read in time);
+   when no shard is read in time the query fails with
    :class:`DeadlineExceededError`.
 """
 
@@ -28,6 +28,7 @@ from repro.core import baselines
 from repro.core.engine import ALGORITHMS
 from repro.core.similarity import is_diverse, is_scored_diverse
 from repro.index.merged import MergedList
+from repro.observability import FakeClock, use_registry
 from repro.resilience import (
     ChaosPolicy,
     DeadlineExceededError,
@@ -35,7 +36,9 @@ from repro.resilience import (
     ShardFaultSpec,
     ShardUnavailableError,
 )
+from repro.resilience.policy import Deadline
 from repro.sharding import ShardedEngine
+from repro.sharding.executor import GatherTask
 
 from .conftest import (
     RANDOM_ORDERING,
@@ -288,39 +291,55 @@ def test_revived_shard_recovers_through_half_open():
 # ----------------------------------------------------------------------
 # 3. Deadlines
 # ----------------------------------------------------------------------
-def test_slow_shard_is_dropped_at_deadline_in_threaded_gather():
-    rng = random.Random(43)
+def test_slow_shard_spends_a_serial_gathers_budget():
+    """Shard after shard on a fake clock: injected latency on shard 0
+    spends the budget, so the loop drops the shard it reaches after it and
+    the answer is shard 0's diverse top-k, flagged degraded."""
+    rng = random.Random(42)
     relation = random_relation(rng, max_rows=50)
+    clock = FakeClock()
     policy = ResiliencePolicy(
         deadline_ms=80.0, max_retries=0,
         breaker_window=8, breaker_min_calls=9,
     )
-    with ShardedEngine.from_relation(
-        relation, RANDOM_ORDERING, shards=3, workers=3, policy=policy
-    ) as engine:
-        engine.inject_chaos(ChaosPolicy.slow_shards(400.0, 2))
-        query = random_query(rng)
+    with use_registry() as registry:
+        engine = ShardedEngine.from_relation(
+            relation, RANDOM_ORDERING, shards=2, policy=policy,
+            clock=clock, sleep=clock.sleep,
+        )
+        engine.inject_chaos(ChaosPolicy.slow_shards(400.0, 0))
+        query = fanout_query(rng)
+        while not _surviving_matches(engine, query, {1}):
+            query = fanout_query(rng)  # one shard 0 has rows for
         result = engine.search(query, 5, algorithm="naive")
-        assert result.stats["degraded"] is True
-        assert result.stats["shards_failed"] == 1
-        assert result.stats["deadline_ms"] == 80.0
-        survivors = _surviving_matches(engine, query, {2})
-        assert is_diverse(result.deweys, survivors, 5)
-        assert engine.health[2].deadline_drops >= 1
+    assert result.stats["degraded"] is True
+    assert result.stats["shards_failed"] == 1
+    assert result.stats["deadline_ms"] == 80.0
+    assert registry.value("repro_shards_failed_total", reason="deadline") == 1
+    assert len(result) > 0
+    assert is_diverse(result.deweys, _surviving_matches(engine, query, {1}), 5)
+    assert [engine.health[i].deadline_drops for i in range(2)] == [0, 1]
 
 
-def test_everything_slow_raises_deadline_exceeded():
+def test_gather_past_its_budget_raises_deadline_exceeded():
+    """A gather whose budget is spent before its first shard reads none
+    and fails with the budget it had."""
     rng = random.Random(47)
     relation = random_relation(rng, max_rows=30)
-    policy = ResiliencePolicy(deadline_ms=60.0, max_retries=0)
-    with ShardedEngine.from_relation(
-        relation, RANDOM_ORDERING, shards=2, workers=2, policy=policy
-    ) as engine:
-        engine.inject_chaos(ChaosPolicy.slow_shards(500.0))
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            engine.search(random_query(rng), 5, algorithm="naive")
-        assert excinfo.value.deadline_ms == 60.0
-        assert excinfo.value.elapsed_ms >= 0.0
+    clock = FakeClock()
+    engine = ShardedEngine.from_relation(
+        relation, RANDOM_ORDERING, shards=2,
+        policy=ResiliencePolicy(deadline_ms=60.0, max_retries=0),
+        clock=clock, sleep=clock.sleep,
+    )
+    deadline = Deadline(60.0, clock=clock)
+    clock.advance_ms(61.0)
+    task = GatherTask("naive", 5, False, engine.prepare(fanout_query(rng)))
+    with pytest.raises(DeadlineExceededError) as excinfo:
+        engine._executor.scatter(task, deadline)
+    assert excinfo.value.deadline_ms == 60.0
+    assert excinfo.value.elapsed_ms == pytest.approx(61.0)
+    assert [engine.health[i].deadline_drops for i in range(2)] == [1, 1]
 
 
 def test_scan_deadline_cuts_retry_storm():

@@ -148,7 +148,7 @@ def test_mutations_bump_exactly_one_shard_epoch():
 
 
 # ----------------------------------------------------------------------
-# The scatter-gather thread pool must not change any answer
+# The scatter-gather process pool must not change any answer
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_worker_pool_answers_equal_sequential(algorithm):
