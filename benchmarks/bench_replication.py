@@ -1,6 +1,6 @@
 """Replication benchmark: what exact-answer failover costs and buys.
 
-Three questions, answered with numbers:
+Two questions, answered with numbers:
 
 * **Availability through replica loss** — with replica 0 of *every*
   shard crashed, an unreplicated deployment loses scan queries outright
@@ -12,11 +12,6 @@ Three questions, answered with numbers:
   health) must be nearly free when nothing fails.  Each cell times the
   same workload on an unreplicated engine and on an R=2 deployment with
   no faults; the target (recorded in the JSON) is <5% overhead.
-* **Hedged tail latency** — with a uniformly slow primary copy, hedged
-  reads cut the latency distribution roughly to the backup's speed: the
-  benchmark times the same slow-primary workload with hedging off and
-  on, and reports p50/p95/p99 plus the fired/won/wasted hedge counts
-  (at most one backup per read, by construction).
 
 Correctness rides along: every cell asserts zero probe/onepass bound
 violations from the metrics registry.
@@ -40,7 +35,7 @@ from paper.harness import env_int, run_chaos_workload
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.observability import MetricsRegistry, use_registry
-from repro.resilience import ChaosPolicy, ResiliencePolicy, ShardFaultSpec
+from repro.resilience import ChaosPolicy, ResiliencePolicy
 from repro.sharding import ShardedEngine
 
 DEFAULT_WORKLOAD_QUERIES = 200
@@ -50,9 +45,6 @@ TAGS = ("UNaive", "UProbe")
 REPLICA_COUNTS = (1, 2, 3)
 OVERHEAD_TARGET_PCT = 5.0    # the goal recorded in the JSON report
 OVERHEAD_ASSERT_PCT = 25.0   # the test gate (generous: timing noise)
-SLOW_PRIMARY_MS = 4.0        # injected latency on every primary copy
-HEDGE_MS = 1.0               # hedge delay floor for the tail cells
-HEDGE_QUERIES = 30           # latency cells sleep for real; keep them small
 
 #: Generous retries, breakers disabled (min_calls above the window):
 #: replica failover must absorb every fault, so failed or degraded
@@ -77,10 +69,10 @@ def _setup(rows, queries=DEFAULT_WORKLOAD_QUERIES):
     return _CACHE[key]
 
 
-def _engine(relation, replicas, hedge_ms=None):
+def _engine(relation, replicas):
     return ShardedEngine.from_relation(
         relation, autos_ordering(), shards=SHARDS, policy=ABSORB_ALL,
-        replicas=replicas, hedge_ms=hedge_ms,
+        replicas=replicas,
     )
 
 
@@ -174,52 +166,6 @@ def _overhead_cell(relation, workload, tag, trials=3):
     }
 
 
-def _hedging_cells(relation, workload, tag):
-    """The same slow-primary workload, hedging off then on."""
-    cells = []
-    for hedge_ms in (None, HEDGE_MS):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            engine = _engine(relation, replicas=2, hedge_ms=hedge_ms)
-            chaos = engine.inject_chaos(ChaosPolicy(seed=11))
-            for shard_id in range(SHARDS):
-                chaos.set_spec(
-                    (shard_id, 0),
-                    ShardFaultSpec(latency_ms=SLOW_PRIMARY_MS),
-                )
-            gc.collect()
-            timing = run_chaos_workload(engine, workload, K, tag)
-            assert timing.failed_queries == 0
-            assert timing.degraded_queries == 0
-            fired = won = wasted = requests = 0
-            for replica_set in engine.sharded_index.shards:
-                fired += replica_set.hedges_fired
-                won += replica_set.hedges_won
-                wasted += replica_set.hedges_wasted
-                requests += sum(
-                    row["requests"] for row in replica_set.health_rows()
-                )
-            # At most one backup leg per read, by construction.
-            assert 2 * fired <= requests
-            _assert_no_bound_violations(registry)
-            cells.append(
-                {
-                    "algorithm": tag,
-                    "hedge_ms": hedge_ms,
-                    "slow_primary_ms": SLOW_PRIMARY_MS,
-                    "seconds": round(timing.total_seconds, 6),
-                    "p50_ms": round(timing.percentile_ms(50), 3),
-                    "p95_ms": round(timing.percentile_ms(95), 3),
-                    "p99_ms": round(timing.percentile_ms(99), 3),
-                    "hedges_fired": fired,
-                    "hedges_won": won,
-                    "hedges_wasted": wasted,
-                }
-            )
-            engine.close()
-    return cells
-
-
 def measure(rows, queries=DEFAULT_WORKLOAD_QUERIES):
     """Time every cell; returns a JSON-able dict."""
     relation, workload = _setup(rows, queries)
@@ -229,7 +175,6 @@ def measure(rows, queries=DEFAULT_WORKLOAD_QUERIES):
         for replicas in REPLICA_COUNTS
     ]
     overhead = [_overhead_cell(relation, workload, tag) for tag in TAGS]
-    hedging = _hedging_cells(relation, workload[:HEDGE_QUERIES], "UProbe")
     return {
         "benchmark": "replication",
         "rows": rows,
@@ -239,7 +184,6 @@ def measure(rows, queries=DEFAULT_WORKLOAD_QUERIES):
         "python": platform.python_version(),
         "availability_under_replica_loss": availability,
         "healthy_path_overhead": overhead,
-        "hedged_tail_latency": hedging,
     }
 
 
@@ -272,20 +216,6 @@ if pytest is not None:
             f"healthy path (gate {OVERHEAD_ASSERT_PCT}%, "
             f"target {OVERHEAD_TARGET_PCT}%)"
         )
-
-    def test_hedging_fires_and_stays_bounded(benchmark):
-        relation, workload = _setup(BENCH_ROWS, BENCH_QUERIES)
-        benchmark.group = f"replication rows={BENCH_ROWS}"
-        cells = benchmark.pedantic(
-            _hedging_cells,
-            args=(relation, workload[:HEDGE_QUERIES], "UProbe"),
-            rounds=1, iterations=1,
-        )
-        unhedged, hedged = cells
-        assert unhedged["hedges_fired"] == 0
-        assert hedged["hedges_fired"] > 0
-        assert (hedged["hedges_won"] + hedged["hedges_wasted"]
-                <= hedged["hedges_fired"])
 
 
 # ----------------------------------------------------------------------
@@ -325,15 +255,6 @@ def main(argv=None) -> int:
             f"{cell['unreplicated_seconds']:.3f}s  R=2 "
             f"{cell['replicated_seconds']:.3f}s  "
             f"overhead {cell['overhead_pct']:+.1f}%"
-        )
-    print(f"  hedged tail latency (slow primary {SLOW_PRIMARY_MS:g}ms):")
-    for cell in report["hedged_tail_latency"]:
-        label = ("hedge off" if cell["hedge_ms"] is None
-                 else f"hedge {cell['hedge_ms']:g}ms")
-        print(
-            f"    {label:<11} p50 {cell['p50_ms']:.2f}ms "
-            f"p95 {cell['p95_ms']:.2f}ms p99 {cell['p99_ms']:.2f}ms  "
-            f"fired={cell['hedges_fired']} won={cell['hedges_won']}"
         )
     print(f"  [measured in {elapsed:.1f}s]")
     if args.out is not None:

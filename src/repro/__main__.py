@@ -375,14 +375,6 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
         help="replicas per shard (default: 1, or a durable store's "
         "manifest value when recovering)",
     )
-    replication.add_argument(
-        "--hedge-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="arm hedged reads: race a backup replica when the first "
-        "read exceeds MS (adaptive: rises to the observed p95)",
-    )
 
 
 def _parse_crash_list(raw: str) -> list:
@@ -440,7 +432,6 @@ def _open_serving(path: Path | None, args) -> ServingEngine:
             deadline_ms=args.deadline_ms, max_retries=args.retries,
             seed=args.chaos_seed,
         ),
-        hedge_ms=args.hedge_ms,
     )
     chaos = _chaos_from_args(args)
     if path is None:

@@ -90,7 +90,7 @@ def _data_shard(shard, shard_id: int):
     if isinstance(shard, ReplicaSet):
         raise UnsupportedWorkerModeError(
             f"process workers cannot fan out over a replicated deployment: "
-            f"shard {shard_id} is a ReplicaSet, and replica failover/hedging "
+            f"shard {shard_id} is a ReplicaSet, and replica failover "
             f"is coordinator-side state that does not exist inside a worker "
             f"process; use workers=0 with replicas > 1"
         )

@@ -1,4 +1,4 @@
-"""repro.replication — shard replicas, automatic failover, hedged reads.
+"""repro.replication — shard replicas and automatic failover.
 
 The sharding layer (PR 2) made a partitioned deployment answer-identical
 to one big index; the resilience layer (PR 3) made it degrade predictably
@@ -16,10 +16,7 @@ Pieces:
 
 * :class:`ReplicaSet` — the shard-slot wrapper: per-replica circuit
   breakers and EWMA-latency health, preference ordering, sequential
-  failover, convergent mutation forwarding, optional hedged reads.
-* :class:`HedgePolicy` — when to fire the one allowed backup read
-  (observed latency percentile with a cold-start floor, bounded by the
-  query deadline).
+  failover, convergent mutation forwarding.
 * :mod:`~repro.replication.bootstrap` — growing verified copies from a
   live shard (re-index) or a durable one (snapshot + WAL replay, the PR 4
   recovery discipline applied to a live primary).
@@ -33,11 +30,9 @@ from .bootstrap import (
     live_rids,
     replica_digest,
 )
-from .hedging import HedgePolicy
 from .replica_set import ReplicaHealth, ReplicaSet
 
 __all__ = [
-    "HedgePolicy",
     "ReplicaBootstrapError",
     "ReplicaHealth",
     "ReplicaSet",

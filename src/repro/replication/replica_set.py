@@ -13,8 +13,8 @@ replication exists.  Guarantees:
   change an answer — the paper's Definitions 1-2 are preserved exactly
   through any partial replica loss.
 * **Transparent failover.**  Reads prefer the healthiest copy (closed
-  breaker first, lowest EWMA latency, replica id as the deterministic
-  tiebreak) and on :class:`TransientShardError` / :class:`ShardCrashedError`
+  breaker first, then replica id, so a fault-free set always reads its
+  primary) and on :class:`TransientShardError` / :class:`ShardCrashedError`
   / an open per-replica breaker move to the next.  Only when *every*
   copy fails does the set surface a shard-level error — transient if any
   copy failed transiently (the engine's retry machinery may yet succeed),
@@ -25,15 +25,9 @@ replication exists.  Guarantees:
   copy and their bookkeeping (counts, one latency sample, the breaker
   window) is batched into the release, not dropped; a read that fails is
   booked at once and re-enters the failover loop.
-* **Optional hedged reads.**  With a :class:`~repro.replication.hedging
-  .HedgePolicy`, the first attempt of a read races a backup on the
-  next-best replica after the configured latency percentile; first
-  response wins, the loser is cancelled (best-effort), never more than
-  one backup per read, and both the trigger delay and the wait are
-  bounded by the query's remaining deadline budget
-  (:func:`~repro.resilience.policy.current_deadline`).  Unhedged sets
-  are fully sequential and deterministic — the chaos differential suite
-  runs that way.
+* **Sequential reads.**  Every copy costs the same CPU for the same
+  read, so a set never races a second copy: a read goes to the preferred
+  copy and moves on only when that copy fails.
 * **Converged mutations.**  ``insert``/``remove`` forward to every copy
   (primary first — a durable primary WALs the record before any copy
   changes) and then assert epoch + Dewey agreement, raising
@@ -43,14 +37,10 @@ replication exists.  Guarantees:
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures import wait
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..index.reader import NamedReads, sum_memory_stats
 from ..observability import MONOTONIC, Clock, get_registry
@@ -60,22 +50,11 @@ from ..resilience.errors import (
     ShardCrashedError,
     TransientShardError,
 )
-from ..resilience.policy import DEFAULT_POLICY, ResiliencePolicy, current_deadline
+from ..resilience.policy import DEFAULT_POLICY, ResiliencePolicy
 from .bootstrap import bootstrap_replicas
-from .hedging import HedgePolicy
 
 #: EWMA smoothing for per-replica read latency (weight of the new sample).
 _EWMA_ALPHA = 0.2
-
-
-def _remaining_seconds(deadline) -> Optional[float]:
-    """Deadline budget as a future/wait timeout (None when unbounded)."""
-    if deadline is None:
-        return None
-    remaining_ms = deadline.remaining_ms()
-    if math.isinf(remaining_ms):
-        return None
-    return max(0.0, remaining_ms / 1000.0)
 
 
 @dataclass
@@ -92,14 +71,6 @@ class ReplicaHealth:
     ewma_ms: float = 0.0       # smoothed read latency (0 until first success)
 
 
-class _HedgedFailure(Exception):
-    """Internal: both legs of a hedged read failed; carries per-replica reasons."""
-
-    def __init__(self, reasons: Dict[int, str]):
-        self.reasons = reasons
-        super().__init__(f"hedged read failed on replicas {sorted(reasons)}")
-
-
 class ReplicaSet(NamedReads):
     """R replicas of one logical shard, speaking the shard read protocol."""
 
@@ -109,7 +80,6 @@ class ReplicaSet(NamedReads):
         shard_id: int,
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
-        hedge: Optional[HedgePolicy] = None,
         registry=None,
     ):
         if not replicas:
@@ -118,10 +88,8 @@ class ReplicaSet(NamedReads):
         self.shard_id = shard_id
         self._policy = policy if policy is not None else DEFAULT_POLICY
         self._clock = clock
-        self._hedge = hedge
         self._registry = registry
         self._lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._health = [
             ReplicaHealth(shard_id=shard_id, replica_id=replica_id)
             for replica_id in range(len(self._replicas))
@@ -130,12 +98,6 @@ class ReplicaSet(NamedReads):
             CircuitBreaker.from_policy(self._policy, clock) for _ in self._replicas
         ]
         self.failovers = 0
-        self.hedges_fired = 0
-        self.hedges_won = 0
-        self.hedges_wasted = 0
-        self._samples: deque = deque(
-            maxlen=hedge.window if hedge is not None else 128
-        )
 
     @classmethod
     def grow(
@@ -145,14 +107,13 @@ class ReplicaSet(NamedReads):
         shard_id: int,
         policy: Optional[ResiliencePolicy] = None,
         clock: Clock = MONOTONIC,
-        hedge: Optional[HedgePolicy] = None,
         registry=None,
     ) -> "ReplicaSet":
         """Bootstrap ``count - 1`` verified copies of ``primary`` and wrap
         all ``count`` behind one set (see :mod:`repro.replication.bootstrap`)."""
         copies = bootstrap_replicas(primary, count)
         return cls([primary, *copies], shard_id, policy=policy, clock=clock,
-                   hedge=hedge, registry=registry)
+                   registry=registry)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -179,8 +140,7 @@ class ReplicaSet(NamedReads):
         states = ",".join(breaker.state for breaker in self.breakers)
         return (
             f"ReplicaSet(shard={self.shard_id}, replicas={self.num_replicas}, "
-            f"breakers=[{states}], failovers={self.failovers}, "
-            f"hedges={self.hedges_fired})"
+            f"breakers=[{states}], failovers={self.failovers})"
         )
 
     @staticmethod
@@ -203,29 +163,25 @@ class ReplicaSet(NamedReads):
         return stats
 
     # ------------------------------------------------------------------
-    # Data-path reads: failover (+ optional hedging)
+    # Data-path reads: failover
     # ------------------------------------------------------------------
     def pin(self):
         """This set's reader for one query phase: a :class:`PinnedReplica`
         on the preferred copy, admitted by its breaker once — or the set
-        itself (the per-read path) when hedged or refused."""
-        if self._hedge is None:
-            replica_id = self._selection_order()[0]
-            if self.breakers[replica_id].allow():
-                return PinnedReplica(self, replica_id)
+        itself (the per-read path) when that breaker refuses."""
+        replica_id = self._selection_order()[0]
+        if self.breakers[replica_id].allow():
+            return PinnedReplica(self, replica_id)
         return self
 
     def _selection_order(self) -> List[int]:
-        """Preference order: closed breakers before open ones, then lowest
-        EWMA latency, then replica id (the deterministic tiebreak that keeps
-        unhedged fault-free runs pinned to the primary)."""
-        # Lock-free: each ``ewma_ms`` is one float stored under the lock,
-        # and a preference needs no consistent snapshot across copies.
-        order = sorted(
-            (breaker.state == OPEN, health.ewma_ms, health.replica_id)
-            for breaker, health in zip(self.breakers, self._health)
-        )
-        return [replica_id for _, _, replica_id in order]
+        """Preference order: closed breakers before open ones, then replica
+        id — so a fault-free set reads its primary every time.  Latency
+        does not rank copies: every copy costs the same CPU per read, and
+        ``ewma_ms`` is only the reported gauge."""
+        breakers = self.breakers
+        return sorted(range(len(breakers)),
+                      key=lambda rid: breakers[rid].state == OPEN)
 
     def _read(self, operation: str, *args, pinned=None):
         """One read, moving down the preference order past failed copies.
@@ -233,7 +189,6 @@ class ReplicaSet(NamedReads):
         — that copy is skipped and the pin moves to the one that answers."""
         candidates = deque(self._selection_order())
         reasons: Dict[int, str] = {}
-        hedged = False
         if pinned is not None:
             reasons[pinned.replica_id] = pinned.failure
             candidates.remove(pinned.replica_id)
@@ -245,14 +200,7 @@ class ReplicaSet(NamedReads):
                     self._health[replica_id].skipped_open += 1
                 reasons[replica_id] = "circuit open"
                 continue
-            use_hedge = (
-                self._hedge is not None and not hedged and bool(candidates)
-            )
             try:
-                if use_hedge:
-                    hedged = True  # at most one backup per shard read
-                    return self._call_hedged(operation, replica_id, args,
-                                             candidates)
                 value = self._call(operation, replica_id, args)
                 if pinned is not None:
                     pinned.move_to(replica_id)
@@ -261,11 +209,6 @@ class ReplicaSet(NamedReads):
                 reasons[replica_id] = "transient"
             except ShardCrashedError:
                 reasons[replica_id] = "crashed"
-            except _HedgedFailure as failure:
-                reasons.update(failure.reasons)
-                for rid in failure.reasons:
-                    if rid in candidates:
-                        candidates.remove(rid)
             self._count_failovers(1)
         return self._raise_exhausted(operation, reasons)
 
@@ -314,7 +257,7 @@ class ReplicaSet(NamedReads):
                         requests: int = 0) -> None:
         """Book ``reads`` successes on one copy under one lock acquisition:
         counters advance by ``reads`` (``requests`` by a pin's not-yet-
-        counted attempts), EWMA and hedge window take the mean latency."""
+        counted attempts), the EWMA gauge takes the mean latency."""
         health = self._health[replica_id]
         if reads:
             sample_ms = elapsed_ms / reads
@@ -325,101 +268,7 @@ class ReplicaSet(NamedReads):
                 else:
                     health.ewma_ms += _EWMA_ALPHA * (sample_ms - health.ewma_ms)
                 health.successes += reads
-                self._samples.append(sample_ms)
         self.breakers[replica_id].record_successes(reads)
-
-    # ------------------------------------------------------------------
-    # Hedged reads
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The hedge pool, built on the first hedged read: ``min(4, R + 1)``
-        threads, enough for every leg a hedge can race."""
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(4, self.num_replicas + 1),
-                    thread_name_prefix=f"repro-hedge-{self.shard_id}",
-                )
-            return self._pool
-
-    def _call_hedged(self, operation: str, primary_id: int, args: tuple,
-                     candidates) -> Any:
-        """First attempt with a backup racer: primary now, next-best replica
-        after the hedge delay, first response wins, loser cancelled."""
-        deadline = current_deadline()
-        remaining_s = _remaining_seconds(deadline)
-        delay_s = self._hedge.delay_seconds(list(self._samples))
-        if remaining_s is not None:
-            delay_s = min(delay_s, remaining_s)
-        pool = self._ensure_pool()
-        primary_future = pool.submit(self._call, operation, primary_id, args)
-        try:
-            return primary_future.result(timeout=delay_s)
-        except FutureTimeoutError:
-            pass  # primary is slow: hedge
-        except TransientShardError:
-            raise _HedgedFailure({primary_id: "transient"}) from None
-        except ShardCrashedError:
-            raise _HedgedFailure({primary_id: "crashed"}) from None
-        backup_id = next(
-            (rid for rid in candidates if self.breakers[rid].allow()), None
-        )
-        if backup_id is None:
-            # Nowhere to hedge to: just wait the primary out.
-            return self._await_leg(primary_future, primary_id, deadline)
-        with self._lock:
-            self.hedges_fired += 1
-        self._count_hedge("fired")
-        backup_future = pool.submit(self._call, operation, backup_id, args)
-        futures = {primary_future: primary_id, backup_future: backup_id}
-        reasons: Dict[int, str] = {}
-        while futures:
-            timeout = _remaining_seconds(deadline)
-            done, _ = wait(set(futures), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            if not done:
-                # Deadline expired with both legs in flight: abandon them
-                # (their health outcomes land when they finish) and let the
-                # engine's deadline machinery classify the loss.
-                for future in futures:
-                    future.cancel()
-                reasons.update(
-                    (rid, "transient") for rid in futures.values()
-                )
-                raise _HedgedFailure(reasons)
-            for future in done:
-                replica_id = futures.pop(future)
-                try:
-                    value = future.result()
-                except TransientShardError:
-                    reasons[replica_id] = "transient"
-                except ShardCrashedError:
-                    reasons[replica_id] = "crashed"
-                else:
-                    if replica_id == backup_id:
-                        with self._lock:
-                            self.hedges_won += 1
-                        self._count_hedge("won")
-                    else:
-                        with self._lock:
-                            self.hedges_wasted += 1
-                        self._count_hedge("wasted")
-                    for loser in futures:
-                        loser.cancel()  # best-effort; a running leg drains
-                    return value
-        raise _HedgedFailure(reasons)
-
-    def _await_leg(self, future, replica_id: int, deadline) -> Any:
-        timeout = _remaining_seconds(deadline)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise _HedgedFailure({replica_id: "transient"}) from None
-        except TransientShardError:
-            raise _HedgedFailure({replica_id: "transient"}) from None
-        except ShardCrashedError:
-            raise _HedgedFailure({replica_id: "crashed"}) from None
 
     # ------------------------------------------------------------------
     # Metrics
@@ -435,13 +284,6 @@ class ReplicaSet(NamedReads):
             "Reads that moved past a failed/skipped replica, by shard",
             shard=str(self.shard_id),
         ).inc(count)
-
-    def _count_hedge(self, outcome: str) -> None:
-        self._metrics().counter(
-            "repro_replica_hedges_total",
-            "Hedged backup reads by outcome (fired / won / wasted)",
-            outcome=outcome,
-        ).inc()
 
     # ------------------------------------------------------------------
     # Mutations: forward to every copy, assert convergence
@@ -517,21 +359,12 @@ class ReplicaSet(NamedReads):
         return getattr(self._replicas[0], "chaos", None)
 
     def close(self) -> None:
-        """Release the hedge pool and close closeable replicas (durable
-        primaries sync + release their WAL handles)."""
-        self.close_pool()
+        """Close closeable replicas (durable primaries sync + release their
+        WAL handles)."""
         for replica in self._replicas:
             closer = getattr(self._raw(replica), "close", None)
             if callable(closer):
                 closer()
-
-    def close_pool(self) -> None:
-        """Release only the hedge thread pool (engine shutdown path; the
-        serving layer closes the replicas themselves via :meth:`close`)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class PinnedReplica(NamedReads):

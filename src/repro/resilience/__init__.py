@@ -35,13 +35,7 @@ from .errors import (
     TransientShardError,
 )
 from .health import HealthBoard, ShardHealth
-from .policy import (
-    DEFAULT_POLICY,
-    Deadline,
-    ResiliencePolicy,
-    current_deadline,
-    deadline_scope,
-)
+from .policy import DEFAULT_POLICY, Deadline, ResiliencePolicy
 
 __all__ = [
     "CLOSED",
@@ -62,6 +56,4 @@ __all__ = [
     "ShardHealth",
     "ShardUnavailableError",
     "TransientShardError",
-    "current_deadline",
-    "deadline_scope",
 ]

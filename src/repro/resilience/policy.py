@@ -15,11 +15,9 @@ admission, consulted before every shard call and between retries.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -115,27 +113,3 @@ class Deadline:
         if self.deadline_ms is None:
             return "Deadline(unbounded)"
         return f"Deadline({self.remaining_ms():.1f} of {self.deadline_ms:g} ms left)"
-
-
-#: The query deadline active on this thread of execution, if any.  The
-#: engine scopes every shard call with :func:`deadline_scope`; layers that
-#: cannot receive the deadline as an argument — a ReplicaSet sitting behind
-#: the index read protocol, deciding whether a hedged backup read still
-#: fits the budget — read it from here instead of growing the protocol.
-_CURRENT_DEADLINE: contextvars.ContextVar[Optional[Deadline]] = \
-    contextvars.ContextVar("repro_deadline", default=None)
-
-
-def current_deadline() -> Optional[Deadline]:
-    """The :class:`Deadline` governing the current shard call (or None)."""
-    return _CURRENT_DEADLINE.get()
-
-
-@contextmanager
-def deadline_scope(deadline: Optional[Deadline]):
-    """Make ``deadline`` visible to everything below the index protocol."""
-    token = _CURRENT_DEADLINE.set(deadline)
-    try:
-        yield deadline
-    finally:
-        _CURRENT_DEADLINE.reset(token)

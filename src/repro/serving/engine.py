@@ -198,7 +198,6 @@ class ServingEngine:
         fsync_every: int = 1,
         clock: Clock = MONOTONIC,
         replicas: int = 1,
-        hedge_ms=None,
         **cache_options,
     ) -> "ServingEngine":
         """Build a serving engine; ``shards > 1`` builds a sharded deployment.
@@ -222,8 +221,7 @@ class ServingEngine:
         ``replicas`` > 1 (sharded deployments only) grows every shard to
         that many bit-identical copies behind automatic failover —
         *after* durability wrapping, so only replica 0 of each shard owns
-        the WAL and the other copies bootstrap from its snapshot + log;
-        ``hedge_ms`` additionally arms hedged reads
+        the WAL and the other copies bootstrap from its snapshot + log
         (:mod:`repro.replication`).
         """
         # Before the build and before ``data_dir`` exists, not after.
@@ -236,8 +234,7 @@ class ServingEngine:
         if shards > 1:
             engine = ShardedEngine.assemble(
                 index, workers=workers, worker_mode=worker_mode,
-                policy=policy, clock=clock,
-                replicas=replicas, hedge_ms=hedge_ms,
+                policy=policy, clock=clock, replicas=replicas,
             )
         else:
             engine = DiversityEngine(index)
@@ -254,7 +251,6 @@ class ServingEngine:
         fsync_every: Optional[int] = None,
         cache: Optional[ServingCache] = None,
         replicas: Optional[int] = None,
-        hedge_ms=None,
         **cache_options,
     ) -> "ServingEngine":
         """Resurrect a serving engine from a durable data directory.
@@ -285,7 +281,7 @@ class ServingEngine:
         else:
             engine = ShardedEngine.assemble(
                 recovered, workers=workers, worker_mode=worker_mode,
-                policy=policy, replicas=replicas, hedge_ms=hedge_ms,
+                policy=policy, replicas=replicas,
             )
         if cache is None and cache_options:
             cache = ServingCache(**cache_options)

@@ -191,7 +191,6 @@ class ShardedEngine(DiversityEngine):
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
         replicas: int = 1,
-        hedge_ms: Optional[float] = None,
         chaos: Optional[ChaosPolicy] = None,
     ) -> "ShardedEngine":
         """Stack the deployment layers over a built (or recovered) index.
@@ -207,10 +206,7 @@ class ShardedEngine(DiversityEngine):
                        max(replicas, index.replication_factor),
                        chaos=chaos is not None)
         if replicas > 1:
-            from ..replication import HedgePolicy
-
-            hedge = HedgePolicy(delay_ms=hedge_ms) if hedge_ms is not None else None
-            index.replicate(replicas, policy=policy, clock=clock, hedge=hedge)
+            index.replicate(replicas, policy=policy, clock=clock)
         engine = cls(index, workers=workers, worker_mode=worker_mode,
                      policy=policy, clock=clock, sleep=sleep)
         if chaos is not None:
@@ -230,14 +226,12 @@ class ShardedEngine(DiversityEngine):
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
         replicas: int = 1,
-        hedge_ms: Optional[float] = None,
     ) -> "ShardedEngine":
         """Build the sharded index (offline step) and wrap it in an engine.
 
         ``replicas`` > 1 grows every shard to that many bit-identical
-        copies behind automatic failover; ``hedge_ms`` additionally arms
-        hedged reads with that cold-start delay (see
-        :mod:`repro.replication`).  ``workers`` > 1 runs the gather
+        copies behind automatic failover (see :mod:`repro.replication`).
+        ``workers`` > 1 runs the gather
         algorithms on that many worker processes, started per
         ``worker_mode`` (``"process"`` picks the platform's best of
         ``"fork"``/``"spawn"``; :mod:`repro.parallel`) — incompatible with
@@ -248,13 +242,13 @@ class ShardedEngine(DiversityEngine):
         index = ShardedIndex.build(relation, ordering, shards=shards, backend=backend)
         return cls.assemble(index, workers=workers, worker_mode=worker_mode,
                             policy=policy, clock=clock, sleep=sleep,
-                            replicas=replicas, hedge_ms=hedge_ms)
+                            replicas=replicas)
 
     # ------------------------------------------------------------------
     # Lifecycle (persistent fan-out pool)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the fan-out pool and the replica sets' hedge pools.
+        """Release the fan-out pool.
 
         Idempotent and concurrency-safe (callable from a signal handler
         while a search is in flight): callers serialise on the close
@@ -266,12 +260,6 @@ class ShardedEngine(DiversityEngine):
                 registry, collect = collector
                 registry.unregister_collector(collect)
             self._executor.close()
-            for shard in self._index.shards:
-                # Release replica-set hedge pools; the replicas themselves
-                # (and their WALs) belong to the serving layer's close.
-                close_pool = getattr(shard, "close_pool", None)
-                if callable(close_pool):
-                    close_pool()
 
     # ------------------------------------------------------------------
     # Introspection

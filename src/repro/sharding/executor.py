@@ -29,7 +29,7 @@ from ..resilience.errors import (
     ShardUnavailableError,
     TransientShardError,
 )
-from ..resilience.policy import Deadline, deadline_scope
+from ..resilience.policy import Deadline
 
 
 @dataclass
@@ -101,11 +101,7 @@ class PolicyRunner:
         attempts = 0
         while True:
             try:
-                # The deadline scope lets layers below the index read
-                # protocol (a ReplicaSet timing a hedged backup read) see
-                # the remaining budget without widening the protocol.
-                with deadline_scope(deadline):
-                    return operation(), attempts
+                return operation(), attempts
             except TransientShardError as error:
                 health.record_transient(error.shard_id)
                 if attempts >= policy.max_retries:
@@ -150,8 +146,7 @@ class PolicyRunner:
             health.record_admitted(shard_id)
             reader = index.pinned(shard_id)  # one replica choice per attempt
             try:
-                with deadline_scope(deadline):
-                    value = task(reader)
+                value = task(reader)
             except TransientShardError:
                 health.record_transient(shard_id)
                 if attempts >= self.policy.max_retries:
@@ -241,7 +236,7 @@ def gather_backend(worker_mode: str, workers: int, num_shards: int,
         raise UnsupportedWorkerModeError(
             f"process workers (workers={workers}, worker_mode="
             f"{worker_mode!r}) cannot fan out over a replicated deployment "
-            f"(replicas={replicas}): replica failover and hedging are "
+            f"(replicas={replicas}): replica failover is "
             f"coordinator-side state that worker processes cannot mirror; "
             f"use workers=0 with replicas > 1"
         )

@@ -232,7 +232,6 @@ class ShardedIndex:
         count: int,
         policy=None,
         clock=None,
-        hedge=None,
         registry=None,
     ) -> None:
         """Grow every logical shard to ``count`` bit-identical replicas.
@@ -259,7 +258,6 @@ class ShardedIndex:
                 shard_id,
                 policy=policy,
                 clock=clock if clock is not None else MONOTONIC,
-                hedge=hedge,
                 registry=registry,
             )
             for shard_id, shard in enumerate(self._shards)

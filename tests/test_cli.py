@@ -234,7 +234,7 @@ class TestCommandsCloseWhatTheyOpen:
         import threading
 
         return sorted(thread.name for thread in threading.enumerate()
-                      if thread.name.startswith("repro-hedge"))
+                      if thread.name.startswith("repro-"))
 
     def _build_store(self, cars_csv, tmp_path, *extra):
         store = tmp_path / "store"
@@ -259,7 +259,7 @@ class TestCommandsCloseWhatTheyOpen:
         assert main(["recover", str(store)]) == 0
         assert main([
             "query", str(store), "Make = 'Honda'", "-k", "2",
-            "--algorithm", "naive", "--hedge-ms", "5",
+            "--algorithm", "naive",
         ]) == 0
         assert main([
             "plan", "explain", str(store), "Make = 'Honda'",

@@ -2,7 +2,6 @@
 
 * the process pool is ``min(workers, shards)`` wide and reused while the
   index stands still;
-* replica-set hedge pools are ``min(4, R + 1)`` wide;
 * ``close()`` after a killed worker or from many threads at once joins
   every worker process;
 * a killed worker process costs one degraded answer, not the engine;
@@ -29,7 +28,6 @@ from repro.parallel import (
     UnsupportedWorkerModeError,
     resolve_worker_mode,
 )
-from repro.replication.replica_set import ReplicaSet
 from repro.observability import use_registry
 from repro.resilience import ChaosPolicy
 from repro.resilience.policy import Deadline
@@ -74,25 +72,6 @@ class TestProcessPoolWidth:
             worker_mode="fork",
         ) as engine:
             assert engine._executor._ensure_pool() is engine._executor._ensure_pool()
-
-
-class TestHedgePoolWidth:
-    def test_no_budget_keeps_the_legacy_width(self):
-        shard = ShardedIndex.build(
-            figure1_relation(), figure1_ordering(), shards=2
-        ).shards[0]
-        for replicas, width in ((1, 2), (2, 3), (3, 4), (9, 4)):
-            replica_set = ReplicaSet([shard] * replicas, 0)
-            assert replica_set._ensure_pool()._max_workers == width
-            replica_set.close_pool()
-
-    def test_standalone_set_keeps_legacy_width(self):
-        relation = random_relation(random.Random(12), max_rows=20)
-        index = ShardedIndex.build(relation, RANDOM_ORDERING, shards=2)
-        index.replicate(2)
-        for shard in index.shards:
-            assert shard._ensure_pool()._max_workers == 3  # min(4, R + 1)
-            shard.close_pool()
 
 
 # ----------------------------------------------------------------------

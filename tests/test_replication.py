@@ -1,4 +1,4 @@
-"""Unit tests for repro.replication: bootstrap, failover, hedging,
+"""Unit tests for repro.replication: bootstrap, failover,
 mutation convergence, per-replica chaos, and the replica health surface.
 
 The differential acceptance matrix (every algorithm, scored and unscored,
@@ -9,6 +9,7 @@ this file tests the machinery piece by piece.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro import DiversityEngine
 from repro.index.inverted import InvertedIndex
 from repro.observability import FakeClock, MetricsRegistry, use_registry
 from repro.replication import (
-    HedgePolicy,
     ReplicaBootstrapError,
     ReplicaSet,
     bootstrap_replicas,
@@ -35,7 +35,12 @@ from repro.resilience import (
 )
 from repro.sharding import ShardedEngine, ShardedIndex
 
-from .conftest import RANDOM_ORDERING, CountingLock, random_relation
+from .conftest import (
+    RANDOM_ORDERING,
+    CountingLock,
+    random_query,
+    random_relation,
+)
 
 #: Fast-failing policy for breaker-path tests (trips after two failures).
 TRIGGER_HAPPY = ResiliencePolicy(
@@ -182,6 +187,35 @@ class TestFailover:
         assert replica_set._selection_order()[0] != 0
         assert replica_set._selection_order()[-1] == 0
 
+    def test_fault_free_reads_stay_on_the_primary(self):
+        """Regression: a copy never read had EWMA 0.0 and outranked the
+        primary once the primary was sampled, so which copy served a
+        healthy read depended on single timing samples."""
+        engine, _ = self._replicated_engine(shards=4)
+        rng = random.Random(23)
+        for _ in range(25):
+            query = random_query(rng)
+            engine.search(query, 5, algorithm="probe")
+            engine.search(query, 5, algorithm="naive")
+        for replica_set in engine.sharded_index.shards:
+            primary, follower = replica_set.health_rows()
+            assert primary["successes"] > 0
+            assert follower["requests"] == 0
+        engine.close()
+
+    def test_reads_never_spawn_threads(self):
+        index = ShardedIndex.build(_relation(), RANDOM_ORDERING, shards=1)
+        index.replicate(2)
+        index.inject_chaos(ChaosPolicy(seed=8, per_shard={
+            (0, 0): ShardFaultSpec(transient_rate=0.5),
+        }))
+        before = threading.active_count()
+        replica_set = index.shards[0]
+        for _ in range(5):
+            replica_set.all_postings()
+        assert replica_set.failovers > 0
+        assert threading.active_count() == before
+
     def test_exhausted_reasons_name_every_replica(self):
         index = ShardedIndex.build(_relation(), RANDOM_ORDERING, shards=1)
         index.replicate(2)
@@ -202,71 +236,6 @@ class TestFailover:
         index.inject_chaos(chaos)
         with pytest.raises(TransientShardError):
             index.shards[0].all_postings()
-
-
-# ----------------------------------------------------------------------
-# Hedged reads
-# ----------------------------------------------------------------------
-class TestHedging:
-    def test_delay_floor_and_percentile(self):
-        policy = HedgePolicy(delay_ms=10.0, percentile=0.9, min_samples=4)
-        assert policy.delay_seconds([]) == pytest.approx(0.010)
-        assert policy.delay_seconds([1.0, 2.0]) == pytest.approx(0.010)
-        samples = [float(i) for i in range(1, 101)]  # 1..100 ms
-        assert policy.delay_seconds(samples) == pytest.approx(0.091)
-        # The floor wins when the observed percentile is lower.
-        assert HedgePolicy(delay_ms=500.0, min_samples=4).delay_seconds(
-            samples) == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HedgePolicy(delay_ms=-1.0)
-        with pytest.raises(ValueError):
-            HedgePolicy(percentile=1.0)
-        with pytest.raises(ValueError):
-            HedgePolicy(window=0)
-
-    def test_slow_primary_loses_to_hedged_backup(self):
-        relation = _relation(seed=31)
-        engine = ShardedEngine.from_relation(
-            relation, RANDOM_ORDERING, shards=2, replicas=2, hedge_ms=0.01
-        )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=5))
-        chaos.set_spec((0, 0), ShardFaultSpec(latency_ms=40.0))
-        reference = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
-        expected = reference.search("color = 'red'", 5, algorithm="probe")
-        actual = engine.search("color = 'red'", 5, algorithm="probe")
-        assert actual.deweys == expected.deweys
-        replica_set = engine.sharded_index.shards[0]
-        assert replica_set.hedges_fired > 0
-        assert replica_set.hedges_won > 0
-        # Never more than one backup per read, by construction.
-        assert replica_set.hedges_fired <= replica_set._health[0].requests
-        engine.close()
-
-    def test_unhedged_set_never_spawns_threads(self):
-        index = ShardedIndex.build(_relation(), RANDOM_ORDERING, shards=1)
-        index.replicate(2)
-        replica_set = index.shards[0]
-        for _ in range(5):
-            replica_set.all_postings()
-        assert replica_set._pool is None
-
-    def test_hedge_metrics_exported(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            relation = _relation(seed=32)
-            engine = ShardedEngine.from_relation(
-                relation, RANDOM_ORDERING, shards=2, replicas=2,
-                hedge_ms=0.01,
-            )
-            chaos = engine.inject_chaos(ChaosPolicy(seed=6))
-            chaos.set_spec((1, 0), ShardFaultSpec(latency_ms=40.0))
-            engine.search("color = 'red'", 4, algorithm="probe")
-            fired = registry.value(
-                "repro_replica_hedges_total", outcome="fired")
-            assert fired > 0
-            engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +490,7 @@ def _single_index():
 
 class TestPinnedPhase:
     def _engine(self, policy=WIDE_WINDOW, shards=4, **options):
-        clock = FakeClock()  # zero latencies: replica 0 wins every tie
+        clock = FakeClock()  # breaker cooldowns advance only on demand
         return ShardedEngine.from_relation(
             _relation(), RANDOM_ORDERING, shards=shards, replicas=2,
             policy=policy, clock=clock, sleep=clock.sleep, **options)
@@ -660,12 +629,8 @@ class TestPinnedPhase:
         assert breaker.state == "closed"
         assert list(breaker._outcomes) == [True]  # as two record_success
 
-    def test_hedged_or_refused_set_hands_back_itself(self):
+    def test_refused_set_hands_back_itself(self):
         index = _single_index()
-        hedged = ReplicaSet.grow(index, 2, shard_id=0,
-                                 hedge=HedgePolicy(delay_ms=5.0))
-        assert hedged.pin() is hedged
-        hedged.close_pool()
         refused = ReplicaSet.grow(index, 2, shard_id=0, policy=TRIGGER_HAPPY)
         for breaker in refused.breakers:
             breaker.record_failure()
