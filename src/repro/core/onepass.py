@@ -4,54 +4,32 @@ Both variants make a single left-to-right scan of the merged posting list,
 maintaining a diverse top-k of everything seen so far and *skipping* regions
 that provably cannot contribute.  The paper gives the driver (Algorithm 1)
 but leaves the ``Node`` data structure abstract; :class:`OnePassTree` is our
-realisation, derived in DESIGN.md:
+realisation, derived in DESIGN.md §3 ("One-pass skipping rule"):
 
-* ``add``/``remove`` keep the invariant that the kept set is a maximally
-  diverse (min(k, seen))-subset of the scanned prefix: ``remove`` deletes
-  the leaf whose root-to-leaf count vector is lexicographically largest (the
-  most over-represented item), restricted to minimum-score leaves in the
-  scored case.
+* ``remove`` deletes the leaf whose root-to-leaf count vector is
+  lexicographically largest (the most over-represented item), restricted to
+  minimum-score ("evictable") leaves in the scored case, so the kept set
+  stays a maximally diverse (min(k, seen))-subset of the scanned prefix.
+* ``get_skip_id`` walks the current Dewey path for the deepest level where a
+  new sibling branch could still survive a rebalancing swap.  **A(j)**: some
+  child of the level-``j`` node holds >= 2 items, one evictable.  **B(j')**:
+  an ancestor's child other than the path's holds >= (path child count + 2)
+  evictable items, so any insertion below the path helps.  The scan jumps
+  there; if no level can benefit it terminates (unscored) or continues for
+  strictly higher scores only (scored).
 
-* ``get_skip_id`` reasons about *where a future item could still improve*
-  the kept set.  During the scan the tree always holds exactly k items, so a
-  new item survives only through a rebalancing swap: evict one leaf from an
-  over-represented *donor* child, insert the new item elsewhere.  Walking
-  the current Dewey path, a new sibling branch at level ``j+1`` helps iff
-
-  - **A(j)**: some child of the level-``j`` node holds >= 2 items, one of
-    them evictable (the classic "two Civics, none of this model yet" swap,
-    improving balance at level ``j+1``), or
-  - **B(j')** for an ancestor ``j' < j``: some child *other than the current
-    path's* holds >= (path child count + 2) evictable items — then any
-    insertion below the path child improves the ancestor's balance, however
-    deep it lands.
-
-  The scan jumps to the next sibling branch of the deepest beneficial
-  level; if no level can benefit, it terminates (unscored) or continues for
-  strictly higher scores only (scored).  Evictability ("tier") means holding
-  a minimum-score leaf — in the unscored case, any leaf.
-
-Stubs: the lazy tree
---------------------
-
-Every quantity above is a count below a prefix, so the structure is a tree
-of :class:`OnePassNode`: int-keyed ``children``, the item ``count`` and the
-per-score ``tier`` counter on the node.  A branch holding exactly one item
-is a single *stub* (``children is None``, the id in ``item``) hanging where
-its path leaves the rest of the tree.  A stub grows by one level — its item
-moves into a new stub below — only when a second item arrives in its
-branch; a grown node that falls back to one item stays grown.  A visited
-item then usually costs one or two nodes, not ``depth + 1`` entries in each
-of three prefix-keyed dicts as in the eager structure kept in
-``tests/reference_onepass_tree.py`` (``tests/test_onepass_lazy.py`` holds
-the two to the same victims and skip ids at every step).
-
-``remove`` and ``get_skip_id`` descend through grown nodes only.  The first
-stub ``remove`` meets is its victim (of equally crowded children the
-smallest component loses; see its docstring).  ``get_skip_id`` may stop at
-the first stub or missing child: no node below holds two items, so A(j)
-fails at every deeper level and an ancestor's B(j') alone decides whether
-the scan stays inside the branch.
+The tree of :class:`OnePassNode` is lazy.  A branch holding one item is a
+single *stub* (``children is None``, the id in ``item``) that grows by one
+level only when a second item arrives in it; a grown node that falls back
+to one item stays grown.  Per-score ``tier`` counters appear only once a
+second distinct score is added; until then (always, unscored) every leaf is
+evictable and nodes keep counts alone.  ``remove`` drops counts on its way
+down and unlinks the first child holding the victim alone: one walk.
+``get_skip_id`` returns the plain next id at the first B(j'), since every
+deeper level then benefits, and stops at the first stub or missing child,
+below which A(j) fails.  ``tests/test_onepass_lazy.py`` holds the tree to
+the eager structure of ``tests/reference_onepass_tree.py``: the same
+victims and skip ids at every step.
 """
 
 from __future__ import annotations
@@ -73,8 +51,8 @@ class OnePassNode:
     __slots__ = ("count", "tier", "children", "item")
 
     def __init__(self, count, tier, children, item):
-        self.count: int = count  # kept items below; ``tier``: how many per score
-        self.tier: Dict[float, int] = tier
+        self.count: int = count  # kept items below
+        self.tier: Optional[Dict[float, int]] = tier  # per score, or None
         self.children: Optional[Dict[int, OnePassNode]] = children
         self.item: Optional[DeweyId] = item
 
@@ -94,12 +72,13 @@ class OnePassTree:
         self.depth = depth
         self.k = k
         self._scores: Dict[DeweyId, float] = {}
-        # Always grown; its tier is the multiset of all kept scores.
-        self._root = OnePassNode(0, {}, {}, None)
+        # Always grown; once tiered, its tier is the multiset of kept scores.
+        self._root = OnePassNode(0, None, {}, None)
+        self._tiered = False
         # score -> the ``{score: 1}`` tier shared by every stub of that
         # score.  Never mutated: growing a stub copies it.
         self._unit_tiers: Dict[float, Dict[float, int]] = {}
-        self._cached_min: Optional[float] = None
+        self._cached_min: Optional[float] = None  # untiered: the one score
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -120,22 +99,39 @@ class OnePassTree:
     def scored_results(self) -> Dict[DeweyId, float]:
         return dict(self._scores)
 
+    def _build_tiers(self) -> None:
+        """A second distinct score arrives: give every node the tier it
+        would have kept all along, every kept item scoring ``_cached_min``."""
+        score = self._cached_min
+        unit = self._unit_tiers[score] = {score: 1}
+        nodes = [self._root]
+        for node in nodes:  # grows as it goes: breadth first
+            if node.children is None:
+                node.tier = unit
+            else:
+                node.tier = {score: node.count}
+                nodes.extend(node.children.values())
+        self._tiered = True
+
     def add(self, dewey: DeweyId, score: float = _UNSCORED) -> None:
         if len(dewey) != self.depth:
             raise ValueError(f"expected depth {self.depth}, got {dewey}")
         if dewey in self._scores:
             return
-        self._scores[dewey] = score
-        if self._cached_min is not None and score < self._cached_min:
+        if self._scores and not self._tiered and score != self._cached_min:
+            self._build_tiers()
+        cached = self._cached_min
+        if not self._scores or cached is not None and score < cached:
             self._cached_min = score
-        unit = self._unit_tiers.get(score)
-        if unit is None:
-            unit = self._unit_tiers[score] = {score: 1}
+        self._scores[dewey] = score
+        unit = None
+        if self._tiered:
+            unit = self._unit_tiers.setdefault(score, {score: 1})
         node = self._root
         for level, component in enumerate(dewey, 1):
             node.count += 1
-            tier = node.tier
-            tier[score] = tier.get(score, 0) + 1
+            if unit is not None:
+                node.tier[score] = node.tier.get(score, 0) + 1
             child = node.children.get(component)
             if child is None:
                 node.children[component] = OnePassNode(1, unit, None, dewey)
@@ -144,40 +140,46 @@ class OnePassTree:
                 # A stub in the way grows: its item moves into a new stub below.
                 item = child.item
                 child.children = {item[level]: OnePassNode(1, child.tier, None, item)}
-                child.tier = dict(child.tier)  # the unit tier stays shared
+                if unit is not None:
+                    child.tier = dict(child.tier)  # the unit tier stays shared
                 child.item = None
             node = child
 
     def remove(self) -> Optional[DeweyId]:
         """Drop one most redundant minimum-score leaf; returns it.
 
-        Descends from the root into a highest-count child that still holds a
-        minimum-score leaf — the reverse-greedy step of the (bounded)
-        water-fill, which keeps every prefix optimal for its shrunken
-        cardinality (allocations are nested, DESIGN.md §3).  Ties between
-        equally crowded children go left, to the smallest component: a
-        left-to-right scan then always keeps the later-seen of two equals,
-        and the answer does not depend on the order a dict or set happens
-        to iterate in.
+        Descends into a highest-count child that still holds a minimum-score
+        leaf — the reverse-greedy step of the (bounded) water-fill, which
+        keeps every prefix optimal for its shrunken cardinality (DESIGN.md
+        §3).  Ties go left, to the smallest component: a left-to-right scan
+        keeps the later-seen of two equals, whatever a dict's order.  Counts
+        drop on the way down; the first child holding the victim alone is
+        unlinked, where ``discard`` would unlink it.
         """
         if not self._scores:
             return None
-        theta = self.min_score()
+        tiered = self._tiered
+        theta = self.min_score() if tiered else None
         node = self._root
-        while node.children is not None:
-            best = None
-            best_count = 0
-            best_component = 0
+        while True:
+            best, best_count, best_component = None, 0, 0
             for component, child in node.children.items():
                 count = child.count
-                if count < best_count or theta not in child.tier:
+                if count < best_count or tiered and theta not in child.tier:
                     continue
                 if count > best_count or component < best_component:
                     best, best_count, best_component = child, count, component
+            node.count -= 1
+            if tiered:
+                self._untier(node.tier, theta)
+            if best_count == 1:
+                del node.children[best_component]
+                break
             node = best
-        victim = node.item
-        self.discard(victim)
-        return victim
+        while best.children is not None:  # a grown node left with one item
+            (best,) = best.children.values()
+        del self._scores[best.item]
+        return best.item
 
     def discard(self, dewey: DeweyId) -> bool:
         """Drop ``dewey`` if it is kept; returns whether it was."""
@@ -187,23 +189,24 @@ class OnePassTree:
         node = self._root
         for component in dewey:
             node.count -= 1
-            tier = node.tier
-            left = tier[score] - 1
-            if left:
-                tier[score] = left
-            else:
-                del tier[score]
+            if self._tiered:
+                self._untier(node.tier, score)
             child = node.children[component]
             if child.count == 1:
                 # ``dewey`` is all that hangs here, stub or grown: unlink it.
                 del node.children[component]
                 break
             node = child
-        if score not in self._root.tier:
-            del self._unit_tiers[score]
-            if self._cached_min == score:
-                self._cached_min = None
         return True
+
+    def _untier(self, tier: Dict[float, int], score: float) -> None:
+        tier[score] -= 1
+        if not tier[score]:
+            del tier[score]
+            if tier is self._root.tier:  # the last of its score: forget it
+                del self._unit_tiers[score]
+                if self._cached_min == score:
+                    self._cached_min = None
 
     # ------------------------------------------------------------------
     # Skipping
@@ -216,37 +219,28 @@ class OnePassTree:
         """
         if not self._scores:
             return None
-        theta = self.min_score()
-        depth = self.depth
+        tiered = self._tiered
+        theta = self.min_score() if tiered else None
         deepest = -1
-        ancestor_benefit = False
         node = self._root
-        for level in range(depth):
-            path_child = node.children.get(current[level])
+        for level, component in enumerate(current):
+            path_child = node.children.get(component)
             path_count = path_child.count if path_child is not None else 0
-            swap_here = False        # A(level): new branch at level+1 helps
-            swap_below = False       # B(level): insertions below path help
             for child in node.children.values():
                 count = child.count
-                if count < 2 or theta not in child.tier:
+                if count < 2 or tiered and theta not in child.tier:
                     continue
-                swap_here = True
-                if child is not path_child and count >= path_count + 2:
-                    swap_below = True
-                    break
-            if swap_here or ancestor_benefit:
-                deepest = level
-            ancestor_benefit = ancestor_benefit or swap_below
+                deepest = level  # A(level): a new branch at level+1 helps
+                if count >= path_count + 2:
+                    # B(level): any insertion below the path child helps.
+                    return successor(current)
             if path_child is None or path_child.children is None:
-                # Off the grown tree: only an ancestor's B(j') helps below.
-                if ancestor_benefit:
-                    deepest = depth - 1
-                break
+                break  # off the grown tree: no A(j) below, no B(j') above
             node = path_child
         if deepest < 0:
             return None
         # The paper's nextId(current, deepest + 1, LEFT).
-        tail = (current[deepest] + 1,) + (0,) * (depth - 1 - deepest)
+        tail = (current[deepest] + 1,) + (0,) * (self.depth - 1 - deepest)
         return current[:deepest] + tail
 
 
@@ -277,10 +271,8 @@ def one_pass_unscored(
         step = successor(current)
         if not use_skips:
             skip_id = step
-        elif step is None or skip_id > step:
-            # A branch-sized jump, not a plain step.  getattr tolerates
-            # wrapper views (exclusion, tracing) that predate the counter.
-            merged.skip_jumps = getattr(merged, "skip_jumps", 0) + 1
+        elif skip_id > step:
+            merged.skip_jumps += 1  # a branch-sized jump, not a plain step
         current = merged.next(skip_id)
     return tree.results()
 
@@ -308,10 +300,10 @@ def one_pass_scored(merged: MergedList, k: int) -> Dict[DeweyId, float]:
         theta = tree.min_score()
         skip_id = tree.get_skip_id(current)
         start = successor(current)
-        if start is not None and (skip_id is None or skip_id > start):
+        if skip_id is None or skip_id > start:
             # The tied-score tier is scanned from beyond ``start`` (or not
             # at all): a Section III-D skip, not a plain step.
-            merged.skip_jumps = getattr(merged, "skip_jumps", 0) + 1
+            merged.skip_jumps += 1
         step = merged.next_onepass_scored(start, skip_id, theta)
         if step is None:
             break

@@ -50,6 +50,14 @@ class ExcludingMergedList:
     def scored_next_calls(self) -> int:
         return self._merged.scored_next_calls
 
+    @property
+    def skip_jumps(self) -> int:
+        return self._merged.skip_jumps
+
+    @skip_jumps.setter
+    def skip_jumps(self, value: int) -> None:
+        self._merged.skip_jumps = value
+
     def next(self, bound: DeweyId, direction: str = LEFT) -> Optional[DeweyId]:
         current = bound
         while True:

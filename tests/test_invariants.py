@@ -113,20 +113,25 @@ def test_probe_structure_invariants_throughout_execution(seed, k):
 def check_onepass_tree(tree: OnePassTree) -> None:
     """Walk OnePassTree's nodes and verify the bookkeeping on each:
 
-    * ``count`` equals the number of kept leaves below and ``tier`` the
-      Counter of their scores; no reachable node has a count of zero,
+    * ``count`` equals the number of kept leaves below; no reachable node
+      has a count of zero,
+    * a tree with tiers: every node's ``tier`` is the Counter of the scores
+      below it, and the unit tiers stubs share are still ``{score: 1}``, one
+      per kept score,
+    * a tree without tiers: no node has one, and every kept score is equal,
     * a stub's ``item`` extends the prefix of the place it hangs from,
-    * the unit tiers stubs share are still ``{score: 1}``, one per kept
-      score,
     * the leaves are exactly the ids ``_scores`` holds.
     """
     kept = tree.scored_results()
+    root = tree._root
+    tiered = root.tier is not None
 
     def walk(node, prefix):
         """The kept ids below ``node``, which hangs at ``prefix``."""
         if node.children is None:
             assert node.item[: len(prefix)] == prefix
-            assert node.tier is tree._unit_tiers[kept[node.item]]
+            if tiered:
+                assert node.tier is tree._unit_tiers[kept[node.item]]
             below = [node.item]
         else:
             assert node.item is None
@@ -137,19 +142,25 @@ def check_onepass_tree(tree: OnePassTree) -> None:
                 for leaf in walk(child, prefix + (component,))
             ]
         assert node.count == len(below) > 0
-        assert node.tier == Counter(kept[leaf] for leaf in below)
+        if tiered:
+            assert node.tier == Counter(kept[leaf] for leaf in below)
+        else:
+            assert node.tier is None
         return below
 
-    root = tree._root
     assert root.children is not None and root.count == len(kept)
-    assert root.tier == Counter(kept.values())
     leaves = [
         leaf
         for component, child in root.children.items()
         for leaf in walk(child, (component,))
     ]
     assert sorted(leaves) == tree.results() == sorted(kept)
-    assert tree._unit_tiers == {score: {score: 1} for score in root.tier}
+    if tiered:
+        assert root.tier == Counter(kept.values())
+        assert tree._unit_tiers == {score: {score: 1} for score in root.tier}
+    else:
+        assert len(set(kept.values())) <= 1
+        assert tree._unit_tiers == {}
 
 
 @settings(max_examples=60, deadline=None)

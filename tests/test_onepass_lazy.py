@@ -126,3 +126,73 @@ def test_equally_crowded_branches_lose_from_the_left():
         tree.add(dewey)
     assert tree.remove() == (1, 0)
     assert tree.results() == [(1, 1), (8, 0), (8, 1)]
+
+
+@given(st.integers(min_value=0, max_value=1_000_000), st.integers(1, 12))
+@settings(deadline=None)
+def test_an_unscored_run_keeps_no_score_tiers(seed, k):
+    """Every unscored leaf scores alike, so no node pays for a per-score
+    counter, however many adds, evictions and stub growths the scan makes."""
+    trees = []
+
+    class KeptTree(OnePassTree):
+        def __init__(self, depth, k):
+            super().__init__(depth, k)
+            trees.append(self)
+
+    query, index = random_case(seed, weighted=False)
+    with mock.patch.object(onepass, "OnePassTree", KeptTree):
+        one_pass_unscored(MergedList(query, index), k)
+    (tree,) = trees
+    assert tree._root.tier is None  # and so, checked below, is every node's
+    check_onepass_tree(tree)
+
+
+@given(st.integers(min_value=0, max_value=1_000_000))
+@settings(deadline=None)
+def test_a_second_score_builds_tiers_mid_run(seed):
+    """Equal scores for a while, then a second score: tiers are built at
+    that add, from the kept leaves, and victims and skip ids still match
+    the eager structure at every step before and after."""
+    rng = random.Random(seed)
+    depth = rng.randint(1, 4)
+    fanout = rng.randint(1, 3)
+    other = rng.choice([0.5, 2.0])  # below or above the first score
+    switch = rng.randint(1, 25)
+
+    def random_id():
+        return tuple(rng.randrange(fanout) for _ in range(depth))
+
+    eager = EagerOnePassTree(depth, 5)
+    lazy = OnePassTree(depth, 5)
+    for step in range(switch + rng.randint(1, 30)):
+        action = rng.random()
+        if step == switch:
+            dewey = random_id()
+            while dewey in lazy.scored_results():
+                dewey = tuple(rng.randrange(fanout + 1) for _ in range(depth))
+            was_empty = not lazy.num_items()
+            assert lazy._root.tier is None
+            eager.add(dewey, other)
+            lazy.add(dewey, other)
+            assert (lazy._root.tier is None) == was_empty
+        elif action < 0.5:
+            dewey = random_id()
+            score = 1.0 if step < switch else rng.choice([1.0, other])
+            eager.add(dewey, score)
+            lazy.add(dewey, score)
+        elif action < 0.65:
+            assert lazy.remove() == eager.remove()
+        elif action < 0.75:
+            dewey = random_id()
+            kept = eager.scored_results()
+            if dewey in kept:
+                eager._delete(dewey, kept[dewey])
+            assert lazy.discard(dewey) == (dewey in kept)
+        else:
+            current = random_id()
+            assert lazy.get_skip_id(current) == eager.get_skip_id(current)
+        assert lazy.scored_results() == eager.scored_results()
+        if lazy.num_items():
+            assert lazy.min_score() == eager.min_score()
+        check_onepass_tree(lazy)

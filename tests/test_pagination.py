@@ -5,6 +5,7 @@ import pytest
 from repro import DiversityEngine, is_diverse
 from repro.core.pagination import DiversePaginator, ExcludingMergedList
 from repro.core.dewey import LEFT, RIGHT, maxes, zeros
+from repro.core.onepass import one_pass_unscored
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.merged import MergedList
 from repro.query.evaluate import res
@@ -37,6 +38,14 @@ class TestExcludingMergedList:
         view = ExcludingMergedList(merged, {toyotas[0]})
         assert not view.contains(toyotas[0])
         assert view.contains(toyotas[1])
+
+    def test_one_pass_skips_count_on_the_wrapped_list(self, cars_index):
+        plain = MergedList(parse_query(""), cars_index)
+        merged = MergedList(parse_query(""), cars_index)
+        view = ExcludingMergedList(merged, set())
+        assert one_pass_unscored(view, 3) == one_pass_unscored(plain, 3)
+        assert merged.skip_jumps == view.skip_jumps == plain.skip_jumps > 0
+        assert "skip_jumps" not in vars(view)
 
 
 class TestPaginator:
