@@ -37,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from paper.autoselect import mixed_workloads, race_mix, summarise
 from paper.harness import env_int
+from paper.regret import RACED
 from repro.observability import MetricsRegistry
 from repro.planner import DEFAULT_CANDIDATES
 
@@ -64,6 +65,7 @@ def measure(rows, queries, repeats):
         "k": sorted({w["k"] for w in workloads}),
         "repeats": repeats,
         "candidates": list(DEFAULT_CANDIDATES),
+        "raced": list(RACED),
         "python": platform.python_version(),
         **summary,
         "metrics": registry.snapshot(),
@@ -109,6 +111,7 @@ if pytest is not None:
             entry["best_fixed"] for entry in autoselect_report["workloads"]
         }
         assert len(oracles) >= 2, oracles
+        assert oracles <= set(RACED), oracles
 
     def test_regret_exported_to_registry(autoselect_report):
         histograms = [
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
     report = measure(args.rows, args.queries, args.repeats)
     elapsed = time.perf_counter() - started
 
-    fixed = list(DEFAULT_CANDIDATES)
+    fixed = list(RACED)
     print(
         f"autoselect @ {args.rows} rows, {args.queries} queries/workload, "
         f"{args.repeats} repeats:"

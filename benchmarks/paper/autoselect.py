@@ -17,7 +17,7 @@ hard-coded algorithm can match it across the whole mix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.engine import DiversityEngine
 from repro.data.auctions import auctions_ordering, generate_auctions
@@ -90,15 +90,13 @@ def mixed_workloads(
 def race_mix(
     workloads: Sequence[Dict],
     repeats: int = 3,
-    candidates: Optional[Sequence[str]] = None,
     registry=None,
 ) -> List[RegretReport]:
     """Run the regret harness over every workload in the mix."""
     return [
         measure_regret(
             w["engine"], w["queries"], w["k"], scored=w["scored"],
-            candidates=candidates, repeats=repeats, name=w["name"],
-            registry=registry,
+            repeats=repeats, name=w["name"], registry=registry,
         )
         for w in workloads
     ]

@@ -1,15 +1,17 @@
 """Oracle-regret measurement for ``algorithm="auto"``.
 
 The only honest way to score a planner is against the oracle: run every
-fixed candidate algorithm over the same workload, take the best total
-wall-clock, and charge auto the difference (its *regret*).  This module is
-the shared engine behind ``tests/test_autoselect_oracle.py`` (gate: auto
-within 1.05x of the best fixed algorithm) and
-``benchmarks/bench_autoselect.py`` (per-workload regret + win/loss tables
-in ``BENCH_autoselect.json``).
+fixed algorithm in :data:`RACED` over the same workload, take the best
+total wall-clock, and charge auto the difference (its *regret*).  The
+racers are not auto's candidates: auto plans with its own default (probe
+and naive), and one-pass races too, so the gate still notices a workload
+where a scan would beat both.  This module is the shared engine behind
+``tests/test_autoselect_oracle.py`` (gate: auto within 1.05x of the best
+fixed algorithm) and ``benchmarks/bench_autoselect.py`` (per-workload
+regret + win/loss tables in ``BENCH_autoselect.json``).
 
 Methodology matches the repo's benchmark harness: each runner (auto plus
-every fixed candidate) times ``prepare`` + ``execute`` per query — auto is
+every fixed racer) times ``prepare`` + ``execute`` per query — auto is
 charged for its own planning work — and the repeats are *interleaved*
 round-robin across runners, keeping the min total per runner, so drifting
 machine load lands on every runner instead of biasing whichever ran last.
@@ -27,8 +29,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.observability import get_registry
-from repro.planner import DEFAULT_CANDIDATES
 from repro.query.query import Query
+
+#: The fixed algorithms auto races: the diversity-preserving ones.
+RACED = ("onepass", "probe", "naive")
 
 #: Buckets for the regret histogram: regret is a latency-shaped quantity
 #: but small (milliseconds over a whole workload), so the buckets start
@@ -41,7 +45,7 @@ REGRET_BUCKETS_MS = (
 
 @dataclass
 class RegretReport:
-    """Auto vs every fixed candidate over one workload."""
+    """Auto vs every fixed racer over one workload."""
 
     name: str
     queries: int
@@ -109,8 +113,8 @@ def _run_fixed(engine, queries: Sequence[Query], k: int,
     return total
 
 
-def _run_auto(engine, queries: Sequence[Query], k: int, scored: bool,
-              candidates: Optional[Sequence[str]]) -> Tuple[float, Dict[str, int]]:
+def _run_auto(engine, queries: Sequence[Query], k: int,
+              scored: bool) -> Tuple[float, Dict[str, int]]:
     """Total prepare+plan+execute seconds for auto, plus its choice tally.
 
     Auto pays for its own planning: the decision is computed inside the
@@ -120,7 +124,7 @@ def _run_auto(engine, queries: Sequence[Query], k: int, scored: bool,
     for query in queries:
         start = time.perf_counter()
         plan = engine.prepare(query, scored)
-        decision = engine.plan(plan, k, scored, candidates=candidates)
+        decision = engine.plan(plan, k, scored)
         result = engine.execute(plan, k, "auto", scored, decision=decision)
         total += time.perf_counter() - start
         selected = result.stats.get("algorithm_selected", result.algorithm)
@@ -133,12 +137,12 @@ def measure_regret(
     queries: Sequence[Query],
     k: int,
     scored: bool = False,
-    candidates: Optional[Sequence[str]] = None,
     repeats: int = 3,
     name: str = "workload",
     registry=None,
 ) -> RegretReport:
-    """Race auto against every fixed candidate over one workload.
+    """Race auto against every fixed algorithm in :data:`RACED` over one
+    workload.
 
     Runs ``repeats`` rounds, interleaving the runners within each round and
     keeping each runner's *minimum* total (the repo's standard defence
@@ -148,7 +152,6 @@ def measure_regret(
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
-    fixed = tuple(DEFAULT_CANDIDATES if candidates is None else candidates)
     queries = list(queries)
     report = RegretReport(
         name=name, queries=len(queries), k=k, scored=scored, repeats=repeats
@@ -156,11 +159,11 @@ def measure_regret(
     best_auto: Optional[float] = None
     best_fixed: Dict[str, float] = {}
     for _ in range(repeats):
-        elapsed, choices = _run_auto(engine, queries, k, scored, fixed)
+        elapsed, choices = _run_auto(engine, queries, k, scored)
         if best_auto is None or elapsed < best_auto:
             best_auto = elapsed
             report.choices = choices
-        for algorithm in fixed:
+        for algorithm in RACED:
             elapsed = _run_fixed(engine, queries, k, algorithm, scored)
             if algorithm not in best_fixed or elapsed < best_fixed[algorithm]:
                 best_fixed[algorithm] = elapsed

@@ -45,11 +45,9 @@ from .query.predicates import KeywordPredicate, ScalarPredicate
 from .query.query import Query
 from .query.rewrite import normalise, to_query_string
 from .planner import (
-    CostConstants,
     PlanDecision,
     PlanFeatures,
     choose as choose_algorithm,
-    estimate_costs,
     render_explain,
 )
 from .resilience import (
@@ -97,7 +95,6 @@ __all__ = [
     "Catalog",
     "ChaosPolicy",
     "CircuitBreaker",
-    "CostConstants",
     "CrashInjector",
     "DeadlineExceededError",
     "DeweyId",
@@ -146,7 +143,6 @@ __all__ = [
     "diverse_merge",
     "diverse_subset",
     "estimate_cardinality",
-    "estimate_costs",
     "estimate_selectivity",
     "greedy_symmetric_select",
     "load_index",

@@ -156,11 +156,12 @@ def main(argv=None) -> int:
 
     plan_cmd = commands.add_parser(
         "plan",
-        help="inspect the auto planner: cost model features + breakdown",
+        help="inspect the auto planner: features + probe/naive prices",
     )
     plan_cmd.add_argument(
         "action", choices=["explain"],
-        help="'explain' prints the per-algorithm cost table for one query",
+        help="'explain' prints auto's candidates' prices for one query, "
+        "and --algorithm's price when it is not one of them",
     )
     plan_cmd.add_argument(
         "index", type=Path, nargs="?", default=None,
@@ -645,7 +646,7 @@ def _bound_violations(snapshot: dict) -> float:
 
 def _cmd_plan(args) -> int:
     """``plan explain``: print the auto planner's verdict for one query."""
-    from .planner import estimate_costs, render_explain
+    from .planner import render_explain
 
     index_arg, text = args.index, args.text
     if text is None:
@@ -660,9 +661,6 @@ def _cmd_plan(args) -> int:
         try:
             prepared = engine.prepare(text, args.scored)
             decision = engine.plan(prepared, args.k, args.scored)
-            all_costs = estimate_costs(
-                engine.index, prepared, args.k, args.scored
-            )
         except QueryParseError as error:
             print(f"parse error: {error}", file=sys.stderr)
             return 2
@@ -670,7 +668,8 @@ def _cmd_plan(args) -> int:
             print(f"unavailable: {error}", file=sys.stderr)
             return 3
     print(f"query: {prepared.describe()}")
-    print(render_explain(decision, all_costs))
+    named = None if args.algorithm == AUTO else args.algorithm
+    print(render_explain(decision, named))
     _write_metrics_snapshot(args)
     return 0
 

@@ -46,8 +46,8 @@ from .result import DiverseResult
 ALGORITHMS = ("onepass", "probe", "naive", "basic", "multq")
 
 #: The adaptive selector: not a sixth algorithm but a dispatcher — the
-#: planner (:mod:`repro.planner`) prices the diversity-preserving
-#: candidates from index statistics and the engine runs the cheapest.
+#: planner (:mod:`repro.planner`) prices probe and naive from index
+#: statistics and the engine runs the cheaper.
 #: Kept out of :data:`ALGORITHMS` so code iterating the fixed algorithms
 #: (tests, benchmarks, the metrics CLI's per-algorithm loops) is unchanged.
 AUTO = "auto"
@@ -194,8 +194,8 @@ class DiversityEngine:
         """Diverse top-k search.
 
         ``algorithm`` is one of :data:`ALGORITHMS`, or :data:`AUTO` to let
-        the cost model pick among the diversity-preserving algorithms
-        (see :meth:`plan`); ``scored=True`` switches
+        the cost model pick probe or naive (see :meth:`plan`);
+        ``scored=True`` switches
         to the scored variants (tuples ranked by summed leaf weights, with
         diversity among the lowest-score ties).
         """
@@ -229,8 +229,8 @@ class DiversityEngine:
         Returns a :class:`~repro.planner.PlanDecision` — the verdict
         ``algorithm="auto"`` executes, stamped with the index epoch it was
         computed at (the serving layer's decision cache re-plans when the
-        epoch moves).  ``candidates`` defaults to the diversity-preserving
-        algorithms; pure statistics work, no row is touched.
+        epoch moves).  ``candidates`` defaults to probe and naive; pure
+        statistics work, no row is touched.
         """
         if isinstance(query, str):
             query = parse_query(query)

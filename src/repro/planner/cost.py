@@ -1,114 +1,54 @@
 """The cost model behind ``algorithm="auto"``.
 
-The paper's own experiments (Figs. 5-8) show no algorithm dominates: probe
-wins when many rows match and k is small (its Theorem 2 bound of ``2k+1``
-probes is independent of the match count), one-pass/naive win when few rows
-match (a short scan beats the probing driver's bidirectional region
-bookkeeping), and the crossover moves with k, selectivity and scoring.
-This module prices each algorithm for one prepared query from the exact
-statistics the index already keeps — posting-list lengths — plus the
-independence-assumption selectivity estimates of :mod:`repro.query.estimate`,
-and picks the cheapest *diversity-preserving* algorithm.
+Theorem 2 bounds probe at ``2k+1`` ``next`` calls whatever |RES(R, Q)|
+is, while naive reads every match, so auto makes one decision with
+content: the estimated match count against k.  Both are priced from
+posting-list lengths and :mod:`repro.query.estimate`'s independence
+estimates, in **seek units** (one positioned lookup into one posting
+list).  With ``M`` = estimated matches, ``d`` = diversity-tree depth and
+``c`` = seek units per merged ``next``:
 
-The currency is the **seek unit**: one positioned lookup into one posting
-list (what a single leaf-cursor ``next`` costs, up to a logarithmic bisect
-factor).  All constants are relative weights in that unit; absolute wall
-clock cancels out of the comparison.  The model only has to *rank*
-correctly — and only has to rank correctly where the costs diverge, since
-near the crossover either choice is within the regret budget (the oracle
-tests gate auto at 1.05x the best fixed algorithm).
+* ``probe`` -- ``2·min(k,M)+1`` probes, each one next plus per-level
+  probe-region bookkeeping.  Independent of ``M``.
+* ``naive`` -- ``(M+1)·c`` to evaluate, plus ``M·d`` cheap dict operations
+  for the exact diverse selection over all matches.
 
-Costs per algorithm (``M`` = estimated matches, ``k`` = result size,
-``d`` = diversity-tree depth, ``c`` = seek units per merged ``next``):
-
-* ``naive``   — full evaluation, ``(M+1)·c``, plus the exact diverse
-  selection over all ``M`` matches (``M·d`` cheap dict operations).
-* ``basic``   — first-k / WAND: ``(min(k,M)+1)`` nexts.  Not diversity
-  preserving; priced for ``plan explain`` but excluded from auto's
-  default candidates.
-* ``onepass`` — single scan with skips: between ``k`` and ``M`` visits;
-  modelled as ``k + min(1, k/skip_k)·(M-k)`` (skips prune a lot of the
-  scan at small k but almost none of it once k approaches ``skip_k``),
-  each visit paying one next plus per-level one-pass tree bookkeeping.
-* ``probe``   — ``2·min(k,M)+1`` probes (Theorem 2), each paying one next
-  plus per-level probe-region bookkeeping.  Independent of ``M`` — the
-  whole reason auto exists.
-* ``multq``   — the rewrite baseline issues one sub-query per value
-  combination of the first ordering levels; priced from vocabulary sizes,
-  excluded from auto's default candidates (not an index-driven diverse
-  algorithm).
-
-Scored variants pay a per-leaf surcharge on every next (the WAND driver
-sorts leaf states and accumulates scores) and naive additionally scores
-every match.
+A scored next pays a per-leaf WAND surcharge; scored naive also scores
+every match, and scored probing pays its extra threshold passes.  The
+other algorithms are never auto candidates, but admission prices any named
+one (:func:`price`): ``basic`` reads O(k) like probe, ``onepass`` and
+``multq`` scan |RES| like naive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..query.estimate import leaf_cardinality
 from ..query.query import AND, LEAF, OR, Query
 
-#: Every algorithm the model can price (mirrors ``repro.core.ALGORITHMS``;
-#: not imported from there to keep this module engine-independent).
-PRICEABLE = ("onepass", "probe", "naive", "basic", "multq")
+#: Auto's candidates; a tie goes to the first listed, probe.
+DEFAULT_CANDIDATES = ("probe", "naive")
 
-#: Algorithms auto picks among by default: the diversity-preserving ones.
-#: ``basic`` (first-k, no diversity) and ``multq`` (rewrite baseline) answer
-#: a different question, so auto never silently substitutes them — they
-#: remain reachable as explicit ``algorithm=`` choices and are still priced
-#: for ``plan explain``.
-DEFAULT_CANDIDATES = ("onepass", "probe", "naive")
-
-#: Deterministic tie-break when two candidates price identically: prefer the
-#: paper's bounded algorithms over the baseline.
-_PREFERENCE = {"probe": 0, "onepass": 1, "naive": 2, "basic": 3, "multq": 4}
-
-
-@dataclass(frozen=True)
-class CostConstants:
-    """Relative weights of the cost model, in seek units.
-
-    Calibrated once against the repo's own benchmarks (bench_autoselect);
-    the differential tests do not depend on them (auto is compared against
-    whatever it picked), and the oracle tests only need the *ranking* to be
-    right away from the crossover.  ``tree_op``'s "per visit, per level" no
-    longer describes ``OnePassTree``; re-fit it with ``probe_op`` (ROADMAP 7(b)).
-    """
-
-    seek_log: float = 0.12        # marginal bisect cost per doubling of a list
-    and_rounds: float = 1.6       # mean leapfrog rounds per AND next
-    tree_op: float = 0.7          # one-pass tree bookkeeping per visit, per level
-    probe_op: float = 1.2         # probe-region bookkeeping per probe, per level
-    diversify_op: float = 0.08    # naive post-selection per match, per level
-    skip_k: float = 24.0          # k at which one-pass skips stop helping
-    scored_leaf: float = 0.9      # per-leaf WAND surcharge per scored next
-    scored_probe_pass: float = 2.0  # scored probing's extra threshold passes
-    multq_query: float = 3.0      # fixed overhead per issued rewrite sub-query
-
-
-DEFAULT_CONSTANTS = CostConstants()
+SEEK_LOG = 0.12           # marginal bisect cost per doubling of a list
+AND_ROUNDS = 1.6          # mean leapfrog rounds per AND next
+PROBE_OP = 1.2            # probe-region bookkeeping per probe, per level
+DIVERSIFY_OP = 0.08       # naive post-selection per match, per level
+SCORED_LEAF = 0.9         # per-leaf WAND surcharge per scored next
+SCORED_PROBE_PASS = 2.0   # scored probing's extra threshold passes
 
 
 class PlanFeatures(NamedTuple):
-    """The feature vector the cost model prices from.
-
-    Everything here comes from statistics the index keeps exactly (posting
-    lengths, vocabulary) or from :mod:`repro.query.estimate`'s independence
-    estimates — no data is scanned to plan.  A named tuple, not a frozen
-    dataclass, whose per-field ``object.__setattr__`` was a fifth of a
-    match-all query's planning.
-    """
+    """The feature vector the cost model prices from.  A named tuple: a
+    frozen dataclass's per-field ``object.__setattr__`` was a fifth of a
+    match-all query's planning."""
 
     rows: int                 # |R|: live indexed tuples
     est_matches: float        # estimated match count (exact for leaves)
     selectivity: float        # est_matches / rows (0 when the index is empty)
     leaves: int               # leaf predicates in the tree
     rarest_leaf: int          # smallest exact leaf cardinality
-    total_leaf_postings: int  # sum of exact leaf cardinalities
     next_cost: float          # seek units one merged next() costs
     depth: int                # diversity-tree depth
     k: int
@@ -128,13 +68,9 @@ class PlanFeatures(NamedTuple):
 
 
 class PlanDecision(NamedTuple):
-    """One planning verdict: the chosen algorithm plus its evidence.
-
-    ``epoch`` is the index mutation epoch the statistics were read at — the
-    serving-layer decision cache rejects a decision whose epoch no longer
-    matches, so mutated relations re-plan (PR 7 satellite: epoch + k +
-    scored keying).
-    """
+    """One planning verdict: the chosen algorithm plus its evidence,
+    stamped with the index ``epoch`` its statistics were read at (the
+    serving layer's decision cache re-plans when the epoch moves)."""
 
     algorithm: str
     k: int
@@ -142,17 +78,16 @@ class PlanDecision(NamedTuple):
     epoch: int
     costs: Mapping[str, float]          # candidate -> seek units
     features: PlanFeatures
-    candidates: Tuple[str, ...]
     reason: str = "cost"                # "cost" | "forced" | "stats unavailable"
 
 
-def _walk(query: Query, index, total: int, constants: CostConstants,
+def _walk(query: Query, index, total: int,
           cardinalities: list) -> Tuple[float, float, bool]:
     """``(selectivity, next_cost, disjunctive)`` in one walk, appending
     each leaf's exact cardinality.  Selectivity as in ``estimate_selectivity``;
     ``next_cost`` is one merged ``next`` in seek units: a seek per list a leaf
     reads (a keyword leaf ANDs its tokens) plus a log bisect surcharge, times
-    ~``and_rounds`` leapfrog rounds under an AND, summed under an OR."""
+    ~``AND_ROUNDS`` leapfrog rounds under an AND, summed under an OR."""
     if query.kind == LEAF:
         cardinality = leaf_cardinality(query, index)
         cardinalities.append(cardinality)
@@ -161,9 +96,9 @@ def _walk(query: Query, index, total: int, constants: CostConstants,
         cost = 0.0
         for length in ([len(index.token_postings(predicate.attribute, token))
                         for token in terms] if terms else (cardinality,)):
-            cost += 1.0 + constants.seek_log * math.log2(1.0 + length)
+            cost += 1.0 + SEEK_LOG * math.log2(1.0 + length)
         return (min(1.0, cardinality / total) if total else 0.0), cost, False
-    parts = [_walk(child, index, total, constants, cardinalities)
+    parts = [_walk(child, index, total, cardinalities)
              for child in query.children]
     cost = sum(part[1] for part in parts)
     disjunctive = query.kind == OR or any(part[2] for part in parts)
@@ -172,7 +107,7 @@ def _walk(query: Query, index, total: int, constants: CostConstants,
         for part in parts:
             selectivity *= part[0]
         if len(parts) > 1:
-            cost = constants.and_rounds * cost
+            cost = AND_ROUNDS * cost
         return selectivity, cost, disjunctive
     miss = 1.0
     for part in parts:
@@ -180,28 +115,18 @@ def _walk(query: Query, index, total: int, constants: CostConstants,
     return 1.0 - miss, cost, disjunctive
 
 
-def extract_features(
-    index,
-    query: Query,
-    k: int,
-    scored: bool = False,
-    constants: CostConstants = DEFAULT_CONSTANTS,
-) -> PlanFeatures:
-    """Read the planning statistics for one prepared query.
-
-    Pure index-statistics work — one tree walk of posting-length lookups,
-    no row is touched.  Works over anything implementing the index read
-    protocol (including :class:`repro.sharding.ShardedIndex`, whose union
-    posting views report the same global lengths as an unsharded index, so
-    sharded and unsharded deployments plan identically).  A scored plan
-    whose matches all score alike runs the unscored drivers
-    (``run_algorithm``), so it is priced as unscored.
+def extract_features(index, query: Query, k: int,
+                     scored: bool = False) -> PlanFeatures:
+    """Read the planning statistics for one prepared query: one tree walk
+    of posting-length lookups, no row touched.  A sharded index's union
+    views report global lengths, so sharded and unsharded deployments plan
+    identically.  A scored plan whose matches all score alike runs the
+    unscored drivers (``run_algorithm``), so it is priced as unscored.
     """
     scored = scored and not query.uniform_score()
     rows = len(index)
     cardinalities: list = []
-    selectivity, next_cost, disjunctive = _walk(
-        query, index, rows, constants, cardinalities)
+    selectivity, next_cost, disjunctive = _walk(query, index, rows, cardinalities)
     est = rows * selectivity
     return PlanFeatures(
         rows=rows,
@@ -209,7 +134,6 @@ def extract_features(
         selectivity=(est / rows) if rows else 0.0,
         leaves=len(cardinalities),
         rarest_leaf=min(cardinalities) if cardinalities else 0,
-        total_leaf_postings=sum(cardinalities),
         next_cost=next_cost,
         depth=index.depth,
         k=k,
@@ -218,124 +142,66 @@ def extract_features(
     )
 
 
-def _multq_issued(index, constants: CostConstants) -> float:
-    """Sub-queries the rewrite baseline issues: one per value combination
-    of the first rewrite levels (``MULTQ_DEFAULT_LEVELS``)."""
-    from ..core.baselines import MULTQ_DEFAULT_LEVELS
-
-    issued = 1.0
-    ordering = index.ordering
-    for attribute in list(ordering.attributes)[:MULTQ_DEFAULT_LEVELS]:
-        issued *= max(1, len(index.vocabulary(attribute)))
-    return issued
+def _next_cost(features: PlanFeatures) -> float:
+    if features.scored:  # the WAND driver's per-leaf state work
+        return features.next_cost + features.leaves * SCORED_LEAF
+    return features.next_cost
 
 
-def algorithm_cost(
-    algorithm: str,
-    features: PlanFeatures,
-    constants: CostConstants = DEFAULT_CONSTANTS,
-    index=None,
-) -> float:
-    """Price one algorithm for one feature vector, in seek units.
+def _probe_cost(features: PlanFeatures) -> float:
+    probes = 2.0 * min(features.k, features.est_matches) + 1.0
+    cost = probes * (_next_cost(features) + max(1, features.depth) * PROBE_OP)
+    return cost * SCORED_PROBE_PASS if features.scored else cost
 
-    ``index`` is only needed for ``multq`` (vocabulary sizes); the other
-    algorithms price from the features alone.
-    """
-    M = features.est_matches
-    k = features.k
-    d = max(1, features.depth)
-    c = features.next_cost
+
+def _naive_cost(features: PlanFeatures) -> float:
+    matches = features.est_matches
+    cost = ((matches + 1.0) * _next_cost(features)
+            + matches * max(1, features.depth) * DIVERSIFY_OP)
     if features.scored:
-        # Every scored next pays the WAND driver's per-leaf state work.
-        c = c + features.leaves * constants.scored_leaf
-    found = min(k, M)  # no algorithm can return more than matches exist
-
-    if algorithm == "naive":
-        cost = (M + 1.0) * c + M * d * constants.diversify_op
-        if features.scored:
-            cost += M * features.leaves * constants.scored_leaf
-        return cost
-    if algorithm == "basic":
-        return (found + 1.0) * c
-    if algorithm == "onepass":
-        # The deeper into the tree the scan must descend to fill k slots,
-        # the less its diversity skips prune: measured visit counts grow
-        # from a few percent of the surplus at k~5 to essentially all of
-        # it by k~skip_k, so the surplus fraction scales with k.
-        skip_alpha = min(1.0, k / constants.skip_k)
-        visits = found + skip_alpha * max(0.0, M - k)
-        return (visits + 1.0) * (c + d * constants.tree_op)
-    if algorithm == "probe":
-        probes = 2.0 * found + 1.0
-        cost = probes * (c + d * constants.probe_op)
-        if features.scored:
-            cost *= constants.scored_probe_pass
-        return cost
-    if algorithm == "multq":
-        if index is None:
-            raise ValueError("pricing multq needs the index (vocabulary sizes)")
-        issued = _multq_issued(index, constants)
-        return issued * (constants.multq_query + (found + 1.0) * c)
-    raise ValueError(f"unknown algorithm {algorithm!r}; choose from {PRICEABLE}")
+        cost += matches * features.leaves * SCORED_LEAF
+    return cost
 
 
-def estimate_costs(
-    index,
-    query: Query,
-    k: int,
-    scored: bool = False,
-    algorithms: Sequence[str] = PRICEABLE,
-    constants: CostConstants = DEFAULT_CONSTANTS,
-    features: Optional[PlanFeatures] = None,
-) -> Dict[str, float]:
-    """Price several algorithms for one prepared query (``plan explain``)."""
-    if features is None:
-        features = extract_features(index, query, k, scored, constants)
-    return {
-        algorithm: algorithm_cost(algorithm, features, constants, index=index)
-        for algorithm in algorithms
-    }
+#: Each algorithm priced by the formula of its access pattern.
+_FORMULAS = {
+    "probe": _probe_cost, "basic": _probe_cost,
+    "naive": _naive_cost, "onepass": _naive_cost, "multq": _naive_cost,
+}
 
 
-def choose(
-    index,
-    query: Query,
-    k: int,
-    scored: bool = False,
-    candidates: Optional[Sequence[str]] = None,
-    constants: CostConstants = DEFAULT_CONSTANTS,
-) -> PlanDecision:
+def price(algorithm: str, features: PlanFeatures) -> float:
+    """Seek units one run of ``algorithm`` costs for ``features``: probe's
+    formula for the algorithms that read O(k) (probe, basic), naive's for
+    those that scan |RES| (naive, onepass, multq)."""
+    formula = _FORMULAS.get(algorithm)
+    if formula is None:
+        raise ValueError(
+            f"unknown candidate {algorithm!r}; choose from {tuple(_FORMULAS)}")
+    return formula(features)
+
+
+def choose(index, query: Query, k: int, scored: bool = False,
+           candidates: Optional[Sequence[str]] = None) -> PlanDecision:
     """Pick the cheapest candidate algorithm for one prepared query.
 
-    ``candidates`` defaults to the diversity-preserving set
-    (:data:`DEFAULT_CANDIDATES`); passing a single-element tuple forces
-    that algorithm through the auto path (the differential tests use this
-    to exercise auto against every fixed algorithm).  Deterministic given
-    the query and the index statistics — exactly the property the serving
-    layer's decision cache relies on.
+    ``candidates`` defaults to :data:`DEFAULT_CANDIDATES`; a one-element
+    tuple forces that algorithm through the auto path (admission prices a
+    named algorithm this way).  Deterministic given the query and the
+    index statistics, which the serving layer's decision cache relies on.
     """
     chosen = DEFAULT_CANDIDATES if candidates is None else tuple(candidates)
     if not chosen:
         raise ValueError("auto needs at least one candidate algorithm")
-    for algorithm in chosen:
-        if algorithm not in PRICEABLE:
-            raise ValueError(
-                f"unknown candidate {algorithm!r}; choose from {PRICEABLE}"
-            )
-    features = extract_features(index, query, k, scored, constants)
-    costs = estimate_costs(
-        index, query, k, scored, algorithms=chosen,
-        constants=constants, features=features,
-    )
-    best = min(chosen, key=lambda a: (costs[a], _PREFERENCE[a]))
+    features = extract_features(index, query, k, scored)
+    costs = {algorithm: price(algorithm, features) for algorithm in chosen}
     return PlanDecision(
-        algorithm=best,
+        algorithm=min(chosen, key=costs.__getitem__),
         k=k,
         scored=scored,
         epoch=index.epoch,
         costs=costs,
         features=features,
-        candidates=chosen,
         reason="cost" if len(chosen) > 1 else "forced",
     )
 
@@ -346,22 +212,15 @@ def annotate_plan_stats(stats: Dict, decision: PlanDecision) -> Dict:
     stats["algorithm_selected"] = decision.algorithm
     stats["plan_reason"] = decision.reason
     stats["plan_epoch"] = decision.epoch
-    for key, value in decision.features.as_stats().items():
-        stats[key] = value
+    stats.update(decision.features.as_stats())
     for algorithm, cost in decision.costs.items():
         stats[f"plan_cost_{algorithm}"] = round(cost, 2)
     return stats
 
 
-def render_explain(
-    decision: PlanDecision,
-    all_costs: Optional[Mapping[str, float]] = None,
-) -> str:
-    """Human-readable cost breakdown (the ``plan explain`` CLI output).
-
-    ``all_costs`` may extend the table beyond the candidate set (the CLI
-    prices every algorithm); non-candidates are marked excluded.
-    """
+def render_explain(decision: PlanDecision, named: Optional[str] = None) -> str:
+    """The ``plan explain`` output: features and the candidates' prices,
+    plus a row for a ``named`` algorithm that is not a candidate."""
     features = decision.features
     lines = [
         f"plan: {decision.algorithm} (auto, reason: {decision.reason})",
@@ -378,13 +237,12 @@ def render_explain(
         f"  tree depth      {features.depth}",
         "costs (seek units, lower wins):",
     ]
-    table = dict(all_costs) if all_costs else dict(decision.costs)
-    width = max(len(name) for name in table)
-    for algorithm in sorted(table, key=lambda a: table[a]):
-        marker = ""
-        if algorithm == decision.algorithm:
-            marker = "  <- selected"
-        elif algorithm not in decision.candidates:
-            marker = "  (excluded: not diversity-preserving)"
-        lines.append(f"  {algorithm:<{width}}  {table[algorithm]:>12.1f}{marker}")
+    costs = decision.costs
+    width = max(len(name) for name in (*costs, named or ""))
+    for algorithm in sorted(costs, key=costs.__getitem__):
+        marker = "  <- selected" if algorithm == decision.algorithm else ""
+        lines.append(f"  {algorithm:<{width}}  {costs[algorithm]:>12.1f}{marker}")
+    if named is not None and named not in costs:
+        lines.append(f"  {named:<{width}}  {price(named, features):>12.1f}"
+                     "  (named; not an auto candidate)")
     return "\n".join(lines)

@@ -244,7 +244,8 @@ class PlanCache:
         epoch: int,
     ) -> float:
         """Seek units the cost model charges one fixed ``algorithm`` for
-        this plan, memoised per ``(k, algorithm)`` and epoch.
+        this plan (:func:`repro.planner.price`: probe's formula or naive's),
+        memoised per ``(k, algorithm)`` and epoch.
 
         Priced through ``engine.plan`` with the algorithm forced, so a
         sharded engine's statistics reads keep their retry wrapping; like

@@ -409,7 +409,6 @@ class ShardedEngine(DiversityEngine):
             epoch=self.epoch,
             costs={"naive": 0.0},
             features=extract_features(EMPTY_READER, query, k, scored),
-            candidates=("naive",),
             reason="stats unavailable",
         )
 

@@ -15,7 +15,7 @@ posting backends — with mutations interleaved between searches, plus:
   (the PR 7 plan-cache keying satellite), and separate ``k``/``scored``
   values get separate decision slots;
 * the selection boundary: hand-built relations on either side of the
-  paper's Figs. 5-8 crossover, where auto must take the cheap side and the
+  probe/naive crossover, where auto must take the cheap side and the
   Theorem 2 probe-bound counter must stay 0 either way.
 """
 
@@ -31,7 +31,10 @@ from repro import (
     ServingEngine,
     ShardedEngine,
 )
+from repro.core.baselines import collect_all
 from repro.core.engine import ALGORITHMS
+from repro.core.similarity import is_diverse
+from repro.index.merged import MergedList
 from repro.observability import use_registry
 from repro.planner import DEFAULT_CANDIDATES
 
@@ -269,41 +272,48 @@ def _two_value_relation(popular: int, rare: int):
 
 
 class TestSelectionBoundary:
-    """Hand-built relations on both sides of the Figs. 5-8 crossover."""
+    """Hand-built relations on both sides of the probe/naive crossover."""
 
     def _run(self, query_value: str, k: int):
         relation = _two_value_relation(popular=400, rare=40)
         engine = DiversityEngine.from_relation(relation, ["make", "model"])
         with use_registry() as registry:
             query = engine.prepare(Query.scalar("make", query_value))
-            decision = engine.plan(query, k, candidates=("onepass", "probe"))
+            decision = engine.plan(query, k)
             result = engine.execute(query, k, AUTO, decision=decision)
-        return decision, result, registry
+        return engine, query, decision, result, registry
 
     def test_low_k_high_selectivity_picks_probe(self):
-        """400 matches, k=3: 2k+1 = 7 probes vs a several-hundred-row scan."""
-        decision, result, registry = self._run("big", k=3)
+        """400 matches, k=3: 2k+1 = 7 probes vs reading 400 matches."""
+        _, _, decision, result, registry = self._run("big", k=3)
         assert decision.algorithm == "probe"
-        assert decision.costs["probe"] < decision.costs["onepass"]
+        assert decision.costs["probe"] < decision.costs["naive"]
         assert result.stats["probe_bound_exceeded"] == 0
         assert registry.value("repro_probe_bound_violations_total") == 0
         assert registry.value(
             "repro_plan_bound_violations_total", algorithm="probe"
         ) == 0
 
-    def test_high_k_low_selectivity_picks_onepass(self):
-        """40 matches, k=30: 2k+1 = 61 probes lose to a <=40-visit scan."""
-        decision, result, registry = self._run("small", k=30)
-        assert decision.algorithm == "onepass"
-        assert decision.costs["onepass"] < decision.costs["probe"]
-        assert result.stats["scan_passes"] == 1
+    def test_high_k_low_selectivity_picks_naive(self):
+        """40 matches, k=30: 2k+1 = 61 probes lose to reading the 40."""
+        _, _, decision, result, registry = self._run("small", k=30)
+        assert decision.algorithm == "naive"
+        assert decision.costs["naive"] < decision.costs["probe"]
+        assert result.stats["rows_touched"] == 40
         assert registry.value("repro_probe_bound_violations_total") == 0
         assert registry.value(
-            "repro_onepass_scan_violations_total", mode="unscored"
+            "repro_plan_bound_violations_total", algorithm="naive"
         ) == 0
-        assert registry.value(
-            "repro_plan_bound_violations_total", algorithm="onepass"
-        ) == 0
+
+    def test_a_former_onepass_plan_gets_a_diverse_answer(self):
+        """40 matches, k=5: one-pass used to price cheapest here; auto now
+        runs probe or naive, and the answer is still Definition 2's."""
+        engine, query, decision, result, _ = self._run("small", k=5)
+        assert decision.algorithm in DEFAULT_CANDIDATES
+        assert set(decision.costs) == set(DEFAULT_CANDIDATES)
+        matches = collect_all(MergedList(query, engine.index))
+        assert len(matches) == 40
+        assert is_diverse(result.deweys, matches, 5)
 
     def test_default_candidates_never_pick_worse_than_probe(self):
         """With the full candidate set, the chosen plan never prices above

@@ -1,12 +1,13 @@
 """Oracle-regret gate for ``algorithm="auto"``.
 
-Races auto against every fixed diversity-preserving algorithm over the
-standard mixed workload mix (autos match-all, narrow big-k, scored,
-disjunctive auctions, Zipf-repeated — see
-``paper.autoselect.WORKLOAD_MIX``) and asserts the ISSUE's
-acceptance bar: auto's total wall-clock within 1.05x of the best *single*
-fixed algorithm across the whole mix.  The full-scale version of this
-harness is ``benchmarks/bench_autoselect.py``.
+Races auto against every fixed diversity-preserving algorithm
+(``paper.regret.RACED``: one-pass, probe and naive, a superset of auto's
+own candidates) over the standard mixed workload mix (autos match-all,
+narrow big-k, scored, disjunctive auctions, Zipf-repeated — see
+``paper.autoselect.WORKLOAD_MIX``) and asserts the acceptance bar: auto's
+total wall-clock within 1.05x of the best *single* fixed algorithm across
+the whole mix.  The full-scale version of this harness is
+``benchmarks/bench_autoselect.py``.
 
 The mix is built so no fixed algorithm wins everywhere; the per-workload
 assertions below pin that structure, which is what makes the aggregate
@@ -19,9 +20,10 @@ import statistics
 import pytest
 
 from paper.autoselect import mixed_workloads, race_mix, summarise
-from paper.regret import total_regret
+from paper.regret import RACED, total_regret
 from repro.observability import use_registry
 from repro.planner import DEFAULT_CANDIDATES
+from repro.planner.cost import DIVERSIFY_OP, PROBE_OP, SCORED_LEAF
 
 ROWS = 1500
 QUERIES = 25
@@ -29,17 +31,22 @@ REPEATS = 3
 RACES = 3
 REGRET_CEILING = 1.05
 WORKLOAD_REGRET_CEILING = 2.0
+COUNTED_MARGIN = 2.0
 
 
 @pytest.fixture(scope="module")
-def races():
+def workloads():
+    return mixed_workloads(rows=ROWS, queries=QUERIES, seed=1)
+
+
+@pytest.fixture(scope="module")
+def races(workloads):
     """RACES timed races of the whole mix over the same engines; the two
     timing gates judge the median race.  One race times ~2 ms per runner
     and workload, and auto's fixed ~30 us of planning per query puts it at
     ~1.75x the oracle on the cheapest workload (match-all, k=5, ~50 us per
     probe) - close enough to the 2.0 ceiling for a single race on a busy
     machine to overshoot it."""
-    workloads = mixed_workloads(rows=ROWS, queries=QUERIES, seed=1)
     out = []
     for _ in range(RACES):
         with use_registry() as registry:
@@ -58,7 +65,7 @@ class TestOracleRegret:
     def test_total_regret_within_ceiling(self, races):
         summaries = [total_regret(reports) for reports, _ in races]
         for summary in summaries:
-            assert summary["best_fixed"] in DEFAULT_CANDIDATES
+            assert summary["best_fixed"] in RACED
         ratios = [summary["regret_ratio"] for summary in summaries]
         assert statistics.median(ratios) <= REGRET_CEILING, (
             f"auto total vs best fixed total, per race: {summaries}"
@@ -107,14 +114,69 @@ class TestOracleRegret:
             for (name, _), counter in registry._counters.items()
             if name == "repro_plan_races_total"
         )
-        assert races == len(reports) * len(DEFAULT_CANDIDATES)
+        assert races == len(reports) * len(RACED)
 
     def test_summary_shape(self, raced):
         reports, _ = raced
         summary = summarise(reports)
         assert len(summary["workloads"]) == len(reports)
-        assert summary["races"] == len(reports) * len(DEFAULT_CANDIDATES)
+        assert summary["races"] == len(reports) * len(RACED)
         assert 0 <= summary["wins"] <= summary["races"]
         for entry in summary["workloads"]:
-            assert set(entry["fixed_seconds"]) == set(DEFAULT_CANDIDATES)
+            assert set(entry["fixed_seconds"]) == set(RACED)
             assert entry["regret_ratio"] > 0
+
+
+def _counted_units(algorithm, stats, features):
+    """Seek units one finished run cost: its counted ``next`` calls and
+    rows at the cost model's unit prices.  A probe ``next`` is a positioned
+    seek plus per-level region bookkeeping; a naive one is a sequential
+    advance, and every row it touches pays the diverse selection."""
+    per_next = features.next_cost
+    if features.scored:
+        per_next += features.leaves * SCORED_LEAF
+    depth = max(1, features.depth)
+    if algorithm == "probe":
+        return stats["next_calls"] * (per_next + depth * PROBE_OP)
+    rows = stats["rows_touched"]
+    units = stats["next_calls"] * per_next + rows * depth * DIVERSIFY_OP
+    if features.scored:
+        units += rows * features.leaves * SCORED_LEAF
+    return units
+
+
+class TestCountedOracle:
+    """The clock race's deterministic twin: no timing, so no noise.
+
+    Every plan of the mix runs probe and naive once; wherever their
+    counted costs differ by more than ``COUNTED_MARGIN``, auto must have
+    picked the cheaper.  This checks that the estimates behind a decision
+    (match count, Theorem 2's probe bound) rank plans the way the runs'
+    own counts do; whether the unit prices match wall clock is the clock
+    race's job."""
+
+    def test_auto_picks_the_counted_cheaper_side(self, workloads):
+        wrong, decided = [], {}
+        for w in workloads:
+            engine, k, scored = w["engine"], w["k"], w["scored"]
+            for query in w["queries"]:
+                plan = engine.prepare(query, scored)
+                decision = engine.plan(plan, k, scored)
+                units = {
+                    algorithm: _counted_units(
+                        algorithm,
+                        engine.execute(plan, k, algorithm, scored).stats,
+                        decision.features)
+                    for algorithm in DEFAULT_CANDIDATES
+                }
+                cheap, dear = sorted(units, key=units.get)
+                if units[dear] <= COUNTED_MARGIN * units[cheap]:
+                    continue
+                decided[cheap] = decided.get(cheap, 0) + 1
+                if decision.algorithm != cheap:
+                    wrong.append((w["name"], plan.describe(), units,
+                                  decision.algorithm))
+        assert not wrong, wrong
+        # Both sides must be exercised, or the oracle could not tell an
+        # always-probe or always-naive planner from a working one.
+        assert set(decided) == set(DEFAULT_CANDIDATES), decided

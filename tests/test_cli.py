@@ -164,6 +164,12 @@ class TestAutoAlgorithm:
         assert "auto->" in capsys.readouterr().out
 
 
+def _cost_rows(text):
+    """``plan explain``'s cost table: algorithm -> its row."""
+    table = text.split("costs (seek units, lower wins):\n", 1)[1]
+    return {line.split()[0]: line.strip() for line in table.splitlines()}
+
+
 class TestPlanExplain:
     def test_explain_demo_default_query(self, capsys):
         assert main(["plan", "explain"]) == 0
@@ -171,14 +177,28 @@ class TestPlanExplain:
         assert "query: Make = 'Honda'" in text
         assert "<- selected" in text
         assert "costs (seek units, lower wins):" in text
-        assert "excluded: not diversity-preserving" in text
+        assert set(_cost_rows(text)) == {"probe", "naive"}
 
     def test_explain_query_text_positional(self, capsys):
         assert main(["plan", "explain", "Color = 'Blue'", "-k", "3"]) == 0
         text = capsys.readouterr().out
         assert "query: Color = 'Blue'" in text
-        for algorithm in ("onepass", "probe", "naive", "basic", "multq"):
-            assert algorithm in text
+        assert set(_cost_rows(text)) == {"probe", "naive"}
+        for algorithm in ("onepass", "basic", "multq"):
+            assert algorithm not in text
+
+    @pytest.mark.parametrize("named, like", [
+        ("onepass", "naive"), ("multq", "naive"), ("basic", "probe"),
+    ])
+    def test_explain_prices_a_named_algorithm(self, capsys, named, like):
+        """A named non-candidate gets one more row, at the price of the
+        candidate whose access pattern it shares."""
+        assert main(["plan", "explain", "--algorithm", named]) == 0
+        text = capsys.readouterr().out
+        rows = _cost_rows(text)
+        assert set(rows) == {"probe", "naive", named}
+        assert "(named; not an auto candidate)" in rows[named]
+        assert rows[named].split()[1] == rows[like].split()[1]
 
     def test_explain_against_snapshot(self, built_snapshot, capsys):
         code = main([
