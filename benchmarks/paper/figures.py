@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.baselines import collect_all
-from repro.core.mmr import retrieve_ck_diverse
 from repro.core.probing import probe_unscored
 from repro.core.similarity import balance_violations
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
@@ -28,6 +27,7 @@ from repro.index.postings import BACKENDS
 from repro.query.evaluate import selectivity as exact_selectivity
 
 from .harness import env_int, run_matrix, run_workload
+from .mmr import retrieve_ck_diverse
 
 UNSCORED_ALGOS = ("UNaive", "UBasic", "UOnePass", "UProbe")
 SCORED_ALGOS = ("SNaive", "SBasic", "SOnePass", "SProbe")

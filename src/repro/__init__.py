@@ -24,7 +24,6 @@ from .core.dewey import DeweyId, LEFT, MIDDLE, RIGHT
 from .core.diversify import diverse_subset, scored_diverse_subset, waterfill
 from .core.engine import ALGORITHMS, AUTO, DiversityEngine
 from .core.incremental import DiverseView
-from .core.mmr import mmr_select, retrieve_ck_diverse
 from .core.pagination import DiversePaginator
 from .core.onepass import one_pass_scored, one_pass_unscored
 from .core.ordering import DiversityOrdering
@@ -146,7 +145,6 @@ __all__ = [
     "estimate_selectivity",
     "greedy_symmetric_select",
     "load_index",
-    "mmr_select",
     "normalise",
     "is_diverse",
     "is_scored_diverse",
@@ -159,7 +157,6 @@ __all__ = [
     "relax_query",
     "relaxed_search",
     "render_explain",
-    "retrieve_ck_diverse",
     "save_index",
     "symmetric_search",
     "to_query_string",

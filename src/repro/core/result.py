@@ -41,13 +41,15 @@ class ResultItem:
 
 
 class _Columns:
-    """One packaged answer, shared by every result served from it."""
+    """One packaged answer, shared by every result served from it.
+    ``body`` is the server's ``(query text, bytes)`` of a hit on it."""
 
-    __slots__ = ("deweys", "rids", "scores", "rows", "names", "items")
+    __slots__ = ("deweys", "rids", "scores", "rows", "names", "items", "body")
 
     def __init__(self, *columns):
         self.deweys, self.rids, self.scores, self.rows, self.names = columns
         self.items = None  # the ResultItem tuple, built on first read
+        self.body = None
 
 
 class DiverseResult:

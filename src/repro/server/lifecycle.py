@@ -5,9 +5,11 @@
 
 * ``asyncio.start_server`` accepts connections; each connection is one
   handler task running a keep-alive loop of ``read_request`` →
-  ``Router.dispatch`` and no task per request: the idle timeout is a
-  re-armed timer handle that closes the transport, and a result-cache hit
-  is answered inside ``dispatch`` without leaving the loop.
+  ``Router.dispatch`` and no task or timer per request: the idle timeout
+  is one timer per connection that re-arms itself from a deadline stamp
+  each request moves, and closes the transport once the stamp has passed;
+  a result-cache hit is answered inside ``dispatch`` without leaving the
+  loop, from its stored body.
 * A fixed pool of worker tasks pulls admitted tickets (searches that have
   to *run*) off the :class:`~repro.server.admission.AdmissionController`
   and runs the engine work on a
@@ -142,10 +144,24 @@ class ReproServer:
         self._connections[handler] = writer
         loop = asyncio.get_running_loop()
         idle_timeout_s = self.config.idle_timeout_s
-        # One timer per connection, re-armed per request: a client that
-        # does not deliver a whole request in time has its transport
-        # closed, which the read below sees as EOF — the client-close exit.
-        idle = loop.call_later(idle_timeout_s, writer.close)
+        # One timer per connection, not one per request: each request moves
+        # the ``idle_at`` stamp (``None`` while one is in flight, which is
+        # never cut off), and the timer re-arms itself from the stamp only
+        # when it fires.  A client that leaves the connection idle has its
+        # transport closed, which the read below sees as EOF.
+        idle_at: Optional[float] = loop.time() + idle_timeout_s
+
+        def expire() -> None:
+            nonlocal idle
+            now = loop.time()
+            if idle_at is None or now < idle_at:
+                idle = loop.call_at(
+                    now + idle_timeout_s if idle_at is None else idle_at,
+                    expire)
+            else:
+                writer.close()
+
+        idle = loop.call_at(idle_at, expire)
         try:
             while True:
                 try:
@@ -160,7 +176,7 @@ class ReproServer:
                     break
                 if request is None:
                     break  # clean EOF between requests
-                idle.cancel()
+                idle_at = None
                 try:
                     keep_alive = await self.router.dispatch(request, writer)
                 except asyncio.CancelledError:
@@ -177,7 +193,7 @@ class ReproServer:
                     break
                 if not keep_alive:
                     break
-                idle = loop.call_later(idle_timeout_s, writer.close)
+                idle_at = loop.time() + idle_timeout_s
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

@@ -10,6 +10,10 @@ client controls (request-line length, header count and size, body size),
 because the admission-control story upstairs is only as good as the
 parser's refusal to buffer unbounded input downstairs.
 
+A request target is parsed once per distinct target, not once per
+request: :func:`parse_target` is memoised, and every request for the same
+target shares its read-only ``params`` mapping (form queries repeat).
+
 Errors raise :class:`ProtocolError` carrying the HTTP status the connection
 handler should answer with before closing; a clean EOF between requests
 returns ``None`` from :func:`read_request` (the keep-alive loop's exit).
@@ -17,8 +21,11 @@ returns ``None`` from :func:`read_request` (the keep-alive loop's exit).
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
-from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 #: Hard parser limits; a request exceeding any of them is answered with a
@@ -30,6 +37,10 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Stream limit for ``asyncio.start_server`` — one line never exceeds this.
 STREAM_LIMIT = max(MAX_REQUEST_LINE, MAX_HEADER_LINE) + 2
+
+#: Distinct request targets whose parse is kept (an LRU; a form front-end
+#: repeats a few hundred popular queries).
+TARGET_CACHE_SIZE = 1024
 
 REASONS = {
     200: "OK",
@@ -58,8 +69,19 @@ class ProtocolError(Exception):
         super().__init__(message)
 
 
+@functools.lru_cache(maxsize=TARGET_CACHE_SIZE)
+def parse_target(target: str) -> Tuple[str, Mapping[str, str]]:
+    """``(path, params)`` of one request target, parsed (and unquoted) once
+    per distinct target.  ``params`` is shared by every request for the
+    target, hence read-only; the last value wins on duplicates — the
+    handlers only use scalars."""
+    split = urlsplit(target)
+    return split.path or "/", MappingProxyType(
+        dict(parse_qsl(split.query, keep_blank_values=True)))
+
+
 class Request:
-    """One parsed HTTP request."""
+    """One parsed HTTP request (``params`` is read-only and shared)."""
 
     __slots__ = ("method", "target", "path", "params", "headers", "body",
                  "version")
@@ -71,10 +93,7 @@ class Request:
         self.version = version
         self.headers = headers
         self.body = body
-        split = urlsplit(target)
-        self.path = split.path or "/"
-        # Last value wins on duplicates — the handlers only use scalars.
-        self.params = dict(parse_qsl(split.query, keep_blank_values=True))
+        self.path, self.params = parse_target(target)
 
     def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self.headers.get(name.lower(), default)
@@ -108,9 +127,11 @@ async def _read_line(reader, limit: int, what: str) -> bytes:
 async def read_request(reader) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on clean EOF.
 
-    Raises :class:`ProtocolError` on malformed input or exceeded limits.
-    Only identity bodies sized by ``Content-Length`` are accepted (chunked
-    *request* bodies answer 501 — no endpoint needs them).
+    Raises :class:`ProtocolError` on malformed input or exceeded limits,
+    and :class:`asyncio.IncompleteReadError` when the stream ends inside a
+    request (the handler closes without answering).  Only identity bodies
+    sized by ``Content-Length`` are accepted (chunked *request* bodies
+    answer 501 — no endpoint needs them).
     """
     line = await _read_line(reader, MAX_REQUEST_LINE, "request line")
     if not line:
@@ -137,14 +158,13 @@ async def read_request(reader) -> Optional[Request]:
     headers: Dict[str, str] = {}
     while True:
         raw = await _read_line(reader, MAX_HEADER_LINE, "header line")
-        if raw in (b"\r\n", b"\n", b""):
+        if raw in (b"\r\n", b"\n"):
             break
+        if not raw:  # EOF before the blank line: never serve a torn request
+            raise asyncio.IncompleteReadError(b"", None)
         if len(headers) >= MAX_HEADER_COUNT:
             raise ProtocolError(431, f"more than {MAX_HEADER_COUNT} headers")
-        try:
-            decoded = raw.decode("latin-1").rstrip("\r\n")
-        except UnicodeDecodeError:
-            raise ProtocolError(400, "undecodable header") from None
+        decoded = raw.decode("latin-1").rstrip("\r\n")
         name, separator, value = decoded.partition(":")
         if not separator or not name.strip():
             raise ProtocolError(400, f"malformed header {decoded!r}")

@@ -8,18 +8,20 @@ One :class:`Router` serves four endpoints over a
   ``(q, k, algorithm, scored)`` — :meth:`ServingEngine.lookup
   <repro.serving.engine.ServingEngine.lookup>`, answered from the
   memoised plan entry under one acquisition of the cache lock.  A result
-  cached at the current epoch is written straight back on the event loop:
-  it never queues, never crosses the executor and teaches the admission
-  EWMA nothing (a hit is a stored full answer, never a degraded one, and
-  refusing it would cost more than serving it).  Otherwise the answer is
-  the admission price, and ``serving.search(q, ...)`` is submitted with
-  the raw text, the key the plan cache hits without parsing.  Draining,
-  bad parameters, quota and parse errors are refused before the lookup.
-  Plain mode returns one JSON document; ``page=`` returns one diverse
-  result page (:mod:`repro.core.pagination` semantics: every page is
-  maximally diverse over the inventory not yet shown); ``pages=N``
-  streams N pages as chunked NDJSON, each page written as soon as the
-  engine computes it (both are admitted and priced per page).
+  cached at the current epoch is written straight back on the event loop,
+  as the body bytes stored on its cache entry (:func:`hit_body`): it never
+  queues, never crosses the executor, is encoded once per query text and
+  teaches the admission EWMA nothing (a hit is a stored full answer, never
+  a degraded one, and refusing it would cost more than serving it).
+  Otherwise the answer is the admission price, and ``serving.search(q,
+  ...)`` is submitted with the raw text, the key the plan cache hits
+  without parsing.  Draining, bad parameters, quota and parse errors are
+  refused before the lookup.  Plain mode returns one JSON document;
+  ``page=`` returns one diverse result page (:mod:`repro.core.pagination`
+  semantics: every page is maximally diverse over the inventory not yet
+  shown); ``pages=N`` streams N pages as chunked NDJSON, each page
+  written as soon as the engine computes it (both are admitted and
+  priced per page).
 * ``GET /metrics`` — the process metrics registry
   (``?format=json`` for the repro-metrics snapshot, Prometheus text
   exposition otherwise).  Control plane: never queued, never priced.
@@ -160,6 +162,19 @@ def result_body(result: DiverseResult, **extra) -> bytes:
         envelope[:-1], b",".join([_item_json(item) for item in result.items]))
 
 
+def hit_body(result: DiverseResult, text: str) -> bytes:
+    """The body of a cache hit on a plain (non-``page=``) search, encoded
+    at most once per query text.  Every envelope field of a hit is fixed
+    by its cache entry except ``query``, so the bytes are kept with that
+    text in the entry's shared columns (``_Columns.body``) and die with
+    the entry, as an item's ``_json`` does; no second cache."""
+    columns = result._columns
+    kept = columns.body
+    if kept is None or kept[0] != text:
+        kept = columns.body = (text, result_body(result, query=text))
+    return kept[1]
+
+
 class Router:
     """Dispatches parsed requests against the serving engine.
 
@@ -252,11 +267,12 @@ class Router:
         """Count and write one buffered answer (headers only to a ``HEAD``);
         returns whether the client wants the connection kept."""
         self._observe(request, status, started, outcome)
+        keep_alive = request.keep_alive
         await write_response(
             writer, status, body, content_type=content_type,
-            extra_headers=headers, keep_alive=request.keep_alive,
+            extra_headers=headers, keep_alive=keep_alive,
             head=request.method == "HEAD")
-        return request.keep_alive
+        return keep_alive
 
     async def _error(self, writer, request: Request, status: int, error: str,
                      message: str, retry_after_ms: Optional[float] = None,
@@ -365,9 +381,10 @@ class Router:
             try:
                 deadline_ms = float(deadline_raw)
             except ValueError:
+                deadline_ms = math.nan
+            if math.isnan(deadline_ms):  # NaN would compare as "no deadline"
                 raise BadRequest(
-                    f"deadline_ms must be a number, got {deadline_raw!r}"
-                ) from None
+                    f"deadline_ms must be a number, got {deadline_raw!r}")
             if deadline_ms <= 0.0:
                 deadline_ms = None  # explicit 0/negative = unbounded
         if (page is not None or pages is not None):
@@ -450,9 +467,13 @@ class Router:
 
         # One tail for both outcomes: a hit is a stored full answer, so it
         # is counted and written as the admitted request it stands in for.
-        body = result_body(
-            result, query=text,
-            **({"page": page, "page_size": page_size or k} if page else {}))
+        if page:
+            body = result_body(result, query=text, page=page,
+                               page_size=page_size or k)
+        elif ticket is None:
+            body = hit_body(result, text)
+        else:
+            body = result_body(result, query=text)
         return await self._respond(
             writer, request, 200, body, self._result_headers(result, ticket),
             started=started, outcome="admitted")

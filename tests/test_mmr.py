@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.baselines import collect_all
-from repro.core.mmr import (
+from paper.mmr import (
     dewey_similarity,
     evaluate_ck,
     mmr_select,
     retrieve_ck_diverse,
 )
+from repro.core.baselines import collect_all
 from repro.core.similarity import balance_violations, is_diverse
 from repro.index.inverted import InvertedIndex
 from repro.index.merged import MergedList

@@ -974,3 +974,308 @@ class TestDegradedContract:
             status, headers, _ = _request(address, target)
             assert headers["X-Repro-Cache"] == "hit"
         serving.close()
+
+
+# ======================================================================
+# The deadline parameter
+# ======================================================================
+class TestDeadlineParsing:
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "abc"])
+    def test_non_numbers_are_bad_requests(self, figure1_server, raw):
+        address = figure1_server.address
+        for target, headers in (
+                (f"/search?q={QUERY}&deadline_ms={raw}", None),
+                (f"/search?q={QUERY}", {"X-Repro-Deadline-Ms": raw})):
+            status, _, body = _request(address, target, headers=headers)
+            assert status == 400
+            assert json.loads(body)["error"] == "bad_request"
+        # Refused before the lookup: nothing was run or counted as a hit.
+        assert figure1_server.server.admission.admitted == 0
+
+    def test_header_deadline_is_read_per_request(self, registry):
+        """The target's parse is memoised; its deadline header is not."""
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        config = ServerConfig(initial_ms_per_unit=1000.0)
+        target = f"/search?q={QUERY}&k=4"
+        with ServerThread(serving, config, registry=registry) as thread:
+            for deadline, status in (("1", 429), ("0", 200), ("1", 200)):
+                # The third is a hit: a stored answer is never refused.
+                assert _request(thread.address, target, headers={
+                    "X-Repro-Deadline-Ms": deadline})[0] == status
+        serving.close()
+
+
+# ======================================================================
+# A hit's stored body
+# ======================================================================
+class TestStoredHitBody:
+    """A plain hit writes bytes kept on its cache entry: encoded once per
+    query text, never for ``page=``, never stale after a write."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """Every ``json_bytes`` call the router makes, in order."""
+        from repro.server import routes
+
+        calls, json_bytes = [], routes.json_bytes
+
+        def counting(document):
+            calls.append(document)
+            return json_bytes(document)
+
+        monkeypatch.setattr(routes, "json_bytes", counting)
+        return calls
+
+    @pytest.fixture
+    def stored(self, monkeypatch):
+        """Every query text ``hit_body`` is asked for."""
+        from repro.server import routes
+
+        texts, hit_body = [], routes.hit_body
+
+        def counting(result, text):
+            texts.append(text)
+            return hit_body(result, text)
+
+        monkeypatch.setattr(routes, "hit_body", counting)
+        return texts
+
+    @staticmethod
+    def _engines():
+        return tuple(ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering()) for _ in range(2))
+
+    def test_hit_bytes_decode_to_the_payload(self, registry, encodes):
+        from repro.server.routes import result_payload
+
+        text = "Make = 'Honda'"
+        serving, twin = self._engines()
+        target = f"/search?q={QUERY}&k=3&algorithm=probe"
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            bodies = [_request(thread.address, target)[2] for _ in range(4)]
+        expected = [result_payload(twin.search(text, 3, algorithm="probe"),
+                                   query=text) for _ in range(4)]
+        assert [json.loads(body) for body in bodies] == expected
+        assert len(set(bodies[1:])) == 1  # every hit writes the same bytes
+        serving.close()
+        twin.close()
+
+    def test_zero_encodes_from_the_second_identical_hit(
+            self, figure1_server, encodes, stored):
+        target = f"/search?q={QUERY}&k=5"
+        _request(figure1_server.address, target)  # the miss
+        _request(figure1_server.address, target)  # the first hit encodes
+        assert stored == ["Make = 'Honda'"] and encodes
+        encodes.clear()
+        for _ in range(10):
+            status, headers, _ = _request(figure1_server.address, target)
+            assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+        assert encodes == []
+        assert len(stored) == 11
+
+    def test_each_raw_text_echoes_its_own_query(self, figure1_server):
+        texts = ("Make = 'Honda'", "Make='Honda'", "  Make   =  'Honda' ")
+        documents = []
+        for _ in range(2):  # alternate, so the one slot is replaced
+            for text in texts:
+                status, headers, body = _request(
+                    figure1_server.address,
+                    f"/search?q={urllib.parse.quote(text)}&k=3")
+                assert status == 200
+                documents.append((text, headers["X-Repro-Cache"],
+                                  json.loads(body)))
+        # One canonical query: one miss, then hits on the shared entry.
+        assert [cache for _, cache, _ in documents] == ["miss"] + ["hit"] * 5
+        for text, _, document in documents:
+            assert document["query"] == text
+            assert document["items"] == documents[0][2]["items"]
+
+    def test_a_write_to_the_plan_is_never_served_stale(self, registry):
+        from repro.server.routes import result_payload
+
+        text = "Make = 'Honda'"
+        serving, twin = self._engines()
+        target = f"/search?q={QUERY}&k=15"
+        row = ("Honda", "Fit", "Black", 2008, "Brand new")
+        with ServerThread(serving, ServerConfig(), registry=registry) as thread:
+            for _ in range(3):
+                before = json.loads(_request(thread.address, target)[2])
+            rid = serving.insert(row)
+            assert twin.insert(row) == rid
+            _, headers, body = _request(thread.address, target)
+            assert headers["X-Repro-Cache"] == "miss"
+            fresh = [json.loads(body), json.loads(_request(
+                thread.address, target)[2])]
+        assert before["cache_hit"] and fresh[1]["cache_hit"]
+        assert fresh[0]["count"] == fresh[1]["count"] == before["count"] + 1
+        assert rid in [item["rid"] for item in fresh[1]["items"]]
+        expected = [result_payload(twin.search(text, 15, algorithm="auto"),
+                                   query=text) for _ in range(2)]
+        assert fresh == expected
+        serving.close()
+        twin.close()
+
+    def test_head_on_a_hit_has_the_get_length(self, figure1_server):
+        connection = http.client.HTTPConnection(
+            *figure1_server.address, timeout=30.0)
+        target = f"/search?q={QUERY}&k=4"
+        try:
+            lengths = []
+            for method in ("GET", "HEAD", "GET", "HEAD"):
+                connection.request(method, target)
+                response = connection.getresponse()
+                body = response.read()
+                lengths.append((response.getheader("X-Repro-Cache"),
+                                int(response.getheader("Content-Length")),
+                                len(body)))
+            get_length = lengths[2][2]  # the GET of a hit
+            assert lengths[1:] == [("hit", get_length, 0),
+                                   ("hit", get_length, get_length),
+                                   ("hit", get_length, 0)]
+        finally:
+            connection.close()
+
+    def test_page_requests_never_use_the_slot(self, figure1_server, stored):
+        for _ in range(3):
+            status, _, body = _request(
+                figure1_server.address,
+                f"/search?q={QUERY}&page=2&page_size=1")
+            assert status == 200
+            assert json.loads(body)["page"] == 2
+        assert stored == []
+
+
+# ======================================================================
+# The idle deadline: one timer per connection
+# ======================================================================
+class _BlockingServing(ServingEngine):
+    """A serving engine whose searches wait for ``release`` (set it)."""
+
+    def __init__(self, relation):
+        from repro import DiversityEngine
+
+        super().__init__(
+            DiversityEngine.from_relation(relation, figure1_ordering()))
+        self.release = threading.Event()
+
+    def search(self, query, k, algorithm="probe", scored=False):
+        assert self.release.wait(timeout=30.0)
+        return super().search(query, k, algorithm=algorithm, scored=scored)
+
+
+def _count_timers(thread) -> list:
+    """``(callback name, inflight)`` of every timer the server's loop arms
+    from now on (``call_later`` goes through ``call_at``)."""
+    loop, armed = thread._loop, []
+    call_at = loop.call_at
+    admission = thread.server.admission
+
+    def counting(when, callback, *args, **kwargs):
+        armed.append((getattr(callback, "__name__", "?"), admission.inflight))
+        return call_at(when, callback, *args, **kwargs)
+
+    done = threading.Event()
+    loop.call_soon_threadsafe(
+        lambda: (setattr(loop, "call_at", counting), done.set()))
+    assert done.wait(timeout=10.0)
+    return armed
+
+
+class TestIdleDeadline:
+    def test_idle_after_several_requests_is_closed(self, registry):
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering())
+        config = ServerConfig(idle_timeout_s=0.5)
+        with ServerThread(serving, config, registry=registry) as thread:
+            connection = http.client.HTTPConnection(
+                *thread.address, timeout=10.0)
+            try:
+                for target in ("/healthz", f"/search?q={QUERY}&k=2") * 3:
+                    last_sent = time.monotonic()
+                    connection.request("GET", target)
+                    assert connection.getresponse().read()
+                assert connection.sock.recv(1) == b""  # hung up, no timeout
+                # Not before the deadline the last request set.
+                assert time.monotonic() - last_sent >= 0.45
+            finally:
+                connection.close()
+            for _ in range(2000):  # the handler sees its EOF and exits
+                if not thread.server._connections:
+                    break
+                time.sleep(0.005)
+            assert not thread.server._connections
+        serving.close()
+
+    def test_a_blocked_search_is_never_cut_off(self, registry):
+        """The timer fires while the search is in flight and re-arms
+        instead of closing; the answer arrives on the same connection,
+        which then still serves and is closed only once idle."""
+        serving = _BlockingServing(figure1_relation())
+        config = ServerConfig(idle_timeout_s=0.2)
+        with ServerThread(serving, config, registry=registry) as thread:
+            connection = http.client.HTTPConnection(
+                *thread.address, timeout=30.0)
+            try:
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().read()
+                armed = _count_timers(thread)
+                answers = []
+
+                def search():
+                    connection.request(
+                        "GET", f"/search?q={QUERY}&k=2&deadline_ms=0")
+                    response = connection.getresponse()
+                    answers.append((response.status, response.read()))
+
+                client = threading.Thread(target=search)
+                client.start()
+                for _ in range(3000):  # ordering: a re-arm while in flight
+                    if ("expire", 1) in armed:
+                        break
+                    time.sleep(0.005)
+                assert ("expire", 1) in armed and answers == []
+                serving.release.set()
+                client.join(timeout=30.0)
+                assert answers and answers[0][0] == 200
+                connection.request("GET", "/healthz")  # still open
+                assert connection.getresponse().status == 200
+                assert connection.sock.recv(1) == b""  # re-armed: idle ends it
+            finally:
+                serving.release.set()
+                connection.close()
+        serving.close()
+
+    def test_requests_arm_no_timer(self, figure1_server, monkeypatch):
+        """After the connection's first request, N hits, misses and health
+        checks create zero timer handles; each distinct target is parsed
+        once; a repeated hit encodes nothing."""
+        from repro.server import protocol, routes
+
+        parsed, encoded = [], []
+        parse_qsl, json_bytes = protocol.parse_qsl, routes.json_bytes
+        connection = http.client.HTTPConnection(
+            *figure1_server.address, timeout=30.0)
+        targets = [f"/search?q={QUERY}&k=6", f"/search?q={QUERY}&k=7",
+                   "/healthz"]
+        try:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+            armed = _count_timers(figure1_server)
+            for target in targets:  # a miss each; the first hit encodes
+                for _ in range(2):
+                    connection.request("GET", target)
+                    assert connection.getresponse().read()
+            monkeypatch.setattr(protocol, "parse_qsl", lambda *args, **kw: (
+                parsed.append(args) or parse_qsl(*args, **kw)))
+            monkeypatch.setattr(routes, "json_bytes", lambda document: (
+                encoded.append(document) or json_bytes(document)))
+            for _ in range(20):
+                for target in targets[:2]:
+                    connection.request("GET", target)
+                    response = connection.getresponse()
+                    assert response.getheader("X-Repro-Cache") == "hit"
+                    assert response.read()
+            assert (armed, parsed, encoded) == ([], [], [])
+        finally:
+            connection.close()
