@@ -49,6 +49,7 @@ from .resilience import (
     ShardFaultSpec,
 )
 from .serving.engine import (
+    CACHE_TOTALS,
     ServingEngine,
     build_index,
     check_shape,
@@ -567,7 +568,11 @@ def _run_query(serving: ServingEngine, args, text: str) -> int:
         f"{' scored' if args.scored else ''},{degraded} {elapsed:.2f} ms]"
     )
     if args.stats:
-        for key, value in sorted(result.stats.items()):
+        stats = dict(result.stats)
+        if args.cache:  # the cache's running totals, beside the answer's own
+            stats.update((f"cache_{name}", getattr(serving.stats, name))
+                         for name, _ in CACHE_TOTALS)
+        for key, value in sorted(stats.items()):
             print(f"  {key}: {value}")
     _write_metrics_snapshot(args)
     return 0

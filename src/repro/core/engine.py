@@ -110,6 +110,17 @@ def run_algorithm(
     return deweys, scores, stats
 
 
+def compile_query(query: Union[Query, str], scored: bool = False) -> Query:
+    """The pure half of the plan step: parse text, then run the logical
+    normaliser (unscored only, to keep reported scores bit-exact).
+    Depends on nothing but the query, so the serving layer's plan cache
+    runs it once per entry; ``normalise`` is idempotent, so compiling a
+    compiled plan changes nothing."""
+    if isinstance(query, str):
+        query = parse_query(query)
+    return query if scored else normalise(query)
+
+
 def validate_search(k: int, algorithm: str) -> None:
     """Reject a ``search`` call no engine can answer (shared by the
     serving layer, which fronts :meth:`DiversityEngine.execute` itself)."""
@@ -203,19 +214,16 @@ class DiversityEngine:
         return self.execute(self.prepare(query, scored), k, algorithm, scored)
 
     def prepare(self, query: Union[Query, str], scored: bool = False) -> Query:
-        """The plan step of :meth:`search`: parse, normalise, order.
+        """The plan step of :meth:`search`: :func:`compile_query`, then
+        :meth:`order`."""
+        return self.order(compile_query(query, scored))
 
-        Runs the logical normaliser (unscored only, to keep reported scores
-        bit-exact) and orders conjunctions rarest-list-first for the
-        leapfrog intersection.  Deterministic given the query and the
-        current index statistics — this is exactly what the serving layer's
-        plan cache memoises.
-        """
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not scored:
-            query = normalise(query)
-        return order_for_leapfrog(query, self._index)
+    def order(self, plan: Query) -> Query:
+        """The epoch-dependent half of the plan step: conjunctions
+        rarest-list-first for the leapfrog intersection.  Deterministic
+        given the plan and the current index statistics; the serving
+        layer's plan cache re-orders through here when the epoch moves."""
+        return order_for_leapfrog(plan, self._index)
 
     def plan(
         self,

@@ -168,21 +168,23 @@ async def read_request(reader) -> Optional[Request]:
         name, separator, value = decoded.partition(":")
         if not separator or not name.strip():
             raise ProtocolError(400, f"malformed header {decoded!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 section 6.3: differing lengths make the frame invalid.
+            raise ProtocolError(400, "conflicting Content-Length headers")
+        headers[name] = value
     if headers.get("transfer-encoding", "").lower() not in ("", "identity"):
         raise ProtocolError(501, "chunked request bodies are not supported")
     body = b""
     length_raw = headers.get("content-length")
     if length_raw is not None:
-        try:
-            length = int(length_raw)
-        except ValueError:
-            raise ProtocolError(400, f"bad Content-Length {length_raw!r}") from None
-        if length < 0:
-            raise ProtocolError(400, "negative Content-Length")
-        if length > MAX_BODY_BYTES:
+        # RFC 9110 allows 1*DIGIT only: ``int`` would also take "+10", "1_0".
+        if not (length_raw.isascii() and length_raw.isdigit()):
+            raise ProtocolError(400, f"bad Content-Length {length_raw!r}")
+        # No accepted length needs 19 digits (and ``int`` refuses 4 301).
+        if len(length_raw) > 18 or int(length_raw) > MAX_BODY_BYTES:
             raise ProtocolError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(int(length_raw))
     return Request(method, target, version, headers, body)
 
 

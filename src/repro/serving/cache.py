@@ -9,14 +9,16 @@ and re-executes every call; this module amortises all five, and is reached
 only through :class:`~repro.serving.engine.ServingEngine` — the engine
 itself holds no cache:
 
-* :class:`PlanCache` memoises the plan step (parse -> normalise ->
-  leapfrog ordering) under the caller's own key — a raw query string hits
-  without being parsed, at any epoch.  The leapfrog ordering depends on
-  posting-list statistics, so a plan about to run or be priced at a newer
-  epoch is *revalidated* (re-ordered only) first; a hit never plans.
-  Each entry also memoises, per epoch, what the planner said about it:
-  the ``auto`` decision per ``(k, scored)`` and the seek-unit price per
-  ``(k, algorithm)`` — the admission currency of :mod:`repro.server`.
+* :class:`PlanCache` memoises the plan step under the caller's own key —
+  a raw query string hits without being parsed, at any epoch.  An entry
+  compiles its query once (:func:`~repro.core.engine.compile_query`:
+  parse, normalise); the leapfrog ordering depends on posting-list
+  statistics, so a plan about to run or be priced at a newer epoch is
+  *revalidated* through ``engine.order`` first; a hit never plans.  Each
+  entry also memoises, per epoch, what the planner said about it: one
+  :class:`~repro.planner.PlanDecision` per ``(k, algorithm)`` — ``auto``'s
+  pick, or a fixed algorithm priced as itself — whose cost is the
+  seek-unit price that is the admission currency of :mod:`repro.server`.
 * :class:`ResultCache` is an LRU over full :class:`DiverseResult` answers,
   keyed by ``(canonical query, k, algorithm, scored)`` and
   stamped with the epoch they were last known good at.  A write records
@@ -28,8 +30,10 @@ itself holds no cache:
   matches the entry is re-stamped and served; otherwise, or when the ring
   cannot vouch for every step, it is dropped.
 * :class:`ServingCache` combines both behind thread-safe ``search`` /
-  ``search_page`` / ``price`` / ``lookup`` calls and keeps exact counters
-  (:class:`CacheStats`) that surface in ``DiverseResult.stats``.
+  ``search_page`` / ``price`` / ``lookup`` calls.  An answer's ``stats``
+  are its own run's plus a ``cache_hit`` flag; the cache's running totals
+  (:class:`CacheStats`) are read from ``ServingEngine.stats``,
+  :meth:`ServingCache.stats_snapshot` and the ``repro_cache_*`` gauges.
 
 The caches never change answers: a hit is bit-identical to a cache-free
 run at the same index state of the algorithm it reports (an ``auto``
@@ -45,13 +49,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
-from ..core.engine import AUTO
+from ..core.engine import AUTO, compile_query
 from ..core.result import DiverseResult
 from ..index.tokenize import token_set
-from ..query.parser import parse_query
 from ..query.predicates import KeywordPredicate, ScalarPredicate
 from ..query.query import AND, LEAF, Query
-from ..query.rewrite import normalise, to_query_string
+from ..query.rewrite import to_query_string
 
 DEFAULT_PLAN_CAPACITY = 1024
 DEFAULT_RESULT_CAPACITY = 4096
@@ -95,21 +98,6 @@ class CacheStats:
         """Result-cache hit ratio over all lookups so far (0.0 when idle)."""
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def as_stats_dict(self) -> Dict[str, int]:
-        """The ``cache_*`` entries merged into ``DiverseResult.stats``."""
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
-            "cache_epoch_invalidations": self.epoch_invalidations,
-            "cache_plan_hits": self.plan_hits,
-            "cache_plan_misses": self.plan_misses,
-            "cache_plan_revalidations": self.plan_revalidations,
-            "cache_decision_hits": self.decision_hits,
-            "cache_decision_misses": self.decision_misses,
-            "cache_decision_replans": self.decision_replans,
-        }
 
     def snapshot(self) -> "CacheStats":
         return replace(self)
@@ -155,36 +143,32 @@ class _LRU:
 
 
 class _PlanEntry:
-    """One memoised plan: the epoch-independent base + the ordered form."""
+    """One memoised plan: the compiled base + its ordered form."""
 
-    __slots__ = ("base", "ordered", "canonical", "epoch", "decisions",
-                 "prices")
+    __slots__ = ("base", "ordered", "canonical", "epoch", "decisions")
 
     def __init__(self, base: Query, ordered: Query, canonical: str, epoch: int):
-        self.base = base            # parsed (+ normalised when applicable)
-        self.ordered = ordered      # base after order_for_leapfrog
+        self.base = base            # compile_query's plan: epoch-independent
+        self.ordered = ordered      # engine.order(base) at ``epoch``
         self.canonical = canonical  # canonical text of the *base* plan
         self.epoch = epoch          # index epoch the ordering was computed at
-        # ``auto`` decisions for this plan, keyed ``(k, scored)``; each
-        # PlanDecision carries its own epoch stamp, so a decision computed
-        # under older statistics is replaced on its next lookup (mutations
-        # move selectivities, which can flip the cheapest algorithm).
-        self.decisions: Dict[Tuple[int, bool], Any] = {}
-        # Seek-unit prices of the fixed algorithms, ``(k, algorithm) ->
-        # (epoch, price)``: stale on the same terms as a decision.
-        self.prices: Dict[Tuple[int, str], Tuple[int, float]] = {}
+        # What the planner said per ``(k, algorithm)``.  Each PlanDecision
+        # carries its own epoch stamp, so one computed under older
+        # statistics is replaced on its next use (mutations move
+        # selectivities, which can flip the cheapest algorithm).
+        self.decisions: Dict[Tuple[int, str], Any] = {}
 
 
 class PlanCache:
-    """Memoises ``DiversityEngine.prepare`` per query as the caller sent it.
+    """Memoises the plan step per query as the caller sent it.
 
-    Keys are ``(query, scored)`` over raw query strings (the
-    common serving case — no parse needed to hit) and :class:`Query`
-    objects (hashable trees).  Parsing
-    and normalisation are epoch-independent and cached forever (modulo
-    LRU); the leapfrog ordering is epoch-stamped, and the serving cache
-    re-orders it from the base only before the plan runs or is priced at
-    a newer epoch (orderings permute AND children, never the matches).
+    Keys are ``(query, scored)`` over raw query strings (the common
+    serving case — no parse needed to hit) and :class:`Query` objects
+    (hashable trees).  An entry runs :func:`compile_query` once and is
+    cached forever (modulo LRU); its leapfrog ordering is epoch-stamped,
+    and the serving cache re-orders the base through ``engine.order``
+    only before the plan runs or is priced at a newer epoch (orderings
+    permute AND children, never the matches).
     """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CAPACITY):
@@ -207,59 +191,10 @@ class PlanCache:
         if entry is not None:
             return entry, "hit"
         epoch = engine.epoch
-        base = parse_query(query) if isinstance(query, str) else query
-        # The base is normalised exactly as ``engine.prepare`` normalises,
-        # so revalidation is pure re-ordering (orderings permute, never
-        # rewrite).
-        if not scored:
-            base = normalise(base)
-        entry = _PlanEntry(base, engine.prepare(base, scored),
-                           to_query_string(base), epoch)
+        base = compile_query(query, scored)
+        entry = _PlanEntry(base, engine.order(base), to_query_string(base), epoch)
         self._lru.put(key, entry)
         return entry, "miss"
-
-    def decision(
-        self, engine, entry: _PlanEntry, k: int, scored: bool, epoch: int
-    ) -> Tuple[Any, str]:
-        """The memoised ``auto`` decision for one plan at one ``(k, scored)``.
-
-        Returns ``(decision, outcome)`` where outcome is ``"hit"`` (cached
-        and its epoch still matches), ``"replanned"`` (cached but the index
-        mutated since — statistics may have shifted, so the planner runs
-        again) or ``"miss"`` (first request at this ``(k, scored)``).
-        Decisions degraded by unreachable statistics are never stored: they
-        reflect an outage, not the epoch.
-        """
-        slot = entry.decisions.get((k, scored))
-        if slot is not None and slot.epoch == epoch:
-            return slot, "hit"
-        outcome = "replanned" if slot is not None else "miss"
-        decision = engine.plan(entry.ordered, k, scored)
-        if decision.reason != "stats unavailable":
-            entry.decisions[(k, scored)] = decision
-        return decision, outcome
-
-    def price(
-        self, engine, entry: _PlanEntry, k: int, algorithm: str, scored: bool,
-        epoch: int,
-    ) -> float:
-        """Seek units the cost model charges one fixed ``algorithm`` for
-        this plan (:func:`repro.planner.price`: probe's formula or naive's),
-        memoised per ``(k, algorithm)`` and epoch.
-
-        Priced through ``engine.plan`` with the algorithm forced, so a
-        sharded engine's statistics reads keep their retry wrapping; like
-        a decision, a price taken while statistics were unreachable
-        reflects the outage and is never stored.
-        """
-        slot = entry.prices.get((k, algorithm))
-        if slot is not None and slot[0] == epoch:
-            return slot[1]
-        decision = engine.plan(entry.ordered, k, scored, candidates=(algorithm,))
-        price = decision.costs.get(algorithm, 0.0)
-        if decision.reason != "stats unavailable":
-            entry.prices[(k, algorithm)] = (epoch, price)
-        return price
 
     def clear(self) -> None:
         self._lru.clear()
@@ -320,10 +255,6 @@ class ResultCache:
         ``invalidations``; each dropped entry lands in exactly one)."""
         return self._lru.evictions
 
-    @staticmethod
-    def key(canonical: str, k: int, algorithm: str, scored: bool) -> Hashable:
-        return (canonical, k, algorithm, scored)
-
     def lookup(self, key: Hashable, epoch: int, engine,
                plan: Query) -> Tuple[Optional[DiverseResult], bool]:
         """Return ``(result, invalidated)``: an older entry is re-stamped
@@ -373,8 +304,8 @@ class ServingCache:
     Owned by a :class:`~repro.serving.engine.ServingEngine`, which hands
     the engine it fronts to every call; the engine never sees the cache.
     Answers are always bit-identical to the engine's own at the same index
-    epoch; every result's ``stats`` carries a ``cache_hit`` flag plus the
-    cumulative ``cache_*`` counters.
+    epoch.  An answer's ``stats`` add one ``cache_hit`` flag to its run's;
+    the cumulative counters stay here, in :attr:`stats`.
     """
 
     def __init__(
@@ -399,27 +330,19 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, scored)
-            key = self.results.key(plan.canonical, k, algorithm, scored)
-            cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
-            if invalidated:
-                # A stale entry was just dropped: one miss (below) and one
-                # eviction, both exactly once — _sync_eviction_counters
-                # derives evictions from the result cache's own drop
-                # counters, so no path can double-count the same entry.
-                stats.epoch_invalidations += 1
-                self._sync_eviction_counters()
+            plan, (key,), (cached,) = self._find(
+                engine, query, scored, epoch, ((k, algorithm),))
             if cached is not None:
                 stats.hits += 1
                 return self._serve(cached, hit=True)
             stats.misses += 1
-            ordered = self._ordered(engine, plan, scored, epoch)
+            ordered = self._ordered(engine, plan, epoch)
             decision = None
             if algorithm == AUTO:
                 # Resolve the memoised decision under the lock (cheap pure
                 # statistics work) so concurrent callers share one plan;
                 # the selected algorithm executes outside the lock below.
-                decision = self._decision(engine, plan, k, scored, epoch)
+                decision = self._decision(engine, plan, k, AUTO, scored, epoch)
         # Execute outside the lock: concurrent misses may race, but both
         # compute the same answer for the same epoch, so last-write-wins.
         result = engine.execute(ordered, k, algorithm, scored, decision=decision)
@@ -456,25 +379,14 @@ class ServingCache:
         stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, False)
-            keys = [
-                self.results.key(
-                    plan.canonical, page_size, f"page:{algorithm}:{n}", False
-                )
-                for n in range(1, page + 1)
-            ]
-            cached_pages: List[Optional[DiverseResult]] = []
-            for key in keys:
-                cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
-                if invalidated:
-                    stats.epoch_invalidations += 1
-                    self._sync_eviction_counters()
-                cached_pages.append(cached)
+            plan, keys, cached_pages = self._find(
+                engine, query, False, epoch,
+                [(page_size, f"page:{algorithm}:{n}") for n in range(1, page + 1)])
             if cached_pages[-1] is not None:
                 stats.hits += 1
                 return self._serve(cached_pages[-1], hit=True)
             stats.misses += 1
-            ordered = self._ordered(engine, plan, False, epoch)
+            ordered = self._ordered(engine, plan, epoch)
         # Compute outside the lock (same discipline as ``search``): seed
         # the exclusion set from the contiguous cached prefix, then run
         # the paginator only over the missing pages.
@@ -538,22 +450,16 @@ class ServingCache:
         result cache holds it for the current epoch (counted as one hit and
         one plan lookup, exactly as :meth:`search` would), else ``None``
         and the :meth:`price` to admit the search at.  Nothing executes
-        and a miss is not counted — the ``search`` that follows counts it.
+        and a miss is not counted — the ``search`` that follows counts it;
+        a stale entry dropped here is counted here, once.
         """
-        stats = self.stats
         with self._lock:
             epoch = engine.epoch
-            plan = self._plan(engine, query, scored)
-            key = self.results.key(plan.canonical, k, algorithm, scored)
-            cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
+            plan, _, (cached,) = self._find(
+                engine, query, scored, epoch, ((k, algorithm),))
             if cached is not None:
-                stats.hits += 1
+                self.stats.hits += 1
                 return self._serve(cached, hit=True), 0.0
-            if invalidated:
-                # The stale entry is gone, so the search that follows
-                # cannot see it: count its death here, its miss there.
-                stats.epoch_invalidations += 1
-                self._sync_eviction_counters()
             return None, self._price(engine, plan, k, algorithm, scored, epoch)
 
     def record_write(self, engine, epoch: int, row: tuple) -> None:
@@ -562,14 +468,34 @@ class ServingCache:
         with self._lock:
             self.results.record(engine, epoch, row)
 
+    def _find(self, engine, query: Union[Query, str], scored: bool,
+              epoch: int, slots) -> Tuple[_PlanEntry, list, list]:
+        """The memoised plan of ``query`` and, per ``(k, algorithm)`` slot,
+        its result key and the answer the result cache holds at ``epoch``
+        (else ``None``), counted (lock held).
+
+        A stale entry the lookup drops is one epoch invalidation and one
+        eviction, each exactly once — :meth:`_sync_eviction_counters`
+        derives evictions from the result cache's own drop counters, so
+        no path can double-count the same entry.
+        """
+        plan = self._plan(engine, query, scored)
+        keys = [(plan.canonical, k, algorithm, scored) for k, algorithm in slots]
+        answers = []
+        for key in keys:
+            cached, invalidated = self.results.lookup(key, epoch, engine, plan.base)
+            if invalidated:
+                self.stats.epoch_invalidations += 1
+                self._sync_eviction_counters()
+            answers.append(cached)
+        return plan, keys, answers
+
     def _price(self, engine, plan: _PlanEntry, k: int, algorithm: str,
                scored: bool, epoch: int) -> float:
-        """The memoised admission price of one plan (lock held)."""
-        self._ordered(engine, plan, scored, epoch)
-        if algorithm == AUTO:
-            decision = self._decision(engine, plan, k, scored, epoch)
-            return decision.costs[decision.algorithm]
-        return self.plans.price(engine, plan, k, algorithm, scored, epoch)
+        """The admission price of one plan: the cost of what its memoised
+        decision at ``(k, algorithm)`` runs (lock held)."""
+        decision = self._decision(engine, plan, k, algorithm, scored, epoch)
+        return decision.costs[decision.algorithm]
 
     def _plan(self, engine, query: Union[Query, str], scored: bool) -> _PlanEntry:
         """The memoised plan for ``query``, counted (lock held)."""
@@ -582,27 +508,43 @@ class ServingCache:
         stats.plan_evictions = self.plans.evictions
         return plan
 
-    def _ordered(self, engine, plan: _PlanEntry, scored: bool,
-                 epoch: int) -> Query:
+    def _ordered(self, engine, plan: _PlanEntry, epoch: int) -> Query:
         """The plan about to run or be priced at ``epoch``: re-ordered from
         its base first if the index moved since (lock held)."""
         if plan.epoch != epoch:
-            plan.ordered = engine.prepare(plan.base, scored)
+            plan.ordered = engine.order(plan.base)
             plan.epoch = epoch
             self.stats.plan_revalidations += 1
         return plan.ordered
 
-    def _decision(self, engine, plan: _PlanEntry, k: int, scored: bool,
-                  epoch: int):
-        """The memoised ``auto`` decision for ``plan``, counted (lock held)."""
+    def _decision(self, engine, plan: _PlanEntry, k: int, algorithm: str,
+                  scored: bool, epoch: int):
+        """What the planner says about ``plan`` at ``(k, algorithm)``,
+        memoised per epoch (lock held).
+
+        ``auto`` is planned over the default candidates; a fixed algorithm
+        is forced through the same ``engine.plan``, so a sharded engine's
+        statistics reads keep their retry wrapping.  A decision taken
+        while statistics were unreachable reflects the outage, not the
+        epoch, and is never stored.  Only ``auto`` moves the
+        ``decision_*`` counters.
+        """
         stats = self.stats
-        decision, outcome = self.plans.decision(engine, plan, k, scored, epoch)
-        if outcome == "hit":
-            stats.decision_hits += 1
-        elif outcome == "replanned":
-            stats.decision_replans += 1
-        else:
-            stats.decision_misses += 1
+        ordered = self._ordered(engine, plan, epoch)
+        decision = plan.decisions.get((k, algorithm))
+        if decision is not None and decision.epoch == epoch:
+            if algorithm == AUTO:
+                stats.decision_hits += 1
+            return decision
+        if algorithm == AUTO:
+            if decision is None:
+                stats.decision_misses += 1
+            else:
+                stats.decision_replans += 1
+        decision = engine.plan(ordered, k, scored, candidates=(
+            None if algorithm == AUTO else (algorithm,)))
+        if decision.reason != "stats unavailable":
+            plan.decisions[(k, algorithm)] = decision
         return decision
 
     def _sync_eviction_counters(self) -> None:
@@ -614,18 +556,16 @@ class ServingCache:
         """
         self.stats.evictions = self.results.evictions + self.results.invalidations
 
-    def _serve(self, result: DiverseResult, hit: bool) -> DiverseResult:
-        """Wrap a stored/fresh result with the current cache counters.
+    @staticmethod
+    def _serve(result: DiverseResult, hit: bool) -> DiverseResult:
+        """A stored or fresh result as served: its stats plus ``cache_hit``.
 
         The answer's columns and item objects are shared, so an entry
         builds its items at most once whatever its hit count; the items
         list and the stats dict are new per call, so callers can never
         corrupt a cached entry.
         """
-        stats: Dict[str, int] = dict(result.stats)
-        stats["cache_hit"] = 1 if hit else 0
-        stats.update(self.stats.as_stats_dict())
-        return result.share(stats)
+        return result.share({**result.stats, "cache_hit": 1 if hit else 0})
 
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of the counters, taken under the cache lock.

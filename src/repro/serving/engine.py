@@ -46,24 +46,21 @@ from ..sharding.executor import gather_backend
 from .cache import CacheStats, ServingCache
 
 
-#: (gauge, help, CacheStats field) published by the cache collector.
-_CACHE_GAUGES = (
-    ("repro_cache_hits", "Result-cache hits", "hits"),
-    ("repro_cache_misses", "Result-cache misses", "misses"),
-    ("repro_cache_evictions",
-     "Entries dropped (LRU pressure + epoch invalidation)", "evictions"),
-    ("repro_cache_epoch_invalidations",
-     "Entries dropped: a write touched them or went unrecorded", "epoch_invalidations"),
-    ("repro_cache_plan_hits", "Plan-cache hits", "plan_hits"),
-    ("repro_cache_plan_misses", "Plan-cache misses", "plan_misses"),
-    ("repro_cache_plan_revalidations",
-     "Plans re-ordered before running at a newer epoch", "plan_revalidations"),
-    ("repro_cache_decision_hits",
-     "auto decisions served from the plan cache", "decision_hits"),
-    ("repro_cache_decision_misses",
-     "auto decisions computed fresh", "decision_misses"),
-    ("repro_cache_decision_replans",
-     "auto decisions recomputed after an epoch change", "decision_replans"),
+#: (CacheStats field, help): the running totals the collector publishes,
+#: each as the gauge ``repro_cache_<field>``, and ``repro query --stats``
+#: prints, each as ``cache_<field>``.
+CACHE_TOTALS = (
+    ("hits", "Result-cache hits"),
+    ("misses", "Result-cache misses"),
+    ("evictions", "Entries dropped (LRU pressure + epoch invalidation)"),
+    ("epoch_invalidations",
+     "Entries dropped: a write touched them or went unrecorded"),
+    ("plan_hits", "Plan-cache hits"),
+    ("plan_misses", "Plan-cache misses"),
+    ("plan_revalidations", "Plans re-ordered before running at a newer epoch"),
+    ("decision_hits", "auto decisions served from the plan cache"),
+    ("decision_misses", "auto decisions computed fresh"),
+    ("decision_replans", "auto decisions recomputed after an epoch change"),
 )
 
 
@@ -84,8 +81,9 @@ def register_cache_collector(registry, serving: "ServingEngine"):
             registry.unregister_collector(collect)
             return
         stats = engine.cache.stats_snapshot()
-        for name, help_text, field_name in _CACHE_GAUGES:
-            registry.gauge(name, help_text).set(getattr(stats, field_name))
+        for field_name, help_text in CACHE_TOTALS:
+            registry.gauge(f"repro_cache_{field_name}", help_text).set(
+                getattr(stats, field_name))
         for kind, size in engine.cache.sizes().items():
             registry.gauge("repro_cache_entries", "Live cache entries",
                            kind=kind).set(size)

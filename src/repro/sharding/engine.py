@@ -74,7 +74,6 @@ from ..query.estimate import order_for_leapfrog
 from ..query.parser import parse_query
 from ..query.predicates import ScalarPredicate
 from ..query.query import AND, Query
-from ..query.rewrite import normalise
 from ..resilience import (
     ChaosPolicy,
     Deadline,
@@ -355,16 +354,13 @@ class ShardedEngine(DiversityEngine):
         ).inc()
         return None
 
-    def prepare(self, query: Union[Query, str], scored: bool = False) -> Query:
-        """Plan step, retry-wrapped: the leapfrog ordering reads posting
-        statistics through the sharded index, so a flaky shard can fault
-        here too.  When the statistics are unreachable (:meth:`_read_stats`)
-        the *plan* degrades instead of the query: parse + normalise are
-        pure, only the reordering is skipped — answers do not depend on
-        predicate order, so execution still proceeds on its own terms."""
-        plan = parse_query(query) if isinstance(query, str) else query
-        if not scored:
-            plan = normalise(plan)
+    def order(self, plan: Query) -> Query:
+        """The ordering, retry-wrapped: it reads posting statistics
+        through the sharded index, so a flaky shard can fault here too.
+        When the statistics are unreachable (:meth:`_read_stats`) the
+        *plan* degrades instead of the query: the reordering is skipped —
+        answers do not depend on predicate order, so execution still
+        proceeds on its own terms."""
         ordered = self._read_stats(partial(order_for_leapfrog, plan), "prepare")
         return plan if ordered is None else ordered
 
@@ -379,7 +375,7 @@ class ShardedEngine(DiversityEngine):
         candidates=None,
     ):
         """Plan step of ``algorithm="auto"``, retry-wrapped like
-        :meth:`prepare`: the cost model reads posting statistics through the
+        :meth:`order`: the cost model reads posting statistics through the
         sharded index's union views, so a flaky shard can fault here too.
         Transient faults retry; when a shard stays unreachable (or its
         breaker is already open) the *decision* degrades to ``naive`` — the

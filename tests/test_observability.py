@@ -459,6 +459,34 @@ class TestCacheAccounting:
             assert gauges[("repro_cache_hits", ())] == 1
             assert gauges[("repro_cache_misses", ())] == 1
             assert gauges[("repro_cache_entries", (("kind", "results"),))] == 1
+            helps = {
+                name: text
+                for _, _, name, text in (
+                    line.split(" ", 3)
+                    for line in registry.render_prometheus().splitlines()
+                    if line.startswith("# HELP repro_cache_"))
+            }
+            assert helps == {
+                "repro_cache_hits": "Result-cache hits",
+                "repro_cache_misses": "Result-cache misses",
+                "repro_cache_evictions":
+                    "Entries dropped (LRU pressure + epoch invalidation)",
+                "repro_cache_epoch_invalidations":
+                    "Entries dropped: a write touched them or went unrecorded",
+                "repro_cache_plan_hits": "Plan-cache hits",
+                "repro_cache_plan_misses": "Plan-cache misses",
+                "repro_cache_plan_revalidations":
+                    "Plans re-ordered before running at a newer epoch",
+                "repro_cache_decision_hits":
+                    "auto decisions served from the plan cache",
+                "repro_cache_decision_misses": "auto decisions computed fresh",
+                "repro_cache_decision_replans":
+                    "auto decisions recomputed after an epoch change",
+                "repro_cache_entries": "Live cache entries",
+            }
+            assert {name for name, labels in gauges
+                    if name.startswith("repro_cache_") and not labels} \
+                == set(helps) - {"repro_cache_entries"}
             serving.close()
             # After close the collector is unhooked: exports keep working.
             registry.snapshot()

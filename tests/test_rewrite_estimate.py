@@ -76,6 +76,8 @@ class TestNormalise:
         query = random_query(rng, weighted=True)
         rewritten = normalise(query)
         assert res(relation, query) == res(relation, rewritten)
+        # A compiled plan is compiled once: normalising it again is a no-op.
+        assert normalise(rewritten) == rewritten
 
 
 class TestToQueryString:

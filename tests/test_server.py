@@ -542,15 +542,12 @@ class TestPlannedOnce:
 
         import repro.core.engine as core_engine
         import repro.planner.cost as cost
-        import repro.serving.cache as serving_cache
 
         calls = collections.Counter()
         for module, name in (
             (core_engine, "parse_query"),
             (core_engine, "normalise"),
             (core_engine, "order_for_leapfrog"),
-            (serving_cache, "parse_query"),
-            (serving_cache, "normalise"),
             (cost, "extract_features"),
         ):
             def counting(*args, _original=getattr(module, name), _name=name,

@@ -155,6 +155,24 @@ class TestWireFuzz:
             server.address, b"GET /healthz HTTP/1.1\r\n\r\n"))
         assert status == [200]
 
+    @pytest.mark.parametrize("lengths, body, status", [
+        ([b"1_0"], b"0123456789", 400),
+        ([b"+10"], b"0123456789", 400),
+        ([b"2", b"5"], b"hello", 400),
+        ([b"0010"], b"0123456789", 200),
+        ([b"5", b"5"], b"hello", 200),
+    ], ids=["underscore", "plus-sign", "differing-repeat", "leading-zeros",
+            "equal-repeat"])
+    def test_content_length_is_one_run_of_digits(self, server, lengths, body,
+                                                 status):
+        """RFC 9110 allows ``1*DIGIT`` only, and RFC 9112 section 6.3 makes
+        differing repeated values invalid: such a frame is refused, never
+        read as a body of ``int()``'s or the last header's length."""
+        frame = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            b"Content-Length: " + length + b"\r\n" for length in lengths)
+        assert _statuses(_exchange(server.address,
+                                   frame + b"\r\n" + body)) == [status]
+
     def test_pipelined_requests_are_answered_in_order(self, server):
         rng = random.Random(SEED + 1)
         for _ in range(FRAMES_PER_KIND):

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.core.engine as core_engine
 from repro import ALGORITHMS, AUTO, DiversityEngine, Query, Relation
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
@@ -78,8 +79,8 @@ class TestResultCacheBehaviour:
         second = cached.search("Make = 'Honda'", k=3)
         assert first.stats["cache_hit"] == 0
         assert second.stats["cache_hit"] == 1
-        assert second.stats["cache_hits"] == 1
-        assert second.stats["cache_misses"] == 1
+        assert cached.stats.hits == 1
+        assert cached.stats.misses == 1
         assert _answers(first) == _answers(second)
 
     def test_hit_requires_same_k_algorithm_scored(self):
@@ -113,7 +114,7 @@ class TestResultCacheBehaviour:
         plain.insert(("Honda", "Prelude", "Black", 1999, "classic coupe"))
         result = cached.search("Make = 'Honda'", k=5)
         assert result.stats["cache_hit"] == 0
-        assert result.stats["cache_epoch_invalidations"] == 1
+        assert cached.stats.epoch_invalidations == 1
         assert _answers(result) == _answers(plain.search("Make = 'Honda'", k=5))
 
     def test_delete_invalidates_lazily(self):
@@ -125,7 +126,7 @@ class TestResultCacheBehaviour:
         assert plain.delete(victim)
         after = cached.search("Make = 'Honda'", k=5)
         assert after.stats["cache_hit"] == 0
-        assert after.stats["cache_epoch_invalidations"] == 1
+        assert cached.stats.epoch_invalidations == 1
         assert victim not in after.rids
 
     @pytest.mark.parametrize("algorithm", ["probe", "auto"])
@@ -155,9 +156,9 @@ class TestResultCacheBehaviour:
         assert hit is None and price > 0.0
         fresh = cached.search(query, 3, algorithm)
         assert fresh.stats["cache_hit"] == 0
-        assert fresh.stats["cache_epoch_invalidations"] == 1
-        assert fresh.stats["cache_evictions"] == 1
-        assert fresh.stats["cache_misses"] == after.misses + 1
+        assert cached.stats.epoch_invalidations == 1
+        assert cached.stats.evictions == 1
+        assert cached.stats.misses == after.misses + 1
         assert _answers(fresh) == _answers(plain.search(query, 3, algorithm))
 
     def test_unrelated_entries_survive_by_revalidation(self):
@@ -178,7 +179,7 @@ class TestResultCacheBehaviour:
         cached.search("Make = 'Honda'", k=3)  # evicts the k=1 entry
         result = cached.search("Make = 'Honda'", k=1)
         assert result.stats["cache_hit"] == 0
-        assert result.stats["cache_evictions"] >= 1
+        assert cached.stats.evictions >= 1
 
     def test_result_items_are_isolated_copies(self):
         _, cached = _paired_engines()
@@ -218,7 +219,7 @@ class TestEmptyPostingListInvalidation:
         assert cached.delete(rid)
         after = cached.search("Description CONTAINS 'zebrafish'", k=5)
         assert after.stats["cache_hit"] == 0, "stale result served after delete"
-        assert after.stats["cache_epoch_invalidations"] >= 1
+        assert cached.stats.epoch_invalidations >= 1
         assert list(after.items) == []
 
     def test_delete_last_row_for_scalar_value_invalidates(self):
@@ -248,12 +249,12 @@ class TestPlanCacheBehaviour:
         plain, cached = _paired_engines()
         cached.search("Make = 'Honda' AND Color = 'Green'", k=2)
         again = cached.search("Make = 'Honda' AND Color = 'Green'", k=2)
-        assert again.stats["cache_plan_hits"] == 1
+        assert cached.stats.plan_hits == 1
         plain.insert(("Honda", "Fit", "Green", 2008, "hatchback"))
         after = cached.search("Make = 'Honda' AND Color = 'Green'", k=2)
         # The parse/normalise work was reused; only the ordering was redone.
-        assert after.stats["cache_plan_revalidations"] == 1
-        assert after.stats["cache_plan_misses"] == 1
+        assert cached.stats.plan_revalidations == 1
+        assert cached.stats.plan_misses == 1
 
     def test_plan_cache_standalone(self):
         engine = DiversityEngine.from_relation(figure1_relation(), figure1_ordering())
@@ -276,6 +277,85 @@ class TestPlanCacheBehaviour:
         assert cache.stats.plan_revalidations == 1
 
 
+def _calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call is recorded; the call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _decisions(cached):
+    stats = cached.stats
+    return stats.decision_misses, stats.decision_hits, stats.decision_replans
+
+
+class TestCountedPlanning:
+    """Each planning fact is computed once: counted calls, no clocks."""
+
+    def test_one_compile_per_entry_one_ordering_per_epoch(self, monkeypatch):
+        plain, cached = _paired_engines()
+        normalised = _calls(monkeypatch, core_engine, "normalise")
+        ordered = _calls(monkeypatch, plain, "order")
+        query = "Make = 'Honda' AND Color = 'Green'"
+        assert cached.search(query, k=2).stats["cache_hit"] == 0
+        for year in (2001, 2002, 2003):
+            plain.insert(("Honda", "Fit", "Green", year, "hatchback"))
+            assert cached.search(query, k=2).stats["cache_hit"] == 0
+        assert (len(normalised), len(ordered)) == (1, 4)
+        assert (cached.stats.plan_misses, cached.stats.plan_revalidations) \
+            == (1, 3)
+
+    def test_a_forced_price_plans_once(self, monkeypatch):
+        plain, cached = _paired_engines()
+        planned = _calls(monkeypatch, plain, "plan")
+        price = cached.price("Make = 'Honda'", 3, "probe")
+        cached.search("Make = 'Honda'", 3, "probe")
+        assert cached.price("Make = 'Honda'", 3, "probe") == price > 0.0
+        assert len(planned) == 1
+
+    def test_lookup_then_search_decides_once_per_epoch(self, monkeypatch):
+        plain, cached = _paired_engines()
+        planned = _calls(monkeypatch, plain, "plan")
+        query = "Make = 'Honda'"
+        assert cached.lookup(query, 3, AUTO)[0] is None
+        cached.search(query, 3, AUTO)
+        assert (_decisions(cached), len(planned)) == ((1, 1, 0), 1)
+        plain.insert(("Honda", "Prelude", "Black", 1999, "classic coupe"))
+        assert cached.lookup(query, 3, AUTO)[0] is None
+        cached.search(query, 3, AUTO)
+        assert (_decisions(cached), len(planned)) == ((1, 2, 1), 2)
+
+    def test_forced_prices_never_move_the_decision_counters(self, monkeypatch):
+        plain, cached = _paired_engines()
+        planned = _calls(monkeypatch, plain, "plan")
+        for _ in range(2):
+            for algorithm in ("probe", "naive"):
+                cached.price("Make = 'Honda'", 3, algorithm)
+                cached.lookup("Make = 'Honda'", 3, algorithm)
+            plain.insert(("Honda", "Prelude", "Black", 1999, "classic coupe"))
+        assert len(planned) == 4
+        assert _decisions(cached) == (0, 0, 0)
+
+    def test_an_answer_carries_no_running_total(self):
+        _, cached = _paired_engines()
+        answers = [cached.search("Make = 'Honda'", 3, algorithm)
+                   for algorithm in ("probe", "probe", AUTO, AUTO)]
+        answers.append(cached.lookup("Make = 'Honda'", 3)[0])
+        answers += [cached.search_page("Make = 'Honda'", 2, page=2)
+                    for _ in range(2)]
+        for answer in answers:
+            assert [key for key in answer.stats if key.startswith("cache_")] \
+                == ["cache_hit"]
+        assert [answer.stats["cache_hit"] for answer in answers] \
+            == [0, 1, 0, 1, 1, 0, 1]
+
+
 class TestCacheStats:
     def test_hit_ratio(self):
         stats = CacheStats()
@@ -284,28 +364,13 @@ class TestCacheStats:
         assert stats.hit_ratio == 0.75
         assert stats.lookups == 4
 
-    def test_as_stats_dict_keys(self):
-        keys = CacheStats().as_stats_dict()
-        assert set(keys) == {
-            "cache_hits",
-            "cache_misses",
-            "cache_evictions",
-            "cache_epoch_invalidations",
-            "cache_plan_hits",
-            "cache_plan_misses",
-            "cache_plan_revalidations",
-            "cache_decision_hits",
-            "cache_decision_misses",
-            "cache_decision_replans",
-        }
-
     def test_clear_keeps_counters(self):
         _, cached = _paired_engines()
         cached.search("Make = 'Honda'", k=3)
         cached.cache.clear()
         result = cached.search("Make = 'Honda'", k=3)
         assert result.stats["cache_hit"] == 0
-        assert result.stats["cache_misses"] == 2
+        assert cached.stats.misses == 2
 
 
 def _deployments(relation, tmp_path):
