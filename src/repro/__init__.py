@@ -60,11 +60,9 @@ from .resilience import (
     TransientShardError,
 )
 from .durability import (
-    CrashInjector,
     DurabilityError,
     DurableIndex,
     RecoveryError,
-    SimulatedCrash,
     WALCorruptionError,
     WriteAheadLog,
     create_sharded_store,
@@ -94,13 +92,11 @@ __all__ = [
     "Catalog",
     "ChaosPolicy",
     "CircuitBreaker",
-    "CrashInjector",
     "DeadlineExceededError",
     "DeweyId",
     "DurabilityError",
     "DurableIndex",
     "RecoveryError",
-    "SimulatedCrash",
     "WALCorruptionError",
     "WriteAheadLog",
     "DiverseResult",

@@ -7,19 +7,18 @@ applied, snapshots are written atomically with a payload digest
 (:mod:`repro.index.snapshot`), and :func:`recover` resurrects a data
 directory — single-index or sharded — bit-identically to the state the
 crashed process had acknowledged, tolerating exactly one kind of damage:
-a torn log tail.  A :mod:`crash-fault injector <repro.durability.crash>`
-drives the differential test matrix that checks those claims at every
-point a process can die.
+a torn log tail.  Every durable file operation goes through one seam,
+:data:`repro.storage.disk.DISK`, and a new file or directory is fsynced
+into its parent; a recording of that seam is what the differential crash
+matrix replays, prefix by prefix, to check those claims at every write.
 """
 
 from pathlib import Path
 from typing import Optional, Union
 
-from .crash import CRASH_POINTS, CrashInjector
 from .errors import (
     DurabilityError,
     RecoveryError,
-    SimulatedCrash,
     WALCorruptionError,
     WALError,
 )
@@ -38,7 +37,6 @@ def recover(
     data_dir: Union[str, Path],
     snapshot_every: Optional[int] = None,
     fsync_every: Optional[int] = None,
-    injector: Optional[CrashInjector] = None,
 ):
     """Recover whatever lives in ``data_dir`` (dispatches on the manifest).
 
@@ -50,22 +48,18 @@ def recover(
     kind = manifest.get("kind")
     if kind == "single":
         return recover_store(data_dir, snapshot_every=snapshot_every,
-                             fsync_every=fsync_every, injector=injector)
+                             fsync_every=fsync_every)
     if kind == "sharded":
         return recover_sharded_store(data_dir, snapshot_every=snapshot_every,
-                                     fsync_every=fsync_every,
-                                     injector=injector)
+                                     fsync_every=fsync_every)
     raise RecoveryError(data_dir, f"unknown store kind {kind!r}")
 
 
 __all__ = [
-    "CRASH_POINTS",
-    "CrashInjector",
     "DurabilityError",
     "DurableIndex",
     "RecoveryError",
     "RecoveryReport",
-    "SimulatedCrash",
     "WALCorruptionError",
     "WALError",
     "WalScan",

@@ -48,17 +48,3 @@ class RecoveryError(DurabilityError):
         self.reason = reason
         super().__init__(f"cannot recover {path}: {reason}")
 
-
-class SimulatedCrash(BaseException):
-    """The crash-fault injector killed the writer process.
-
-    Deliberately a ``BaseException`` (like ``KeyboardInterrupt``): a real
-    ``kill -9`` is not catchable by ``except Exception`` cleanup paths, so
-    the simulation must not be either — any ``finally``-style tidying that
-    would run is exactly the tidying a real crash skips.
-    """
-
-    def __init__(self, point: str, occurrence: int):
-        self.point = point
-        self.occurrence = occurrence
-        super().__init__(f"simulated crash at {point} (occurrence {occurrence})")

@@ -37,7 +37,7 @@ from typing import List, Optional, Set, Union
 from ..index.inverted import InvertedIndex
 from ..index.snapshot import save_index
 from ..sharding.sharded_index import ShardedIndex
-from .crash import CrashInjector
+from ..storage.disk import make_dirs
 from .errors import RecoveryError
 from .store import (
     DurableIndex,
@@ -66,7 +66,6 @@ def create_sharded_store(
     data_dir: Union[str, Path],
     snapshot_every: int = 0,
     fsync_every: int = 1,
-    injector: Optional[CrashInjector] = None,
     replicas: int = 1,
 ) -> ShardedIndex:
     """Initialise a data directory for ``index`` and make it durable.
@@ -94,7 +93,7 @@ def create_sharded_store(
                 f"existing durability wrappers first)"
             )
     data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(data_dir)
     write_manifest(data_dir, {
         "kind": "sharded",
         "shards": index.num_shards,
@@ -109,14 +108,14 @@ def create_sharded_store(
     durable: List[DurableIndex] = []
     for shard_id, shard in enumerate(index.shards):
         shard_dir = data_dir / shard_dir_name(shard_id)
-        shard_dir.mkdir(exist_ok=True)
+        make_dirs(shard_dir)
         snapshot_path = shard_dir / SNAPSHOT_NAME
         save_index(shard, snapshot_path, rids=sorted(owned[shard_id]))
         wal = WriteAheadLog.create(shard_dir / WAL_NAME,
-                                   fsync_every=fsync_every, injector=injector)
+                                   fsync_every=fsync_every)
         durable.append(DurableIndex(
             shard, wal, snapshot_path, snapshot_every=snapshot_every,
-            injector=injector, owned=owned[shard_id],
+            owned=owned[shard_id],
         ))
     index._shards = durable  # same in-place swap inject_chaos performs
     return index
@@ -157,7 +156,6 @@ def recover_sharded_store(
     data_dir: Union[str, Path],
     snapshot_every: Optional[int] = None,
     fsync_every: Optional[int] = None,
-    injector: Optional[CrashInjector] = None,
 ) -> ShardedIndex:
     """Recover a full sharded deployment from its directory tree."""
     data_dir = Path(data_dir)
@@ -170,7 +168,7 @@ def recover_sharded_store(
         shard_store_dir(data_dir, shard_id) for shard_id in range(num_shards)
     ]
     durable = recover_stores(data_dir, manifest, store_dirs, snapshot_every,
-                             fsync_every, injector)
+                             fsync_every)
     first = durable[0]  # every shard shares the relation and the Dewey space
     return ShardedIndex.from_parts(
         first.relation, first.ordering, first.dewey, durable,

@@ -34,7 +34,6 @@ snapshot.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +51,7 @@ from ..index.snapshot import (
     restore_index,
     save_index,
 )
-from .crash import CrashInjector
+from ..storage.disk import make_dirs, replace_atomically
 from .errors import RecoveryError, WALError
 from .wal import WalScan, WriteAheadLog, insert_record, read_wal, remove_record
 
@@ -102,7 +101,7 @@ class DurableIndex(ReaderProxy):
 
     __slots__ = (
         "_target", "_wal", "_snapshot_path", "_snapshot_every",
-        "_injector", "_owned", "snapshots", "recovery",
+        "_owned", "snapshots", "recovery",
         "__weakref__",  # metrics collectors hold the index weakly
     )
 
@@ -112,7 +111,6 @@ class DurableIndex(ReaderProxy):
         wal: WriteAheadLog,
         snapshot_path: Union[str, Path],
         snapshot_every: int = 0,
-        injector: Optional[CrashInjector] = None,
         owned: Optional[Set[int]] = None,
         recovery: Optional[RecoveryReport] = None,
     ):
@@ -122,7 +120,6 @@ class DurableIndex(ReaderProxy):
         self._wal = wal
         self._snapshot_path = Path(snapshot_path)
         self._snapshot_every = snapshot_every
-        self._injector = injector
         self._owned = owned
         self.snapshots = 0
         self.recovery = recovery
@@ -203,13 +200,8 @@ class DurableIndex(ReaderProxy):
         """Write an atomic snapshot, then truncate the now-covered log."""
         with span("durability.snapshot", epoch=self._target.epoch):
             rids = sorted(self._owned) if self._owned is not None else None
-            save_index(self._target, self._snapshot_path, rids=rids,
-                       injector=self._injector)
+            save_index(self._target, self._snapshot_path, rids=rids)
             self._wal.truncate()
-            if self._injector is not None and self._injector.reach(
-                "snapshot-post-truncate"
-            ):
-                self._injector.crash()
             self.snapshots += 1
             get_registry().counter(
                 "repro_snapshots_total", "Index snapshots written"
@@ -218,13 +210,6 @@ class DurableIndex(ReaderProxy):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def arm(self, injector: Optional[CrashInjector]) -> None:
-        """(Re)attach a crash injector to this store and its WAL — lets the
-        crash matrix arm a steady-state workload without instrumenting the
-        store's own creation."""
-        self._injector = injector
-        self._wal._injector = injector
-
     def close(self) -> None:
         self._wal.close()
 
@@ -243,10 +228,8 @@ def write_manifest(data_dir: Path, manifest: dict) -> None:
     document = dict(manifest)
     document.setdefault("format", MANIFEST_FORMAT)
     document.setdefault("version", MANIFEST_VERSION)
-    target = data_dir / MANIFEST_NAME
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, target)
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    replace_atomically(data_dir / MANIFEST_NAME, text.encode("utf-8"))
 
 
 def read_manifest(data_dir: Union[str, Path]) -> dict:
@@ -275,11 +258,10 @@ def create_store(
     data_dir: Union[str, Path],
     snapshot_every: int = 0,
     fsync_every: int = 1,
-    injector: Optional[CrashInjector] = None,
 ) -> DurableIndex:
     """Initialise a data directory around an existing in-memory index."""
     data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
+    make_dirs(data_dir)
     write_manifest(data_dir, {
         "kind": "single",
         "snapshot_every": snapshot_every,
@@ -287,10 +269,9 @@ def create_store(
     })
     snapshot_path = data_dir / SNAPSHOT_NAME
     save_index(index, snapshot_path)
-    wal = WriteAheadLog.create(data_dir / WAL_NAME, fsync_every=fsync_every,
-                               injector=injector)
+    wal = WriteAheadLog.create(data_dir / WAL_NAME, fsync_every=fsync_every)
     return DurableIndex(index, wal, snapshot_path,
-                        snapshot_every=snapshot_every, injector=injector)
+                        snapshot_every=snapshot_every)
 
 
 def parse_record(record, label) -> tuple:
@@ -416,16 +397,12 @@ def refusing_damage(label):
         ) from None
 
 
-def reopen_wal(wal_path: Path, fsync_every: int,
-               injector: Optional[CrashInjector]) -> WriteAheadLog:
+def reopen_wal(wal_path: Path, fsync_every: int) -> WriteAheadLog:
     """A recovered store's log, open for appending (created when a crash
     fell between the snapshot write and WAL creation)."""
     if wal_path.exists():
-        return WriteAheadLog.open_for_append(
-            wal_path, fsync_every=fsync_every, injector=injector
-        )[0]
-    return WriteAheadLog.create(wal_path, fsync_every=fsync_every,
-                                injector=injector)
+        return WriteAheadLog.open_for_append(wal_path, fsync_every)[0]
+    return WriteAheadLog.create(wal_path, fsync_every)
 
 
 def recover_stores(
@@ -434,7 +411,6 @@ def recover_stores(
     store_dirs: List[Path],
     snapshot_every: Optional[int],
     fsync_every: Optional[int],
-    injector: Optional[CrashInjector],
 ) -> List[DurableIndex]:
     """Recover every store of one deployment and reopen it for writing.
 
@@ -527,10 +503,9 @@ def recover_stores(
                          "Torn WAL tail bytes dropped during recovery"
                          ).inc(report.torn_bytes)
         durable.append(DurableIndex(
-            index, reopen_wal(report.path / WAL_NAME, fsync_every, injector),
+            index, reopen_wal(report.path / WAL_NAME, fsync_every),
             report.path / SNAPSHOT_NAME,
-            snapshot_every=snapshot_every, injector=injector,
-            owned=owned, recovery=report,
+            snapshot_every=snapshot_every, owned=owned, recovery=report,
         ))
     return durable
 
@@ -539,7 +514,6 @@ def recover_store(
     data_dir: Union[str, Path],
     snapshot_every: Optional[int] = None,
     fsync_every: Optional[int] = None,
-    injector: Optional[CrashInjector] = None,
 ) -> DurableIndex:
     """Recover a single-index data directory and reopen it for writing.
 
@@ -555,4 +529,4 @@ def recover_store(
             f"store (use repro.durability.recover for dispatch)",
         )
     return recover_stores(data_dir, manifest, [data_dir], snapshot_every,
-                          fsync_every, injector)[0]
+                          fsync_every)[0]

@@ -31,15 +31,14 @@ to explicit :meth:`WriteAheadLog.sync` / :meth:`WriteAheadLog.close`.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from ..observability import MONOTONIC, get_registry
-from .crash import CrashInjector
+from ..storage import disk
 from .errors import WALCorruptionError, WALError
 
 MAGIC = b"RPROWAL\x01"
@@ -126,10 +125,16 @@ def read_wal(path: Union[str, Path]) -> WalScan:
 
 
 class WriteAheadLog:
-    """Appender for one WAL file, with fsync batching and crash points."""
+    """Appender for one WAL file, with fsync batching.
+
+    Every operation that decides what a crash leaves on disk — creating,
+    fsyncing and truncating the file — goes through
+    :data:`repro.storage.disk.DISK`; a record is one ``write`` on the
+    handle the seam opened.
+    """
 
     __slots__ = (
-        "_path", "_handle", "_fsync_every", "_injector",
+        "_path", "_handle", "_fsync_every",
         "_offset", "_synced", "_pending",
         "appended", "appended_since_truncate", "bytes_appended", "syncs",
         "_m_appends", "_m_bytes", "_m_syncs", "_m_truncates", "_m_sync_ms",
@@ -139,14 +144,12 @@ class WriteAheadLog:
         self,
         path: Union[str, Path],
         fsync_every: int = 1,
-        injector: Optional[CrashInjector] = None,
         _create: bool = False,
     ):
         if fsync_every < 0:
             raise ValueError("fsync_every must be >= 0")
         self._path = Path(path)
         self._fsync_every = fsync_every
-        self._injector = injector
         self.appended = 0
         self.appended_since_truncate = 0
         self.bytes_appended = 0
@@ -164,15 +167,14 @@ class WriteAheadLog:
             "repro_wal_truncates_total", "WAL truncations (snapshot coverage)")
         self._m_sync_ms = registry.histogram(
             "repro_wal_sync_ms", "WAL fsync latency (ms)")
+        end = len(MAGIC) if _create else self._path.stat().st_size
+        self._handle = disk.DISK.open(self._path, "ab")
         if _create:
-            with open(self._path, "wb") as handle:
-                handle.write(MAGIC)
-                handle.flush()
-                os.fsync(handle.fileno())
-            end = len(MAGIC)
-        else:
-            end = self._path.stat().st_size
-        self._handle = open(self._path, "ab")
+            # A new log: its bytes, then its name in the directory.
+            disk.DISK.truncate(self._handle, 0)
+            self._handle.write(MAGIC)
+            disk.DISK.fsync(self._handle)
+            disk.DISK.fsync_dir(self._path.parent)
         self._offset = end
         self._synced = end
         self._pending = 0
@@ -181,18 +183,13 @@ class WriteAheadLog:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, path, fsync_every: int = 1,
-               injector: Optional[CrashInjector] = None) -> "WriteAheadLog":
+    def create(cls, path, fsync_every: int = 1) -> "WriteAheadLog":
         """Start a fresh (empty) log, truncating any existing file."""
-        return cls(path, fsync_every=fsync_every, injector=injector,
-                   _create=True)
+        return cls(path, fsync_every=fsync_every, _create=True)
 
     @classmethod
     def open_for_append(
-        cls,
-        path,
-        fsync_every: int = 1,
-        injector: Optional[CrashInjector] = None,
+        cls, path, fsync_every: int = 1
     ) -> tuple["WriteAheadLog", WalScan]:
         """Reopen a recovered log: drop the torn tail, append after it.
 
@@ -203,14 +200,12 @@ class WriteAheadLog:
         scan = read_wal(path)
         if scan.valid_end < len(MAGIC):
             # Header never became durable: restart the log from scratch.
-            return cls.create(path, fsync_every=fsync_every,
-                              injector=injector), scan
+            return cls.create(path, fsync_every=fsync_every), scan
         if scan.torn:
-            with open(path, "r+b") as handle:
-                handle.truncate(scan.valid_end)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return cls(path, fsync_every=fsync_every, injector=injector), scan
+            with disk.DISK.open(path, "ab") as handle:
+                disk.DISK.truncate(handle, scan.valid_end)
+                disk.DISK.fsync(handle)
+        return cls(path, fsync_every=fsync_every), scan
 
     # ------------------------------------------------------------------
     # Introspection
@@ -250,15 +245,6 @@ class WriteAheadLog:
         if self._handle is None:
             raise WALError(f"WAL {self._path} is closed")
         frame = encode_frame(record)
-        injector = self._injector
-        if injector is not None:
-            if injector.reach("wal-pre-append"):
-                self._die()
-            if injector.reach("wal-torn-append"):
-                # Half the frame reaches the platter: header + part of the
-                # payload, cut inside the checksummed region.
-                self._die(partial=frame[: _FRAME.size + len(frame) // 2])
-        frame_start = self._offset
         self._handle.write(frame)
         self._offset += len(frame)
         self._pending += 1
@@ -267,15 +253,8 @@ class WriteAheadLog:
         self.bytes_appended += len(frame)
         self._m_appends.inc()
         self._m_bytes.inc(len(frame))
-        if injector is not None and injector.reach("wal-pre-sync"):
-            self._die()
         if self._fsync_every and self._pending >= self._fsync_every:
             self.sync()
-            if injector is not None:
-                if injector.reach("wal-post-sync"):
-                    self._die()
-                if injector.reach("wal-flip-tail"):
-                    self._flip_bit(frame_start + _FRAME.size + len(frame) // 4)
 
     def sync(self) -> None:
         """Make everything appended so far durable."""
@@ -285,8 +264,7 @@ class WriteAheadLog:
             self._pending = 0
             return
         started = MONOTONIC()
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        disk.DISK.fsync(self._handle)
         self._synced = self._offset
         self._pending = 0
         self.syncs += 1
@@ -297,9 +275,8 @@ class WriteAheadLog:
         """Drop every record (a snapshot now covers them); keep the magic."""
         if self._handle is None:
             raise WALError(f"WAL {self._path} is closed")
-        self._handle.flush()
-        self._handle.truncate(len(MAGIC))
-        os.fsync(self._handle.fileno())
+        disk.DISK.truncate(self._handle, len(MAGIC))
+        disk.DISK.fsync(self._handle)
         self._offset = len(MAGIC)
         self._synced = len(MAGIC)
         self._pending = 0
@@ -311,8 +288,7 @@ class WriteAheadLog:
         handle, self._handle = self._handle, None
         if handle is None:
             return
-        handle.flush()
-        os.fsync(handle.fileno())
+        disk.DISK.fsync(handle)
         handle.close()
 
     def __enter__(self) -> "WriteAheadLog":
@@ -320,37 +296,3 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Simulated crash damage
-    # ------------------------------------------------------------------
-    def _die(self, partial: bytes = b"") -> None:
-        """Reconstruct the post-crash disk state, then kill the writer.
-
-        Un-fsynced bytes are dropped (the harshest legal outcome of a real
-        crash); ``partial`` models a torn write that straddled the failure
-        — its bytes land *after* the synced prefix.
-        """
-        handle, self._handle = self._handle, None
-        handle.close()  # flushes; the fixup below re-truncates to synced
-        with open(self._path, "r+b") as fixup:
-            fixup.truncate(self._synced)
-            if partial:
-                fixup.seek(self._synced)
-                fixup.write(partial)
-            fixup.flush()
-            os.fsync(fixup.fileno())
-        self._injector.crash()
-
-    def _flip_bit(self, position: int) -> None:
-        """Medium corruption: flip one bit of the durable tail, then die."""
-        handle, self._handle = self._handle, None
-        handle.close()
-        with open(self._path, "r+b") as fixup:
-            fixup.seek(position)
-            byte = fixup.read(1)
-            fixup.seek(position)
-            fixup.write(bytes([byte[0] ^ 0x40]))
-            fixup.flush()
-            os.fsync(fixup.fileno())
-        self._injector.crash()

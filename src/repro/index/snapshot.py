@@ -21,10 +21,11 @@ bootstrap) rebuilds them with the paper's one offline build,
 Format (version 2): a gzip-compressed JSON envelope ``{format, version,
 digest, payload}`` where ``digest`` is the SHA-256 of the canonical payload
 serialisation — a flipped bit anywhere in the payload fails the load
-instead of silently corrupting the restored index.  Writes are atomic:
-the document goes to a same-directory temp file (fsynced), which is then
-renamed over the target, so a crash mid-write can never leave a truncated
-snapshot under the real name.  Rows are keyed by rid, which lets a
+instead of silently corrupting the restored index.  Writes are atomic
+(:func:`repro.storage.disk.replace_atomically`): the document goes to a
+same-directory temp file (fsynced), which is renamed over the target
+before the directory is fsynced, so a crash mid-write can never leave a
+truncated snapshot under the real name.  Rows are keyed by rid, which lets a
 snapshot carry a *subset* of the relation (``rids=``) — one file per shard
 of a sharded deployment (see :mod:`repro.durability.sharded`).  Version-1
 files (no digest) are refused.
@@ -35,13 +36,13 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import os
 import zlib
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Union
 
 from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
+from ..storage.disk import replace_atomically
 from ..storage.relation import Relation
 from ..storage.schema import Attribute, AttributeKind, Schema
 from .dewey_index import DeweyAssignmentError, DeweyIndex
@@ -121,67 +122,18 @@ def encode_snapshot(payload: dict) -> bytes:
     return gzip.compress(raw)
 
 
-def write_snapshot(
-    payload: dict,
-    target: Union[str, Path],
-    fsync: bool = True,
-    injector=None,
-) -> None:
-    """Atomically persist a payload: temp file + fsync + rename + dir fsync.
-
-    ``injector`` is a :class:`repro.durability.crash.CrashInjector` (or
-    anything with its ``reach``/``crash`` interface); production callers
-    pass ``None`` and the hooks cost one identity check each.
-    """
-    target = Path(target)
-    data = encode_snapshot(payload)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        if injector is not None and injector.reach("snapshot-mid-write"):
-            # Simulated kernel crash mid-write: half the envelope reaches
-            # the platter, then the process dies.
-            handle.write(data[: len(data) // 2])
-            handle.flush()
-            os.fsync(handle.fileno())
-            injector.crash()
-        handle.write(data)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    if injector is not None and injector.reach("snapshot-pre-rename"):
-        injector.crash()  # temp file complete, real name still the old snapshot
-    os.replace(tmp, target)
-    if fsync:
-        _fsync_dir(target.parent)
-    if injector is not None and injector.reach("snapshot-post-rename"):
-        injector.crash()  # renamed, but the caller's WAL truncation never ran
+def write_snapshot(payload: dict, target: Union[str, Path]) -> None:
+    """Atomically persist a payload: temp file + fsync + rename + dir fsync."""
+    replace_atomically(target, encode_snapshot(payload))
 
 
 def save_index(
     index: InvertedIndex,
     target: Union[str, Path],
     rids: Optional[Iterable[int]] = None,
-    fsync: bool = True,
-    injector=None,
 ) -> None:
     """Write ``index`` (and its relation rows) to a snapshot file."""
-    write_snapshot(build_payload(index, rids=rids), target, fsync=fsync,
-                   injector=injector)
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Flush a directory entry (the rename) to disk; best-effort on
-    platforms that refuse O_RDONLY directory fds."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
+    write_snapshot(build_payload(index, rids=rids), target)
 
 
 # ----------------------------------------------------------------------

@@ -1,46 +1,55 @@
 """The differential crash matrix.
 
-A profiling pass runs a scripted mutation workload with an un-armed
-:class:`CrashInjector` to enumerate every *(crash point, occurrence)* pair
-the write path passes.  The matrix then re-runs the workload once per
-pair, killing the writer exactly there (with the point's realistic disk
-damage applied first), recovers the data directory, and asserts the
-recovered state is **bit-identical to the pre-crash or the post-crash
-reference state — never anything in between**.  "State" means the index
-epoch, every Dewey assignment, the live and deleted rows, and the
-answers of all five diversity algorithms (scored and unscored) on fixed
-queries.
+A scripted mutation workload runs once under
+:class:`faults.RecordingDisk`, which logs every durable file operation
+from the first byte ``create_store`` writes, with a marker before each
+step.  Every prefix of that log is a crash: the recorder builds what the
+disk may hold there (writes since a file's last fsync dropped, or kept
+with the last one torn, or one bit flipped in the last durable log
+record; a new name survives only once its directory is fsynced), and
+each image must recover **bit-identical to the state before or after the
+step in progress — never anything in between**.  An image taken before
+``create_store`` returned may also be no store at all; one taken after
+may not.  "State" means the index epoch, every Dewey assignment, the
+live and deleted rows, and the answers of all five diversity algorithms
+(scored and unscored) on fixed queries.  Each recovered store then runs
+the rest of the workload, and every answer on the way must be diverse
+(Definition 2).
 
-Set ``REPRO_CRASH_MAX_OCC=N`` to cap occurrences per point (CI smoke).
+Each test is one region of the log, named after the crash point a
+writer-side hook used to reach there; ``create-store`` is everything
+before the store exists.
 """
 
-import os
+import ast
+import collections
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+from faults import RecordingDisk
 from repro import DiversityEngine
 from repro.core.engine import ALGORITHMS
+from repro.core.similarity import is_diverse, is_scored_diverse
 from repro.data.paper_example import figure1_ordering, figure1_relation
+import repro.durability
 from repro.durability import (
-    CrashInjector,
     RecoveryError,
-    SimulatedCrash,
     create_sharded_store,
     create_store,
     recover,
 )
-from repro.durability.crash import CRASH_POINTS
 from repro.durability.store import WAL_NAME
 from repro.durability.wal import MAGIC
 from repro.index.inverted import InvertedIndex
 from repro.sharding import ShardedIndex
 
-#: 0 means "every occurrence the profiling pass found".
-MAX_OCC = int(os.environ.get("REPRO_CRASH_MAX_OCC", "0"))
-
 #: The scripted workload: inserts and removes interleaved so WAL replay
 #: exercises both ops, including the removal of a row (rid 15) that only
-#: ever existed through the log.
+#: ever existed through the log, followed by a new top-level value (the
+#: sibling number rid 15's make held is forgotten by recovery).
 STEPS = [
     ("insert", ("Tesla", "ModelS", "Red", 2008, "rare electric clean")),
     ("insert", ("Kia", "Rio", "Green", 2006, "cheap commuter")),
@@ -48,6 +57,7 @@ STEPS = [
     ("insert", ("Honda", "Fit", "Orange", 2008, "low miles")),
     ("insert", ("Acura", "TSX", "Silver", 2007, "one owner")),
     ("remove", 15),
+    ("insert", ("Volvo", "V70", "Silver", 2006, "safe wagon miles")),
     ("insert", ("Ford", "Focus", "Blue", 2005, "new tires")),
     ("insert", ("Honda", "Prelude", "Black", 2007, "rare manual")),
 ]
@@ -56,6 +66,24 @@ QUERIES = [
     "Make = 'Honda'",
     "Color = 'Green' OR Description CONTAINS 'miles'",
 ]
+
+#: The algorithms whose answers the rest of the workload checks against
+#: Definition 2 (multq, the exhaustive baseline, is in the signature).
+DIVERSE = ("onepass", "probe", "naive")
+
+#: The regions of the recorded log, one test each.
+POINTS = (
+    "create-store",
+    "wal-pre-append",
+    "wal-torn-append",
+    "wal-pre-sync",
+    "wal-post-sync",
+    "wal-flip-tail",
+    "snapshot-mid-write",
+    "snapshot-pre-rename",
+    "snapshot-post-rename",
+    "snapshot-post-truncate",
+)
 
 
 def state_signature(index):
@@ -79,6 +107,26 @@ def state_signature(index):
     )
 
 
+def answers_are_diverse(index) -> bool:
+    """Every diverse algorithm's answer, scored and unscored, satisfies
+    Definition 2 over the full match set."""
+    engine = DiversityEngine(index)
+    everything = len(index.relation)
+    for query in QUERIES:
+        matches = engine.search(query, k=everything, algorithm="basic")
+        scores = engine.search(query, k=everything, algorithm="basic",
+                               scored=True)
+        scores = dict(zip(scores.deweys, scores.scores))
+        for algorithm in DIVERSE:
+            unscored = engine.search(query, k=4, algorithm=algorithm)
+            scored = engine.search(query, k=4, algorithm=algorithm,
+                                   scored=True)
+            if not (is_diverse(unscored.deweys, matches.deweys, 4)
+                    and is_scored_diverse(scored.deweys, scores, 4)):
+                return False
+    return True
+
+
 def apply_step(target, relation, step):
     op, arg = step
     if op == "insert":
@@ -88,155 +136,239 @@ def apply_step(target, relation, step):
         target.remove(arg)
 
 
-def run_until_crash(target, relation, steps):
-    """Apply ``steps``; return (steps fully completed, crashed?)."""
-    completed = 0
-    try:
-        for step in steps:
-            apply_step(target, relation, step)
-            completed += 1
-    except SimulatedCrash:
-        return completed, True
-    return completed, False
+def close(target):
+    for store in getattr(target, "shards", [target]):
+        store.close()
 
 
-# ----------------------------------------------------------------------
-# Single-store matrix
-# ----------------------------------------------------------------------
+def crash_point(ops, image) -> str:
+    """The region of the log ``image`` was cut in (see :data:`POINTS`)."""
+    if image.step == 0:
+        return "create-store"
+    if image.damage == "flip":
+        return "wal-flip-tail"
+    op = ops[image.cut - 1]
+    if op.kind == "step":
+        return "wal-pre-append"
+    if op.path[-1] == WAL_NAME:
+        if op.kind == "write":
+            return "wal-torn-append" if image.damage == "torn" else "wal-pre-sync"
+        if ops[image.cut - 2].kind == "write":
+            return "wal-post-sync"
+        return "snapshot-post-truncate"
+    if op.kind in ("replace", "fsync_dir"):
+        return "snapshot-post-rename"
+    if op.kind == "write":
+        return "snapshot-mid-write"
+    return "snapshot-pre-rename"
+
+
+class Matrix:
+    """One recorded run of :data:`STEPS` and the recovery of every image.
+
+    ``outcomes`` maps each distinct image tree to ``(state, diverse)``:
+    the index of the reference state it recovered to (``None`` for no
+    store, ``-1`` for no reference at all), and whether the rest of the
+    workload, run on the recovered store, answered diversely throughout.
+    """
+
+    def __init__(self, tmp_path_factory, build):
+        root = tmp_path_factory.mktemp("recorded")
+        with RecordingDisk(root) as recorder:
+            target, relation = build(root / "store")
+            self.references = [state_signature(target)]
+            for number, step in enumerate(STEPS, 1):
+                recorder.step(number)
+                apply_step(target, relation, step)
+                self.references.append(state_signature(target))
+            recorder.step(len(STEPS) + 1)
+            close(target)
+        self.images = collections.defaultdict(list)
+        self.outcomes = {}
+        scratch = tmp_path_factory.mktemp("images")
+        for image in recorder.images():
+            self.images[crash_point(recorder.ops, image)].append(image)
+            if image.tree not in self.outcomes:
+                directory = scratch / str(len(self.outcomes))
+                self.outcomes[image.tree] = self._recover(
+                    image.write(directory) / "store")
+
+    def _recover(self, data_dir):
+        try:
+            recovered = recover(data_dir)
+        except RecoveryError:
+            return None, True
+        signature = state_signature(recovered)
+        if signature not in self.references:
+            close(recovered)
+            return -1, True
+        state = self.references.index(signature)
+        diverse = True
+        for step in STEPS[state:]:
+            apply_step(recovered, recovered.relation, step)
+            diverse = diverse and answers_are_diverse(recovered)
+        close(recovered)
+        return state, diverse
+
+    def check(self, point):
+        images = self.images[point]
+        assert images, f"the workload never reaches {point}: a blind spot"
+        for image in images:
+            state, diverse = self.outcomes[image.tree]
+            if image.step == 0:  # create_store has not returned
+                allowed = {None, 0}
+            else:  # the last marker closes the final step
+                allowed = {image.step - 1, image.step} & set(
+                    range(len(self.references)))
+            where = f"{point} ({image.damage} image after op {image.cut})"
+            assert state in allowed, (
+                f"{where}: recovered to state {state}, expected one of "
+                f"{sorted(allowed, key=str)} (-1: matches no reference; "
+                f"None: no store)"
+            )
+            assert diverse, f"{where}: a later answer is not diverse"
+
+
 def _build_single(data_dir):
     relation = figure1_relation()
     index = InvertedIndex.build(relation, figure1_ordering())
-    store = create_store(index, data_dir, snapshot_every=3)
-    return store, relation, index
-
-
-@pytest.fixture(scope="module")
-def single_references(tmp_path_factory):
-    """Signature after store creation and after every workload step."""
-    store, relation, index = _build_single(
-        tmp_path_factory.mktemp("refs") / "store"
-    )
-    references = [state_signature(index)]
-    for step in STEPS:
-        apply_step(store, relation, step)
-        references.append(state_signature(index))
-    store.close()
-    return references
-
-
-@pytest.fixture(scope="module")
-def single_profile(tmp_path_factory):
-    """How often the clean workload passes each crash point."""
-    store, relation, _ = _build_single(
-        tmp_path_factory.mktemp("profile") / "store"
-    )
-    injector = CrashInjector()
-    store.arm(injector)
-    completed, crashed = run_until_crash(store, relation, STEPS)
-    store.close()
-    assert not crashed and completed == len(STEPS)
-    return dict(injector.reached)
-
-
-def _occurrences(profile, point):
-    count = profile.get(point, 0)
-    assert count > 0, (
-        f"workload never reaches {point}; the matrix has a blind spot"
-    )
-    return range(1, min(count, MAX_OCC) + 1 if MAX_OCC else count + 1)
-
-
-@pytest.mark.parametrize("point", CRASH_POINTS)
-def test_single_store_matrix(point, single_references, single_profile, tmp_path):
-    for occurrence in _occurrences(single_profile, point):
-        data_dir = tmp_path / f"{point}-{occurrence}"
-        store, relation, _ = _build_single(data_dir)
-        store.arm(CrashInjector(point, occurrence=occurrence))
-        completed, crashed = run_until_crash(store, relation, STEPS)
-        assert crashed, f"{point} #{occurrence} did not fire"
-
-        recovered = recover(data_dir)
-        got = state_signature(recovered.index)
-        allowed = {
-            single_references[completed],
-            single_references[completed + 1],
-        }
-        assert got in allowed, (
-            f"{point} #{occurrence}: recovered state matches neither the "
-            f"pre- nor post-crash reference (crash mid-step {completed + 1})"
-        )
-        recovered.close()
-
-
-# ----------------------------------------------------------------------
-# Sharded matrix (smaller: shared injector across both shards' WALs)
-# ----------------------------------------------------------------------
-SHARDED_STEPS = STEPS[:6]
-SHARDED_MAX_OCC = MAX_OCC or 2
+    return create_store(index, data_dir, snapshot_every=3), relation
 
 
 def _build_sharded(data_dir):
     relation = figure1_relation()
     index = ShardedIndex.build(relation, figure1_ordering(), shards=2)
-    create_sharded_store(index, data_dir, snapshot_every=2)
-    return index, relation
+    return create_sharded_store(index, data_dir, snapshot_every=2), relation
 
 
 @pytest.fixture(scope="module")
-def sharded_references(tmp_path_factory):
-    index, relation = _build_sharded(tmp_path_factory.mktemp("srefs") / "c")
-    references = [state_signature(index)]
-    for step in SHARDED_STEPS:
-        apply_step(index, relation, step)
-        references.append(state_signature(index))
-    for shard in index.shards:
-        shard.close()
-    return references
+def single_matrix(tmp_path_factory):
+    return Matrix(tmp_path_factory, _build_single)
 
 
 @pytest.fixture(scope="module")
-def sharded_profile(tmp_path_factory):
-    index, relation = _build_sharded(tmp_path_factory.mktemp("sprof") / "c")
-    injector = CrashInjector()
-    for shard in index.shards:
-        shard.arm(injector)
-    completed, crashed = run_until_crash(index, relation, SHARDED_STEPS)
-    for shard in index.shards:
-        shard.close()
-    assert not crashed and completed == len(SHARDED_STEPS)
-    return dict(injector.reached)
+def sharded_matrix(tmp_path_factory):
+    return Matrix(tmp_path_factory, _build_sharded)
 
 
-@pytest.mark.parametrize("point", CRASH_POINTS)
-def test_sharded_matrix(point, sharded_references, sharded_profile, tmp_path):
-    count = sharded_profile.get(point, 0)
-    assert count > 0, f"sharded workload never reaches {point}"
-    for occurrence in range(1, min(count, SHARDED_MAX_OCC) + 1):
-        data_dir = tmp_path / f"{point}-{occurrence}"
-        index, relation = _build_sharded(data_dir)
-        injector = CrashInjector(point, occurrence=occurrence)
-        for shard in index.shards:
-            shard.arm(injector)
-        completed, crashed = run_until_crash(index, relation, SHARDED_STEPS)
-        assert crashed, f"{point} #{occurrence} did not fire (sharded)"
+@pytest.mark.parametrize("point", POINTS)
+def test_single_store_matrix(point, single_matrix):
+    single_matrix.check(point)
 
-        recovered = recover(data_dir)
-        got = state_signature(recovered)
-        allowed = {
-            sharded_references[completed],
-            sharded_references[completed + 1],
-        }
-        assert got in allowed, (
-            f"sharded {point} #{occurrence}: recovered state matches "
-            f"neither reference (crash mid-step {completed + 1})"
-        )
+
+@pytest.mark.parametrize("point", POINTS)
+def test_sharded_matrix(point, sharded_matrix):
+    sharded_matrix.check(point)
+
+
+def test_matrix_reaches_every_damage_kind(single_matrix, sharded_matrix):
+    """Both shapes see every kind of damage, and together they recover
+    more distinct images than the 66 the nine writer-side hooks reached
+    (48 single-store, 18 sharded)."""
+    for matrix in (single_matrix, sharded_matrix):
+        damages = {image.damage for images in matrix.images.values()
+                   for image in images}
+        assert damages == {"dropped", "kept", "torn", "flip"}
+    assert len(single_matrix.outcomes) + len(sharded_matrix.outcomes) >= 66
+
+
+# ----------------------------------------------------------------------
+# The seam: nothing in durability or snapshots writes past the recorder.
+# ----------------------------------------------------------------------
+_WRITE_CALLS = {"fsync", "replace", "rename", "truncate", "ftruncate",
+                "write_text", "write_bytes"}
+
+
+def _bypasses_the_seam(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+    receiver = ast.unparse(func.value) if isinstance(func, ast.Attribute) else ""
+    if receiver.endswith("DISK"):
+        return False  # the seam itself
+    if name == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg in ("mode", "flags")),
+            None)
+        if mode is None:
+            return False
+        if isinstance(mode, ast.Constant):
+            return any(flag in str(mode.value) for flag in "wax+")
+        return not ast.unparse(mode).endswith("O_RDONLY")
+    if name == "replace":
+        return receiver == "os"  # str.replace is not a rename
+    # ``self._wal.truncate()`` is the log's own truncation, which goes
+    # through the seam.
+    return name in _WRITE_CALLS and receiver != "self._wal"
+
+
+def test_durable_writes_go_through_the_seam():
+    modules = [repro.durability] + [
+        importlib.import_module(f"repro.durability.{info.name}")
+        for info in pkgutil.iter_modules(repro.durability.__path__)
+    ] + [importlib.import_module("repro.index.snapshot")]
+    offenders = [
+        f"{module.__name__}:{node.lineno}: {ast.unparse(node)}"
+        for module in modules
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Call) and _bypasses_the_seam(node)
+    ]
+    assert not offenders, "durable I/O outside repro.storage.disk: " + \
+        "; ".join(offenders)
+
+
+def test_the_seam_check_sees_a_bypass():
+    bypasses = [
+        "open(path, 'wb')", "path.open(mode='a')", "os.fsync(fd)",
+        "os.replace(a, b)", "handle.truncate(8)", "path.write_bytes(b'')",
+        "os.open(path, os.O_WRONLY)", "open(path, mode)",
+    ]
+    allowed = ["open(path)", "gzip.open(path, 'rb')", "name.replace('a', 'b')",
+               "os.open(path, os.O_RDONLY)", "disk.DISK.truncate(handle, 8)",
+               "self._wal.truncate()"]
+    for source, expected in [(s, True) for s in bypasses] + [
+            (s, False) for s in allowed]:
+        call = ast.parse(source, mode="eval").body
+        assert _bypasses_the_seam(call) is expected, source
+
+
+# ----------------------------------------------------------------------
+# The fold's documented edge, pinned.
+# ----------------------------------------------------------------------
+def test_recovery_forgets_sibling_numbers_of_rows_removed_in_the_log_tail(
+        tmp_path):
+    """Recovery keeps Dewey assignments of live rows only.  A row
+    inserted *and* removed inside the log tail leaves no trace, so the
+    next new value under the same prefix takes the sibling number it
+    held, where the process that never crashed hands out a fresh one.
+    No live row's ID changes and every answer stays diverse."""
+    steps = [STEPS[0], ("remove", 15), STEPS[6]]  # Tesla in and out, Volvo
+    relation = figure1_relation()
+    store = create_store(InvertedIndex.build(relation, figure1_ordering()),
+                         tmp_path / "store")
+    for step in steps[:2]:
+        apply_step(store, relation, step)
+    store.close()
+    live = InvertedIndex.build(figure1_relation(), figure1_ordering())
+    for step in steps:
+        apply_step(live, live.relation, step)
+
+    recovered = recover(tmp_path / "store")
+    apply_step(recovered, recovered.relation, steps[2])
+    tesla = live.dewey.peek(15)  # the sibling number Tesla's make held
+    assert recovered.dewey.dewey_of(16)[0] == tesla[0]
+    assert live.dewey.dewey_of(16)[0] == tesla[0] + 1
+    assert all(recovered.dewey.dewey_of(rid) == live.dewey.dewey_of(rid)
+               for rid in live.dewey.iter_rids() if rid != 16)
+    assert answers_are_diverse(recovered) and answers_are_diverse(live)
+    recovered.close()
 
 
 # ----------------------------------------------------------------------
 # Damage that is NOT a crash signature must be refused, loudly.
 # ----------------------------------------------------------------------
 def test_corruption_before_tail_raises_structured_error(tmp_path):
-    store, relation, _ = _build_single(tmp_path / "store")
+    store, relation = _build_single(tmp_path / "store")
     for step in STEPS[:2]:  # two durable records, no snapshot cycle yet
         apply_step(store, relation, step)
     store.close()

@@ -567,20 +567,25 @@ class TestRecoveryRefusals:
     def test_recovery_is_observable_per_store(self, tmp_path, shards):
         """Regression: only single-index recovery opened a span and
         bumped the recovery counters; a sharded one was invisible."""
+        from faults import RecordingDisk
         from repro.observability import use_registry
 
-        from repro.durability import CrashInjector, SimulatedCrash
-
         data_dir, store_dirs = _logged_store(tmp_path, shards)
-        # A crash after a snapshot's rename, before the log truncation:
-        # every record of that store is stale on the next recovery.
-        recovered = recover(data_dir)
-        stores = getattr(recovered, "shards", [recovered])
-        stores[0].arm(CrashInjector("snapshot-post-rename"))
-        with pytest.raises(SimulatedCrash):
+        with RecordingDisk(tmp_path) as recorder:
+            recovered = recover(data_dir)
+            stores = getattr(recovered, "shards", [recovered])
             stores[0].snapshot()
-        for store in stores:
-            store.close()
+            for store in stores:
+                store.close()
+        # A crash once a snapshot's rename is durable, before the log
+        # truncation: every record of that store is stale on the next
+        # recovery.
+        crash = next(image for image in recorder.images()
+                     if image.damage == "dropped"
+                     and recorder.ops[image.cut - 1].kind == "fsync_dir")
+        root = crash.write(tmp_path / "crashed")
+        data_dir = root / data_dir.relative_to(tmp_path)
+        store_dirs = [root / path.relative_to(tmp_path) for path in store_dirs]
         with use_registry() as registry:
             reports = [store.recovery for store in _recovered_stores(data_dir)]
             assert sum(report.replayed + report.skipped for report in reports) == 4
