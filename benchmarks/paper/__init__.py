@@ -1,6 +1,7 @@
 """The paper's Section V experiments, run on the served ``repro`` package.
 
 One driver per figure (:mod:`paper.figures`), its timing harness, text,
-CSV and ASCII-chart output, and the auto-selection regret races.  Run it
+CSV and ASCII-chart output, the auto-selection regret races, and the
+diversity report card (:mod:`paper.diagnostics`).  Run it
 with ``PYTHONPATH=src:benchmarks python -m paper --list``.
 """

@@ -10,7 +10,7 @@ Shows the operational features around the core algorithms:
 * index snapshots (build once offline, reload instantly);
 * the diversity report card comparing algorithms.
 
-Run:  python examples/marketplace_live.py
+Run:  PYTHONPATH=src:benchmarks python examples/marketplace_live.py
 """
 
 import tempfile
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro import DiversityEngine, load_index, save_index
 from repro.core.baselines import collect_all
-from repro.core.diagnostics import compare_reports, diversity_report
+from paper.diagnostics import compare_reports, diversity_report
 from repro.core.incremental import DiverseView
 from repro.core.pagination import DiversePaginator
 from repro.data.auctions import auctions_ordering, auctions_schema, generate_auctions

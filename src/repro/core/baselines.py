@@ -32,17 +32,12 @@ MULTQ_DEFAULT_LEVELS = 2
 
 def collect_all(merged: MergedList) -> List[DeweyId]:
     """Materialise every match in document order (the Naive evaluation)."""
-    matches: List[DeweyId] = []
-    current = merged.first()
-    while current is not None:
-        matches.append(current)
-        current = merged.next(successor(current))
-    return matches
+    return merged.matches()
 
 
 def collect_all_scored(merged: MergedList) -> Dict[DeweyId, float]:
     """Every match with its score (the scored Naive evaluation)."""
-    return {dewey: merged.score(dewey) for dewey in collect_all(merged)}
+    return merged.scored_matches()
 
 
 def naive_unscored(merged: MergedList, k: int) -> List[DeweyId]:

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from ..index.merged import MergedList
 from ..query.parser import parse_query
 from ..query.query import Query
-from .baselines import collect_all
+from .baselines import collect_all, collect_all_scored
 from .dewey import DeweyId
 from .engine import DiversityEngine
 from .onepass import OnePassTree
@@ -102,8 +102,10 @@ class DiverseView:
         self._tree = OnePassTree(self._engine.index.depth, self._k)
         self._offered = 0
         merged = MergedList(self._query, self._engine.index)
-        for dewey in collect_all(merged):
-            self._take(dewey, merged.score(dewey) if self._scored else 0.0)
+        matches = (collect_all_scored(merged) if self._scored
+                   else dict.fromkeys(collect_all(merged), 0.0))
+        for dewey, score in matches.items():
+            self._take(dewey, score)
 
     # ------------------------------------------------------------------
     # Read side

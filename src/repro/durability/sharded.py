@@ -94,14 +94,6 @@ def create_sharded_store(
             )
     data_dir = Path(data_dir)
     make_dirs(data_dir)
-    write_manifest(data_dir, {
-        "kind": "sharded",
-        "shards": index.num_shards,
-        "router": HASH_ROUTER_SPEC,
-        "snapshot_every": snapshot_every,
-        "fsync_every": fsync_every,
-        "replicas": replicas,
-    })
     owned: List[Set[int]] = [set() for _ in range(index.num_shards)]
     for rid in range(len(index.relation)):
         owned[index.shard_of(rid)].add(rid)
@@ -117,6 +109,15 @@ def create_sharded_store(
             shard, wal, snapshot_path, snapshot_every=snapshot_every,
             owned=owned[shard_id],
         ))
+    # The commit point, written last as in create_store.
+    write_manifest(data_dir, {
+        "kind": "sharded",
+        "shards": index.num_shards,
+        "router": HASH_ROUTER_SPEC,
+        "snapshot_every": snapshot_every,
+        "fsync_every": fsync_every,
+        "replicas": replicas,
+    })
     index._shards = durable  # same in-place swap inject_chaos performs
     return index
 

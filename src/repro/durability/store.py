@@ -259,17 +259,19 @@ def create_store(
     snapshot_every: int = 0,
     fsync_every: int = 1,
 ) -> DurableIndex:
-    """Initialise a data directory around an existing in-memory index."""
+    """Initialise a data directory around an existing in-memory index.
+    The manifest is the commit point: it is written last, once the
+    snapshot and the log are durable, so a crash leaves no store."""
     data_dir = Path(data_dir)
     make_dirs(data_dir)
+    snapshot_path = data_dir / SNAPSHOT_NAME
+    save_index(index, snapshot_path)
+    wal = WriteAheadLog.create(data_dir / WAL_NAME, fsync_every=fsync_every)
     write_manifest(data_dir, {
         "kind": "single",
         "snapshot_every": snapshot_every,
         "fsync_every": fsync_every,
     })
-    snapshot_path = data_dir / SNAPSHOT_NAME
-    save_index(index, snapshot_path)
-    wal = WriteAheadLog.create(data_dir / WAL_NAME, fsync_every=fsync_every)
     return DurableIndex(index, wal, snapshot_path,
                         snapshot_every=snapshot_every)
 

@@ -49,10 +49,10 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.dewey import MAX_COMPONENT, DeweyId
-from .postings import PostingList
+from .postings import PostingList, members
 
 #: Compaction fires when tail + tombstones exceed
 #: ``max(MIN_COMPACTION, len(segment) >> COMPACTION_SHIFT)``.
@@ -431,6 +431,33 @@ class CompressedPostingList(PostingList):
         if self._tail or self._deleted:
             return self._merged()
         return iter(self._segment)
+
+    def stream(self) -> tuple[Optional[Callable], Sequence]:
+        """The packed keys as they lie; Dewey IDs while a mutation is
+        pending."""
+        if self._tail or self._deleted:
+            return None, list(self)
+        return self._segment.decode_key, self._segment.keys
+
+    def intersect(self, decode: Optional[Callable], keys: Sequence) -> list:
+        """Keys of this list's codec are probed as they are, and so never
+        decoded; other candidates are packed to probe the segment and
+        matched by Dewey ID against the tail."""
+        segment = self._segment
+        pack = segment.pack_exact
+        if decode is segment.decode_key:
+            found = members(segment.keys, keys)
+            if not (self._tail or self._deleted):
+                return found
+            hits = set(found).difference(map(pack, self._deleted))
+            hits.update(map(pack, self._tail))
+            return [key for key in keys if key in hits]
+        deweys = keys if decode is None else list(map(decode, keys))
+        packed = [key for key in map(pack, deweys) if key is not None]
+        hits = set(map(segment.decode_key, members(segment.keys, packed)))
+        hits.difference_update(self._deleted)
+        hits.update(self._tail)
+        return [key for key, dewey in zip(keys, deweys) if dewey in hits]
 
     def _merged(self) -> Iterator[DeweyId]:
         """Document-order merge of segment-minus-tombstones and tail."""

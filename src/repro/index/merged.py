@@ -11,12 +11,17 @@ implemented here by composing posting-list seeks: leapfrog intersection for
 AND nodes, k-way min/max for OR nodes.  :class:`MergedList` is the façade the
 diversity algorithms use; it also counts probe calls so Theorem 2 and the
 ablation benchmarks can be checked empirically.
+
+Naive needs ``RES`` whole: :meth:`MergedList.matches` reads it in one pass
+over the lists' streams, not a seek per match.  An AND streams its first
+child (the rarest, after ``order_for_leapfrog``) and every other child
+filters what is left; an OR merges its children's streams.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from ..core.dewey import LEFT, RIGHT, DeweyId, predecessor, successor, validate_direction
 from ..query.predicates import KeywordPredicate, ScalarPredicate
@@ -29,13 +34,21 @@ _POSITION, _ORDER = itemgetter(0), itemgetter(3)
 
 
 class Cursor:
-    """A navigable view of the Dewey IDs matching some boolean expression."""
+    """A navigable view of the Dewey IDs matching some boolean expression.
+
+    ``run()`` gives every match as :meth:`PostingList.stream` gives a
+    list's postings, ``(decode, keys)``, and ``keep(decode, keys)`` the
+    members of such sorted keys that match, in order."""
 
     __slots__ = ()
 
     def next(self, bound: DeweyId, direction: str = LEFT) -> Optional[DeweyId]:
         """Nearest match at-or-beyond ``bound`` in ``direction``."""
         raise NotImplementedError
+
+
+def _decoded(decode: Optional[Callable], keys: Sequence) -> list:
+    return keys if decode is None else list(map(decode, keys))
 
 
 class LeafCursor(Cursor):
@@ -51,6 +64,12 @@ class LeafCursor(Cursor):
             return self._postings.seek(bound)
         validate_direction(direction)
         return self._postings.seek_floor(bound)
+
+    def run(self) -> tuple[Optional[Callable], Sequence]:
+        return self._postings.stream()
+
+    def keep(self, decode: Optional[Callable], keys: Sequence) -> list:
+        return self._postings.intersect(decode, keys)
 
 
 class AndCursor(Cursor):
@@ -79,6 +98,17 @@ class AndCursor(Cursor):
             if agreed:
                 return candidate
 
+    def run(self) -> tuple[Optional[Callable], Sequence]:
+        decode, keys = self._children[0].run()
+        return decode, self.keep(decode, keys, 1)
+
+    def keep(self, decode: Optional[Callable], keys: Sequence, start=0) -> list:
+        for child in self._children[start:]:
+            if not keys:
+                break
+            keys = child.keep(decode, keys)
+        return keys
+
 
 class OrCursor(Cursor):
     """k-way union of child cursors."""
@@ -104,6 +134,17 @@ class OrCursor(Cursor):
             elif direction == RIGHT and found > best:
                 best = found
         return best
+
+    def run(self) -> tuple[Optional[Callable], Sequence]:
+        runs = [child.run() for child in self._children]
+        decode = runs[0][0]
+        if any(other is not decode for other, _ in runs):
+            decode, runs = None, [(None, _decoded(*run)) for run in runs]
+        return decode, sorted(set().union(*(keys for _, keys in runs)))
+
+    def keep(self, decode: Optional[Callable], keys: Sequence) -> list:
+        hits = set().union(*(child.keep(decode, keys) for child in self._children))
+        return [key for key in keys if key in hits]
 
 
 def compile_cursor(query: Query, index: InvertedIndex) -> Cursor:
@@ -231,6 +272,19 @@ class MergedList:
         """The leftmost match (``next(0)`` in the paper)."""
         return self.next((0,) * self._index.depth, LEFT)
 
+    def matches(self) -> list[DeweyId]:
+        """Every match in document order, evaluated in one pass (Naive's
+        "evaluate the full query")."""
+        return _decoded(*self._run())
+
+    def _run(self) -> tuple[Optional[Callable], Sequence]:
+        """The root's :meth:`Cursor.run`, counted as the merged ``next``
+        loop it stands for: one call per match and one that finds none."""
+        decode, keys = self._root.run()
+        self.next_calls += len(keys) + 1
+        self.rows_touched += len(keys)
+        return decode, keys
+
     def contains(self, dewey: DeweyId) -> bool:
         """Boolean membership test (not counted as a probe)."""
         return self._root.next(dewey, LEFT) == dewey
@@ -261,6 +315,21 @@ class MergedList:
             if weight and cursor.next(dewey, LEFT) == dewey:
                 total += weight
         return total
+
+    def scored_matches(self) -> dict[DeweyId, float]:
+        """:meth:`matches` with their scores: each leaf's weight added, in
+        leaf order as :meth:`score` adds it, to the matches in its list."""
+        decode, keys = self._run()
+        if not keys:  # no match is scored, so no leaf list is fetched
+            return {}
+        scores = dict.fromkeys(keys, 0.0)
+        for cursor, weight in self._leaves or self._build_leaves():
+            if weight:
+                for key in cursor.keep(decode, keys):
+                    scores[key] += weight
+        if decode is None:
+            return scores
+        return dict(zip(map(decode, scores), scores.values()))
 
     def max_score(self) -> float:
         return self._query.max_score()

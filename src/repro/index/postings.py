@@ -13,15 +13,23 @@ posting, with galloping search (:mod:`repro.index.compressed`).  Either
 serves the paper's "skip over similar answers" (Section I) — the skip is
 the log-time seek, not the structure behind it.  The merged multi-list
 navigation lives in :mod:`repro.index.merged`.
+
+Naive's full evaluation reads lists as streams instead: ``stream()``
+hands every posting over in document order, as keys of the list's codec,
+and ``intersect`` keeps the sorted candidates that are postings here.
 """
 
 from __future__ import annotations
 
 import bisect
 import sys
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.dewey import DeweyId
+
+#: ``intersect`` bisects a list this many times longer than its candidates
+#: from a kept position; a shorter one is hashed once.
+GALLOP_RATIO = 8
 
 ARRAY_BACKEND = "array"
 COMPRESSED_BACKEND = "compressed"
@@ -63,6 +71,17 @@ class PostingList:
 
     def __contains__(self, dewey: DeweyId) -> bool:
         return self.seek(dewey) == dewey
+
+    def stream(self) -> tuple[Optional[Callable], Sequence]:
+        """Every posting in document order as ``(decode, keys)``: keys of
+        this list's codec and the function mapping one back to its Dewey
+        ID, or the Dewey IDs themselves and ``None``.  Read-only."""
+        return None, list(self)
+
+    def intersect(self, decode: Optional[Callable], keys: Sequence) -> list:
+        """The members of ``keys`` (sorted, in the form :meth:`stream`
+        gives them with ``decode``) that are postings here, in order."""
+        raise NotImplementedError
 
     def memory_bytes(self) -> int:
         """Approximate resident bytes of this list's postings storage."""
@@ -121,6 +140,12 @@ class ArrayPostingList(PostingList):
     def __iter__(self) -> Iterator[DeweyId]:
         return iter(self._postings)
 
+    def intersect(self, decode: Optional[Callable], keys: Sequence) -> list:
+        if decode is None:
+            return members(self._postings, keys)
+        hits = set(members(self._postings, list(map(decode, keys))))
+        return [key for key in keys if decode(key) in hits]
+
     def memory_bytes(self) -> int:
         # The list object (with its pointer slots) plus one tuple per
         # posting; component ints are mostly shared small-int singletons.
@@ -130,6 +155,24 @@ class ArrayPostingList(PostingList):
 
     def __repr__(self) -> str:
         return f"ArrayPostingList({len(self._postings)} postings)"
+
+
+def members(postings: Sequence, candidates: Sequence) -> list:
+    """The sorted ``candidates`` that occur in the sorted ``postings``, in
+    order: one bisection each, from the last position, in a much longer
+    list; else one pass hashing ``postings``."""
+    if len(postings) <= GALLOP_RATIO * len(candidates):
+        present = set(postings)
+        return [candidate for candidate in candidates if candidate in present]
+    found = []
+    position, end = 0, len(postings)
+    for candidate in candidates:
+        position = bisect.bisect_left(postings, candidate, position)
+        if position == end:
+            break
+        if postings[position] == candidate:
+            found.append(candidate)
+    return found
 
 
 def make_posting_list(

@@ -30,8 +30,8 @@ the serving-cache invalidation contract.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterator, List, Optional, Sequence, Union
+from itertools import chain
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Union
 
 from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
@@ -95,7 +95,12 @@ class UnionPostingView(PostingList):
         return sum(len(part) for part in self._parts)
 
     def __iter__(self) -> Iterator[DeweyId]:
-        return heapq.merge(*self._parts)
+        return iter(sorted(chain.from_iterable(self._parts)))
+
+    def intersect(self, decode: Optional[Callable], keys: Sequence) -> list:
+        deweys = keys if decode is None else list(map(decode, keys))
+        hits = set().union(*(part.intersect(None, deweys) for part in self._parts))
+        return [key for key, dewey in zip(keys, deweys) if dewey in hits]
 
     def memory_bytes(self) -> int:
         return sum(part.memory_bytes() for part in self._parts)

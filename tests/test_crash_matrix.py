@@ -9,10 +9,12 @@ with the last one torn, or one bit flipped in the last durable log
 record; a new name survives only once its directory is fsynced), and
 each image must recover **bit-identical to the state before or after the
 step in progress — never anything in between**.  An image taken before
-``create_store`` returned may also be no store at all; one taken after
-may not.  "State" means the index epoch, every Dewey assignment, the
-live and deleted rows, and the answers of all five diversity algorithms
-(scored and unscored) on fixed queries.  Each recovered store then runs
+``create_store`` returned may also be no store at all, but not a
+refused one: the manifest is written last, so an image that holds it is
+a store and must recover.  One taken after may not.  "State" means the
+index epoch, every Dewey assignment, the live and deleted rows, and the
+answers of all five diversity algorithms (scored and unscored) on fixed
+queries.  Each recovered store then runs
 the rest of the workload, and every answer on the way must be diverse
 (Definition 2).
 
@@ -41,7 +43,7 @@ from repro.durability import (
     create_store,
     recover,
 )
-from repro.durability.store import WAL_NAME
+from repro.durability.store import MANIFEST_NAME, WAL_NAME
 from repro.durability.wal import MAGIC
 from repro.index.inverted import InvertedIndex
 from repro.sharding import ShardedIndex
@@ -84,6 +86,11 @@ POINTS = (
     "snapshot-post-rename",
     "snapshot-post-truncate",
 )
+
+
+#: The outcome of an image that holds a manifest and still does not
+#: recover.  No image may have it: the manifest is written last.
+REFUSED = "refused"
 
 
 def state_signature(index):
@@ -168,7 +175,8 @@ class Matrix:
 
     ``outcomes`` maps each distinct image tree to ``(state, diverse)``:
     the index of the reference state it recovered to (``None`` for no
-    store, ``-1`` for no reference at all), and whether the rest of the
+    store, :data:`REFUSED` for a manifest whose store recovery refuses,
+    ``-1`` for no reference at all), and whether the rest of the
     workload, run on the recovered store, answered diversely throughout.
     """
 
@@ -197,7 +205,9 @@ class Matrix:
         try:
             recovered = recover(data_dir)
         except RecoveryError:
-            return None, True
+            # No manifest is no store; a store that claims to be one with
+            # its manifest and still does not recover is refused.
+            return (REFUSED if (data_dir / MANIFEST_NAME).exists() else None), True
         signature = state_signature(recovered)
         if signature not in self.references:
             close(recovered)
@@ -224,7 +234,7 @@ class Matrix:
             assert state in allowed, (
                 f"{where}: recovered to state {state}, expected one of "
                 f"{sorted(allowed, key=str)} (-1: matches no reference; "
-                f"None: no store)"
+                f"None: no store; {REFUSED}: a manifest, yet refused)"
             )
             assert diverse, f"{where}: a later answer is not diverse"
 
@@ -270,6 +280,15 @@ def test_matrix_reaches_every_damage_kind(single_matrix, sharded_matrix):
                    for image in images}
         assert damages == {"dropped", "kept", "torn", "flip"}
     assert len(single_matrix.outcomes) + len(sharded_matrix.outcomes) >= 66
+
+
+def test_a_store_exists_once_its_manifest_does(single_matrix, sharded_matrix):
+    """Creation commits with its manifest: a ``create-store`` image
+    without one is no store, and none with one is refused."""
+    for matrix in (single_matrix, sharded_matrix):
+        states = {matrix.outcomes[image.tree][0]
+                  for image in matrix.images["create-store"]}
+        assert states == {None, 0}, states
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro import DiversityEngine
 from repro.core.baselines import collect_all
-from repro.core.diagnostics import compare_reports, diversity_report
+from paper.diagnostics import compare_reports, diversity_report
 from repro.data.auctions import (
     CATEGORIES,
     auctions_ordering,

@@ -59,6 +59,12 @@ def _signature(index):
     )
 
 
+def _close(target):
+    """Close a store of either shape and the log handle of every shard."""
+    for store in getattr(target, "shards", [target]):
+        store.close()
+
+
 def _fresh_store(tmp_path, name="store", **kwargs):
     relation = figure1_relation()
     index = InvertedIndex.build(relation, figure1_ordering())
@@ -92,6 +98,7 @@ class TestSingleStore:
         assert isinstance(recovered, DurableIndex)
         assert _signature(recovered.index) == expected
         assert recovered.recovery.replayed == 4
+        recovered.close()
 
     def test_idempotent_insert_writes_no_record(self, tmp_path):
         store = _fresh_store(tmp_path)
@@ -122,6 +129,7 @@ class TestSingleStore:
         assert recovered.recovery.snapshot_epoch == 3
         assert recovered.recovery.replayed == 1
         assert _signature(recovered.index) == _signature(store.index)
+        recovered.close()
 
     def test_recovered_store_keeps_accepting_writes(self, tmp_path):
         store = _fresh_store(tmp_path)
@@ -133,6 +141,7 @@ class TestSingleStore:
         recovered.close()
         second = recover(tmp_path / "store")
         assert _signature(second.index) == _signature(recovered.index)
+        second.close()
 
     def test_stale_records_skipped_after_snapshot(self, tmp_path):
         """A snapshot without log truncation (the post-rename crash window)
@@ -152,6 +161,7 @@ class TestSingleStore:
         assert recovered.recovery.skipped == 2
         assert recovered.recovery.replayed == 1
         assert _signature(recovered.index) == expected
+        recovered.close()
 
     def test_sequence_gap_raises(self, tmp_path):
         store = _fresh_store(tmp_path)
@@ -219,6 +229,7 @@ class TestShardedStore:
                     tmp_path / "cluster" / f"shard-{shard:04d}" / WAL_NAME
                 ).records
             )
+        _close(index)
 
     def test_full_deployment_recovery(self, tmp_path):
         index = self._build(tmp_path, shards=3)
@@ -235,6 +246,7 @@ class TestShardedStore:
         assert isinstance(recovered, ShardedIndex)
         assert recovered.shard_epochs() == expected_epochs
         assert _signature(recovered) == expected
+        _close(recovered)
 
     def test_independent_shard_snapshots(self, tmp_path):
         """Shards snapshot at different times; recovery reconciles the
@@ -250,6 +262,7 @@ class TestShardedStore:
             shard.close()
         recovered = recover(tmp_path / "cluster")
         assert _signature(recovered) == expected
+        _close(recovered)
 
     def test_range_router_manifest_is_refused(self, tmp_path):
         """Rows route only by hash: a manifest naming a range router is
@@ -298,6 +311,7 @@ class TestShardedStore:
         index.inject_chaos(ChaosPolicy(seed=1))
         index.clear_chaos()
         assert all(isinstance(shard, DurableIndex) for shard in index.shards)
+        _close(index)
 
 
 class TestReplayFold:
@@ -356,9 +370,9 @@ class TestReplayFold:
         if caller == "replica":
             with pytest.raises(ReplicaBootstrapError, match=match):
                 clone_from_store(store)
+        _close(index)
+        if caller == "replica":
             return
-        for shard in index.shards:
-            shard.close()
         with pytest.raises(RecoveryError, match=match):
             if caller == "recover":
                 recover_sharded_store(tmp_path / "cluster")
@@ -523,10 +537,11 @@ class TestRecoveryRefusals:
             data[position] ^= 0xFF
             snapshot.write_bytes(bytes(data))
             try:
-                recover(data_dir)
+                recovered = recover(data_dir)
             except RecoveryError as error:
                 assert str(store_dirs[0]) in str(error)
             else:  # the flip fell in gzip header bytes nothing verifies
+                _close(recovered)
                 assert position < 10
 
     def test_log_tail_refusals(self, tmp_path, shards):
