@@ -31,11 +31,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from faults.chaos import ChaosPolicy, inject
 from paper.harness import env_int, run_chaos_workload
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.observability import MetricsRegistry, use_registry
-from repro.resilience import ChaosPolicy, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
 from repro.sharding import ShardedEngine
 
 DEFAULT_WORKLOAD_QUERIES = 200
@@ -93,7 +94,7 @@ def _availability_cell(relation, workload, tag, replicas):
     registry = MetricsRegistry()
     with use_registry(registry):
         engine = _engine(relation, replicas)
-        chaos = engine.inject_chaos(ChaosPolicy(seed=7))
+        chaos = inject(engine, ChaosPolicy(seed=7)).policy
         for shard_id in range(SHARDS):
             if replicas > 1:
                 chaos.crash(shard_id, replica_id=0)

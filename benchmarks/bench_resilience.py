@@ -34,10 +34,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from faults.chaos import ChaosPolicy, inject
 from paper.harness import env_int, run_chaos_workload
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
-from repro.resilience import ChaosPolicy, ResiliencePolicy
+from repro.resilience import ResiliencePolicy
 from repro.sharding import ShardedEngine
 
 DEFAULT_WORKLOAD_QUERIES = 200
@@ -89,7 +90,7 @@ def _time_zero_fault(relation, workload, tag, shards):
     gc.collect()
     base = run_chaos_workload(bare, workload, K, tag)
     wrapped = _engine(relation, shards)
-    wrapped.inject_chaos(ChaosPolicy())  # all-zero fault plan: pure proxy cost
+    inject(wrapped, ChaosPolicy())  # all-zero fault plan: pure proxy cost
     gc.collect()
     proxied = run_chaos_workload(wrapped, workload, K, tag)
     assert proxied.results_returned == base.results_returned
@@ -123,7 +124,7 @@ def measure(rows, queries=DEFAULT_WORKLOAD_QUERIES):
     chaos_cells = []
     for tag in TAGS:
         engine = _engine(relation, 4, policy=ABSORB_ALL)
-        engine.inject_chaos(ChaosPolicy.transient(TRANSIENT_RATE, seed=7))
+        chaos = inject(engine, ChaosPolicy.transient(TRANSIENT_RATE, seed=7)).policy
         gc.collect()
         timing = run_chaos_workload(engine, workload, K, tag)
         assert timing.failed_queries == 0, f"{tag}: retries must absorb faults"
@@ -140,12 +141,12 @@ def measure(rows, queries=DEFAULT_WORKLOAD_QUERIES):
                 "retries": timing.retries,
                 "degraded_queries": timing.degraded_queries,
                 "failed_queries": timing.failed_queries,
-                "faults_injected": engine.sharded_index.chaos.injected["transient"],
+                "faults_injected": chaos.injected["transient"],
             }
         )
 
     engine = _engine(relation, 4)
-    engine.inject_chaos(ChaosPolicy.crash_shards(3))
+    inject(engine, ChaosPolicy.crash_shards(3))
     gc.collect()
     timing = run_chaos_workload(engine, workload, K, "UNaive")
     assert timing.failed_queries == 0, "gather must degrade, not fail"
@@ -202,7 +203,7 @@ if pytest is not None:
     def test_transient_faults_are_absorbed_without_degradation():
         relation, workload = _setup(BENCH_ROWS, BENCH_QUERIES)
         engine = _engine(relation, 4, policy=ABSORB_ALL)
-        engine.inject_chaos(ChaosPolicy.transient(TRANSIENT_RATE, seed=7))
+        inject(engine, ChaosPolicy.transient(TRANSIENT_RATE, seed=7))
         timing = run_chaos_workload(engine, workload, K, "UNaive")
         assert timing.failed_queries == 0
         assert timing.degraded_queries == 0
@@ -211,7 +212,7 @@ if pytest is not None:
     def test_crashed_shard_degrades_every_gather_answer(benchmark):
         relation, workload = _setup(BENCH_ROWS, BENCH_QUERIES)
         engine = _engine(relation, 4)
-        engine.inject_chaos(ChaosPolicy.crash_shards(3))
+        inject(engine, ChaosPolicy.crash_shards(3))
         benchmark.group = f"resilience rows={BENCH_ROWS}"
         timing = benchmark.pedantic(
             run_chaos_workload, args=(engine, workload, K, "UNaive"),

@@ -50,12 +50,10 @@ from .planner import (
     render_explain,
 )
 from .resilience import (
-    ChaosPolicy,
     CircuitBreaker,
     DeadlineExceededError,
     ResilienceError,
     ResiliencePolicy,
-    ShardFaultSpec,
     ShardUnavailableError,
     TransientShardError,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "AttributeKind",
     "CacheStats",
     "Catalog",
-    "ChaosPolicy",
     "CircuitBreaker",
     "DeadlineExceededError",
     "DeweyId",
@@ -120,7 +117,6 @@ __all__ = [
     "ServingCache",
     "ServingEngine",
     "HashRouter",
-    "ShardFaultSpec",
     "ShardUnavailableError",
     "ShardedEngine",
     "ShardedIndex",

@@ -42,12 +42,7 @@ from .core.ordering import DiversityOrdering
 from .observability import get_registry, register_postings_collector
 from .parallel import WORKER_MODES
 from .query.parser import QueryParseError
-from .resilience import (
-    ChaosPolicy,
-    ResilienceError,
-    ResiliencePolicy,
-    ShardFaultSpec,
-)
+from .resilience import ResilienceError, ResiliencePolicy
 from .serving.engine import (
     CACHE_TOTALS,
     ServingEngine,
@@ -250,21 +245,19 @@ def main(argv=None) -> int:
     _query_options(metrics_cmd)
 
     args = parser.parse_args(argv)
-    if args.command == "build":
-        return _cmd_build(args)
-    if args.command == "query":
-        return _cmd_query(args)
-    if args.command == "shell":
-        return _cmd_shell(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return _cmd_demo(args)
+    command = {
+        "build": _cmd_build, "query": _cmd_query, "shell": _cmd_shell,
+        "recover": _cmd_recover, "metrics": _cmd_metrics, "plan": _cmd_plan,
+        "serve": _cmd_serve, "demo": _cmd_demo,
+    }[args.command]
+    try:
+        return command(args)
+    except ValueError as error:
+        # A value the stack refuses (a negative deadline or retry count, a
+        # zero queue depth, a deployment shape it cannot run): one line
+        # and exit 2, as for a flag argparse itself rejects.
+        print(str(error), file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _query_options(parser: argparse.ArgumentParser) -> None:
@@ -317,9 +310,8 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
     )
     resilience = parser.add_argument_group(
         "resilience (sharded deployments)",
-        "per-query failure budgets and seeded fault injection; gather "
-        "algorithms degrade to the surviving shards, scan algorithms fail "
-        "fast with a structured error",
+        "per-query failure budgets; gather algorithms degrade to the "
+        "surviving shards, scan algorithms fail fast with a structured error",
     )
     resilience.add_argument(
         "--deadline-ms",
@@ -334,34 +326,6 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
         default=2,
         metavar="N",
         help="bounded retries per shard call on transient faults (default 2)",
-    )
-    resilience.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help="seed for deterministic fault injection",
-    )
-    resilience.add_argument(
-        "--chaos-latency-ms",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help="inject this much latency into every shard read",
-    )
-    resilience.add_argument(
-        "--chaos-transient",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability in [0,1] that a shard read fails transiently",
-    )
-    resilience.add_argument(
-        "--chaos-crash",
-        default="",
-        metavar="IDS",
-        help="comma-separated shard ids to hard-kill (e.g. '0,2'); with "
-        "--replicas, SHARD:REPLICA kills one copy (e.g. '0:1,2:0')",
     )
     replication = parser.add_argument_group(
         "replication (sharded deployments)",
@@ -379,63 +343,22 @@ def _query_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_crash_list(raw: str) -> list:
-    """Crash addresses: '2' kills shard 2, '2:1' kills only its replica 1."""
-    addresses: list = []
-    try:
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" in part:
-                shard, replica = part.split(":", 1)
-                addresses.append((int(shard), int(replica)))
-            else:
-                addresses.append(int(part))
-    except ValueError:
-        print(
-            f"--chaos-crash expects comma-separated shard ids or "
-            f"SHARD:REPLICA pairs, got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2) from None
-    return addresses
-
-
-def _chaos_from_args(args) -> ChaosPolicy | None:
-    """A ChaosPolicy when any --chaos-* flag asks for faults, else None."""
-    latency = args.chaos_latency_ms
-    transient = args.chaos_transient
-    crashed = _parse_crash_list(args.chaos_crash)
-    if not latency and not transient and not crashed:
-        return None
-    default = ShardFaultSpec(latency_ms=latency, transient_rate=transient)
-    per_shard = {
-        shard: ShardFaultSpec(
-            latency_ms=latency, transient_rate=transient, crashed=True
-        )
-        for shard in crashed
-    }
-    return ChaosPolicy(seed=args.chaos_seed, default=default, per_shard=per_shard)
-
-
 def _open_serving(path: Path | None, args) -> ServingEngine:
     """The deployment the flags describe — the one engine a command opens,
     and closes by leaving its ``with`` block.
 
     ``path`` is a bare snapshot file, a durable data directory to recover,
-    or ``None`` for the paper's Figure 1 example.  Exits 2 when the flags
-    name a combination the stack refuses, 4 when recovery fails.
+    or ``None`` for the paper's Figure 1 example.  Exits 4 when recovery
+    fails; a flag value or combination the stack refuses raises the
+    ``ValueError`` :func:`main` turns into exit 2.
     """
     options = dict(
         workers=args.workers,
         worker_mode=args.worker_mode,
         policy=ResiliencePolicy(
             deadline_ms=args.deadline_ms, max_retries=args.retries,
-            seed=args.chaos_seed,
         ),
     )
-    chaos = _chaos_from_args(args)
     if path is None:
         index = InvertedIndex.build(figure1_relation(), figure1_ordering())
     else:
@@ -454,18 +377,9 @@ def _open_serving(path: Path | None, args) -> ServingEngine:
                 index.relation, index.ordering, backend=index.backend,
                 shards=args.shards, replicas=args.replicas or 1, **options,
             )
-        if chaos is not None and hasattr(serving.engine, "inject_chaos"):
-            try:
-                serving.engine.inject_chaos(chaos)
-            except ValueError:
-                serving.close()
-                raise
     except RecoveryError as error:
         print(f"recovery failed: {error}", file=sys.stderr)
         raise SystemExit(4) from None
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        raise SystemExit(2) from None
     register_postings_collector(get_registry(), serving.engine.index)
     return serving
 
@@ -480,11 +394,7 @@ def _cmd_build(args) -> int:
     if args.out is None and args.data_dir is None:
         print("build needs --out and/or --data-dir", file=sys.stderr)
         return 2
-    try:
-        check_shape(args.shards, args.replicas)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    check_shape(args.shards, args.replicas)
     started = time.perf_counter()
     relation = read_csv(args.csv, name=args.csv.stem)
     ordering = DiversityOrdering(
@@ -695,16 +605,7 @@ def _cmd_metrics(args) -> int:
         )
         return 2
     with _open_serving(args.index, args) as serving:
-        engine = serving.engine
-        # Workload generation is control-plane work: read the vocabulary
-        # with chaos disarmed, then re-inject so only the serving path
-        # sees faults.
-        if hasattr(engine, "clear_chaos"):
-            engine.clear_chaos()
-        queries = _workload_queries(engine, args.limit)
-        chaos = _chaos_from_args(args)
-        if chaos is not None and hasattr(engine, "inject_chaos"):
-            engine.inject_chaos(chaos)
+        queries = _workload_queries(serving.engine, args.limit)
         search = _search(serving, args)
         failures = 0
         for _ in range(max(1, args.repeat)):
@@ -714,9 +615,9 @@ def _cmd_metrics(args) -> int:
                         search(query, k=args.k, algorithm=algorithm,
                                scored=args.scored)
                     except ResilienceError:
-                        # Chaos/degradation is part of the point: the
-                        # workload keeps going and the failure lands in
-                        # the metrics.
+                        # Degradation is part of the point: the workload
+                        # keeps going and the failure lands in the
+                        # metrics.
                         failures += 1
         registry = get_registry()
         snapshot = registry.snapshot()

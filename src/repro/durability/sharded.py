@@ -89,8 +89,7 @@ def create_sharded_store(
         if not isinstance(shard, InvertedIndex):
             raise TypeError(
                 f"shards must be plain InvertedIndex instances to attach "
-                f"durability (found {type(shard).__name__}; clear chaos or "
-                f"existing durability wrappers first)"
+                f"durability (found {type(shard).__name__})"
             )
     data_dir = Path(data_dir)
     make_dirs(data_dir)
@@ -118,7 +117,7 @@ def create_sharded_store(
         "fsync_every": fsync_every,
         "replicas": replicas,
     })
-    index._shards = durable  # same in-place swap inject_chaos performs
+    index.shards[:] = durable
     return index
 
 

@@ -8,8 +8,8 @@ A data directory holds everything needed to resurrect an index::
         wal.log         # mutations since that snapshot (repro.durability.wal)
 
 :class:`DurableIndex` wraps an :class:`~repro.index.inverted.InvertedIndex`
-behind the same read protocol (the :class:`~repro.resilience.chaos.FaultyShard`
-idiom) and intercepts the two mutations.  Each is appended — and fsynced,
+behind the same read protocol (a :class:`~repro.index.reader.ReaderProxy`)
+and intercepts the two mutations.  Each is appended — and fsynced,
 per policy — to the WAL *before* the in-memory index changes, using
 :meth:`DeweyIndex.peek` to predict the exact Dewey assignment without
 mutating.  The record's ``seq`` is the mutation epoch the index will hold
@@ -125,10 +125,7 @@ class DurableIndex(ReaderProxy):
         self.recovery = recovery
 
     # ------------------------------------------------------------------
-    # Introspection (the read protocol is ReaderProxy's, over the index).
-    # NOTE: the unwrap accessor is deliberately named ``index`` — shards
-    # expose chaos wrappers via ``inner`` and ShardedIndex.clear_chaos
-    # strips *that* name; durability must survive chaos clearing.
+    # Introspection (the read protocol is ReaderProxy's, over the index)
     # ------------------------------------------------------------------
     @property
     def index(self) -> InvertedIndex:

@@ -263,11 +263,16 @@ class InvertedIndex:
 
         The caller is responsible for tombstoning the relation row (see
         :meth:`DiversityEngine.delete`); this removes the Dewey ID from
-        every posting list so queries stop returning it immediately.
+        every posting list so queries stop returning it immediately.  A
+        shard holding no posting for ``rid`` (another shard's row in the
+        shared global Dewey space) leaves it alone and returns ``None``.
         """
         if rid not in self._dewey:
             return None
-        dewey = self.remove_mirrored(rid, self._dewey.dewey_of(rid))
+        dewey = self._dewey.dewey_of(rid)
+        if dewey not in self._all:
+            return None
+        self.remove_mirrored(rid, dewey)
         self._dewey.remove(rid)
         return dewey
 

@@ -5,8 +5,8 @@ statistics, WAND, the engines — reads an index through one small surface:
 six control-plane attributes, ``len``, ``memory_stats`` and four posting
 reads.  :class:`~repro.index.inverted.InvertedIndex` and
 :class:`~repro.sharding.ShardedIndex` implement it over real posting
-lists; every other layer (durability, chaos, replication, per-read
-retries) is a :class:`ReaderProxy` that forwards the whole surface to one
+lists; every other layer (durability, replication, per-read retries)
+is a :class:`ReaderProxy` that forwards the whole surface to one
 target and overrides only what it changes (:class:`NamedReads` when that
 is all four posting reads alike).
 """
@@ -102,7 +102,7 @@ class ReaderProxy:
 
 class NamedReads(ReaderProxy):
     """A proxy whose four posting reads are one ``_read(operation, *args)``:
-    the layers that treat them alike (chaos, failover, retries, a pin)."""
+    the layers that treat them alike (failover, retries, a pin)."""
 
     __slots__ = ()
 

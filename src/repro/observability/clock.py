@@ -6,7 +6,7 @@ cooldowns counted ``time.monotonic()`` — two timelines that can disagree,
 and neither fakeable without monkeypatching.  Everything now defaults to
 :data:`MONOTONIC` (``time.monotonic``: deadlines and latencies are wall
 intervals, and a single timeline keeps "time spent" and "time left"
-commensurable) and accepts a ``clock`` argument, so chaos tests drive a
+commensurable) and accepts a ``clock`` argument, so failure tests drive a
 :class:`FakeClock` end to end — through ``Deadline``, ``CircuitBreaker``
 cooldowns, backoff sleeps and batch timings — without sleeping for real.
 """

@@ -27,9 +27,9 @@ the same ``GatherTask``, computed in real OS processes:
   the pool rather than merging a stale candidate list.
 
 Deployments the workers cannot faithfully mirror are rejected with
-:class:`UnsupportedWorkerModeError` (never silently bypassed): chaos
-fault plans and replica-set failover are coordinator-side state that does
-not exist inside a worker process.  The eager refusal is
+:class:`UnsupportedWorkerModeError` (never silently bypassed): replica-set
+failover is coordinator-side state that does not exist inside a worker
+process.  The eager refusal is
 :func:`~repro.sharding.executor.gather_backend`, asked before a
 deployment is built; :func:`~repro.parallel.pool._data_shard` is the lazy
 one, for wrappers added after the engine was built.

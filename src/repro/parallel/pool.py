@@ -54,10 +54,10 @@ _JOIN_TIMEOUT_S = 5.0
 class UnsupportedWorkerModeError(ValueError):
     """A worker-mode / deployment-feature combination that cannot work.
 
-    Raised eagerly (injection or pool-build time) instead of silently
+    Raised eagerly (deployment or pool-build time) instead of silently
     bypassing the feature: process workers hold read-only replicas, so
-    coordinator-side machinery — chaos fault plans, replica-set failover
-    — would simply not exist on their execution path.
+    coordinator-side machinery — replica-set failover — would simply not
+    exist on their execution path.
     """
 
 
@@ -80,10 +80,10 @@ def resolve_worker_mode(mode: str) -> str:
 def _data_shard(shard, shard_id: int):
     """Validate + unwrap one shard slot for process execution.
 
-    Replica sets and chaos proxies are coordinator-side wrappers a worker
-    replica cannot mirror — reject them loudly rather than serving reads
-    that silently skip failover/fault plans.  Durable wrappers unwrap to
-    their in-memory index (the WAL handle stays with the parent).
+    Replica sets are coordinator-side wrappers a worker replica cannot
+    mirror — reject them loudly rather than serving reads that silently
+    skip failover.  Durable wrappers unwrap to their in-memory index (the
+    WAL handle stays with the parent).
     """
     from ..replication.replica_set import ReplicaSet
 
@@ -93,12 +93,6 @@ def _data_shard(shard, shard_id: int):
             f"shard {shard_id} is a ReplicaSet, and replica failover "
             f"is coordinator-side state that does not exist inside a worker "
             f"process; use workers=0 with replicas > 1"
-        )
-    if getattr(shard, "chaos", None) is not None:
-        raise UnsupportedWorkerModeError(
-            f"process workers cannot honour an injected chaos policy: shard "
-            f"{shard_id} carries a fault plan the worker replicas would "
-            f"silently ignore; clear chaos or use workers=0"
         )
     return shard
 

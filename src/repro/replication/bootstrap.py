@@ -34,11 +34,6 @@ class ReplicaBootstrapError(RuntimeError):
     """A freshly grown replica failed verification against its primary."""
 
 
-def _raw(shard):
-    """Unwrap a chaos proxy (bootstrap reads must see the true index)."""
-    return getattr(shard, "inner", shard)
-
-
 def live_rids(shard) -> List[int]:
     """The rids this shard serves, derived from its live postings."""
     dewey = shard.dewey
@@ -52,13 +47,11 @@ def replica_digest(shard) -> str:
     content — two bit-identical copies of one shard agree byte-for-byte,
     and any divergence in rows, Dewey assignment, or epoch changes it.
     """
-    shard = _raw(shard)
     return payload_digest(build_payload(shard, rids=live_rids(shard)))
 
 
 def clone_from_index(shard) -> InvertedIndex:
     """Rebuild a copy of a live in-memory shard over the shared Dewey space."""
-    shard = _raw(shard)
     return restore_index(
         shard.relation, shard.ordering, shard.backend, shard.dewey,
         live_rids(shard), shard.epoch,
@@ -78,7 +71,6 @@ def clone_from_store(store) -> InvertedIndex:
     from ..durability.errors import RecoveryError
     from ..durability.store import fold_shard_state, read_store, refusing_damage
 
-    store = _raw(store)
     label = store.snapshot_path.parent
     store.wal.sync()  # flush buffered tail records so the scan sees them
     try:
@@ -110,7 +102,6 @@ def bootstrap_replicas(primary, count: int) -> List[InvertedIndex]:
     """
     if count < 1:
         raise ValueError("replica count must be >= 1")
-    primary = _raw(primary)
     durable = hasattr(primary, "snapshot_path") and hasattr(primary, "wal")
     expected = replica_digest(primary)
     copies: List[InvertedIndex] = []

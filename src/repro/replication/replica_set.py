@@ -1,8 +1,8 @@
 """R bit-identical copies of one logical shard behind one read protocol.
 
 A :class:`ReplicaSet` stands where a single shard index used to stand in
-``ShardedIndex._shards`` (the same in-place wrapping idiom chaos and
-durability use), so both engine strategies — scatter-gather and the
+``ShardedIndex.shards`` (the same in-place slot swap durability makes),
+so both engine strategies — scatter-gather and the
 coordinator-driven union-cursor scan — read through it without knowing
 replication exists.  Guarantees:
 
@@ -120,7 +120,8 @@ class ReplicaSet(NamedReads):
     # ------------------------------------------------------------------
     @property
     def replicas(self) -> List:
-        """The physical copies, replica order (0 is the primary)."""
+        """The live list of physical copies, replica order (0 is the
+        primary): a copy swapped in place here serves every later read."""
         return self._replicas
 
     @property
@@ -143,22 +144,15 @@ class ReplicaSet(NamedReads):
             f"breakers=[{states}], failovers={self.failovers})"
         )
 
-    @staticmethod
-    def _raw(replica):
-        """Unwrap a chaos proxy (mutations and control reads skip chaos)."""
-        return getattr(replica, "inner", replica)
-
     @property
     def _target(self):
         # Control plane: no failover — identical on every copy by
-        # invariant, so the raw primary answers.
-        return self._raw(self._replicas[0])
+        # invariant, so the primary answers.
+        return self._replicas[0]
 
     def memory_stats(self) -> dict:
         """Deployment-truthful accounting: every copy is resident memory."""
-        stats = sum_memory_stats(
-            self.backend, [self._raw(replica) for replica in self._replicas]
-        )
+        stats = sum_memory_stats(self.backend, self._replicas)
         stats["replicas"] = self.num_replicas
         return stats
 
@@ -289,11 +283,9 @@ class ReplicaSet(NamedReads):
     # Mutations: forward to every copy, assert convergence
     # ------------------------------------------------------------------
     def insert(self, rid: int):
-        primary = self._raw(self._replicas[0])
-        dewey = primary.insert(rid)
+        dewey = self._replicas[0].insert(rid)
         for replica_id in range(1, self.num_replicas):
-            follower = self._raw(self._replicas[replica_id])
-            mirrored = follower.insert(rid)
+            mirrored = self._replicas[replica_id].insert(rid)
             if mirrored != dewey:
                 raise ReplicaDivergenceError(
                     self.shard_id,
@@ -304,33 +296,24 @@ class ReplicaSet(NamedReads):
         return dewey
 
     def remove(self, rid: int):
-        primary = self._raw(self._replicas[0])
-        shared = primary.dewey
-        if rid not in shared:
-            return None
-        dewey = shared.dewey_of(rid)
-        if dewey not in primary.all_postings():
-            return None  # not this shard's row (shared global Dewey space)
-        removed = primary.remove(rid)
-        if removed is None:
-            return None
+        dewey = self._replicas[0].remove(rid)
+        if dewey is None:
+            return None  # absent, or another shard's row
         for replica_id in range(1, self.num_replicas):
             # The primary's remove retired the shared Dewey assignment;
             # followers mirror only the posting-list effect.
-            self._raw(self._replicas[replica_id]).remove_mirrored(rid, dewey)
+            self._replicas[replica_id].remove_mirrored(rid, dewey)
         self._check_converged("remove", rid)
-        return removed
+        return dewey
 
     def _check_converged(self, operation: str, rid: int) -> None:
-        epochs = [
-            self._raw(replica).epoch for replica in self._replicas
-        ]
+        epochs = [replica.epoch for replica in self._replicas]
         if len(set(epochs)) != 1:
             raise ReplicaDivergenceError(
                 self.shard_id,
                 f"epochs {epochs} disagree after {operation}(rid={rid})",
             )
-        lengths = [len(self._raw(replica)) for replica in self._replicas]
+        lengths = [len(replica) for replica in self._replicas]
         if len(set(lengths)) != 1:
             raise ReplicaDivergenceError(
                 self.shard_id,
@@ -338,39 +321,21 @@ class ReplicaSet(NamedReads):
             )
 
     # ------------------------------------------------------------------
-    # Chaos (per-replica addressing) and lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def inject_chaos(self, chaos) -> None:
-        """Wrap every copy in a replica-addressed chaos proxy."""
-        from ..resilience.chaos import FaultyShard
-
-        self.clear_chaos()
-        self._replicas = [
-            FaultyShard(replica, self.shard_id, chaos, replica_id=replica_id)
-            for replica_id, replica in enumerate(self._replicas)
-        ]
-
-    def clear_chaos(self) -> None:
-        self._replicas = [self._raw(replica) for replica in self._replicas]
-
-    @property
-    def chaos(self):
-        """The active :class:`ChaosPolicy`, or ``None`` when uninjected."""
-        return getattr(self._replicas[0], "chaos", None)
-
     def close(self) -> None:
         """Close closeable replicas (durable primaries sync + release their
         WAL handles)."""
         for replica in self._replicas:
-            closer = getattr(self._raw(replica), "close", None)
+            closer = getattr(replica, "close", None)
             if callable(closer):
                 closer()
 
 
 class PinnedReplica(NamedReads):
     """One :class:`ReplicaSet`'s reader for one query phase: posting reads
-    are the chosen copy's own (chaos proxy included, so injected faults
-    still land), timed but lock-free; :meth:`release` books them in one
+    are the chosen copy's own (whatever stands in its slot), timed but
+    lock-free; :meth:`release` books them in one
     batch.  A failed read is booked at once, continues down the set's
     failover loop, and moves the pin to the copy that answered."""
 

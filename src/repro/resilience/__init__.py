@@ -2,14 +2,11 @@
 
 The sharding layer (PR 2) made a partitioned deployment answer-identical
 to one big index; this package makes it survive the partitions failing.
-Four pieces, layered:
+Three pieces, layered:
 
 * :mod:`~repro.resilience.errors` — the structured error taxonomy every
   fan-out failure is expressed in (transient vs crashed vs unavailable vs
   deadline), replacing bare exceptions.
-* :mod:`~repro.resilience.chaos` — deterministic, seeded fault injection
-  (:class:`ChaosPolicy` + :class:`FaultyShard`) so tests, benchmarks, and
-  the CLI can make shards slow, flaky, or dead on demand.
 * :mod:`~repro.resilience.policy` — per-query budgets
   (:class:`ResiliencePolicy`: deadline, bounded retries with exponential
   backoff + jitter) and the :class:`Deadline` countdown.
@@ -25,7 +22,6 @@ coordinator-driven scan algorithms need every shard and fail fast with
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import ChaosPolicy, FaultyShard, ShardFaultSpec
 from .errors import (
     DeadlineExceededError,
     ReplicaDivergenceError,
@@ -41,18 +37,15 @@ __all__ = [
     "CLOSED",
     "HALF_OPEN",
     "OPEN",
-    "ChaosPolicy",
     "CircuitBreaker",
     "DEFAULT_POLICY",
     "Deadline",
     "DeadlineExceededError",
-    "FaultyShard",
     "HealthBoard",
     "ReplicaDivergenceError",
     "ResilienceError",
     "ResiliencePolicy",
     "ShardCrashedError",
-    "ShardFaultSpec",
     "ShardHealth",
     "ShardUnavailableError",
     "TransientShardError",

@@ -39,7 +39,7 @@ class ResiliencePolicy:
     seed: int = 0                         # jitter RNG seed (determinism)
 
     def __post_init__(self):
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not self.deadline_ms > 0:  # NaN too
             raise ValueError("deadline_ms must be positive (or None)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -87,7 +87,7 @@ class Deadline:
 
     def __init__(self, deadline_ms: Optional[float],
                  clock: Callable[[], float] = time.monotonic):
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not deadline_ms > 0:  # NaN too
             raise ValueError("deadline_ms must be positive (or None)")
         self.deadline_ms = deadline_ms
         self._clock = clock

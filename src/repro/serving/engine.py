@@ -143,13 +143,11 @@ def durable_stores(index) -> List[DurableIndex]:
     """The durable stores under ``index`` (empty when it is not durable).
 
     The one place that knows what may wrap a store: a sharded index holds
-    one per shard slot, a replica set keeps it as its primary, and a chaos
-    proxy exposes it as ``inner``.
+    one per shard slot, and a replica set keeps it as its primary.
     """
     stores = []
     for slot in getattr(index, "shards", [index]):
         store = getattr(slot, "replicas", [slot])[0]
-        store = getattr(store, "inner", store)
         if isinstance(store, DurableIndex):
             stores.append(store)
     return stores

@@ -21,7 +21,7 @@ unsharded engine:
   scatter-gather with survivor-only degraded answers for the gather
   algorithms, coordinator-driven union-cursor scans for the rest,
   cache-compatible with the serving layer.  ``ShardedEngine.assemble`` is
-  the one assembler of a deployment (replicas, chaos) over a built index.
+  the one assembler of a deployment (replicas) over a built index.
 
 Correctness is proven empirically by ``tests/test_sharding_differential.py``
 (and under injected faults by ``tests/test_resilience_differential.py``)

@@ -75,7 +75,6 @@ from ..query.parser import parse_query
 from ..query.predicates import ScalarPredicate
 from ..query.query import AND, Query
 from ..resilience import (
-    ChaosPolicy,
     Deadline,
     HealthBoard,
     ResiliencePolicy,
@@ -159,14 +158,12 @@ class ShardedEngine(DiversityEngine):
                                  index.replication_factor)
         super().__init__(index, registry=registry)
         self._workers = workers
-        self._worker_mode = worker_mode
         self._policy = policy if policy is not None else DEFAULT_POLICY
         # One clock drives deadlines, breakers and backoff alike (and one
         # injectable sleep serves the backoff waits), so a FakeClock fakes
         # the whole failure path end-to-end — no mixed perf_counter/
         # monotonic timelines to drift apart.
         self._clock = clock
-        self._sleep = sleep
         self._health = HealthBoard(index.num_shards, self._policy, clock=clock)
         # Lazy binding: replica rows appear in health snapshots as soon as
         # the index is replicated, even when that happens after engine
@@ -190,27 +187,21 @@ class ShardedEngine(DiversityEngine):
         clock: Clock = MONOTONIC,
         sleep=time.sleep,
         replicas: int = 1,
-        chaos: Optional[ChaosPolicy] = None,
     ) -> "ShardedEngine":
         """Stack the deployment layers over a built (or recovered) index.
 
         The layers only compose in one order — durable stores under
-        replica sets under chaos proxies, the engine's guards seeing the
-        finished stack — so every entry point funnels through here:
-        refuse what cannot work, :meth:`ShardedIndex.replicate` (``index``
-        is already durable-wrapped, or never will be), construct, then
-        :meth:`inject_chaos`.
+        replica sets, the engine's guards seeing the finished stack — so
+        every entry point funnels through here: refuse what cannot work,
+        :meth:`ShardedIndex.replicate` (``index`` is already
+        durable-wrapped, or never will be), then construct.
         """
         gather_backend(worker_mode, workers, index.num_shards,
-                       max(replicas, index.replication_factor),
-                       chaos=chaos is not None)
+                       max(replicas, index.replication_factor))
         if replicas > 1:
             index.replicate(replicas, policy=policy, clock=clock)
-        engine = cls(index, workers=workers, worker_mode=worker_mode,
-                     policy=policy, clock=clock, sleep=sleep)
-        if chaos is not None:
-            engine.inject_chaos(chaos)
-        return engine
+        return cls(index, workers=workers, worker_mode=worker_mode,
+                   policy=policy, clock=clock, sleep=sleep)
 
     @classmethod
     def from_relation(
@@ -234,7 +225,7 @@ class ShardedEngine(DiversityEngine):
         algorithms on that many worker processes, started per
         ``worker_mode`` (``"process"`` picks the platform's best of
         ``"fork"``/``"spawn"``; :mod:`repro.parallel`) — incompatible with
-        ``replicas`` > 1 and with chaos injection, both rejected loudly.
+        ``replicas`` > 1, which is rejected loudly.
         """
         # Before the build, not after.
         gather_backend(worker_mode, workers, shards, replicas)
@@ -291,24 +282,6 @@ class ShardedEngine(DiversityEngine):
 
     def shard_epochs(self) -> List[int]:
         return self._index.shard_epochs()
-
-    # ------------------------------------------------------------------
-    # Fault injection pass-through
-    # ------------------------------------------------------------------
-    def inject_chaos(self, chaos: ChaosPolicy) -> ChaosPolicy:
-        """Make shard reads fail per ``chaos`` (tests/benchmarks/CLI)."""
-        # Worker replicas answer a pooled fan-out, and a fault plan
-        # injected here would never reach them: refuse instead.
-        gather_backend(self._worker_mode, self._workers, self.num_shards,
-                       self._index.replication_factor, chaos=True)
-        # Latency injection sleeps on the engine's injectable sleep, so a
-        # FakeClock-driven test fakes chaos delays too (no real blocking).
-        chaos.bind_sleep(self._sleep)
-        self._index.inject_chaos(chaos)
-        return chaos
-
-    def clear_chaos(self) -> None:
-        self._index.clear_chaos()
 
     # ------------------------------------------------------------------
     # Coordinator-side retries (plan statistics + scan algorithms)

@@ -218,15 +218,14 @@ class ShardExecutor:
 
 
 def gather_backend(worker_mode: str, workers: int, num_shards: int,
-                   replicas: int = 1, chaos: bool = False) -> str:
+                   replicas: int = 1) -> str:
     """Where a deployment's scatter-gathers run: ``"serial"``, or the
     resolved process mode (``fork``/``spawn``) when more than one worker
     *and* more than one shard ask for a pool.
 
     The one statement of that rule and of what a pool cannot serve:
-    replica failover and chaos fault plans are coordinator-side state a
-    worker process never sees, so a deployment that would run a pool over
-    them is refused here — callers ask before they build or write
+    replica failover is coordinator-side state a worker process never
+    sees, so a deployment that would run a pool over it is refused here — callers ask before they build or write
     anything.  ``worker_mode`` is validated either way.
     """
     mode = resolve_worker_mode(worker_mode)
@@ -239,13 +238,6 @@ def gather_backend(worker_mode: str, workers: int, num_shards: int,
             f"(replicas={replicas}): replica failover is "
             f"coordinator-side state that worker processes cannot mirror; "
             f"use workers=0 with replicas > 1"
-        )
-    if chaos:
-        raise UnsupportedWorkerModeError(
-            f"chaos injection is not supported with process workers "
-            f"(workers={workers}, worker_mode={worker_mode!r}): injected "
-            f"faults would never reach the worker replicas; use workers=0 "
-            f"for chaos experiments"
         )
     return mode
 

@@ -41,7 +41,6 @@ from ..index.postings import ARRAY_BACKEND, PostingList
 from ..index.reader import sum_memory_stats
 from ..observability import MONOTONIC
 from ..replication.replica_set import PinnedReplica, ReplicaSet
-from ..resilience.chaos import FaultyShard
 from ..storage.relation import Relation
 from .router import HashRouter
 
@@ -211,7 +210,8 @@ class ShardedIndex:
 
     @property
     def shards(self) -> List[InvertedIndex]:
-        """The shard slots, in shard order (read access for fan-out).
+        """The live list of shard slots, in shard order: a slot swapped in
+        place here is the one every later read goes to.
 
         A slot is a bare :class:`~repro.index.inverted.InvertedIndex`, or a
         :class:`~repro.durability.store.DurableIndex`, or — after
@@ -245,10 +245,9 @@ class ShardedIndex:
         :class:`~repro.replication.ReplicaSet` wrapping the existing shard
         (which becomes replica 0, keeping any durability wrapper and its
         WAL) plus ``count - 1`` bootstrapped, sha256-verified copies — the
-        same in-place ``_shards`` idiom chaos injection and the durable
-        store use, so every reader through the index protocol picks up
-        failover transparently.  Replicate *after* durability wrapping and
-        *before* chaos injection.
+        same in-place slot swap the durable store makes, so every reader
+        through the index protocol picks up failover transparently.
+        Replicate *after* durability wrapping.
         """
         if count < 1:
             raise ValueError("replica count must be >= 1")
@@ -351,35 +350,6 @@ class ShardedIndex:
         if len(parts) == 1:
             return parts[0]
         return UnionPostingView(parts)
-
-    # ------------------------------------------------------------------
-    # Fault injection (see repro.resilience.chaos)
-    # ------------------------------------------------------------------
-    def inject_chaos(self, chaos) -> None:
-        """Wrap every shard in a :class:`~repro.resilience.chaos.FaultyShard`
-        driven by ``chaos``; reads start failing/slowing per its fault plan.
-        Replicated shards inject *inside* the :class:`ReplicaSet` so each
-        copy gets its own ``(shard, replica)``-addressed proxy.
-        Idempotent-safe: injecting over an existing wrapper replaces it."""
-        self.clear_chaos()
-        for shard_id, shard in enumerate(self._shards):
-            if isinstance(shard, ReplicaSet):
-                shard.inject_chaos(chaos)
-            else:
-                self._shards[shard_id] = FaultyShard(shard, shard_id, chaos)
-
-    def clear_chaos(self) -> None:
-        """Unwrap any chaos proxies; reads go straight to the shards again."""
-        for shard_id, shard in enumerate(self._shards):
-            if isinstance(shard, ReplicaSet):
-                shard.clear_chaos()
-            else:
-                self._shards[shard_id] = getattr(shard, "inner", shard)
-
-    @property
-    def chaos(self):
-        """The active :class:`ChaosPolicy`, or ``None`` when uninjected."""
-        return getattr(self._shards[0], "chaos", None)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (routes to exactly one shard)

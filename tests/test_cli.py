@@ -138,6 +138,23 @@ class TestDemo:
             main(["frobnicate"])
 
 
+class TestRefusedValues:
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--deadline-ms", "-5"],
+        ["demo", "--deadline-ms", "nan"],
+        ["demo", "--retries", "-1"],
+        ["serve", "--port", "0", "--queue-depth", "0"],
+    ], ids=["negative-deadline", "nan-deadline", "negative-retries",
+            "zero-queue-depth"])
+    def test_refused_value_exits_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1, err
+        assert "must be" in err
+
+
 class TestAutoAlgorithm:
     def test_query_with_auto_prints_selection(self, built_snapshot, capsys):
         code = main([
@@ -288,17 +305,6 @@ class TestCommandsCloseWhatTheyOpen:
         assert all(wal.closed for wal in opened_wals)
         assert self._shard_threads() == threads
         assert "Honda" in capsys.readouterr().out
-
-    def test_query_over_chaos_wrapped_stores_still_closes_them(
-            self, cars_csv, tmp_path, opened_wals, capsys):
-        store = self._build_store(cars_csv, tmp_path, "--shards", "2")
-        del opened_wals[:]
-        assert main([
-            "query", str(store), "Make = 'Honda'", "--algorithm", "naive",
-            "--chaos-latency-ms", "0.01",
-        ]) == 0
-        assert len(opened_wals) == 2
-        assert all(wal.closed for wal in opened_wals)
 
     def test_sharded_snapshot_query_releases_its_workers(
             self, built_snapshot, capsys):

@@ -293,26 +293,6 @@ class TestShardedStore:
         with pytest.raises(RecoveryError, match="shard 1"):
             recover(tmp_path / "cluster")
 
-    def test_chaos_wrappers_refused(self, tmp_path):
-        from repro.resilience import ChaosPolicy
-
-        relation = figure1_relation()
-        index = ShardedIndex.build(relation, figure1_ordering(), shards=2)
-        index.inject_chaos(ChaosPolicy(seed=1))
-        with pytest.raises(TypeError, match="clear chaos"):
-            create_sharded_store(index, tmp_path / "cluster")
-
-    def test_clear_chaos_preserves_durability(self, tmp_path):
-        """Regression guard: un-wrapping chaos proxies must not also strip
-        the durability wrappers (the ``inner`` vs ``index`` naming)."""
-        from repro.resilience import ChaosPolicy
-
-        index = self._build(tmp_path, shards=2)
-        index.inject_chaos(ChaosPolicy(seed=1))
-        index.clear_chaos()
-        assert all(isinstance(shard, DurableIndex) for shard in index.shards)
-        _close(index)
-
 
 class TestReplayFold:
     """One fold (``durability.store.fold_shard_state``) serves full
@@ -749,19 +729,19 @@ class TestServingAssembly:
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_close_reaches_stores_under_replicas_and_chaos(
             self, tmp_path, replicas):
-        from repro.resilience import ChaosPolicy, ShardFaultSpec
+        from faults.chaos import ChaosPolicy, ShardFaultSpec, inject
         from repro.serving.engine import durable_stores
 
         serving = ServingEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=2,
             replicas=replicas, data_dir=tmp_path / "store",
         )
-        serving.engine.inject_chaos(
-            ChaosPolicy(default=ShardFaultSpec(latency_ms=0.01)))
         stores = durable_stores(serving.engine.index)
-        assert len(stores) == 2
-        assert not any(store.wal.closed for store in stores)
-        serving.close()
+        # Leaving the block puts the proxied copies back before close.
+        with serving, inject(serving.engine,
+                             ChaosPolicy(default=ShardFaultSpec(latency_ms=0.01))):
+            assert len(stores) == 2
+            assert not any(store.wal.closed for store in stores)
         assert all(store.wal.closed for store in stores)
 
 

@@ -24,6 +24,7 @@ import threading
 
 import pytest
 
+from faults.chaos import ChaosPolicy, inject
 from repro import DiversityEngine, ServingCache, ServingEngine
 from repro.__main__ import main
 from repro.data.paper_example import figure1_ordering, figure1_relation
@@ -38,7 +39,6 @@ from repro.observability import (
     use_registry,
 )
 from repro.resilience import (
-    ChaosPolicy,
     CircuitBreaker,
     DeadlineExceededError,
     ResiliencePolicy,
@@ -357,7 +357,7 @@ class TestPaperBoundsAtRuntime:
             with ShardedEngine.from_relation(
                 cars, figure1_ordering(), shards=3, policy=policy
             ) as engine:
-                engine.inject_chaos(ChaosPolicy.transient(0.25, seed=3))
+                inject(engine, ChaosPolicy.transient(0.25, seed=3))
                 for query in PAPER_QUERIES:
                     result = engine.search(query, 4, algorithm="probe")
                     assert result.stats["probe_calls"] <= probe_bound(4)
@@ -375,7 +375,7 @@ class TestPaperBoundsAtRuntime:
             with ShardedEngine.from_relation(
                 cars, figure1_ordering(), shards=3, policy=policy
             ) as engine:
-                engine.inject_chaos(ChaosPolicy.crash_shards(1))
+                inject(engine, ChaosPolicy.crash_shards(1))
                 result = engine.search("Make = 'Honda'", 3, algorithm="naive")
                 assert result.stats["degraded"] is True
             assert registry.value("repro_degraded_queries_total") == 1
@@ -630,7 +630,7 @@ class TestBreakerFixes:
             with ShardedEngine.from_relation(
                 cars, figure1_ordering(), shards=3, policy=policy
             ) as engine:
-                engine.inject_chaos(ChaosPolicy.crash_shards(0))
+                inject(engine, ChaosPolicy.crash_shards(0))
                 # No routing conjunct: the gather must read the dead shard.
                 first = engine.search("Color = 'Blue'", 3, algorithm="naive")
                 assert first.stats["degraded"] is True

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from faults.chaos import ChaosPolicy, FaultyShard, inject
 from repro import DiversityEngine
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.parallel import (
@@ -29,7 +30,6 @@ from repro.parallel import (
     resolve_worker_mode,
 )
 from repro.observability import use_registry
-from repro.resilience import ChaosPolicy
 from repro.resilience.policy import Deadline
 from repro.sharding import ShardedEngine, ShardedIndex
 
@@ -261,7 +261,7 @@ class TestUnsupportedCombinations:
             worker_mode="fork",
         ) as engine:
             with pytest.raises(UnsupportedWorkerModeError):
-                engine.inject_chaos(ChaosPolicy.transient(0.5, seed=1))
+                inject(engine, ChaosPolicy.transient(0.5, seed=1))
 
     @needs_fork
     def test_replication_plus_process_pool_raises(self):
@@ -316,7 +316,7 @@ class TestUnsupportedCombinations:
             )
             if chaos:
                 try:
-                    serving.engine.inject_chaos(ChaosPolicy.slow_shards(0.01))
+                    inject(serving.engine, ChaosPolicy.slow_shards(0.01))
                 except ValueError:
                     serving.close()
                     raise
@@ -328,7 +328,8 @@ class TestUnsupportedCombinations:
                 assert serving.engine.sharded_index.replication_factor == replicas
                 result = serving.search("Color = 'Blue'", k=2, algorithm="naive")
                 assert len(result) == 2
-                assert (serving.engine.sharded_index.chaos is not None) == chaos
+                slot = serving.engine.sharded_index.shards[0]
+                assert isinstance(slot, FaultyShard) == chaos
             return
         with pytest.raises(refused) as excinfo:
             deploy()

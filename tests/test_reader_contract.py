@@ -18,6 +18,7 @@ their posting lists with the one offline build, which
 
 import pytest
 
+from faults.chaos import ChaosPolicy, FaultyShard
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.durability import create_sharded_store, create_store, recover
 from repro.index.compressed import CompressedPostingList
@@ -27,7 +28,6 @@ from repro.index.reader import EMPTY_READER, IndexReader
 from repro.index.snapshot import load_index, save_index
 from repro.parallel import load_shard_replica
 from repro.replication import ReplicaSet, replica_digest
-from repro.resilience import ChaosPolicy, FaultyShard
 from repro.sharding import ShardedEngine, ShardedIndex
 from repro.sharding.engine import RetryingReader
 

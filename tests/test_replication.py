@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from faults.chaos import ChaosPolicy, ShardFaultSpec, inject
 from repro import DiversityEngine
 from repro.index.inverted import InvertedIndex
 from repro.observability import FakeClock, MetricsRegistry, use_registry
@@ -25,11 +26,9 @@ from repro.replication import (
     replica_digest,
 )
 from repro.resilience import (
-    ChaosPolicy,
     ReplicaDivergenceError,
     ResiliencePolicy,
     ShardCrashedError,
-    ShardFaultSpec,
     ShardUnavailableError,
     TransientShardError,
 )
@@ -137,7 +136,7 @@ class TestFailover:
 
     def test_crashed_replica_is_invisible(self):
         engine, reference = self._replicated_engine()
-        chaos = engine.inject_chaos(ChaosPolicy(seed=1))
+        chaos = inject(engine, ChaosPolicy(seed=1)).policy
         chaos.crash(0, replica_id=0)
         chaos.crash(1, replica_id=1)
         for algorithm in ("naive", "basic", "onepass", "probe", "multq"):
@@ -151,7 +150,7 @@ class TestFailover:
 
     def test_all_replicas_down_surfaces_shard_loss(self):
         engine, _ = self._replicated_engine(policy=TRIGGER_HAPPY)
-        chaos = engine.inject_chaos(ChaosPolicy(seed=2))
+        chaos = inject(engine, ChaosPolicy(seed=2)).policy
         chaos.crash(0, replica_id=0)
         chaos.crash(0, replica_id=1)
         with pytest.raises(ShardUnavailableError) as excinfo:
@@ -168,7 +167,7 @@ class TestFailover:
         engine-level retry budget is untouched."""
         engine, reference = self._replicated_engine(
             policy=ResiliencePolicy(max_retries=0))
-        chaos = engine.inject_chaos(ChaosPolicy(seed=3))
+        chaos = inject(engine, ChaosPolicy(seed=3)).policy
         chaos.set_spec((0, 0), ShardFaultSpec(transient_rate=1.0))
         expected = reference.search("color = 'red'", 5, algorithm="probe")
         actual = engine.search("color = 'red'", 5, algorithm="probe")
@@ -206,7 +205,7 @@ class TestFailover:
     def test_reads_never_spawn_threads(self):
         index = ShardedIndex.build(_relation(), RANDOM_ORDERING, shards=1)
         index.replicate(2)
-        index.inject_chaos(ChaosPolicy(seed=8, per_shard={
+        inject(index, ChaosPolicy(seed=8, per_shard={
             (0, 0): ShardFaultSpec(transient_rate=0.5),
         }))
         before = threading.active_count()
@@ -220,7 +219,7 @@ class TestFailover:
         index = ShardedIndex.build(_relation(), RANDOM_ORDERING, shards=1)
         index.replicate(2)
         chaos = ChaosPolicy.crash_shards(0)  # whole shard: every replica
-        index.inject_chaos(chaos)
+        inject(index, chaos)
         with pytest.raises(ShardCrashedError) as excinfo:
             index.shards[0].all_postings()
         message = str(excinfo.value)
@@ -233,7 +232,7 @@ class TestFailover:
             (0, 0): ShardFaultSpec(transient_rate=1.0),
             (0, 1): ShardFaultSpec(crashed=True),
         })
-        index.inject_chaos(chaos)
+        inject(index, chaos)
         with pytest.raises(TransientShardError):
             index.shards[0].all_postings()
 
@@ -266,7 +265,7 @@ class TestMutationConvergence:
         engine = ShardedEngine.from_relation(
             relation, RANDOM_ORDERING, shards=2, replicas=2
         )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=7))
+        chaos = inject(engine, ChaosPolicy(seed=7)).policy
         chaos.crash(0, replica_id=0)
         chaos.crash(1, replica_id=0)
         rid = engine.insert(("Honda", "Civic", "Red", "during outage"))
@@ -352,32 +351,27 @@ class TestReplicaChaos:
             slept.append(seconds)
             clock.advance(seconds)
 
-        chaos = ChaosPolicy(per_shard={0: ShardFaultSpec(latency_ms=25.0)})
-        chaos.bind_sleep(fake_sleep)
+        chaos = ChaosPolicy(per_shard={0: ShardFaultSpec(latency_ms=25.0)},
+                            sleep=fake_sleep)
         chaos.before_read(0, "all_postings")
         assert slept == [pytest.approx(0.025)]
         assert clock() == pytest.approx(0.025)
 
-    def test_engine_binds_its_sleep_on_injection(self):
-        sleeps = []
+    def test_engine_latency_sleeps_on_the_policys_sleep(self):
+        """Injected latency runs on the policy's own sleep; the engine's
+        sleep serves retry backoff only."""
+        sleeps, backoffs = [], []
         engine = ShardedEngine.from_relation(
             _relation(seed=51), RANDOM_ORDERING, shards=2,
-            sleep=lambda s: sleeps.append(s),
+            sleep=backoffs.append,
         )
-        chaos = engine.inject_chaos(
-            ChaosPolicy(default=ShardFaultSpec(latency_ms=5.0)))
+        chaos = inject(engine, ChaosPolicy(
+            default=ShardFaultSpec(latency_ms=5.0), sleep=sleeps.append)).policy
         engine.search("color = 'red'", 3, algorithm="naive")
-        assert sleeps, "chaos latency must run on the engine's sleep"
+        assert sleeps, "chaos latency must run on the policy's sleep"
         assert chaos.injected["latency"] == len(sleeps)
+        assert backoffs == []
         engine.close()
-
-    def test_explicit_sleep_wins_over_bind(self):
-        mine = []
-        chaos = ChaosPolicy(sleep=lambda s: mine.append(s),
-                            per_shard={0: ShardFaultSpec(latency_ms=1.0)})
-        chaos.bind_sleep(lambda s: (_ for _ in ()).throw(AssertionError))
-        chaos.before_read(0, "all_postings")
-        assert mine == [pytest.approx(0.001)]
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +430,7 @@ class TestReplicaHealth:
             engine = ShardedEngine.from_relation(
                 _relation(seed=64), RANDOM_ORDERING, shards=2, replicas=2
             )
-            chaos = engine.inject_chaos(ChaosPolicy(seed=8))
+            chaos = inject(engine, ChaosPolicy(seed=8)).policy
             chaos.crash(0, replica_id=0)
             engine.search("color = 'red'", 3, algorithm="probe")
             assert registry.value(
@@ -554,7 +548,7 @@ class TestPinnedPhase:
         index = _single_index()
         replicas = ReplicaSet.grow(index, 2, shard_id=0, policy=WIDE_WINDOW,
                                    clock=FakeClock())
-        replicas.inject_chaos(_NthReadFlakes((0, 0), nth=3))
+        inject(replicas, _NthReadFlakes((0, 0), nth=3))
         expected = list(index.scalar_postings("color", "red"))
         pin = replicas.pin()
         assert pin is not replicas and pin.replica_id == 0
@@ -574,7 +568,7 @@ class TestPinnedPhase:
     def test_transient_on_a_pinned_read_is_invisible_to_the_query(self):
         reference = DiversityEngine.from_relation(_relation(), RANDOM_ORDERING)
         engine = self._engine(shards=2)
-        chaos = engine.inject_chaos(_NthReadFlakes((1, 0), nth=3))
+        chaos = inject(engine, _NthReadFlakes((1, 0), nth=3)).policy
         for algorithm, scored in [("probe", True), ("naive", False)]:
             expected = reference.search(TWO_LEAVES, 5, algorithm=algorithm,
                                         scored=scored)
@@ -598,7 +592,7 @@ class TestPinnedPhase:
         replicas = ReplicaSet.grow(
             _single_index(), 2, shard_id=0, policy=policy, clock=clock)
         chaos = ChaosPolicy.crash_shards((0, 0))
-        replicas.inject_chaos(chaos)
+        inject(replicas, chaos)
         breaker = replicas.breakers[0]
         while breaker.state != "open":
             replicas.all_postings()  # fails over to replica 1

@@ -22,14 +22,11 @@ import random
 
 import pytest
 
+from faults.chaos import ChaosPolicy, ShardFaultSpec, inject
 from repro import DiversityEngine
 from repro.core.engine import ALGORITHMS
 from repro.observability import MetricsRegistry, use_registry
-from repro.resilience import (
-    ChaosPolicy,
-    ResiliencePolicy,
-    ShardFaultSpec,
-)
+from repro.resilience import ResiliencePolicy
 from repro.sharding import ShardedEngine
 
 from .conftest import RANDOM_ORDERING, random_query, random_relation
@@ -112,7 +109,7 @@ def test_minority_replica_crash_is_invisible(shards, replicas):
             relation, RANDOM_ORDERING, shards=shards,
             policy=TRANSPARENT, replicas=replicas,
         )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=shards))
+        chaos = inject(engine, ChaosPolicy(seed=shards)).policy
         # Kill one replica of EVERY shard — a different one per shard, so
         # both "primary dead" and "follower dead" failover paths run.
         for shard_id in range(shards):
@@ -140,7 +137,7 @@ def test_maximal_minority_crash_with_three_replicas(shards):
             relation, RANDOM_ORDERING, shards=shards,
             policy=TRANSPARENT, replicas=3,
         )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=7))
+        chaos = inject(engine, ChaosPolicy(seed=7)).policy
         survivor = {shard_id: (shard_id + 2) % 3 for shard_id in range(shards)}
         for shard_id in range(shards):
             for replica_id in range(3):
@@ -196,10 +193,10 @@ def test_mixed_crash_and_transient_replicas(shards):
                                 breaker_min_calls=9),
         replicas=2,
     )
-    chaos = engine.inject_chaos(ChaosPolicy(seed=3, per_shard={
+    chaos = inject(engine, ChaosPolicy(seed=3, per_shard={
         (0, 0): ShardFaultSpec(crashed=True),
         (shards - 1, 0): ShardFaultSpec(transient_rate=1.0),
-    }))
+    })).policy
     _assert_matrix_exact(engine, reference, rng)
     assert chaos.injected["crash"] > 0
     assert chaos.injected["transient"] > 0
@@ -220,7 +217,7 @@ def test_slow_replica_reads_stay_exact_and_bounded(shards):
             relation, RANDOM_ORDERING, shards=shards,
             policy=TRANSPARENT, replicas=2,
         )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=5))
+        chaos = inject(engine, ChaosPolicy(seed=5)).policy
         # Latency-only chaos on every primary: slow is not failed, so no
         # read fails over and the healthy follower is never read.
         for shard_id in range(shards):
@@ -253,10 +250,10 @@ def test_replicated_chaos_is_deterministic():
             relation, RANDOM_ORDERING, shards=2,
             policy=TRANSPARENT, replicas=2, clock=FakeClock(),
         )
-        chaos = engine.inject_chaos(ChaosPolicy(seed=13, per_shard={
+        chaos = inject(engine, ChaosPolicy(seed=13, per_shard={
             (0, 0): ShardFaultSpec(transient_rate=0.4),
             (1, 1): ShardFaultSpec(crashed=True),
-        }))
+        })).policy
         payloads = [
             _payload(engine.search(query, 5, algorithm=algorithm))
             for query in queries

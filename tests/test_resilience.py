@@ -13,20 +13,18 @@ import random
 
 import pytest
 
+from faults.chaos import ChaosPolicy, FaultyShard, ShardFaultSpec, inject
 from repro import DiversityEngine, ServingCache, ServingEngine
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    ChaosPolicy,
     CircuitBreaker,
     Deadline,
     DeadlineExceededError,
-    FaultyShard,
     ResilienceError,
     ResiliencePolicy,
     ShardCrashedError,
-    ShardFaultSpec,
     ShardUnavailableError,
     TransientShardError,
 )
@@ -89,6 +87,10 @@ def test_deadline_exceeded_error_carries_budget():
 def test_policy_validation():
     with pytest.raises(ValueError):
         ResiliencePolicy(deadline_ms=0)
+    # A NaN budget reads as spent (max(0.0, nan) is 0.0): every shard
+    # read would be dropped, so it is refused like a negative one.
+    with pytest.raises(ValueError):
+        ResiliencePolicy(deadline_ms=float("nan"))
     with pytest.raises(ValueError):
         ResiliencePolicy(max_retries=-1)
     with pytest.raises(ValueError):
@@ -144,6 +146,8 @@ def test_deadline_unbounded():
     assert not deadline.expired()
     with pytest.raises(ValueError):
         Deadline(-5.0)
+    with pytest.raises(ValueError):
+        Deadline(float("nan"))
 
 
 # ----------------------------------------------------------------------
@@ -268,18 +272,16 @@ def test_faulty_shard_proxies_control_plane_and_injects_reads(cars_index):
 def test_inject_and_clear_chaos_round_trip():
     relation = random_relation(random.Random(3), max_rows=20)
     engine = ShardedEngine.from_relation(relation, RANDOM_ORDERING, shards=2)
-    assert engine.sharded_index.chaos is None
-    chaos = engine.inject_chaos(ChaosPolicy.crash_shards(0))
-    assert engine.sharded_index.chaos is chaos
+    slots = engine.sharded_index.shards
+    bare = list(slots)
+    chaos = inject(engine, ChaosPolicy.crash_shards(0)).policy
+    assert all(shard.chaos is chaos for shard in slots)
     # Re-injecting replaces rather than stacking wrappers.
-    other = engine.inject_chaos(ChaosPolicy())
-    assert engine.sharded_index.chaos is other
-    assert all(
-        not isinstance(shard.inner, FaultyShard)
-        for shard in engine.sharded_index.shards
-    )
-    engine.clear_chaos()
-    assert engine.sharded_index.chaos is None
+    injection = inject(engine, ChaosPolicy())
+    assert all(shard.chaos is injection.policy for shard in slots)
+    assert all(not isinstance(shard.inner, FaultyShard) for shard in slots)
+    injection.undo()
+    assert all(shard is original for shard, original in zip(slots, bare))
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +336,7 @@ def test_search_surfaces_typed_error_and_pool_survives():
         relation, RANDOM_ORDERING, shards=2,
         policy=ResiliencePolicy(max_retries=0),
     ) as serving:
-        serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
+        inject(serving.engine, ChaosPolicy.crash_shards(0))
         # Neither query is routed (no ``make = v`` conjunct): both must
         # read the dead shard.
         queries = ["color = 'blue'", "model = 'm1' OR color = 'red'"]
@@ -356,7 +358,7 @@ def test_search_propagates_typed_error():
         relation, RANDOM_ORDERING, shards=2,
         policy=ResiliencePolicy(max_retries=0),
     ) as serving:
-        serving.engine.inject_chaos(ChaosPolicy.crash_shards(1))
+        inject(serving.engine, ChaosPolicy.crash_shards(1))
         with pytest.raises(ShardUnavailableError):
             serving.search("model = 'm1' OR color = 'red'", k=5,
                            algorithm="onepass")
@@ -369,7 +371,7 @@ def test_degraded_results_are_never_cached():
     engine = _small_sharded(seed=29)
     cache = ServingCache()
     serving = ServingEngine(engine, cache)
-    engine.inject_chaos(ChaosPolicy.crash_shards(0))
+    inject(engine, ChaosPolicy.crash_shards(0))
     first = serving.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
     second = serving.search("make = 'A' OR make = 'B'", 5, algorithm="naive")
     assert first.stats["degraded"] and second.stats["degraded"]
@@ -384,7 +386,7 @@ def test_cached_full_answer_serves_through_outage_at_same_epoch():
     query = "make = 'A' OR make = 'B'"
     healthy = serving.search(query, 5, algorithm="naive")
     assert healthy.stats["degraded"] is False
-    chaos = engine.inject_chaos(ChaosPolicy.crash_shards(0))
+    chaos = inject(engine, ChaosPolicy.crash_shards(0)).policy
     # Same epoch: the cached full answer keeps serving while the shard is
     # down — the outage is invisible to repeat traffic.
     during = serving.search(query, 5, algorithm="naive")
@@ -407,7 +409,7 @@ def test_mutation_during_outage_invalidates_cached_answer():
     serving = ServingEngine(engine, ServingCache())
     query = "make = 'A' OR make = 'B'"
     serving.search(query, 5, algorithm="naive")
-    engine.inject_chaos(ChaosPolicy.crash_shards(0))
+    inject(engine, ChaosPolicy.crash_shards(0))
     engine.insert(("A", "m2", "blue", "clean"))  # bumps a shard epoch
     # The cached answer is stale (epoch moved): the re-execution runs
     # against the degraded deployment and must not be served as full.

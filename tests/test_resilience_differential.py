@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from faults.chaos import ChaosPolicy, ShardFaultSpec, inject
 from repro import DiversityEngine, Query
 from repro.core import baselines
 from repro.core.engine import ALGORITHMS
@@ -30,10 +31,8 @@ from repro.core.similarity import is_diverse, is_scored_diverse
 from repro.index.merged import MergedList
 from repro.observability import FakeClock, use_registry
 from repro.resilience import (
-    ChaosPolicy,
     DeadlineExceededError,
     ResiliencePolicy,
-    ShardFaultSpec,
     ShardUnavailableError,
 )
 from repro.resilience.policy import Deadline
@@ -112,7 +111,7 @@ def test_transient_chaos_with_retries_is_invisible(shards):
     engine = ShardedEngine.from_relation(
         relation, RANDOM_ORDERING, shards=shards, policy=TRANSPARENT
     )
-    engine.inject_chaos(ChaosPolicy.transient(0.10, seed=shards))
+    chaos = inject(engine, ChaosPolicy.transient(0.10, seed=shards)).policy
     for trial in range(4):
         query = random_query(rng, weighted=rng.random() < 0.5)
         k = rng.choice(K_VALUES)
@@ -129,7 +128,6 @@ def test_transient_chaos_with_retries_is_invisible(shards):
                 assert not actual.stats.get("degraded")
     # The chaos actually fired: this suite is only meaningful if faults
     # were injected and retried through.
-    chaos = engine.sharded_index.chaos
     assert chaos.injected["transient"] > 0
 
 
@@ -144,12 +142,12 @@ def test_transient_chaos_is_deterministic(shards):
         engine = ShardedEngine.from_relation(
             relation, RANDOM_ORDERING, shards=shards, policy=TRANSPARENT
         )
-        engine.inject_chaos(ChaosPolicy.transient(0.15, seed=99))
+        chaos = inject(engine, ChaosPolicy.transient(0.15, seed=99)).policy
         outcomes = []
         for query in queries:
             result = engine.search(query, 5, algorithm="naive")
             outcomes.append((_payload(result), result.stats["retries"]))
-        return outcomes, dict(engine.sharded_index.chaos.injected)
+        return outcomes, dict(chaos.injected)
 
     first, first_injected = run()
     second, second_injected = run()
@@ -169,7 +167,7 @@ def test_crashed_shard_degrades_gather_algorithms(shards):
         relation, RANDOM_ORDERING, shards=shards, policy=TRANSPARENT
     )
     dead = shards - 1
-    engine.inject_chaos(ChaosPolicy.crash_shards(dead))
+    inject(engine, ChaosPolicy.crash_shards(dead))
     degraded_trials = 0
     for trial in range(6):
         query = random_query(rng)
@@ -206,7 +204,7 @@ def test_crashed_shard_fails_scan_algorithms_fast(shards):
         relation, RANDOM_ORDERING, shards=shards, policy=TRANSPARENT
     )
     dead = 0
-    engine.inject_chaos(ChaosPolicy.crash_shards(dead))
+    inject(engine, ChaosPolicy.crash_shards(dead))
     # Queries that must read every shard (match-all, and a disjunction over
     # non-level-1 attributes whose union views fan out).  A level-1 scalar
     # query routes to one shard and may legitimately miss the dead one.
@@ -231,7 +229,7 @@ def test_all_shards_crashed_raises_even_for_gather():
     engine = ShardedEngine.from_relation(
         relation, RANDOM_ORDERING, shards=3, policy=TRANSPARENT
     )
-    engine.inject_chaos(ChaosPolicy.crash_shards(0, 1, 2))
+    inject(engine, ChaosPolicy.crash_shards(0, 1, 2))
     with pytest.raises(ShardUnavailableError) as excinfo:
         engine.search(random_query(rng), 5, algorithm="naive")
     assert excinfo.value.shards_lost == [0, 1, 2]
@@ -246,7 +244,7 @@ def test_breaker_opens_on_crashed_shard_and_skips_it():
     engine = ShardedEngine.from_relation(
         relation, RANDOM_ORDERING, shards=3, policy=ARMED
     )
-    engine.inject_chaos(ChaosPolicy.crash_shards(1))
+    inject(engine, ChaosPolicy.crash_shards(1))
     # Fan-out queries throughout: a routed one may never ask shard 1.
     for _ in range(4):
         result = engine.search(fanout_query(rng), 5, algorithm="naive")
@@ -271,7 +269,7 @@ def test_revived_shard_recovers_through_half_open():
     engine = ShardedEngine.from_relation(
         relation, RANDOM_ORDERING, shards=2, policy=ARMED
     )
-    chaos = engine.inject_chaos(ChaosPolicy.crash_shards(1))
+    chaos = inject(engine, ChaosPolicy.crash_shards(1)).policy
     reference = DiversityEngine.from_relation(relation, RANDOM_ORDERING)
     query = fanout_query(rng)  # must read shard 1 to trip and to heal it
     while engine.health.breakers[1].state != "open":
@@ -307,7 +305,8 @@ def test_slow_shard_spends_a_serial_gathers_budget():
             relation, RANDOM_ORDERING, shards=2, policy=policy,
             clock=clock, sleep=clock.sleep,
         )
-        engine.inject_chaos(ChaosPolicy.slow_shards(400.0, 0))
+        inject(engine, ChaosPolicy(
+            per_shard={0: ShardFaultSpec(latency_ms=400.0)}, sleep=clock.sleep))
         query = fanout_query(rng)
         while not _surviving_matches(engine, query, {1}):
             query = fanout_query(rng)  # one shard 0 has rows for
@@ -355,7 +354,7 @@ def test_scan_deadline_cuts_retry_storm():
     engine = ShardedEngine.from_relation(
         relation, RANDOM_ORDERING, shards=2, policy=policy
     )
-    engine.inject_chaos(ChaosPolicy.transient(1.0, seed=1))  # always flaky
+    inject(engine, ChaosPolicy.transient(1.0, seed=1))  # always flaky
     with pytest.raises(DeadlineExceededError):
         engine.search(random_query(rng), 5, algorithm="probe")
 
@@ -373,7 +372,7 @@ def test_mutations_survive_chaos_and_answers_recover():
         random_relation(random.Random(59), max_rows=30),
         RANDOM_ORDERING, shards=3, policy=TRANSPARENT,
     )
-    chaos = engine.inject_chaos(ChaosPolicy.crash_shards(0))
+    chaos = inject(engine, ChaosPolicy.crash_shards(0)).policy
     row = ("A", "m1", "red", "fun clean")
     assert reference.insert(row) == engine.insert(row)  # mutation uninjected
     chaos.revive(0)

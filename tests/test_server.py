@@ -25,13 +25,13 @@ import urllib.parse
 
 import pytest
 
+from faults.chaos import ChaosPolicy, inject
 from repro.core import baselines
 from repro.core.similarity import is_diverse
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.merged import MergedList
 from repro.observability import FakeClock, MetricsRegistry, use_registry
 from repro.query.parser import parse_query
-from repro.resilience import ChaosPolicy
 from repro.serving import ServingEngine
 from repro.server import (
     AdmissionController,
@@ -627,7 +627,7 @@ class TestPlannedOnce:
 
         serving = ServingEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=2)
-        chaos = serving.engine.inject_chaos(ChaosPolicy.crash_shards(0))
+        chaos = inject(serving.engine, ChaosPolicy.crash_shards(0)).policy
         target = f"/search?q={QUERY}&k=3&algorithm={algorithm}"
         with ServerThread(serving, ServerConfig(), registry=registry) as thread:
             costs = self._ticket_costs(thread)
@@ -937,7 +937,7 @@ class TestDegradedContract:
         serving = ServingEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=2)
         engine = serving.engine
-        engine.inject_chaos(ChaosPolicy.crash_shards(0))
+        injection = inject(engine, ChaosPolicy.crash_shards(0))
         k = 3
         query = parse_query("Make = 'Honda'")
         with ServerThread(serving, ServerConfig(), registry=registry) as thread:
@@ -960,7 +960,7 @@ class TestDegradedContract:
             assert is_diverse(deweys, survivors, k)
             # Shard recovered: the follow-up answer must be computed fresh
             # (a cached degraded answer would keep serving the outage).
-            engine.clear_chaos()
+            injection.undo()
             status, headers, body = _request(address, target)
             assert status == 200
             assert "X-Repro-Degraded" not in headers

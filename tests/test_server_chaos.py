@@ -24,9 +24,10 @@ import urllib.parse
 
 import pytest
 
+from faults.chaos import ChaosPolicy, ShardFaultSpec, inject
 from repro import DiversityEngine
 from repro.observability import MetricsRegistry, use_registry
-from repro.resilience import ChaosPolicy, ResiliencePolicy, ShardFaultSpec
+from repro.resilience import ResiliencePolicy
 from repro.server import ServerConfig, ServerThread
 from repro.serving import ServingEngine
 
@@ -102,7 +103,7 @@ class TestReplicatedServer:
             self, rig, registry):
         serving, reference, address = rig
         engine = serving.engine
-        chaos = engine.inject_chaos(ChaosPolicy(seed=21))
+        chaos = inject(engine, ChaosPolicy(seed=21)).policy
         # One dead copy on shard 0, one 100%-flaky copy on shard 1: every
         # shard still has a healthy replica, so nothing may degrade.
         chaos.crash(0, replica_id=0)
@@ -133,7 +134,8 @@ class TestReplicatedServer:
     def test_total_shard_loss_falls_back_to_degraded_taxonomy(self, rig):
         serving, reference, address = rig
         engine = serving.engine
-        chaos = engine.inject_chaos(ChaosPolicy(seed=22))
+        injection = inject(engine, ChaosPolicy(seed=22))
+        chaos = injection.policy
         chaos.crash(0, replica_id=0)
         chaos.crash(0, replica_id=1)          # every copy of shard 0 gone
         # Scan algorithms cannot certify their bound without the shard:
@@ -154,7 +156,7 @@ class TestReplicatedServer:
         assert headers.get("X-Repro-Cache") != "hit"
         assert headers["X-Repro-Degraded"] == "shards=1/2"
         # After recovery the same request is computed fresh and exact...
-        engine.clear_chaos()
+        injection.undo()
         status, headers, body = _request(address, target)
         assert status == 200
         assert "X-Repro-Degraded" not in headers

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from faults.chaos import ChaosPolicy, inject
 from repro import DiversityEngine, Query
 from repro.core.engine import ALGORITHMS
 from repro.data.paper_example import figure1_ordering, figure1_relation
@@ -29,11 +30,7 @@ from repro.index.reader import ReaderProxy
 from repro.observability import FakeClock
 from repro.query.query import AND, OR
 from repro.replication import ReplicaSet
-from repro.resilience import (
-    ChaosPolicy,
-    ResiliencePolicy,
-    ShardUnavailableError,
-)
+from repro.resilience import ResiliencePolicy, ShardUnavailableError
 from repro.serving import ServingEngine
 from repro.sharding import ShardedEngine
 
@@ -220,7 +217,7 @@ def test_routed_gather_ignores_a_crashed_foreign_shard():
     serving, home = _figure1_serving()
     reference = DiversityEngine.from_relation(
         figure1_relation(), figure1_ordering())
-    serving.engine.inject_chaos(ChaosPolicy.crash_shards((home + 1) % 4))
+    inject(serving.engine, ChaosPolicy.crash_shards((home + 1) % 4))
     first = serving.search("Make = 'Honda'", 3, algorithm="naive")
     expected = reference.search("Make = 'Honda'", 3, algorithm="naive")
     assert [item.rid for item in first] == [item.rid for item in expected]
@@ -234,7 +231,7 @@ def test_routed_gather_ignores_a_crashed_foreign_shard():
 
 def test_routed_gather_without_its_home_shard_is_degraded_and_empty():
     serving, home = _figure1_serving()
-    serving.engine.inject_chaos(ChaosPolicy.crash_shards(home))
+    inject(serving.engine, ChaosPolicy.crash_shards(home))
     for _ in range(2):  # the breaker is open by the second round
         result = serving.search("Make = 'Honda'", 3, algorithm="naive")
         assert list(result) == []
@@ -277,7 +274,7 @@ def test_scan_credits_only_the_shards_it_read():
         clock=clock, sleep=clock.sleep)
     home = engine.sharded_index.router.shard_of("Ford")
     dead = (home + 1) % 4
-    chaos = engine.inject_chaos(ChaosPolicy.crash_shards(dead))
+    chaos = inject(engine, ChaosPolicy.crash_shards(dead)).policy
     engine.search("Color = 'Blue'", 3, algorithm="naive")
     assert engine.health.breakers[dead].state == "open"
     clock.advance(1.5)
