@@ -18,17 +18,18 @@ bootstrap) rebuilds them with the paper's one offline build,
 ``InvertedIndex.build(dewey=, rids=)`` over the restored Dewey space
 (:func:`restore_index`).
 
-Format (version 2): a gzip-compressed JSON envelope ``{format, version,
-digest, payload}`` where ``digest`` is the SHA-256 of the canonical payload
-serialisation — a flipped bit anywhere in the payload fails the load
-instead of silently corrupting the restored index.  Writes are atomic
-(:func:`repro.storage.disk.replace_atomically`): the document goes to a
-same-directory temp file (fsynced), which is renamed over the target
-before the directory is fsynced, so a crash mid-write can never leave a
-truncated snapshot under the real name.  Rows are keyed by rid, which lets a
-snapshot carry a *subset* of the relation (``rids=``) — one file per shard
-of a sharded deployment (see :mod:`repro.durability.sharded`).  Version-1
-files (no digest) are refused.
+Format (version 2): a gzip-compressed (level 6) JSON envelope ``{format,
+version, digest, payload}``.  The payload is serialised once, canonically
+(sorted keys, no spaces): those bytes are both the input of ``digest``
+(SHA-256) and the stored payload, so a flipped bit anywhere in the payload
+fails the load instead of silently corrupting the restored index.  Writes
+are atomic (:func:`repro.storage.disk.replace_atomically`): the document
+goes to a same-directory temp file (fsynced), which is renamed over the
+target before the directory is fsynced, so a crash mid-write can never
+leave a truncated snapshot under the real name.  Rows are keyed by rid,
+which lets a snapshot carry a *subset* of the relation (``rids=``) — one
+file per shard of a sharded deployment (see :mod:`repro.durability.sharded`).
+Version-1 files (no digest) are refused.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import zlib
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Union
 
-from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
 from ..storage.disk import replace_atomically
 from ..storage.relation import Relation
@@ -50,6 +50,7 @@ from .inverted import InvertedIndex
 
 FORMAT_NAME = "repro-diversity-index"
 FORMAT_VERSION = 2
+COMPRESS_LEVEL = 6  # gzip's default 9: ≈ 3.5x the time, ≈ 6 % fewer bytes
 
 _PAYLOAD_FIELDS = ("schema", "rows", "ordering", "deweys", "backend",
                    "row_slots", "live_rows")
@@ -76,13 +77,11 @@ def build_payload(index: InvertedIndex, rids: Optional[Iterable[int]] = None) ->
     else:
         scope = sorted(set(int(rid) for rid in rids))
         partial = True
-    rows = [[rid, list(relation[rid])] for rid in scope]
+    # Rows and Dewey IDs are already tuples, which json writes as lists.
+    rows = list(zip(scope, relation.rows_of(scope)))
     deleted = [rid for rid in scope if relation.is_deleted(rid)]
-    dewey = index.dewey
-    deweys = sorted(
-        (dewey.rid_of(dewey_id), list(dewey_id))
-        for dewey_id in index.all_postings()
-    )
+    postings = list(index.all_postings())
+    deweys = sorted(zip(index.dewey.rids_of(postings), postings))
     return {
         "name": relation.name,
         "backend": index.backend,
@@ -111,15 +110,14 @@ def payload_digest(payload: dict) -> str:
 
 
 def encode_snapshot(payload: dict) -> bytes:
-    """Serialise a payload into the on-disk (gzip) envelope bytes."""
-    document = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "digest": payload_digest(payload),
-        "payload": payload,
-    }
-    raw = json.dumps(document, separators=(",", ":")).encode("utf-8")
-    return gzip.compress(raw)
+    """Serialise a payload into the on-disk (gzip) envelope bytes; the
+    payload is stored as the very bytes its digest hashes."""
+    canonical = canonical_payload_bytes(payload)
+    head = json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                       "digest": hashlib.sha256(canonical).hexdigest()},
+                      separators=(",", ":")).encode("utf-8")
+    return gzip.compress(head[:-1] + b',"payload":' + canonical + b"}",
+                         compresslevel=COMPRESS_LEVEL)
 
 
 def write_snapshot(payload: dict, target: Union[str, Path]) -> None:

@@ -78,12 +78,12 @@ def resolve_worker_mode(mode: str) -> str:
 
 
 def _data_shard(shard, shard_id: int):
-    """Validate + unwrap one shard slot for process execution.
+    """Validate one shard slot for process execution; returns it as is.
 
     Replica sets are coordinator-side wrappers a worker replica cannot
     mirror — reject them loudly rather than serving reads that silently
-    skip failover.  Durable wrappers unwrap to their in-memory index (the
-    WAL handle stays with the parent).
+    skip failover.  A durable store passes through: workers only read its
+    postings, and its WAL handle stays with the parent.
     """
     from ..replication.replica_set import ReplicaSet
 

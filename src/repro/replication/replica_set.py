@@ -320,17 +320,6 @@ class ReplicaSet(NamedReads):
                 f"posting counts {lengths} disagree after {operation}(rid={rid})",
             )
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close closeable replicas (durable primaries sync + release their
-        WAL handles)."""
-        for replica in self._replicas:
-            closer = getattr(replica, "close", None)
-            if callable(closer):
-                closer()
-
 
 class PinnedReplica(NamedReads):
     """One :class:`ReplicaSet`'s reader for one query phase: posting reads

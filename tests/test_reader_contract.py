@@ -135,7 +135,6 @@ def reader(request, tmp_path):
     elif kind == "replica-set":
         replicas = ReplicaSet.grow(_bare(), 2, shard_id=0)
         yield kind, [(replicas, _bare())]
-        replicas.close()
     else:
         with ShardedEngine.from_relation(
             figure1_relation(), figure1_ordering(), shards=3

@@ -1,6 +1,7 @@
 """Tests for index snapshot save/load (v2 checksummed format)."""
 
 import gzip
+import hashlib
 import json
 
 import pytest
@@ -8,10 +9,15 @@ import pytest
 from repro import DiversityEngine
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.paper_example import figure1_ordering, figure1_relation
+from repro.durability import create_store, recover
+from repro.durability.store import SNAPSHOT_NAME
 from repro.index.inverted import InvertedIndex
 from repro.index.snapshot import (
     FORMAT_NAME,
+    FORMAT_VERSION,
     SnapshotError,
+    build_payload,
+    canonical_payload_bytes,
     load_index,
     payload_digest,
     save_index,
@@ -228,6 +234,79 @@ class TestValidation:
         write_document(path, document)
         with pytest.raises(SnapshotError, match=str(path)):
             load_index(path)
+
+
+def _figure1_with_a_delete() -> InvertedIndex:
+    relation = figure1_relation()
+    index = InvertedIndex.build(relation, figure1_ordering())
+    relation.delete(3)
+    index.remove(3)
+    return index
+
+
+def _level9_envelope(payload: dict) -> bytes:
+    """A snapshot encoded the way the writer did before it serialised the
+    payload once: envelope keys in insertion order, gzip level 9."""
+    document = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "digest": payload_digest(payload),
+        "payload": payload,
+    }
+    raw = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    return gzip.compress(raw, compresslevel=9)
+
+
+class TestCanonicalBytes:
+    """The writer serialises the payload once, as the canonical bytes; the
+    digests below were computed from the list-built payload that came
+    before it, so the canonical serialisation must not drift."""
+
+    PARTIAL_RIDS = (14, 1, 9, 3, 4)
+
+    def test_payload_digest_is_pinned(self):
+        index = _figure1_with_a_delete()
+        assert payload_digest(build_payload(index)) == (
+            "64825ab3231ff899babf7a3c5a99c83b4fd6a45419cdd3e905c10fd0c6536197"
+        )
+        assert payload_digest(build_payload(index, rids=self.PARTIAL_RIDS)) == (
+            "b61270928f4495749d20a11e2f5428396095759c814c5adaa72267001705b58e"
+        )
+
+    @pytest.mark.parametrize("rids", [None, PARTIAL_RIDS])
+    def test_stored_payload_is_the_hashed_bytes(self, tmp_path, rids):
+        index = _figure1_with_a_delete()
+        path = tmp_path / "cars.idx"
+        save_index(index, path, rids=rids)
+        canonical = canonical_payload_bytes(build_payload(index, rids=rids))
+        raw = gzip.decompress(path.read_bytes())
+        assert raw.endswith(b'"payload":' + canonical + b"}")
+        document = json.loads(raw)
+        assert document["digest"] == hashlib.sha256(canonical).hexdigest()
+        assert canonical_payload_bytes(document["payload"]) == canonical
+
+    def test_level9_insertion_order_file_loads(self, tmp_path):
+        index = _figure1_with_a_delete()
+        path = tmp_path / "cars.idx"
+        path.write_bytes(_level9_envelope(build_payload(index)))
+        restored = load_index(path)
+        assert list(restored.all_postings()) == list(index.all_postings())
+        assert list(restored.relation) == list(index.relation)
+        assert restored.relation.deleted_rids() == [3]
+        assert restored.epoch == index.epoch
+
+    def test_level9_insertion_order_store_recovers(self, tmp_path):
+        index = _figure1_with_a_delete()
+        payload = build_payload(index)
+        store = create_store(index, tmp_path / "store")
+        rid = index.relation.insert(("Tesla", "ModelS", "Red", 2008, "rare"))
+        store.insert(rid)  # a log tail past the snapshot
+        store.close()
+        (tmp_path / "store" / SNAPSHOT_NAME).write_bytes(_level9_envelope(payload))
+        with recover(tmp_path / "store") as recovered:
+            assert list(recovered.all_postings()) == list(index.all_postings())
+            assert list(recovered.relation) == list(index.relation)
+            assert recovered.epoch == index.epoch
 
 
 class TestLegacyV1:
