@@ -64,19 +64,6 @@ class DiversityOrdering:
         chain = " < ".join(self._attributes)
         return f"DiversityOrdering({chain})"
 
-    def level_of(self, attribute: str) -> int:
-        """1-based Dewey level of ``attribute``.
-
-        Level 1 is the highest-priority attribute.  Raises ``OrderingError``
-        for attributes outside the ordering.
-        """
-        try:
-            return self._attributes.index(attribute) + 1
-        except ValueError:
-            raise OrderingError(
-                f"attribute {attribute!r} not in diversity ordering"
-            ) from None
-
     def attribute_at(self, level: int) -> str:
         """Attribute name at 1-based Dewey ``level``.
 

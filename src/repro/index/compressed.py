@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.dewey import MAX_COMPONENT, DeweyId
-from .postings import PostingList, members
+from .postings import EMPTIED, PostingList, members
 
 #: Compaction fires when tail + tombstones exceed
 #: ``max(MIN_COMPACTION, len(segment) >> COMPACTION_SHIFT)``.
@@ -377,17 +377,18 @@ class CompressedPostingList(PostingList):
         self._tail.insert(position, dewey)
         self._maybe_compact()
 
-    def remove(self, dewey: DeweyId) -> bool:
+    def remove(self, dewey: DeweyId):
         dewey = tuple(dewey)
         position = bisect_left(self._tail, dewey)
         if position < len(self._tail) and self._tail[position] == dewey:
             del self._tail[position]
-            return True
-        if self._in_segment(dewey) and dewey not in self._deleted:
+        elif self._in_segment(dewey) and dewey not in self._deleted:
             self._deleted.add(dewey)
             self._maybe_compact()
-            return True
-        return False
+        else:
+            return False
+        empty = not self._tail and len(self._deleted) == self._segment.count
+        return EMPTIED if empty else True
 
     def _in_segment(self, dewey: DeweyId) -> bool:
         """Exact membership in the packed segment (tombstones ignored)."""

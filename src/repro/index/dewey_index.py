@@ -10,6 +10,8 @@ attribute values still receive distinct IDs.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+from operator import itemgetter, lt
 from typing import Any, Iterable, Iterator, Optional
 
 from ..core.dewey import DeweyId
@@ -19,7 +21,7 @@ from .dictionary import SiblingDictionary
 
 
 class DeweyAssignmentError(ValueError):
-    """A forced Dewey assignment conflicts with the existing tree state."""
+    """A persisted Dewey table contradicts itself or its rows."""
 
 
 class DeweyIndex:
@@ -33,6 +35,7 @@ class DeweyIndex:
         "_uniqueness",
         "_dewey_by_rid",
         "_rid_by_dewey",
+        "_in_order",
     )
 
     def __init__(self, relation: Relation, ordering: DiversityOrdering):
@@ -49,20 +52,100 @@ class DeweyIndex:
         self._uniqueness: dict[tuple, list[int]] = {}
         self._dewey_by_rid: dict[int, DeweyId] = {}
         self._rid_by_dewey: dict[DeweyId, int] = {}
+        self._in_order = False  # ``_rid_by_dewey`` is in document order
 
     @classmethod
     def build(cls, relation: Relation, ordering: DiversityOrdering) -> "DeweyIndex":
-        """Offline bulk build: sibling numbers follow sorted value order."""
+        """Offline bulk build (Section V-A): live rows sorted once by their
+        ordering values (ties in rid order), numbered by one :meth:`_walk`
+        exactly as :meth:`add` would number them in that order."""
         index = cls(relation, ordering)
-        keyed = sorted(
-            (rid for rid, _ in relation.iter_live()),
-            key=lambda rid: tuple(
-                _sort_key(relation[rid][p]) for p in index._positions
-            ),
-        )
-        for rid in keyed:
-            index.add(rid)
+        rids = [rid for rid, _ in relation.iter_live()]
+        rows = relation.rows_of(rids)
+        columns = [list(map(itemgetter(p), rows)) for p in index._positions]
+        sortable = [column if _raw_sortable(column) else list(map(_sort_key, column))
+                    for column in columns]
+        keys = list(zip(*sortable))
+        values = keys if sortable == columns else list(zip(*columns))
+        order = sorted(range(len(rids)), key=keys.__getitem__)
+        index._walk(list(map(rids.__getitem__, order)),
+                    list(map(values.__getitem__, order)))
         return index
+
+    @classmethod
+    def restore(
+        cls, relation: Relation, ordering: DiversityOrdering, assignments: dict
+    ) -> "DeweyIndex":
+        """Adopt a persisted ``rid -> Dewey ID`` table exactly (the restore
+        path): sorted once, then adopted by one :meth:`_walk`.  A rid
+        outside the relation raises :class:`DeweyAssignmentError`."""
+        index = cls(relation, ordering)
+        stray = [rid for rid in assignments if not 0 <= rid < len(relation)]
+        if stray:
+            raise DeweyAssignmentError(f"Dewey table references unknown rid {stray[0]}")
+        pairs = sorted(assignments.items(), key=itemgetter(1))
+        rids = list(map(itemgetter(0), pairs))
+        rows = relation.rows_of(rids)
+        index._walk(rids, list(zip(*(map(itemgetter(p), rows) for p in index._positions))),
+                    list(map(itemgetter(1), pairs)))
+        return index
+
+    def _walk(self, rids: list[int], values: list[tuple],
+              adopted: Optional[list[DeweyId]] = None) -> None:
+        """Number rows in document order from the first level whose value
+        (or adopted component) differs from the previous row's: a value new
+        under its parent takes the next sibling number (or the ``adopted``
+        one, ``None`` filling skipped slots), a row the next ordinal; a known
+        value keeps its number (in a build, only where sort order and
+        equality disagree, as for NaN).  Adopting refuses a bad depth or
+        component, a duplicate ID, and values not one-to-one with components."""
+        levels = len(self._positions)
+        children = self._dictionary.children
+        prefixes: list[tuple] = [()] * (levels + 1)
+        deweys = [] if adopted is None else adopted
+        previous = before = (object(),) * (levels + 1)  # equal to nothing
+        counts: list[int] = []
+        for row, dewey in zip(values, adopted or repeat(None)):
+            if dewey is not None and (
+                    dewey == before or len(dewey) != levels + 1 or min(dewey) < 0):
+                raise DeweyAssignmentError(
+                    f"duplicate Dewey ID {dewey}" if dewey == before else
+                    f"Dewey {dewey} has a negative component or not depth {levels + 1}")
+            level = 0
+            while level < levels and row[level] == previous[level] and (
+                    dewey is None or dewey[level] == before[level]):
+                level += 1
+            for depth in range(level, levels):
+                forward, reverse = children(prefixes[depth])
+                value = row[depth]
+                number = forward.get(value)
+                if number is None:
+                    number = len(reverse) if dewey is None else dewey[depth]
+                    if number < len(reverse):
+                        raise DeweyAssignmentError(
+                            f"sibling {number} under prefix {prefixes[depth]} "
+                            f"assigned to both {reverse[number]!r} and {value!r}")
+                    reverse.extend([None] * (number - len(reverse)))
+                    reverse.append(value)
+                    forward[value] = number
+                elif dewey is not None and number != dewey[depth]:
+                    raise DeweyAssignmentError(
+                        f"value {value!r} maps to both {number} and "
+                        f"{dewey[depth]} under prefix {prefixes[depth]}")
+                prefixes[depth + 1] = prefixes[depth] + (number,)
+            if level < levels - 1 or not counts:
+                counts = self._uniqueness.setdefault(prefixes[-2], [])
+            last = prefixes[-1][-1]
+            if last >= len(counts):
+                counts.extend([0] * (last + 1 - len(counts)))
+            if dewey is None:
+                dewey = prefixes[-1] + (counts[last],)
+                deweys.append(dewey)
+            counts[last] = dewey[-1] + 1  # adopted IDs come sorted: this is the max
+            previous, before = row, dewey
+        self._dewey_by_rid = dict(zip(rids, deweys))
+        self._rid_by_dewey = dict(zip(deweys, rids))
+        self._in_order = all(map(lt, deweys, islice(deweys, 1, None)))
 
     @property
     def relation(self) -> Relation:
@@ -99,16 +182,15 @@ class DeweyIndex:
             parent = tuple(components)
             components.append(encode(parent, row[position]))
         last = components[-1]
-        counts = self._uniqueness.get(parent)
-        if counts is not None and last == len(counts):
-            counts.append(0)  # the usual case: a new last-level sibling
-        elif counts is None or last > len(counts):
-            counts = self._counts(parent, last)
+        counts = self._uniqueness.setdefault(parent, [])
+        if last >= len(counts):
+            counts.extend([0] * (last + 1 - len(counts)))
         components.append(counts[last])
         counts[last] += 1
         dewey = tuple(components)
         self._dewey_by_rid[rid] = dewey
         self._rid_by_dewey[dewey] = rid
+        self._in_order = False
         return dewey
 
     def peek(self, rid: int) -> DeweyId:
@@ -129,67 +211,12 @@ class DeweyIndex:
         for position in self._positions:
             parent = tuple(components)
             number = lookup(parent, row[position])
-            if number is None:
-                number = self._dictionary.next_number(parent)
-            components.append(number)
+            components.append(
+                self._dictionary.next_number(parent) if number is None else number)
         counts = self._uniqueness.get(parent, ())
         last = components[-1]
         components.append(counts[last] if last < len(counts) else 0)
         return tuple(components)
-
-    def force(self, rid: int, dewey: DeweyId) -> DeweyId:
-        """Adopt a persisted assignment ``rid -> dewey`` exactly.
-
-        The restore path (snapshot load, WAL replay): sibling-dictionary
-        entries and uniqueness counters are reconstructed from the recorded
-        components instead of allocated.  Inconsistencies — wrong depth,
-        duplicate IDs, a value mapping to two components under one prefix —
-        raise :class:`DeweyAssignmentError`.
-        """
-        dewey = tuple(int(component) for component in dewey)
-        if len(dewey) != self.depth:
-            raise DeweyAssignmentError(
-                f"Dewey {dewey} has depth {len(dewey)}, expected {self.depth}"
-            )
-        existing = self._dewey_by_rid.get(rid)
-        if existing is not None:
-            if existing != dewey:
-                raise DeweyAssignmentError(
-                    f"rid {rid} already assigned {existing}, cannot force {dewey}"
-                )
-            return dewey
-        if dewey in self._rid_by_dewey:
-            raise DeweyAssignmentError(f"duplicate Dewey ID {dewey}")
-        row = self._relation[rid]
-        prefix: tuple = ()
-        for position, component in zip(self._positions, dewey):
-            parent = prefix
-            value = row[position]
-            known = self._dictionary.lookup(prefix, value)
-            if known is None:
-                try:
-                    self._dictionary.force(prefix, value, component)
-                except ValueError as error:
-                    raise DeweyAssignmentError(str(error)) from None
-            elif known != component:
-                raise DeweyAssignmentError(
-                    f"value {value!r} maps to both {known} and {component} "
-                    f"under prefix {prefix}"
-                )
-            prefix = prefix + (component,)
-        self._dewey_by_rid[rid] = dewey
-        self._rid_by_dewey[dewey] = rid
-        last = dewey[-2]
-        counts = self._counts(parent, last)
-        counts[last] = max(counts[last], dewey[-1] + 1)
-        return dewey
-
-    def _counts(self, parent: tuple, last: int) -> list[int]:
-        """The uniqueness counters under ``parent``, long enough for ``last``."""
-        counts = self._uniqueness.setdefault(parent, [])
-        if last >= len(counts):
-            counts.extend([0] * (last + 1 - len(counts)))
-        return counts
 
     def remove(self, rid: int) -> Optional[DeweyId]:
         """Forget row ``rid``'s Dewey ID (tombstoned listing); returns it.
@@ -201,6 +228,7 @@ class DeweyIndex:
         dewey = self._dewey_by_rid.pop(rid, None)
         if dewey is not None:
             del self._rid_by_dewey[dewey]
+            self._in_order = False
         return dewey
 
     def dewey_of(self, rid: int) -> DeweyId:
@@ -223,30 +251,12 @@ class DeweyIndex:
             raise KeyError(f"no tuple with Dewey ID {missing.args[0]}") from None
 
     def all_deweys(self) -> list[DeweyId]:
-        """All assigned Dewey IDs in document order."""
-        return sorted(self._rid_by_dewey)
+        """All assigned Dewey IDs in document order (sorted only after a
+        mutation since the last bulk walk)."""
+        return (list if self._in_order else sorted)(self._rid_by_dewey)
 
     def iter_rids(self) -> Iterator[int]:
         return iter(self._dewey_by_rid)
-
-    def component_of(self, attribute: str, prefix_values: tuple, value: Any) -> Optional[int]:
-        """Sibling number of ``value`` for ``attribute`` under the given
-        *value* prefix (values of all higher-priority attributes), or ``None``
-        if that value never occurred there.  Mostly a testing/debugging aid.
-        """
-        level = self._ordering.level_of(attribute)
-        if len(prefix_values) != level - 1:
-            raise ValueError(
-                f"attribute {attribute!r} is at level {level}; expected "
-                f"{level - 1} prefix values, got {len(prefix_values)}"
-            )
-        prefix: tuple = ()
-        for depth, prefix_value in enumerate(prefix_values):
-            number = self._dictionary.lookup(prefix, prefix_value)
-            if number is None:
-                return None
-            prefix = prefix + (number,)
-        return self._dictionary.lookup(prefix, value)
 
     def values_of(self, dewey: DeweyId) -> tuple:
         """Decode a Dewey ID back to its ordering-attribute values."""
@@ -257,9 +267,10 @@ class DeweyIndex:
             prefix = prefix + (component,)
         return tuple(values)
 
-    def fanout(self, prefix: tuple) -> int:
-        """Number of distinct children under a Dewey *component* prefix."""
-        return self._dictionary.fanout(prefix)
+
+def _raw_sortable(column: list) -> bool:
+    """All ``str`` or all ``int``/``float``: sorts raw as by :func:`_sort_key`."""
+    return (types := set(map(type, column))) <= {str} or types <= {int, float}
 
 
 def _sort_key(value: Any) -> tuple:

@@ -29,16 +29,11 @@ class SiblingDictionary:
         gaps where a deleted row's value was forgotten, and those sibling
         numbers must never be reissued to a different value.
         """
-        children = self._forward.get(prefix)
-        if children is None:
-            children = {}
-            self._forward[prefix] = children
-            self._reverse[prefix] = []
+        children, values = self.children(prefix)
         number = children.get(value)
         if number is None:
-            number = len(self._reverse[prefix])
-            children[value] = number
-            self._reverse[prefix].append(value)
+            number = children[value] = len(values)
+            values.append(value)
         return number
 
     def lookup(self, prefix: tuple, value: Hashable) -> Optional[int]:
@@ -55,33 +50,16 @@ class SiblingDictionary:
             raise KeyError(f"no sibling {number} under prefix {prefix}")
         return values[number]
 
-    def force(self, prefix: tuple, value: Hashable, number: int) -> None:
-        """Register ``value -> number`` under ``prefix`` exactly (restore path).
-
-        Used when replaying a persisted assignment (snapshot restore, WAL
-        replay): the component is dictated by the record, not allocated.
-        The reverse table is kept dense — gaps are filled with placeholders
-        and overwritten as their real values arrive.  Conflicts (the slot
-        already holds a different value) raise ``ValueError``.
-        """
-        forward = self._forward.setdefault(prefix, {})
-        reverse = self._reverse.setdefault(prefix, [])
-        while len(reverse) <= number:
-            reverse.append(None)
-        if reverse[number] is not None and reverse[number] != value:
-            raise ValueError(
-                f"sibling {number} under prefix {prefix} assigned to both "
-                f"{reverse[number]!r} and {value!r}"
-            )
-        forward[value] = number
-        reverse[number] = value
+    def children(self, prefix: tuple) -> tuple[dict, list]:
+        """``prefix``'s value -> number dict and number -> value list
+        (``None`` at a forgotten sibling), registered empty if new."""
+        children = self._forward.get(prefix)
+        if children is None:
+            children = self._forward[prefix] = {}
+            self._reverse[prefix] = []
+        return children, self._reverse[prefix]
 
     def next_number(self, prefix: tuple) -> int:
         """The sibling number :meth:`encode` would allocate to a new value."""
         values = self._reverse.get(prefix)
         return len(values) if values is not None else 0
-
-    def fanout(self, prefix: tuple) -> int:
-        """Number of distinct children observed under ``prefix``."""
-        children = self._forward.get(prefix)
-        return len(children) if children is not None else 0

@@ -9,6 +9,9 @@ document order and supports bidirectional skip navigation.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from ..core.dewey import DeweyId
@@ -22,6 +25,7 @@ from .postings import (
     ArrayPostingList,
     BACKENDS,
     COMPRESSED_BACKEND,
+    EMPTIED,
     PostingList,
     make_posting_list,
 )
@@ -103,27 +107,33 @@ class InvertedIndex:
         build per-shard indexes that all live in one global Dewey space, and
         every restore site (:func:`repro.index.snapshot.restore_index`)
         derive a stored index's posting lists the way they were first made.
+
+        One walk, no sort: the Dewey IDs in the document order the bulk
+        build or restore left, filtered by ``rids``, split into one run per
+        value of each column; a distinct text is tokenised once, its run
+        merged into each of its tokens' lists.
         """
         index = cls(relation, ordering, backend=backend, dewey=dewey)
         if dewey is None:
             index._dewey = DeweyIndex.build(relation, ordering)
-        keep = None if rids is None else set(rids)
+        everything = index._dewey.all_deweys()
+        order = list(index._dewey.rids_of(everything))
+        if rids is not None:
+            keep = list(map(set(rids).__contains__, order))
+            everything = list(compress(everything, keep))
+            order = list(compress(order, keep))
+        rows = relation.rows_of(order)
         scalar_acc: dict[tuple[str, Any], list[DeweyId]] = {}
-        token_acc: dict[tuple[str, str], list[DeweyId]] = {}
-        everything: list[DeweyId] = []
-        names = relation.schema.names
-        for dewey_id in index._dewey.all_deweys():
-            rid = index._dewey.rid_of(dewey_id)
-            if keep is not None and rid not in keep:
-                continue
-            row = relation[rid]
-            everything.append(dewey_id)
-            for name, value in zip(names, row):
-                scalar_acc.setdefault((name, value), []).append(dewey_id)
-            for name in index._text_attributes:
-                text = relation.value(rid, name)
-                for token in token_set(text):
-                    token_acc.setdefault((name, token), []).append(dewey_id)
+        token_acc: dict[tuple[str, str], list[list[DeweyId]]] = {}
+        for position, name in enumerate(relation.schema.names):
+            runs: dict[Any, list[DeweyId]] = defaultdict(list)
+            for dewey_id, value in zip(everything, map(itemgetter(position), rows)):
+                runs[value].append(dewey_id)
+            scalar_acc.update(((name, value), run) for value, run in runs.items())
+            if name in index._text_attributes:
+                for text, run in runs.items():
+                    for token in token_set(text):
+                        token_acc.setdefault((name, token), []).append(run)
         # The accumulators were filled in Dewey order, so every run is
         # sorted and duplicate-free.
         depth = ordering.depth
@@ -139,8 +149,11 @@ class InvertedIndex:
             for key, run in scalar_acc.items()
         }
         index._token = {
-            key: _posting_list_of_run(run, backend, depth, widths)
-            for key, run in token_acc.items()
+            key: _posting_list_of_run(
+                runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs)),
+                backend, depth, widths,
+            )
+            for key, runs in token_acc.items()
         }
         index._all = _posting_list_of_run(everything, backend, depth, widths)
         return index
@@ -291,17 +304,13 @@ class InvertedIndex:
         self._all.remove(dewey)
         for name, value in zip(self._relation.schema.names, row):
             postings = self._scalar.get((name, value))
-            if postings is not None:
-                postings.remove(dewey)
-                if not len(postings):
-                    del self._scalar[name, value]
+            if postings is not None and postings.remove(dewey) is EMPTIED:
+                del self._scalar[name, value]
         for name in self._text_attributes:
             for token in token_set(self._relation.value(rid, name)):
                 postings = self._token.get((name, token))
-                if postings is not None:
-                    postings.remove(dewey)
-                    if not len(postings):
-                        del self._token[name, token]
+                if postings is not None and postings.remove(dewey) is EMPTIED:
+                    del self._token[name, token]
         self._epoch += 1
         return dewey
 

@@ -31,6 +31,9 @@ from ..core.dewey import DeweyId
 #: from a kept position; a shorter one is hashed once.
 GALLOP_RATIO = 8
 
+#: ``PostingList.remove`` took the list's last posting (truthy, like True).
+EMPTIED = "emptied"
+
 ARRAY_BACKEND = "array"
 COMPRESSED_BACKEND = "compressed"
 BACKENDS = (ARRAY_BACKEND, COMPRESSED_BACKEND)
@@ -53,8 +56,8 @@ class PostingList:
         """Add one posting (idempotent)."""
         raise NotImplementedError
 
-    def remove(self, dewey: DeweyId) -> bool:
-        """Drop one posting; returns False if absent."""
+    def remove(self, dewey: DeweyId):
+        """Drop one posting: False if absent, :data:`EMPTIED` if it was the last."""
         raise NotImplementedError
 
     def first(self) -> Optional[DeweyId]:
@@ -121,11 +124,11 @@ class ArrayPostingList(PostingList):
             return
         self._postings.insert(index, dewey)
 
-    def remove(self, dewey: DeweyId) -> bool:
+    def remove(self, dewey: DeweyId):
         index = bisect.bisect_left(self._postings, dewey)
         if index < len(self._postings) and self._postings[index] == dewey:
             del self._postings[index]
-            return True
+            return True if self._postings else EMPTIED
         return False
 
     def first(self) -> Optional[DeweyId]:

@@ -36,8 +36,7 @@ class ReplicaBootstrapError(RuntimeError):
 
 def live_rids(shard) -> List[int]:
     """The rids this shard serves, derived from its live postings."""
-    dewey = shard.dewey
-    return sorted(dewey.rid_of(dewey_id) for dewey_id in shard.all_postings())
+    return sorted(shard.dewey.rids_of(shard.all_postings()))
 
 
 def replica_digest(shard) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .schema import Schema, SchemaError
+from .schema import AttributeKind, Schema, SchemaError
 
 
 class Relation:
@@ -101,8 +101,18 @@ class Relation:
                 yield rid, row
 
     def extend(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[int]:
-        """Append many rows; returns their rids."""
-        return [self.insert(row) for row in rows]
+        """Append many rows (all or none); returns their rids.  List and
+        tuple rows go a column at a time, a column of stored types as is."""
+        rows, start, schema = list(rows), len(self._rows), self._schema
+        if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {len(schema)}:
+            self._rows.extend([schema.coerce_row(row) for row in rows])
+        else:
+            self._rows.extend(zip(*[
+                column if set(map(type, column)) <= (
+                    {int, float} if attribute.kind is AttributeKind.NUMERIC else {str})
+                else tuple(map(attribute.coerce, column))
+                for attribute, column in zip(schema, zip(*rows))]))
+        return list(range(start, len(self._rows)))
 
     def value(self, rid: int, attribute: str) -> Any:
         """The value of ``attribute`` in row ``rid``."""

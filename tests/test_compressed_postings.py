@@ -402,9 +402,10 @@ def _stretched_engine(relation, backend, shift):
     index-wide into 64 bits."""
     ordering = DiversityOrdering(RANDOM_ORDERING)
     natural = DeweyIndex.build(relation, ordering)
-    wide = DeweyIndex(relation, ordering)
-    for rid in natural.iter_rids():
-        wide.force(rid, tuple(c << shift for c in natural.dewey_of(rid)))
+    wide = DeweyIndex.restore(relation, ordering, {
+        rid: tuple(c << shift for c in natural.dewey_of(rid))
+        for rid in natural.iter_rids()
+    })
     return DiversityEngine(
         InvertedIndex.build(relation, ordering, backend=backend, dewey=wide)
     )

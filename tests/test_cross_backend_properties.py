@@ -17,7 +17,7 @@ from repro.core.ordering import DiversityOrdering
 from repro.core.similarity import is_diverse, is_scored_diverse
 from repro.index.inverted import InvertedIndex
 from repro.index.merged import MergedList
-from repro.index.postings import BACKENDS, make_posting_list
+from repro.index.postings import BACKENDS, EMPTIED, make_posting_list
 from repro.index.snapshot import load_index, save_index
 from repro.query.evaluate import res, scored_res
 
@@ -120,7 +120,9 @@ def test_interleaved_mutations_keep_array_and_compressed_identical(seed_postings
             arrayed.insert(dewey)
             compressed.insert(dewey)
         elif op == "remove":
-            assert arrayed.remove(dewey) == compressed.remove(dewey)
+            removed = arrayed.remove(dewey)
+            assert removed == compressed.remove(dewey)
+            assert (removed is EMPTIED) == (bool(removed) and not len(arrayed))
         elif op == "seek":
             assert arrayed.seek(dewey) == compressed.seek(dewey)
         else:

@@ -50,9 +50,8 @@ class TestOrdering:
         ordering = DiversityOrdering(["a", "b"])
         assert ordering.depth == 3
 
-    def test_level_of_and_attribute_at(self):
+    def test_attribute_at(self):
         ordering = DiversityOrdering(["make", "model"])
-        assert ordering.level_of("model") == 2
         assert ordering.attribute_at(1) == "make"
 
     def test_uniqueness_level_has_no_attribute(self):
@@ -67,11 +66,6 @@ class TestOrdering:
     def test_empty_rejected(self):
         with pytest.raises(OrderingError):
             DiversityOrdering([])
-
-    def test_unknown_attribute_for_level(self):
-        ordering = DiversityOrdering(["make"])
-        with pytest.raises(OrderingError):
-            ordering.level_of("bogus")
 
     def test_validate_against_schema(self):
         ordering = DiversityOrdering(["make", "bogus"])
@@ -186,12 +180,6 @@ class TestSiblingDictionary:
         dictionary.encode((), "Honda")
         assert dictionary.lookup((), "Honda") == 0
 
-    def test_fanout(self):
-        dictionary = SiblingDictionary()
-        dictionary.encode((), "a")
-        dictionary.encode((), "b")
-        assert dictionary.fanout(()) == 2
-        assert dictionary.fanout((0,)) == 0
 
 
 class TestDeweyIndex:
@@ -255,16 +243,6 @@ class TestDeweyIndex:
         before = index.dewey_of(3)
         assert index.add(3) == before
         assert len(index) == len(relation)
-
-    def test_component_of(self):
-        relation = figure1_relation()
-        index = DeweyIndex.build(relation, figure1_ordering())
-        assert index.component_of("Make", (), "Honda") == 0
-        assert index.component_of("Make", (), "Tesla") is None
-        civic = index.component_of("Model", ("Honda",), "Civic")
-        assert civic is not None
-        with pytest.raises(ValueError):
-            index.component_of("Model", (), "Civic")
 
     def test_unknown_rid(self):
         relation = figure1_relation()

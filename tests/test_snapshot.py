@@ -285,6 +285,23 @@ class TestCanonicalBytes:
         assert document["digest"] == hashlib.sha256(canonical).hexdigest()
         assert canonical_payload_bytes(document["payload"]) == canonical
 
+    def test_canonical_file_loads_without_reserialising(self, tmp_path, monkeypatch):
+        """The digest is taken over the stored payload bytes: only a file
+        whose payload is not canonical (see below) is serialised again."""
+        import repro.index.snapshot as snapshot
+
+        index = _figure1_with_a_delete()
+        path = tmp_path / "cars.idx"
+        save_index(index, path)
+
+        def refuse(payload):
+            raise AssertionError("a canonical payload was serialised again")
+
+        monkeypatch.setattr(snapshot, "canonical_payload_bytes", refuse)
+        restored = load_index(path)
+        assert list(restored.all_postings()) == list(index.all_postings())
+        assert restored.epoch == index.epoch
+
     def test_level9_insertion_order_file_loads(self, tmp_path):
         index = _figure1_with_a_delete()
         path = tmp_path / "cars.idx"

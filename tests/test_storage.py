@@ -1,6 +1,7 @@
 """Tests for the storage substrate: schemas, relations, catalog, CSV I/O."""
 
 import io
+import re
 
 import pytest
 
@@ -135,6 +136,27 @@ class TestRelation:
         relation.validate_attribute("make")
         with pytest.raises(SchemaError):
             relation.validate_attribute("bogus")
+
+    def test_extend_coerces_a_column_at_a_time_as_insert_does(self, relation):
+        columnar = [["Ford", "2005"], ("Kia", 2004.5), [7, 2003]]
+        mixed = [("Fiat", 1999), {"make": "VW", "year": 1}]
+        expected = [relation.schema.coerce_row(row) for row in columnar + mixed]
+        assert relation.extend(columnar) == [3, 4, 5]
+        assert relation.extend(mixed) == [6, 7]
+        assert list(relation)[3:] == expected
+        assert relation[3] == ("Ford", 2005) and relation[5] == ("7", 2003)
+
+    @pytest.mark.parametrize("bad", [("Ford", None), ("Ford", True),
+                                     ("Ford", "soon"), (None, 2005)])
+    def test_extend_refuses_what_insert_refuses_and_appends_nothing(
+        self, relation, bad
+    ):
+        with pytest.raises(TypeError) as refused:
+            relation.insert(bad)
+        for rows in ([("Ford", 2005), bad], [("Ford", 2005), list(bad)]):
+            with pytest.raises(TypeError, match=re.escape(str(refused.value))):
+                relation.extend(rows)
+            assert len(relation) == 3
 
 
 class TestCatalog:
