@@ -15,17 +15,15 @@ IDs, so tests can compare allocations (not just objectives) when convenient.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence
 
 from .dewey import DeweyId
 
 
-def waterfill(
-    budget: int,
-    capacities: Sequence[int],
-    lower_bounds: Sequence[int] | None = None,
-) -> List[int]:
+def waterfill(budget: int, capacities: Sequence[int],
+              lower_bounds: Sequence[int] | None = None) -> List[int]:
     """Balanced integer allocation minimising ``sum n_i^2``.
 
     Distributes ``budget`` units over bins with the given capacities (and
@@ -39,15 +37,9 @@ def waterfill(
     base = sum(lower_bounds)
     room = sum(capacities)
     if not base <= budget <= room:
-        raise ValueError(
-            f"infeasible budget {budget}: bounds give [{base}, {room}]"
-        )
+        raise ValueError(f"infeasible budget {budget}: bounds give [{base}, {room}]")
     counts = list(lower_bounds)
-    heap = [
-        (counts[i], i)
-        for i in range(len(capacities))
-        if counts[i] < capacities[i]
-    ]
+    heap = [(count, i) for i, count in enumerate(counts) if count < capacities[i]]
     heapq.heapify(heap)
     remaining = budget - base
     while remaining > 0:
@@ -60,28 +52,38 @@ def waterfill(
 
 
 def diverse_subset(deweys: Iterable[DeweyId], k: int) -> List[DeweyId]:
-    """A maximally diverse ``min(k, n)``-subset of ``deweys`` (Definition 2)."""
-    ids = sorted(deweys)
+    """A maximally diverse ``min(k, n)``-subset of ``deweys`` (Definition 2),
+    in Dewey order."""
+    ids = sorted(deweys)  # one pass over input that is already in order
     if k < 0:
         raise ValueError("k must be non-negative")
-    budget = min(k, len(ids))
-    if budget == 0:
-        return []
-    return sorted(_select(ids, 0, budget))
-
-
-def _select(sorted_ids: List[DeweyId], level: int, budget: int) -> List[DeweyId]:
-    if budget >= len(sorted_ids):
-        return list(sorted_ids)
-    if level >= len(sorted_ids[0]):
-        return sorted_ids[:budget]
-    groups = _group(sorted_ids, level)
-    allocation = waterfill(budget, [len(group) for group in groups])
     chosen: List[DeweyId] = []
-    for group, share in zip(groups, allocation):
-        if share:
-            chosen.extend(_select(group, level + 1, share))
+    if ids and k:
+        _select(ids, 0, len(ids), 0, min(k, len(ids)), chosen)
     return chosen
+
+
+def _select(ids: List[DeweyId], lo: int, hi: int, level: int, budget: int,
+            chosen: List[DeweyId]) -> None:
+    """Append a diverse ``budget``-subset of ``ids[lo:hi]`` (which share
+    their first ``level`` components) to ``chosen``, in order."""
+    if budget >= hi - lo or budget == 1 or level >= len(ids[lo]):
+        chosen.extend(ids[lo:lo + budget])  # all, the smallest, or the first
+        return
+    bounds = [lo]  # group starts, by bisecting past each group's head
+    while bounds[-1] < hi and len(bounds) <= budget:
+        head = ids[bounds[-1]]
+        bounds.append(bisect_left(ids, head[:level] + (head[level] + 1,),
+                                  bounds[-1] + 1, hi))
+    if bounds[-1] < hi:
+        # More groups than budget: waterfill's ties give one to each of the
+        # first ``budget``, and a one-ID share takes the group's smallest.
+        chosen.extend(map(ids.__getitem__, bounds[:budget]))
+        return
+    shares = waterfill(budget, [end - start for start, end in zip(bounds, bounds[1:])])
+    for start, end, share in zip(bounds, bounds[1:], shares):
+        if share:
+            _select(ids, start, end, level + 1, share, chosen)
 
 
 def scored_diverse_subset(
@@ -141,19 +143,6 @@ def _depth(*id_lists: List[DeweyId]) -> int:
         if ids:
             return len(ids[0])
     return 0
-
-
-def _group(sorted_ids: List[DeweyId], level: int) -> List[List[DeweyId]]:
-    """Split component-``level``-sorted IDs into per-component runs."""
-    groups: List[List[DeweyId]] = []
-    current_key = object()
-    for dewey in sorted_ids:
-        key = dewey[level]
-        if key != current_key:
-            groups.append([])
-            current_key = key
-        groups[-1].append(dewey)
-    return groups
 
 
 def _group_map(ids: List[DeweyId], level: int) -> Dict[int, List[DeweyId]]:

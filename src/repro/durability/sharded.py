@@ -5,13 +5,13 @@ Directory layout (one WAL + one snapshot per shard)::
     data_dir/
         MANIFEST.json        # kind=sharded, shard count, router spec, policy
         shard-0000/
-            snapshot.idx     # partial (rid-subset) v2 snapshot of shard 0
+            snapshot.idx     # partial (rid-subset) snapshot of shard 0
             wal.log
         shard-0001/
             ...
 
 Each shard's snapshot carries only the relation slots routed to it (live
-*and* tombstoned — the rid-keyed v2 row table makes subsets first-class),
+*and* tombstoned — a partial snapshot stores its rid column),
 plus that shard's Dewey postings and its private mutation epoch.  Shards
 snapshot independently, at different times, so the per-shard WALs are
 replayed against per-shard snapshot epochs.

@@ -4,7 +4,7 @@ A data directory holds everything needed to resurrect an index::
 
     data_dir/
         MANIFEST.json   # {"kind": "single", snapshot_every, fsync_every}
-        snapshot.idx    # checksummed v2 snapshot (repro.index.snapshot)
+        snapshot.idx    # checksummed snapshot (repro.index.snapshot)
         wal.log         # mutations since that snapshot (repro.durability.wal)
 
 :class:`DurableIndex` wraps an :class:`~repro.index.inverted.InvertedIndex`

@@ -80,9 +80,10 @@ class DeweyIndex:
         path): sorted once, then adopted by one :meth:`_walk`.  A rid
         outside the relation raises :class:`DeweyAssignmentError`."""
         index = cls(relation, ordering)
-        stray = [rid for rid in assignments if not 0 <= rid < len(relation)]
-        if stray:
-            raise DeweyAssignmentError(f"Dewey table references unknown rid {stray[0]}")
+        low, high = min(assignments, default=0), max(assignments, default=-1)
+        if low < 0 or high >= len(relation):
+            raise DeweyAssignmentError(
+                f"Dewey table references unknown rid {low if low < 0 else high}")
         pairs = sorted(assignments.items(), key=itemgetter(1))
         rids = list(map(itemgetter(0), pairs))
         rows = relation.rows_of(rids)

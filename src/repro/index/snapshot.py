@@ -18,7 +18,7 @@ bootstrap) rebuilds them with the paper's one offline build,
 ``InvertedIndex.build(dewey=, rids=)`` over the restored Dewey space
 (:func:`restore_index`).
 
-Format (version 2): a gzip-compressed (level 6) JSON envelope ``{format,
+Format (version 3): a gzip-compressed (level 6) JSON envelope ``{format,
 version, digest, payload}``.  The payload is serialised once, canonically
 (sorted keys, no spaces): those bytes are both the input of ``digest``
 (SHA-256) and the stored payload, so a flipped bit anywhere in the payload
@@ -26,10 +26,15 @@ fails the load instead of silently corrupting the restored index.  Writes
 are atomic (:func:`repro.storage.disk.replace_atomically`): the document
 goes to a same-directory temp file (fsynced), which is renamed over the
 target before the directory is fsynced, so a crash mid-write can never
-leave a truncated snapshot under the real name.  Rows are keyed by rid,
-which lets a snapshot carry a *subset* of the relation (``rids=``) — one
-file per shard of a sharded deployment (see :mod:`repro.durability.sharded`).
-Version-1 files (no digest) are refused.
+leave a truncated snapshot under the real name.  The tables are columns,
+in the shape the build walks: one list per attribute in row-slot order
+(``columns``), and the Dewey table in Dewey order as a rid column plus
+one int list per level (``dewey_rids``, ``dewey_levels``).  A full row
+table's rid column is implicit; a *subset* of the relation (``rids=``,
+one file per shard, see :mod:`repro.durability.sharded`) stores its
+``rids``.  Version-2 files (row-major lists in rid order) are read
+through one converter to this shape; version-1 files (no digest) are
+refused.
 """
 
 from __future__ import annotations
@@ -49,11 +54,11 @@ from .dewey_index import DeweyAssignmentError, DeweyIndex
 from .inverted import InvertedIndex
 
 FORMAT_NAME = "repro-diversity-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 COMPRESS_LEVEL = 6  # gzip's default 9: ≈ 3.5x the time, ≈ 6 % fewer bytes
 
-_PAYLOAD_FIELDS = ("schema", "rows", "ordering", "deweys", "backend",
-                   "row_slots", "live_rows")
+_PAYLOAD_FIELDS = ("schema", "columns", "ordering", "dewey_rids",
+                   "dewey_levels", "backend", "row_slots", "live_rows")
 
 
 class SnapshotError(ValueError):
@@ -64,40 +69,40 @@ class SnapshotError(ValueError):
 # Saving
 # ----------------------------------------------------------------------
 def build_payload(index: InvertedIndex, rids: Optional[Iterable[int]] = None) -> dict:
-    """The version-2 snapshot payload for ``index``.
+    """The version-3 snapshot payload for ``index``.
 
     ``rids`` restricts the row table to a subset of relation slots (a
-    shard's owned rows, live and tombstoned); the Dewey table always
-    reflects exactly what *this* index serves (its live postings).
+    shard's owned rows, live and tombstoned), stored with its rid column;
+    the Dewey table always reflects exactly what *this* index serves (its
+    live postings, already in Dewey order).  Columns are tuples, which
+    json writes as lists.
     """
     relation = index.relation
-    if rids is None:
-        scope = range(len(relation))
-        partial = False
-    else:
-        scope = sorted(set(int(rid) for rid in rids))
-        partial = True
-    # Rows and Dewey IDs are already tuples, which json writes as lists.
-    rows = list(zip(scope, relation.rows_of(scope)))
+    scope = range(len(relation)) if rids is None else sorted(set(map(int, rids)))
     deleted = [rid for rid in scope if relation.is_deleted(rid)]
     postings = list(index.all_postings())
-    deweys = sorted(zip(index.dewey.rids_of(postings), postings))
-    return {
+    payload = {
         "name": relation.name,
         "backend": index.backend,
         "ordering": list(index.ordering.attributes),
-        "schema": [
-            [attribute.name, attribute.kind.value]
-            for attribute in relation.schema
-        ],
+        "schema": [[a.name, a.kind.value] for a in relation.schema],
         "row_slots": len(relation),
-        "live_rows": len(rows) - len(deleted),
-        "partial": partial,
-        "rows": rows,
+        "live_rows": len(scope) - len(deleted),
+        "partial": rids is not None,
+        "columns": _columns(relation.rows_of(scope), len(relation.schema)),
         "deleted": deleted,
-        "deweys": deweys,
+        "dewey_rids": index.dewey.rids_of(postings),
+        "dewey_levels": _columns(postings, index.ordering.depth),
         "epoch": index.epoch,
     }
+    if rids is not None:
+        payload["rids"] = scope
+    return payload
+
+
+def _columns(rows, width: int) -> list:
+    """``rows`` transposed into ``width`` columns (empty ones for no rows)."""
+    return list(zip(*rows)) or [()] * width
 
 
 def canonical_payload_bytes(payload: dict) -> bytes:
@@ -125,11 +130,8 @@ def write_snapshot(payload: dict, target: Union[str, Path]) -> None:
     replace_atomically(target, encode_snapshot(payload))
 
 
-def save_index(
-    index: InvertedIndex,
-    target: Union[str, Path],
-    rids: Optional[Iterable[int]] = None,
-) -> None:
+def save_index(index: InvertedIndex, target: Union[str, Path],
+               rids: Optional[Iterable[int]] = None) -> None:
     """Write ``index`` (and its relation rows) to a snapshot file."""
     write_snapshot(build_payload(index, rids=rids), target)
 
@@ -168,11 +170,11 @@ def _validate_document(document, raw: bytes) -> dict:
             f"not a {FORMAT_NAME} snapshot (format={document.get('format')!r})"
         )
     version = document.get("version")
-    if version != FORMAT_VERSION:
+    if version not in (2, FORMAT_VERSION):
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     payload = document.get("payload")
     if not isinstance(payload, dict):
-        raise SnapshotError("version-2 snapshot missing payload object")
+        raise SnapshotError(f"version-{version} snapshot missing payload object")
     declared = document.get("digest")
     # The stored payload (last in the document) is hashed as it lies; only
     # a payload not stored canonically (an older writer's) is re-serialised.
@@ -184,16 +186,20 @@ def _validate_document(document, raw: bytes) -> dict:
             f"payload digest mismatch (declared {declared!r}, "
             f"computed {actual!r}) — snapshot is corrupt"
         )
+    if version == 2:
+        payload = _from_v2(payload)
     for key in _PAYLOAD_FIELDS:
         if key not in payload:
             raise SnapshotError(f"snapshot missing field {key!r}")
-    # Silent truncation of the row table must raise, never load short.
-    if len(payload["rows"]) != payload["row_slots"] and not payload.get("partial"):
+    # Columns that would zip short, and a truncated row table, must raise.
+    rows = _table_length("row table", payload.get("rids"), *payload["columns"])
+    _table_length("Dewey table", payload["dewey_rids"], *payload["dewey_levels"])
+    if rows != payload["row_slots"] and not payload.get("partial"):
         raise SnapshotError(
             f"row count mismatch: {payload['row_slots']} slots declared, "
-            f"{len(payload['rows'])} rows present — snapshot is truncated"
+            f"{rows} rows present — snapshot is truncated"
         )
-    live = len(payload["rows"]) - len(payload.get("deleted", []))
+    live = rows - len(payload.get("deleted", []))
     if live != payload["live_rows"]:
         raise SnapshotError(
             f"{payload['live_rows']} live rows declared, the row table and "
@@ -202,15 +208,32 @@ def _validate_document(document, raw: bytes) -> dict:
     return payload
 
 
+def _from_v2(payload: dict) -> dict:
+    """A version-2 payload (``[rid, row]`` and ``[rid, components]`` lists
+    in rid order) in the version-3 shape, its row table's rids kept."""
+    payload["rids"], rows = _columns(payload.pop("rows"), 2)
+    payload["columns"] = _columns(rows, len(payload["schema"]))
+    payload["dewey_rids"], deweys = _columns(payload.pop("deweys"), 2)
+    payload["dewey_levels"] = _columns(deweys, len(payload["ordering"]) + 1)
+    return payload
+
+
+def _table_length(table: str, *columns) -> int:
+    """The one length of a table's columns (an implicit rid column: None)."""
+    lengths = {len(column) for column in columns if column is not None}
+    if len(lengths) > 1:
+        raise SnapshotError(f"{table} columns of unequal lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
 def payload_tables(payload: dict) -> tuple[dict, dict, set]:
-    """A payload's ``(rid -> row, live rid -> Dewey ID, tombstoned rids)``."""
-    rows = {int(rid): row for rid, row in payload["rows"]}
-    assignments = {
-        int(rid): tuple(map(int, components))
-        for rid, components in payload["deweys"]
-    }
-    deleted = {int(rid) for rid in payload.get("deleted", [])}
-    return rows, assignments, deleted
+    """A payload's ``(rid -> row, live rid -> Dewey ID, tombstoned rids)``:
+    rows and IDs are tuples zipped out of the stored columns, and the
+    Dewey table keeps its stored (Dewey) order."""
+    rids = payload.get("rids", range(payload["row_slots"]))
+    rows = dict(zip(rids, zip(*payload["columns"])))
+    assignments = dict(zip(payload["dewey_rids"], zip(*payload["dewey_levels"])))
+    return rows, assignments, set(payload.get("deleted", ()))
 
 
 def restore_dewey_space(
@@ -222,21 +245,17 @@ def restore_dewey_space(
     ``payload`` supplies the schema, relation name and ordering; ``rows``
     must fill every slot ``0 .. len(rows) - 1`` (a gap is a lost row, and
     raises rather than renumbering).  Rows are coerced a column at a
-    time; the Dewey table is sorted and walked once
-    (:meth:`DeweyIndex.restore`), whose every refusal is a
-    :class:`SnapshotError` here.
+    time; the Dewey table is sorted (one run when it comes in Dewey
+    order) and walked once (:meth:`DeweyIndex.restore`), whose every
+    refusal is a :class:`SnapshotError` here.
     """
-    schema = Schema(
-        Attribute(name, AttributeKind(kind)) for name, kind in payload["schema"]
-    )
+    schema = Schema(Attribute(n, AttributeKind(k)) for n, k in payload["schema"])
     relation = Relation(schema, name=payload.get("name", "R"))
     try:
         ordered = list(map(rows.__getitem__, range(len(rows))))
     except KeyError as gap:
-        raise SnapshotError(
-            f"row table has a gap at rid {gap.args[0]}: an acknowledged "
-            f"insert is missing"
-        ) from None
+        raise SnapshotError(f"row table has a gap at rid {gap.args[0]}: an "
+                            f"acknowledged insert is missing") from None
     relation.extend(ordered)
     for rid in deleted:
         relation.delete(rid)
@@ -248,14 +267,8 @@ def restore_dewey_space(
     return relation, ordering, dewey
 
 
-def restore_index(
-    relation: Relation,
-    ordering: DiversityOrdering,
-    backend: str,
-    dewey: DeweyIndex,
-    live: Collection[int],
-    epoch: int,
-) -> InvertedIndex:
+def restore_index(relation: Relation, ordering: DiversityOrdering, backend: str,
+                  dewey: DeweyIndex, live: Collection[int], epoch: int) -> InvertedIndex:
     """The one way from stored state to a served index: bulk-build the
     posting lists of the ``live`` rids over an already-restored Dewey
     space (Section V-A's offline build) and adopt the persisted epoch.
@@ -285,13 +298,10 @@ def load_index(source: Union[str, Path]) -> InvertedIndex:
                 "instead (repro.durability)"
             )
         rows, assignments, deleted = payload_tables(payload)
-        relation, ordering, dewey = restore_dewey_space(
-            payload, rows, deleted, assignments
-        )
-        return restore_index(
-            relation, ordering, payload["backend"], dewey, assignments,
-            int(payload.get("epoch", 0)),
-        )
+        relation, ordering, dewey = restore_dewey_space(payload, rows, deleted,
+                                                        assignments)
+        return restore_index(relation, ordering, payload["backend"], dewey,
+                             assignments, int(payload.get("epoch", 0)))
     except SnapshotError as error:
         raise SnapshotError(f"snapshot {source}: {error}") from None
     except (LookupError, TypeError, ValueError) as error:

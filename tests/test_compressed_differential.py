@@ -26,6 +26,7 @@ from repro.index.snapshot import (
 )
 from repro.sharding import ShardedEngine
 
+from . import reference_snapshot_v2 as v2
 from .conftest import (
     COLORS,
     MAKES,
@@ -209,18 +210,20 @@ def test_compressed_snapshot_round_trip_answers_identically(
     for rid in rng.sample(range(len(relation)), k=len(relation) // 4):
         engine.delete(rid)
 
-    payload = build_payload(index)
-    assert payload["backend"] == "compressed"
-    assert "postings" not in payload
+    path = tmp_path / "compressed.idx"
     if stale_postings_key:
         # A version-2 file written while snapshots still shipped packed
         # buffers: the key is covered by the digest and otherwise ignored
         # (the Dewey table was always authoritative).
+        payload = v2.build_payload(index)
         payload["postings"] = {"all": {"data": "bm90IHBvc3RpbmdzIGF0IGFsbA=="},
                                "scalar": [], "token": []}
-
-    path = tmp_path / "compressed.idx"
-    write_snapshot(payload, path)
+        path.write_bytes(v2.encode_snapshot(payload))
+    else:
+        payload = build_payload(index)
+        assert "postings" not in payload
+        write_snapshot(payload, path)
+    assert payload["backend"] == "compressed"
     restored = load_index(path)
     assert restored.backend == "compressed"
     assert restored.dewey.all_deweys() == index.dewey.all_deweys()

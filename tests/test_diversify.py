@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.core.diversify import diverse_subset, scored_diverse_subset
 from repro.core.similarity import is_diverse, is_scored_diverse
 
+from . import reference_diversify
+
 
 def random_ids(rng, n, fanout=3, depth=3):
     ids = set()
@@ -66,6 +68,39 @@ class TestDiverseSubset:
         for k in range(len(ids), 0, -1):
             assert is_diverse(diverse_subset(ids, k), ids, k)
 
+
+@st.composite
+def dewey_lists(draw):
+    """Unsorted Dewey IDs of one depth (1–6), components from a small
+    range so groups tie and repeat, duplicates allowed, and a ``k`` from
+    {0, 1, n - 1, >= n} or anywhere in between."""
+    depth = draw(st.integers(1, 6))
+    fanout = draw(st.integers(1, 4))
+    component = st.integers(0, fanout - 1)
+    ids = draw(st.lists(st.tuples(*[component] * depth), max_size=60))
+    n = len(ids)
+    k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 3])
+             | st.integers(0, n + 1))
+    return ids, k
+
+
+class TestAgainstFrozenSelection:
+    """Index-range selection (bisected group bounds, an early stop once
+    more groups than budget are known) returns exactly what the per-group
+    copying code returned (``tests/reference_diversify.py``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dewey_lists())
+    def test_same_output_as_the_frozen_code(self, case):
+        ids, k = case
+        assert diverse_subset(ids, k) == reference_diversify.diverse_subset(ids, k)
+
+    def test_many_tied_groups(self):
+        ids = [(top, child, 0) for top in range(40) for child in range(3)]
+        random.Random(5).shuffle(ids)
+        for k in (1, 2, 39, 40, 41, 79, 80, 81, 119, 120, 200):
+            assert diverse_subset(ids, k) == reference_diversify.diverse_subset(
+                ids, k)
 
 class TestScoredDiverseSubset:
     def test_unique_scores_reduce_to_topk(self):

@@ -376,10 +376,11 @@ class TestReplayFold:
             assert recovered.search("Make = 'Honda'", k=4).deweys == expected
 
 
-def _logged_store(tmp_path, shards):
+def _logged_store(tmp_path, shards, version=3):
     """A store of either shape (``shards == 1``: single-index) with a log
-    tail — three inserts and a remove past the snapshot — closed.  Returns
-    ``(data_dir, [store directories])``."""
+    tail — three inserts and a remove past the snapshot — closed; its
+    snapshots written by the frozen version-2 writer when ``version == 2``.
+    Returns ``(data_dir, [store directories])``."""
     data_dir = tmp_path / "data"
     relation = figure1_relation()
     if shards == 1:
@@ -393,6 +394,12 @@ def _logged_store(tmp_path, shards):
             data_dir,
         )
         stores = index.shards
+    if version == 2:
+        from .reference_snapshot_v2 import save_index as save_v2
+
+        for store in stores:
+            owned = None if store._owned is None else sorted(store._owned)
+            save_v2(store.index, store.snapshot_path, rids=owned)
     for row in NEW_ROWS[:3]:
         index.insert(relation.insert(row))
     relation.delete(2)
@@ -429,8 +436,8 @@ def _unknown_backend(payload):
 
 
 def _non_numeric_dewey(payload):
-    for _, components in payload["deweys"][:1]:
-        components[0] = "x"
+    if payload["dewey_rids"]:
+        payload["dewey_levels"][0][0] = "x"
 
 
 def _unknown_attribute_kind(payload):
@@ -438,7 +445,7 @@ def _unknown_attribute_kind(payload):
 
 
 def _bad_rows_nesting(payload):
-    payload["rows"] = [7] * len(payload["rows"])
+    payload["columns"] = [7] * len(payload["columns"])
 
 
 def _tombstone_past_the_row_table(payload):
@@ -451,6 +458,35 @@ def _live_rows_truncated(payload):
 
 
 def _duplicate_dewey(payload):
+    if len(payload["dewey_rids"]) > 1:
+        for level in payload["dewey_levels"]:
+            level[1] = level[0]
+
+
+def _unequal_attribute_columns(payload):
+    payload["columns"][-1].append("one value too many")
+
+
+def _unequal_level_columns(payload):
+    payload["dewey_levels"][-1].append(0)
+
+
+def _dewey_rid_column_too_long(payload):
+    payload["dewey_rids"].append(0)
+
+
+# The version-2 shape of the edits above that depend on the shape; the
+# store's snapshots are then written by the frozen version-2 writer.
+def _v2_non_numeric_dewey(payload):
+    for _, components in payload["deweys"][:1]:
+        components[0] = "x"
+
+
+def _v2_bad_rows_nesting(payload):
+    payload["rows"] = [7] * len(payload["rows"])
+
+
+def _v2_duplicate_dewey(payload):
     deweys = payload["deweys"]
     if len(deweys) > 1:
         deweys[1][1] = deweys[0][1]
@@ -461,7 +497,9 @@ PAYLOAD_DAMAGE = {
     for edit in (
         _unknown_backend, _non_numeric_dewey, _unknown_attribute_kind,
         _bad_rows_nesting, _tombstone_past_the_row_table,
-        _live_rows_truncated, _duplicate_dewey,
+        _live_rows_truncated, _duplicate_dewey, _unequal_attribute_columns,
+        _unequal_level_columns, _dewey_rid_column_too_long,
+        _v2_non_numeric_dewey, _v2_bad_rows_nesting, _v2_duplicate_dewey,
     )
 }
 
@@ -479,7 +517,8 @@ class TestRecoveryRefusals:
         """Regression: a resealed (valid digest) but malformed payload
         escaped as a raw ``ValueError``/``TypeError`` — which one depended
         on the store shape — and the CLI mapped it to exit 2."""
-        data_dir, store_dirs = _logged_store(tmp_path, shards)
+        version = 2 if damage.startswith("v2-") else 3
+        data_dir, store_dirs = _logged_store(tmp_path, shards, version)
         for store_dir in store_dirs:  # all of them: shards must still agree
             _tamper(store_dir / SNAPSHOT_NAME, PAYLOAD_DAMAGE[damage])
         with pytest.raises(RecoveryError, match=str(data_dir)):

@@ -1,4 +1,6 @@
-"""Tests for index snapshot save/load (v2 checksummed format)."""
+"""Tests for index snapshot save/load: the checksummed, column-major
+version-3 format, and version-2 files (written by the frozen writer in
+``tests/reference_snapshot_v2.py``) read through the converter."""
 
 import gzip
 import hashlib
@@ -23,6 +25,8 @@ from repro.index.snapshot import (
     save_index,
 )
 
+from . import reference_snapshot_v2 as v2
+
 
 @pytest.fixture
 def built_index(cars):
@@ -38,7 +42,7 @@ def write_document(path, document, reseal: bool = True) -> None:
     """Write a (possibly tampered) document back; ``reseal`` recomputes the
     digest so the *semantic* validation under test is reached, not the
     checksum."""
-    if reseal and document.get("version") == 2:
+    if reseal and "payload" in document:
         document["digest"] = payload_digest(document["payload"])
     with gzip.open(path, "wb") as handle:
         handle.write(json.dumps(document).encode())
@@ -141,7 +145,7 @@ class TestValidation:
         path = tmp_path / "cars.idx"
         save_index(built_index, path)
         document = read_document(path)
-        del document["payload"]["deweys"]
+        del document["payload"]["dewey_levels"]
         write_document(path, document)
         with pytest.raises(SnapshotError):
             load_index(path)
@@ -161,7 +165,7 @@ class TestValidation:
         path = tmp_path / "cars.idx"
         save_index(built_index, path)
         document = read_document(path)
-        document["payload"]["deweys"][0][1] = [0, 0]
+        document["payload"]["dewey_levels"].pop()  # every ID one level short
         write_document(path, document)
         with pytest.raises(SnapshotError):
             load_index(path)
@@ -170,7 +174,8 @@ class TestValidation:
         path = tmp_path / "cars.idx"
         save_index(built_index, path)
         document = read_document(path)
-        document["payload"]["deweys"][1][1] = document["payload"]["deweys"][0][1]
+        for level in document["payload"]["dewey_levels"]:
+            level[1] = level[0]
         write_document(path, document)
         with pytest.raises(SnapshotError):
             load_index(path)
@@ -180,7 +185,7 @@ class TestValidation:
         save_index(built_index, path)
         document = read_document(path)
         # Two Hondas with different top-level components.
-        document["payload"]["deweys"][0][1][0] = 5
+        document["payload"]["dewey_levels"][0][0] = 5
         write_document(path, document)
         with pytest.raises(SnapshotError):
             load_index(path)
@@ -190,7 +195,7 @@ class TestValidation:
         path = tmp_path / "cars.idx"
         save_index(built_index, path)
         document = read_document(path)
-        document["payload"]["rows"][0][1][0] = "Hacked"
+        document["payload"]["columns"][0][0] = "Hacked"
         write_document(path, document, reseal=False)
         with pytest.raises(SnapshotError, match="digest mismatch"):
             load_index(path)
@@ -201,7 +206,8 @@ class TestValidation:
         path = tmp_path / "cars.idx"
         save_index(built_index, path)
         document = read_document(path)
-        document["payload"]["rows"] = document["payload"]["rows"][:-3]
+        columns = document["payload"]["columns"]
+        columns[:] = [column[:-3] for column in columns]
         write_document(path, document)  # digest resealed: count check must fire
         with pytest.raises(SnapshotError, match="row count mismatch"):
             load_index(path)
@@ -236,6 +242,119 @@ class TestValidation:
             load_index(path)
 
 
+def _unequal_attribute_columns(payload):
+    payload["columns"][1].pop()
+
+
+def _unequal_level_columns(payload):
+    payload["dewey_levels"][2].pop()
+
+
+def _short_dewey_rid_column(payload):
+    payload["dewey_rids"].pop()
+
+
+def _short_row_rid_column(payload):
+    payload["rids"].pop()
+
+
+class TestColumnRefusals:
+    """Columns that would zip short are refused, never loaded short."""
+
+    @pytest.mark.parametrize("edit", [
+        _unequal_attribute_columns, _unequal_level_columns,
+        _short_dewey_rid_column,
+    ], ids=lambda edit: edit.__name__.strip("_"))
+    def test_unequal_columns_refused(self, built_index, tmp_path, edit):
+        path = tmp_path / "cars.idx"
+        save_index(built_index, path)
+        document = read_document(path)
+        edit(document["payload"])
+        write_document(path, document)
+        with pytest.raises(SnapshotError, match="unequal lengths"):
+            load_index(path)
+
+    def test_short_rid_column_of_a_subset_refused(self, built_index, tmp_path):
+        path = tmp_path / "cars.idx"
+        save_index(built_index, path, rids=[1, 4, 9])
+        document = read_document(path)
+        _short_row_rid_column(document["payload"])
+        write_document(path, document)
+        with pytest.raises(SnapshotError, match="unequal lengths"):
+            load_index(path)
+
+    def test_full_table_stores_no_rid_column(self, built_index):
+        payload = build_payload(built_index)
+        assert "rids" not in payload and not payload["partial"]
+        assert len(payload["columns"]) == len(built_index.relation.schema)
+        assert list(zip(*payload["dewey_levels"])) == list(
+            built_index.all_postings())
+        assert build_payload(built_index, rids=[9, 1, 4])["rids"] == [1, 4, 9]
+
+
+class TestValidationV2:
+    """The shape-dependent refusals of :class:`TestValidation`, on
+    version-2 files: the converter keeps every error a ``SnapshotError``."""
+
+    @staticmethod
+    def _tampered(index, tmp_path, edit, reseal=True):
+        path = tmp_path / "cars.idx"
+        v2.save_index(index, path)
+        document = read_document(path)
+        assert document["version"] == 2
+        edit(document["payload"])
+        write_document(path, document, reseal=reseal)
+        return path
+
+    def test_untampered_file_loads(self, built_index, tmp_path):
+        path = self._tampered(built_index, tmp_path, lambda payload: None)
+        restored = load_index(path)
+        assert list(restored.all_postings()) == list(built_index.all_postings())
+
+    @pytest.mark.parametrize("field", ["rows", "deweys"])
+    def test_missing_field(self, built_index, tmp_path, field):
+        path = self._tampered(built_index, tmp_path,
+                              lambda payload: payload.pop(field))
+        with pytest.raises(SnapshotError):
+            load_index(path)
+
+    def test_corrupt_dewey_depth(self, built_index, tmp_path):
+        def edit(payload):
+            payload["deweys"][0][1] = [0, 0]
+        with pytest.raises(SnapshotError):
+            load_index(self._tampered(built_index, tmp_path, edit))
+
+    def test_duplicate_dewey(self, built_index, tmp_path):
+        def edit(payload):
+            payload["deweys"][1][1] = payload["deweys"][0][1]
+        with pytest.raises(SnapshotError):
+            load_index(self._tampered(built_index, tmp_path, edit))
+
+    def test_inconsistent_component_mapping(self, built_index, tmp_path):
+        def edit(payload):
+            payload["deweys"][0][1][0] = 5
+        with pytest.raises(SnapshotError):
+            load_index(self._tampered(built_index, tmp_path, edit))
+
+    def test_digest_mismatch_rejected(self, built_index, tmp_path):
+        def edit(payload):
+            payload["rows"][0][1][0] = "Hacked"
+        path = self._tampered(built_index, tmp_path, edit, reseal=False)
+        with pytest.raises(SnapshotError, match="digest mismatch"):
+            load_index(path)
+
+    def test_truncated_row_table_rejected(self, built_index, tmp_path):
+        def edit(payload):
+            payload["rows"] = payload["rows"][:-3]
+        with pytest.raises(SnapshotError, match="row count mismatch"):
+            load_index(self._tampered(built_index, tmp_path, edit))
+
+    def test_bad_rows_nesting_wrapped(self, built_index, tmp_path):
+        def edit(payload):
+            payload["rows"] = [7] * len(payload["rows"])
+        with pytest.raises(SnapshotError, match="malformed"):
+            load_index(self._tampered(built_index, tmp_path, edit))
+
 def _figure1_with_a_delete() -> InvertedIndex:
     relation = figure1_relation()
     index = InvertedIndex.build(relation, figure1_ordering())
@@ -245,11 +364,12 @@ def _figure1_with_a_delete() -> InvertedIndex:
 
 
 def _level9_envelope(payload: dict) -> bytes:
-    """A snapshot encoded the way the writer did before it serialised the
-    payload once: envelope keys in insertion order, gzip level 9."""
+    """A version-2 snapshot encoded the way the writer did before it
+    serialised the payload once: envelope keys in insertion order, gzip
+    level 9."""
     document = {
         "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
+        "version": 2,
         "digest": payload_digest(payload),
         "payload": payload,
     }
@@ -259,18 +379,26 @@ def _level9_envelope(payload: dict) -> bytes:
 
 class TestCanonicalBytes:
     """The writer serialises the payload once, as the canonical bytes; the
-    digests below were computed from the list-built payload that came
-    before it, so the canonical serialisation must not drift."""
+    version-2 digests below were computed from the list-built payload that
+    came before it, so neither the frozen version-2 writer nor the
+    canonical serialisation may drift, and the version-3 ones pin the
+    column-major payload."""
 
     PARTIAL_RIDS = (14, 1, 9, 3, 4)
 
     def test_payload_digest_is_pinned(self):
         index = _figure1_with_a_delete()
-        assert payload_digest(build_payload(index)) == (
+        assert payload_digest(v2.build_payload(index)) == (
             "64825ab3231ff899babf7a3c5a99c83b4fd6a45419cdd3e905c10fd0c6536197"
         )
-        assert payload_digest(build_payload(index, rids=self.PARTIAL_RIDS)) == (
+        assert payload_digest(v2.build_payload(index, rids=self.PARTIAL_RIDS)) == (
             "b61270928f4495749d20a11e2f5428396095759c814c5adaa72267001705b58e"
+        )
+        assert payload_digest(build_payload(index)) == (
+            "eada58ec16a289191d7db9a2866997f86f2f1a850f2cf14feab3348f0eb4edc7"
+        )
+        assert payload_digest(build_payload(index, rids=self.PARTIAL_RIDS)) == (
+            "3215178837b36ac8e1f5cd2e0932203ffcc5d2e90b8c58b2f89b1cddc0255772"
         )
 
     @pytest.mark.parametrize("rids", [None, PARTIAL_RIDS])
@@ -305,7 +433,7 @@ class TestCanonicalBytes:
     def test_level9_insertion_order_file_loads(self, tmp_path):
         index = _figure1_with_a_delete()
         path = tmp_path / "cars.idx"
-        path.write_bytes(_level9_envelope(build_payload(index)))
+        path.write_bytes(_level9_envelope(v2.build_payload(index)))
         restored = load_index(path)
         assert list(restored.all_postings()) == list(index.all_postings())
         assert list(restored.relation) == list(index.relation)
@@ -314,7 +442,7 @@ class TestCanonicalBytes:
 
     def test_level9_insertion_order_store_recovers(self, tmp_path):
         index = _figure1_with_a_delete()
-        payload = build_payload(index)
+        payload = v2.build_payload(index)
         store = create_store(index, tmp_path / "store")
         rid = index.relation.insert(("Tesla", "ModelS", "Red", 2008, "rare"))
         store.insert(rid)  # a log tail past the snapshot
