@@ -6,14 +6,14 @@ walks through the searches from the paper's introduction: browsing Hondas,
 drilling into 2007 Civics, hunting rare models, and relaxing an over-
 constrained query.
 
-Run:  python examples/autos_shopping.py [rows]
+Run:  PYTHONPATH=src:benchmarks python examples/autos_shopping.py [rows]
 """
 
 import sys
 import time
 
 from repro import DiversityEngine
-from repro.core.relaxation import relaxed_search
+from paper.extensions.relaxation import relaxed_search
 from repro.data.autos import autos_ordering, generate_autos, rare_models
 
 

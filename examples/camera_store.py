@@ -8,13 +8,13 @@ with its own diversity ordering (Brand < Type < Resolution < Price band),
 exercises weighted diversity (Section VII's extension: boost popular
 brands), and shows catalog management with several relations.
 
-Run:  python examples/camera_store.py
+Run:  PYTHONPATH=src:benchmarks python examples/camera_store.py
 """
 
 import random
 
 from repro import Catalog, DiversityEngine, Relation, Schema
-from repro.core.weighted import WeightedDiversifier
+from paper.extensions.weighted import WeightedDiversifier
 from repro.data.paper_example import figure1_ordering, figure1_relation
 
 BRANDS = {

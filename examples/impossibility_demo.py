@@ -9,11 +9,11 @@ at least one of the proof's three queries — and the assignments engineered
 to pass the two single-list queries fail precisely on the conjunctive one,
 exactly as the proof's counting argument predicts.
 
-Run:  python examples/impossibility_demo.py
+Run:  PYTHONPATH=src:benchmarks python examples/impossibility_demo.py
 """
 
 from repro.data.paper_example import figure1_relation
-from repro.ir.impossibility import (
+from paper.ir.impossibility import (
     THEOREM_QUERIES,
     adversarial_assignments,
     demonstrate,

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro import DiversityEngine, load_index, save_index
 from repro.core.baselines import collect_all
 from paper.diagnostics import compare_reports, diversity_report
-from repro.core.incremental import DiverseView
+from paper.extensions.incremental import DiverseView
 from repro.core.pagination import DiversePaginator
 from repro.data.auctions import auctions_ordering, auctions_schema, generate_auctions
 from repro.index.merged import MergedList

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: diverse top-k search over the paper's Figure 1 database.
 
-Run:  python examples/quickstart.py
+Run:  PYTHONPATH=src:benchmarks python examples/quickstart.py
 """
 
 from repro import DiversityEngine

@@ -348,32 +348,6 @@ class DiversityEngine:
         self._index.remove(rid)
         return True
 
-    def search_weighted(
-        self,
-        query: Union[Query, str],
-        k: int,
-        value_weights: Dict,
-    ) -> DiverseResult:
-        """Weighted-diverse top-k (Section VII's first extension).
-
-        ``value_weights`` maps ``(attribute, value)`` to a positive weight;
-        heavier values earn proportionally more slots.  Implemented as exact
-        selection over the materialised result set (the extension is a
-        selection-level refinement; see `repro.core.weighted`).
-        """
-        from .weighted import WeightedDiversifier
-
-        if isinstance(query, str):
-            query = parse_query(query)
-        merged = MergedList(query, self._index)
-        matches = baselines.collect_all(merged)
-        diversifier = WeightedDiversifier(self._index.dewey, value_weights)
-        chosen = diversifier.select(matches, k)
-        return DiverseResult.package(
-            self._index, chosen, None, k, "weighted", False,
-            {"next_calls": merged.next_calls,
-             "scored_next_calls": merged.scored_next_calls})
-
     def explain(self, query: Union[Query, str]) -> str:
         """A short human-readable description of the compiled query."""
         if isinstance(query, str):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Set, Union
 
@@ -396,14 +396,6 @@ def refusing_damage(label):
         ) from None
 
 
-def reopen_wal(wal_path: Path, fsync_every: int) -> WriteAheadLog:
-    """A recovered store's log, open for appending (created when a crash
-    fell between the snapshot write and WAL creation)."""
-    if wal_path.exists():
-        return WriteAheadLog.open_for_append(wal_path, fsync_every)[0]
-    return WriteAheadLog.create(wal_path, fsync_every)
-
-
 def recover_stores(
     data_dir: Path,
     manifest: dict,
@@ -432,7 +424,7 @@ def recover_stores(
     rows: dict = {}
     deleted: Set[int] = set()
     assignments: dict = {}
-    stores = []  # per store: (report, live rids, owned rids)
+    stores = []  # per store: (report, live rids, owned rids, log tail)
     with refusing_damage(data_dir):
         for store_dir in store_dirs:
             payload, scan = read_store(store_dir)
@@ -473,6 +465,9 @@ def recover_stores(
                 ),
                 state.live,
                 set(state.rows) if sharded else None,
+                # The reopen needs where the intact log ends, not its
+                # records: they are folded and freed before the builds.
+                replace(scan, records=[]),
             ))
         # The decoded documents are dropped before the bulk builds, whose
         # run accumulators are recovery's memory peak.
@@ -482,7 +477,7 @@ def recover_stores(
         )
         del rows, deleted, assignments
         indexes = []
-        for report, live, _ in stores:
+        for report, live, _, _ in stores:
             with span("durability.recover", path=str(report.path)):
                 indexes.append(restore_index(
                     relation, ordering, header["backend"], dewey, live,
@@ -490,7 +485,7 @@ def recover_stores(
                 ))
     registry = get_registry()
     durable: List[DurableIndex] = []
-    for (report, _, owned), index in zip(stores, indexes):
+    for (report, _, owned, tail), index in zip(stores, indexes):
         registry.counter("repro_recoveries_total", "Store recoveries").inc()
         registry.counter("repro_recovery_replayed_total",
                          "WAL records replayed during recovery"
@@ -502,7 +497,9 @@ def recover_stores(
                          "Torn WAL tail bytes dropped during recovery"
                          ).inc(report.torn_bytes)
         durable.append(DurableIndex(
-            index, reopen_wal(report.path / WAL_NAME, fsync_every),
+            index,
+            WriteAheadLog.open_for_append(report.path / WAL_NAME, tail,
+                                          fsync_every),
             report.path / SNAPSHOT_NAME,
             snapshot_every=snapshot_every, owned=owned, recovery=report,
         ))

@@ -189,23 +189,24 @@ class WriteAheadLog:
 
     @classmethod
     def open_for_append(
-        cls, path, fsync_every: int = 1
-    ) -> tuple["WriteAheadLog", WalScan]:
-        """Reopen a recovered log: drop the torn tail, append after it.
+        cls, path, scan: WalScan, fsync_every: int = 1
+    ) -> "WriteAheadLog":
+        """Reopen a recovered log from its :func:`read_wal` scan: drop the
+        torn tail, append after it.
 
-        Returns the log plus the scan of its intact records (the caller
-        replays them).  Raises on mid-log corruption — an unrecoverable
-        log must never be appended to.
+        The file is not read again.  Mid-log corruption raises in
+        :func:`read_wal`, so a log that yields no scan is never appended
+        to.
         """
-        scan = read_wal(path)
         if scan.valid_end < len(MAGIC):
-            # Header never became durable: restart the log from scratch.
-            return cls.create(path, fsync_every=fsync_every), scan
+            # Header never became durable (or no log at all): restart the
+            # log from scratch.
+            return cls.create(path, fsync_every=fsync_every)
         if scan.torn:
             with disk.DISK.open(path, "ab") as handle:
                 disk.DISK.truncate(handle, scan.valid_end)
                 disk.DISK.fsync(handle)
-        return cls(path, fsync_every=fsync_every), scan
+        return cls(path, fsync_every=fsync_every)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -47,6 +47,9 @@ DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
     100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, math.inf,
 )
 
+#: How many finished spans a registry keeps (the oldest drop first).
+SPAN_CAPACITY = 256
+
 LabelSet = Tuple[Tuple[str, str], ...]
 
 
@@ -240,7 +243,7 @@ class MetricsRegistry:
     once instead of re-resolving it per event.
     """
 
-    def __init__(self, enabled: bool = True, span_capacity: int = 256):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
@@ -248,7 +251,7 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
         self._help: Dict[str, str] = {}
         self._collectors: List[Callable[[], None]] = []
-        self.spans = deque(maxlen=span_capacity)
+        self.spans = deque(maxlen=SPAN_CAPACITY)
         #: Free-form memo for hot callers that want to skip even the
         #: label-key build of the factory methods (the per-query metric
         #: seams keep resolved instrument bundles here, keyed however they

@@ -62,8 +62,6 @@ class ServerConfig:
     default_deadline_ms: float = 1000.0
     default_k: int = 10
     default_algorithm: str = "auto"
-    max_k: int = 1000
-    max_pages: int = 100
     quota_rate_per_s: float = 0.0      # <= 0 disables tenant quotas
     quota_burst: float = 10.0
     initial_ms_per_unit: float = 0.02  # admission EWMA seed

@@ -81,6 +81,11 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 #: other algorithms fall back to probe (documented in the README).
 PAGEABLE_ALGORITHMS = ("probe", "onepass")
 
+#: Upper bounds of a request's ``k`` and ``page_size``, and of its
+#: ``page`` and ``pages``.
+MAX_K = 1000
+MAX_PAGES = 100
+
 #: The ``route`` labels of ``repro_http_requests_total``; any other path
 #: a client probes is counted as ``other``, so the series stay bounded.
 ROUTES = ("/", "/healthz", "/metrics", "/search")
@@ -353,7 +358,7 @@ class Router:
             raise BadRequest("missing required parameter 'q'")
         config = self._config
         k = _positive_int(request.param("k", str(config.default_k)), "k",
-                          config.max_k)
+                          MAX_K)
         algorithm = request.param("algorithm", config.default_algorithm)
         if algorithm not in ALGORITHMS and algorithm != AUTO:
             raise BadRequest(
@@ -368,11 +373,11 @@ class Router:
             raise BadRequest("pass either page= (one page) or pages= "
                              "(a stream), not both")
         if page is not None:
-            page = _positive_int(page, "page", config.max_pages)
+            page = _positive_int(page, "page", MAX_PAGES)
         if pages is not None:
-            pages = _positive_int(pages, "pages", config.max_pages)
+            pages = _positive_int(pages, "pages", MAX_PAGES)
         if page_size is not None:
-            page_size = _positive_int(page_size, "page_size", config.max_k)
+            page_size = _positive_int(page_size, "page_size", MAX_K)
         deadline_raw = request.param(
             "deadline_ms", request.header(DEADLINE_HEADER))
         if deadline_raw is None:

@@ -138,7 +138,7 @@ class ShardedEngine(DiversityEngine):
     manager) releases the pool.  ``policy`` sets the failure-handling
     budgets (:class:`ResiliencePolicy`); per-shard breakers and health
     counters live in :attr:`health`.  Everything else — prepare/execute
-    split, weighted search, explain — is inherited: the sharded index
+    split, explain — is inherited: the sharded index
     implements the single-index read protocol.
     """
 

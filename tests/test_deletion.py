@@ -3,7 +3,7 @@
 import pytest
 
 from repro import DiversityEngine, is_diverse
-from repro.core.incremental import DiverseView
+from paper.extensions.incremental import DiverseView
 from repro.data.paper_example import figure1_ordering, figure1_relation
 from repro.index.inverted import InvertedIndex
 from repro.index.compressed import CompressedPostingList

@@ -580,7 +580,7 @@ class TestRecoveryRefusals:
         ]:
             wal_path = store_dirs[-1] / WAL_NAME
             pristine = wal_path.read_bytes()
-            wal, _ = WriteAheadLog.open_for_append(wal_path)
+            wal = WriteAheadLog.open_for_append(wal_path, read_wal(wal_path))
             wal.append(insert_record(epoch + 1, rid, list(NEW_ROWS[3]), dewey))
             wal.close()
             with pytest.raises(RecoveryError, match=match) as excinfo:
@@ -724,6 +724,40 @@ class TestServingRestart:
         assert recovered.epoch == epoch
         assert recovered.search(QUERIES[1], k=4).deweys == expected
         recovered.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_recovery_reads_each_log_once(self, tmp_path, monkeypatch, shards):
+        """The reopen for appending starts from the scan the fold replayed;
+        it does not read the log a second time."""
+        import repro.durability.store as store_module
+        import repro.durability.wal as wal_module
+
+        serving = ServingEngine.from_relation(
+            figure1_relation(), figure1_ordering(), shards=shards,
+            data_dir=tmp_path / "data",
+        )
+        for row in NEW_ROWS:
+            serving.insert(row)
+        epoch = serving.epoch
+        serving.close()
+        reads = []
+
+        def counting_read_wal(path):
+            reads.append(path)
+            return read_wal(path)
+
+        monkeypatch.setattr(store_module, "read_wal", counting_read_wal)
+        monkeypatch.setattr(wal_module, "read_wal", counting_read_wal)
+        recovered = ServingEngine.recover(tmp_path / "data")
+        assert recovered.epoch == epoch
+        assert len(reads) == shards
+        assert len(set(reads)) == shards
+        recovered.insert(("Kia", "Soul", "Blue", 2009, "boxy"))
+        recovered.close()
+        monkeypatch.undo()
+        again = ServingEngine.recover(tmp_path / "data")
+        assert again.epoch == epoch + 1
+        again.close()
 
 
 class TestServingAssembly:

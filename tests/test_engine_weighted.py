@@ -1,9 +1,10 @@
-"""Tests for the engine's weighted-search convenience."""
+"""Tests for the weighted-search convenience over an engine."""
 
 import pytest
 
 from repro import DiversityEngine
 from repro.data.paper_example import figure1_ordering, figure1_relation
+from paper.extensions.weighted import weighted_search
 
 
 @pytest.fixture
@@ -17,7 +18,7 @@ def engine():
 
 class TestSearchWeighted:
     def test_uniform_weights_behave_like_unweighted(self, engine):
-        result = engine.search_weighted("Year = 2007", k=6, value_weights={})
+        result = weighted_search(engine, "Year = 2007", k=6, value_weights={})
         plain = engine.search("Year = 2007", k=6, algorithm="naive")
         count = lambda res: sorted(
             sum(1 for item in res if item["Make"] == make)
@@ -26,8 +27,8 @@ class TestSearchWeighted:
         assert count(result) == count(plain)
 
     def test_boost_shifts_allocation(self, engine):
-        boosted = engine.search_weighted(
-            "", k=6, value_weights={("Make", "Honda"): 9.0}
+        boosted = weighted_search(
+            engine, "", k=6, value_weights={("Make", "Honda"): 9.0}
         )
         hondas = sum(1 for item in boosted if item["Make"] == "Honda")
         plain = engine.search("", k=6, algorithm="naive")
@@ -35,12 +36,12 @@ class TestSearchWeighted:
         assert hondas > hondas_plain
 
     def test_result_metadata(self, engine):
-        result = engine.search_weighted("Make = 'Honda'", k=3, value_weights={})
+        result = weighted_search(engine, "Make = 'Honda'", k=3, value_weights={})
         assert result.algorithm == "weighted"
         assert not result.scored
         assert len(result) == 3
         assert "next_calls" in result.stats
 
     def test_k_larger_than_matches(self, engine):
-        result = engine.search_weighted("Make = 'Tesla'", k=10, value_weights={})
+        result = weighted_search(engine, "Make = 'Tesla'", k=10, value_weights={})
         assert len(result) == 2

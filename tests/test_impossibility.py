@@ -5,14 +5,14 @@ import random
 import pytest
 
 from repro.data.paper_example import figure1_relation
-from repro.ir.impossibility import (
+from paper.ir.impossibility import (
     THEOREM_QUERIES,
     adversarial_assignments,
     demonstrate,
     find_violation,
     random_assignment,
 )
-from repro.ir.irsystem import (
+from paper.ir.irsystem import (
     InvertedListIRSystem,
     max_aggregator,
     min_aggregator,

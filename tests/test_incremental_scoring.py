@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DiversityEngine, Query, is_diverse, is_scored_diverse
-from repro.core.incremental import DiverseView
+from paper.extensions.incremental import DiverseView
 from repro.data.paper_example import FIGURE1_ROWS, figure1_ordering
 from repro.data.autos import autos_schema
 from repro.index.inverted import InvertedIndex

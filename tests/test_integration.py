@@ -8,8 +8,8 @@ and probing actually kick in.
 import pytest
 
 from repro import DiversityEngine, Query, is_diverse, is_scored_diverse
-from repro.core.relaxation import relaxed_search
-from repro.core.weighted import WeightedDiversifier
+from paper.extensions.relaxation import relaxed_search
+from paper.extensions.weighted import WeightedDiversifier
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.index.inverted import InvertedIndex

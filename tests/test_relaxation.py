@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.relaxation import relax_query, relaxed_search
+from paper.extensions.relaxation import relax_query, relaxed_search
 from repro.query.parser import parse_query
 from repro.query.query import AND, LEAF, OR
 

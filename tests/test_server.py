@@ -392,6 +392,21 @@ class TestServerEndToEnd:
             assert status == expected, target
             assert json.loads(body)["status"] == expected
 
+    def test_upper_bounds(self, figure1_server):
+        from repro.server.routes import MAX_K, MAX_PAGES
+
+        address = figure1_server.address
+        for name, value in (("k", MAX_K), ("pages", MAX_PAGES),
+                            ("page_size", MAX_K)):
+            status, _, body = _request(
+                address, f"/search?q={QUERY}&{name}={value + 1}")
+            assert status == 400, name
+            assert f"{name} must be in [1, {value}]" in \
+                json.loads(body)["message"]
+        assert _request(address, f"/search?q={QUERY}&k={MAX_K}")[0] == 200
+        assert _request(
+            address, f"/search?q={QUERY}&pages=1&page_size={MAX_K}")[0] == 200
+
     def test_single_page_and_stream_do_not_overlap(self, figure1_server):
         address = figure1_server.address
         pages = []

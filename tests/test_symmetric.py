@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.core.symmetric import (
+from paper.extensions.symmetric import (
     SymmetricObjective,
     greedy_symmetric_select,
     hierarchy_level_weights,

@@ -141,7 +141,8 @@ class TestReopen:
                 wal.append(record)
         with open(wal_path, "ab") as handle:
             handle.write(b"\xde\xad")  # torn garbage from a crash
-        reopened, scan = WriteAheadLog.open_for_append(wal_path)
+        scan = read_wal(wal_path)
+        reopened = WriteAheadLog.open_for_append(wal_path, scan)
         assert len(scan.records) == 3
         assert scan.torn
         reopened.append(remove_record(4, 0, [0, 0]))
@@ -158,7 +159,7 @@ class TestReopen:
         data[len(MAGIC) + 10] ^= 0x01
         wal_path.write_bytes(bytes(data))
         with pytest.raises(WALCorruptionError):
-            WriteAheadLog.open_for_append(wal_path)
+            WriteAheadLog.open_for_append(wal_path, read_wal(wal_path))
 
     def test_truncate_resets_log(self, wal_path):
         wal = WriteAheadLog.create(wal_path)

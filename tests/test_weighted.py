@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.diversify import diverse_subset
-from repro.core.weighted import (
+from paper.extensions.weighted import (
     WeightedDiversifier,
     is_weighted_balanced,
     weighted_waterfill,
