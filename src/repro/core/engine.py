@@ -20,7 +20,7 @@ multq       query-rewriting baseline (MultQ)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..index.inverted import InvertedIndex
 from ..index.merged import MergedList

@@ -12,11 +12,13 @@ iteration is ``map(decode_key, keys)``.
 
 The field widths, and the four generated pack/unpack expressions that
 go with them (:func:`_compile_codecs`, memoised on the widths), are
-index-wide: :meth:`InvertedIndex.build` sizes them once over the whole
-relation (:func:`field_widths`) and every list shares one codec.  A
-standalone list, and every compaction, sizes the fields to its own
-content — as does every list of an index whose shared widths would sum
-past 64 bits.  A list that is itself wider than that keeps its keys in
+index-wide, and so is the packing: :meth:`InvertedIndex.build` sizes the
+widths once over the whole relation (:func:`field_widths`), packs each
+Dewey ID once into one column of keys, and cuts every list's keys from
+that column (:func:`packed_runs`) — one packed column and one codec per
+index.  A standalone list, and every compaction, sizes the fields to its
+own content — as does every list of an index whose shared widths would
+sum past 64 bits.  A list that is itself wider than that keeps its keys in
 a plain list of Python ints: still correct, no longer small (48
 bytes per posting at 98 bits of fields, 7 + 41 + 50, against the array
 backend's 72 for the same depth-3 ids).
@@ -49,6 +51,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.dewey import MAX_COMPONENT, DeweyId
@@ -65,12 +68,39 @@ _GALLOP_CAP = 8
 
 
 def field_widths(postings: Sequence[DeweyId], depth: int) -> Tuple[int, ...]:
-    """Per-level field widths that fit every component of ``postings``
-    (and so of any sub-list: what :meth:`InvertedIndex.build` hands to
-    :meth:`CompressedPostingList.from_sorted` for each of its runs)."""
+    """Per-level field widths that fit every component of ``postings``."""
     if not postings:
         return (1,) * depth
     return tuple(max(1, top.bit_length()) for top in map(max, zip(*postings)))
+
+
+def at_positions(column: Sequence, positions: List[int]) -> Sequence:
+    """``column[p]`` for each of ``positions``, as one exact-size sequence
+    (``itemgetter`` answers a single position unwrapped)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(column)
+    return [column[p] for p in positions]
+
+
+def packed_runs(
+    everything: List[DeweyId], depth: int
+) -> Callable[[List[int]], "CompressedPostingList"]:
+    """Maps a run of positions into ``everything`` (an index's Dewey IDs in
+    document order, so every run is strictly sorted) to its posting list.
+
+    ``everything`` is packed once, by the one codec of widths sized over
+    it all, and each list adopts its run's keys from that column; fields
+    that would sum past 64 bits leave each list to size its own instead.
+    """
+    widths = field_widths(everything, depth)
+    if sum(widths) > 64:
+        return lambda run: CompressedPostingList._of(
+            _Segment.of(at_positions(everything, run), depth), depth
+        )
+    packed = list(map(_compile_codecs(widths)[0], everything))
+    return lambda run: CompressedPostingList._of(
+        _Segment(array("Q", at_positions(packed, run)), widths), depth
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -163,21 +193,11 @@ class _Segment:
         "floor_key",
     )
 
-    def __init__(
-        self,
-        postings: Sequence[DeweyId],
-        depth: int,
-        widths: Optional[Tuple[int, ...]] = None,
-    ):
-        """Pack strictly-increasing, equal-depth ``postings`` — into
-        fields of the given ``widths`` (which must fit every component)
-        or, without them, fields sized to this content."""
-        # Shared widths past one word would make every list's keys Python
-        # ints; sized to its own content a narrow list still packs.
-        if widths is None or sum(widths) > 64:
-            widths = field_widths(postings, depth)
-        self.count = len(postings)
+    def __init__(self, keys: Sequence[int], widths: Tuple[int, ...]):
+        """Adopt strictly-increasing ``keys`` packed by the codec of ``widths``."""
+        self.count = len(keys)
         self.widths = widths
+        self.keys = keys
         # Pack/unpack run once per seek, so they are generated as single
         # expressions specialised to the field widths (the namedtuple
         # technique) instead of a generic per-level loop.
@@ -187,10 +207,16 @@ class _Segment:
             self.ceil_key,
             self.floor_key,
         ) = _compile_codecs(widths)
+
+    @classmethod
+    def of(cls, postings: Sequence[DeweyId], depth: int) -> "_Segment":
+        """Pack strictly-increasing, equal-depth ``postings`` into fields
+        sized to this content."""
+        widths = field_widths(postings, depth)
         # Through a list: ``array`` sizes itself exactly from one, but
         # over-allocates by 1/16 when it has to grow from an iterator.
-        packed = list(map(self.pack_exact, postings))
-        self.keys = array("Q", packed) if sum(widths) <= 64 else packed
+        keys = list(map(_compile_codecs(widths)[0], postings))
+        return cls(array("Q", keys) if sum(widths) <= 64 else keys, widths)
 
     # ------------------------------------------------------------------
     # Galloping search
@@ -277,32 +303,19 @@ class CompressedPostingList(PostingList):
                     f"posting {dewey!r} has depth {len(dewey)}, expected {depth}"
                 )
         self._depth = depth
-        self._adopt(unique)
+        self._adopt(_Segment.of(unique, depth))
 
     @classmethod
-    def from_sorted(
-        cls,
-        postings: List[DeweyId],
-        depth: int,
-        widths: Optional[Tuple[int, ...]] = None,
-    ) -> "CompressedPostingList":
-        """Adopt an already strictly-sorted, duplicate-free list.
-
-        ``widths`` packs it with the :func:`field_widths` the caller
-        sized over a superset of ``postings``, sharing that superset's
-        one codec; without them, or when they sum past 64 bits, the list
-        sizes its own.
-        """
+    def _of(cls, segment: _Segment, depth: int) -> "CompressedPostingList":
+        """A list holding ``segment``, nothing pending."""
         instance = cls.__new__(cls)
         instance._depth = depth
-        instance._adopt(postings, widths)
+        instance._adopt(segment)
         return instance
 
-    def _adopt(
-        self, postings: List[DeweyId], widths: Optional[Tuple[int, ...]] = None
-    ) -> None:
-        """Start over from a sorted run: all packed, nothing pending."""
-        self._segment = _Segment(postings, self._depth, widths)
+    def _adopt(self, segment: _Segment) -> None:
+        """Start over from a packed segment: nothing pending."""
+        self._segment = segment
         self._tail: List[DeweyId] = []
         self._deleted: Set[DeweyId] = set()
         self._hint = 0
@@ -411,7 +424,7 @@ class CompressedPostingList(PostingList):
     def compact(self) -> None:
         """Merge tail and tombstones into a fresh packed segment."""
         if self._tail or self._deleted:
-            self._adopt(list(self))
+            self._adopt(_Segment.of(list(self), self._depth))
 
     # ------------------------------------------------------------------
     # Introspection

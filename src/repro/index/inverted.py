@@ -18,13 +18,12 @@ from ..core.dewey import DeweyId
 from ..core.ordering import DiversityOrdering
 from ..storage.relation import Relation
 from ..storage.schema import AttributeKind
-from .compressed import CompressedPostingList, field_widths
+from .compressed import at_positions, packed_runs
 from .dewey_index import DeweyIndex
 from .postings import (
     ARRAY_BACKEND,
     ArrayPostingList,
     BACKENDS,
-    COMPRESSED_BACKEND,
     EMPTIED,
     PostingList,
     make_posting_list,
@@ -32,20 +31,6 @@ from .postings import (
 from .tokenize import token_set
 
 EMPTY_POSTINGS = ArrayPostingList()
-
-
-def _posting_list_of_run(
-    run: list[DeweyId], backend: str, depth: int, widths: Optional[tuple[int, ...]]
-) -> PostingList:
-    """A posting list over one of :meth:`InvertedIndex.build`'s runs —
-    strictly sorted by construction, so both backends adopt it as is,
-    without ``make_posting_list``'s sort-and-dedupe pass.
-    ``widths`` are the compressed backend's index-wide field widths."""
-    if backend == ARRAY_BACKEND:
-        # An exact-size copy: the append-grown accumulator itself carries
-        # up to 12.5 % of unused slots.
-        return ArrayPostingList.from_sorted(run.copy())
-    return CompressedPostingList.from_sorted(run, depth, widths)
 
 
 class InvertedIndex:
@@ -108,10 +93,13 @@ class InvertedIndex:
         every restore site (:func:`repro.index.snapshot.restore_index`)
         derive a stored index's posting lists the way they were first made.
 
-        One walk, no sort: the Dewey IDs in the document order the bulk
-        build or restore left, filtered by ``rids``, split into one run per
-        value of each column; a distinct text is tokenised once, its run
-        merged into each of its tokens' lists.
+        One pass over positions into the document order the bulk build or
+        restore left (position *p* is ``everything[p]``, the *p*-th Dewey
+        ID that ``rids`` keeps): one run of positions per value of each
+        column; a distinct text is tokenised once, and a token spanning
+        several texts merges their runs as ints.  The array backend maps
+        each run back to the Dewey tuples; the compressed one cuts its
+        keys from one packed column (:func:`.compressed.packed_runs`).
         """
         index = cls(relation, ordering, backend=backend, dewey=dewey)
         if dewey is None:
@@ -123,39 +111,36 @@ class InvertedIndex:
             everything = list(compress(everything, keep))
             order = list(compress(order, keep))
         rows = relation.rows_of(order)
-        scalar_acc: dict[tuple[str, Any], list[DeweyId]] = {}
-        token_acc: dict[tuple[str, str], list[list[DeweyId]]] = {}
-        for position, name in enumerate(relation.schema.names):
-            runs: dict[Any, list[DeweyId]] = defaultdict(list)
-            for dewey_id, value in zip(everything, map(itemgetter(position), rows)):
-                runs[value].append(dewey_id)
-            scalar_acc.update(((name, value), run) for value, run in runs.items())
+        if backend == ARRAY_BACKEND:
+            def make(run: list[int]) -> PostingList:
+                # Sized as ``list.copy`` sizes (exactly; ``list()`` of a
+                # tuple rounds up to an even length), then filled in place.
+                postings = run.copy()
+                postings[:] = at_positions(everything, run)
+                return ArrayPostingList.from_sorted(postings)
+        else:
+            make = packed_runs(everything, ordering.depth)
+        # One int object per position, shared by every run holding it.
+        positions = list(range(len(everything)))
+        index._all = make(positions)
+        # Runs fill in document order, so each is sorted and duplicate-free;
+        # a column's lists are made before the next column's runs exist.
+        for column, name in enumerate(relation.schema.names):
+            runs: dict[Any, list[int]] = defaultdict(list)
+            for position, value in zip(positions, map(itemgetter(column), rows)):
+                runs[value].append(position)
+            for value, run in runs.items():
+                index._scalar[name, value] = make(run)
             if name in index._text_attributes:
+                tokens: dict[str, list[list[int]]] = defaultdict(list)
                 for text, run in runs.items():
                     for token in token_set(text):
-                        token_acc.setdefault((name, token), []).append(run)
-        # The accumulators were filled in Dewey order, so every run is
-        # sorted and duplicate-free.
-        depth = ordering.depth
-        # Every run is a subset of ``everything``, so field widths sized to
-        # it fit them all: one codec per index, no per-run sizing pass.
-        widths = (
-            field_widths(everything, depth)
-            if backend == COMPRESSED_BACKEND
-            else None
-        )
-        index._scalar = {
-            key: _posting_list_of_run(run, backend, depth, widths)
-            for key, run in scalar_acc.items()
-        }
-        index._token = {
-            key: _posting_list_of_run(
-                runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs)),
-                backend, depth, widths,
-            )
-            for key, runs in token_acc.items()
-        }
-        index._all = _posting_list_of_run(everything, backend, depth, widths)
+                        tokens[token].append(run)
+                for token, token_runs in tokens.items():
+                    index._token[name, token] = make(
+                        token_runs[0] if len(token_runs) == 1
+                        else sorted(chain.from_iterable(token_runs))
+                    )
         return index
 
     # ------------------------------------------------------------------

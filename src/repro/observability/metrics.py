@@ -35,7 +35,7 @@ import math
 import threading
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 SNAPSHOT_FORMAT = "repro-metrics"
 SNAPSHOT_VERSION = 1

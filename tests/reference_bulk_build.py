@@ -12,12 +12,30 @@ uniqueness counters and posting lists from both.
 * :func:`posting_runs` — the per-row posting build: re-sort the Dewey
   space, ``rid_of`` each ID, one ``setdefault`` per (attribute, value) and
   one ``token_set`` per row.
+* :func:`build_postings` — ``InvertedIndex.build`` before it worked in
+  positions: runs of Dewey tuples, token runs merged by sorting tuples,
+  every posting of every compressed list packed through the codec one at a
+  time.  It builds the lists themselves, so their sizes and packed keys
+  can be compared, not only their contents.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
+from itertools import chain, compress
+from operator import itemgetter
+
 from repro.core.ordering import DiversityOrdering
+from repro.index.compressed import (
+    CompressedPostingList,
+    _compile_codecs,
+    _Segment,
+    field_widths,
+)
 from repro.index.dewey_index import DeweyAssignmentError, DeweyIndex, _sort_key
+from repro.index.inverted import InvertedIndex
+from repro.index.postings import ARRAY_BACKEND, ArrayPostingList
 from repro.index.snapshot import SnapshotError
 from repro.index.tokenize import token_set
 from repro.storage.relation import Relation
@@ -152,3 +170,54 @@ def posting_runs(relation: Relation, dewey: DeweyIndex, rids=None):
             for token in token_set(text):
                 token_acc.setdefault((name, token), []).append(dewey_id)
     return scalar_acc, token_acc, everything
+
+
+def _posting_list_of_run(run, backend: str, depth: int, widths):
+    """A list over one sorted run; ``widths`` are the index-wide field
+    widths, which give way to the run's own past 64 bits."""
+    if backend == ARRAY_BACKEND:
+        return ArrayPostingList.from_sorted(run.copy())
+    if widths is None or sum(widths) > 64:
+        widths = field_widths(run, depth)
+    packed = list(map(_compile_codecs(widths)[0], run))
+    keys = array("Q", packed) if sum(widths) <= 64 else packed
+    return CompressedPostingList._of(_Segment(keys, widths), depth)
+
+
+def build_postings(relation: Relation, ordering: DiversityOrdering,
+                   backend: str, dewey: DeweyIndex, rids=None) -> InvertedIndex:
+    """``InvertedIndex.build(..., dewey=dewey, rids=rids)`` over tuple runs."""
+    index = InvertedIndex(relation, ordering, backend=backend, dewey=dewey)
+    everything = dewey.all_deweys()
+    order = list(dewey.rids_of(everything))
+    if rids is not None:
+        keep = list(map(set(rids).__contains__, order))
+        everything = list(compress(everything, keep))
+        order = list(compress(order, keep))
+    rows = relation.rows_of(order)
+    scalar_acc: dict = {}
+    token_acc: dict = {}
+    for position, name in enumerate(relation.schema.names):
+        runs = defaultdict(list)
+        for dewey_id, value in zip(everything, map(itemgetter(position), rows)):
+            runs[value].append(dewey_id)
+        scalar_acc.update(((name, value), run) for value, run in runs.items())
+        if name in index._text_attributes:
+            for text, run in runs.items():
+                for token in token_set(text):
+                    token_acc.setdefault((name, token), []).append(run)
+    depth = ordering.depth
+    widths = None if backend == ARRAY_BACKEND else field_widths(everything, depth)
+    index._scalar = {
+        key: _posting_list_of_run(run, backend, depth, widths)
+        for key, run in scalar_acc.items()
+    }
+    index._token = {
+        key: _posting_list_of_run(
+            runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs)),
+            backend, depth, widths,
+        )
+        for key, runs in token_acc.items()
+    }
+    index._all = _posting_list_of_run(everything, backend, depth, widths)
+    return index

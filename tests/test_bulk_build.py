@@ -12,12 +12,17 @@ error class as before.
 
 from __future__ import annotations
 
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ordering import DiversityOrdering
+from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.paper_example import figure1_ordering, figure1_relation
+from repro.index import compressed
 from repro.index.dewey_index import DeweyAssignmentError, DeweyIndex
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import BACKENDS
@@ -33,6 +38,7 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
 from . import reference_bulk_build as reference
+from .conftest import RANDOM_ORDERING, random_relation
 
 SCHEMA = Schema.of(make="categorical", year="numeric", color="categorical",
                    desc="text")
@@ -110,6 +116,27 @@ def assert_same_postings(index: InvertedIndex, dewey: DeweyIndex,
             value for attribute, value in scalar if attribute == name]
 
 
+def assert_same_lists(index: InvertedIndex, rids=None) -> None:
+    """The lists themselves, not only their contents, are the ones the
+    tuple-run build makes: equal sizes (so ``bytes_per_posting``) and, for
+    compressed lists, equal field widths and packed keys."""
+    expected = reference.build_postings(index.relation, index.ordering,
+                                        index.backend, index.dewey, rids)
+    assert index.memory_stats() == expected.memory_stats()
+    if index.backend != "compressed":
+        return
+    pairs = [(index.all_postings(), expected.all_postings())]
+    for attribute in ("_scalar", "_token"):
+        built, frozen = getattr(index, attribute), getattr(expected, attribute)
+        assert list(built) == list(frozen)
+        pairs += [(built[key], frozen[key]) for key in built]
+    for plist, frozen in pairs:
+        segment, frozen = plist._segment, frozen._segment
+        assert segment.widths == frozen.widths
+        assert type(segment.keys) is type(frozen.keys)
+        assert segment.keys == frozen.keys
+
+
 @settings(max_examples=120, deadline=None)
 @given(relations(), st.sampled_from(ORDERINGS), st.sampled_from(BACKENDS))
 def test_fresh_build_is_the_per_row_build(case, attributes, backend):
@@ -120,6 +147,7 @@ def test_fresh_build_is_the_per_row_build(case, attributes, backend):
     index = InvertedIndex.build(relation, ordering, backend=backend)
     assert_same_space(index.dewey, expected)
     assert_same_postings(index, expected)
+    assert_same_lists(index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,6 +167,57 @@ def test_sharded_build_routes_the_same_subsets(case, attributes, backend, shards
         routed[router.shard_of(relation[rid][position])].append(rid)
     for shard, rids in zip(sharded.shards, routed):
         assert_same_postings(shard, expected, rids)
+        assert_same_lists(shard, rids)
+
+
+def test_index_past_64_bits_sizes_each_list_as_before():
+    """Every component stretched ``<< 16`` (the same tree): the index-wide
+    fields sum past 64 bits, so each list sizes its own, whole or routed."""
+    relation = random_relation(random.Random(6401), max_rows=60)
+    ordering = DiversityOrdering(RANDOM_ORDERING)
+    natural = DeweyIndex.build(relation, ordering)
+    wide = DeweyIndex.restore(relation, ordering, {
+        rid: tuple(component << 16 for component in natural.dewey_of(rid))
+        for rid in natural.iter_rids()
+    })
+    assert sum(compressed.field_widths(wide.all_deweys(), ordering.depth)) > 64
+    half = list(wide.iter_rids())[::2]
+    for backend in BACKENDS:
+        for rids in (None, half):
+            index = InvertedIndex.build(relation, ordering, backend=backend,
+                                        dewey=wide, rids=rids)
+            assert_same_lists(index, rids)
+    # ... and the narrow lists still fit a word.
+    index = InvertedIndex.build(relation, ordering, backend="compressed",
+                                dewey=wide)
+    keys = {type(plist._segment.keys) for plist in index.posting_lists()}
+    assert keys == {array, list}
+
+
+def test_compressed_build_packs_each_dewey_id_once(monkeypatch):
+    """One codec call per row, however many lists hold it: the runs adopt
+    their keys from one packed column."""
+    calls = 0
+    compile_codecs = compressed._compile_codecs
+
+    def counting(widths):
+        pack, *rest = compile_codecs(widths)
+
+        def counted(dewey):
+            nonlocal calls
+            calls += 1
+            return pack(dewey)
+        return (counted, *rest)
+
+    monkeypatch.setattr(compressed, "_compile_codecs", counting)
+    relation = generate_autos(AutosSpec(rows=600, seed=42))
+    index = InvertedIndex.build(relation, autos_ordering(), backend="compressed")
+    assert index.memory_stats()["postings"] > 5 * len(index)
+    assert calls == len(index) == relation.live_count
+    calls = 0
+    sharded = ShardedIndex.build(relation, autos_ordering(), shards=4,
+                                 backend="compressed")
+    assert calls == sum(map(len, sharded.shards)) == relation.live_count
 
 
 def _mutated(relation, mixed, later, ordering, backend):
@@ -176,12 +255,14 @@ def test_restore_is_the_force_loop(case, attributes, backend):
     rebuilt = InvertedIndex.build(relation, ordering, backend=backend,
                                   dewey=restored, rids=live)
     assert_same_postings(rebuilt, expected, live)
+    assert_same_lists(rebuilt, live)
     assert sorted(rebuilt.all_postings()) == sorted(index.all_postings())
     # A replica clone of the live, mutated space: its IDs are no longer
     # in walk order and must be sorted again.
     clone = InvertedIndex.build(relation, ordering, backend=backend,
                                 dewey=index.dewey, rids=live)
     assert_same_postings(clone, index.dewey, live)
+    assert_same_lists(clone, live)
 
 
 @settings(max_examples=80, deadline=None)

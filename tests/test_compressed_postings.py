@@ -31,6 +31,7 @@ from repro.index.compressed import (
     _compile_codecs,
     _Segment,
     field_widths,
+    packed_runs,
 )
 from repro.index.dewey_index import DeweyIndex
 from repro.index.inverted import InvertedIndex
@@ -102,9 +103,10 @@ class PostingMachine(RuleBasedStateMachine):
         })
         self.oracle = ArrayPostingList(postings)
         if shape == "handed-widths":
-            everything = [(max(initial),) * DEPTH]
-            self.plist = CompressedPostingList.from_sorted(
-                postings, DEPTH, field_widths(everything, DEPTH)
+            # a run of an index build whose rows span components 0..7
+            everything = sorted({*postings, (max(initial),) * DEPTH})
+            self.plist = packed_runs(everything, DEPTH)(
+                [everything.index(dewey) for dewey in postings]
             )
             assert self.plist._segment.widths == (3, 3, 3)
         else:
@@ -295,9 +297,7 @@ def test_insert_wider_than_the_handed_fields_lives_in_the_tail():
     """Index-wide widths fit the build's rows, not tomorrow's: an id no
     field holds waits in the tail until a compaction re-sizes the fields."""
     postings = [(i, i % 3) for i in range(8)]
-    plist = CompressedPostingList.from_sorted(
-        postings, 2, field_widths(postings, 2)
-    )
+    plist = packed_runs(postings, 2)(list(range(len(postings))))
     assert plist._segment.widths == (3, 2)
     plist.insert((8, 0))
     plist.insert((3, 4))
