@@ -20,16 +20,13 @@ multq       query-rewriting baseline (MultQ)
 
 from __future__ import annotations
 
+import contextvars
 from typing import Dict, Optional, Sequence, Union
 
 from ..index.inverted import InvertedIndex
 from ..index.merged import MergedList
-from ..observability import (
-    MONOTONIC,
-    annotate_query_stats,
-    get_registry,
-    record_query_metrics,
-)
+from ..observability import MONOTONIC, annotate_query_stats, get_registry
+from ..observability.probes import query_record
 from ..planner.cost import annotate_plan_stats, choose
 from ..query.estimate import order_for_leapfrog
 from ..query.parser import parse_query
@@ -51,6 +48,12 @@ ALGORITHMS = ("onepass", "probe", "naive", "basic", "multq")
 #: Kept out of :data:`ALGORITHMS` so code iterating the fixed algorithms
 #: (tests, benchmarks, the metrics CLI's per-algorithm loops) is unchanged.
 AUTO = "auto"
+
+#: True while :meth:`DiversityEngine._execute_auto` runs its selected
+#: algorithm (through subclass ``execute`` overrides), so the query's record
+#: counts the choice.
+_AUTO_RUN: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_auto_run", default=False)
 
 
 def run_algorithm(
@@ -255,36 +258,13 @@ class DiversityEngine:
         """
         if decision is None:
             decision = self.plan(query, k, scored)
-        result = self.execute(query, k, decision.algorithm, scored)
+        token = _AUTO_RUN.set(True)
+        try:
+            result = self.execute(query, k, decision.algorithm, scored)
+        finally:
+            _AUTO_RUN.reset(token)
         annotate_plan_stats(result.stats, decision)
-        self._record_plan_metrics(decision, result.stats)
         return result
-
-    def _record_plan_metrics(self, decision, stats: Dict[str, int]) -> None:
-        """Export one auto decision: the choice counter plus the paper-bound
-        cross-check (a selected algorithm violating its own access bound
-        means the plan was priced from a broken premise — must stay 0)."""
-        registry = self._registry if self._registry is not None else get_registry()
-        if not registry.enabled:
-            return
-        key = ("plan_choice", decision.algorithm, decision.scored)
-        choices = registry.hot_cache.get(key)
-        if choices is None:
-            choices = registry.hot_cache[key] = registry.counter(
-                "repro_plan_choice_total",
-                help="auto-planned queries, by selected algorithm",
-                algorithm=decision.algorithm,
-                mode="scored" if decision.scored else "unscored",
-            )
-        choices.inc()
-        if stats.get("probe_bound_exceeded") or stats.get("scan_passes", 1) > 1:
-            registry.counter(
-                "repro_plan_bound_violations_total",
-                help="auto-selected runs that broke their own access bound "
-                     "(Theorem 2 probe bound / one-pass single scan); "
-                     "must stay 0",
-                algorithm=decision.algorithm,
-            ).inc()
 
     def execute(
         self,
@@ -304,11 +284,8 @@ class DiversityEngine:
         """
         if algorithm == AUTO:
             return self._execute_auto(query, k, scored, decision)
-        # Per-query latency goes to the ``repro_query_ms`` histogram of the
-        # query's instrument bundle, not a span: execute is the per-query
-        # hot path, and the full span machinery (contextvars, record ring,
-        # field dicts) costs several microseconds a query where this is well
-        # under one.  Spans bracket pipeline *stages* (shard.scatter, WAL).
+        # Latency rides in the query's record, not a span: spans (several
+        # microseconds each) bracket pipeline stages, not queries.
         started = MONOTONIC()
         deweys, scores, stats = run_algorithm(
             self._index, query, k, algorithm, scored
@@ -326,11 +303,15 @@ class DiversityEngine:
         started: Optional[float] = None,
     ) -> DiverseResult:
         """Package the answer as columns (:meth:`DiverseResult.package`; no
-        row is materialised here), then publish the query's metrics, with
-        its latency since ``started`` when given."""
+        row is materialised here), then append the query's record to the
+        registry, with its latency since ``started`` when given and whether
+        an auto decision selected it."""
         result = DiverseResult.package(
             self._index, deweys, scores, k, algorithm, scored, stats)
-        record_query_metrics(self._registry, algorithm, scored, k, stats, started)
+        registry = self._registry if self._registry is not None else get_registry()
+        if registry.enabled:
+            registry.record(
+                query_record(algorithm, scored, stats, started, _AUTO_RUN.get()))
         return result
 
     def insert(self, row) -> int:

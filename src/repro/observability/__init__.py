@@ -8,12 +8,13 @@ shards, retries, WAL) continuously visible:
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket latency
   histograms (p50/p95/p99 without numpy), exported as a JSON snapshot or
   Prometheus text.
-* :mod:`~repro.observability.spans` — ``with span("serve.execute", ...)``
-  structured timing, threaded through serving, sharding, resilience and
-  durability.
+* :mod:`~repro.observability.spans` — ``with span("shard.scan", ...)``
+  structured timing of pipeline stages: snapshot writes and recovery
+  (``durability.*``), the sharded scan and scatter (``shard.*``).
 * :mod:`~repro.observability.probes` — always-on per-query probe
   accounting asserting Theorem 2's ``2k`` probe bound and the one-pass
-  single-scan property at runtime.
+  single-scan property at runtime: one plain record per query, folded
+  into the instruments when the registry is read.
 * :mod:`~repro.observability.clock` — the one injectable monotonic clock
   (and :class:`FakeClock`) the whole stack times against.
 """

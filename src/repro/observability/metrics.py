@@ -16,7 +16,9 @@ one place every layer reports into:
   landing bucket, so no samples are retained and no numpy is needed.
 * :class:`MetricsRegistry` — named, labelled instruments plus registered
   *collectors* (callbacks that refresh gauges from live objects — health
-  boards, cache stats — right before export).
+  boards, cache stats — right before export) and a queue of per-query
+  records folded into the instruments on read
+  (:mod:`repro.observability.probes`).
 
 Exports: :meth:`MetricsRegistry.snapshot` (a JSON-able dict, schema
 ``repro-metrics`` v1) and :meth:`MetricsRegistry.render_prometheus`
@@ -50,6 +52,10 @@ DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
 #: How many finished spans a registry keeps (the oldest drop first).
 SPAN_CAPACITY = 256
 
+#: How many query records may wait before the appending query folds them
+#: (every read folds whatever is waiting).
+FOLD_AT = 512
+
 LabelSet = Tuple[Tuple[str, str], ...]
 
 
@@ -65,8 +71,8 @@ def _render_labels(labels: LabelSet) -> str:
     return "{" + body + "}"
 
 
-class Counter:
-    """A monotone counter; ``inc`` is exact under concurrent callers."""
+class _Scalar:
+    """One named, labelled number behind a per-instrument lock."""
 
     __slots__ = ("name", "labels", "_value", "_lock")
 
@@ -75,12 +81,6 @@ class Counter:
         self.labels = labels
         self._value = 0.0
         self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
 
     @property
     def value(self) -> float:
@@ -88,16 +88,22 @@ class Counter:
             return self._value
 
 
-class Gauge:
+class Counter(_Scalar):
+    """A monotone counter; ``inc`` is exact under concurrent callers."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up; use a Gauge")
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (or be set outright)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, labels: LabelSet):
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -112,11 +118,6 @@ class Gauge:
         with self._lock:
             if value > self._value:
                 self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:
@@ -151,21 +152,17 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         with self._lock:
-            self._record(value)
-
-    def _record(self, value: float) -> None:
-        """``observe`` with ``_lock`` already held."""
-        # Linear scan beats bisect for the short (≤17) bucket lists here.
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self._counts[index] += 1
-                break
-        self._sum += value
-        self._count += 1
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
+            # Linear scan beats bisect for the short (≤17) bucket lists here.
+            for index, bound in enumerate(self.buckets):
+                if value <= bound:
+                    self._counts[index] += 1
+                    break
+            self._sum += value
+            self._count += 1
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
 
     @property
     def count(self) -> int:
@@ -182,38 +179,44 @@ class Histogram:
         if not 0.0 <= p <= 1.0:
             raise ValueError("quantile p must be in [0, 1]")
         with self._lock:
-            if self._count == 0:
-                return math.nan
-            target = p * self._count
-            seen = 0
-            for index, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if seen + bucket_count >= target:
-                    upper = self.buckets[index]
-                    lower = self.buckets[index - 1] if index > 0 else 0.0
-                    if math.isinf(upper):
-                        # Everything in the overflow bucket: best estimate
-                        # is the largest value actually observed.
-                        return self._max
-                    fraction = (target - seen) / bucket_count
-                    return lower + (upper - lower) * min(1.0, max(0.0, fraction))
-                seen += bucket_count
-            return self._max
+            return self._quantile(p)
+
+    def _quantile(self, p: float) -> float:
+        """``quantile`` with ``_lock`` already held."""
+        if self._count == 0:
+            return math.nan
+        target = p * self._count
+        seen = 0
+        for index, bucket_count in enumerate(self._counts):
+            if bucket_count == 0:
+                continue
+            if seen + bucket_count >= target:
+                upper = self.buckets[index]
+                lower = self.buckets[index - 1] if index > 0 else 0.0
+                if math.isinf(upper):
+                    # Everything in the overflow bucket: best estimate
+                    # is the largest value actually observed.
+                    return self._max
+                fraction = (target - seen) / bucket_count
+                return lower + (upper - lower) * min(1.0, max(0.0, fraction))
+            seen += bucket_count
+        return self._max
 
     def summary(self) -> Dict[str, float]:
+        """Count, sum, extremes and quantiles, all read under one lock
+        acquisition, so they describe the same set of observations."""
         with self._lock:
             if self._count == 0:
                 return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self._min,
-            "max": self._max,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
+            return {
+                "count": self._count,
+                "sum": self._sum,
+                "min": self._min,
+                "max": self._max,
+                "p50": self._quantile(0.50),
+                "p95": self._quantile(0.95),
+                "p99": self._quantile(0.99),
+            }
 
 
 class _NullInstrument:
@@ -241,6 +244,10 @@ class MetricsRegistry:
     — repeated ``registry.counter("x", shard=0)`` calls return the same
     :class:`Counter`, so hot paths can (and should) hold the instrument
     once instead of re-resolving it per event.
+
+    A query resolves no instrument: it appends one plain tuple
+    (:meth:`record`), and :meth:`fold` turns the queued tuples into
+    instrument updates before every read and once :data:`FOLD_AT` wait.
     """
 
     def __init__(self, enabled: bool = True):
@@ -252,64 +259,41 @@ class MetricsRegistry:
         self._help: Dict[str, str] = {}
         self._collectors: List[Callable[[], None]] = []
         self.spans = deque(maxlen=SPAN_CAPACITY)
-        #: Free-form memo for hot callers that want to skip even the
-        #: label-key build of the factory methods (the per-query metric
-        #: seams keep resolved instrument bundles here, keyed however they
-        #: like).  Cleared by :meth:`reset` alongside the instruments, so
-        #: a memo can never outlive what it points at.  Plain-dict races
-        #: are benign: the worst case is a duplicate resolution.
-        self.hot_cache: Dict = {}
+        #: Query records not yet folded.  ``append`` and ``popleft`` are
+        #: atomic: appenders take no lock, and only :meth:`fold` pops.
+        self.records: deque = deque()
+        self._fold_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Instrument factories
     # ------------------------------------------------------------------
     def counter(self, name: str, help: str = "", **labels):
+        return self._instrument(self._counters, Counter, name, help, labels)
+
+    def gauge(self, name: str, help: str = "", **labels):
+        return self._instrument(self._gauges, Gauge, name, help, labels)
+
+    def histogram(self, name: str, help: str = "",
+                  buckets: Sequence[float] = DEFAULT_BUCKETS_MS, **labels):
+        return self._instrument(self._histograms, Histogram, name, help,
+                                labels, buckets)
+
+    def _instrument(self, table: Dict, kind, name: str, help: str,
+                    labels: Dict[str, object], *args):
+        """The ``(name, labels)`` instrument of ``table``, created (as
+        ``kind(name, labels, *args)``) on first use."""
         if not self.enabled:
             return _NULL
         key = (name, _label_key(labels))
         # Lock-free fast path: dict reads are atomic, and an instrument,
         # once created, is never replaced.
-        instrument = self._counters.get(key)
+        instrument = table.get(key)
         if instrument is not None:
             return instrument
         with self._lock:
-            instrument = self._counters.get(key)
+            instrument = table.get(key)
             if instrument is None:
-                instrument = Counter(name, key[1])
-                self._counters[key] = instrument
-                if help:
-                    self._help.setdefault(name, help)
-        return instrument
-
-    def gauge(self, name: str, help: str = "", **labels):
-        if not self.enabled:
-            return _NULL
-        key = (name, _label_key(labels))
-        instrument = self._gauges.get(key)
-        if instrument is not None:
-            return instrument
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = Gauge(name, key[1])
-                self._gauges[key] = instrument
-                if help:
-                    self._help.setdefault(name, help)
-        return instrument
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS_MS, **labels):
-        if not self.enabled:
-            return _NULL
-        key = (name, _label_key(labels))
-        instrument = self._histograms.get(key)
-        if instrument is not None:
-            return instrument
-        with self._lock:
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = Histogram(name, key[1], buckets)
-                self._histograms[key] = instrument
+                instrument = table[key] = kind(name, key[1], *args)
                 if help:
                     self._help.setdefault(name, help)
         return instrument
@@ -340,27 +324,51 @@ class MetricsRegistry:
             self.spans.append(record)
 
     # ------------------------------------------------------------------
+    # Per-query records
+    # ------------------------------------------------------------------
+    def record(self, record: tuple) -> None:
+        """Append one query record; fold when :data:`FOLD_AT` are waiting."""
+        records = self.records
+        records.append(record)
+        if len(records) >= FOLD_AT:
+            self.fold()
+
+    def fold(self) -> None:
+        """Fold every waiting query record into the instruments.
+
+        Serialised by ``_fold_lock``: a read that folds waits for a fold
+        in progress, so it sees every record appended before it began.
+        """
+        from .probes import fold_query_records  # probes builds on this module
+
+        with self._fold_lock:
+            records = self.records
+            drained = [records.popleft() for _ in range(len(records))]
+            if drained:
+                fold_query_records(self, drained)
+
+    # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def snapshot(self, spans: bool = True) -> Dict:
         """Everything the registry knows, as one JSON-able document."""
+        self.fold()
         self.run_collectors()
         with self._lock:
             counters = list(self._counters.values())
             gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
+
+        def entries(scalars):
+            return [{"name": s.name, "labels": dict(s.labels), "value": s.value}
+                    for s in scalars]
+
         document: Dict = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "enabled": self.enabled,
-            "counters": [
-                {"name": c.name, "labels": dict(c.labels), "value": c.value}
-                for c in counters
-            ],
-            "gauges": [
-                {"name": g.name, "labels": dict(g.labels), "value": g.value}
-                for g in gauges
-            ],
+            "counters": entries(counters),
+            "gauges": entries(gauges),
             "histograms": [
                 {"name": h.name, "labels": dict(h.labels), **h.summary()}
                 for h in histograms
@@ -372,6 +380,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (0.0.4)."""
+        self.fold()
         self.run_collectors()
         with self._lock:
             counters = sorted(self._counters.items())
@@ -389,14 +398,11 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {helps[name]}")
             lines.append(f"# TYPE {name} {kind}")
 
-        for (name, _), counter in counters:
-            header(name, "counter")
-            lines.append(
-                f"{name}{_render_labels(counter.labels)} {counter.value:g}"
-            )
-        for (name, _), gauge in gauges:
-            header(name, "gauge")
-            lines.append(f"{name}{_render_labels(gauge.labels)} {gauge.value:g}")
+        for kind, scalars in (("counter", counters), ("gauge", gauges)):
+            for (name, _), scalar in scalars:
+                header(name, kind)
+                lines.append(
+                    f"{name}{_render_labels(scalar.labels)} {scalar.value:g}")
         for (name, _), histogram in histograms:
             header(name, "histogram")
             base = dict(histogram.labels)
@@ -417,6 +423,7 @@ class MetricsRegistry:
 
     def find(self, name: str, **labels):
         """Look an instrument up without creating it (None when absent)."""
+        self.fold()
         key = (name, _label_key(labels))
         with self._lock:
             return (
@@ -431,15 +438,16 @@ class MetricsRegistry:
         return instrument.value if instrument is not None else 0.0
 
     def reset(self) -> None:
-        """Drop every instrument, collector and span (test isolation)."""
+        """Drop every instrument, collector, span and waiting record (test
+        isolation)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
             self._collectors.clear()
             self._help.clear()
-            self.hot_cache.clear()
         self.spans.clear()
+        self.records.clear()
 
 
 #: The process-wide default registry every instrumentation seam reports to

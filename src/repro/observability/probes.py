@@ -1,9 +1,8 @@
 """Per-query probe accounting: the paper's access bounds as live metrics.
 
-:mod:`repro.core.trace` can record every probe of one run for inspection;
-this module is its always-on generalisation: cheap counters the engine
-updates once per query, exported through the metrics registry so the
-paper's efficiency claims are *continuously checked* under real traffic:
+Cheap counters the engine feeds once per query, exported through the
+metrics registry so the paper's efficiency claims are *continuously
+checked* under real traffic:
 
 * **Probe bound (Theorem 2)** — the unscored probing driver makes at most
   ``2k`` ``next()`` calls beyond the initial positioning probe (the repo's
@@ -19,15 +18,14 @@ paper's efficiency claims are *continuously checked* under real traffic:
   ``repro_onepass_skips_total``.
 
 :func:`annotate_query_stats` runs inside ``run_algorithm`` (pure dict
-work, no registry); :func:`record_query_metrics` publishes one query's
-stats to a registry — the split keeps the core engine loop free of any
-metrics dependency beyond a single call.
+work, no registry); the engine appends one plain tuple per query
+(:func:`query_record`) to the registry, which folds the queued tuples into
+its instruments (:func:`fold_query_records`) when it is read.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .clock import MONOTONIC
 from .metrics import MetricsRegistry, get_registry
@@ -75,21 +73,48 @@ def annotate_query_stats(
     return stats
 
 
-def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
-    """The per-(algorithm, mode) instrument bundle, memoised per registry.
+def query_record(algorithm: str, scored: bool, stats: Dict[str, int],
+                 started: Optional[float] = None, auto: bool = False) -> tuple:
+    """One executed query as a plain tuple: ``(algorithm, mode, elapsed_ms,
+    next_calls, scored_next_calls, rows_touched, probe_calls, probe_bound,
+    skips, scan_passes, auto)``, copied out of ``stats`` (which
+    ``annotate_plan_stats`` still adds to).  ``elapsed_ms`` runs from
+    ``started``, a :data:`MONOTONIC` reading; ``None`` marks an absent
+    value; ``auto`` marks a run an auto decision selected."""
+    return (
+        algorithm,
+        "scored" if scored else "unscored",
+        None if started is None else (MONOTONIC() - started) * 1000.0,
+        stats.get("next_calls", 0),
+        stats.get("scored_next_calls", 0),
+        stats.get("rows_touched", 0),
+        stats.get("probe_calls") if algorithm == "probe" else None,
+        stats.get("probe_bound"),
+        stats.get("skips", 0),
+        stats.get("scan_passes", 1),
+        auto,
+    )
 
-    ``record_query_metrics`` runs once per query; resolving nine labelled
-    instruments through the factory methods each time (label-key build +
-    dict lookup apiece) is the dominant cost of the whole seam.  The
-    bundle is resolved once and parked in the registry's ``hot_cache``,
-    which ``reset()`` clears together with the instruments themselves.
-    Every bundled instrument is switched, once, to the registry's query
-    lock (bundles share instruments): a query takes one lock, not eight.
-    """
-    key = ("query", algorithm, mode)
-    bundle = registry.hot_cache.get(key)
-    if bundle is not None:
-        return bundle
+
+def record_query_metrics(
+    registry: Optional[MetricsRegistry],
+    algorithm: str,
+    scored: bool,
+    k: int,
+    stats: Dict[str, int],
+    started: Optional[float] = None,
+) -> None:
+    """Queue one executed query's record on ``registry`` (the process
+    registry when ``None``), with its latency since ``started`` when given.
+    ``k`` is unused: the run's Theorem 2 bound is already in ``stats``."""
+    if registry is None:
+        registry = get_registry()
+    if registry.enabled:
+        registry.record(query_record(algorithm, scored, stats, started))
+
+
+def _bundle(registry: MetricsRegistry, algorithm: str, mode: str) -> Dict:
+    """The instruments one ``(algorithm, mode)``'s records fold into."""
     bundle = {
         "query_ms": registry.histogram(
             "repro_query_ms",
@@ -131,66 +156,75 @@ def _query_instruments(registry: MetricsRegistry, algorithm: str, mode: str):
         bundle["onepass_queries"] = registry.counter(
             "repro_onepass_queries_total",
             help="one-pass queries executed", mode=mode)
-    lock = registry.hot_cache.setdefault(("query", "lock"), threading.Lock())
-    for instrument in bundle.values():
-        instrument._lock = lock
-    bundle["lock"] = lock
-    registry.hot_cache[key] = bundle
     return bundle
 
 
-def record_query_metrics(
-    registry: Optional[MetricsRegistry],
-    algorithm: str,
-    scored: bool,
-    k: int,
-    stats: Dict[str, int],
-    started: Optional[float] = None,
-) -> None:
-    """Publish one executed query's stats dict to ``registry``, and its
-    latency since ``started`` (a :data:`MONOTONIC` reading) when given.
+def fold_query_records(registry: MetricsRegistry,
+                       records: Sequence[tuple]) -> None:
+    """Fold queued :func:`query_record` tuples into ``registry``'s
+    instruments: summed per ``(algorithm, mode)``, then one public
+    ``inc``/``set_max`` per instrument (an ``observe`` per sample).
 
-    The single per-query seam between the engine and the metrics layer:
-    one counter bump per stat of interest, nothing per probe.
+    Instruments are resolved walking the records in order, each at the
+    first record that needs it, so the registry lists them in the order a
+    per-query update would have created them.  The violation counters
+    (must stay 0) appear at the first violation, so a clean run exports
+    no misleading zero-valued series.
     """
-    if registry is None:
-        registry = get_registry()
-    if not registry.enabled:
-        return
-    mode = "scored" if scored else "unscored"
-    bundle = _query_instruments(registry, algorithm, mode)
-    probe_calls = stats.get("probe_calls") if algorithm == "probe" else None
-    elapsed_ms = None if started is None else (MONOTONIC() - started) * 1000.0
-    with bundle["lock"]:
-        if elapsed_ms is not None:
-            bundle["query_ms"]._record(elapsed_ms)
-        bundle["queries"]._value += 1
-        bundle["next_calls"]._value += stats.get("next_calls", 0)
-        bundle["scored_next_calls"]._value += stats.get("scored_next_calls", 0)
-        bundle["rows_touched"]._value += stats.get("rows_touched", 0)
-        if probe_calls is not None:
-            bundle["probe_calls"]._record(probe_calls)
-            if "probe_bound" in stats:  # the unscored driver ran
-                for name, value in (("probe_max", probe_calls),
-                                    ("probe_max_bound", stats["probe_bound"])):
-                    gauge = bundle[name]
-                    gauge._value = max(gauge._value, float(value))
+    groups: Dict[tuple, tuple] = {}  # (algorithm, mode) -> (bundle, records)
+    events: Dict[object, int] = {}   # per-query event counter -> increment
+
+    def count(name: str, help_text: str, **labels) -> None:
+        counter = registry.counter(name, help=help_text, **labels)
+        events[counter] = events.get(counter, 0) + 1
+
+    for record in records:
+        algorithm, mode, _, _, _, _, probe_calls, bound, _, scan_passes, auto = record
+        group = groups.get((algorithm, mode))
+        if group is None:
+            group = groups[algorithm, mode] = (_bundle(registry, algorithm, mode), [])
+        group[1].append(record)
+        # Theorem 2 bounds the unscored driver: the records with a bound.
+        exceeded = bound is not None and probe_calls > bound
+        if exceeded:
+            count("repro_probe_bound_violations_total",
+                  "unscored-driver probe queries exceeding the Theorem 2 "
+                  "bound of 2k (+1 positioning probe); must stay 0")
+        if algorithm == "onepass" and scan_passes > 1:
+            count("repro_onepass_scan_violations_total",
+                  "one-pass queries whose scan restarted (single-scan "
+                  "property broken); must stay 0", mode=mode)
+        if auto:
+            count("repro_plan_choice_total",
+                  "auto-planned queries, by selected algorithm",
+                  algorithm=algorithm, mode=mode)
+            if exceeded or scan_passes > 1:
+                count("repro_plan_bound_violations_total",
+                      "auto-selected runs that broke their own access bound "
+                      "(Theorem 2 probe bound / one-pass single scan); "
+                      "must stay 0", algorithm=algorithm)
+
+    for (algorithm, _), (bundle, group) in groups.items():
+        (_, _, latencies, next_calls, scored_next_calls, rows_touched,
+         probe_calls, bounds, skips, _, _) = zip(*group)
+        for elapsed_ms in latencies:
+            if elapsed_ms is not None:
+                bundle["query_ms"].observe(elapsed_ms)
+        bundle["queries"].inc(len(group))
+        bundle["next_calls"].inc(sum(next_calls))
+        bundle["scored_next_calls"].inc(sum(scored_next_calls))
+        bundle["rows_touched"].inc(sum(rows_touched))
+        if algorithm == "probe":
+            bounded = [(calls, bound) for calls, bound in zip(probe_calls, bounds)
+                       if bound is not None]
+            for calls in probe_calls:
+                if calls is not None:
+                    bundle["probe_calls"].observe(calls)
+            bundle["probe_max"].set_max(max((c for c, _ in bounded), default=0))
+            bundle["probe_max_bound"].set_max(
+                max((b for _, b in bounded), default=0))
         elif algorithm == "onepass":
-            bundle["skips"]._value += stats.get("skips", 0)
-            bundle["onepass_queries"]._value += 1
-    if stats.get("probe_bound_exceeded"):
-        # Violations are the exception path: resolved on demand so a
-        # clean run exports no misleading zero-valued series.
-        registry.counter(
-            "repro_probe_bound_violations_total",
-            help="unscored-driver probe queries exceeding the "
-                 "Theorem 2 bound of 2k (+1 positioning probe); "
-                 "must stay 0",
-        ).inc()
-    if algorithm == "onepass" and stats.get("scan_passes", 1) > 1:
-        registry.counter(
-            "repro_onepass_scan_violations_total",
-            help="one-pass queries whose scan restarted (single-scan "
-                 "property broken); must stay 0",
-            mode=mode,
-        ).inc()
+            bundle["skips"].inc(sum(skips))
+            bundle["onepass_queries"].inc(len(group))
+    for counter, amount in events.items():
+        counter.inc(amount)

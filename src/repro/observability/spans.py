@@ -1,19 +1,21 @@
 """Lightweight structured spans: named, timed, nested sections of work.
 
-A span brackets one unit of serving work — ``serve.execute``,
-``shard.scatter``, ``wal.append`` — records its wall duration into the
-registry's ``repro_span_duration_ms`` histogram (labelled by span name),
-and keeps a bounded ring of recent finished spans for ``snapshot()``.
+A span brackets one pipeline stage — ``durability.snapshot``,
+``durability.recover``, ``shard.scan``, ``shard.scatter`` — records its
+wall duration into the registry's ``repro_span_duration_ms`` histogram
+(labelled by span name), and keeps a bounded ring of recent finished
+spans for ``snapshot()``.  The process pool's executor adds one record
+per shard task it ran (``repro.parallel.executor``).
 Nesting is tracked with a :mod:`contextvars` stack, so a span started
 inside another (same thread/context) records its parent name — enough to
 reconstruct the serving pipeline's shape without a tracing backend.
 
 Usage::
 
-    with span("serve.execute", algorithm="probe", k=10):
+    with span("shard.scan", algorithm="probe", k=10):
         ...work...
 
-Overhead is a clock read, a dict, and one histogram observe per span —
+Overhead is a clock read, a record, and one histogram observe per span —
 and near zero when the active registry is disabled.  Spans deliberately
 time whole pipeline stages, never per-probe index calls; probe-level
 visibility comes from the always-on counters in
@@ -23,6 +25,7 @@ visibility comes from the always-on counters in
 from __future__ import annotations
 
 import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -31,14 +34,14 @@ from .metrics import MetricsRegistry, get_registry
 
 SPAN_DURATION_METRIC = "repro_span_duration_ms"
 
-_active_span: contextvars.ContextVar[Optional["span"]] = contextvars.ContextVar(
-    "repro_active_span", default=None
-)
+_active_span: contextvars.ContextVar[Optional["SpanRecord"]] = (
+    contextvars.ContextVar("repro_active_span", default=None))
 
 
 @dataclass
 class SpanRecord:
-    """One finished span, as kept in the registry's ring buffer."""
+    """One span: the active one of its context while it runs
+    (:func:`current_span`), then kept in the registry's ring buffer."""
 
     name: str
     duration_ms: float
@@ -59,88 +62,52 @@ class SpanRecord:
         return document
 
 
-class span:
-    """Context manager timing one named section of work.
+@contextmanager
+def span(name: str, registry: Optional[MetricsRegistry] = None,
+         clock: Clock = MONOTONIC, **fields):
+    """Time one named section of work; yields its :class:`SpanRecord`
+    (``None`` on a disabled registry), recorded when the section ends.
 
     ``fields`` are free-form structured attributes (query text, k,
     algorithm, shard id, ...) carried on the finished record.  An
     exception inside the span marks it ``status="error"`` (and adds the
     error type) but is never swallowed.
     """
-
-    __slots__ = ("name", "fields", "registry", "_clock", "_started",
-                 "_token", "parent", "record")
-
-    def __init__(
-        self,
-        name: str,
-        registry: Optional[MetricsRegistry] = None,
-        clock: Clock = MONOTONIC,
-        **fields,
-    ):
-        self.name = name
-        self.fields = fields
-        self.registry = registry
-        self._clock = clock
-        self._started = 0.0
-        self._token = None
-        self.parent: Optional[str] = None
-        self.record: Optional[SpanRecord] = None
-
-    def __enter__(self) -> "span":
-        if self.registry is None:
-            self.registry = get_registry()
-        if not self.registry.enabled:
-            return self
-        enclosing = _active_span.get()
-        self.parent = enclosing.name if enclosing is not None else None
-        self._token = _active_span.set(self)
-        self._started = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, exc_tb) -> bool:
-        registry = self.registry
-        if registry is None or not registry.enabled:
-            return False
-        duration_ms = (self._clock() - self._started) * 1000.0
-        if self._token is not None:
-            _active_span.reset(self._token)
-        # The fields dict is shared with the record on the happy path (no
-        # caller mutates it after exit); only the error path copies.
-        fields = self.fields
-        status = "ok"
-        if exc_type is not None:
-            status = "error"
-            fields = {**fields, "error": exc_type.__name__}
-        self.record = SpanRecord(
-            name=self.name,
-            duration_ms=duration_ms,
-            parent=self.parent,
-            status=status,
-            fields=fields,
-        )
-        registry.record_span(self.record)
-        # Per-name duration histogram, memoised in the registry's hot
-        # cache (spans close once per pipeline stage, but the engine's
-        # execute span is per-query — worth skipping the re-resolution).
-        hist = registry.hot_cache.get(("span", self.name))
-        if hist is None:
-            hist = registry.histogram(
-                SPAN_DURATION_METRIC,
-                help="Wall duration of instrumented pipeline spans",
-                span=self.name,
-            )
-            registry.hot_cache[("span", self.name)] = hist
-        hist.observe(duration_ms)
-        if status == "error":
+    if registry is None:
+        registry = get_registry()
+    if not registry.enabled:
+        yield None
+        return
+    enclosing = _active_span.get()
+    # The fields dict is shared with the record on the happy path (no
+    # caller mutates it after exit); only the error path copies.
+    record = SpanRecord(name, 0.0, enclosing.name if enclosing else None,
+                        fields=fields)
+    token = _active_span.set(record)
+    started = clock()
+    try:
+        yield record
+    except BaseException as exc:
+        record.status = "error"
+        record.fields = {**fields, "error": type(exc).__name__}
+        raise
+    finally:
+        record.duration_ms = (clock() - started) * 1000.0
+        _active_span.reset(token)
+        registry.record_span(record)
+        registry.histogram(
+            SPAN_DURATION_METRIC,
+            help="Wall duration of instrumented pipeline spans",
+            span=name,
+        ).observe(record.duration_ms)
+        if record.status == "error":
             registry.counter(
                 "repro_span_errors_total",
                 help="Spans that exited with an exception",
-                span=self.name,
+                span=name,
             ).inc()
-        return False
 
 
-def current_span() -> Optional[span]:
-    """The innermost active span of this context, or ``None``."""
+def current_span() -> Optional[SpanRecord]:
+    """The record of this context's innermost active span, or ``None``."""
     return _active_span.get()

@@ -92,6 +92,35 @@ class TestRegistry:
         assert 1.0 <= summary["p50"] <= 2.0
         assert 2.0 <= summary["p99"] <= 4.0
 
+    def test_histogram_summary_is_one_consistent_read(self):
+        """``summary`` reads every moment under one lock acquisition: with
+        writers observing 1.0 throughout, each summary has sum == count."""
+        import sys
+
+        hist = MetricsRegistry().histogram("h")
+        done = threading.Event()
+
+        def spin():
+            while not done.is_set():
+                hist.observe(1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writers = [threading.Thread(target=spin) for _ in range(4)]
+        try:
+            for writer in writers:
+                writer.start()
+            summaries = [hist.summary() for _ in range(10_000)]
+        finally:
+            done.set()
+            for writer in writers:
+                writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        torn = [s for s in summaries if s["count"] and s["sum"] != s["count"]]
+        assert torn == []
+        assert summaries[-1]["count"] > 0
+
     def test_histogram_appends_inf_bucket(self):
         hist = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
         assert hist.buckets[-1] == math.inf
@@ -175,9 +204,10 @@ class TestRegistry:
         assert counter.value == 20000
 
     def test_query_bundle_exact_under_threads(self):
-        """``record_query_metrics`` updates a whole instrument bundle under
-        one shared lock: no update is lost, and a direct ``inc`` on a
-        bundled counter (which takes that same lock) does not race it."""
+        """``record_query_metrics`` queues one record per query and reads
+        fold them: no update is lost while a reader folds concurrently
+        with the appenders, and a direct ``inc`` on a counter the fold
+        also updates does not race it."""
         import sys
 
         from repro.observability import record_query_metrics
@@ -185,6 +215,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         stats = {"next_calls": 3, "scored_next_calls": 0, "rows_touched": 2,
                  "probe_calls": 3, "probe_bound": 21}
+        done = threading.Event()
 
         def spin(scored):
             for _ in range(2000):
@@ -193,18 +224,28 @@ class TestRegistry:
                 registry.counter("repro_queries_total", algorithm="probe",
                                  mode="unscored").inc()
 
+        def read():
+            while not done.is_set():
+                registry.snapshot()
+                registry.render_prometheus()
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=read)
         try:
             workers = [threading.Thread(target=spin, args=(n % 2 == 0,))
                        for n in range(6)]
+            reader.start()
             for worker in workers:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=60)
         finally:
+            done.set()
+            reader.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
+        assert not reader.is_alive()
         assert registry.value("repro_queries_total", algorithm="probe",
                               mode="unscored") == 3 * 2000 + 6 * 500
         assert registry.value("repro_index_next_calls_total",

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from repro.core import onepass
 from repro.core.onepass import OnePassTree, one_pass_scored, one_pass_unscored
-from repro.core.trace import TracingMergedList
 from repro.index.merged import MergedList
 
 from .reference_onepass_tree import OnePassTree as EagerOnePassTree
 from .test_invariants import check_onepass_tree
 from .test_probe_lazy import random_case
+from .tracing import TracingMergedList
 
 
 def run_recorded(tree_class, driver, query, index, k):

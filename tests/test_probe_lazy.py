@@ -20,7 +20,6 @@ from repro.core.dewey import LEFT, MIDDLE, RIGHT
 from repro.core.ordering import DiversityOrdering
 from repro.core.probe_node import ProbeNode
 from repro.core.probing import probe_scored, probe_unscored
-from repro.core.trace import TracingMergedList
 from repro.data.autos import AutosSpec, autos_ordering, generate_autos
 from repro.data.workload import WorkloadGenerator, WorkloadSpec
 from repro.index.inverted import InvertedIndex
@@ -28,6 +27,7 @@ from repro.index.merged import MergedList
 
 from .conftest import RANDOM_ORDERING, logical_tree, random_query, random_relation
 from .reference_probe_node import ProbeNode as EagerProbeNode
+from .tracing import TracingMergedList
 
 
 def run_recorded(node_class, driver, query, index, k):

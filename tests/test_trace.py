@@ -3,9 +3,10 @@
 from repro.core.dewey import LEFT, RIGHT
 from repro.core.onepass import one_pass_scored, one_pass_unscored
 from repro.core.probing import probe_unscored
-from repro.core.trace import ProbeEvent, TracingMergedList
 from repro.index.merged import MergedList
 from repro.query.parser import parse_query
+
+from .tracing import ProbeEvent, TracingMergedList
 
 
 def traced(index, text):
